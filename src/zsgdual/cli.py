@@ -312,9 +312,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         view = fix_player(model, policies[player], player)
         h = _resolve_generator(model, args.h, view, policies)
         if model.horizon is not None:
-            est = duality.estimate_dual_bound_finite(
-                view, h, args.n, args.seed, n_workers=args.workers
-            )
+            est = duality.estimate_dual_bound_finite(view, h, args.n, args.seed)
         elif is_ssp:
             bad = duality.validate_abs_continuity(view, q)
             if bad:
@@ -322,9 +320,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                     f"reference measure fails absolute continuity at "
                     f"{len(bad)} transitions, first (state, action, next) = {bad[0]}"
                 )
-            est = duality.estimate_dual_bound_ssp(
-                view, h, q, args.n, args.seed, n_workers=args.workers
-            )
+            est = duality.estimate_dual_bound_ssp(view, h, q, args.n, args.seed)
         else:
             raise InputError(
                 "dual bounds cover time-embedded and absorbing-state games only"
@@ -362,9 +358,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_repro(args: argparse.Namespace) -> int:
     if args.which == "matrix-game":
-        result = experiments.run_two_period_experiment(
-            n=args.n, seed=args.seed, n_workers=args.workers
-        )
+        result = experiments.run_two_period_experiment(n=args.n, seed=args.seed)
     else:
         result = experiments.run_waste_experiment(
             n_sites=args.sites,
@@ -372,7 +366,6 @@ def cmd_repro(args: argparse.Namespace) -> int:
             n=args.n,
             seed=args.seed,
             generator=args.generator,
-            n_workers=args.workers,
         )
     problems = []
     for row in result.rows:
@@ -436,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--seed", type=int)
     p_bound.add_argument("--q", help="uniform or file:<path>")
     p_bound.add_argument("--tol", type=float)
-    p_bound.add_argument("--workers", type=int)
 
     p_repro = sub.add_parser("repro", help="reproduce a built-in experiment")
     common(p_repro)
@@ -446,16 +438,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--seed", type=int)
     p_repro.add_argument("--sites", type=int)
     p_repro.add_argument("--generator", choices=("response-value", "pair-value"))
-    p_repro.add_argument("--workers", type=int)
     return parser
 
 
 DEFAULTS = {
     "solve": {"tol": 1e-10, "max_iter": 100_000, "format": "csv"},
     "bound": {"h": "exact", "n": 10_000, "seed": 1, "q": "uniform",
-              "tol": 1e-10, "workers": 1, "format": "csv"},
+              "tol": 1e-10, "format": "csv"},
     "repro": {"rounds": 3, "seed": 7, "sites": 10,
-              "generator": "response-value", "workers": 1, "format": "csv"},
+              "generator": "response-value", "format": "csv"},
 }
 
 

@@ -18,13 +18,13 @@ scenario paths from an action-independent reference kernel ``q`` instead,
 and per-step likelihood ratios p/q re-weight the inner recursion.
 
 Estimates are bitwise reproducible: scenario ``i`` draws from a
-counter-based stream keyed by ``(seed, i)`` and the reduction over
-scenarios is done in index order, so worker count cannot change a result.
+counter-based stream keyed by ``(seed, i)`` and scenarios are evaluated and
+reduced in index order, so the first ``k`` per-scenario values of a run do
+not depend on how many scenarios it draws.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import sqrt
@@ -40,6 +40,7 @@ from .games import (
     MdpView,
     MixedPolicy,
     Ssp,
+    absorbing_reachable,
     fix_player,
     stack_view,
 )
@@ -245,7 +246,6 @@ def estimate_dual_bound_finite(
     n_scenarios: int,
     seed: int,
     keep_values: bool = False,
-    n_workers: int = 1,
 ) -> DualEstimate:
     """Monte Carlo dual bound on an embedded view: mean inner value over
     independently seeded scenarios. Upper bound in expectation for max
@@ -257,7 +257,7 @@ def estimate_dual_bound_finite(
     def one(i: int) -> float:
         return inner.evaluate(scenario_rng(seed, i).random(T))
 
-    values = _indexed_values(one, n_scenarios, n_workers)
+    values = _indexed_values(one, n_scenarios)
     return _summarize(values, seed, keep_values)
 
 
@@ -281,27 +281,13 @@ class ReferenceMeasure:
             raise ValueError("reference kernel rows must be distributions")
         if abs(k[self.absorbing, self.absorbing] - 1.0) > 1e-12:
             raise ValueError("absorbing state must self-map under q")
-        if not self._absorbing_reachable(k):
+        if not absorbing_reachable(k, self.absorbing):
             raise ValueError(
                 "absorbing state unreachable under q from some state; "
                 "paths would never terminate"
             )
         k.setflags(write=False)
         object.__setattr__(self, "kernel", k)
-
-    def _absorbing_reachable(self, k: np.ndarray) -> bool:
-        n = k.shape[0]
-        reached = np.zeros(n, dtype=bool)
-        reached[self.absorbing] = True
-        frontier = [self.absorbing]
-        into = [np.flatnonzero(k[:, j] > 0.0) for j in range(n)]
-        while frontier:
-            j = frontier.pop()
-            for i in into[j]:
-                if not reached[i]:
-                    reached[i] = True
-                    frontier.append(int(i))
-        return bool(reached.all())
 
 
 def make_uniform_reference(model: GameModel) -> ReferenceMeasure:
@@ -342,10 +328,17 @@ def simulate_q_path(
     q: ReferenceMeasure, x0: int, seed: int, cap: int = DEFAULT_PATH_CAP
 ) -> np.ndarray:
     """One reference-measure path from x0 to absorption (inclusive)."""
-    if x0 == q.absorbing:
-        raise ValueError("path must start at a non-absorbing state")
+    _check_start(x0, q.kernel.shape[0], q.absorbing)
     cum = np.cumsum(q.kernel, axis=1)
     return _draw_path(cum, q.absorbing, x0, scenario_rng(seed, 0), cap)
+
+
+def _check_start(x0: int, n_states: int, absorbing: int) -> None:
+    if not 0 <= x0 < n_states or x0 == absorbing:
+        raise ValueError(
+            f"path must start at a non-absorbing state in [0, {n_states}), "
+            f"got {x0}"
+        )
 
 
 def _draw_path(
@@ -446,7 +439,6 @@ def estimate_dual_bound_ssp(
     x0: int | None = None,
     cap: int = DEFAULT_PATH_CAP,
     keep_values: bool = False,
-    n_workers: int = 1,
 ) -> DualEstimate:
     """Monte Carlo weak-form dual bound at ``x0`` (default: the view's root)."""
     inner = _SspInner(view, h, q)
@@ -454,13 +446,14 @@ def estimate_dual_bound_ssp(
         x0 = view.root
     if x0 is None:
         raise ValueError("view does not designate an initial state")
+    _check_start(x0, view.n_states, q.absorbing)
     q_cum = np.cumsum(q.kernel, axis=1)
 
     def one(i: int) -> float:
         path = _draw_path(q_cum, q.absorbing, x0, scenario_rng(seed, i), cap)
         return inner.evaluate(path)
 
-    values = _indexed_values(one, n_paths, n_workers)
+    values = _indexed_values(one, n_paths)
     return _summarize(values, seed, keep_values)
 
 
@@ -477,7 +470,6 @@ def dual_sandwich(
     q: ReferenceMeasure | tuple[ReferenceMeasure, ReferenceMeasure] | None,
     n: int,
     seed: int,
-    n_workers: int = 1,
     keep_values: bool = False,
 ) -> DualBounds:
     """Dual bounds bracketing the game value around a fixed policy pair.
@@ -491,32 +483,20 @@ def dual_sandwich(
     view_upper = fix_player(model, nu_hat, PLAYER_B)
     if model.horizon is not None:
         lower = estimate_dual_bound_finite(
-            view_lower, h_lower, n, seed, keep_values=keep_values, n_workers=n_workers
+            view_lower, h_lower, n, seed, keep_values=keep_values
         )
         upper = estimate_dual_bound_finite(
-            view_upper, h_upper, n, seed, keep_values=keep_values, n_workers=n_workers
+            view_upper, h_upper, n, seed, keep_values=keep_values
         )
     elif isinstance(model.regime, Ssp):
         if q is None:
             q = make_uniform_reference(model)
         q_lower, q_upper = q if isinstance(q, tuple) else (q, q)
         lower = estimate_dual_bound_ssp(
-            view_lower,
-            h_lower,
-            q_lower,
-            n,
-            seed,
-            keep_values=keep_values,
-            n_workers=n_workers,
+            view_lower, h_lower, q_lower, n, seed, keep_values=keep_values
         )
         upper = estimate_dual_bound_ssp(
-            view_upper,
-            h_upper,
-            q_upper,
-            n,
-            seed,
-            keep_values=keep_values,
-            n_workers=n_workers,
+            view_upper, h_upper, q_upper, n, seed, keep_values=keep_values
         )
     elif isinstance(model.regime, Discounted):
         raise ValueError(
@@ -531,19 +511,12 @@ def dual_sandwich(
 # Shared estimator plumbing
 
 
-def _indexed_values(
-    one: Callable[[int], float], n: int, n_workers: int
-) -> np.ndarray:
+def _indexed_values(one: Callable[[int], float], n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least two scenarios for a standard error")
     out = np.empty(n)
-    if n_workers <= 1:
-        for i in range(n):
-            out[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for i, v in enumerate(pool.map(one, range(n), chunksize=64)):
-                out[i] = v
+    for i in range(n):
+        out[i] = one(i)
     return out
 
 

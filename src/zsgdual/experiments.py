@@ -103,9 +103,7 @@ def state_table(model: GameModel, values, mu, nu) -> list[StateRow]:
 # Two-period matrix game
 
 
-def run_two_period_experiment(
-    n: int = 10_000, seed: int = 1, n_workers: int = 1
-) -> ExperimentResult:
+def run_two_period_experiment(n: int = 10_000, seed: int = 1) -> ExperimentResult:
     """Solve the two-period game exactly and bound the imbalanced-policy pair.
 
     Emits two rows for the pair (equilibrium maximizer, imbalanced
@@ -131,15 +129,9 @@ def run_two_period_experiment(
     h_hat = builtin_games.first_action_value_generator(model)
     t0 = time.perf_counter()
     golden = duality.exact_dual_bound_enumeration(view_upper, h_hat)
-    est_upper_hat = duality.estimate_dual_bound_finite(
-        view_upper, h_hat, n, seed, n_workers=n_workers
-    )
-    est_lower_exact = duality.estimate_dual_bound_finite(
-        view_lower, br_lower, n, seed, n_workers=n_workers
-    )
-    est_upper_exact = duality.estimate_dual_bound_finite(
-        view_upper, br_upper, n, seed, n_workers=n_workers
-    )
+    est_upper_hat = duality.estimate_dual_bound_finite(view_upper, h_hat, n, seed)
+    est_lower_exact = duality.estimate_dual_bound_finite(view_lower, br_lower, n, seed)
+    est_upper_exact = duality.estimate_dual_bound_finite(view_upper, br_upper, n, seed)
     t_bounds = time.perf_counter() - t0
 
     root = model.root
@@ -191,7 +183,6 @@ def run_waste_experiment(
     seed: int = 7,
     generator: str = "response-value",
     q: duality.ReferenceMeasure | None = None,
-    n_workers: int = 1,
     keep_values: bool = False,
 ) -> ExperimentResult:
     """Naive policy iteration from uniform policies with per-round bounds.
@@ -239,12 +230,10 @@ def run_waste_experiment(
 
         t0 = time.perf_counter()
         est_lower = duality.estimate_dual_bound_ssp(
-            view_lower, h_lower, q, n, seed,
-            keep_values=keep_values, n_workers=n_workers,
+            view_lower, h_lower, q, n, seed, keep_values=keep_values
         )
         est_upper = duality.estimate_dual_bound_ssp(
-            view_upper, h_upper, q, n, seed,
-            keep_values=keep_values, n_workers=n_workers,
+            view_upper, h_upper, q, n, seed, keep_values=keep_values
         )
         timings[f"dual_bounds_k{k}"] = time.perf_counter() - t0
 

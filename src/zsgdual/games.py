@@ -14,7 +14,7 @@ threads; every operation in this module is pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,9 +74,11 @@ class GameModel:
     ``transition[i]`` and ``cost[i]`` are arrays of shape
     ``(|U(i)|, |V(i)|, n_states)``; row ``transition[i][u][v]`` is the
     distribution of the next state and ``cost[i][u][v][j]`` is what B pays A
-    on that move. Time-embedded models additionally carry a per-state
-    ``period`` tag, the original ``base_state`` of each embedded state and
-    the ``horizon`` (number of decision periods).
+    on that move. ``expected_cost[i][u][v]`` is the stage cost averaged over
+    the next state, derived once on construction; every solver reads it.
+    Time-embedded models additionally carry a per-state ``period`` tag, the
+    original ``base_state`` of each embedded state and the ``horizon``
+    (number of decision periods).
     """
 
     n_states: int
@@ -90,6 +92,19 @@ class GameModel:
     horizon: int | None = None
     period: np.ndarray | None = None
     base_state: np.ndarray | None = None
+    expected_cost: tuple[np.ndarray, ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "expected_cost",
+            tuple(
+                _freeze(np.einsum("uvj,uvj->uv", p, g))
+                for p, g in zip(self.transition, self.cost)
+            ),
+        )
 
     @property
     def absorbing(self) -> int | None:
@@ -112,6 +127,12 @@ def make_game(
     """Assemble a GameModel from per-state tensors, freezing all arrays."""
     transition = tuple(_freeze(t) for t in transition)
     cost = tuple(_freeze(c) for c in cost)
+    for i, (p, g) in enumerate(zip(transition, cost)):
+        if p.ndim != 3 or p.shape != g.shape:
+            raise ValueError(
+                f"state {i}: transition shape {p.shape} and cost shape "
+                f"{g.shape} must agree as (|U|, |V|, n)"
+            )
     n = len(transition)
     actions_a = np.array([t.shape[0] for t in transition], dtype=int)
     actions_b = np.array([t.shape[1] for t in transition], dtype=int)
@@ -264,8 +285,7 @@ def stage_cost_mixed(
     y_i = np.asarray(y_i, dtype=float)
     z_i = np.asarray(z_i, dtype=float)
     _check_action_vectors(model, i, y_i, z_i)
-    g_bar = np.einsum("uvj,uvj->uv", model.transition[i], model.cost[i])
-    return float(y_i @ g_bar @ z_i)
+    return float(y_i @ model.expected_cost[i] @ z_i)
 
 
 def transition_mixed(
@@ -306,7 +326,7 @@ def fix_player(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpVi
     kernel: list[np.ndarray] = []
     for i in range(model.n_states):
         w = fixed[i]
-        g_bar = np.einsum("uvj,uvj->uv", model.transition[i], model.cost[i])
+        g_bar = model.expected_cost[i]
         if fixed_player == PLAYER_B:
             cost.append(g_bar @ w)
             kernel.append(np.einsum("v,uvj->uj", w, model.transition[i]))
@@ -387,9 +407,7 @@ def embed_finite_horizon(model: GameModel, root: int | None = None) -> GameModel
                 g[:, :, k] = model.cost[i][:, :, j]
         else:
             p[:, :, terminal] = 1.0
-            g[:, :, terminal] = np.einsum(
-                "uvj,uvj->uv", model.transition[i], model.cost[i]
-            )
+            g[:, :, terminal] = model.expected_cost[i]
         transition.append(p)
         cost.append(g)
     # Terminal: one action pair, self-loop, zero cost.
@@ -428,6 +446,24 @@ def lift_policy(embedded: GameModel, policy: MixedPolicy) -> MixedPolicy:
 # Validation
 
 
+def absorbing_reachable(kernel: np.ndarray, absorbing: int) -> bool:
+    """Whether every state reaches ``absorbing`` along the positive entries
+    of the square transition matrix ``kernel``.
+
+    For a stochastic matrix this is exactly the condition that the block on
+    the other states has spectral radius below 1, so paths absorb with
+    probability one and the chain is proper.
+    """
+    edge = np.asarray(kernel) > 0.0
+    reached = np.zeros(edge.shape[0], dtype=bool)
+    reached[absorbing] = True
+    while True:
+        grown = reached | edge[:, reached].any(axis=1)
+        if grown.sum() == reached.sum():
+            return bool(reached.all())
+        reached = grown
+
+
 def validate(model: GameModel) -> list[tuple[str, str]]:
     """Check all structural invariants; return (location, violation) records."""
     out: list[tuple[str, str]] = []
@@ -435,6 +471,13 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
     if len(model.transition) != n or len(model.cost) != n:
         out.append(("model", "transition/cost length differs from n_states"))
         return out
+    root = model.root
+    if root is not None and not (
+        isinstance(root, (int, np.integer)) and 0 <= root < n
+    ):
+        out.append(("model", f"root {root!r} is not a state index in [0, {n})"))
+    if model.labels is not None and len(model.labels) != n:
+        out.append(("model", f"{len(model.labels)} labels for {n} states"))
     for i in range(n):
         p, g = model.transition[i], model.cost[i]
         shape = (model.actions_a[i], model.actions_b[i], n)

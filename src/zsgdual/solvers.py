@@ -22,6 +22,7 @@ from .games import (
     MdpView,
     MixedPolicy,
     Ssp,
+    absorbing_reachable,
     check_policy,
     fix_player,
     make_policy,
@@ -30,7 +31,6 @@ from .games import (
     stack_view,
 )
 
-PROPERNESS_EPS = 1e-10
 STALL_WINDOW = 200
 
 
@@ -62,8 +62,7 @@ def induced_chain(
     for i in range(n):
         y, z = mu[i], nu[i]
         P[i] = np.einsum("u,v,uvj->j", y, z, model.transition[i])
-        g_bar = np.einsum("uvj,uvj->uv", model.transition[i], model.cost[i])
-        G[i] = y @ g_bar @ z
+        G[i] = y @ model.expected_cost[i] @ z
     return P, G
 
 
@@ -81,12 +80,12 @@ def evaluate_policy_pair(
         J = np.linalg.solve(np.eye(n) - model.regime.alpha * P, G)
     else:
         a = model.regime.absorbing
-        keep = np.array([i for i in range(n) if i != a], dtype=int)
-        P_sub = P[np.ix_(keep, keep)]
-        if _spectral_radius(P_sub) >= 1.0 - PROPERNESS_EPS:
+        if not absorbing_reachable(P, a):
             raise ImproperPair(
                 "induced chain does not reach the absorbing state from every state"
             )
+        keep = np.array([i for i in range(n) if i != a], dtype=int)
+        P_sub = P[np.ix_(keep, keep)]
         try:
             J_sub = np.linalg.solve(np.eye(len(keep)) - P_sub, G[keep])
         except np.linalg.LinAlgError as exc:
@@ -97,26 +96,6 @@ def evaluate_policy_pair(
     return J
 
 
-def _spectral_radius(P: np.ndarray, max_iter: int = 2000) -> float:
-    """Power-iteration estimate of the spectral radius of a nonnegative matrix."""
-    if P.size == 0:
-        return 0.0
-    v = np.ones(P.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = P @ v
-        s = float(w.max())
-        if s <= 0.0:
-            return 0.0
-        w /= s
-        # Growth factor alone can repeat before the iteration settles
-        # (e.g. nilpotent chains); require the vector to converge too.
-        if abs(s - lam) < 1e-14 and float(np.abs(w - v).max()) < 1e-13:
-            return s
-        lam, v = s, w
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # Shapley value iteration
 
@@ -124,8 +103,9 @@ def _spectral_radius(P: np.ndarray, max_iter: int = 2000) -> float:
 def stage_game_matrix(model: GameModel, i: int, values: np.ndarray) -> np.ndarray:
     """One-step lookahead matrix at state i: expected cost plus continuation."""
     alpha = regime_alpha(model.regime)
-    g_bar = np.einsum("uvj,uvj->uv", model.transition[i], model.cost[i])
-    return g_bar + alpha * np.einsum("uvj,j->uv", model.transition[i], values)
+    return model.expected_cost[i] + alpha * np.einsum(
+        "uvj,j->uv", model.transition[i], values
+    )
 
 
 def shapley_backup(

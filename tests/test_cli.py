@@ -17,6 +17,15 @@ def strip_timestamp(text: str) -> list[str]:
     return [l for l in text.splitlines() if not l.startswith("# timestamp")]
 
 
+def waste2_file(tmp_path, **overrides) -> str:
+    """Game-file spec of waste N=2 (7 states, root 0) with fields replaced."""
+    doc = zd.game_to_dict(zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2)))
+    doc.update(overrides)
+    path = tmp_path / "waste2.json"
+    path.write_text(json.dumps(doc))
+    return f"file:{path}"
+
+
 class TestSolveCommand:
     def test_two_period_game(self, capsys):
         code, out, _ = run(capsys, "solve", "--game", "builtin:matrix2p")
@@ -43,6 +52,12 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "--game", f"file:{path}")
         assert code == 2
         assert "row sums" in err
+
+    def test_short_labels_exit_2(self, capsys, tmp_path):
+        game = waste2_file(tmp_path, labels=["a", "b", "c"])
+        code, _, err = run(capsys, "solve", "--game", game)
+        assert code == 2
+        assert "3 labels for 7 states" in err
 
     def test_unknown_builtin_exits_2(self, capsys):
         code, _, err = run(capsys, "solve", "--game", "builtin:nonsense")
@@ -102,6 +117,16 @@ class TestBoundCommand:
         )
         assert code == 2
         assert "both policies" in err
+
+    @pytest.mark.parametrize("root", [99, -1, "0"])
+    def test_root_outside_state_range_exits_2(self, capsys, tmp_path, root):
+        code, out, err = run(
+            capsys, "bound", "--game", waste2_file(tmp_path, root=root),
+            "--fix", "B=uniform", "--n", "50",
+        )
+        assert code == 2
+        assert f"root {root!r} is not a state index in [0, 7)" in err
+        assert "mean=" not in out
 
     def test_missing_fix_exits_2(self, capsys):
         code, _, err = run(capsys, "bound", "--game", "builtin:matrix2p")

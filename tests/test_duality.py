@@ -199,20 +199,18 @@ class TestFiniteEstimator:
         assert a.mean == b.mean and a.standard_error == b.standard_error
         np.testing.assert_array_equal(a.per_scenario_values, b.per_scenario_values)
 
-    def test_worker_count_cannot_change_bits(self, upper_view, two_period):
+    def test_scenario_values_are_prefix_stable(self, upper_view, two_period):
+        # Scenario i depends only on (seed, i): drawing more scenarios
+        # cannot change the ones already drawn.
         h = zd.first_action_value_generator(two_period)
-        runs = [
-            zd.estimate_dual_bound_finite(
-                upper_view, h, 2000, seed=3, keep_values=True, n_workers=k
-            )
-            for k in (1, 2, 8)
-        ]
-        for other in runs[1:]:
-            assert runs[0].mean == other.mean
-            assert runs[0].standard_error == other.standard_error
-            np.testing.assert_array_equal(
-                runs[0].per_scenario_values, other.per_scenario_values
-            )
+        short, full = (
+            zd.estimate_dual_bound_finite(upper_view, h, n, seed=3, keep_values=True)
+            for n in (1000, 2000)
+        )
+        assert np.unique(full.per_scenario_values).size > 1
+        np.testing.assert_array_equal(
+            short.per_scenario_values, full.per_scenario_values[:1000]
+        )
 
     def test_requires_two_scenarios(self, upper_view):
         with pytest.raises(ValueError):
@@ -392,23 +390,33 @@ class TestSspEstimator:
         assert a.mean == b.mean
         np.testing.assert_array_equal(a.per_scenario_values, b.per_scenario_values)
 
-    def test_worker_count_cannot_change_bits(self, waste3):
+    def test_path_values_are_prefix_stable(self, waste3):
         mu = zd.uniform_policy(waste3, zd.PLAYER_A)
         view = zd.fix_player(waste3, mu, zd.PLAYER_A)
         values, _ = zd.solve_view(view, tol=0.0)
         h = values * 0.98  # small perturbation keeps per-path values distinct
         q = zd.make_uniform_reference(waste3)
-        runs = [
-            zd.estimate_dual_bound_ssp(
-                view, h, q, 1000, seed=4, keep_values=True, n_workers=k
-            )
-            for k in (1, 2, 8)
-        ]
-        for other in runs[1:]:
-            assert runs[0].mean == other.mean
-            np.testing.assert_array_equal(
-                runs[0].per_scenario_values, other.per_scenario_values
-            )
+        short, full = (
+            zd.estimate_dual_bound_ssp(view, h, q, n, seed=4, keep_values=True)
+            for n in (500, 1000)
+        )
+        assert np.unique(full.per_scenario_values).size > 1
+        np.testing.assert_array_equal(
+            short.per_scenario_values, full.per_scenario_values[:500]
+        )
+
+    @pytest.mark.parametrize("x0", [6, 7, -1, -2])
+    def test_start_must_be_a_non_absorbing_state(self, x0):
+        # Waste N=2 has 7 states; state 6 absorbs and its value is 0, so a
+        # negative index or the absorbing state would bound another state.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
+        assert (model.n_states, model.absorbing) == (7, 6)
+        nu = zd.uniform_policy(model, zd.PLAYER_B)
+        view = zd.fix_player(model, nu, zd.PLAYER_B)
+        values, _ = zd.solve_view(view, tol=0.0)
+        q = zd.make_uniform_reference(model)
+        with pytest.raises(ValueError, match="non-absorbing"):
+            zd.estimate_dual_bound_ssp(view, values, q, 50, seed=1, x0=x0)
 
 
 class TestDualSandwich:
