@@ -438,6 +438,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--seed", type=int)
     p_repro.add_argument("--sites", type=int)
     p_repro.add_argument("--generator", choices=("response-value", "pair-value"))
+    for p in (p_solve, p_bound, p_repro):
+        # The options a config file may set: every flag but --config itself.
+        p.set_defaults(options={
+            a.dest: a for a in p._actions
+            if a.option_strings and a.dest not in ("help", "config")
+        })
     return parser
 
 
@@ -461,13 +467,49 @@ def _apply_defaults(args: argparse.Namespace) -> None:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise InputError("config file must hold a JSON object")
+    config = {
+        key.replace("-", "_"): _config_value(args.options, key, value)
+        for key, value in config.items()
+    }
     defaults = dict(DEFAULTS[args.command])
     if args.command == "repro" and getattr(args, "n", None) is None:
         defaults["n"] = 10_000 if args.which == "matrix-game" else 5_000
     for key, value in {**defaults, **config}.items():
-        key = key.replace("-", "_")
-        if getattr(args, key, None) is None and key != "config":
+        if getattr(args, key, None) is None:
             setattr(args, key, value)
+
+
+def _config_value(options: dict[str, argparse.Action], key: str, value):
+    """A config value converted and checked as if it were given as a flag."""
+    action = options.get(key.replace("-", "_"))
+    if action is None:
+        raise InputError(
+            f"config key {key!r} is not an option of this command; "
+            f"options: {', '.join(sorted(options))}"
+        )
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list):
+            raise InputError(f"config key {key!r} must be a list")
+        return [_config_scalar(action, key, v) for v in value]
+    return _config_scalar(action, key, value)
+
+
+def _config_scalar(action: argparse.Action, key: str, value):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
+    convert = action.type or str
+    try:
+        value = convert(str(value))
+    except ValueError:
+        raise InputError(
+            f"config key {key!r}: invalid {convert.__name__} value {value!r}"
+        ) from None
+    if action.choices is not None and value not in action.choices:
+        raise InputError(
+            f"config key {key!r}: {value!r} is not one of "
+            f"{', '.join(map(str, action.choices))}"
+        )
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

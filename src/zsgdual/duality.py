@@ -18,16 +18,18 @@ scenario paths from an action-independent reference kernel ``q`` instead,
 and per-step likelihood ratios p/q re-weight the inner recursion.
 
 Estimates are bitwise reproducible: scenario ``i`` draws from a
-counter-based stream keyed by ``(seed, i)`` and scenarios are evaluated and
-reduced in index order, so the first ``k`` per-scenario values of a run do
-not depend on how many scenarios it draws.
+counter-based stream keyed by ``(seed, i)``. Scenarios are evaluated in
+fixed-size blocks of consecutive indices, each scenario one row of the
+block's arrays, and every row goes through the same elementwise operations
+a one-scenario evaluation would; values are reduced in index order. So no
+per-scenario value depends on the block size or on how many scenarios a run
+draws: the first ``k`` values of a run equal those of a ``k``-scenario run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import sqrt
+from math import inf, sqrt
 from typing import Callable
 
 import numpy as np
@@ -47,6 +49,12 @@ from .games import (
 
 DEFAULT_PATH_CAP = 10**6
 DEFAULT_CELL_BUDGET = 10**6
+
+# Scenarios evaluated together, as the rows of one block of arrays. It bounds
+# the memory a block's stored path steps take; no result depends on it.
+_BLOCK = 512
+# Uniforms drawn from a path's stream at a time.
+_DRAWS = 64
 
 
 class SupportViolation(ValueError):
@@ -102,15 +110,27 @@ def inverse_cdf_transition(row: np.ndarray, w: float) -> int:
     """
     if not 0.0 <= w < 1.0:
         raise ValueError(f"uniform draw {w} outside [0, 1)")
-    return _icdf(np.cumsum(np.asarray(row, dtype=float)), w)
+    return int(_icdf(np.cumsum(np.asarray(row, dtype=float)), np.array([w]))[0])
 
 
-def _icdf(cum: np.ndarray, w: float) -> int:
-    j = int(np.searchsorted(cum, w, side="right"))
-    if j >= len(cum):  # final cumsum fell short of 1 by rounding
-        j = len(cum) - 1
-        while j > 0 and cum[j] == cum[j - 1]:
-            j -= 1
+def _icdf(cum: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Smallest index whose CDF value strictly exceeds each draw in ``w``.
+
+    ``cum`` is one CDF shared by every draw (1-D) or one CDF per draw (one
+    row each); counting the entries at or below a draw is the right-sided
+    search, since a CDF never decreases.
+    """
+    if cum.ndim == 1:
+        j = np.searchsorted(cum, w, side="right")
+    else:
+        j = np.count_nonzero(cum <= w[:, None], axis=1)
+    n = cum.shape[-1]
+    for i in np.flatnonzero(j >= n):  # final cumsum fell short of 1 by rounding
+        row = cum if cum.ndim == 1 else cum[i]
+        k = n - 1
+        while k > 0 and row[k] == row[k - 1]:
+            k -= 1
+        j[i] = k
     return j
 
 
@@ -141,7 +161,7 @@ def make_penalty_term(
 
 
 class _FiniteInner:
-    """Per-scenario deterministic inner problem on an embedded view.
+    """Per-scenario deterministic inner problems on an embedded view.
 
     Precomputes, per state, the penalty-adjusted action values
     ``cost[x] + kernel[x] @ h`` and the per-action transition CDFs. The
@@ -175,27 +195,33 @@ class _FiniteInner:
         self.cum = {x: np.cumsum(view.kernel[x], axis=1) for x in self.base}
         self.opt = np.max if view.orientation == "max" else np.min
 
-    def evaluate(self, scenario: np.ndarray) -> float:
-        scenario = np.asarray(scenario, dtype=float)
-        if scenario.shape != (self.horizon,):
-            raise ValueError(
-                f"scenario length {scenario.shape} does not match horizon "
-                f"{self.horizon}"
-            )
-        V = np.zeros(self.view.n_states)
+    def evaluate(self, scenarios: np.ndarray) -> np.ndarray:
+        """Inner values of a block of scenarios, one row of uniforms each.
+
+        Backward induction runs one period at a time over all rows, with
+        ``V`` shaped (scenarios, states).
+        """
+        V = np.zeros((scenarios.shape[0], self.view.n_states))
+        rows = np.arange(scenarios.shape[0])[:, None]
         h = self.h
         for t in range(self.horizon - 1, -1, -1):
-            w = float(scenario[t])
+            w = scenarios[:, t]
             for x in self.by_period[t]:
-                cum = self.cum[x]
-                nxt = np.array([_icdf(cum[a], w) for a in range(cum.shape[0])])
-                V[x] = self.opt(self.base[x] + (V[nxt] - h[nxt]))
-        return float(V[self.view.root])
+                nxt = np.stack([_icdf(c, w) for c in self.cum[x]], axis=1)
+                V[:, x] = self.opt(self.base[x] + (V[rows, nxt] - h[nxt]), axis=1)
+        return V[:, self.view.root]
 
 
 def pi_inner_finite(view: MdpView, scenario: np.ndarray, h: np.ndarray) -> float:
     """Perfect-information inner value of one scenario on an embedded view."""
-    return _FiniteInner(view, h).evaluate(scenario)
+    inner = _FiniteInner(view, h)
+    scenario = np.asarray(scenario, dtype=float)
+    if scenario.shape != (inner.horizon,):
+        raise ValueError(
+            f"scenario length {scenario.shape} does not match horizon "
+            f"{inner.horizon}"
+        )
+    return float(inner.evaluate(scenario[None, :])[0])
 
 
 def exact_dual_bound_enumeration(
@@ -225,18 +251,22 @@ def exact_dual_bound_enumeration(
                 f"{n_cells}+ scenario cells exceed budget {cell_budget}"
             )
 
-    intervals = [
-        [(float(e[k]), float(e[k + 1])) for k in range(len(e) - 1)]
-        for e in edges_per_period
-    ]
+    # Cells in lexicographic order (last period fastest), a block at a time.
+    shape = tuple(len(e) - 1 for e in edges_per_period)
     total = 0.0
-    for cell in product(*intervals):
-        weight = 1.0
-        w = np.empty(inner.horizon)
-        for t, (lo, hi) in enumerate(cell):
+    for start in range(0, n_cells, _BLOCK):
+        cells = np.unravel_index(
+            np.arange(start, min(start + _BLOCK, n_cells)), shape
+        )
+        weight = np.ones(len(cells[0]))
+        w = np.empty((len(weight), inner.horizon))
+        for t, (e, k) in enumerate(zip(edges_per_period, cells)):
+            lo, hi = e[k], e[k + 1]
             weight *= hi - lo
-            w[t] = 0.5 * (lo + hi)
-        total += weight * inner.evaluate(w)
+            w[:, t] = 0.5 * (lo + hi)
+        # A running sum in cell order: np.sum adds pairwise, other bits.
+        for term in (weight * inner.evaluate(w)).tolist():
+            total += term
     return total
 
 
@@ -254,10 +284,11 @@ def estimate_dual_bound_finite(
     inner = _FiniteInner(view, h)
     T = inner.horizon
 
-    def one(i: int) -> float:
-        return inner.evaluate(scenario_rng(seed, i).random(T))
+    def block(indices: range) -> np.ndarray:
+        scenarios = np.stack([scenario_rng(seed, i).random(T) for i in indices])
+        return inner.evaluate(scenarios)
 
-    values = _indexed_values(one, n_scenarios)
+    values = _block_values(block, n_scenarios)
     return _summarize(values, seed, keep_values)
 
 
@@ -330,7 +361,8 @@ def simulate_q_path(
     """One reference-measure path from x0 to absorption (inclusive)."""
     _check_start(x0, q.kernel.shape[0], q.absorbing)
     cum = np.cumsum(q.kernel, axis=1)
-    return _draw_path(cum, q.absorbing, x0, scenario_rng(seed, 0), cap)
+    steps = _draw_paths(cum, q.absorbing, x0, [scenario_rng(seed, 0)], cap)
+    return np.array([x0] + [int(xn[0]) for _, _, xn in steps], dtype=int)
 
 
 def _check_start(x0: int, n_states: int, absorbing: int) -> None:
@@ -341,20 +373,38 @@ def _check_start(x0: int, n_states: int, absorbing: int) -> None:
         )
 
 
-def _draw_path(
+_Steps = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _draw_paths(
     q_cum: np.ndarray,
     absorbing: int,
     x0: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     cap: int,
-) -> np.ndarray:
-    path = [x0]
-    x = x0
-    for _ in range(cap):
-        x = _icdf(q_cum[x], float(rng.random()))
-        path.append(x)
-        if x == absorbing:
-            return np.array(path, dtype=int)
+) -> _Steps:
+    """Reference-measure paths from x0 to absorption, one per stream.
+
+    All unabsorbed paths step together. Step ``t`` is stored as the ids of
+    the paths that take it, their states and their next states; path ``i``
+    takes its ``t``-th uniform from ``rngs[i]``, drawn ``_DRAWS`` at a time
+    (a block draw yields the same doubles as that many single draws).
+    """
+    dtype = np.min_scalar_type(q_cum.shape[0] - 1)
+    ids = np.arange(len(rngs), dtype=np.int32)
+    x = np.full(len(rngs), x0, dtype=dtype)
+    steps: _Steps = []
+    for t in range(cap):
+        k = t % _DRAWS
+        if k == 0:
+            u = np.stack([rngs[i].random(_DRAWS) for i in ids])
+            rows = np.arange(len(ids))
+        xn = _icdf(q_cum[x], u[rows, k]).astype(dtype)
+        steps.append((ids, x, xn))
+        live = xn != absorbing
+        if not live.any():
+            return steps
+        ids, x, rows = ids[live], xn[live], rows[live]
     raise PathCapExceeded(f"no absorption within {cap} steps under q")
 
 
@@ -390,31 +440,32 @@ class _SspInner:
         )
         self.opt = np.max if view.orientation == "max" else np.min
 
-    def evaluate(self, path: np.ndarray) -> float:
-        if path[-1] != self.view.absorbing:
-            raise ValueError("path must end at the absorbing state")
+    def evaluate(self, steps: _Steps, n_paths: int) -> np.ndarray:
+        """Inner values of ``n_paths`` paths stored as steps, walked backward
+        with one continuation value per path."""
         h = self.h
         row_of = self.stacked.row_of
         kernel = self.stacked.kernel
         q_kernel = self.q.kernel
-        W = 0.0
+        W = np.zeros(n_paths)
         # Weak generators can let the recursion overflow legitimately (the
         # bound stays valid, just useless); keep 0 * inf at zero-rho actions
         # from poisoning the optimization with NaN.
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(len(path) - 2, -1, -1):
-                x, xn = int(path[t]), int(path[t + 1])
+            for t in range(len(steps) - 1, -1, -1):
+                ids, x, xn = steps[t]
                 qv = q_kernel[x, xn]
-                if qv <= 0.0:
+                if (qv <= 0.0).any():
+                    i = int(np.argmax(qv <= 0.0))
                     raise AbsContinuityViolation(
-                        f"step {t}: q({xn}|{x}) = 0 on a simulated path"
+                        f"step {t}: q({xn[i]}|{x[i]}) = 0 on a simulated path"
                     )
                 r = row_of[x]
-                rho = kernel[r, :, xn] / qv
-                carry = rho * (W - h[xn])
-                if W - h[xn] != 0.0:
-                    carry = np.where(rho == 0.0, 0.0, carry)
-                W = float(self.opt(self.base[r] + carry))
+                rho = kernel[r, :, xn] / qv[:, None]
+                diff = (W[ids] - h[xn])[:, None]
+                carry = rho * diff
+                carry = np.where((rho == 0.0) & (diff != 0.0), 0.0, carry)
+                W[ids] = self.opt(self.base[r] + carry, axis=1)
         return W
 
 
@@ -427,7 +478,13 @@ def weak_form_inner_ssp(
     generator value plus rho * (continuation - realized generator value),
     where rho = p(next|x,a)/q(next|x) corrects the change of measure.
     """
-    return _SspInner(view, h, q).evaluate(np.asarray(path, dtype=int))
+    inner = _SspInner(view, h, q)
+    path = np.asarray(path, dtype=int)
+    if path[-1] != view.absorbing:
+        raise ValueError("path must end at the absorbing state")
+    one = np.zeros(1, dtype=np.int32)
+    steps = [(one, path[t : t + 1], path[t + 1 : t + 2]) for t in range(len(path) - 1)]
+    return float(inner.evaluate(steps, 1)[0])
 
 
 def estimate_dual_bound_ssp(
@@ -449,11 +506,12 @@ def estimate_dual_bound_ssp(
     _check_start(x0, view.n_states, q.absorbing)
     q_cum = np.cumsum(q.kernel, axis=1)
 
-    def one(i: int) -> float:
-        path = _draw_path(q_cum, q.absorbing, x0, scenario_rng(seed, i), cap)
-        return inner.evaluate(path)
+    def block(indices: range) -> np.ndarray:
+        rngs = [scenario_rng(seed, i) for i in indices]
+        steps = _draw_paths(q_cum, q.absorbing, x0, rngs, cap)
+        return inner.evaluate(steps, len(indices))
 
-    values = _indexed_values(one, n_paths)
+    values = _block_values(block, n_paths)
     return _summarize(values, seed, keep_values)
 
 
@@ -511,24 +569,32 @@ def dual_sandwich(
 # Shared estimator plumbing
 
 
-def _indexed_values(one: Callable[[int], float], n: int) -> np.ndarray:
+def _block_values(block: Callable[[range], np.ndarray], n: int) -> np.ndarray:
+    """Values of scenarios ``0..n-1``, evaluated ``_BLOCK`` indices at a time."""
     if n < 2:
         raise ValueError("need at least two scenarios for a standard error")
     out = np.empty(n)
-    for i in range(n):
-        out[i] = one(i)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        out[start:stop] = block(range(start, stop))
     return out
 
 
 def _summarize(values: np.ndarray, seed: int, keep_values: bool) -> DualEstimate:
     values.setflags(write=False)
-    if values.min() == values.max():
-        # A constant sample has zero standard deviation exactly; the float
-        # mean of n identical values would report spurious 1e-17 noise.
-        mean, se = float(values[0]), 0.0
-    else:
+    # Weak generators can overflow scenarios to +-inf, or finite values to
+    # inf in the sum of squares; neither is an error, and neither may leave
+    # a nan where a standard error belongs.
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = float(values.mean())
-        se = float(values.std(ddof=1)) / sqrt(len(values))
+        if not np.isfinite(values).all():
+            se = inf
+        elif values.min() == values.max():
+            # A constant sample has zero standard deviation exactly; the float
+            # mean of n identical values would report spurious 1e-17 noise.
+            mean, se = float(values[0]), 0.0
+        else:
+            se = float(values.std(ddof=1)) / sqrt(len(values))
     return DualEstimate(
         mean=mean,
         standard_error=se,

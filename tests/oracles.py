@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from zsgdual.games import Discounted, GameModel, MixedPolicy, Ssp
+from zsgdual.games import (
+    Discounted,
+    FiniteHorizon,
+    GameModel,
+    MdpView,
+    MixedPolicy,
+    Ssp,
+    stack_view,
+)
 
 
 def _draw(cum: np.ndarray, r: float) -> int:
@@ -139,3 +147,90 @@ def random_policy(rng: np.random.Generator, model: GameModel, player: str):
 
     counts = model.actions_a if player == PLAYER_A else model.actions_b
     return make_policy([rng.dirichlet(np.ones(c)) for c in counts])
+
+
+def random_finite_game(
+    rng: np.random.Generator,
+    n_states: int = 5,
+    max_actions: int = 3,
+    periods: int = 3,
+    successors: int = 3,
+) -> GameModel:
+    """Random finite-horizon game with sparse transitions (unembedded)."""
+    from zsgdual.games import make_game
+
+    transition, cost = [], []
+    for _ in range(n_states):
+        na = int(rng.integers(1, max_actions + 1))
+        nb = int(rng.integers(1, max_actions + 1))
+        p = np.zeros((na, nb, n_states))
+        for a in range(na):
+            for b in range(nb):
+                support = rng.choice(n_states, size=successors, replace=False)
+                p[a, b, support] = rng.dirichlet(np.ones(successors))
+        transition.append(p)
+        cost.append(rng.uniform(-3.0, 3.0, size=(na, nb, n_states)))
+    return make_game(FiniteHorizon(periods=periods), transition, cost, root=0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar dual-bound recursions: one scenario at a time, in plain loops. The
+# library evaluates blocks of scenarios as array rows; these are the
+# references its per-scenario values must equal bit for bit, so they repeat
+# its arithmetic expression for expression.
+
+
+def _icdf(cum: np.ndarray, w: float) -> int:
+    j = int(np.searchsorted(cum, w, side="right"))
+    if j >= len(cum):  # final cumsum fell short of 1 by rounding
+        j = len(cum) - 1
+        while j > 0 and cum[j] == cum[j - 1]:
+            j -= 1
+    return j
+
+
+def finite_scenario_value(view: MdpView, scenario: np.ndarray, h: np.ndarray) -> float:
+    """Inner value of one scenario on a time-embedded view: backward
+    induction with every action's next state drawn from the shared uniform."""
+    opt = np.max if view.orientation == "max" else np.min
+    V = np.zeros(view.n_states)
+    for t in range(view.horizon - 1, -1, -1):
+        w = float(scenario[t])
+        for x in range(view.n_states):
+            if x == view.absorbing or view.period[x] != t:
+                continue
+            base = view.cost[x] + view.kernel[x] @ h
+            cum = np.cumsum(view.kernel[x], axis=1)
+            nxt = np.array([_icdf(cum[a], w) for a in range(cum.shape[0])])
+            V[x] = opt(base + (V[nxt] - h[nxt]))
+    return float(V[view.root])
+
+
+def ssp_path_value(view: MdpView, path: np.ndarray, q_kernel: np.ndarray, h: np.ndarray) -> float:
+    """Weak-form inner value of one reference path, walked backward with
+    likelihood ratios rho = p(next|x,a) / q(next|x)."""
+    stacked = stack_view(view)
+    base = stacked.cost + np.einsum("san,n->sa", stacked.kernel, h)
+    opt = np.max if view.orientation == "max" else np.min
+    W = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(len(path) - 2, -1, -1):
+            x, xn = int(path[t]), int(path[t + 1])
+            r = stacked.row_of[x]
+            rho = stacked.kernel[r, :, xn] / q_kernel[x, xn]
+            carry = rho * (W - h[xn])
+            if W - h[xn] != 0.0:
+                carry = np.where(rho == 0.0, 0.0, carry)
+            W = float(opt(base[r] + carry))
+    return W
+
+
+def reference_path(q_kernel: np.ndarray, absorbing: int, x0: int, seed: int, index: int) -> np.ndarray:
+    """Path ``index`` of a dual estimate, redrawn one uniform at a time."""
+    from zsgdual.duality import inverse_cdf_transition, scenario_rng
+
+    rng = scenario_rng(seed, index)
+    path = [x0]
+    while path[-1] != absorbing:
+        path.append(inverse_cdf_transition(q_kernel[path[-1]], float(rng.random())))
+    return np.array(path)

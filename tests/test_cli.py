@@ -264,3 +264,32 @@ class TestConfigPrecedence:
         )
         assert code == 0
         assert "seed=1" in out  # built-in default seed
+
+    def bound_with_config(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return run(
+            capsys, "bound", "--game", "builtin:matrix2p",
+            "--fix", "B=suboptimal", "--h", "exact", "--config", str(cfg),
+        )
+
+    def test_misspelt_key_exits_2(self, capsys, tmp_path):
+        code, out, err = self.bound_with_config(capsys, tmp_path, {"n": 50, "sed": 3})
+        assert code == 2 and out == ""
+        assert "'sed'" in err
+
+    def test_removed_workers_key_exits_2(self, capsys, tmp_path):
+        code, _, err = self.bound_with_config(capsys, tmp_path, {"workers": 2})
+        assert code == 2
+        assert "'workers'" in err
+
+    def test_string_value_is_converted_like_a_flag(self, capsys, tmp_path):
+        code, out, _ = self.bound_with_config(capsys, tmp_path, {"n": "50"})
+        assert code == 0
+        assert "n=50 " in out
+
+    @pytest.mark.parametrize("config", [{"n": 2.5}, {"n": True}, {"side": "middle"}])
+    def test_value_its_flag_rejects_exits_2(self, capsys, tmp_path, config):
+        code, _, err = self.bound_with_config(capsys, tmp_path, config)
+        assert code == 2
+        assert err.startswith("error: config key")

@@ -4,7 +4,14 @@ import pytest
 import zsgdual as zd
 from zsgdual import duality
 
-from oracles import random_ssp_game, random_policy
+from oracles import (
+    finite_scenario_value,
+    random_finite_game,
+    random_policy,
+    random_ssp_game,
+    reference_path,
+    ssp_path_value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +286,14 @@ class TestQPathSimulation:
         with pytest.raises(zd.PathCapExceeded):
             zd.simulate_q_path(q, waste3.root, seed=1, cap=1)
 
+    def test_matches_one_uniform_at_a_time_redraw(self, waste3):
+        q = zd.make_uniform_reference(waste3)
+        for seed in range(20):
+            np.testing.assert_array_equal(
+                zd.simulate_q_path(q, waste3.root, seed=seed),
+                reference_path(q.kernel, q.absorbing, waste3.root, seed, 0),
+            )
+
 
 class TestWeakFormInner:
     def test_exact_generator_zero_variance(self, waste3):
@@ -405,6 +420,46 @@ class TestSspEstimator:
             short.per_scenario_values, full.per_scenario_values[:500]
         )
 
+    def test_path_values_are_prefix_stable_across_blocks(self, waste3):
+        # A run that ends inside its second block, against one that ends
+        # inside its third: neither count is a multiple of the block size.
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        view = zd.fix_player(waste3, nu, zd.PLAYER_B)
+        values, _ = zd.solve_view(view, tol=0.0)
+        q = zd.make_uniform_reference(waste3)
+        k = duality._BLOCK + 37
+        short, full = (
+            zd.estimate_dual_bound_ssp(view, 0.98 * values, q, n, seed=6, keep_values=True)
+            for n in (k, 2 * k)
+        )
+        assert np.unique(full.per_scenario_values).size > 1
+        np.testing.assert_array_equal(
+            short.per_scenario_values, full.per_scenario_values[:k]
+        )
+
+    def test_path_cap_applies_to_every_path(self, waste3):
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        view = zd.fix_player(waste3, nu, zd.PLAYER_B)
+        q = zd.make_uniform_reference(waste3)
+        with pytest.raises(zd.PathCapExceeded):
+            zd.estimate_dual_bound_ssp(view, np.zeros(13), q, 50, seed=1, cap=1)
+
+    def test_overflow_reports_infinite_standard_error(self, waste3):
+        # A generator near the float limit overflows the recursion on some
+        # paths: the estimate says so (se = inf), with no NumPy warning.
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        view = zd.fix_player(waste3, nu, zd.PLAYER_B)
+        q = zd.make_uniform_reference(waste3)
+        pair = zd.evaluate_policy_pair(
+            waste3, zd.uniform_policy(waste3, zd.PLAYER_A), nu
+        )
+        est = zd.estimate_dual_bound_ssp(
+            view, 1e300 * pair, q, 300, seed=1, keep_values=True
+        )
+        assert 0 < np.isinf(est.per_scenario_values).sum() < 300
+        assert est.mean == np.inf
+        assert est.standard_error == np.inf
+
     @pytest.mark.parametrize("x0", [6, 7, -1, -2])
     def test_start_must_be_a_non_absorbing_state(self, x0):
         # Waste N=2 has 7 states; state 6 absorbs and its value is 0, so a
@@ -417,6 +472,96 @@ class TestSspEstimator:
         q = zd.make_uniform_reference(model)
         with pytest.raises(ValueError, match="non-absorbing"):
             zd.estimate_dual_bound_ssp(view, values, q, 50, seed=1, x0=x0)
+
+
+class TestBatchedKernelsMatchScalarReference:
+    """Per-scenario values equal the one-scenario loops in ``oracles`` bit
+    for bit, across block boundaries, both orientations, overflow and the
+    zero-likelihood-ratio branch."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def check_ssp(self, view, h, q, n, seed):
+        est = zd.estimate_dual_bound_ssp(view, h, q, n, seed, keep_values=True)
+        want = np.array([
+            ssp_path_value(
+                view, reference_path(q.kernel, q.absorbing, view.root, seed, i),
+                q.kernel, h,
+            )
+            for i in range(n)
+        ])
+        self.assert_same_bits(est.per_scenario_values, want)
+        return want
+
+    def check_finite(self, view, h, n, seed):
+        est = zd.estimate_dual_bound_finite(view, h, n, seed, keep_values=True)
+        want = np.array([
+            finite_scenario_value(view, zd.scenario_rng(seed, i).random(view.horizon), h)
+            for i in range(n)
+        ])
+        self.assert_same_bits(est.per_scenario_values, want)
+        return want
+
+    @pytest.mark.parametrize("player", [zd.PLAYER_A, zd.PLAYER_B])
+    def test_waste_game_generators(self, waste3, player):
+        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        view = zd.fix_player(waste3, mu if player == zd.PLAYER_A else nu, player)
+        exact, _ = zd.solve_view(view, tol=0.0)
+        pair = zd.evaluate_policy_pair(waste3, mu, nu)
+        q = zd.make_uniform_reference(waste3)
+        for h in (exact, 0.97 * exact, pair):
+            self.check_ssp(view, h, q, 200, seed=2)
+        overflowed = self.check_ssp(view, 1e300 * pair, q, 200, seed=2)
+        assert np.isinf(overflowed).any()
+
+    def test_random_ssp_games(self):
+        rng = np.random.default_rng(53)
+        for trial in range(3):
+            model = random_ssp_game(rng, n_states=5, max_actions=3)
+            q = zd.make_uniform_reference(model)
+            for player in (zd.PLAYER_A, zd.PLAYER_B):
+                view = zd.fix_player(model, random_policy(rng, model, player), player)
+                values, _ = zd.solve_view(view, tol=1e-12)
+                h = values + rng.uniform(-1.0, 1.0, model.n_states) * (
+                    np.arange(model.n_states) != model.absorbing
+                )
+                self.check_ssp(view, h, q, 150, seed=trial)
+
+    def test_two_period_game(self, two_period, upper_view, exact_upper_values):
+        h = zd.first_action_value_generator(two_period)
+        values = self.check_finite(upper_view, h, duality._BLOCK + 88, seed=4)
+        assert np.unique(values).size > 1
+        self.check_finite(upper_view, exact_upper_values, 300, seed=4)
+        mu = zd.uniform_policy(two_period, zd.PLAYER_A)
+        lower = zd.fix_player(two_period, mu, zd.PLAYER_A)
+        self.check_finite(lower, h, 300, seed=5)
+
+    def test_random_embedded_finite_game(self):
+        rng = np.random.default_rng(54)
+        game = zd.embed_finite_horizon(random_finite_game(rng, periods=4))
+        for player in (zd.PLAYER_A, zd.PLAYER_B):
+            view = zd.fix_player(game, random_policy(rng, game, player), player)
+            values, _ = zd.solve_view(view)
+            h = values + rng.uniform(-1.0, 1.0, game.n_states)
+            self.check_finite(view, h, 300, seed=7)
+            self.check_finite(view, values, 100, seed=8)
+
+    def test_single_scenario_helpers(self, waste3, upper_view, two_period):
+        h = zd.first_action_value_generator(two_period)
+        for w in ([0.1, 0.5], [0.43, 0.99], [0.999, 0.0]):
+            got = zd.pi_inner_finite(upper_view, np.array(w), h)
+            assert got == finite_scenario_value(upper_view, np.array(w), h)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        view = zd.fix_player(waste3, nu, zd.PLAYER_B)
+        values, _ = zd.solve_view(view, tol=0.0)
+        q = zd.make_uniform_reference(waste3)
+        for seed in range(5):
+            path = zd.simulate_q_path(q, waste3.root, seed=seed)
+            got = zd.weak_form_inner_ssp(view, path, q, 0.9 * values)
+            assert got == ssp_path_value(view, path, q.kernel, 0.9 * values)
 
 
 class TestDualSandwich:
