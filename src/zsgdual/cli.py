@@ -413,13 +413,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a game exactly")
     common(p_solve)
-    p_solve.add_argument("--game", required=True)
+    p_solve.add_argument("--game")
     p_solve.add_argument("--tol", type=float)
     p_solve.add_argument("--max-iter", dest="max_iter", type=int)
 
     p_bound = sub.add_parser("bound", help="estimate dual bounds for fixed policies")
     common(p_bound)
-    p_bound.add_argument("--game", required=True)
+    p_bound.add_argument("--game")
     p_bound.add_argument("--fix", action="append",
                          help="A=<src>, B=<src> or both=<src>; sources: "
                          "uniform, suboptimal, optimal, file:<path>")
@@ -477,6 +477,8 @@ def _apply_defaults(args: argparse.Namespace) -> None:
     for key, value in {**defaults, **config}.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
+    if args.command in ("solve", "bound") and args.game is None:
+        raise InputError("--game is required, as a flag or a config key")
 
 
 def _config_value(options: dict[str, argparse.Action], key: str, value):

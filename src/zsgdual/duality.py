@@ -15,7 +15,10 @@ uniform per period; the per-scenario inner problem is a deterministic
 backward induction under the canonical coupling (one shared uniform drives
 the inverse-CDF transition of every action). Absorbing-state views sample
 scenario paths from an action-independent reference kernel ``q`` instead,
-and per-step likelihood ratios p/q re-weight the inner recursion.
+and per-step likelihood ratios p/q re-weight the inner recursion. Both inner
+problems read their action values from ``games.lookahead``, the expression
+``solvers.solve_view`` sweeps, so an exact-value generator cancels the
+continuation scenario by scenario and the estimate has zero variance.
 
 Estimates are bitwise reproducible: scenario ``i`` draws from a
 counter-based stream keyed by ``(seed, i)``. Scenarios are evaluated in
@@ -44,7 +47,7 @@ from .games import (
     Ssp,
     absorbing_reachable,
     fix_player,
-    stack_view,
+    lookahead,
 )
 
 DEFAULT_PATH_CAP = 10**6
@@ -147,7 +150,9 @@ def make_penalty_term(
     clairvoyant decision maker for knowing which next state comes up; it has
     zero conditional mean under any non-anticipating policy.
     """
-    row = view.kernel[x][a]
+    if not (0 <= x < view.n_states and 0 <= a < view.n_actions[x]):
+        raise ValueError(f"no action {a} at state {x} of the view")
+    row = view.kernel[x, a]
     if row[realized_next] <= 0.0:
         raise SupportViolation(
             f"state {realized_next} is not reachable from state {x} "
@@ -163,11 +168,8 @@ def make_penalty_term(
 class _FiniteInner:
     """Per-scenario deterministic inner problems on an embedded view.
 
-    Precomputes, per state, the penalty-adjusted action values
-    ``cost[x] + kernel[x] @ h`` and the per-action transition CDFs. The
-    per-action expression must mirror the exact backward induction in
-    ``solvers.solve_view`` bit for bit so that an exact-value generator
-    cancels the continuation exactly, scenario by scenario.
+    Precomputes the penalty-adjusted action values ``lookahead(view, h)``
+    and the per-action transition CDFs.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray):
@@ -187,12 +189,8 @@ class _FiniteInner:
         for x in range(view.n_states):
             if x != view.absorbing:
                 self.by_period[int(view.period[x])].append(x)
-        self.base = {
-            x: view.cost[x] + view.kernel[x] @ h
-            for period in self.by_period
-            for x in period
-        }
-        self.cum = {x: np.cumsum(view.kernel[x], axis=1) for x in self.base}
+        self.base = lookahead(view, h)
+        self.cum = np.cumsum(view.kernel, axis=2)
         self.opt = np.max if view.orientation == "max" else np.min
 
     def evaluate(self, scenarios: np.ndarray) -> np.ndarray:
@@ -204,11 +202,15 @@ class _FiniteInner:
         V = np.zeros((scenarios.shape[0], self.view.n_states))
         rows = np.arange(scenarios.shape[0])[:, None]
         h = self.h
+        n_actions = self.view.n_actions
         for t in range(self.horizon - 1, -1, -1):
             w = scenarios[:, t]
             for x in self.by_period[t]:
-                nxt = np.stack([_icdf(c, w) for c in self.cum[x]], axis=1)
-                V[:, x] = self.opt(self.base[x] + (V[rows, nxt] - h[nxt]), axis=1)
+                a = n_actions[x]
+                nxt = np.stack([_icdf(c, w) for c in self.cum[x, :a]], axis=1)
+                V[:, x] = self.opt(
+                    self.base[x, :a] + (V[rows, nxt] - h[nxt]), axis=1
+                )
         return V[:, self.view.root]
 
 
@@ -308,6 +310,9 @@ class ReferenceMeasure:
         n = k.shape[0]
         if k.shape != (n, n):
             raise ValueError("reference kernel must be square")
+        a = self.absorbing
+        if not (isinstance(a, (int, np.integer)) and 0 <= a < n):
+            raise ValueError(f"absorbing state {a!r} is not a state index in [0, {n})")
         if np.any(k < 0.0) or np.any(np.abs(k.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("reference kernel rows must be distributions")
         if abs(k[self.absorbing, self.absorbing] - 1.0) > 1e-12:
@@ -341,18 +346,12 @@ def make_uniform_reference(model: GameModel) -> ReferenceMeasure:
 def validate_abs_continuity(
     view: MdpView, q: ReferenceMeasure
 ) -> list[tuple[int, int, int]]:
-    """All (state, action, next) where the view moves but q puts no mass."""
-    out = []
-    for x in range(view.n_states):
-        if x == view.absorbing:
-            continue
-        dead = q.kernel[x] == 0.0
-        if not dead.any():
-            continue
-        for a in range(view.n_actions[x]):
-            for j in np.flatnonzero((view.kernel[x][a] > 0.0) & dead):
-                out.append((x, a, int(j)))
-    return out
+    """All (state, action, next) where the view moves but q puts no mass,
+    in index order."""
+    bad = (view.kernel > 0.0) & (q.kernel == 0.0)[:, None, :]
+    if view.absorbing is not None:
+        bad[view.absorbing] = False
+    return [(int(x), int(a), int(j)) for x, a, j in np.argwhere(bad)]
 
 
 def simulate_q_path(
@@ -411,10 +410,7 @@ def _draw_paths(
 class _SspInner:
     """Weak-form inner problem along reference-measure paths.
 
-    Precomputes the penalty-adjusted action values ``cost + kernel @ h``
-    on the stacked non-terminal block; the einsum must mirror the value
-    iteration in ``solvers.solve_view`` bit for bit so that an exact-value
-    generator collapses the recursion path by path.
+    Precomputes the penalty-adjusted action values ``lookahead(view, h)``.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray, q: ReferenceMeasure):
@@ -425,6 +421,12 @@ class _SspInner:
             raise ValueError("generator must assign one value per state")
         if not np.isfinite(h).all():
             raise ValueError("generator values must be finite")
+        if q.kernel.shape[0] != view.n_states or q.absorbing != view.absorbing:
+            raise ValueError(
+                f"reference measure on {q.kernel.shape[0]} states absorbing at "
+                f"{q.absorbing} does not match the view's {view.n_states} states "
+                f"absorbing at {view.absorbing}"
+            )
         bad = validate_abs_continuity(view, q)
         if bad:
             raise AbsContinuityViolation(
@@ -434,18 +436,14 @@ class _SspInner:
         self.view = view
         self.h = h
         self.q = q
-        self.stacked = stack_view(view)
-        self.base = self.stacked.cost + np.einsum(
-            "san,n->sa", self.stacked.kernel, h
-        )
+        self.base = lookahead(view, h)
         self.opt = np.max if view.orientation == "max" else np.min
 
     def evaluate(self, steps: _Steps, n_paths: int) -> np.ndarray:
         """Inner values of ``n_paths`` paths stored as steps, walked backward
         with one continuation value per path."""
         h = self.h
-        row_of = self.stacked.row_of
-        kernel = self.stacked.kernel
+        kernel = self.view.kernel
         q_kernel = self.q.kernel
         W = np.zeros(n_paths)
         # Weak generators can let the recursion overflow legitimately (the
@@ -460,12 +458,11 @@ class _SspInner:
                     raise AbsContinuityViolation(
                         f"step {t}: q({xn[i]}|{x[i]}) = 0 on a simulated path"
                     )
-                r = row_of[x]
-                rho = kernel[r, :, xn] / qv[:, None]
+                rho = kernel[x, :, xn] / qv[:, None]
                 diff = (W[ids] - h[xn])[:, None]
                 carry = rho * diff
                 carry = np.where((rho == 0.0) & (diff != 0.0), 0.0, carry)
-                W[ids] = self.opt(self.base[r] + carry, axis=1)
+                W[ids] = self.opt(self.base[x] + carry, axis=1)
         return W
 
 

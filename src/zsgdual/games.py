@@ -4,7 +4,9 @@ A game is played by two players on a finite state space: player A (the
 maximizer) picks an action ``u``, player B (the minimizer) simultaneously
 picks ``v``, the system moves from state ``i`` to ``j`` with probability
 ``p[i][u][v][j]`` and B pays A the stage cost ``g[i][u][v][j]``. Mixed
-(randomized) per-state policies, reduction to one-player decision problems,
+(randomized) per-state policies, reduction to one-player decision problems
+(``MdpView``, one padded array layout for every state, and ``lookahead``,
+the one action-value expression every solver and dual estimator reads),
 time embedding of finite-horizon games and JSON ingestion all live here.
 
 All objects are immutable after construction and safe to share across
@@ -218,16 +220,20 @@ class MdpView:
     """One-player decision problem induced by fixing the other player.
 
     ``orientation`` is ``"max"`` when B was fixed (A, the maximizer, stays
-    free) and ``"min"`` when A was fixed. ``cost[x]`` has one expected stage
-    cost per remaining action, ``kernel[x]`` one next-state distribution per
-    action.
+    free) and ``"min"`` when A was fixed. Every state, the absorbing one
+    included, is one row of two padded arrays: ``cost[x, a]`` is the
+    expected stage cost of action ``a`` (shape ``(n_states, amax)``) and
+    ``kernel[x, a]`` its next-state distribution (shape ``(n_states, amax,
+    n_states)``). Only the first ``n_actions[x]`` slots of a row are real;
+    the others carry cost -inf (max) or +inf (min) and an all-zero kernel
+    row, so optimizing a row over its slots never picks one.
     """
 
     orientation: str
     n_states: int
     n_actions: np.ndarray
-    cost: tuple[np.ndarray, ...]
-    kernel: tuple[np.ndarray, ...]
+    cost: np.ndarray
+    kernel: np.ndarray
     regime: Regime
     fixed_player: str
     fixed_policy: MixedPolicy
@@ -240,38 +246,29 @@ class MdpView:
         return self.regime.absorbing if isinstance(self.regime, Ssp) else None
 
 
-@dataclass(frozen=True)
-class StackedView:
-    """Dense non-terminal block of an MdpView, padded to a common action count.
+def stack_view(
+    cost: Sequence[np.ndarray], kernel: Sequence[np.ndarray], orientation: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pad per-state action costs and kernels to the ``MdpView`` layout."""
+    amax = max(len(c) for c in cost)
+    pad = np.inf if orientation == "min" else -np.inf
+    padded_cost = np.full((len(cost), amax), pad)
+    padded_kernel = np.zeros((len(cost), amax, kernel[0].shape[1]))
+    for x, (c, k) in enumerate(zip(cost, kernel)):
+        padded_cost[x, : len(c)] = c
+        padded_kernel[x, : len(c)] = k
+    return _freeze(padded_cost), _freeze(padded_kernel)
 
-    Padded action slots carry cost +inf (min orientation) or -inf (max) and an
-    all-zero kernel row, so optimizing over axis 1 ignores them. ``states``
-    maps block rows back to state indices, ``row_of[x]`` the other way
-    (-1 for the terminal state).
+
+def lookahead(view: MdpView, values: np.ndarray) -> np.ndarray:
+    """Stage cost plus discounted expected ``values`` of every (state, action)
+    slot of a view.
+
+    The exact solvers and both dual inner problems read action values
+    through this one expression; an exact-value generator cancels the
+    inner continuation only because they agree bit for bit.
     """
-
-    states: np.ndarray
-    row_of: np.ndarray
-    cost: np.ndarray
-    kernel: np.ndarray
-
-
-def stack_view(view: MdpView) -> StackedView:
-    absorbing = view.absorbing
-    states = np.array(
-        [x for x in range(view.n_states) if x != absorbing], dtype=int
-    )
-    amax = int(view.n_actions[states].max())
-    pad = np.inf if view.orientation == "min" else -np.inf
-    cost = np.full((len(states), amax), pad)
-    kernel = np.zeros((len(states), amax, view.n_states))
-    for r, x in enumerate(states):
-        a = view.n_actions[x]
-        cost[r, :a] = view.cost[x]
-        kernel[r, :a, :] = view.kernel[x]
-    row_of = np.full(view.n_states, -1, dtype=int)
-    row_of[states] = np.arange(len(states))
-    return StackedView(states=states, row_of=row_of, cost=cost, kernel=kernel)
+    return view.cost + regime_alpha(view.regime) * (view.kernel @ values)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,8 @@ def fix_player(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpVi
     """Average out one player's mixed policy, leaving the other's MDP.
 
     Fixing B leaves A's maximization problem; fixing A leaves B's
-    minimization problem.
+    minimization problem. The view's arrays are built once, here, in the
+    padded layout that ``MdpView`` describes.
     """
     check_policy(model, fixed, fixed_player)
     cost: list[np.ndarray] = []
@@ -334,12 +332,14 @@ def fix_player(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpVi
             cost.append(w @ g_bar)
             kernel.append(np.einsum("u,uvj->vj", w, model.transition[i]))
     counts = model.actions_a if fixed_player == PLAYER_B else model.actions_b
+    orientation = "max" if fixed_player == PLAYER_B else "min"
+    padded_cost, padded_kernel = stack_view(cost, kernel, orientation)
     return MdpView(
-        orientation="max" if fixed_player == PLAYER_B else "min",
+        orientation=orientation,
         n_states=model.n_states,
         n_actions=counts.copy(),
-        cost=tuple(_freeze(c) for c in cost),
-        kernel=tuple(_freeze(k) for k in kernel),
+        cost=padded_cost,
+        kernel=padded_kernel,
         regime=model.regime,
         fixed_player=fixed_player,
         fixed_policy=fixed,

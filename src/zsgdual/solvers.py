@@ -2,7 +2,8 @@
 
 Covers policy-pair evaluation by linear solve, Shapley value iteration
 (per-state matrix games on the one-step lookahead), best responses to a
-fixed opponent, the alternating "naive" policy-iteration scheme, and the
+fixed opponent (one value-iteration sweep over ``games.lookahead`` for
+every regime), the alternating "naive" policy-iteration scheme, and the
 exact sandwich interval that best responses put around the game value.
 """
 
@@ -25,13 +26,17 @@ from .games import (
     absorbing_reachable,
     check_policy,
     fix_player,
+    lookahead,
     make_policy,
     pure_policy,
     regime_alpha,
-    stack_view,
 )
 
 STALL_WINDOW = 200
+# Infinite-horizon value iteration gives up after this many sweeps, and
+# reports an improper fixed policy once a value exceeds the cap.
+MAX_SWEEPS = 100_000
+VALUE_CAP = 1e8
 
 
 class ImproperPair(RuntimeError):
@@ -173,59 +178,43 @@ def _stalled(history: list[float], delta: float, tol: float, scale: float) -> bo
 # Best responses
 
 
-def solve_view(
-    view: MdpView,
-    tol: float = 1e-10,
-    max_sweeps: int = 100_000,
-    value_cap: float = 1e8,
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Optimal value and pure action per state of a one-player view.
 
-    Time-embedded views are solved by exact backward induction, infinite
-    horizon views by value iteration. ``tol == 0`` demands an exact
-    floating-point fixed point (needed by zero-variance duality checks).
-    Ties are broken toward the lowest action index.
+    Every regime runs the same value-iteration sweep over ``lookahead``.
+    A time-embedded view is acyclic, so it reaches its exact fixed point
+    within ``horizon + 1`` sweeps and stops there, ignoring ``tol``; an
+    infinite-horizon view stops once a sweep moves no value by more than
+    ``tol``, and ``tol == 0`` demands an exact floating-point fixed point
+    (needed by zero-variance duality checks). Ties are broken toward the
+    lowest action index.
     """
+    if view.horizon is None and isinstance(view.regime, FiniteHorizon):
+        raise ValueError("embed a finite-horizon view before solving")
     opt = np.max if view.orientation == "max" else np.min
     argopt = np.argmax if view.orientation == "max" else np.argmin
-
-    if view.horizon is not None:
-        assert view.period is not None
-        V = np.zeros(view.n_states)
-        act = np.zeros(view.n_states, dtype=int)
-        order = sorted(
-            (x for x in range(view.n_states) if x != view.absorbing),
-            key=lambda x: -int(view.period[x]),
-        )
-        for x in order:
-            # Same expression as the per-scenario inner problem relies on.
-            vals = view.cost[x] + view.kernel[x] @ V
-            V[x] = opt(vals)
-            act[x] = argopt(vals)
-        V.setflags(write=False)
-        return V, act
-
-    if isinstance(view.regime, FiniteHorizon):
-        raise ValueError("embed a finite-horizon view before solving")
-
-    stacked = stack_view(view)
-    alpha = regime_alpha(view.regime)
+    embedded = view.horizon is not None
+    sweeps = view.horizon + 1 if embedded else MAX_SWEEPS
     V = np.zeros(view.n_states)
     history: list[float] = []
-    qa = stacked.cost
-    for _ in range(max_sweeps):
-        qa = stacked.cost + alpha * np.einsum("san,n->sa", stacked.kernel, V)
-        block = opt(qa, axis=1)
-        delta = float(np.abs(block - V[stacked.states]).max())
-        V[stacked.states] = block
-        if float(np.abs(block).max()) > value_cap:
+    for _ in range(sweeps):
+        qa = lookahead(view, V)
+        new = opt(qa, axis=1)
+        delta = float(np.abs(new - V).max())
+        V = new
+        if embedded:
+            if delta == 0.0:
+                break
+            continue
+        scale = float(np.abs(V).max())
+        if scale > VALUE_CAP:
             raise UnboundedValue(
-                f"value exceeded {value_cap:.1e}; fixed policy is improper"
+                f"value exceeded {VALUE_CAP:.1e}; fixed policy is improper"
             )
         if delta <= tol:
             break
         history.append(delta)
-        if _stalled(history, delta, tol, float(np.abs(block).max())):
+        if _stalled(history, delta, tol, scale):
             if view.orientation == "max" and isinstance(view.regime, Ssp):
                 raise UnboundedValue(
                     f"value iteration diverges (delta pinned at {delta:.3e}); "
@@ -236,13 +225,11 @@ def solve_view(
             )
     else:
         raise NoConvergence(
-            f"no convergence within {max_sweeps} sweeps (last delta {delta:.3e})",
+            f"no convergence within {sweeps} sweeps (last delta {delta:.3e})",
             delta,
         )
-    act = np.zeros(view.n_states, dtype=int)
-    act[stacked.states] = argopt(qa, axis=1)
     V.setflags(write=False)
-    return V, act
+    return V, argopt(qa, axis=1)
 
 
 def best_response(
@@ -250,8 +237,6 @@ def best_response(
     fixed: MixedPolicy,
     fixed_player: str,
     tol: float = 1e-10,
-    max_sweeps: int = 100_000,
-    value_cap: float = 1e8,
 ) -> tuple[np.ndarray, MixedPolicy]:
     """Optimal value and a pure responder policy against a fixed opponent.
 
@@ -259,9 +244,7 @@ def best_response(
     fixing B leaves A maximizing (an upper bound).
     """
     view = fix_player(model, fixed, fixed_player)
-    values, actions = solve_view(
-        view, tol=tol, max_sweeps=max_sweeps, value_cap=value_cap
-    )
+    values, actions = solve_view(view, tol=tol)
     responder = PLAYER_B if fixed_player == PLAYER_A else PLAYER_A
     return values, pure_policy(model, responder, actions)
 

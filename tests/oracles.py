@@ -16,7 +16,6 @@ from zsgdual.games import (
     MdpView,
     MixedPolicy,
     Ssp,
-    stack_view,
 )
 
 
@@ -174,10 +173,12 @@ def random_finite_game(
 
 
 # ---------------------------------------------------------------------------
-# Scalar dual-bound recursions: one scenario at a time, in plain loops. The
-# library evaluates blocks of scenarios as array rows; these are the
-# references its per-scenario values must equal bit for bit, so they repeat
-# its arithmetic expression for expression.
+# Scalar recursions: one state and one scenario at a time, in plain loops.
+# The library sweeps all states and evaluates blocks of scenarios as array
+# rows; these are the references its values must equal bit for bit, so they
+# repeat its arithmetic expression for expression. A state's padded action
+# row of a view is multiplied as a whole, as the library does: a dot product
+# over a sliced row can round differently.
 
 
 def _icdf(cum: np.ndarray, w: float) -> int:
@@ -199,30 +200,47 @@ def finite_scenario_value(view: MdpView, scenario: np.ndarray, h: np.ndarray) ->
         for x in range(view.n_states):
             if x == view.absorbing or view.period[x] != t:
                 continue
+            a = view.n_actions[x]
             base = view.cost[x] + view.kernel[x] @ h
-            cum = np.cumsum(view.kernel[x], axis=1)
-            nxt = np.array([_icdf(cum[a], w) for a in range(cum.shape[0])])
-            V[x] = opt(base + (V[nxt] - h[nxt]))
+            cum = np.cumsum(view.kernel[x, :a], axis=1)
+            nxt = np.array([_icdf(c, w) for c in cum])
+            V[x] = opt(base[:a] + (V[nxt] - h[nxt]))
     return float(V[view.root])
 
 
 def ssp_path_value(view: MdpView, path: np.ndarray, q_kernel: np.ndarray, h: np.ndarray) -> float:
     """Weak-form inner value of one reference path, walked backward with
     likelihood ratios rho = p(next|x,a) / q(next|x)."""
-    stacked = stack_view(view)
-    base = stacked.cost + np.einsum("san,n->sa", stacked.kernel, h)
     opt = np.max if view.orientation == "max" else np.min
     W = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(len(path) - 2, -1, -1):
             x, xn = int(path[t]), int(path[t + 1])
-            r = stacked.row_of[x]
-            rho = stacked.kernel[r, :, xn] / q_kernel[x, xn]
+            base = view.cost[x] + view.kernel[x] @ h
+            rho = view.kernel[x, :, xn] / q_kernel[x, xn]
             carry = rho * (W - h[xn])
             if W - h[xn] != 0.0:
                 carry = np.where(rho == 0.0, 0.0, carry)
-            W = float(opt(base[r] + carry))
+            W = float(opt(base + carry))
     return W
+
+
+def finite_backward_induction(view: MdpView) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal value and lowest-index optimal action of a time-embedded view,
+    one state at a time from the last period back to the first."""
+    opt = np.max if view.orientation == "max" else np.min
+    argopt = np.argmax if view.orientation == "max" else np.argmin
+    V = np.zeros(view.n_states)
+    act = np.zeros(view.n_states, dtype=int)
+    order = sorted(
+        (x for x in range(view.n_states) if x != view.absorbing),
+        key=lambda x: -int(view.period[x]),
+    )
+    for x in order:
+        vals = view.cost[x] + view.kernel[x] @ V
+        V[x] = opt(vals)
+        act[x] = argopt(vals)
+    return V, act
 
 
 def reference_path(q_kernel: np.ndarray, absorbing: int, x0: int, seed: int, index: int) -> np.ndarray:

@@ -293,3 +293,21 @@ class TestConfigPrecedence:
         code, _, err = self.bound_with_config(capsys, tmp_path, config)
         assert code == 2
         assert err.startswith("error: config key")
+
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_config_supplies_game(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"game": "builtin:matrix2p"}))
+        extra = ["--fix", "B=suboptimal", "--n", "64"] if command == "bound" else []
+        code, out, _ = run(capsys, command, "--config", str(cfg), *extra)
+        assert code == 0
+        want = "upper: mean=5.6" if command == "bound" else "\n0,t0:g1,5.0,"
+        assert want in out
+
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_game_missing_from_flags_and_config_exits_2(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-9}))
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --game is required")

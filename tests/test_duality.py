@@ -91,6 +91,12 @@ class TestPenaltyTerm:
         with pytest.raises(zd.SupportViolation):
             zd.make_penalty_term(upper_view, h, 0, 0, 3)
 
+    @pytest.mark.parametrize("x, a", [(0, -1), (0, 2), (3, 1), (-1, 0), (4, 0)])
+    def test_action_must_exist_at_state(self, upper_view, x, a):
+        # (3, 1) is a padded slot: the terminal state has one action.
+        with pytest.raises(ValueError, match="no action"):
+            zd.make_penalty_term(upper_view, np.zeros(4), x, a, 3)
+
     def test_zero_mean_under_nonanticipating_play(self, upper_view):
         # Simulate a fixed pure policy forward with the canonical coupling
         # and accumulate penalties; the sample mean must vanish.
@@ -241,6 +247,34 @@ class TestReferenceMeasure:
         with pytest.raises(ValueError):
             zd.ReferenceMeasure(kernel=kernel, absorbing=1)
 
+    @pytest.mark.parametrize("absorbing", [-1, 2, 1.0])
+    def test_absorbing_must_be_a_state_index(self, absorbing):
+        kernel = np.array([[0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not a state index"):
+            zd.ReferenceMeasure(kernel=kernel, absorbing=absorbing)
+
+    def test_abs_continuity_with_unequal_action_counts(self):
+        # A keeps 3, 1 and 2 actions at states 0-2; padded slots carry no
+        # kernel mass, so only real actions are reported, in index order.
+        n = 4
+        moves = [
+            [[0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0, 1]],
+            [[0.5, 0, 0, 0.5]],
+            [[0, 0.5, 0.5, 0], [0, 0, 0, 1]],
+            [[0, 0, 0, 1]],
+        ]
+        transition = [np.array(m, dtype=float)[:, None, :] for m in moves]
+        cost = [np.ones_like(p) for p in transition[:3]] + [np.zeros((1, 1, n))]
+        model = zd.make_game(zd.Ssp(absorbing=3), transition, cost, root=0)
+        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        kernel = np.array(
+            [[0, 0.5, 0, 0.5], [0, 0, 0.5, 0.5], [0.5, 0, 0, 0.5], [0, 0, 0, 1]]
+        )
+        q = zd.ReferenceMeasure(kernel=kernel, absorbing=3)
+        assert zd.validate_abs_continuity(view, q) == [
+            (0, 0, 0), (0, 1, 2), (1, 0, 0), (2, 0, 1), (2, 0, 2)
+        ]
+
     def test_abs_continuity_flags_missing_support(self, waste3):
         mu = zd.uniform_policy(waste3, zd.PLAYER_A)
         view = zd.fix_player(waste3, mu, zd.PLAYER_A)
@@ -296,6 +330,21 @@ class TestQPathSimulation:
 
 
 class TestWeakFormInner:
+    def test_reference_measure_must_match_view(self, waste3):
+        view = zd.fix_player(waste3, zd.uniform_policy(waste3, zd.PLAYER_B), zd.PLAYER_B)
+        h = np.zeros(waste3.n_states)
+        n = waste3.n_states
+        small = np.zeros((n - 1, n - 1))
+        small[:, -1] = 1.0
+        shifted = np.zeros((n, n))
+        shifted[:, 0] = 1.0
+        for q in (
+            zd.ReferenceMeasure(kernel=small, absorbing=n - 2),
+            zd.ReferenceMeasure(kernel=shifted, absorbing=0),
+        ):
+            with pytest.raises(ValueError, match="does not match"):
+                zd.estimate_dual_bound_ssp(view, h, q, 2, seed=1, x0=1)
+
     def test_exact_generator_zero_variance(self, waste3):
         nu = zd.uniform_policy(waste3, zd.PLAYER_B)
         view = zd.fix_player(waste3, nu, zd.PLAYER_B)

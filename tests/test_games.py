@@ -87,8 +87,22 @@ class TestFixPlayer:
         nu = zd.uniform_policy(waste3, zd.PLAYER_B)
         view = zd.fix_player(waste3, nu, zd.PLAYER_B)
         for x in range(view.n_states):
-            sums = view.kernel[x].sum(axis=1)
+            a = view.n_actions[x]
+            sums = view.kernel[x, :a].sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+    def test_padded_slots_are_never_optimal(self, waste3):
+        # The absorbing state has one action, the others three: its row is
+        # padded with a zero kernel and the orientation's losing cost.
+        for player, pad in ((zd.PLAYER_B, -np.inf), (zd.PLAYER_A, np.inf)):
+            view = zd.fix_player(waste3, zd.uniform_policy(waste3, player), player)
+            x = waste3.absorbing
+            assert view.cost.shape == (waste3.n_states, 3)
+            assert view.kernel.shape == (waste3.n_states, 3, waste3.n_states)
+            assert view.n_actions[x] == 1
+            assert view.cost[x, 0] == 0.0 and view.kernel[x, 0, x] == 1.0
+            assert np.all(view.cost[x, 1:] == pad)
+            assert not view.kernel[x, 1:].any()
 
     def test_orientation_min_when_a_fixed(self, waste3):
         mu = zd.uniform_policy(waste3, zd.PLAYER_A)

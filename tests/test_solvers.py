@@ -5,7 +5,9 @@ import zsgdual as zd
 from zsgdual import solvers
 
 from oracles import (
+    finite_backward_induction,
     random_discounted_game,
+    random_finite_game,
     random_policy,
     random_ssp_game,
     rollout_pair,
@@ -139,6 +141,38 @@ class TestBestResponse:
         pure = zd.pure_policy(waste3, zd.PLAYER_B, [0] * waste3.n_states)
         with pytest.raises(zd.UnboundedValue):
             zd.best_response(waste3, pure, zd.PLAYER_B)
+
+    def test_embedded_views_match_backward_induction(self, two_period):
+        rng = np.random.default_rng(31)
+        games = [two_period] + [
+            zd.embed_finite_horizon(random_finite_game(rng, n_states=8, periods=5))
+            for _ in range(4)
+        ]
+        for game in games:
+            for player in (zd.PLAYER_A, zd.PLAYER_B):
+                view = zd.fix_player(game, random_policy(rng, game, player), player)
+                values, actions = zd.solve_view(view)
+                want_values, want_actions = finite_backward_induction(view)
+                assert values.tobytes() == want_values.tobytes()
+                np.testing.assert_array_equal(actions, want_actions)
+
+    def test_embedded_view_is_not_value_capped(self, two_period):
+        # The cap that flags improper infinite-horizon policies never applied
+        # to time-embedded views, whose values are finite by construction.
+        big = zd.make_game(
+            two_period.regime,
+            two_period.transition,
+            [1e9 * g for g in two_period.cost],
+            root=two_period.root,
+            horizon=two_period.horizon,
+            period=two_period.period,
+            base_state=two_period.base_state,
+        )
+        nu_hat = zd.suboptimal_minimizer_policy(big)
+        values, _ = zd.best_response(big, nu_hat, zd.PLAYER_B)
+        assert values[0] == pytest.approx(5.6e9, rel=1e-12)
+        want, _ = finite_backward_induction(zd.fix_player(big, nu_hat, zd.PLAYER_B))
+        assert values.tobytes() == want.tobytes()
 
     def test_ssp_responses_bracket_pair_value(self, waste3):
         mu = zd.uniform_policy(waste3, zd.PLAYER_A)
