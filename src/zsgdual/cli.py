@@ -279,6 +279,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    solvers.check_tol(args.tol)  # also when no `optimal` policy reads it
     model = _resolve_game(args.game)
     fixed_tokens = _parse_fix(args.fix or [])
     if not fixed_tokens:

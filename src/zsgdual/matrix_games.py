@@ -8,8 +8,12 @@ entry is positive, maximize ``sum(q)`` subject to ``R q <= 1``; the optimal
 objective is ``1/value`` and the two strategies fall out of the primal and
 dual solutions of the same tableau.
 
+``solve_many`` runs one simplex over a stack of equally shaped games: each
+pivot step is a handful of array operations over every game still pivoting,
+and a game drops out once it is optimal. ``solve`` is its one-game wrapper.
 Bland's rule keeps the pivot sequence deterministic and cycle-free, so
-degenerate games terminate and repeated calls return the identical vertex.
+degenerate games terminate and repeated calls return the identical vertex;
+a game's pivots, and so its result, do not depend on the rest of the stack.
 """
 
 from __future__ import annotations
@@ -43,73 +47,102 @@ def value_of(R: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
 def solve(R: np.ndarray) -> MatrixGameSolution:
     """Minimax value and optimal mixed strategies of the matrix game R."""
     R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.size == 0:
+    if R.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D and nonempty, got shape {R.shape}")
-    if not np.isfinite(R).all():
-        raise ValueError("payoff matrix has non-finite entries")
-    m, n = R.shape
-
-    shift = 1.0 - float(R.min())
-    Rs = R + shift  # every entry >= 1, so the shifted value is positive
-
-    obj, q, p = _simplex_max_ones(Rs)
-    v_shift = 1.0 / obj
-    col = np.maximum(q, 0.0) * v_shift
-    row = np.maximum(p, 0.0) * v_shift
-    col /= col.sum()
-    row /= row.sum()
-    row.setflags(write=False)
-    col.setflags(write=False)
+    values, rows, cols = solve_many(R[None])
     return MatrixGameSolution(
-        value=v_shift - shift, row_strategy=row, col_strategy=col
+        value=float(values[0]), row_strategy=rows[0], col_strategy=cols[0]
     )
 
 
-def _simplex_max_ones(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Maximize sum(q) s.t. A q <= 1, q >= 0 with A > 0 elementwise.
+def solve_many(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimax values and optimal mixed strategies of a stack of matrix games.
 
-    Returns (objective, primal q, dual p). The origin is feasible and the
-    positive matrix makes the program bounded, so a single simplex phase
-    suffices. Variables 0..n-1 are q, n..n+m-1 the slacks; the dual vector
-    is read off the reduced costs of the slack columns at optimality.
+    ``R`` has shape ``(k, m, n)``; game ``g`` is ``R[g]``. Returns the
+    values ``(k,)``, the row strategies ``(k, m)`` and the column strategies
+    ``(k, n)``, all read-only. A game's result, bit for bit, does not
+    depend on the other games in the stack.
     """
-    m, n = A.shape
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = 1.0
-    T[m, :n] = 1.0  # reduced costs of the maximization objective
-    basis = list(range(n, n + m))
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 3 or R.shape[1] == 0 or R.shape[2] == 0:
+        raise ValueError(
+            f"payoff stack must be 3-D with nonempty games, got shape {R.shape}"
+        )
+    if not np.isfinite(R).all():
+        raise ValueError("payoff matrix has non-finite entries")
+    lo = R.min(axis=(1, 2))
+    with np.errstate(over="ignore"):
+        span = R.max(axis=(1, 2)) - lo
+    if not np.isfinite(span).all():
+        bad = int(np.argmin(np.isfinite(span)))
+        raise ValueError(f"game {bad}: payoff range overflows a float")
+
+    shift = 1.0 - lo
+    # Every shifted entry is >= 1, so each shifted value is positive.
+    obj, q, p = _simplex_max_ones(R + shift[:, None, None])
+    v_shift = 1.0 / obj
+    col = np.maximum(q, 0.0) * v_shift[:, None]
+    row = np.maximum(p, 0.0) * v_shift[:, None]
+    col /= col.sum(axis=1, keepdims=True)
+    row /= row.sum(axis=1, keepdims=True)
+    values = v_shift - shift
+    for a in (values, row, col):
+        a.setflags(write=False)
+    return values, row, col
+
+
+def _simplex_max_ones(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize sum(q) s.t. A[g] q <= 1, q >= 0 for every game g of the stack.
+
+    Every entry of ``A`` (shape ``(k, m, n)``) is positive. Returns the
+    objectives ``(k,)``, primal ``q`` ``(k, n)`` and dual ``p`` ``(k, m)``.
+    The origin is feasible and the positive matrix makes each program
+    bounded, so a single simplex phase suffices. Variables 0..n-1 are q,
+    n..n+m-1 the slacks; the dual vector is read off the reduced costs of
+    the slack columns at optimality.
+    """
+    k, m, n = A.shape
+    w = n + m
+    T = np.zeros((k, m + 1, w + 1))
+    T[:, :m, :n] = A
+    T[:, :m, n:w] = np.eye(m)
+    T[:, :m, -1] = 1.0
+    T[:, m, :n] = 1.0  # reduced costs of the maximization objective
+    basis = np.tile(np.arange(n, w), (k, 1))
+    obj = np.empty(k)
+    q = np.zeros((k, n))
+    p = np.empty((k, m))
+    live = np.arange(k)  # original index of each game still in T
+    g = np.arange(k)
 
     while True:
-        enter = -1
-        for j in range(n + m):  # Bland: lowest eligible index enters
-            if T[m, j] > PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            break
-        ratio = np.inf
-        leave = -1
-        for i in range(m):
-            a = T[i, enter]
-            if a > PIVOT_TOL:
-                r = T[i, -1] / a
-                if r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio = r
-                    leave = i
-        if leave < 0:
+        eligible = T[:, m, :w] > PIVOT_TOL
+        done = ~eligible.any(axis=1)
+        if done.any():
+            Td, bd, gd = T[done], basis[done], live[done]
+            obj[gd] = -Td[:, m, -1]
+            p[gd] = -Td[:, m, n:w]
+            gi, ri = np.nonzero(bd < n)
+            q[gd[gi], bd[gi, ri]] = Td[gi, ri, -1]
+            keep = ~done
+            T, basis, live, eligible = T[keep], basis[keep], live[keep], eligible[keep]
+            g = np.arange(live.size)
+        if not live.size:
+            return obj, q, p
+        enter = eligible.argmax(axis=1)  # Bland: lowest eligible index enters
+        fac = T[g, :, enter]  # entering column, objective row included
+        col = fac[:, :m]
+        ok = col > PIVOT_TOL
+        ratio = np.divide(T[:, :m, -1], col, out=np.full(col.shape, np.inf), where=ok)
+        # Bland: among rows with the minimum ratio the smallest basic index leaves.
+        tied = ratio == ratio.min(axis=1, keepdims=True)
+        leave = np.where(tied, basis, w).argmin(axis=1)
+        if not ok[g, leave].all():
             raise RuntimeError("simplex detected an unbounded program")
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for i in range(m + 1):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
-        basis[leave] = enter
-
-    q = np.zeros(n)
-    for i, b in enumerate(basis):
-        if b < n:
-            q[b] = T[i, -1]
-    p = -T[m, n : n + m]
-    return -T[m, -1], q, p
+        prow = T[g, leave] / col[g, leave][:, None]
+        # The tableau never holds a -0.0, so a row whose entering entry is 0
+        # comes out of this update bit for bit unchanged; the pivot row's
+        # result is overwritten.
+        T -= fac[:, :, None] * prow[:, None, :]
+        T[g, leave] = prow
+        basis[g, leave] = enter

@@ -1,7 +1,9 @@
 """Exact solving and policy analysis for dynamic zero-sum games.
 
 Covers policy-pair evaluation by linear solve, Shapley value iteration
-(per-state matrix games on the one-step lookahead), best responses to a
+(per-state matrix games on the one-step lookahead; each sweep stacks the
+stage games of all states with equal action counts and solves them in one
+``matrix_games.solve_many`` call), best responses to a
 fixed opponent (one value-iteration sweep over ``games.lookahead`` for
 every regime), the alternating "naive" policy-iteration scheme, and the
 exact sandwich interval that best responses put around the game value.
@@ -113,25 +115,58 @@ def stage_game_matrix(model: GameModel, i: int, values: np.ndarray) -> np.ndarra
     )
 
 
+def _stage_groups(model: GameModel) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The non-absorbing states grouped by their action counts, each group
+    with its stacked transitions and expected costs, so that a sweep solves
+    one group's stage games in one ``matrix_games.solve_many`` call."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i in range(model.n_states):
+        if i != model.absorbing:
+            by_shape.setdefault((model.actions_a[i], model.actions_b[i]), []).append(i)
+    return [
+        (
+            np.array(states),
+            np.stack([model.transition[i] for i in states]),
+            np.stack([model.expected_cost[i] for i in states]),
+        )
+        for states in by_shape.values()
+    ]
+
+
+def _sweep(model: GameModel, groups, values: np.ndarray):
+    """Shapley operator on ``values``: the new values and, per group, the
+    states with their stage games' row and column strategies."""
+    alpha = regime_alpha(model.regime)
+    new = np.zeros(model.n_states)
+    strategies = []
+    for states, transition, expected_cost in groups:
+        stage = expected_cost + alpha * np.einsum("iuvj,j->iuv", transition, values)
+        new[states], rows, cols = matrix_games.solve_many(stage)
+        strategies.append((states, rows, cols))
+    return new, strategies
+
+
+def _stage_policies(model: GameModel, strategies) -> tuple[MixedPolicy, MixedPolicy]:
+    """The policy pair of one sweep; the absorbing state plays uniformly."""
+    mu_vecs = [np.ones(a) / a for a in model.actions_a]
+    nu_vecs = [np.ones(b) / b for b in model.actions_b]
+    for states, rows, cols in strategies:
+        for i, y, z in zip(states, rows, cols):
+            mu_vecs[i] = y
+            nu_vecs[i] = z
+    return make_policy(mu_vecs), make_policy(nu_vecs)
+
+
 def shapley_backup(
     model: GameModel, values: np.ndarray
 ) -> tuple[np.ndarray, MixedPolicy, MixedPolicy]:
-    """One sweep: solve the stage matrix game at every state."""
-    n = model.n_states
-    absorbing = model.absorbing
-    new = np.zeros(n)
-    mu_vecs: list[np.ndarray] = []
-    nu_vecs: list[np.ndarray] = []
-    for i in range(n):
-        if i == absorbing:
-            mu_vecs.append(np.ones(model.actions_a[i]) / model.actions_a[i])
-            nu_vecs.append(np.ones(model.actions_b[i]) / model.actions_b[i])
-            continue
-        sol = matrix_games.solve(stage_game_matrix(model, i, values))
-        new[i] = sol.value
-        mu_vecs.append(sol.row_strategy)
-        nu_vecs.append(sol.col_strategy)
-    return new, make_policy(mu_vecs), make_policy(nu_vecs)
+    """One sweep: solve the stage matrix game at every state.
+
+    States with equal action counts are solved together in one batched
+    simplex; the absorbing state keeps value 0 and uniform strategies.
+    """
+    new, strategies = _sweep(model, _stage_groups(model), values)
+    return (new, *_stage_policies(model, strategies))
 
 
 def shapley_value_iteration(
@@ -145,17 +180,21 @@ def shapley_value_iteration(
     """
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before solving")
-    if tol < 0.0 or (tol == 0.0 and not isinstance(model.regime, Ssp)):
+    check_tol(tol)
+    if tol == 0.0 and not isinstance(model.regime, Ssp):
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    groups = _stage_groups(model)
     J = np.zeros(model.n_states)
     history: list[float] = []
     for _ in range(max_iter):
-        J_new, mu, nu = shapley_backup(model, J)
+        J_new, strategies = _sweep(model, groups, J)
         delta = float(np.abs(J_new - J).max())
         J = J_new
         if delta <= tol:
             J.setflags(write=False)
-            return J, mu, nu
+            return (J, *_stage_policies(model, strategies))
         history.append(delta)
         if _stalled(history, delta, tol, np.abs(J).max()):
             raise NoConvergence(
@@ -164,6 +203,12 @@ def shapley_value_iteration(
     raise NoConvergence(
         f"no convergence within {max_iter} sweeps (last delta {delta:.3e})", delta
     )
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless the stopping tolerance is finite and >= 0."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
 
 def _stalled(history: list[float], delta: float, tol: float, scale: float) -> bool:
@@ -191,6 +236,7 @@ def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     """
     if view.horizon is None and isinstance(view.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon view before solving")
+    check_tol(tol)
     opt = np.max if view.orientation == "max" else np.min
     argopt = np.argmax if view.orientation == "max" else np.argmin
     embedded = view.horizon is not None

@@ -16,7 +16,9 @@ from zsgdual.games import (
     MdpView,
     MixedPolicy,
     Ssp,
+    regime_alpha,
 )
+from zsgdual.matrix_games import PIVOT_TOL
 
 
 def _draw(cum: np.ndarray, r: float) -> int:
@@ -252,3 +254,101 @@ def reference_path(q_kernel: np.ndarray, absorbing: int, x0: int, seed: int, ind
     while path[-1] != absorbing:
         path.append(inverse_cdf_transition(q_kernel[path[-1]], float(rng.random())))
     return np.array(path)
+
+
+# ---------------------------------------------------------------------------
+# Matrix games one at a time: the scalar Bland-rule simplex the batched
+# ``matrix_games.solve_many`` must equal bit for bit, and a Shapley sweep
+# that solves one state's stage game after another with it.
+
+def simplex_max_ones(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Maximize sum(q) s.t. A q <= 1, q >= 0 with A > 0, one pivot and one
+    row at a time. Returns (objective, primal q, dual p)."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[m, :n] = 1.0
+    basis = list(range(n, n + m))
+
+    while True:
+        enter = -1
+        for j in range(n + m):  # Bland: lowest eligible index enters
+            if T[m, j] > PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            break
+        ratio = np.inf
+        leave = -1
+        for i in range(m):
+            a = T[i, enter]
+            if a > PIVOT_TOL:
+                r = T[i, -1] / a
+                if r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio = r
+                    leave = i
+        if leave < 0:
+            raise RuntimeError("simplex detected an unbounded program")
+        piv = T[leave, enter]
+        T[leave] /= piv
+        for i in range(m + 1):
+            if i != leave and T[i, enter] != 0.0:
+                T[i] -= T[i, enter] * T[leave]
+        basis[leave] = enter
+
+    q = np.zeros(n)
+    for i, b in enumerate(basis):
+        if b < n:
+            q[b] = T[i, -1]
+    p = -T[m, n : n + m]
+    return -T[m, -1], q, p
+
+
+def matrix_game(R: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(value, row strategy, column strategy) of one matrix game."""
+    R = np.asarray(R, dtype=float)
+    shift = 1.0 - float(R.min())
+    obj, q, p = simplex_max_ones(R + shift)
+    v_shift = 1.0 / obj
+    col = np.maximum(q, 0.0) * v_shift
+    row = np.maximum(p, 0.0) * v_shift
+    col /= col.sum()
+    row /= row.sum()
+    return v_shift - shift, row, col
+
+
+def shapley_sweep(
+    model: GameModel, values: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One Shapley sweep, state by state: the new values and each state's
+    row and column strategies (uniform at the absorbing state)."""
+    alpha = regime_alpha(model.regime)
+    new = np.zeros(model.n_states)
+    mu, nu = [], []
+    for i in range(model.n_states):
+        if i == model.absorbing:
+            mu.append(np.ones(model.actions_a[i]) / model.actions_a[i])
+            nu.append(np.ones(model.actions_b[i]) / model.actions_b[i])
+            continue
+        R = model.expected_cost[i] + alpha * np.einsum(
+            "uvj,j->uv", model.transition[i], values
+        )
+        new[i], y, z = matrix_game(R)
+        mu.append(y)
+        nu.append(z)
+    return new, mu, nu
+
+
+def shapley_iteration(
+    model: GameModel, tol: float
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Shapley sweeps from zero until no value moves by more than tol."""
+    J = np.zeros(model.n_states)
+    while True:
+        J_new, mu, nu = shapley_sweep(model, J)
+        delta = float(np.abs(J_new - J).max())
+        J = J_new
+        if delta <= tol:
+            return J, mu, nu

@@ -75,6 +75,17 @@ class TestSolveCommand:
         assert doc["states"][0]["value"] == pytest.approx(5.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-iter", "0"], ["--max-iter", "-3"],
+         ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"]],
+    )
+    def test_bad_iteration_limits_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "solve", "--game", "builtin:waste,N=3", *flags)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+
 class TestBoundCommand:
     def test_upper_bound_with_rough_generator(self, capsys):
         code, out, _ = run(
@@ -127,6 +138,13 @@ class TestBoundCommand:
         assert code == 2
         assert f"root {root!r} is not a state index in [0, 7)" in err
         assert "mean=" not in out
+
+    @pytest.mark.parametrize("policy", ["optimal", "uniform"])
+    def test_non_finite_tol_exits_2(self, capsys, policy):
+        code, _, err = run(capsys, "bound", "--game", "builtin:waste,N=3",
+                           "--fix", f"B={policy}", "--tol", "nan", "--n", "10")
+        assert code == 2
+        assert "tol must be finite" in err
 
     def test_missing_fix_exits_2(self, capsys):
         code, _, err = run(capsys, "bound", "--game", "builtin:matrix2p")

@@ -3,7 +3,10 @@ import pytest
 
 from zsgdual import matrix_games
 
-from oracles import two_by_two_game_value
+import zsgdual as zd
+from zsgdual import solvers
+
+from oracles import matrix_game, shapley_sweep, two_by_two_game_value
 
 
 def assert_saddle(R, sol, tol=1e-7):
@@ -45,6 +48,13 @@ class TestSolveKnownGames:
             matrix_games.solve(np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError):
             matrix_games.solve(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="overflows"):
+            matrix_games.solve(np.array([[1.7e308, -1.7e308]]))
+        stack = np.array([[[1.0, 2.0]], [[-1e308, 1e308]]])
+        with pytest.raises(ValueError, match="game 1: payoff range overflows"):
+            matrix_games.solve_many(stack)
+        with pytest.raises(ValueError):
+            matrix_games.solve_many(np.ones((2, 3)))
 
 
 class TestValueOf:
@@ -131,3 +141,86 @@ class TestSolverProperties:
         for R in (np.zeros((4, 4)), np.ones((3, 5)), np.outer([1, 2, 3], [1, 1, 1.0])):
             sol = matrix_games.solve(R)
             assert_saddle(R, sol)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_matches_reference(R):
+    """solve_many on the stack R and solve on each game equal the scalar
+    simplex, game by game, bit for bit."""
+    values, rows, cols = matrix_games.solve_many(R)
+    for g in range(len(R)):
+        value, row, col = matrix_game(R[g])
+        assert_same_bits(values[g], value)
+        assert_same_bits(rows[g], row)
+        assert_same_bits(cols[g], col)
+        sol = matrix_games.solve(R[g])
+        assert_same_bits(sol.value, value)
+        assert_same_bits(sol.row_strategy, row)
+        assert_same_bits(sol.col_strategy, col)
+
+
+def assert_sweep_matches_reference(model, J):
+    new, mu, nu = zd.shapley_backup(model, J)
+    want, want_mu, want_nu = shapley_sweep(model, J)
+    assert_same_bits(new, want)
+    for i in range(model.n_states):
+        assert_same_bits(mu[i], want_mu[i])
+        assert_same_bits(nu[i], want_nu[i])
+    return new
+
+
+class TestBatchedSimplexMatchesScalarReference:
+    def test_random_integer_matrices(self):
+        # Small integer payoffs tie in the ratio test, so the leaving row is
+        # often decided by the smallest basic index alone.
+        rng = np.random.default_rng(40)
+        for m in range(1, 7):
+            for n in range(1, 7):
+                assert_matches_reference(
+                    rng.integers(-3, 4, size=(40, m, n)).astype(float)
+                )
+
+    def test_random_normal_matrices(self):
+        rng = np.random.default_rng(41)
+        for m in range(1, 7):
+            for n in range(1, 7):
+                assert_matches_reference(rng.normal(size=(20, m, n)))
+
+    def test_single_row_and_single_column_games(self):
+        rng = np.random.default_rng(42)
+        for k in range(1, 9):
+            assert_matches_reference(rng.uniform(-5, 5, size=(10, 1, k)))
+            assert_matches_reference(rng.uniform(-5, 5, size=(10, k, 1)))
+            assert_matches_reference(rng.integers(0, 2, size=(10, 1, k)).astype(float))
+
+    def test_a_game_does_not_depend_on_its_stack(self):
+        rng = np.random.default_rng(43)
+        R = rng.integers(-2, 3, size=(30, 4, 4)).astype(float)
+        values, rows, cols = matrix_games.solve_many(R)
+        for lo, hi in ((0, 1), (5, 9), (12, 30)):
+            part = matrix_games.solve_many(R[lo:hi])
+            assert_same_bits(part[0], values[lo:hi])
+            assert_same_bits(part[1], rows[lo:hi])
+            assert_same_bits(part[2], cols[lo:hi])
+
+    def test_empty_stack(self):
+        values, rows, cols = matrix_games.solve_many(np.zeros((0, 2, 3)))
+        assert values.shape == (0,) and rows.shape == (0, 2) and cols.shape == (0, 3)
+
+    @pytest.mark.parametrize("n_sites, every", [(3, 1), (5, 10)])
+    def test_waste_trajectory_sweeps(self, n_sites, every):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
+        J = np.zeros(model.n_states)
+        for k in range(100_000):
+            if k % every == 0:
+                new = assert_sweep_matches_reference(model, J)
+            else:
+                new, _, _ = zd.shapley_backup(model, J)
+            if np.abs(new - J).max() <= 1e-8:
+                break
+            J = new
+        assert k > 100

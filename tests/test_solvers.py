@@ -11,6 +11,8 @@ from oracles import (
     random_policy,
     random_ssp_game,
     rollout_pair,
+    shapley_iteration,
+    shapley_sweep,
 )
 
 
@@ -116,6 +118,71 @@ class TestShapleyValueIteration:
             lhs = np.abs(T1 - T2).max()
             rhs = 0.85 * np.abs(J1 - J2).max()
             assert lhs <= rhs + 1e-9
+
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_must_be_positive(self, waste3, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            zd.shapley_value_iteration(waste3, tol=1e-8, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tol_must_be_finite_and_non_negative(self, waste3, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            zd.shapley_value_iteration(waste3, tol=tol)
+        view = zd.fix_player(waste3, zd.uniform_policy(waste3, zd.PLAYER_B), zd.PLAYER_B)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            zd.solve_view(view, tol=tol)
+
+    def test_zero_tol_only_for_ssp(self):
+        model = random_discounted_game(np.random.default_rng(33))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            zd.shapley_value_iteration(model, tol=0.0)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestShapleyMatchesScalarReference:
+    """Batched sweeps equal a sweep that solves one stage game at a time with
+    the scalar simplex, bit for bit in values and both strategies."""
+
+    def assert_solution_matches(self, model, tol):
+        J, mu, nu = zd.shapley_value_iteration(model, tol=tol)
+        want, want_mu, want_nu = shapley_iteration(model, tol)
+        assert_same_bits(J, want)
+        for i in range(model.n_states):
+            assert_same_bits(mu[i], want_mu[i])
+            assert_same_bits(nu[i], want_nu[i])
+
+    def test_random_ssp_games_with_mixed_shapes(self):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            model = random_ssp_game(rng, n_states=8, max_actions=3)
+            shapes = set(zip(model.actions_a.tolist(), model.actions_b.tolist()))
+            assert len(shapes) > 2
+            for J in (np.zeros(8), rng.uniform(-5, 5, size=8)):
+                new, mu, nu = zd.shapley_backup(model, J)
+                want, want_mu, want_nu = shapley_sweep(model, J)
+                assert_same_bits(new, want)
+                for i in range(8):
+                    assert_same_bits(mu[i], want_mu[i])
+                    assert_same_bits(nu[i], want_nu[i])
+            self.assert_solution_matches(model, 1e-10)
+
+    def test_random_discounted_games(self):
+        rng = np.random.default_rng(35)
+        for _ in range(5):
+            self.assert_solution_matches(
+                random_discounted_game(rng, n_states=5, max_actions=4), 1e-10
+            )
+
+    def test_two_period_game(self, two_period):
+        self.assert_solution_matches(two_period, 1e-12)
+
+    def test_waste_game(self, waste3):
+        self.assert_solution_matches(waste3, 1e-8)
 
 
 class TestBestResponse:
