@@ -4,9 +4,10 @@ zero-sum games.
 Player A maximizes and player B minimizes the same expected total cost.
 ``games`` holds the data model, ``matrix_games`` the per-state minimax LP
 kernel, ``solvers`` the exact machinery (Shapley value iteration, best
-responses, naive policy iteration, sandwich intervals), ``duality`` the
-Monte Carlo dual bounds, ``builtin_games`` two ready-made benchmark games
-and ``experiments``/``cli`` the reproduction pipeline.
+responses by policy iteration, naive policy iteration, sandwich
+intervals), ``duality`` the Monte Carlo dual bounds, ``builtin_games`` two
+ready-made benchmark games and ``experiments``/``cli`` the reproduction
+pipeline.
 """
 
 from .builtin_games import (

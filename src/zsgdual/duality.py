@@ -17,8 +17,9 @@ the inverse-CDF transition of every action). Absorbing-state views sample
 scenario paths from an action-independent reference kernel ``q`` instead,
 and per-step likelihood ratios p/q re-weight the inner recursion. Both inner
 problems read their action values from ``games.lookahead``, the expression
-``solvers.solve_view`` sweeps, so an exact-value generator cancels the
-continuation scenario by scenario and the estimate has zero variance.
+whose fixed point ``solvers.solve_view`` returns, so an exact-value
+generator cancels the continuation scenario by scenario and the estimate
+has zero variance.
 
 Estimates are bitwise reproducible: scenario ``i`` draws from a
 counter-based stream keyed by ``(seed, i)``. Scenarios are evaluated in

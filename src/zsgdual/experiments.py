@@ -188,8 +188,8 @@ def run_waste_experiment(
     """Naive policy iteration from uniform policies with per-round bounds.
 
     Per round k: the pair value at the root, both exact best responses
-    (value iteration run to an exact fixed point), and weak-form dual
-    estimates for both sides.
+    (Howard policy iteration polished to an exact floating-point fixed point
+    of ``lookahead``), and weak-form dual estimates for both sides.
 
     ``generator`` selects the penalty generators: "response-value" (default)
     uses each side's exact best-response value function, under which the

@@ -3,9 +3,9 @@
 Covers policy-pair evaluation by linear solve, Shapley value iteration
 (per-state matrix games on the one-step lookahead; each sweep stacks the
 stage games of all states with equal action counts and solves them in one
-``matrix_games.solve_many`` call), best responses to a
-fixed opponent (one value-iteration sweep over ``games.lookahead`` for
-every regime), the alternating "naive" policy-iteration scheme, and the
+``matrix_games.solve_many`` call), best responses to a fixed opponent
+(Howard policy iteration, polished by ``games.lookahead`` sweeps to a float
+fixed point), the alternating "naive" policy-iteration scheme, and the
 exact sandwich interval that best responses put around the game value.
 """
 
@@ -35,10 +35,9 @@ from .games import (
 )
 
 STALL_WINDOW = 200
-# Infinite-horizon value iteration gives up after this many sweeps, and
-# reports an improper fixed policy once a value exceeds the cap.
+# Each loop of an infinite-horizon solve (Howard iterations, polish sweeps)
+# gives up after this many steps.
 MAX_SWEEPS = 100_000
-VALUE_CAP = 1e8
 
 
 class ImproperPair(RuntimeError):
@@ -52,7 +51,8 @@ class NoConvergence(RuntimeError):
 
 
 class UnboundedValue(RuntimeError):
-    """Value iteration diverged: the fixed opponent policy is improper."""
+    """A best response is infinite: a state cannot absorb, or policy iteration
+    closed a cycle whose average cost favours the responder."""
 
 
 # ---------------------------------------------------------------------------
@@ -226,56 +226,102 @@ def _stalled(history: list[float], delta: float, tol: float, scale: float) -> bo
 def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Optimal value and pure action per state of a one-player view.
 
-    Every regime runs the same value-iteration sweep over ``lookahead``.
-    A time-embedded view is acyclic, so it reaches its exact fixed point
-    within ``horizon + 1`` sweeps and stops there, ignoring ``tol``; an
-    infinite-horizon view stops once a sweep moves no value by more than
-    ``tol``, and ``tol == 0`` demands an exact floating-point fixed point
-    (needed by zero-variance duality checks). Ties are broken toward the
-    lowest action index.
+    An infinite-horizon view is solved by Howard policy iteration (exact
+    linear evaluation; an action switches only on a strict gain), whose
+    values are polished by sweeps ``opt(lookahead(view, V))`` until a sweep
+    moves no value by more than ``tol``. ``tol == 0`` demands an exact
+    floating-point fixed point of ``lookahead``, as zero-variance duality
+    checks need. A time-embedded view is acyclic: the same sweeps from zero
+    reach its exact fixed point within ``horizon + 1`` sweeps, whatever
+    ``tol``. Actions are the last sweep's, ties broken toward the lowest index.
     """
     if view.horizon is None and isinstance(view.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon view before solving")
     check_tol(tol)
-    opt = np.max if view.orientation == "max" else np.min
     argopt = np.argmax if view.orientation == "max" else np.argmin
-    embedded = view.horizon is not None
-    sweeps = view.horizon + 1 if embedded else MAX_SWEEPS
-    V = np.zeros(view.n_states)
-    history: list[float] = []
-    for _ in range(sweeps):
+    if view.horizon is not None:
+        V, qa = _polish(view, np.zeros(view.n_states), 0.0, view.horizon + 1)
+    else:
+        V, qa = _polish(view, _howard(view), tol, MAX_SWEEPS)
+    V.setflags(write=False)
+    return V, argopt(qa, axis=1)
+
+
+def _proper_start(view: MdpView) -> np.ndarray:
+    """A proper policy of an SSP view, found backward from the absorbing
+    state: each state takes its lowest action that enters the reached set."""
+    reached = np.arange(view.n_states) == view.absorbing
+    policy = np.zeros(view.n_states, dtype=int)
+    while not reached.all():
+        enters = (view.kernel @ reached) > 0.0
+        new = enters.any(axis=1) & ~reached
+        if not new.any():
+            x = np.flatnonzero(~reached)[0]
+            raise UnboundedValue(f"state {x} cannot reach the absorbing state; improper")
+        policy[new] = enters[new].argmax(axis=1)
+        reached |= new
+    return policy
+
+
+def _howard(view: MdpView) -> np.ndarray:
+    """Values of the final policy of Howard policy iteration on a view."""
+    sign = 1.0 if view.orientation == "max" else -1.0
+    argopt = np.argmax if view.orientation == "max" else np.argmin
+    rows = np.arange(view.n_states)
+    keep = rows != view.absorbing
+    ssp = view.absorbing is not None
+    policy = _proper_start(view) if ssp else argopt(view.cost, axis=1)
+    for _ in range(MAX_SWEEPS):
+        P = view.kernel[rows, policy]
+        if ssp and not absorbing_reachable(P, view.absorbing):
+            # A strict gain closed a cycle whose average cost favours the
+            # responder: the value is unbounded.
+            inf = "+inf" if sign > 0 else "-inf"
+            raise UnboundedValue(f"improving step made the policy improper; value {inf}")
+        V = np.zeros(view.n_states)
+        A = np.eye(keep.sum()) - regime_alpha(view.regime) * P[np.ix_(keep, keep)]
+        V[keep] = np.linalg.solve(A, view.cost[rows, policy][keep])
+        qa = lookahead(view, V)
+        best = argopt(qa, axis=1)
+        current = qa[rows, policy]
+        gain = sign * (qa[rows, best] - current)
+        switch = gain > 1e-12 * np.maximum(1.0, np.abs(current))
+        if not switch.any():
+            return V
+        policy = np.where(switch, best, policy)
+    raise NoConvergence(f"policy iteration still switching after {MAX_SWEEPS} steps", 0.0)
+
+
+def _polish(view: MdpView, V: np.ndarray, tol: float, max_sweeps: int):
+    """Sweep ``V = opt(lookahead(view, V))`` until no value moves by more
+    than ``tol``; return the last values and action values.
+
+    Brent's method spots a float cycle. The sweep is monotone (nonnegative
+    kernel, fixed summation order), so the elementwise minimum ``L`` of the
+    cycle has ``T(L) <= L``, and sweeps restarted from it descend to a
+    fixed point.
+    """
+    opt = np.max if view.orientation == "max" else np.min
+    mark, lam, power = V, 0, 1
+    for _ in range(max_sweeps):
         qa = lookahead(view, V)
         new = opt(qa, axis=1)
         delta = float(np.abs(new - V).max())
         V = new
-        if embedded:
-            if delta == 0.0:
-                break
-            continue
-        scale = float(np.abs(V).max())
-        if scale > VALUE_CAP:
-            raise UnboundedValue(
-                f"value exceeded {VALUE_CAP:.1e}; fixed policy is improper"
-            )
         if delta <= tol:
-            break
-        history.append(delta)
-        if _stalled(history, delta, tol, scale):
-            if view.orientation == "max" and isinstance(view.regime, Ssp):
-                raise UnboundedValue(
-                    f"value iteration diverges (delta pinned at {delta:.3e}); "
-                    "fixed policy is improper"
-                )
-            raise NoConvergence(
-                f"value iteration stalled at delta {delta:.3e}", delta
-            )
-    else:
-        raise NoConvergence(
-            f"no convergence within {sweeps} sweeps (last delta {delta:.3e})",
-            delta,
-        )
-    V.setflags(write=False)
-    return V, argopt(qa, axis=1)
+            return V, qa
+        lam += 1
+        if np.array_equal(V, mark):
+            low = V
+            for _ in range(lam - 1):
+                V = opt(lookahead(view, V), axis=1)
+                low = np.minimum(low, V)
+            V, mark, lam, power = low, low, 0, 1
+        elif lam == power:
+            mark, lam, power = V, 0, 2 * power
+    raise NoConvergence(
+        f"no convergence within {max_sweeps} sweeps (last delta {delta:.3e})", delta
+    )
 
 
 def best_response(

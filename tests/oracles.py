@@ -21,8 +21,17 @@ from zsgdual.games import (
 from zsgdual.matrix_games import PIVOT_TOL
 
 
-def _draw(cum: np.ndarray, r: float) -> int:
-    return int(np.searchsorted(cum, r, side="right").clip(max=len(cum) - 1))
+_ROLLOUT_ROWS = 4096  # episodes stepped side by side
+_ROLLOUT_STEPS = 32  # steps per block of uniforms drawn from an episode's stream
+
+
+def _padded_cumsum(arrays, shape) -> np.ndarray:
+    """Cumulative sums along the last axis, stacked into ``shape`` with +inf
+    in the padding, so that counting entries <= w never counts a pad."""
+    out = np.full(shape, np.inf)
+    for i, a in enumerate(arrays):
+        out[(i, *(slice(0, k) for k in a.shape))] = np.cumsum(a, axis=-1)
+    return out
 
 
 def rollout_pair(
@@ -37,33 +46,51 @@ def rollout_pair(
     """Episodic Monte Carlo estimate of the pair's cost-to-go at x0.
 
     Discounting is handled by geometric killing (continue w.p. alpha), which
-    keeps the estimator unbiased. Returns (mean, standard error).
+    keeps the estimator unbiased. Episodes step side by side, one per array
+    row; episode ``e`` reads four uniforms per step (A's action, B's action,
+    next state, kill) from its own stream ``default_rng([seed, e])``, so its
+    total does not depend on the other episodes. Returns (mean, standard
+    error).
     """
-    rng = np.random.default_rng(seed)
     alpha = model.regime.alpha if isinstance(model.regime, Discounted) else 1.0
-    absorbing = model.regime.absorbing if isinstance(model.regime, Ssp) else None
-    cum_mu = [np.cumsum(v) for v in mu.probs]
-    cum_nu = [np.cumsum(v) for v in nu.probs]
-    cum_p = [np.cumsum(t, axis=2) for t in model.transition]
+    absorbing = model.regime.absorbing if isinstance(model.regime, Ssp) else -1
+    n, amax, bmax = model.n_states, model.actions_a.max(), model.actions_b.max()
+    cum_mu = _padded_cumsum(mu.probs, (n, amax))
+    cum_nu = _padded_cumsum(nu.probs, (n, bmax))
+    cum_p = _padded_cumsum(model.transition, (n, amax, bmax, n))
+    cost = np.zeros((n, amax, bmax, n))
+    for i, g in enumerate(model.cost):
+        cost[i, : g.shape[0], : g.shape[1]] = g
 
-    totals = np.empty(n_episodes)
-    for ep in range(n_episodes):
-        x = x0
-        total = 0.0
-        for _ in range(step_cap):
-            if x == absorbing:
+    def draw(cum, w, count):
+        # Smallest index whose cumulative probability exceeds w; the last
+        # real index when rounding leaves the final cumsum short of w.
+        return np.minimum((cum <= w[:, None]).sum(axis=1), count - 1)
+
+    totals = np.zeros(n_episodes)
+    block = 4 * _ROLLOUT_STEPS
+    for lo in range(0, n_episodes, _ROLLOUT_ROWS):
+        rows = np.arange(lo, min(lo + _ROLLOUT_ROWS, n_episodes))
+        streams = [np.random.default_rng([seed, e]) for e in rows]
+        x = np.full(len(rows), x0)
+        for step in range(step_cap):
+            alive = x != absorbing
+            rows, x = rows[alive], x[alive]
+            if not len(rows):
                 break
-            u = _draw(cum_mu[x], rng.random())
-            v = _draw(cum_nu[x], rng.random())
-            j = _draw(cum_p[x][u, v], rng.random())
-            total += model.cost[x][u, v, j]
-            x = j
+            if step % _ROLLOUT_STEPS == 0:
+                uniforms = np.stack([streams[e - lo].random(block) for e in rows])
+            else:
+                uniforms = uniforms[alive]
+            w = uniforms[:, 4 * (step % _ROLLOUT_STEPS) :][:, :4]
+            u = draw(cum_mu[x], w[:, 0], model.actions_a[x])
+            v = draw(cum_nu[x], w[:, 1], model.actions_b[x])
+            j = draw(cum_p[x, u, v], w[:, 2], n)
+            totals[rows] += cost[x, u, v, j]
             # Kill after the stage: stage t then carries weight alpha^t.
-            if alpha < 1.0 and rng.random() >= alpha:
-                break
+            x = np.where(w[:, 3] >= alpha, absorbing, j)
         else:
             raise RuntimeError("episode failed to terminate")
-        totals[ep] = total
     return float(totals.mean()), float(totals.std(ddof=1) / np.sqrt(n_episodes))
 
 
@@ -243,6 +270,26 @@ def finite_backward_induction(view: MdpView) -> tuple[np.ndarray, np.ndarray]:
         V[x] = opt(vals)
         act[x] = argopt(vals)
     return V, act
+
+
+def value_iteration(
+    view: MdpView, tol: float, max_sweeps: int = 100_000
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal value and lowest-index optimal action of an infinite-horizon
+    view by plain value-iteration sweeps from zero, stopped once a sweep
+    moves no value by more than ``tol``."""
+    opt = np.max if view.orientation == "max" else np.min
+    argopt = np.argmax if view.orientation == "max" else np.argmin
+    alpha = regime_alpha(view.regime)
+    V = np.zeros(view.n_states)
+    for _ in range(max_sweeps):
+        qa = view.cost + alpha * (view.kernel @ V)
+        new = opt(qa, axis=1)
+        delta = float(np.abs(new - V).max())
+        V = new
+        if delta <= tol:
+            return V, argopt(qa, axis=1)
+    raise RuntimeError(f"value iteration: delta {delta:.3e} after {max_sweeps} sweeps")
 
 
 def reference_path(q_kernel: np.ndarray, absorbing: int, x0: int, seed: int, index: int) -> np.ndarray:

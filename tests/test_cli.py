@@ -185,6 +185,22 @@ class TestBoundCommand:
         assert code == 1
         assert "improper" in err
 
+    def test_large_costs_are_not_reported_improper(self, capsys, tmp_path):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=3))
+        big = zd.make_game(
+            model.regime, model.transition, [1e7 * g for g in model.cost],
+            labels=model.labels, root=model.root,
+        )
+        path = tmp_path / "waste3_big.json"
+        path.write_text(json.dumps(zd.game_to_dict(big)))
+        code, out, err = run(
+            capsys, "bound", "--game", f"file:{path}", "--fix", "B=uniform", "--n", "50",
+        )
+        assert code == 0, err
+        mean = float(out.split("mean=")[1].split()[0])
+        assert mean == pytest.approx(365217391.304347, rel=1e-12)
+        assert "se=0.0" in out
+
 
 class TestReproCommand:
     def test_matrix_game_artifacts(self, capsys, tmp_path):

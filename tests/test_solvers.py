@@ -3,6 +3,7 @@ import pytest
 
 import zsgdual as zd
 from zsgdual import solvers
+from zsgdual.games import lookahead
 
 from oracles import (
     finite_backward_induction,
@@ -13,6 +14,7 @@ from oracles import (
     rollout_pair,
     shapley_iteration,
     shapley_sweep,
+    value_iteration,
 )
 
 
@@ -224,8 +226,8 @@ class TestBestResponse:
                 np.testing.assert_array_equal(actions, want_actions)
 
     def test_embedded_view_is_not_value_capped(self, two_period):
-        # The cap that flags improper infinite-horizon policies never applied
-        # to time-embedded views, whose values are finite by construction.
+        # Time-embedded views have finite values by construction, however
+        # large the costs.
         big = zd.make_game(
             two_period.regime,
             two_period.transition,
@@ -249,6 +251,102 @@ class TestBestResponse:
         hi, _ = zd.best_response(waste3, nu, zd.PLAYER_B)
         assert np.all(lo <= J + 1e-8)
         assert np.all(J <= hi + 1e-8)
+
+
+def scaled_costs(model, scale):
+    return zd.make_game(
+        model.regime, model.transition, [scale * g for g in model.cost], root=model.root
+    )
+
+
+def assert_fixed_point(view, values):
+    """The ``tol == 0`` contract: one more sweep leaves every bit in place."""
+    opt = np.max if view.orientation == "max" else np.min
+    assert opt(lookahead(view, values), axis=1).tobytes() == values.tobytes()
+
+
+def single_choice_game(costs):
+    """SSP game on states 0, 1 and absorbing 2 where A has one action and B
+    picks a next state: ``costs[i][j]`` is B's cost of moving from i to j
+    (None: no such action)."""
+    transition, cost = [], []
+    for row in costs:
+        moves = [j for j, c in enumerate(row) if c is not None]
+        p = np.zeros((1, len(moves), 3))
+        g = np.zeros((1, len(moves), 3))
+        for v, j in enumerate(moves):
+            p[0, v, j] = 1.0
+            g[0, v, j] = row[j]
+        transition.append(p)
+        cost.append(g)
+    p_abs = np.zeros((1, 1, 3)); p_abs[0, 0, 2] = 1.0
+    transition.append(p_abs)
+    cost.append(np.zeros((1, 1, 3)))
+    return zd.make_game(zd.Ssp(absorbing=2), transition, cost, root=0)
+
+
+class TestSolveViewMatchesValueIteration:
+    """Howard policy iteration plus the polish agree with plain value
+    iteration from zero and end on an exact fixed point of ``lookahead``."""
+
+    def assert_matches(self, view, tol):
+        values, actions = zd.solve_view(view, tol=0.0)
+        want, want_actions = value_iteration(view, tol)
+        assert np.abs(values - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+        np.testing.assert_array_equal(actions, want_actions)
+        assert_fixed_point(view, values)
+
+    def test_random_views_both_orientations(self):
+        # Plain sweeps end in a float cycle on 8 of these 320 views, which
+        # need the restart from the cycle's minimum.
+        rng = np.random.default_rng(40)
+        for _ in range(80):
+            ssp = random_ssp_game(rng, n_states=int(rng.integers(3, 9)), max_actions=3)
+            disc = random_discounted_game(
+                rng, n_states=int(rng.integers(2, 8)), max_actions=3
+            )
+            for model in (ssp, disc):
+                for player in (zd.PLAYER_A, zd.PLAYER_B):
+                    view = zd.fix_player(model, random_policy(rng, model, player), player)
+                    self.assert_matches(view, 1e-13)
+
+    @pytest.mark.parametrize("n_sites", [3, 5, 10])
+    def test_waste_views_under_uniform_policies(self, n_sites):
+        # Some actions tie exactly in real arithmetic; value iteration run to
+        # its own fixed point breaks those ties the same way.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
+        for player in (zd.PLAYER_A, zd.PLAYER_B):
+            view = zd.fix_player(model, zd.uniform_policy(model, player), player)
+            self.assert_matches(view, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e7, 1e9, 1e12])
+    def test_large_costs_scale_the_values(self, waste3, scale):
+        # Plain sweeps from Howard's values cycle at scale 1e7 on B's side.
+        big = scaled_costs(waste3, scale)
+        for player in (zd.PLAYER_A, zd.PLAYER_B):
+            view = zd.fix_player(big, zd.uniform_policy(big, player), player)
+            values, _ = zd.solve_view(view, tol=0.0)
+            base, _ = zd.solve_view(
+                zd.fix_player(waste3, zd.uniform_policy(waste3, player), player),
+                tol=0.0,
+            )
+            root = waste3.root
+            assert values[root] == pytest.approx(scale * base[root], rel=1e-12)
+            assert_fixed_point(view, values)
+
+    def test_min_side_negative_cost_cycle_is_unbounded(self):
+        # Absorbing from 0 costs 1, but looping 0 -> 1 -> 0 pays -1 a step.
+        model = single_choice_game([[None, -1.0, 1.0], [-1.0, None, None]])
+        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_A), zd.PLAYER_A)
+        with pytest.raises(zd.UnboundedValue, match="-inf"):
+            zd.solve_view(view, tol=0.0)
+
+    def test_state_that_cannot_absorb_is_unbounded(self):
+        model = single_choice_game([[None, None, 1.0], [None, 1.0, None]])
+        for player in (zd.PLAYER_A, zd.PLAYER_B):
+            view = zd.fix_player(model, zd.uniform_policy(model, player), player)
+            with pytest.raises(zd.UnboundedValue, match="state 1 cannot reach"):
+                zd.solve_view(view)
 
 
 class TestNaivePolicyIteration:
