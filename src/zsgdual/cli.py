@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import builtin_games, duality, experiments, solvers
+from . import builtin_games, duality, experiments, matrix_games, solvers
 from .games import (
     PLAYER_A,
     PLAYER_B,
@@ -35,6 +35,7 @@ EXIT_RUNTIME = 1
 EXIT_INPUT = 2
 
 SOLVER_ERRORS = (
+    matrix_games.UnboundedProgram,
     solvers.ImproperPair,
     solvers.NoConvergence,
     solvers.UnboundedValue,
@@ -415,8 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a game exactly")
     common(p_solve)
     p_solve.add_argument("--game")
-    p_solve.add_argument("--tol", type=float)
-    p_solve.add_argument("--max-iter", dest="max_iter", type=int)
+    p_solve.add_argument("--tol", type=float, help="certified best-response interval "
+                         "width, > 0 (time-embedded game: the last sweep's change)")
+    p_solve.add_argument("--max-iter", dest="max_iter", type=int,
+                         help="cap on Hoffman-Karp iterations (or on sweeps)")
 
     p_bound = sub.add_parser("bound", help="estimate dual bounds for fixed policies")
     common(p_bound)

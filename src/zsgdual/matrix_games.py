@@ -3,10 +3,14 @@
 The row player picks row ``u`` and maximizes, the column player picks ``v``
 and minimizes; the row player receives ``R[u, v]``. The minimax value and a
 pair of optimal mixed strategies are computed by a small dense simplex on
-the classic reciprocal-value linear program: after shifting ``R`` so every
-entry is positive, maximize ``sum(q)`` subject to ``R q <= 1``; the optimal
-objective is ``1/value`` and the two strategies fall out of the primal and
-dual solutions of the same tableau.
+the classic reciprocal-value linear program: after mapping ``R`` affinely
+onto entries in [1, 2), ``A = (R - min R) / 2**e + 1`` with ``2**e`` the
+least power of two above the payoff range, maximize ``sum(q)`` subject to
+``A q <= 1``; the optimal objective is ``1/value`` and the two strategies
+fall out of the primal and dual solutions of the same tableau. The map
+makes the absolute pivot tolerance mean the same at every payoff scale,
+and its power-of-two factor scales without rounding; the value maps back
+by ``(v - 1) * 2**e + min R``.
 
 ``solve_many`` runs one simplex over a stack of equally shaped games: each
 pivot step is a handful of array operations over every game still pivoting,
@@ -23,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-10
+
+
+class UnboundedProgram(RuntimeError):
+    """The simplex found no leaving row: the tableau lost its positivity."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +85,15 @@ def solve_many(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         bad = int(np.argmin(np.isfinite(span)))
         raise ValueError(f"game {bad}: payoff range overflows a float")
 
-    shift = 1.0 - lo
-    # Every shifted entry is >= 1, so each shifted value is positive.
-    obj, q, p = _simplex_max_ones(R + shift[:, None, None])
-    v_shift = 1.0 / obj
-    col = np.maximum(q, 0.0) * v_shift[:, None]
-    row = np.maximum(p, 0.0) * v_shift[:, None]
+    _, e = np.frexp(span)  # span < 2**e; a constant game has e == 0
+    A = np.ldexp(R - lo[:, None, None], -e[:, None, None]) + 1.0
+    obj, q, p = _simplex_max_ones(A)
+    v_scaled = 1.0 / obj
+    col = np.maximum(q, 0.0) * v_scaled[:, None]
+    row = np.maximum(p, 0.0) * v_scaled[:, None]
     col /= col.sum(axis=1, keepdims=True)
     row /= row.sum(axis=1, keepdims=True)
-    values = v_shift - shift
+    values = np.ldexp(v_scaled - 1.0, e) + lo
     for a in (values, row, col):
         a.setflags(write=False)
     return values, row, col
@@ -138,7 +146,7 @@ def _simplex_max_ones(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         tied = ratio == ratio.min(axis=1, keepdims=True)
         leave = np.where(tied, basis, w).argmin(axis=1)
         if not ok[g, leave].all():
-            raise RuntimeError("simplex detected an unbounded program")
+            raise UnboundedProgram("simplex detected an unbounded program")
         prow = T[g, leave] / col[g, leave][:, None]
         # The tableau never holds a -0.0, so a row whose entering entry is 0
         # comes out of this update bit for bit unchanged; the pivot row's

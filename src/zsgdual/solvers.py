@@ -1,9 +1,10 @@
 """Exact solving and policy analysis for dynamic zero-sum games.
 
-Covers policy-pair evaluation by linear solve, Shapley value iteration
-(per-state matrix games on the one-step lookahead; each sweep stacks the
-stage games of all states with equal action counts and solves them in one
-``matrix_games.solve_many`` call), best responses to a fixed opponent
+Covers policy-pair evaluation by linear solve, equilibria by Hoffman–Karp
+policy iteration stopped on a certified best-response interval (Shapley
+sweeps solve the stage games on the one-step lookahead, those of all states
+with equal action counts in one ``matrix_games.solve_many`` call; a
+time-embedded game takes plain sweeps), best responses to a fixed opponent
 (Howard policy iteration, polished by ``games.lookahead`` sweeps to a float
 fixed point), the alternating "naive" policy-iteration scheme, and the
 exact sandwich interval that best responses put around the game value.
@@ -24,7 +25,6 @@ from .games import (
     GameModel,
     MdpView,
     MixedPolicy,
-    Ssp,
     absorbing_reachable,
     check_policy,
     fix_player,
@@ -34,7 +34,6 @@ from .games import (
     regime_alpha,
 )
 
-STALL_WINDOW = 200
 # Each loop of an infinite-horizon solve (Howard iterations, polish sweeps)
 # gives up after this many steps.
 MAX_SWEEPS = 100_000
@@ -134,16 +133,21 @@ def _stage_groups(model: GameModel) -> list[tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _sweep(model: GameModel, groups, values: np.ndarray):
-    """Shapley operator on ``values``: the new values and, per group, the
-    states with their stage games' row and column strategies."""
+    """Shapley operator on ``values``: the new values, per group the states
+    with their stage games' row and column strategies, and the largest
+    exploitability gap ``max(R z) - min(y R)`` of a stage solution, which
+    bounds the error of a new value."""
     alpha = regime_alpha(model.regime)
     new = np.zeros(model.n_states)
-    strategies = []
+    strategies, gap = [], 0.0
     for states, transition, expected_cost in groups:
         stage = expected_cost + alpha * np.einsum("iuvj,j->iuv", transition, values)
         new[states], rows, cols = matrix_games.solve_many(stage)
         strategies.append((states, rows, cols))
-    return new, strategies
+        gaps = (np.einsum("iuv,iv->iu", stage, cols).max(axis=1)
+                - np.einsum("iu,iuv->iv", rows, stage).min(axis=1))
+        gap = max(gap, float(gaps.max()))
+    return new, strategies, gap
 
 
 def _stage_policies(model: GameModel, strategies) -> tuple[MixedPolicy, MixedPolicy]:
@@ -165,43 +169,65 @@ def shapley_backup(
     States with equal action counts are solved together in one batched
     simplex; the absorbing state keeps value 0 and uniform strategies.
     """
-    new, strategies = _sweep(model, _stage_groups(model), values)
+    new, strategies, _ = _sweep(model, _stage_groups(model), values)
     return (new, *_stage_policies(model, strategies))
 
 
 def shapley_value_iteration(
     model: GameModel, tol: float = 1e-10, max_iter: int = 100_000
 ) -> tuple[np.ndarray, MixedPolicy, MixedPolicy]:
-    """Iterate the Shapley operator to the equilibrium value function.
+    """Equilibrium value function and per-state equilibrium strategies.
 
-    Returns the value function together with the per-state equilibrium
-    strategies of the final stage matrix games. Time-embedded games reach
-    an exact fixed point after one sweep per period.
+    Infinite horizon: Hoffman–Karp policy iteration. Each iteration solves
+    the stage games at ``V`` (one Shapley sweep) and sets ``V`` to B's exact
+    best response to A's stage strategies ``mu``. The solve returns B's
+    response to ``mu`` once A's response to ``nu`` lies at most ``tol``
+    (> 0) above it at every state; ``NoConvergence`` names the width reached
+    if the sweep residual sinks to rounding noise first. ``max_iter`` caps
+    the iterations. A time-embedded game runs plain Shapley sweeps, exact
+    after one per period, until one changes no value by more than ``tol``.
     """
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before solving")
     check_tol(tol)
-    if tol == 0.0 and not isinstance(model.regime, Ssp):
-        raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    embedded = model.horizon is not None
+    if tol == 0.0 and not embedded:
+        raise ValueError("tol must be positive: it is the certified interval width")
     groups = _stage_groups(model)
-    J = np.zeros(model.n_states)
-    history: list[float] = []
+    V = np.zeros(model.n_states)
     for _ in range(max_iter):
-        J_new, strategies = _sweep(model, groups, J)
-        delta = float(np.abs(J_new - J).max())
-        J = J_new
-        if delta <= tol:
-            J.setflags(write=False)
-            return (J, *_stage_policies(model, strategies))
-        history.append(delta)
-        if _stalled(history, delta, tol, np.abs(J).max()):
-            raise NoConvergence(
-                f"value iteration stalled at delta {delta:.3e}", delta
-            )
+        TV, strategies, gap = _sweep(model, groups, V)
+        mu, nu = _stage_policies(model, strategies)
+        residual = float(np.abs(TV - V).max())
+        if embedded:
+            V = TV
+            if residual <= tol:
+                V.setflags(write=False)
+                return V, mu, nu
+            continue
+        # No iteration can push the residual below the stage solutions' own
+        # error or a few ulps of the values.
+        floor = max(gap, 4.0 * np.finfo(float).eps * float(np.abs(TV).max()))
+        if residual <= max(tol, floor):
+            lo, _ = solve_view(fix_player(model, mu, PLAYER_A), tol=0.0)
+            try:
+                up, _ = solve_view(fix_player(model, nu, PLAYER_B), tol=0.0)
+                width = float((up - lo).max())
+            except UnboundedValue:
+                width = np.inf
+            if width <= tol:
+                return lo, mu, nu
+            if residual <= floor:
+                raise NoConvergence(
+                    f"residual {residual:.3e} is rounding noise; "
+                    f"certified width {width:.3e} > tol {tol:.3e}", width
+                )
+        V = _howard(fix_player(model, mu, PLAYER_A))
     raise NoConvergence(
-        f"no convergence within {max_iter} sweeps (last delta {delta:.3e})", delta
+        f"no convergence within {max_iter} iterations (last residual {residual:.3e})",
+        residual,
     )
 
 
@@ -209,14 +235,6 @@ def check_tol(tol: float) -> None:
     """Raise ValueError unless the stopping tolerance is finite and >= 0."""
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-
-
-def _stalled(history: list[float], delta: float, tol: float, scale: float) -> bool:
-    # Linear value growth keeps the sweep-to-sweep delta pinned at a constant;
-    # a contraction shrinks it measurably over the window.
-    if len(history) <= STALL_WINDOW or delta <= max(tol, 1e-9 * max(1.0, scale)):
-        return False
-    return abs(delta - history[-1 - STALL_WINDOW]) <= 1e-12 * max(1.0, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -356,14 +356,15 @@ def simplex_max_ones(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 def matrix_game(R: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(value, row strategy, column strategy) of one matrix game."""
     R = np.asarray(R, dtype=float)
-    shift = 1.0 - float(R.min())
-    obj, q, p = simplex_max_ones(R + shift)
-    v_shift = 1.0 / obj
-    col = np.maximum(q, 0.0) * v_shift
-    row = np.maximum(p, 0.0) * v_shift
+    lo = float(R.min())
+    _, e = np.frexp(float(R.max()) - lo)
+    obj, q, p = simplex_max_ones(np.ldexp(R - lo, -e) + 1.0)
+    v_scaled = 1.0 / obj
+    col = np.maximum(q, 0.0) * v_scaled
+    row = np.maximum(p, 0.0) * v_scaled
     col /= col.sum()
     row /= row.sum()
-    return v_shift - shift, row, col
+    return float(np.ldexp(v_scaled - 1.0, e)) + lo, row, col
 
 
 def shapley_sweep(

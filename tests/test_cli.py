@@ -85,6 +85,36 @@ class TestSolveCommand:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    def test_zero_tol_on_infinite_horizon_game_exits_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--game", "builtin:waste,N=5", "--tol", "0")
+        assert code == 2
+        assert out == "" and "tol must be positive" in err
+
+    def test_scaled_costs_scale_the_values(self, capsys, tmp_path):
+        # A game file carries no time embedding, so this solve runs
+        # Hoffman-Karp; at values near 1e13 one ulp is 2e-3, so the
+        # certified width is asked at 1e-2.
+        base = zd.game_to_dict(zd.build_two_period_matrix_game())
+        rows = {}
+        for scale, tol in ((1.0, "1e-10"), (1e12, "1e-2")):
+            doc = dict(base, cost=[(scale * np.array(g)).tolist() for g in base["cost"]])
+            path = tmp_path / f"two_period_{scale:g}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "solve", "--game", f"file:{path}", "--tol", tol)
+            assert code == 0, err
+            rows[scale] = [float(l.split(",")[2]) for l in out.splitlines()[1:]]
+        np.testing.assert_allclose(rows[1e12], 1e12 * np.array(rows[1.0]), rtol=1e-12)
+        np.testing.assert_allclose(rows[1.0], [5.0, 10.0, -10.0, 0.0], atol=1e-12)
+
+    def test_failed_stage_simplex_exits_1(self, capsys, monkeypatch):
+        def fail(A):
+            raise zd.matrix_games.UnboundedProgram("simplex detected an unbounded program")
+
+        monkeypatch.setattr(zd.matrix_games, "_simplex_max_ones", fail)
+        code, out, err = run(capsys, "solve", "--game", "builtin:waste,N=3")
+        assert code == 1
+        assert out == "" and err.startswith("solver failure: simplex")
+
 
 class TestBoundCommand:
     def test_upper_bound_with_rough_generator(self, capsys):

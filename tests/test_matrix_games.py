@@ -143,6 +143,44 @@ class TestSolverProperties:
             assert_saddle(R, sol)
 
 
+class TestScaleFree:
+    """The answer does not depend on the payoff scale: the simplex sees
+    every game mapped onto entries in [1, 2)."""
+
+    def test_large_pure_saddle(self):
+        sol = matrix_games.solve(np.array([[-8e12, -1e13], [3e12, -1.1e13]]))
+        assert sol.value == -1e13
+        np.testing.assert_array_equal(sol.row_strategy, [1.0, 0.0])
+        np.testing.assert_array_equal(sol.col_strategy, [0.0, 1.0])
+
+    def test_large_single_row(self):
+        sol = matrix_games.solve(np.array([[1e12, 0.0]]))
+        assert sol.value == 0.0
+        np.testing.assert_array_equal(sol.col_strategy, [0.0, 1.0])
+
+    @pytest.mark.parametrize("c", [0.0, -3.5e-300, 7e12])
+    def test_constant_game(self, c):
+        sol = matrix_games.solve(np.full((2, 3), c))
+        assert sol.value == c
+
+    def test_exploitability_gap_at_every_scale(self):
+        # max(R z) - min(y R) >= 0 is the gain the better deviation buys;
+        # it is a rounding error relative to the payoff range.
+        rng = np.random.default_rng(45)
+        eps = np.finfo(float).eps
+        for k in range(-12, 13):
+            for m in range(1, 7):
+                for n in range(1, 7):
+                    for R in (rng.normal(size=(3, m, n)),
+                              rng.integers(-3, 4, size=(3, m, n)).astype(float)):
+                        R = R * 10.0**k
+                        _, rows, cols = matrix_games.solve_many(R)
+                        gap = (np.einsum("guv,gv->gu", R, cols).max(axis=1)
+                               - np.einsum("gu,guv->gv", rows, R).min(axis=1))
+                        span = R.max(axis=(1, 2)) - R.min(axis=(1, 2))
+                        assert np.all(gap <= 64 * eps * span), (k, m, n)
+
+
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -140,15 +140,63 @@ class TestShapleyValueIteration:
         with pytest.raises(ValueError, match="tol must be positive"):
             zd.shapley_value_iteration(model, tol=0.0)
 
+    def test_zero_tol_only_for_embedded_games(self, waste3, two_period):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            zd.shapley_value_iteration(waste3, tol=0.0)
+        J, _, _ = zd.shapley_value_iteration(two_period, tol=0.0)
+        assert J[two_period.root] == 5.0
+
+    @pytest.mark.parametrize("n_sites, tol", [(5, 1e-15), (11, 1e-13)])
+    def test_rounding_noise_stops_with_the_width_reached(self, n_sites, tol):
+        # At N=5 the residual flattens at a few ulps of the values; at N=11
+        # at the error of the 11x11 stage solutions, far above that. Either
+        # way the solve names the certified width instead of running out its
+        # iterations.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
+        with pytest.raises(zd.NoConvergence, match="certified width") as info:
+            zd.shapley_value_iteration(model, tol=tol, max_iter=40)
+        assert tol < info.value.last_delta < 1e-8
+
+    def test_max_iter_caps_iterations(self, waste3):
+        with pytest.raises(zd.NoConvergence, match="within 2 iterations"):
+            zd.shapley_value_iteration(waste3, tol=1e-10, max_iter=2)
+
+    def test_certified_on_random_games(self):
+        # Discount factors up to 0.99 leave the residual far below the
+        # interval width, so a stop on the residual alone fails here.
+        rng = np.random.default_rng(36)
+        for k in range(300):
+            if k % 2:
+                model = random_ssp_game(rng, n_states=int(rng.integers(2, 7)), max_actions=3)
+            else:
+                alpha = float(rng.choice([0.5, 0.9, 0.97, 0.99]))
+                model = random_discounted_game(
+                    rng, n_states=int(rng.integers(1, 6)), max_actions=3, alpha=alpha
+                )
+            J, mu, nu = zd.shapley_value_iteration(model, tol=1e-10)
+            assert_certified(model, J, mu, nu, 1e-10)
+
 
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def assert_certified(model, J, mu, nu, tol):
+    """``J`` is B's exact best response to ``mu``, and A's response to ``nu``
+    lies at most ``tol`` above it: the game value is within ``tol`` of J."""
+    lo, _ = zd.solve_view(zd.fix_player(model, mu, zd.PLAYER_A), tol=0.0)
+    up, _ = zd.solve_view(zd.fix_player(model, nu, zd.PLAYER_B), tol=0.0)
+    assert_same_bits(J, lo)
+    assert np.all(up - J <= tol)
+
+
 class TestShapleyMatchesScalarReference:
     """Batched sweeps equal a sweep that solves one stage game at a time with
-    the scalar simplex, bit for bit in values and both strategies."""
+    the scalar simplex, bit for bit in values and both strategies. A
+    time-embedded game's solution is the scalar sweeps' own; an
+    infinite-horizon one is certified by exact best responses and agrees
+    with the scalar sweeps run to a tight tolerance."""
 
     def assert_solution_matches(self, model, tol):
         J, mu, nu = zd.shapley_value_iteration(model, tol=tol)
@@ -157,6 +205,18 @@ class TestShapleyMatchesScalarReference:
         for i in range(model.n_states):
             assert_same_bits(mu[i], want_mu[i])
             assert_same_bits(nu[i], want_nu[i])
+
+    def assert_certified_near_reference(self, model, tol):
+        J, mu, nu = zd.shapley_value_iteration(model, tol=tol)
+        assert_certified(model, J, mu, nu, tol)
+        want, want_mu, want_nu = shapley_iteration(model, 1e-13)
+        # The value lies in the best-response interval of the reference's own
+        # strategies, so the reference is off by at most its distance to the
+        # far end of that interval.
+        lo, _ = zd.best_response(model, zd.make_policy(want_mu), zd.PLAYER_A, tol=0.0)
+        up, _ = zd.best_response(model, zd.make_policy(want_nu), zd.PLAYER_B, tol=0.0)
+        err = np.maximum(np.abs(want - lo), np.abs(up - want))
+        assert np.all(np.abs(J - want) <= tol + err)
 
     def test_random_ssp_games_with_mixed_shapes(self):
         rng = np.random.default_rng(34)
@@ -171,12 +231,12 @@ class TestShapleyMatchesScalarReference:
                 for i in range(8):
                     assert_same_bits(mu[i], want_mu[i])
                     assert_same_bits(nu[i], want_nu[i])
-            self.assert_solution_matches(model, 1e-10)
+            self.assert_certified_near_reference(model, 1e-10)
 
     def test_random_discounted_games(self):
         rng = np.random.default_rng(35)
         for _ in range(5):
-            self.assert_solution_matches(
+            self.assert_certified_near_reference(
                 random_discounted_game(rng, n_states=5, max_actions=4), 1e-10
             )
 
@@ -184,7 +244,7 @@ class TestShapleyMatchesScalarReference:
         self.assert_solution_matches(two_period, 1e-12)
 
     def test_waste_game(self, waste3):
-        self.assert_solution_matches(waste3, 1e-8)
+        self.assert_certified_near_reference(waste3, 1e-8)
 
 
 class TestBestResponse:
