@@ -34,8 +34,9 @@ def main():
         view_hi = zd.fix_player(model, rec.nu, zd.PLAYER_B)
         h_lo, _ = zd.solve_view(view_lo, tol=0.0)
         h_hi, _ = zd.solve_view(view_hi, tol=0.0)
-        lo = zd.estimate_dual_bound_ssp(view_lo, h_lo, q, n_paths=2000, seed=7)
-        hi = zd.estimate_dual_bound_ssp(view_hi, h_hi, q, n_paths=2000, seed=7)
+        lo, hi = zd.estimate_dual_bounds(
+            [(view_lo, h_lo), (view_hi, h_hi)], n=2000, seed=7, q=q
+        )
         print(f"  {k}    {rec.values[root]:9.4f}   "
               f"[{sw.lower[root]:8.4f}, {sw.upper[root]:8.4f}]   "
               f"[{lo.mean:8.4f} +- {lo.standard_error:.1e}, "

@@ -30,6 +30,7 @@ from .duality import (
     dual_sandwich,
     estimate_dual_bound_finite,
     estimate_dual_bound_ssp,
+    estimate_dual_bounds,
     exact_dual_bound_enumeration,
     inverse_cdf_transition,
     make_penalty_term,

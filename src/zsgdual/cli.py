@@ -307,27 +307,23 @@ def cmd_bound(args: argparse.Namespace) -> int:
             )
 
     is_ssp = model.horizon is None and isinstance(model.regime, Ssp)
+    if model.horizon is None and not is_ssp:
+        raise InputError("dual bounds cover time-embedded and absorbing-state games only")
     q = _resolve_q(model, args.q) if is_ssp else None
-    reports = []
-    for bound_side in (("lower", "upper") if side == "both" else (side,)):
+    sides = ("lower", "upper") if side == "both" else (side,)
+    pairs = []
+    for bound_side in sides:
         player = PLAYER_A if bound_side == "lower" else PLAYER_B
         view = fix_player(model, policies[player], player)
-        h = _resolve_generator(model, args.h, view, policies)
-        if model.horizon is not None:
-            est = duality.estimate_dual_bound_finite(view, h, args.n, args.seed)
-        elif is_ssp:
-            bad = duality.validate_abs_continuity(view, q)
-            if bad:
-                raise InputError(
-                    f"reference measure fails absolute continuity at "
-                    f"{len(bad)} transitions, first (state, action, next) = {bad[0]}"
-                )
-            est = duality.estimate_dual_bound_ssp(view, h, q, args.n, args.seed)
-        else:
+        pairs.append((view, _resolve_generator(model, args.h, view, policies)))
+        bad = duality.validate_abs_continuity(view, q) if is_ssp else []
+        if bad:
             raise InputError(
-                "dual bounds cover time-embedded and absorbing-state games only"
+                f"reference measure fails absolute continuity at "
+                f"{len(bad)} transitions, first (state, action, next) = {bad[0]}"
             )
-        reports.append((bound_side, est))
+    reports = list(zip(sides, duality.estimate_dual_bounds(pairs, args.n, args.seed, q=q)))
+    for bound_side, est in reports:
         print(
             f"{bound_side}: mean={est.mean!r} se={est.standard_error!r} "
             f"n={est.n_scenarios} seed={est.seed}"

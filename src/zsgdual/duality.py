@@ -23,18 +23,22 @@ has zero variance.
 
 Estimates are bitwise reproducible: scenario ``i`` draws from a
 counter-based stream keyed by ``(seed, i)``. Scenarios are evaluated in
-fixed-size blocks of consecutive indices, each scenario one row of the
+fixed-size blocks of consecutive indices (``_BLOCK`` = 512 finite scenarios,
+``_PATH_BLOCK`` = 8,192 reference paths), each scenario one row of the
 block's arrays, and every row goes through the same elementwise operations
 a one-scenario evaluation would; values are reduced in index order. So no
 per-scenario value depends on the block size or on how many scenarios a run
 draws: the first ``k`` values of a run equal those of a ``k``-scenario run.
+``estimate_dual_bounds`` draws each block once for every ``(view, h)`` pair
+that shares the seed (and, for reference paths, ``q`` and the start), and
+each of its estimates is bit for bit the one a separate call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, sqrt
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,9 +58,13 @@ from .games import (
 DEFAULT_PATH_CAP = 10**6
 DEFAULT_CELL_BUDGET = 10**6
 
-# Scenarios evaluated together, as the rows of one block of arrays. It bounds
-# the memory a block's stored path steps take; no result depends on it.
+# Scenarios evaluated together, as the rows of one block of arrays; no result
+# depends on either size. A finite block holds a (block, states) value array
+# per inner problem. A path block stores every step of its paths, about 6 B
+# per path-step, and steps until its longest path absorbs: one block per
+# estimate walks the long tail of path lengths once.
 _BLOCK = 512
+_PATH_BLOCK = 8192
 # Uniforms drawn from a path's stream at a time.
 _DRAWS = 64
 
@@ -114,28 +122,37 @@ def inverse_cdf_transition(row: np.ndarray, w: float) -> int:
     """
     if not 0.0 <= w < 1.0:
         raise ValueError(f"uniform draw {w} outside [0, 1)")
-    return int(_icdf(np.cumsum(np.asarray(row, dtype=float)), np.array([w]))[0])
+    cum = np.cumsum(np.asarray(row, dtype=float))
+    return int(_icdf(cum, np.array([w]), _last_rise(cum))[0])
 
 
-def _icdf(cum: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _last_rise(cum: np.ndarray) -> np.ndarray:
+    """Index of the last entry of each CDF (the last axis) that exceeds the
+    entry before it, or 0: the last destination a draw can reach.
+
+    Taken from the CDF, not from ``p > 0``, so a trailing mass too small to
+    move the cumulative sum is never chosen.
+    """
+    n = cum.shape[-1]
+    rises = cum[..., 1:] != cum[..., :-1]
+    return np.max(np.where(rises, np.arange(1, n), 0), axis=-1, initial=0)
+
+
+def _icdf(cum: np.ndarray, w: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Smallest index whose CDF value strictly exceeds each draw in ``w``.
 
     ``cum`` is one CDF shared by every draw (1-D) or one CDF per draw (one
-    row each); counting the entries at or below a draw is the right-sided
-    search, since a CDF never decreases.
+    row each), and ``last`` its ``_last_rise`` (one per draw for 2-D);
+    counting the entries at or below a draw is the right-sided search, since
+    a CDF never decreases. A draw at or above a final cumulative sum that
+    fell short of 1 by rounding takes ``last``; every other index is at most
+    ``last`` already.
     """
     if cum.ndim == 1:
         j = np.searchsorted(cum, w, side="right")
     else:
         j = np.count_nonzero(cum <= w[:, None], axis=1)
-    n = cum.shape[-1]
-    for i in np.flatnonzero(j >= n):  # final cumsum fell short of 1 by rounding
-        row = cum if cum.ndim == 1 else cum[i]
-        k = n - 1
-        while k > 0 and row[k] == row[k - 1]:
-            k -= 1
-        j[i] = k
-    return j
+    return np.minimum(j, last)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +209,7 @@ class _FiniteInner:
                 self.by_period[int(view.period[x])].append(x)
         self.base = lookahead(view, h)
         self.cum = np.cumsum(view.kernel, axis=2)
+        self.last = _last_rise(self.cum)
         self.opt = np.max if view.orientation == "max" else np.min
 
     def evaluate(self, scenarios: np.ndarray) -> np.ndarray:
@@ -208,7 +226,9 @@ class _FiniteInner:
             w = scenarios[:, t]
             for x in self.by_period[t]:
                 a = n_actions[x]
-                nxt = np.stack([_icdf(c, w) for c in self.cum[x, :a]], axis=1)
+                nxt = np.stack(
+                    [_icdf(self.cum[x, b], w, self.last[x, b]) for b in range(a)], axis=1
+                )
                 V[:, x] = self.opt(
                     self.base[x, :a] + (V[rows, nxt] - h[nxt]), axis=1
                 )
@@ -284,15 +304,8 @@ def estimate_dual_bound_finite(
     independently seeded scenarios. Upper bound in expectation for max
     orientation, lower bound for min.
     """
-    inner = _FiniteInner(view, h)
-    T = inner.horizon
-
-    def block(indices: range) -> np.ndarray:
-        scenarios = np.stack([scenario_rng(seed, i).random(T) for i in indices])
-        return inner.evaluate(scenarios)
-
-    values = _block_values(block, n_scenarios)
-    return _summarize(values, seed, keep_values)
+    [est] = estimate_dual_bounds([(view, h)], n_scenarios, seed, keep_values=keep_values)
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +327,8 @@ class ReferenceMeasure:
         a = self.absorbing
         if not (isinstance(a, (int, np.integer)) and 0 <= a < n):
             raise ValueError(f"absorbing state {a!r} is not a state index in [0, {n})")
+        if not np.isfinite(k).all():
+            raise ValueError("reference kernel entries must be finite")
         if np.any(k < 0.0) or np.any(np.abs(k.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("reference kernel rows must be distributions")
         if abs(k[self.absorbing, self.absorbing] - 1.0) > 1e-12:
@@ -391,6 +406,7 @@ def _draw_paths(
     (a block draw yields the same doubles as that many single draws).
     """
     dtype = np.min_scalar_type(q_cum.shape[0] - 1)
+    q_last = _last_rise(q_cum)
     ids = np.arange(len(rngs), dtype=np.int32)
     x = np.full(len(rngs), x0, dtype=dtype)
     steps: _Steps = []
@@ -399,7 +415,7 @@ def _draw_paths(
         if k == 0:
             u = np.stack([rngs[i].random(_DRAWS) for i in ids])
             rows = np.arange(len(ids))
-        xn = _icdf(q_cum[x], u[rows, k]).astype(dtype)
+        xn = _icdf(q_cum[x], u[rows, k], q_last[x]).astype(dtype)
         steps.append((ids, x, xn))
         live = xn != absorbing
         if not live.any():
@@ -496,21 +512,68 @@ def estimate_dual_bound_ssp(
     keep_values: bool = False,
 ) -> DualEstimate:
     """Monte Carlo weak-form dual bound at ``x0`` (default: the view's root)."""
-    inner = _SspInner(view, h, q)
-    if x0 is None:
-        x0 = view.root
-    if x0 is None:
-        raise ValueError("view does not designate an initial state")
-    _check_start(x0, view.n_states, q.absorbing)
-    q_cum = np.cumsum(q.kernel, axis=1)
+    [est] = estimate_dual_bounds(
+        [(view, h)], n_paths, seed, q=q, x0=x0, cap=cap, keep_values=keep_values
+    )
+    return est
 
-    def block(indices: range) -> np.ndarray:
-        rngs = [scenario_rng(seed, i) for i in indices]
-        steps = _draw_paths(q_cum, q.absorbing, x0, rngs, cap)
-        return inner.evaluate(steps, len(indices))
 
-    values = _block_values(block, n_paths)
-    return _summarize(values, seed, keep_values)
+# ---------------------------------------------------------------------------
+# Estimates that share a draw
+
+
+def estimate_dual_bounds(
+    pairs: Sequence[tuple[MdpView, np.ndarray]],
+    n: int,
+    seed: int,
+    q: ReferenceMeasure | None = None,
+    x0: int | None = None,
+    cap: int = DEFAULT_PATH_CAP,
+    keep_values: bool = False,
+) -> list[DualEstimate]:
+    """Monte Carlo dual bounds of several ``(view, h)`` pairs on one draw.
+
+    Without ``q`` the views must be time-embedded: scenario ``i`` is one
+    uniform per period from ``scenario_rng(seed, i)``, drawn once for the
+    longest horizon (a stream's first draws do not depend on how many
+    follow). With ``q`` the views must be absorbing-state views matching it:
+    scenario ``i`` is the reference path from ``x0`` (default: the views'
+    common root) drawn from the same stream. Every pair is checked before
+    any scenario is drawn, and estimate ``k`` equals, bit for bit, what
+    ``estimate_dual_bound_finite`` or ``estimate_dual_bound_ssp`` returns
+    for pair ``k`` alone.
+    """
+    if not pairs:
+        raise ValueError("no (view, generator) pairs to estimate")
+    if q is None:
+        finite = [_FiniteInner(view, h) for view, h in pairs]
+        T = max(inner.horizon for inner in finite)
+
+        def block(indices: range) -> list[np.ndarray]:
+            scenarios = np.stack([scenario_rng(seed, i).random(T) for i in indices])
+            return [inner.evaluate(scenarios[:, : inner.horizon]) for inner in finite]
+
+        size = _BLOCK
+    else:
+        ssp = [_SspInner(view, h, q) for view, h in pairs]
+        if x0 is None:
+            roots = {view.root for view, _ in pairs}
+            if len(roots) > 1:
+                raise ValueError(f"views start at different roots {sorted(roots)}; pass x0")
+            x0 = roots.pop()
+        if x0 is None:
+            raise ValueError("view does not designate an initial state")
+        _check_start(x0, q.kernel.shape[0], q.absorbing)
+        q_cum = np.cumsum(q.kernel, axis=1)
+
+        def block(indices: range) -> list[np.ndarray]:
+            rngs = [scenario_rng(seed, i) for i in indices]
+            steps = _draw_paths(q_cum, q.absorbing, x0, rngs, cap)
+            return [inner.evaluate(steps, len(indices)) for inner in ssp]
+
+        size = _PATH_BLOCK
+    values = _block_values(block, len(pairs), n, size)
+    return [_summarize(v, seed, keep_values) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -534,26 +597,31 @@ def dual_sandwich(
     below; the upper side fixes B at nu_hat and bounds A's best response
     from above. The two sides may use different generators and, for
     absorbing-state games, different reference measures (pass a tuple).
+    Both sides share one draw of scenarios unless their measures differ.
     """
-    view_lower = fix_player(model, mu_hat, PLAYER_A)
-    view_upper = fix_player(model, nu_hat, PLAYER_B)
+    pair_lower = (fix_player(model, mu_hat, PLAYER_A), h_lower)
+    pair_upper = (fix_player(model, nu_hat, PLAYER_B), h_upper)
     if model.horizon is not None:
-        lower = estimate_dual_bound_finite(
-            view_lower, h_lower, n, seed, keep_values=keep_values
-        )
-        upper = estimate_dual_bound_finite(
-            view_upper, h_upper, n, seed, keep_values=keep_values
+        lower, upper = estimate_dual_bounds(
+            [pair_lower, pair_upper], n, seed, keep_values=keep_values
         )
     elif isinstance(model.regime, Ssp):
         if q is None:
             q = make_uniform_reference(model)
         q_lower, q_upper = q if isinstance(q, tuple) else (q, q)
-        lower = estimate_dual_bound_ssp(
-            view_lower, h_lower, q_lower, n, seed, keep_values=keep_values
-        )
-        upper = estimate_dual_bound_ssp(
-            view_upper, h_upper, q_upper, n, seed, keep_values=keep_values
-        )
+        if q_lower.absorbing == q_upper.absorbing and np.array_equal(
+            q_lower.kernel, q_upper.kernel
+        ):
+            lower, upper = estimate_dual_bounds(
+                [pair_lower, pair_upper], n, seed, q=q_lower, keep_values=keep_values
+            )
+        else:
+            lower = estimate_dual_bound_ssp(
+                *pair_lower, q_lower, n, seed, keep_values=keep_values
+            )
+            upper = estimate_dual_bound_ssp(
+                *pair_upper, q_upper, n, seed, keep_values=keep_values
+            )
     elif isinstance(model.regime, Discounted):
         raise ValueError(
             "dual bounds cover time-embedded and absorbing-state games only"
@@ -567,14 +635,19 @@ def dual_sandwich(
 # Shared estimator plumbing
 
 
-def _block_values(block: Callable[[range], np.ndarray], n: int) -> np.ndarray:
-    """Values of scenarios ``0..n-1``, evaluated ``_BLOCK`` indices at a time."""
+def _block_values(
+    block: Callable[[range], list[np.ndarray]], n_inner: int, n: int, size: int
+) -> list[np.ndarray]:
+    """Values of scenarios ``0..n-1`` under each of ``n_inner`` inner
+    problems, evaluated ``size`` indices at a time; ``block`` returns one
+    array of values per inner problem."""
     if n < 2:
         raise ValueError("need at least two scenarios for a standard error")
-    out = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        out[start:stop] = block(range(start, stop))
+    out = [np.empty(n) for _ in range(n_inner)]
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        for values, part in zip(out, block(range(start, stop))):
+            values[start:stop] = part
     return out
 
 

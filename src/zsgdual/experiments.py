@@ -129,9 +129,9 @@ def run_two_period_experiment(n: int = 10_000, seed: int = 1) -> ExperimentResul
     h_hat = builtin_games.first_action_value_generator(model)
     t0 = time.perf_counter()
     golden = duality.exact_dual_bound_enumeration(view_upper, h_hat)
-    est_upper_hat = duality.estimate_dual_bound_finite(view_upper, h_hat, n, seed)
-    est_lower_exact = duality.estimate_dual_bound_finite(view_lower, br_lower, n, seed)
-    est_upper_exact = duality.estimate_dual_bound_finite(view_upper, br_upper, n, seed)
+    est_upper_hat, est_lower_exact, est_upper_exact = duality.estimate_dual_bounds(
+        [(view_upper, h_hat), (view_lower, br_lower), (view_upper, br_upper)], n, seed
+    )
     t_bounds = time.perf_counter() - t0
 
     root = model.root
@@ -214,7 +214,10 @@ def run_waste_experiment(
     trace = solvers.naive_policy_iteration(model, mu0, nu0, rounds=rounds)
     timings = {"naive_policy_iteration": time.perf_counter() - t0}
 
-    rows: list[ExperimentRow] = []
+    # Every round's views and best responses first, so that all rounds'
+    # dual estimates share one draw of the reference paths.
+    responses = []
+    pairs = []
     for k, rec in enumerate(trace.rounds):
         t0 = time.perf_counter()
         view_lower = fix_player(model, rec.mu, PLAYER_A)
@@ -222,21 +225,22 @@ def run_waste_experiment(
         br_lower, _ = solvers.solve_view(view_lower, tol=0.0)
         br_upper, _ = solvers.solve_view(view_upper, tol=0.0)
         timings[f"best_responses_k{k}"] = time.perf_counter() - t0
+        responses.append((br_lower, br_upper))
 
         if generator == "response-value":
             h_lower, h_upper = br_lower, br_upper
         else:
             h_lower = h_upper = rec.values
+        pairs += [(view_lower, h_lower), (view_upper, h_upper)]
 
-        t0 = time.perf_counter()
-        est_lower = duality.estimate_dual_bound_ssp(
-            view_lower, h_lower, q, n, seed, keep_values=keep_values
-        )
-        est_upper = duality.estimate_dual_bound_ssp(
-            view_upper, h_upper, q, n, seed, keep_values=keep_values
-        )
-        timings[f"dual_bounds_k{k}"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    estimates = duality.estimate_dual_bounds(pairs, n, seed, q=q, keep_values=keep_values)
+    timings["dual_bounds"] = time.perf_counter() - t0
 
+    rows: list[ExperimentRow] = []
+    for k, rec in enumerate(trace.rounds):
+        br_lower, br_upper = responses[k]
+        est_lower, est_upper = estimates[2 * k : 2 * k + 2]
         finite = all(
             isfinite(v)
             for v in (est_lower.mean, est_upper.mean)

@@ -210,7 +210,11 @@ def random_finite_game(
 # over a sliced row can round differently.
 
 
-def _icdf(cum: np.ndarray, w: float) -> int:
+def icdf(cum: np.ndarray, w: float) -> int:
+    """Smallest index whose CDF value strictly exceeds ``w``; a draw at or
+    above a final cumulative sum that fell short of 1 walks back over the
+    trailing entries that do not rise. The library takes that index from a
+    per-CDF table (``duality._last_rise``) instead of this loop."""
     j = int(np.searchsorted(cum, w, side="right"))
     if j >= len(cum):  # final cumsum fell short of 1 by rounding
         j = len(cum) - 1
@@ -232,7 +236,7 @@ def finite_scenario_value(view: MdpView, scenario: np.ndarray, h: np.ndarray) ->
             a = view.n_actions[x]
             base = view.cost[x] + view.kernel[x] @ h
             cum = np.cumsum(view.kernel[x, :a], axis=1)
-            nxt = np.array([_icdf(c, w) for c in cum])
+            nxt = np.array([icdf(c, w) for c in cum])
             V[x] = opt(base[:a] + (V[nxt] - h[nxt]))
     return float(V[view.root])
 

@@ -202,6 +202,48 @@ class TestBoundCommand:
         assert code == 2
         assert "absolute continuity" in err
 
+    def test_non_finite_reference_measure_exits_2(self, capsys, tmp_path):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
+        kernel = zd.make_uniform_reference(model).kernel.tolist()
+        kernel[0][1] = float("nan")
+        qpath = tmp_path / "q.json"
+        qpath.write_text(json.dumps({str(i): row for i, row in enumerate(kernel)}))
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:waste,N=2", "--fix", "B=uniform",
+            "--q", f"file:{qpath}", "--n", "200",
+        )
+        assert code == 2
+        assert "finite" in err
+        assert "mean=" not in out
+
+    def test_both_sides_checked_before_any_estimate(self, capsys, tmp_path):
+        # A pure A policy: q covers every move of the lower view but misses
+        # moves of A's other sites in the upper view, so nothing is printed.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=3))
+        pure = {str(i): [1.0, 0.0, 0.0] for i in range(model.n_states - 1)}
+        pure[str(model.absorbing)] = [1.0]
+        ppath = tmp_path / "pure.json"
+        ppath.write_text(json.dumps(pure))
+        lower = zd.fix_player(
+            model, zd.policy_from_dict(model, zd.PLAYER_A, pure), zd.PLAYER_A
+        )
+        reach = lower.kernel.sum(axis=1) > 0.0
+        reach[:, model.absorbing] = True
+        q = reach / reach.sum(axis=1, keepdims=True)
+        qpath = tmp_path / "q.json"
+        qpath.write_text(json.dumps({str(i): row for i, row in enumerate(q.tolist())}))
+        upper = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        measure = zd.ReferenceMeasure(kernel=q, absorbing=model.absorbing)
+        assert not zd.validate_abs_continuity(lower, measure)
+        assert zd.validate_abs_continuity(upper, measure)
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:waste,N=3", "--fix", f"A=file:{ppath}",
+            "--fix", "B=uniform", "--h", "zero", "--q", f"file:{qpath}", "--n", "50",
+        )
+        assert code == 2
+        assert "absolute continuity" in err
+        assert out == ""
+
     def test_improper_fixed_policy_exits_1(self, capsys, tmp_path):
         model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=3))
         pure = {str(i): [1.0, 0.0, 0.0] for i in range(model.n_states - 1)}

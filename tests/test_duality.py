@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from zsgdual import duality
 
 from oracles import (
     finite_scenario_value,
+    icdf,
     random_finite_game,
     random_policy,
     random_ssp_game,
@@ -60,6 +63,34 @@ class TestInverseCdfTransition:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             zd.inverse_cdf_transition(np.array([1.0]), 1.0)
+
+    def test_last_rise_table_matches_rounding_loop(self):
+        # Rows whose cumulative sum falls short of 1, with zero or tiny
+        # trailing masses, padded with zeros to one width.
+        rows = [
+            [0.1] * 10,
+            [0.1] * 10 + [1e-20],
+            [0.7, 0.2, 0.1, 1e-18],
+            [1.0 / 3.0] * 3,
+            [0.0, 0.0, 1.0, 0.0],
+            [1.0],
+            [0.0] * 12,
+        ]
+        cum = np.cumsum([r + [0.0] * (12 - len(r)) for r in rows], axis=1)
+        w = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0, 201)[:-1], cum.ravel(), [np.nextafter(1.0, 0.0)]
+        ]))
+        w = w[w < 1.0]
+        last = duality._last_rise(cum)
+        fallback = 0
+        for c, k in zip(cum, last):
+            got = duality._icdf(c, w, k)
+            assert got.tolist() == [icdf(c, x) for x in w]
+            fallback += int((np.searchsorted(c, w, side="right") >= len(c)).sum())
+        assert fallback > 0
+        pick = np.arange(len(w)) % len(rows)
+        got = duality._icdf(cum[pick], w, last[pick])
+        assert got.tolist() == [icdf(cum[i], x) for i, x in zip(pick, w)]
 
 
 class TestScenarioStreams:
@@ -246,6 +277,14 @@ class TestReferenceMeasure:
         kernel = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             zd.ReferenceMeasure(kernel=kernel, absorbing=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # abs(nan - 1) > 1e-12 is False: a NaN entry passes the row-sum test.
+        kernel = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]])
+        kernel[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            zd.ReferenceMeasure(kernel=kernel, absorbing=2)
 
     @pytest.mark.parametrize("absorbing", [-1, 2, 1.0])
     def test_absorbing_must_be_a_state_index(self, absorbing):
@@ -476,7 +515,7 @@ class TestSspEstimator:
         view = zd.fix_player(waste3, nu, zd.PLAYER_B)
         values, _ = zd.solve_view(view, tol=0.0)
         q = zd.make_uniform_reference(waste3)
-        k = duality._BLOCK + 37
+        k = duality._PATH_BLOCK + 37
         short, full = (
             zd.estimate_dual_bound_ssp(view, 0.98 * values, q, n, seed=6, keep_values=True)
             for n in (k, 2 * k)
@@ -677,4 +716,160 @@ class TestDualSandwich:
         with pytest.raises(ValueError):
             zd.dual_sandwich(
                 model, mu, nu, np.zeros(3), np.zeros(3), None, n=10, seed=1
+            )
+
+
+class TestSharedDraw:
+    """Estimates that share one draw equal separate calls bit for bit."""
+
+    @staticmethod
+    def assert_same(shared, separate):
+        assert len(shared) == len(separate)
+        for a, b in zip(shared, separate):
+            assert (a.mean, a.standard_error, a.n_scenarios, a.seed) == (
+                b.mean, b.standard_error, b.n_scenarios, b.seed
+            )
+            assert a.per_scenario_values.tobytes() == b.per_scenario_values.tobytes()
+
+    @staticmethod
+    def waste_pairs(model):
+        mu = zd.uniform_policy(model, zd.PLAYER_A)
+        nu = zd.uniform_policy(model, zd.PLAYER_B)
+        pair = zd.evaluate_policy_pair(model, mu, nu)
+        pairs = []
+        for policy, player in ((mu, zd.PLAYER_A), (nu, zd.PLAYER_B)):
+            view = zd.fix_player(model, policy, player)
+            exact, _ = zd.solve_view(view, tol=0.0)
+            pairs += [(view, exact), (view, 0.97 * exact), (view, 1e300 * pair)]
+        return pairs
+
+    @staticmethod
+    def two_period_pairs(model):
+        _, mu_star, _ = zd.shapley_value_iteration(model, tol=1e-12)
+        lower = zd.fix_player(model, mu_star, zd.PLAYER_A)
+        upper = zd.fix_player(model, zd.suboptimal_minimizer_policy(model), zd.PLAYER_B)
+        return [
+            (upper, zd.first_action_value_generator(model)),
+            (lower, zd.solve_view(lower)[0]),
+            (upper, zd.solve_view(upper)[0]),
+        ]
+
+    def test_two_period_generators(self, two_period):
+        pairs = self.two_period_pairs(two_period)
+        shared = zd.estimate_dual_bounds(pairs, 700, seed=3, keep_values=True)
+        separate = [
+            zd.estimate_dual_bound_finite(v, h, 700, seed=3, keep_values=True)
+            for v, h in pairs
+        ]
+        self.assert_same(shared, separate)
+        assert np.unique(shared[0].per_scenario_values).size > 1
+
+    def test_waste_game_both_sides(self, waste3):
+        pairs = self.waste_pairs(waste3)
+        q = zd.make_uniform_reference(waste3)
+        shared = zd.estimate_dual_bounds(pairs, 300, seed=2, q=q, keep_values=True)
+        separate = [
+            zd.estimate_dual_bound_ssp(v, h, q, 300, seed=2, keep_values=True)
+            for v, h in pairs
+        ]
+        self.assert_same(shared, separate)
+        assert np.isinf(shared[2].per_scenario_values).any()
+
+    def test_views_of_different_horizons(self, two_period):
+        # One draw serves every horizon: a view reads the first uniforms of
+        # each scenario's stream.
+        rng = np.random.default_rng(55)
+        game = zd.embed_finite_horizon(random_finite_game(rng, periods=4))
+        view = zd.fix_player(game, random_policy(rng, game, zd.PLAYER_A), zd.PLAYER_A)
+        h = rng.uniform(-1.0, 1.0, game.n_states)
+        pairs = [self.two_period_pairs(two_period)[0], (view, h)]
+        shared = zd.estimate_dual_bounds(pairs, 200, seed=5, keep_values=True)
+        separate = [
+            zd.estimate_dual_bound_finite(v, g, 200, seed=5, keep_values=True)
+            for v, g in pairs
+        ]
+        self.assert_same(shared, separate)
+
+    def test_block_boundaries(self, monkeypatch, two_period, waste3):
+        # Small blocks: 23 scenarios cross several block boundaries, and
+        # the values match runs with the shipped block sizes.
+        fin = self.two_period_pairs(two_period)
+        ssp = self.waste_pairs(waste3)
+        q = zd.make_uniform_reference(waste3)
+        want_fin = zd.estimate_dual_bounds(fin, 23, seed=4, keep_values=True)
+        want_ssp = zd.estimate_dual_bounds(ssp, 23, seed=4, q=q, keep_values=True)
+        monkeypatch.setattr(duality, "_BLOCK", 5)
+        monkeypatch.setattr(duality, "_PATH_BLOCK", 7)
+        self.assert_same(zd.estimate_dual_bounds(fin, 23, seed=4, keep_values=True), want_fin)
+        self.assert_same(
+            zd.estimate_dual_bounds(ssp, 23, seed=4, q=q, keep_values=True), want_ssp
+        )
+        self.assert_same(
+            [zd.estimate_dual_bound_ssp(v, h, q, 23, seed=4, keep_values=True) for v, h in ssp],
+            want_ssp,
+        )
+
+    def test_bad_pair_raises_before_any_draw(self, monkeypatch, two_period, waste3):
+        def no_draw(seed, index):
+            raise AssertionError("a scenario was drawn")
+
+        monkeypatch.setattr(duality, "scenario_rng", no_draw)
+        (good, h), *_ = self.waste_pairs(waste3)
+        q = zd.make_uniform_reference(waste3)
+        absorb_only = np.zeros_like(q.kernel)
+        absorb_only[:, waste3.absorbing] = 1.0
+        q_bad = zd.ReferenceMeasure(kernel=absorb_only, absorbing=waste3.absorbing)
+        with pytest.raises(ValueError, match="one value per state"):
+            zd.estimate_dual_bounds([(good, h), (good, h[:-1])], 50, seed=1, q=q)
+        with pytest.raises(zd.AbsContinuityViolation):
+            zd.estimate_dual_bounds([(good, h), (good, h)], 50, seed=1, q=q_bad)
+        with pytest.raises(ValueError, match="non-absorbing"):
+            zd.estimate_dual_bounds([(good, h), (good, h)], 50, seed=1, q=q, x0=-1)
+        with pytest.raises(ValueError, match="two scenarios"):
+            zd.estimate_dual_bounds([(good, h), (good, h)], 1, seed=1, q=q)
+        with pytest.raises(ValueError, match="pairs"):
+            zd.estimate_dual_bounds([], 50, seed=1, q=q)
+        finite = self.two_period_pairs(two_period)
+        with pytest.raises(ValueError, match="time-embedded"):
+            zd.estimate_dual_bounds([finite[0], (good, h)], 50, seed=1)
+        with pytest.raises(ValueError, match="does not match"):
+            zd.estimate_dual_bounds([(good, h), finite[0]], 50, seed=1, q=q)
+
+    def test_views_must_share_a_start(self, waste3):
+        (view, h), *_ = self.waste_pairs(waste3)
+        moved = dataclasses.replace(view, root=1)
+        q = zd.make_uniform_reference(waste3)
+        with pytest.raises(ValueError, match="different roots"):
+            zd.estimate_dual_bounds([(view, h), (moved, h)], 50, seed=1, q=q)
+        shared = zd.estimate_dual_bounds(
+            [(view, h), (moved, h)], 50, seed=1, q=q, x0=1, keep_values=True
+        )
+        separate = zd.estimate_dual_bound_ssp(view, h, q, 50, seed=1, x0=1, keep_values=True)
+        self.assert_same(shared, [separate, separate])
+
+    def test_sandwich_with_two_reference_measures(self, waste3):
+        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        lower = zd.fix_player(waste3, mu, zd.PLAYER_A)
+        upper = zd.fix_player(waste3, nu, zd.PLAYER_B)
+        h_lower = 0.98 * zd.solve_view(lower, tol=0.0)[0]
+        h_upper = 0.97 * zd.solve_view(upper, tol=0.0)[0]
+        q = zd.make_uniform_reference(waste3)
+        k = q.kernel.copy()
+        k[:, waste3.absorbing] += 1.0
+        k[waste3.absorbing, waste3.absorbing] = 2.0
+        q_fast = zd.ReferenceMeasure(kernel=k / k.sum(axis=1, keepdims=True),
+                                     absorbing=waste3.absorbing)
+        for q_pair in ((q, q_fast), (q, zd.ReferenceMeasure(q.kernel.copy(), q.absorbing))):
+            bounds = zd.dual_sandwich(
+                waste3, mu, nu, h_lower, h_upper, q_pair, n=400, seed=6, keep_values=True
+            )
+            self.assert_same(
+                [bounds.lower, bounds.upper],
+                [
+                    zd.estimate_dual_bound_ssp(lower, h_lower, q_pair[0], 400, seed=6,
+                                               keep_values=True),
+                    zd.estimate_dual_bound_ssp(upper, h_upper, q_pair[1], 400, seed=6,
+                                               keep_values=True),
+                ],
             )
