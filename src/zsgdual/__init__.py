@@ -14,7 +14,6 @@ from .builtin_games import (
     WasteGameConfig,
     build_two_period_matrix_game,
     build_waste_inspection_game,
-    detection_probability,
     first_action_value_generator,
     suboptimal_minimizer_policy,
     uniform_policy,
@@ -61,12 +60,10 @@ from .games import (
     make_policy,
     policy_from_dict,
     pure_policy,
-    stage_cost_mixed,
-    transition_mixed,
     validate,
     values_from_dict,
 )
-from .matrix_games import MatrixGameSolution, solve, value_of
+from .matrix_games import MatrixGameSolution, solve
 from .solvers import (
     ImproperPair,
     NoConvergence,
@@ -80,7 +77,6 @@ from .solvers import (
     shapley_backup,
     shapley_value_iteration,
     solve_view,
-    stage_game_matrix,
 )
 
 __version__ = "0.1.0"

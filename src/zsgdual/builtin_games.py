@@ -136,29 +136,6 @@ class WasteGameConfig:
         return np.abs(self.positions[:, None] - self.positions[None, :])
 
 
-def detection_probability(
-    cfg: WasteGameConfig,
-    prev_dump: int,
-    prev_inspect: int,
-    dump: int,
-    inspect: int,
-) -> float:
-    """Chance the dumper is caught tonight, given both players' site choices
-    and last night's sites. Zero unless the inspector picks the dump site;
-    otherwise affine in both travel distances, from p_high (nobody moved)
-    down to p_low (both moved maximally).
-    """
-    if dump != inspect:
-        return 0.0
-    d = cfg.distances
-    d_max = float(d.max())
-    slope = (cfg.p_low - cfg.p_high) / ((cfg.k1 + cfg.k2) * d_max)
-    return float(
-        cfg.p_high
-        + slope * (cfg.k1 * d[dump, prev_dump] + cfg.k2 * d[inspect, prev_inspect])
-    )
-
-
 def build_waste_inspection_game(cfg: WasteGameConfig) -> GameModel:
     """Assemble the waste-inspection pursuit game as an absorbing-state model.
 

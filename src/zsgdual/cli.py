@@ -152,8 +152,7 @@ def _resolve_generator(
     if token == "zero":
         return np.zeros(model.n_states)
     if token == "exact":
-        tol = 0.0 if isinstance(model.regime, Ssp) and model.horizon is None else 1e-11
-        values, _ = solvers.solve_view(view, tol=tol)
+        values, _ = solvers.solve_view(view, tol=0.0)
         return values
     if token == "pair-value":
         if PLAYER_A not in policies or PLAYER_B not in policies:
@@ -222,6 +221,10 @@ def _states_csv(states: list[experiments.StateRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _states_json(states: list[experiments.StateRow]) -> list[dict]:
+    return [s.__dict__ for s in states]
+
+
 def _result_csv(result: experiments.ExperimentResult) -> str:
     lines = [_meta_lines(result.metadata), experiments.CSV_HEADER]
     lines.extend(row.as_csv() for row in result.rows)
@@ -234,16 +237,7 @@ def _result_json(result: experiments.ExperimentResult) -> str:
         "rows": [row.__dict__ for row in result.rows],
     }
     if result.states:
-        doc["states"] = [
-            {
-                "state": s.state,
-                "label": s.label,
-                "value": s.value,
-                "strategy_a": list(s.strategy_a),
-                "strategy_b": list(s.strategy_b),
-            }
-            for s in result.states
-        ]
+        doc["states"] = _states_json(result.states)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -263,12 +257,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             doc = {
                 "metadata": {"game": args.game, "tol": args.tol,
                              "timestamp": _timestamp()},
-                "states": [
-                    {"state": s.state, "label": s.label, "value": s.value,
-                     "strategy_a": list(s.strategy_a),
-                     "strategy_b": list(s.strategy_b)}
-                    for s in states
-                ],
+                "states": _states_json(states),
             }
             _write_text(args.out, json.dumps(doc, indent=2) + "\n")
         else:

@@ -170,6 +170,8 @@ def make_penalty_term(
     """
     if not (0 <= x < view.n_states and 0 <= a < view.n_actions[x]):
         raise ValueError(f"no action {a} at state {x} of the view")
+    if not 0 <= realized_next < view.n_states:
+        raise ValueError(f"next state {realized_next} is not a state of the view")
     row = view.kernel[x, a]
     if row[realized_next] <= 0.0:
         raise SupportViolation(
@@ -177,6 +179,16 @@ def make_penalty_term(
             f"under action {a}"
         )
     return float(row @ h) - float(h[realized_next])
+
+
+def _check_generator(view: MdpView, h: np.ndarray) -> np.ndarray:
+    """``h`` as a float array, checked to hold one finite value per state."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (view.n_states,):
+        raise ValueError("generator must assign one value per state")
+    if not np.isfinite(h).all():
+        raise ValueError("generator values must be finite")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +207,8 @@ class _FiniteInner:
             raise ValueError("finite inner problems need a time-embedded view")
         if view.root is None:
             raise ValueError("view does not designate an initial state")
-        h = np.asarray(h, dtype=float)
-        if h.shape != (view.n_states,):
-            raise ValueError("generator must assign one value per state")
-        if not np.isfinite(h).all():
-            raise ValueError("generator values must be finite")
         self.view = view
-        self.h = h
+        self.h = _check_generator(view, h)
         self.horizon = view.horizon
         self.by_period: list[list[int]] = [[] for _ in range(view.horizon)]
         for x in range(view.n_states):
@@ -244,6 +251,8 @@ def pi_inner_finite(view: MdpView, scenario: np.ndarray, h: np.ndarray) -> float
             f"scenario length {scenario.shape} does not match horizon "
             f"{inner.horizon}"
         )
+    if not ((scenario >= 0.0) & (scenario < 1.0)).all():
+        raise ValueError(f"scenario uniforms {scenario} must lie in [0, 1)")
     return float(inner.evaluate(scenario[None, :])[0])
 
 
@@ -433,11 +442,7 @@ class _SspInner:
     def __init__(self, view: MdpView, h: np.ndarray, q: ReferenceMeasure):
         if not isinstance(view.regime, Ssp):
             raise ValueError("weak-form inner problems need an absorbing-state view")
-        h = np.asarray(h, dtype=float)
-        if h.shape != (view.n_states,):
-            raise ValueError("generator must assign one value per state")
-        if not np.isfinite(h).all():
-            raise ValueError("generator values must be finite")
+        h = _check_generator(view, h)
         if q.kernel.shape[0] != view.n_states or q.absorbing != view.absorbing:
             raise ValueError(
                 f"reference measure on {q.kernel.shape[0]} states absorbing at "
@@ -492,10 +497,17 @@ def weak_form_inner_ssp(
     generator value plus rho * (continuation - realized generator value),
     where rho = p(next|x,a)/q(next|x) corrects the change of measure.
     """
+    path = np.asarray(path)
+    if path.ndim != 1 or path.size == 0 or path.dtype.kind not in "iu":
+        raise ValueError(f"path must be a 1-D array of state indices, got {path!r}")
+    _check_start(int(path[0]), view.n_states, view.absorbing)
+    if not ((path >= 0) & (path < view.n_states)).all():
+        raise ValueError(f"path leaves the states [0, {view.n_states}): {path}")
+    if path[-1] != view.absorbing or (path[:-1] == view.absorbing).any():
+        raise ValueError(
+            f"path must reach the absorbing state {view.absorbing} at its last entry only"
+        )
     inner = _SspInner(view, h, q)
-    path = np.asarray(path, dtype=int)
-    if path[-1] != view.absorbing:
-        raise ValueError("path must end at the absorbing state")
     one = np.zeros(1, dtype=np.int32)
     steps = [(one, path[t : t + 1], path[t + 1 : t + 2]) for t in range(len(path) - 1)]
     return float(inner.evaluate(steps, 1)[0])

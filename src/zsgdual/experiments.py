@@ -6,7 +6,7 @@ for CSV/JSON export. The CLI's repro command is a thin wrapper around these.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
 
 import numpy as np
@@ -135,32 +135,25 @@ def run_two_period_experiment(n: int = 10_000, seed: int = 1) -> ExperimentResul
     t_bounds = time.perf_counter() - t0
 
     root = model.root
-    rows = [
-        ExperimentRow(
-            k=0,
-            pair_value=float(pair[root]),
-            br_lower=float(br_lower[root]),
-            br_upper=float(br_upper[root]),
-            dual_lower=est_lower_exact.mean,
-            dual_lower_se=est_lower_exact.standard_error,
-            dual_upper=est_upper_hat.mean,
-            dual_upper_se=est_upper_hat.standard_error,
-            status="first-action-h",
-        ),
-        ExperimentRow(
-            k=0,
-            pair_value=float(pair[root]),
-            br_lower=float(br_lower[root]),
-            br_upper=float(br_upper[root]),
-            dual_lower=est_lower_exact.mean,
-            dual_lower_se=est_lower_exact.standard_error,
-            dual_upper=est_upper_exact.mean,
-            dual_upper_se=est_upper_exact.standard_error,
-            status="exact-h",
-        ),
-    ]
+    rough = ExperimentRow(
+        k=0,
+        pair_value=float(pair[root]),
+        br_lower=float(br_lower[root]),
+        br_upper=float(br_upper[root]),
+        dual_lower=est_lower_exact.mean,
+        dual_lower_se=est_lower_exact.standard_error,
+        dual_upper=est_upper_hat.mean,
+        dual_upper_se=est_upper_hat.standard_error,
+        status="first-action-h",
+    )
+    exact = replace(
+        rough,
+        dual_upper=est_upper_exact.mean,
+        dual_upper_se=est_upper_exact.standard_error,
+        status="exact-h",
+    )
     return ExperimentResult(
-        rows=rows,
+        rows=[rough, exact],
         states=states,
         metadata={
             "game": "builtin:matrix2p",

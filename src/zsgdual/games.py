@@ -271,47 +271,6 @@ def lookahead(view: MdpView, values: np.ndarray) -> np.ndarray:
     return view.cost + regime_alpha(view.regime) * (view.kernel @ values)
 
 
-# ---------------------------------------------------------------------------
-# Mixed-policy algebra
-
-
-def stage_cost_mixed(
-    model: GameModel, i: int, y_i: np.ndarray, z_i: np.ndarray
-) -> float:
-    """Expected stage cost at state ``i`` under mixed actions ``y_i``, ``z_i``."""
-    y_i = np.asarray(y_i, dtype=float)
-    z_i = np.asarray(z_i, dtype=float)
-    _check_action_vectors(model, i, y_i, z_i)
-    return float(y_i @ model.expected_cost[i] @ z_i)
-
-
-def transition_mixed(
-    model: GameModel, i: int, y_i: np.ndarray, z_i: np.ndarray
-) -> np.ndarray:
-    """Next-state distribution from ``i`` under mixed actions ``y_i``, ``z_i``."""
-    y_i = np.asarray(y_i, dtype=float)
-    z_i = np.asarray(z_i, dtype=float)
-    _check_action_vectors(model, i, y_i, z_i)
-    return np.einsum("u,v,uvj->j", y_i, z_i, model.transition[i])
-
-
-def _check_action_vectors(
-    model: GameModel, i: int, y_i: np.ndarray, z_i: np.ndarray
-) -> None:
-    if y_i.shape != (model.actions_a[i],):
-        raise ValueError(
-            f"state {i}: A-vector has length {y_i.shape[0]}, "
-            f"expected {model.actions_a[i]}"
-        )
-    if z_i.shape != (model.actions_b[i],):
-        raise ValueError(
-            f"state {i}: B-vector has length {z_i.shape[0]}, "
-            f"expected {model.actions_b[i]}"
-        )
-    _check_simplex(y_i, f"A-vector at state {i}")
-    _check_simplex(z_i, f"B-vector at state {i}")
-
-
 def fix_player(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpView:
     """Average out one player's mixed policy, leaving the other's MDP.
 

@@ -40,18 +40,6 @@ class MatrixGameSolution:
     col_strategy: np.ndarray
 
 
-def value_of(R: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
-    """Expected payoff to the row player under mixed strategies y, z."""
-    R = np.asarray(R, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if R.ndim != 2 or y.shape != (R.shape[0],) or z.shape != (R.shape[1],):
-        raise ValueError(
-            f"shape mismatch: R {R.shape}, y {y.shape}, z {z.shape}"
-        )
-    return float(y @ R @ z)
-
-
 def solve(R: np.ndarray) -> MatrixGameSolution:
     """Minimax value and optimal mixed strategies of the matrix game R."""
     R = np.asarray(R, dtype=float)

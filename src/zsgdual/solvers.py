@@ -20,7 +20,6 @@ from . import matrix_games
 from .games import (
     PLAYER_A,
     PLAYER_B,
-    Discounted,
     FiniteHorizon,
     GameModel,
     MdpView,
@@ -81,37 +80,34 @@ def evaluate_policy_pair(
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before evaluating policies")
     P, G = induced_chain(model, mu, nu)
-    n = model.n_states
-    if isinstance(model.regime, Discounted):
-        J = np.linalg.solve(np.eye(n) - model.regime.alpha * P, G)
-    else:
-        a = model.regime.absorbing
-        if not absorbing_reachable(P, a):
-            raise ImproperPair(
-                "induced chain does not reach the absorbing state from every state"
-            )
-        keep = np.array([i for i in range(n) if i != a], dtype=int)
-        P_sub = P[np.ix_(keep, keep)]
-        try:
-            J_sub = np.linalg.solve(np.eye(len(keep)) - P_sub, G[keep])
-        except np.linalg.LinAlgError as exc:
-            raise ImproperPair(f"singular evaluation system: {exc}") from exc
-        J = np.zeros(n)
-        J[keep] = J_sub
+    a = model.absorbing
+    if a is not None and not absorbing_reachable(P, a):
+        raise ImproperPair(
+            "induced chain does not reach the absorbing state from every state"
+        )
+    try:
+        J = _solve_chain(P, G, regime_alpha(model.regime), a)
+    except np.linalg.LinAlgError as exc:
+        raise ImproperPair(f"singular evaluation system: {exc}") from exc
     J.setflags(write=False)
     return J
 
 
+def _solve_chain(
+    P: np.ndarray, cost: np.ndarray, alpha: float, absorbing: int | None
+) -> np.ndarray:
+    """Values ``V`` of a Markov chain with transition matrix ``P`` and stage
+    costs ``cost``: ``(I - alpha P) V = cost`` on the states other than
+    ``absorbing``, where ``V`` is 0."""
+    keep = np.arange(len(cost)) != absorbing
+    V = np.zeros(len(cost))
+    A = np.eye(keep.sum()) - alpha * P[np.ix_(keep, keep)]
+    V[keep] = np.linalg.solve(A, cost[keep])
+    return V
+
+
 # ---------------------------------------------------------------------------
 # Shapley value iteration
-
-
-def stage_game_matrix(model: GameModel, i: int, values: np.ndarray) -> np.ndarray:
-    """One-step lookahead matrix at state i: expected cost plus continuation."""
-    alpha = regime_alpha(model.regime)
-    return model.expected_cost[i] + alpha * np.einsum(
-        "uvj,j->uv", model.transition[i], values
-    )
 
 
 def _stage_groups(model: GameModel) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -286,7 +282,7 @@ def _howard(view: MdpView) -> np.ndarray:
     sign = 1.0 if view.orientation == "max" else -1.0
     argopt = np.argmax if view.orientation == "max" else np.argmin
     rows = np.arange(view.n_states)
-    keep = rows != view.absorbing
+    alpha = regime_alpha(view.regime)
     ssp = view.absorbing is not None
     policy = _proper_start(view) if ssp else argopt(view.cost, axis=1)
     for _ in range(MAX_SWEEPS):
@@ -296,9 +292,7 @@ def _howard(view: MdpView) -> np.ndarray:
             # responder: the value is unbounded.
             inf = "+inf" if sign > 0 else "-inf"
             raise UnboundedValue(f"improving step made the policy improper; value {inf}")
-        V = np.zeros(view.n_states)
-        A = np.eye(keep.sum()) - regime_alpha(view.regime) * P[np.ix_(keep, keep)]
-        V[keep] = np.linalg.solve(A, view.cost[rows, policy][keep])
+        V = _solve_chain(P, view.cost[rows, policy], alpha, view.absorbing)
         qa = lookahead(view, V)
         best = argopt(qa, axis=1)
         current = qa[rows, policy]

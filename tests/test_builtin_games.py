@@ -11,9 +11,11 @@ class TestTwoPeriodGame:
         assert zd.validate(two_period) == []
 
     def test_root_stage_payoffs(self, two_period):
-        assert zd.stage_cost_mixed(two_period, 0, [0, 1], [1, 0]) == pytest.approx(6.0)
-        row = zd.transition_mixed(two_period, 0, [0, 1], [1, 0])
-        np.testing.assert_allclose(row, [0.0, 0.4, 0.6, 0.0], atol=1e-12)
+        # A plays its second action, B its first.
+        assert two_period.expected_cost[0][1, 0] == pytest.approx(6.0)
+        np.testing.assert_allclose(
+            two_period.transition[0][1, 0], [0.0, 0.4, 0.6, 0.0], atol=1e-12
+        )
 
     def test_equilibrium(self, two_period):
         J, mu, nu = zd.shapley_value_iteration(two_period, tol=1e-12)
@@ -39,22 +41,26 @@ class TestTwoPeriodGame:
 
 
 class TestDetectionProbability:
+    # From state 0 (both players were at site 1, dumper not caught), the
+    # detection probability of tonight's choices (s, s) is the mass that
+    # transition[0][s, s] puts on the caught state N*N + s.
+
     def test_miss_when_sites_differ(self):
-        cfg = zd.WasteGameConfig(n_sites=10)
-        assert zd.detection_probability(cfg, 0, 0, 3, 4) == 0.0
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
+        assert not model.transition[0][3, 4, 100:].any()
 
     def test_peak_when_nobody_moves(self):
-        cfg = zd.WasteGameConfig(n_sites=10)
-        assert zd.detection_probability(cfg, 0, 0, 0, 0) == pytest.approx(0.95)
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
+        assert model.transition[0][0, 0, 100] == pytest.approx(0.95)
 
     def test_floor_at_maximum_travel(self):
-        cfg = zd.WasteGameConfig(n_sites=10)
-        got = zd.detection_probability(cfg, 0, 0, 9, 9)
-        assert got == pytest.approx(0.5, abs=1e-12)
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
+        assert model.transition[0][9, 9, 109] == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_and_bounded(self):
         cfg = zd.WasteGameConfig(n_sites=6)
-        probs = [zd.detection_probability(cfg, 0, 0, s, s) for s in range(6)]
+        model = zd.build_waste_inspection_game(cfg)
+        probs = [model.transition[0][s, s, 36 + s] for s in range(6)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
         assert all(cfg.p_low <= p <= cfg.p_high for p in probs)
 

