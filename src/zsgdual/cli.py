@@ -385,6 +385,17 @@ def cmd_repro(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as NumPy seeds are."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zsgdual",
@@ -415,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--h", help="exact, pair-value, first-action, zero, file:<path>")
     p_bound.add_argument("--side", choices=("lower", "upper", "both"))
     p_bound.add_argument("--n", type=int)
-    p_bound.add_argument("--seed", type=int)
+    p_bound.add_argument("--seed", type=_seed)
     p_bound.add_argument("--q", help="uniform or file:<path>")
     p_bound.add_argument("--tol", type=float)
 
@@ -424,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("which", choices=("matrix-game", "waste-game"))
     p_repro.add_argument("--rounds", type=int)
     p_repro.add_argument("--n", type=int)
-    p_repro.add_argument("--seed", type=int)
+    p_repro.add_argument("--seed", type=_seed)
     p_repro.add_argument("--sites", type=int)
     p_repro.add_argument("--generator", choices=("response-value", "pair-value"))
     for p in (p_solve, p_bound, p_repro):
@@ -491,6 +502,8 @@ def _config_scalar(action: argparse.Action, key: str, value):
     convert = action.type or str
     try:
         value = convert(str(value))
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"config key {key!r}: {exc}") from None
     except ValueError:
         raise InputError(
             f"config key {key!r}: invalid {convert.__name__} value {value!r}"

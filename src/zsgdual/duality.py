@@ -32,6 +32,15 @@ draws: the first ``k`` values of a run equal those of a ``k``-scenario run.
 ``estimate_dual_bounds`` draws each block once for every ``(view, h)`` pair
 that shares the seed (and, for reference paths, ``q`` and the start), and
 each of its estimates is bit for bit the one a separate call returns.
+
+A reference path is drawn only up to its first *stop*: a transition
+``x -> y`` of ``q`` that no action of the view can make. Every likelihood
+ratio of that step is 0, so its value is ``opt(lookahead(view, h)[x] +
+0.0)`` whatever path follows, unless that row holds a ``-0.0`` (such a state
+never stops; see ``_SspInner``). The inner recursion starts from a zero
+continuation after a path's last drawn step, so a stopped path has, bit for
+bit, the value of the same path drawn on to absorption. Pairs that share a
+draw stop only where every one of them stops.
 """
 
 from __future__ import annotations
@@ -78,7 +87,8 @@ class AbsContinuityViolation(RuntimeError):
 
 
 class PathCapExceeded(RuntimeError):
-    """Reference-measure simulation failed to absorb within the step cap."""
+    """A reference-measure path was neither absorbed nor stopped within the
+    step cap."""
 
 
 class CellBudgetExceeded(RuntimeError):
@@ -118,12 +128,22 @@ def inverse_cdf_transition(row: np.ndarray, w: float) -> int:
 
     Sharing one uniform across the rows of every action implements common
     random numbers: the coupling that makes per-scenario inner problems
-    well defined.
+    well defined. ``row`` must be a distribution: finite, non-negative and
+    summing to 1 within 1e-12, as the rows of a ``ReferenceMeasure``.
     """
     if not 0.0 <= w < 1.0:
         raise ValueError(f"uniform draw {w} outside [0, 1)")
-    cum = np.cumsum(np.asarray(row, dtype=float))
+    row = np.asarray(row, dtype=float)
+    if row.ndim != 1 or not np.isfinite(row).all() or not _are_distributions(row):
+        raise ValueError(f"transition row {row} is not a distribution")
+    cum = np.cumsum(row)
     return int(_icdf(cum, np.array([w]), _last_rise(cum))[0])
+
+
+def _are_distributions(rows: np.ndarray) -> bool:
+    """Every row (last axis) of finite ``rows`` is non-negative and sums to
+    1 within 1e-12."""
+    return not ((rows < 0.0).any() or (np.abs(rows.sum(axis=-1) - 1.0) > 1e-12).any())
 
 
 def _last_rise(cum: np.ndarray) -> np.ndarray:
@@ -168,6 +188,7 @@ def make_penalty_term(
     clairvoyant decision maker for knowing which next state comes up; it has
     zero conditional mean under any non-anticipating policy.
     """
+    h = _check_generator(view, h)
     if not (0 <= x < view.n_states and 0 <= a < view.n_actions[x]):
         raise ValueError(f"no action {a} at state {x} of the view")
     if not 0 <= realized_next < view.n_states:
@@ -338,7 +359,7 @@ class ReferenceMeasure:
             raise ValueError(f"absorbing state {a!r} is not a state index in [0, {n})")
         if not np.isfinite(k).all():
             raise ValueError("reference kernel entries must be finite")
-        if np.any(k < 0.0) or np.any(np.abs(k.sum(axis=1) - 1.0) > 1e-12):
+        if not _are_distributions(k):
             raise ValueError("reference kernel rows must be distributions")
         if abs(k[self.absorbing, self.absorbing] - 1.0) > 1e-12:
             raise ValueError("absorbing state must self-map under q")
@@ -385,7 +406,8 @@ def simulate_q_path(
     """One reference-measure path from x0 to absorption (inclusive)."""
     _check_start(x0, q.kernel.shape[0], q.absorbing)
     cum = np.cumsum(q.kernel, axis=1)
-    steps = _draw_paths(cum, q.absorbing, x0, [scenario_rng(seed, 0)], cap)
+    never = np.zeros(cum.shape, dtype=bool)
+    steps = _draw_paths(cum, q.absorbing, x0, [scenario_rng(seed, 0)], cap, never)
     return np.array([x0] + [int(xn[0]) for _, _, xn in steps], dtype=int)
 
 
@@ -406,16 +428,24 @@ def _draw_paths(
     x0: int,
     rngs: list[np.random.Generator],
     cap: int,
+    stop: np.ndarray,
 ) -> _Steps:
-    """Reference-measure paths from x0 to absorption, one per stream.
+    """Reference-measure paths from x0, one per stream, each ending at its
+    first step that absorbs or whose transition ``(x, next)`` is a stop.
 
-    All unabsorbed paths step together. Step ``t`` is stored as the ids of
-    the paths that take it, their states and their next states; path ``i``
-    takes its ``t``-th uniform from ``rngs[i]``, drawn ``_DRAWS`` at a time
-    (a block draw yields the same doubles as that many single draws).
+    A stop is a transition that no action of any view evaluated on the draw
+    can make (``_SspInner.stop``): the inner value of its step does not
+    depend on what follows it, so the rest of the path is never drawn. All
+    live paths step together. Step ``t`` is stored as the ids of the paths
+    that take it, their states and their next states; path ``i`` takes its
+    ``t``-th uniform from ``rngs[i]``, drawn ``_DRAWS`` at a time (a block
+    draw yields the same doubles as that many single draws). ``cap`` bounds
+    the steps of every path until it is absorbed or stopped.
     """
     dtype = np.min_scalar_type(q_cum.shape[0] - 1)
     q_last = _last_rise(q_cum)
+    go_on = ~stop
+    go_on[:, absorbing] = False
     ids = np.arange(len(rngs), dtype=np.int32)
     x = np.full(len(rngs), x0, dtype=dtype)
     steps: _Steps = []
@@ -426,17 +456,21 @@ def _draw_paths(
             rows = np.arange(len(ids))
         xn = _icdf(q_cum[x], u[rows, k], q_last[x]).astype(dtype)
         steps.append((ids, x, xn))
-        live = xn != absorbing
+        live = go_on[x, xn]
         if not live.any():
             return steps
         ids, x, rows = ids[live], xn[live], rows[live]
-    raise PathCapExceeded(f"no absorption within {cap} steps under q")
+    raise PathCapExceeded(
+        f"a path was neither absorbed nor stopped within {cap} steps under q"
+    )
 
 
 class _SspInner:
     """Weak-form inner problem along reference-measure paths.
 
-    Precomputes the penalty-adjusted action values ``lookahead(view, h)``.
+    Precomputes the penalty-adjusted action values ``lookahead(view, h)``
+    and the stop table: ``stop[x, y]`` holds when a path's step ``x -> y``
+    has the same value whatever follows it.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray, q: ReferenceMeasure):
@@ -460,6 +494,14 @@ class _SspInner:
         self.q = q
         self.base = lookahead(view, h)
         self.opt = np.max if view.orientation == "max" else np.min
+        # When no action slot of x, padded ones included, moves to y, every
+        # rho of a step x -> y is 0. The carry is then the np.where branch's
+        # 0.0 if the continuation differs from h[y], and 0 * 0 = +-0.0 if it
+        # equals it. Adding +0.0 or -0.0 to base[x] gives base[x] + 0.0 in
+        # every entry but a -0.0 one: -0.0 + -0.0 keeps the -0.0 that +0.0
+        # turns into +0.0. So a row without -0.0 stops at every such y.
+        self.stop = ~(view.kernel != 0.0).any(axis=1)
+        self.stop[((self.base == 0.0) & np.signbit(self.base)).any(axis=1)] = False
 
     def evaluate(self, steps: _Steps, n_paths: int) -> np.ndarray:
         """Inner values of ``n_paths`` paths stored as steps, walked backward
@@ -550,7 +592,9 @@ def estimate_dual_bounds(
     longest horizon (a stream's first draws do not depend on how many
     follow). With ``q`` the views must be absorbing-state views matching it:
     scenario ``i`` is the reference path from ``x0`` (default: the views'
-    common root) drawn from the same stream. Every pair is checked before
+    common root) drawn from the same stream, up to absorption or to its
+    first transition that no action of any of the views can make; ``cap``
+    bounds its steps until then. Every pair is checked before
     any scenario is drawn, and estimate ``k`` equals, bit for bit, what
     ``estimate_dual_bound_finite`` or ``estimate_dual_bound_ssp`` returns
     for pair ``k`` alone.
@@ -577,10 +621,11 @@ def estimate_dual_bounds(
             raise ValueError("view does not designate an initial state")
         _check_start(x0, q.kernel.shape[0], q.absorbing)
         q_cum = np.cumsum(q.kernel, axis=1)
+        stop = np.logical_and.reduce([inner.stop for inner in ssp])
 
         def block(indices: range) -> list[np.ndarray]:
             rngs = [scenario_rng(seed, i) for i in indices]
-            steps = _draw_paths(q_cum, q.absorbing, x0, rngs, cap)
+            steps = _draw_paths(q_cum, q.absorbing, x0, rngs, cap, stop)
             return [inner.evaluate(steps, len(indices)) for inner in ssp]
 
         size = _PATH_BLOCK

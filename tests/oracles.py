@@ -170,6 +170,32 @@ def random_ssp_game(
     return make_game(Ssp(absorbing=absorbing), transition, cost, root=0)
 
 
+def random_sparse_ssp_game(
+    rng: np.random.Generator, n_states: int = 8, max_actions: int = 3
+) -> GameModel:
+    """Random absorbing-state game whose action pairs each move to one or
+    two states, so a view with a pure fixed policy reaches few successors."""
+    from zsgdual.games import make_game
+
+    absorbing = n_states - 1
+    transition, cost = [], []
+    for i in range(n_states - 1):
+        na = int(rng.integers(1, max_actions + 1))
+        nb = int(rng.integers(1, max_actions + 1))
+        p = np.zeros((na, nb, n_states))
+        for u in range(na):
+            for v in range(nb):
+                succ = rng.choice(n_states, size=int(rng.integers(1, 3)), replace=False)
+                p[u, v, succ] = rng.dirichlet(np.ones(len(succ)))
+        transition.append(p)
+        cost.append(rng.uniform(0.0, 3.0, size=(na, nb, n_states)))
+    p_abs = np.zeros((1, 1, n_states))
+    p_abs[0, 0, absorbing] = 1.0
+    transition.append(p_abs)
+    cost.append(np.zeros((1, 1, n_states)))
+    return make_game(Ssp(absorbing=absorbing), transition, cost, root=0)
+
+
 def random_policy(rng: np.random.Generator, model: GameModel, player: str):
     from zsgdual.games import PLAYER_A, make_policy
 

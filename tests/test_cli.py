@@ -350,6 +350,22 @@ class TestReproCommand:
         assert "--out" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--game", "builtin:matrix2p", "--fix", "B=suboptimal", "--seed", "-1"],
+        ["repro", "waste-game", "--seed", "-5"],
+    ],
+)
+def test_negative_seed_flag_exits_2(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: seed must be a non-negative integer" in err
+    assert not (tmp_path / "f.csv").exists()
+
+
 class TestConfigPrecedence:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -394,7 +410,9 @@ class TestConfigPrecedence:
         assert code == 0
         assert "n=50 " in out
 
-    @pytest.mark.parametrize("config", [{"n": 2.5}, {"n": True}, {"side": "middle"}])
+    @pytest.mark.parametrize(
+        "config", [{"n": 2.5}, {"n": True}, {"side": "middle"}, {"seed": -3}]
+    )
     def test_value_its_flag_rejects_exits_2(self, capsys, tmp_path, config):
         code, _, err = self.bound_with_config(capsys, tmp_path, config)
         assert code == 2

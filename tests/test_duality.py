@@ -11,6 +11,7 @@ from oracles import (
     icdf,
     random_finite_game,
     random_policy,
+    random_sparse_ssp_game,
     random_ssp_game,
     reference_path,
     ssp_path_value,
@@ -59,6 +60,13 @@ class TestInverseCdfTransition:
     def test_rounding_shortfall_guarded(self):
         row = np.array([1.0 / 3.0] * 3)
         assert zd.inverse_cdf_transition(row, 0.9999999999999999) == 2
+
+    @pytest.mark.parametrize(
+        "row", [[0.2, 0.2], [np.nan, 1.0], [-0.5, 1.5], [0.5, 0.5 + 1e-11], [[0.5, 0.5]]]
+    )
+    def test_rejects_rows_that_are_not_distributions(self, row):
+        with pytest.raises(ValueError, match="not a distribution"):
+            zd.inverse_cdf_transition(np.array(row), 0.5)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -127,6 +135,11 @@ class TestPenaltyTerm:
         # (3, 1) is a padded slot: the terminal state has one action.
         with pytest.raises(ValueError, match="no action"):
             zd.make_penalty_term(upper_view, np.zeros(4), x, a, 3)
+
+    @pytest.mark.parametrize("h", [[np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_generator_checked(self, upper_view, h):
+        with pytest.raises(ValueError, match="generator"):
+            zd.make_penalty_term(upper_view, np.array(h), 0, 0, 1)
 
     @pytest.mark.parametrize("nxt", [-2, -1, 4])
     def test_next_state_must_exist(self, two_period, upper_view, nxt):
@@ -910,3 +923,138 @@ class TestSharedDraw:
                                                keep_values=True),
                 ],
             )
+
+
+class TestStoppedPaths:
+    """A reference path ends at its first transition that no action of the
+    views can make; every value is byte-equal to the walk of the full path
+    to absorption."""
+
+    @staticmethod
+    def full_paths(view, q, n, seed):
+        return [reference_path(q.kernel, q.absorbing, view.root, seed, i) for i in range(n)]
+
+    @staticmethod
+    def oracle_values(view, h, q, paths):
+        return np.array([ssp_path_value(view, path, q.kernel, h) for path in paths])
+
+    @staticmethod
+    def drawn_estimates(monkeypatch, pairs, q, n, seed, **kwargs):
+        """``estimate_dual_bounds`` values and the number of path steps drawn."""
+        draw, drawn = duality._draw_paths, []
+
+        def counted(*args):
+            steps = draw(*args)
+            drawn.append(sum(len(ids) for ids, _, _ in steps))
+            return steps
+
+        monkeypatch.setattr(duality, "_draw_paths", counted)
+        ests = zd.estimate_dual_bounds(pairs, n, seed, q=q, keep_values=True, **kwargs)
+        return [e.per_scenario_values for e in ests], sum(drawn)
+
+    @staticmethod
+    def pure_view(model, player):
+        fixed = zd.pure_policy(model, player, [0] * model.n_states)
+        return zd.fix_player(model, fixed, player)
+
+    def test_sparse_random_games(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        for trial in range(3):
+            model = random_sparse_ssp_game(rng, n_states=8, max_actions=3)
+            q = zd.make_uniform_reference(model)
+            for player in (zd.PLAYER_A, zd.PLAYER_B):
+                view = self.pure_view(model, player)
+                paths = self.full_paths(view, q, 300, seed=trial)
+                full_steps = sum(len(path) - 1 for path in paths)
+                for h in (np.zeros(8), rng.uniform(-2.0, 2.0, 8)):
+                    [got], drawn = self.drawn_estimates(
+                        monkeypatch, [(view, h)], q, 300, seed=trial
+                    )
+                    assert got.tobytes() == self.oracle_values(view, h, q, paths).tobytes()
+                    assert 2 * drawn < full_steps
+
+    def test_shared_draw_stops_only_where_every_pair_stops(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        model = random_sparse_ssp_game(rng, n_states=8, max_actions=3)
+        q = zd.make_uniform_reference(model)
+        pairs = [
+            (self.pure_view(model, player), rng.uniform(-2.0, 2.0, 8))
+            for player in (zd.PLAYER_A, zd.PLAYER_B)
+        ]
+        lower, upper = (duality._SspInner(view, h, q).stop for view, h in pairs)
+        assert (lower & ~upper).any() and (upper & ~lower).any()
+        values, drawn = self.drawn_estimates(monkeypatch, pairs, q, 400, seed=5)
+        paths = self.full_paths(pairs[0][0], q, 400, seed=5)
+        for got, (view, h) in zip(values, pairs):
+            assert got.tobytes() == self.oracle_values(view, h, q, paths).tobytes()
+        assert drawn < sum(len(path) - 1 for path in paths)
+
+    def test_overflowing_generator(self, monkeypatch, waste3):
+        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        view = zd.fix_player(waste3, nu, zd.PLAYER_B)
+        h = 1e300 * zd.evaluate_policy_pair(waste3, mu, nu)
+        q = zd.make_uniform_reference(waste3)
+        [got], drawn = self.drawn_estimates(monkeypatch, [(view, h)], q, 300, seed=1)
+        paths = self.full_paths(view, q, 300, seed=1)
+        want = self.oracle_values(view, h, q, paths)
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(want).any()
+        assert drawn < sum(len(path) - 1 for path in paths)
+
+    def test_negative_zero_action_value_never_stops(self, monkeypatch):
+        # NumPy's matmul sums from +0.0, so lookahead never yields -0.0 on
+        # its own; it is injected here. At a stop 0 -> 1 through a -0.0
+        # kernel entry the carry is -0.0 after a zero continuation but +0.0
+        # after the real one, and -0.0 + carry tells them apart.
+        n = 3
+        p0 = np.zeros((1, 1, n))
+        p0[0, 0] = [0.5, 0.0, 0.5]
+        p1 = np.zeros((1, 1, n))
+        p1[0, 0] = [0.0, 0.5, 0.5]
+        pa = np.zeros((1, 1, n))
+        pa[0, 0, 2] = 1.0
+        ones, zeros = np.ones((1, 1, n)), np.zeros((1, 1, n))
+        model = zd.make_game(zd.Ssp(absorbing=2), [p0, p1, pa], [zeros, ones, zeros], root=0)
+        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        kernel = view.kernel.copy()
+        kernel[0, 0, 1] = -0.0
+        view = dataclasses.replace(view, kernel=kernel)
+        lookahead = duality.lookahead
+
+        def signed(view, h):
+            base = lookahead(view, h)
+            base[0, 0] = -0.0
+            return base
+
+        monkeypatch.setattr(duality, "lookahead", signed)
+        h = np.zeros(n)
+        q = zd.make_uniform_reference(model)
+        assert not duality._SspInner(view, h, q).stop[0].any()
+        paths = self.full_paths(view, q, 200, seed=3)
+        assert any(((path[:-1] == 0) & (path[1:] == 1)).any() for path in paths)
+        est = zd.estimate_dual_bound_ssp(view, h, q, 200, seed=3, keep_values=True)
+        want = np.array([zd.weak_form_inner_ssp(view, path, q, h) for path in paths])
+        assert est.per_scenario_values.tobytes() == want.tobytes()
+
+    def test_cap_counts_steps_until_a_stop(self):
+        # 0 -> 1 -> absorbing under every action: each path is absorbed or
+        # stopped within 2 steps, while a full uniform-q path often is not.
+        n = 3
+        trans = []
+        for nxt in (1, 2, 2):
+            p = np.zeros((1, 1, n))
+            p[0, 0, nxt] = 1.0
+            trans.append(p)
+        cost = [np.full((1, 1, n), 1.5), np.full((1, 1, n), 2.5), np.zeros((1, 1, n))]
+        model = zd.make_game(zd.Ssp(absorbing=2), trans, cost, root=0)
+        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        q = zd.make_uniform_reference(model)
+        h = np.array([0.5, -1.0, 0.0])
+        paths = self.full_paths(view, q, 100, seed=2)
+        assert max(len(path) - 1 for path in paths) > 2
+        capped = zd.estimate_dual_bound_ssp(view, h, q, 100, seed=2, cap=2, keep_values=True)
+        uncapped = zd.estimate_dual_bound_ssp(view, h, q, 100, seed=2, keep_values=True)
+        want = self.oracle_values(view, h, q, paths)
+        assert capped.per_scenario_values.tobytes() == want.tobytes()
+        assert uncapped.per_scenario_values.tobytes() == want.tobytes()
