@@ -22,7 +22,12 @@ generator cancels the continuation scenario by scenario and the estimate
 has zero variance.
 
 Estimates are bitwise reproducible: scenario ``i`` draws from a
-counter-based stream keyed by ``(seed, i)``. Scenarios are evaluated in
+counter-based stream keyed by ``(seed, i)``, ``scenario_rng(seed, i)``. A
+block of streams is drawn at once, with SeedSequence's hash mixing and the
+Philox4x64-10 rounds run as array arithmetic over the block's rows
+(``streams.stream_keys``, ``streams.uniforms``); the doubles are byte-equal
+to ``scenario_rng``'s, and a row whose index needs a second 32-bit word
+takes its key from SeedSequence itself. Scenarios are evaluated in
 fixed-size blocks of consecutive indices (``_BLOCK`` = 512 finite scenarios,
 ``_PATH_BLOCK`` = 8,192 reference paths), each scenario one row of the
 block's arrays, and every row goes through the same elementwise operations
@@ -63,6 +68,8 @@ from .games import (
     fix_player,
     lookahead,
 )
+# scenario_rng stays importable from here: it is public as duality.scenario_rng.
+from .streams import scenario_rng, stream_keys, uniforms
 
 DEFAULT_PATH_CAP = 10**6
 DEFAULT_CELL_BUDGET = 10**6
@@ -113,14 +120,7 @@ class DualBounds:
 
 
 # ---------------------------------------------------------------------------
-# Scenario streams and the canonical coupling
-
-
-def scenario_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for scenario ``index`` under ``seed``."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=(seed, index)))
-    )
+# The canonical coupling
 
 
 def inverse_cdf_transition(row: np.ndarray, w: float) -> int:
@@ -216,11 +216,32 @@ def _check_generator(view: MdpView, h: np.ndarray) -> np.ndarray:
 # Finite-horizon (time-embedded) inner problems
 
 
+@dataclass(frozen=True)
+class _Period:
+    """One period of a finite inner problem, as arrays over its states.
+
+    ``cols`` is the sorted union of the columns where the CDF of any action
+    slot of ``states`` rises (exceeds the entry before it, or 0 for column
+    0), followed by ``n_states``; ``cum`` holds those CDFs at the rise
+    columns, shaped (states, slots, rises). A CDF's first entry above a
+    draw is one of its own rises, so ``cols[count of cum <= w]``, capped at
+    ``last``, is the right-sided search ``_icdf`` does. ``real`` marks the
+    action slots that are not padding.
+    """
+
+    states: np.ndarray
+    cols: np.ndarray
+    cum: np.ndarray
+    last: np.ndarray
+    base: np.ndarray
+    real: np.ndarray
+
+
 class _FiniteInner:
     """Per-scenario deterministic inner problems on an embedded view.
 
     Precomputes the penalty-adjusted action values ``lookahead(view, h)``
-    and the per-action transition CDFs.
+    and, per period, the transition CDFs at the columns where they rise.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray):
@@ -231,35 +252,44 @@ class _FiniteInner:
         self.view = view
         self.h = _check_generator(view, h)
         self.horizon = view.horizon
-        self.by_period: list[list[int]] = [[] for _ in range(view.horizon)]
-        for x in range(view.n_states):
-            if x != view.absorbing:
-                self.by_period[int(view.period[x])].append(x)
-        self.base = lookahead(view, h)
-        self.cum = np.cumsum(view.kernel, axis=2)
-        self.last = _last_rise(self.cum)
+        base = lookahead(view, h)
+        cum = np.cumsum(view.kernel, axis=2)
+        last = _last_rise(cum)
+        slots = np.arange(view.kernel.shape[1])
+        live = np.arange(view.n_states) != view.absorbing
+        self.plan: list[_Period] = []
+        for t in range(view.horizon):
+            X = np.flatnonzero(live & (view.period == t))
+            rises = (np.diff(cum[X], axis=2, prepend=0.0) != 0.0).any(axis=(0, 1))
+            cols = np.flatnonzero(rises)
+            self.plan.append(_Period(
+                states=X,
+                cols=np.append(cols, view.n_states),
+                cum=cum[X][:, :, cols],
+                last=last[X],
+                base=base[X],
+                real=slots < view.n_actions[X][:, None],
+            ))
         self.opt = np.max if view.orientation == "max" else np.min
 
     def evaluate(self, scenarios: np.ndarray) -> np.ndarray:
         """Inner values of a block of scenarios, one row of uniforms each.
 
         Backward induction runs one period at a time over all rows, with
-        ``V`` shaped (scenarios, states).
+        ``V`` shaped (scenarios, states) and each period's next states and
+        action values shaped (scenarios, states, slots).
         """
         V = np.zeros((scenarios.shape[0], self.view.n_states))
-        rows = np.arange(scenarios.shape[0])[:, None]
+        rows = np.arange(scenarios.shape[0])[:, None, None]
         h = self.h
-        n_actions = self.view.n_actions
         for t in range(self.horizon - 1, -1, -1):
-            w = scenarios[:, t]
-            for x in self.by_period[t]:
-                a = n_actions[x]
-                nxt = np.stack(
-                    [_icdf(self.cum[x, b], w, self.last[x, b]) for b in range(a)], axis=1
-                )
-                V[:, x] = self.opt(
-                    self.base[x, :a] + (V[rows, nxt] - h[nxt]), axis=1
-                )
+            p = self.plan[t]
+            w = scenarios[:, t, None, None, None]
+            nxt = np.minimum(p.cols[np.count_nonzero(p.cum <= w, axis=-1)], p.last)
+            values = p.base + (V[rows, nxt] - h[nxt])
+            # Padded slots keep their +-inf base, which opt never picks; after
+            # an overflow, base + (V - h) there could be inf - inf = NaN.
+            V[:, p.states] = self.opt(np.where(p.real, values, p.base), axis=-1)
         return V[:, self.view.root]
 
 
@@ -291,11 +321,9 @@ def exact_dual_bound_enumeration(
     inner = _FiniteInner(view, h)
     edges_per_period: list[np.ndarray] = []
     n_cells = 1
-    for t in range(inner.horizon):
-        cuts = [np.array([1.0])]
-        for x in inner.by_period[t]:
-            cuts.append(np.clip(inner.cum[x].ravel(), 0.0, 1.0))
-        edges = np.unique(np.concatenate(cuts))
+    for p in inner.plan:
+        # The CDFs at their rise columns take every positive value they take.
+        edges = np.unique(np.concatenate([np.clip(p.cum.ravel(), 0.0, 1.0), [1.0]]))
         edges = edges[edges > 0.0]
         edges_per_period.append(np.concatenate([[0.0], edges]))
         n_cells *= len(edges)
@@ -407,7 +435,7 @@ def simulate_q_path(
     _check_start(x0, q.kernel.shape[0], q.absorbing)
     cum = np.cumsum(q.kernel, axis=1)
     never = np.zeros(cum.shape, dtype=bool)
-    steps = _draw_paths(cum, q.absorbing, x0, [scenario_rng(seed, 0)], cap, never)
+    steps = _draw_paths(cum, q.absorbing, x0, stream_keys(seed, [0]), cap, never)
     return np.array([x0] + [int(xn[0]) for _, _, xn in steps], dtype=int)
 
 
@@ -426,33 +454,39 @@ def _draw_paths(
     q_cum: np.ndarray,
     absorbing: int,
     x0: int,
-    rngs: list[np.random.Generator],
+    keys: tuple[np.ndarray, np.ndarray],
     cap: int,
     stop: np.ndarray,
 ) -> _Steps:
-    """Reference-measure paths from x0, one per stream, each ending at its
-    first step that absorbs or whose transition ``(x, next)`` is a stop.
+    """Reference-measure paths from x0, one per stream key of ``keys``, each
+    ending at its first step that absorbs or whose transition ``(x, next)``
+    is a stop. ``keys`` comes from ``stream_keys``: SeedSequence run over
+    the whole block as arrays, byte-equal to ``scenario_rng``'s keys, with a
+    SeedSequence fallback for rows whose index needs a second word.
 
     A stop is a transition that no action of any view evaluated on the draw
     can make (``_SspInner.stop``): the inner value of its step does not
     depend on what follows it, so the rest of the path is never drawn. All
     live paths step together. Step ``t`` is stored as the ids of the paths
-    that take it, their states and their next states; path ``i`` takes its
-    ``t``-th uniform from ``rngs[i]``, drawn ``_DRAWS`` at a time (a block
-    draw yields the same doubles as that many single draws). ``cap`` bounds
+    that take it, their states and their next states. Path ``i`` takes its
+    ``t``-th uniform from its stream, the ``t``-th double of
+    ``scenario_rng``'s: every ``_DRAWS`` steps one vectorized Philox call
+    (``uniforms``) computes the next ``_DRAWS`` doubles, ``_DRAWS // 4``
+    counters, of every live path's stream. ``cap`` bounds
     the steps of every path until it is absorbed or stopped.
     """
     dtype = np.min_scalar_type(q_cum.shape[0] - 1)
     q_last = _last_rise(q_cum)
     go_on = ~stop
     go_on[:, absorbing] = False
-    ids = np.arange(len(rngs), dtype=np.int32)
-    x = np.full(len(rngs), x0, dtype=dtype)
+    k0, k1 = keys
+    ids = np.arange(len(k0), dtype=np.int32)
+    x = np.full(len(k0), x0, dtype=dtype)
     steps: _Steps = []
     for t in range(cap):
         k = t % _DRAWS
         if k == 0:
-            u = np.stack([rngs[i].random(_DRAWS) for i in ids])
+            u = uniforms(k0[ids], k1[ids], t, _DRAWS)
             rows = np.arange(len(ids))
         xn = _icdf(q_cum[x], u[rows, k], q_last[x]).astype(dtype)
         steps.append((ids, x, xn))
@@ -590,7 +624,9 @@ def estimate_dual_bounds(
     Without ``q`` the views must be time-embedded: scenario ``i`` is one
     uniform per period from ``scenario_rng(seed, i)``, drawn once for the
     longest horizon (a stream's first draws do not depend on how many
-    follow). With ``q`` the views must be absorbing-state views matching it:
+    follow). Each block of scenarios is one ``stream_keys`` and one
+    ``uniforms`` call, byte-equal to drawing every stream on its own.
+    With ``q`` the views must be absorbing-state views matching it:
     scenario ``i`` is the reference path from ``x0`` (default: the views'
     common root) drawn from the same stream, up to absorption or to its
     first transition that no action of any of the views can make; ``cap``
@@ -606,7 +642,7 @@ def estimate_dual_bounds(
         T = max(inner.horizon for inner in finite)
 
         def block(indices: range) -> list[np.ndarray]:
-            scenarios = np.stack([scenario_rng(seed, i).random(T) for i in indices])
+            scenarios = uniforms(*stream_keys(seed, indices), 0, T)
             return [inner.evaluate(scenarios[:, : inner.horizon]) for inner in finite]
 
         size = _BLOCK
@@ -624,8 +660,8 @@ def estimate_dual_bounds(
         stop = np.logical_and.reduce([inner.stop for inner in ssp])
 
         def block(indices: range) -> list[np.ndarray]:
-            rngs = [scenario_rng(seed, i) for i in indices]
-            steps = _draw_paths(q_cum, q.absorbing, x0, rngs, cap, stop)
+            keys = stream_keys(seed, indices)
+            steps = _draw_paths(q_cum, q.absorbing, x0, keys, cap, stop)
             return [inner.evaluate(steps, len(indices)) for inner in ssp]
 
         size = _PATH_BLOCK

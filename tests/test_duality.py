@@ -207,6 +207,111 @@ class TestFiniteInnerProblem:
         assert total == pytest.approx(oracle, abs=1e-9)
 
 
+def skipping_view(orientation):
+    """Hand-built embedded view of horizon 4 whose period 2 has no state.
+
+    States 0 (period 0), 1 and 2 (period 1), 3, 4 and 5 (period 3) take 3,
+    1, 2, 2, 1 and 3 actions; 6 is the terminal state. State 1's only CDF
+    ends at 0.7 + 0.2 + 0.1 = 0.9999999999999999, and state 2's first one
+    carries a trailing 1e-18 that does not move its cumulative sum.
+    """
+    rows = [
+        [[0, 0.7, 0.3, 0, 0, 0, 0], [0, 0.25, 0.75, 0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0, 0]],
+        [[0, 0, 0, 0.7, 0.2, 0.1, 0]],
+        [[0, 0, 0, 0.7, 0.2, 0.1, 1e-18], [0, 0, 0, 0, 0.5, 0.5, 0]],
+        [[0, 0, 0, 0, 0, 0, 1.0]] * 2,
+        [[0, 0, 0, 0, 0, 0, 1.0]],
+        [[0, 0, 0, 0, 0, 0, 1.0]] * 3,
+        [[0, 0, 0, 0, 0, 0, 1.0]],
+    ]
+    kernel = [np.array(r) for r in rows]
+    cost = [np.linspace(-1.5, 2.0, len(r)) * (x + 1) for x, r in enumerate(rows)]
+    cost[-1] = np.zeros(1)
+    cost, kernel = zd.games.stack_view(cost, kernel, orientation)
+    return zd.games.MdpView(
+        orientation=orientation,
+        n_states=7,
+        n_actions=np.array([len(r) for r in rows]),
+        cost=cost,
+        kernel=kernel,
+        regime=zd.Ssp(absorbing=6),
+        fixed_player=zd.PLAYER_B if orientation == "max" else zd.PLAYER_A,
+        fixed_policy=None,
+        root=0,
+        horizon=4,
+        period=np.array([0, 1, 1, 3, 3, 3, 4]),
+    )
+
+
+class TestVectorizedFiniteInner:
+    """``_FiniteInner.evaluate`` solves each period in one array expression;
+    its values equal the one-state-at-a-time oracle bit for bit."""
+
+    @pytest.mark.parametrize("orientation", ["max", "min"])
+    def test_padded_slots_empty_period_and_breakpoints(self, orientation):
+        view = skipping_view(orientation)
+        assert not (view.period == 2).any()
+        assert len(set(view.n_actions.tolist())) > 1
+        h = np.array([0.3, -1.2, 2.5, 0.7, -0.4, 1.1, 0.0])
+        inner = duality._FiniteInner(view, h)
+        cum = np.cumsum(view.kernel, axis=2)
+        # Every CDF value, each on both sides, and the ends of [0, 1).
+        points = np.unique(cum[cum < 1.0])
+        points = np.unique(np.concatenate([
+            points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+            [0.0, 0.5, np.nextafter(1.0, 0.0)],
+        ]))
+        points = points[(points >= 0.0) & (points < 1.0)]
+        shortfall = cum[1, 0, -1]
+        assert shortfall < 1.0 and (points >= shortfall).any()
+        k = np.arange(len(points) * 3)
+        scenarios = np.stack(
+            [points[(k * s) % len(points)] for s in (1, 7, 3, 5)], axis=1
+        )
+        got = inner.evaluate(scenarios)
+        want = np.array([finite_scenario_value(view, w, h) for w in scenarios])
+        assert got.tobytes() == want.tobytes()
+        assert np.unique(got).size > 1
+
+    def test_padded_slots_stay_out_of_overflow(self):
+        # Padded slots move to state 0 (their CDF never rises). Here state 0
+        # is solved in a later period than the root and V[0] - h[0]
+        # overflows to +inf, so a padded slot's -inf + inf would be NaN.
+        rows = [
+            [[0, 0, 0, 1.0]],
+            [[0.5, 0, 0.5, 0]],
+            [[0, 0, 0, 1.0]] * 2,
+            [[0, 0, 0, 1.0]],
+        ]
+        cost, kernel = zd.games.stack_view(
+            [np.array([1.5e308]), np.array([1.0]), np.array([2.0, 3.0]), np.zeros(1)],
+            [np.array(r) for r in rows],
+            "max",
+        )
+        view = zd.games.MdpView(
+            orientation="max", n_states=4, n_actions=np.array([1, 1, 2, 1]),
+            cost=cost, kernel=kernel, regime=zd.Ssp(absorbing=3),
+            fixed_player=zd.PLAYER_B, fixed_policy=None,
+            root=1, horizon=2, period=np.array([1, 0, 1, 2]),
+        )
+        h = np.array([-1e308, 0.0, 0.0, 0.0])
+        scenarios = np.array([[0.2, 0.3], [0.7, 0.3]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = duality._FiniteInner(view, h).evaluate(scenarios)
+            want = np.array([finite_scenario_value(view, w, h) for w in scenarios])
+        assert got.tobytes() == want.tobytes()
+        assert got[0] == np.inf and np.isfinite(got[1])
+
+    def test_one_plan_per_period(self):
+        view = skipping_view("max")
+        plan = duality._FiniteInner(view, np.zeros(7)).plan
+        assert [p.states.tolist() for p in plan] == [[0], [1, 2], [], [3, 4, 5]]
+        # Rises: period 1's CDFs rise at columns 3, 4 and 5 only; the
+        # trailing 1e-18 does not move its sum.
+        assert plan[1].cols.tolist() == [3, 4, 5, 7]
+        assert plan[1].real.tolist() == [[True, False, False], [True, True, False]]
+
+
 class TestEnumerationOracle:
     def test_exact_generator_reproduces_best_response(
         self, upper_view, exact_upper_values
@@ -860,10 +965,13 @@ class TestSharedDraw:
         )
 
     def test_bad_pair_raises_before_any_draw(self, monkeypatch, two_period, waste3):
-        def no_draw(seed, index):
+        def no_draw(*args):
             raise AssertionError("a scenario was drawn")
 
-        monkeypatch.setattr(duality, "scenario_rng", no_draw)
+        # The estimators draw whole blocks through stream_keys and
+        # uniforms; scenario_rng is their specification.
+        for name in ("scenario_rng", "stream_keys", "uniforms"):
+            monkeypatch.setattr(duality, name, no_draw)
         (good, h), *_ = self.waste_pairs(waste3)
         q = zd.make_uniform_reference(waste3)
         absorb_only = np.zeros_like(q.kernel)
@@ -884,6 +992,11 @@ class TestSharedDraw:
             zd.estimate_dual_bounds([finite[0], (good, h)], 50, seed=1)
         with pytest.raises(ValueError, match="does not match"):
             zd.estimate_dual_bounds([(good, h), finite[0]], 50, seed=1, q=q)
+        # Good pairs do reach the patched draw.
+        for kwargs in ({"q": q}, {}):
+            pair = (good, h) if kwargs else finite[0]
+            with pytest.raises(AssertionError, match="drawn"):
+                zd.estimate_dual_bounds([pair], 50, seed=1, **kwargs)
 
     def test_views_must_share_a_start(self, waste3):
         (view, h), *_ = self.waste_pairs(waste3)
