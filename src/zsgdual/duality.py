@@ -46,13 +46,21 @@ never stops; see ``_SspInner``). The inner recursion starts from a zero
 continuation after a path's last drawn step, so a stopped path has, bit for
 bit, the value of the same path drawn on to absorption. Pairs that share a
 draw stop only where every one of them stops.
+
+Each step of a path is an inverse-CDF draw from its row of ``q``, found by
+a guide table built once per ``ReferenceMeasure`` (``_GuideTable``): the
+uniform, scaled exactly by a power of two B >= the number of states, picks
+a bucket, a table holds how many of the row's CDF values lie at or below
+the bucket's lower edge, and only the K or fewer values inside the bucket
+are compared. A CDF never decreases, so the index is bit for bit the one a
+scan of the row returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, sqrt
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,21 +166,84 @@ def _last_rise(cum: np.ndarray) -> np.ndarray:
     return np.max(np.where(rises, np.arange(1, n), 0), axis=-1, initial=0)
 
 
-def _icdf(cum: np.ndarray, w: np.ndarray, last: np.ndarray) -> np.ndarray:
+def _icdf(cum: np.ndarray, w: np.ndarray, last: int) -> np.ndarray:
     """Smallest index whose CDF value strictly exceeds each draw in ``w``.
 
-    ``cum`` is one CDF shared by every draw (1-D) or one CDF per draw (one
-    row each), and ``last`` its ``_last_rise`` (one per draw for 2-D);
-    counting the entries at or below a draw is the right-sided search, since
-    a CDF never decreases. A draw at or above a final cumulative sum that
-    fell short of 1 by rounding takes ``last``; every other index is at most
+    ``cum`` is one CDF shared by every draw and ``last`` its ``_last_rise``;
+    the right-sided search counts the entries at or below a draw, since a
+    CDF never decreases. A draw at or above a final cumulative sum that fell
+    short of 1 by rounding takes ``last``; every other index is at most
     ``last`` already.
     """
-    if cum.ndim == 1:
-        j = np.searchsorted(cum, w, side="right")
-    else:
-        j = np.count_nonzero(cum <= w[:, None], axis=1)
-    return np.minimum(j, last)
+    return np.minimum(np.searchsorted(cum, w, side="right"), last)
+
+
+class _GuideTable(NamedTuple):
+    """Exact inverse-CDF search over CDF rows in O(1) expected work per
+    draw: a guide table (Chen & Asau 1974; Devroye 1986, section III.2.4).
+
+    A draw's index is a *rise* of its row (a column whose CDF value exceeds
+    the one before it, or 0) or the row's ``_last_rise``, so only the rise
+    values are searched. ``scale`` B is the least power of two >= n, the
+    row length. Row x's rise values times B, then +inf, fill ``cdf[x * W :
+    (x + 1) * W]``; ``dest`` there holds each rise's column, then the
+    ``_last_rise``. ``start[x, b]`` is ``x * W`` plus the count of row x's
+    rise values at or below ``b / B``, and ``cols`` is ``arange(K)`` for K
+    the most rise values of a row in one bucket ``(b / B, (b + 1) / B]``.
+    W is the most rises of a row plus ``max(K, 1)``.
+
+    Exact: scaling by a power of two is exact, so draws and values compare
+    scaled. For a scaled draw w in bucket ``b = floor(w)``, the values
+    ``start`` counts are at or below b <= w; the values increase, and those
+    above b + 1 exceed w, so at most the K values after them can be at or
+    below w, and counting those completes the count a scan of the row
+    makes. With every rise in one bucket, K = n: the scan itself.
+    """
+
+    scale: int
+    cdf: np.ndarray
+    start: np.ndarray
+    cols: np.ndarray
+    dest: np.ndarray
+
+    @classmethod
+    def of(cls, cum: np.ndarray) -> _GuideTable:
+        m, n = cum.shape
+        B = 1 << (n - 1).bit_length()
+        scaled = cum * B
+        rise = np.diff(scaled, axis=1, prepend=0.0) != 0.0
+        # A value is at or below the integer b exactly when its ceiling is;
+        # count each row's rise values by that first bucket edge, then
+        # cumulate. The arithmetic is in place: these are n-by-n arrays.
+        edge = np.ceil(scaled)
+        np.clip(edge, 0, B + 1, out=edge)
+        edge[~rise] = B + 1
+        edge += (B + 2) * np.arange(m)[:, None]
+        hist = np.bincount(edge.astype(np.intp).ravel(), minlength=m * (B + 2))
+        at_most = np.cumsum(hist.reshape(m, B + 2)[:, : B + 1], axis=1)
+        del edge, hist
+        K = int(np.diff(at_most, axis=1).max(initial=0))
+        at = np.cumsum(rise, axis=1)
+        W = int(at[:, -1].max()) + max(K, 1)
+        at += W * np.arange(m)[:, None] - 1
+        at = at[rise]
+        cdf = np.full(m * W, inf)
+        cdf[at] = scaled[rise]
+        dest = np.repeat(_last_rise(cum).astype(np.min_scalar_type(n - 1)), W)
+        dest[at] = np.broadcast_to(np.arange(n), (m, n))[rise]
+        at_most += W * np.arange(m)[:, None]
+        return cls(
+            scale=B,
+            cdf=cdf,
+            start=at_most[:, :B].astype(np.min_scalar_type(m * W)),
+            cols=np.arange(K),
+            dest=dest,
+        )
+
+    def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``_icdf`` of row ``x`` at ``w / B``, for draws ``w`` scaled by B."""
+        f = self.start[x, w.astype(np.intp)]
+        return self.dest[f + (self.cdf[f[:, None] + self.cols] <= w[:, None]).sum(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +443,16 @@ def estimate_dual_bound_finite(
 
 @dataclass(frozen=True)
 class ReferenceMeasure:
-    """Action-independent transition kernel used to simulate dual paths."""
+    """Action-independent transition kernel used to simulate dual paths.
+
+    ``search`` is derived from the kernel once: the guide table of its row
+    CDFs, which finds each step of a path in O(1) expected work and returns
+    the index a scan of the whole row would (``_GuideTable``).
+    """
 
     kernel: np.ndarray
     absorbing: int
+    search: _GuideTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = np.ascontiguousarray(self.kernel, dtype=float)
@@ -398,6 +475,7 @@ class ReferenceMeasure:
             )
         k.setflags(write=False)
         object.__setattr__(self, "kernel", k)
+        object.__setattr__(self, "search", _GuideTable.of(np.cumsum(k, axis=1)))
 
 
 def make_uniform_reference(model: GameModel) -> ReferenceMeasure:
@@ -433,9 +511,9 @@ def simulate_q_path(
 ) -> np.ndarray:
     """One reference-measure path from x0 to absorption (inclusive)."""
     _check_start(x0, q.kernel.shape[0], q.absorbing)
-    cum = np.cumsum(q.kernel, axis=1)
-    never = np.zeros(cum.shape, dtype=bool)
-    steps = _draw_paths(cum, q.absorbing, x0, stream_keys(seed, [0]), cap, never)
+    _check_cap(cap)
+    never = np.zeros(q.kernel.shape, dtype=bool)
+    steps = _draw_paths(q, x0, stream_keys(seed, [0]), cap, never)
     return np.array([x0] + [int(xn[0]) for _, _, xn in steps], dtype=int)
 
 
@@ -447,12 +525,16 @@ def _check_start(x0: int, n_states: int, absorbing: int) -> None:
         )
 
 
+def _check_cap(cap: int) -> None:
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise ValueError(f"path step cap must be an integer >= 1, got {cap!r}")
+
+
 _Steps = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _draw_paths(
-    q_cum: np.ndarray,
-    absorbing: int,
+    q: ReferenceMeasure,
     x0: int,
     keys: tuple[np.ndarray, np.ndarray],
     cap: int,
@@ -472,23 +554,26 @@ def _draw_paths(
     ``t``-th uniform from its stream, the ``t``-th double of
     ``scenario_rng``'s: every ``_DRAWS`` steps one vectorized Philox call
     (``uniforms``) computes the next ``_DRAWS`` doubles, ``_DRAWS // 4``
-    counters, of every live path's stream. ``cap`` bounds
-    the steps of every path until it is absorbed or stopped.
+    counters, of every live path's stream, scaled in place by ``q.search``'s
+    B. The next state is ``q.search``'s: the index a scan of the row of
+    ``q``'s CDF returns, found by comparing the draw with at most the K
+    values of its bucket. ``cap`` bounds the steps of every path until it
+    is absorbed or stopped.
     """
-    dtype = np.min_scalar_type(q_cum.shape[0] - 1)
-    q_last = _last_rise(q_cum)
+    search = q.search
     go_on = ~stop
-    go_on[:, absorbing] = False
+    go_on[:, q.absorbing] = False
     k0, k1 = keys
     ids = np.arange(len(k0), dtype=np.int32)
-    x = np.full(len(k0), x0, dtype=dtype)
+    x = np.full(len(k0), x0, dtype=search.dest.dtype)
     steps: _Steps = []
     for t in range(cap):
         k = t % _DRAWS
         if k == 0:
             u = uniforms(k0[ids], k1[ids], t, _DRAWS)
+            u *= search.scale
             rows = np.arange(len(ids))
-        xn = _icdf(q_cum[x], u[rows, k], q_last[x]).astype(dtype)
+        xn = search(x, u[rows, k])
         steps.append((ids, x, xn))
         live = go_on[x, xn]
         if not live.any():
@@ -550,13 +635,7 @@ class _SspInner:
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(len(steps) - 1, -1, -1):
                 ids, x, xn = steps[t]
-                qv = q_kernel[x, xn]
-                if (qv <= 0.0).any():
-                    i = int(np.argmax(qv <= 0.0))
-                    raise AbsContinuityViolation(
-                        f"step {t}: q({xn[i]}|{x[i]}) = 0 on a simulated path"
-                    )
-                rho = kernel[x, :, xn] / qv[:, None]
+                rho = kernel[x, :, xn] / q_kernel[x, xn, None]
                 diff = (W[ids] - h[xn])[:, None]
                 carry = rho * diff
                 carry = np.where((rho == 0.0) & (diff != 0.0), 0.0, carry)
@@ -584,6 +663,13 @@ def weak_form_inner_ssp(
             f"path must reach the absorbing state {view.absorbing} at its last entry only"
         )
     inner = _SspInner(view, h, q)
+    # A drawn step always has q-mass; a caller's path may not.
+    (bad,) = np.nonzero(q.kernel[path[:-1], path[1:]] <= 0.0)
+    if bad.size:
+        t = int(bad[-1])
+        raise AbsContinuityViolation(
+            f"step {t}: q({path[t + 1]}|{path[t]}) = 0 on a simulated path"
+        )
     one = np.zeros(1, dtype=np.int32)
     steps = [(one, path[t : t + 1], path[t + 1 : t + 2]) for t in range(len(path) - 1)]
     return float(inner.evaluate(steps, 1)[0])
@@ -656,12 +742,12 @@ def estimate_dual_bounds(
         if x0 is None:
             raise ValueError("view does not designate an initial state")
         _check_start(x0, q.kernel.shape[0], q.absorbing)
-        q_cum = np.cumsum(q.kernel, axis=1)
+        _check_cap(cap)
         stop = np.logical_and.reduce([inner.stop for inner in ssp])
 
         def block(indices: range) -> list[np.ndarray]:
             keys = stream_keys(seed, indices)
-            steps = _draw_paths(q_cum, q.absorbing, x0, keys, cap, stop)
+            steps = _draw_paths(q, x0, keys, cap, stop)
             return [inner.evaluate(steps, len(indices)) for inner in ssp]
 
         size = _PATH_BLOCK

@@ -97,8 +97,91 @@ class TestInverseCdfTransition:
             fallback += int((np.searchsorted(c, w, side="right") >= len(c)).sum())
         assert fallback > 0
         pick = np.arange(len(w)) % len(rows)
-        got = duality._icdf(cum[pick], w, last[pick])
+        search = duality._GuideTable.of(cum)
+        got = search(pick, w * search.scale)
         assert got.tolist() == [icdf(cum[i], x) for i, x in zip(pick, w)]
+
+
+class TestGuideTableSearch:
+    """The bucketed inverse-CDF search of reference paths returns
+    ``oracles.icdf``'s index for every row and draw."""
+
+    @staticmethod
+    def check(rows):
+        cum = np.cumsum(rows, axis=1)
+        search = duality._GuideTable.of(cum)
+        B = search.scale
+        assert B >= cum.shape[1] and B & (B - 1) == 0
+        w = np.unique(np.concatenate([
+            np.arange(B) / B,  # bucket edges
+            cum.ravel(),  # breakpoints, and the doubles beside them
+            np.nextafter(cum.ravel(), 0.0),
+            np.nextafter(cum.ravel(), 2.0),
+            np.linspace(0.0, 1.0, 97),
+            [np.nextafter(1.0, 0.0)],
+        ]))
+        w = w[(w >= 0.0) & (w < 1.0)]
+        x = np.repeat(np.arange(len(cum)), len(w))
+        w = np.tile(w, len(cum))
+        got = search(x, w * B)
+        assert got.tolist() == [icdf(cum[i], v) for i, v in zip(x, w)]
+        return search
+
+    def test_clustered_breakpoints_share_a_bucket(self):
+        tiny = [1e-9] * 5
+        rows = [
+            [0.3] + tiny + [0.7 - 5e-9, 0.0],
+            tiny + [0.5, 0.5 - 5e-9, 0.0],
+            [0.125] * 8,
+        ]
+        search = self.check(rows)
+        assert len(search.cols) >= 5
+
+    def test_runs_of_zero_masses_are_not_searched(self):
+        # Only rise values are compared, so a repeated CDF value never
+        # crowds a bucket.
+        search = self.check([[0.5] + [0.0] * 6 + [0.5], [0.0] * 7 + [1.0]])
+        assert len(search.cols) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 65])
+    def test_row_widths(self, n):
+        rng = np.random.default_rng(n)
+        rows = [rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n), np.eye(n)[n - 1]]
+        sparse = np.zeros(n)
+        sparse[rng.choice(n, size=min(n, 3), replace=False)] = 1.0
+        rows.append(sparse / sparse.sum())
+        search = self.check(rows)
+        assert search.scale == {1: 1, 2: 2, 65: 128}[n]
+
+    def test_final_sums_off_one_by_rounding(self):
+        rows = [[0.1] * 10, [0.7, 0.2, 0.1] + [0.0] * 7, [0.5, 0.5000000000000002] + [0.0] * 8]
+        cum = np.cumsum(rows, axis=1)
+        assert cum[:2, -1].tolist() == [0.9999999999999999] * 2
+        assert cum[2, -1] == 1.0000000000000002
+        self.check(rows)
+
+    @pytest.mark.parametrize("kind", ["clustered", "sparse"])
+    def test_estimates_match_one_uniform_at_a_time_redraw(self, kind):
+        # q puts weight where a random view moves, plus the absorbing state;
+        # a clustered q also puts 1e-9 on every other state, so a run of CDF
+        # entries 1e-9 apart shares a bucket.
+        rng = np.random.default_rng(64)
+        for trial in range(3):
+            model = random_sparse_ssp_game(rng, n_states=8, max_actions=3)
+            view = zd.fix_player(model, random_policy(rng, model, zd.PLAYER_B), zd.PLAYER_B)
+            a = model.absorbing
+            moves = (view.kernel > 0.0).any(axis=1)
+            moves[:, a] = True
+            weight = rng.uniform(0.5, 1.5, moves.shape)
+            kernel = np.where(moves, weight, 1e-9 if kind == "clustered" else 0.0)
+            kernel[a] = np.eye(8)[a]
+            q = zd.ReferenceMeasure(kernel=kernel / kernel.sum(axis=1, keepdims=True), absorbing=a)
+            assert kind == "sparse" or len(q.search.cols) > 2
+            h = rng.uniform(-2.0, 2.0, 8)
+            est = zd.estimate_dual_bound_ssp(view, h, q, 200, seed=trial, keep_values=True)
+            paths = [reference_path(q.kernel, a, view.root, trial, i) for i in range(200)]
+            want = np.array([ssp_path_value(view, path, q.kernel, h) for path in paths])
+            assert est.per_scenario_values.tobytes() == want.tobytes()
 
 
 class TestScenarioStreams:
@@ -578,6 +661,21 @@ class TestWeakFormInner:
         expected = view.cost[0].min()
         assert got == pytest.approx(float(expected), abs=1e-12)
 
+    def test_caller_path_outside_q_support(self):
+        # Waste N=2: no action of B's uniform view moves 4 -> 5, so q may put
+        # no mass there; a caller's path that takes that step is refused.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
+        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        exact, _ = zd.solve_view(view, tol=0.0)
+        kernel = zd.make_uniform_reference(model).kernel.copy()
+        kernel[4, 5] = 0.0
+        kernel[4] /= kernel[4].sum()
+        q = zd.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
+        with pytest.raises(
+            zd.AbsContinuityViolation, match=r"^step 1: q\(5\|4\) = 0 on a simulated path$"
+        ):
+            zd.weak_form_inner_ssp(view, np.array([0, 4, 5, 6]), q, exact)
+
     def test_path_must_reach_absorbing(self, waste3):
         nu = zd.uniform_policy(waste3, zd.PLAYER_B)
         view = zd.fix_player(waste3, nu, zd.PLAYER_B)
@@ -686,6 +784,21 @@ class TestSspEstimator:
         q = zd.make_uniform_reference(waste3)
         with pytest.raises(zd.PathCapExceeded):
             zd.estimate_dual_bound_ssp(view, np.zeros(13), q, 50, seed=1, cap=1)
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5])
+    def test_cap_must_be_a_positive_integer(self, monkeypatch, waste3, cap):
+        def no_draw(*args):
+            raise AssertionError("a path was drawn")
+
+        for name in ("stream_keys", "uniforms"):
+            monkeypatch.setattr(duality, name, no_draw)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        view = zd.fix_player(waste3, nu, zd.PLAYER_B)
+        q = zd.make_uniform_reference(waste3)
+        with pytest.raises(ValueError, match="cap must be an integer >= 1"):
+            zd.estimate_dual_bound_ssp(view, np.zeros(13), q, 50, seed=1, cap=cap)
+        with pytest.raises(ValueError, match="cap must be an integer >= 1"):
+            zd.simulate_q_path(q, waste3.root, seed=1, cap=cap)
 
     def test_overflow_reports_infinite_standard_error(self, waste3):
         # A generator near the float limit overflows the recursion on some
