@@ -15,11 +15,15 @@ uniform per period; the per-scenario inner problem is a deterministic
 backward induction under the canonical coupling (one shared uniform drives
 the inverse-CDF transition of every action). Absorbing-state views sample
 scenario paths from an action-independent reference kernel ``q`` instead,
-and per-step likelihood ratios p/q re-weight the inner recursion. Both inner
-problems read their action values from ``games.lookahead``, the expression
-whose fixed point ``solvers.solve_view`` returns, so an exact-value
-generator cancels the continuation scenario by scenario and the estimate
-has zero variance.
+and per-step likelihood ratios p/q re-weight the inner recursion. A ratio
+depends only on the step's transition ``x -> y`` and the action, so each
+inner problem divides them once into a table and a step gathers its row;
+the zero-ratio repair that keeps an overflowed continuation from turning
+into NaN runs only on steps where it can change a bit (``_SspInner``).
+Both inner problems read their action values from ``games.lookahead``, the
+expression whose fixed point ``solvers.solve_view`` returns, so an
+exact-value generator cancels the continuation scenario by scenario and the
+estimate has zero variance.
 
 Estimates are bitwise reproducible: scenario ``i`` draws from a
 counter-based stream keyed by ``(seed, i)``, ``scenario_rng(seed, i)``. A
@@ -525,6 +529,14 @@ def _check_start(x0: int, n_states: int, absorbing: int) -> None:
         )
 
 
+def _check_count(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(
+            f"scenario count must be an integer >= 2 (two scenarios for a "
+            f"standard error), got {n!r}"
+        )
+
+
 def _check_cap(cap: int) -> None:
     if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
         raise ValueError(f"path step cap must be an integer >= 1, got {cap!r}")
@@ -587,9 +599,25 @@ def _draw_paths(
 class _SspInner:
     """Weak-form inner problem along reference-measure paths.
 
-    Precomputes the penalty-adjusted action values ``lookahead(view, h)``
-    and the stop table: ``stop[x, y]`` holds when a path's step ``x -> y``
-    has the same value whatever follows it.
+    Precomputes the penalty-adjusted action values ``lookahead(view, h)``,
+    the likelihood-ratio table ``rho[x, y, a] = p(y|x,a) / q(y|x)`` and the
+    stop table: ``stop[x, y]`` holds when a path's step ``x -> y`` has the
+    same value whatever follows it.
+
+    A step's ratios depend only on its transition ``(x, y)``, so each is
+    divided once, the same IEEE division a step would make, and a step
+    reads its row of ratios with one gather. Entries with ``q(y|x) = 0`` hold 0 and are never read:
+    a drawn step has q-mass, and ``weak_form_inner_ssp`` refuses a caller's
+    step without it.
+
+    A zero ratio must contribute exactly 0 to its action's value, where
+    ``rho * diff`` gives NaN if the continuation has overflowed. The repair
+    that sets it to +0.0 runs only on a step where it can change a bit.
+    With ``diff`` finite, ``0 * diff`` is +-0.0, and ``base + -0.0`` equals
+    ``base + 0.0`` bit for bit unless ``base`` is -0.0 (``-0.0 + -0.0`` is
+    -0.0, ``-0.0 + 0.0`` is +0.0). So the repair runs when some ``diff`` of
+    the step is not finite, or when some action value of the view is -0.0
+    (``signed_zero``); otherwise the step skips it.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray, q: ReferenceMeasure):
@@ -608,26 +636,30 @@ class _SspInner:
                 f"{len(bad)} reachable transitions carry no q-mass, "
                 f"first at (state, action, next) = {bad[0]}"
             )
-        self.view = view
         self.h = h
-        self.q = q
         self.base = lookahead(view, h)
-        self.opt = np.max if view.orientation == "max" else np.min
+        self.reduce = np.maximum.reduce if view.orientation == "max" else np.minimum.reduce
+        n, slots, _ = view.kernel.shape
+        q_col = q.kernel[:, :, None]
+        self.rho = np.divide(
+            view.kernel.transpose(0, 2, 1), q_col,
+            out=np.zeros((n, n, slots)), where=q_col > 0.0,
+        )
         # When no action slot of x, padded ones included, moves to y, every
         # rho of a step x -> y is 0. The carry is then the np.where branch's
         # 0.0 if the continuation differs from h[y], and 0 * 0 = +-0.0 if it
         # equals it. Adding +0.0 or -0.0 to base[x] gives base[x] + 0.0 in
         # every entry but a -0.0 one: -0.0 + -0.0 keeps the -0.0 that +0.0
         # turns into +0.0. So a row without -0.0 stops at every such y.
+        signed = ((self.base == 0.0) & np.signbit(self.base)).any(axis=1)
+        self.signed_zero = bool(signed.any())
         self.stop = ~(view.kernel != 0.0).any(axis=1)
-        self.stop[((self.base == 0.0) & np.signbit(self.base)).any(axis=1)] = False
+        self.stop[signed] = False
 
     def evaluate(self, steps: _Steps, n_paths: int) -> np.ndarray:
         """Inner values of ``n_paths`` paths stored as steps, walked backward
         with one continuation value per path."""
         h = self.h
-        kernel = self.view.kernel
-        q_kernel = self.q.kernel
         W = np.zeros(n_paths)
         # Weak generators can let the recursion overflow legitimately (the
         # bound stays valid, just useless); keep 0 * inf at zero-rho actions
@@ -635,11 +667,13 @@ class _SspInner:
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(len(steps) - 1, -1, -1):
                 ids, x, xn = steps[t]
-                rho = kernel[x, :, xn] / q_kernel[x, xn, None]
-                diff = (W[ids] - h[xn])[:, None]
-                carry = rho * diff
-                carry = np.where((rho == 0.0) & (diff != 0.0), 0.0, carry)
-                W[ids] = self.opt(self.base[x] + carry, axis=1)
+                rho = self.rho[x, xn]
+                diff = W[ids] - h[xn]
+                carry = rho * diff[:, None]
+                if self.signed_zero or not np.isfinite(diff).all():
+                    carry = np.where((rho == 0.0) & (diff[:, None] != 0.0), 0.0, carry)
+                carry += self.base[x]
+                W[ids] = self.reduce(carry, axis=1)
         return W
 
 
@@ -723,6 +757,7 @@ def estimate_dual_bounds(
     """
     if not pairs:
         raise ValueError("no (view, generator) pairs to estimate")
+    _check_count(n)
     if q is None:
         finite = [_FiniteInner(view, h) for view, h in pairs]
         T = max(inner.horizon for inner in finite)
@@ -820,8 +855,6 @@ def _block_values(
     """Values of scenarios ``0..n-1`` under each of ``n_inner`` inner
     problems, evaluated ``size`` indices at a time; ``block`` returns one
     array of values per inner problem."""
-    if n < 2:
-        raise ValueError("need at least two scenarios for a standard error")
     out = [np.empty(n) for _ in range(n_inner)]
     for start in range(0, n, size):
         stop = min(start + size, n)

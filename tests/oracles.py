@@ -267,20 +267,30 @@ def finite_scenario_value(view: MdpView, scenario: np.ndarray, h: np.ndarray) ->
     return float(V[view.root])
 
 
-def ssp_path_value(view: MdpView, path: np.ndarray, q_kernel: np.ndarray, h: np.ndarray) -> float:
+def ssp_path_value(
+    view: MdpView,
+    path: np.ndarray,
+    q_kernel: np.ndarray,
+    h: np.ndarray,
+    base: np.ndarray | None = None,
+) -> float:
     """Weak-form inner value of one reference path, walked backward with
-    likelihood ratios rho = p(next|x,a) / q(next|x)."""
+    likelihood ratios rho = p(next|x,a) / q(next|x). ``base`` replaces the
+    action values ``cost + kernel @ h`` of every state when given."""
     opt = np.max if view.orientation == "max" else np.min
     W = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(len(path) - 2, -1, -1):
             x, xn = int(path[t]), int(path[t + 1])
-            base = view.cost[x] + view.kernel[x] @ h
+            if base is None:
+                values = view.cost[x] + view.kernel[x] @ h
+            else:
+                values = base[x]
             rho = view.kernel[x, :, xn] / q_kernel[x, xn]
             carry = rho * (W - h[xn])
             if W - h[xn] != 0.0:
                 carry = np.where(rho == 0.0, 0.0, carry)
-            W = float(opt(base + carry))
+            W = float(opt(values + carry))
     return W
 
 

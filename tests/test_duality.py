@@ -1111,6 +1111,36 @@ class TestSharedDraw:
             with pytest.raises(AssertionError, match="drawn"):
                 zd.estimate_dual_bounds([pair], 50, seed=1, **kwargs)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, np.float64(4.0), "10", True, 1, -3])
+    def test_scenario_count_must_be_an_integer(self, monkeypatch, two_period, waste3, n):
+        def never(*args):
+            raise AssertionError("an inner problem was built or a scenario drawn")
+
+        (view, h), *_ = self.waste_pairs(waste3)
+        finite = self.two_period_pairs(two_period)[0]
+        q = zd.make_uniform_reference(waste3)
+        k = q.kernel.copy()
+        k[:, waste3.absorbing] += 1.0
+        q_fast = zd.ReferenceMeasure(k / k.sum(axis=1, keepdims=True), waste3.absorbing)
+        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        for name in ("stream_keys", "uniforms", "_FiniteInner", "_SspInner"):
+            monkeypatch.setattr(duality, name, never)
+        calls = [
+            lambda: zd.estimate_dual_bounds([(view, h)], n, seed=1, q=q),
+            lambda: zd.estimate_dual_bounds([finite], n, seed=1),
+            lambda: zd.estimate_dual_bound_ssp(view, h, q, n, seed=1),
+            lambda: zd.estimate_dual_bound_finite(*finite, n, seed=1),
+            lambda: zd.dual_sandwich(waste3, mu, nu, h, h, None, n, seed=1),
+            lambda: zd.dual_sandwich(waste3, mu, nu, h, h, (q, q_fast), n, seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^scenario count must be an integer >= 2"):
+                call()
+        # An integer count passes the check and reaches the patched inner problem.
+        with pytest.raises(AssertionError, match="inner problem"):
+            zd.estimate_dual_bounds([(view, h)], np.int64(10), seed=1, q=q)
+
     def test_views_must_share_a_start(self, waste3):
         (view, h), *_ = self.waste_pairs(waste3)
         moved = dataclasses.replace(view, root=1)
@@ -1260,8 +1290,14 @@ class TestStoppedPaths:
         paths = self.full_paths(view, q, 200, seed=3)
         assert any(((path[:-1] == 0) & (path[1:] == 1)).any() for path in paths)
         est = zd.estimate_dual_bound_ssp(view, h, q, 200, seed=3, keep_values=True)
-        want = np.array([zd.weak_form_inner_ssp(view, path, q, h) for path in paths])
+        base = signed(view, h)
+        want = np.array([ssp_path_value(view, path, q.kernel, h, base) for path in paths])
         assert est.per_scenario_values.tobytes() == want.tobytes()
+        # Every path is worth +0.0; a walk that skipped the zero-ratio repair
+        # at a 0 -> 1 step would leave -0.0 + -0.0 = -0.0 there.
+        assert (want == 0.0).all() and not np.signbit(want).any()
+        single = np.array([zd.weak_form_inner_ssp(view, path, q, h) for path in paths])
+        assert single.tobytes() == want.tobytes()
 
     def test_cap_counts_steps_until_a_stop(self):
         # 0 -> 1 -> absorbing under every action: each path is absorbed or
@@ -1284,3 +1320,70 @@ class TestStoppedPaths:
         want = self.oracle_values(view, h, q, paths)
         assert capped.per_scenario_values.tobytes() == want.tobytes()
         assert uncapped.per_scenario_values.tobytes() == want.tobytes()
+
+
+class TestRatioTableWalk:
+    """The walk reads its likelihood ratios from a table built once and
+    repairs zero ratios only on steps where the repair can change a bit;
+    every value equals the oracle's walk, which divides at every step and
+    always repairs, byte for byte."""
+
+    oracle_values = staticmethod(TestStoppedPaths.oracle_values)
+
+    def test_overflow_partway_padded_slots_and_a_shared_draw(self):
+        # Dense random kernels: the only zero ratios are padded action slots,
+        # whose base is +-inf, so an overflowed continuation there gives NaN
+        # unless the repair runs.
+        rng = np.random.default_rng(62)
+        model = random_ssp_game(rng, n_states=5, max_actions=3)
+        q = zd.make_uniform_reference(model)
+        pairs = []
+        for player in (zd.PLAYER_A, zd.PLAYER_B):
+            view = zd.fix_player(model, random_policy(rng, model, player), player)
+            h = 1e307 * rng.uniform(-1.0, 1.0, model.n_states)
+            h[model.absorbing] = 0.0
+            assert (view.n_actions[:-1] < view.kernel.shape[1]).any()
+            pairs.append((view, h))
+        assert [view.orientation for view, _ in pairs] == ["min", "max"]
+        ests = zd.estimate_dual_bounds(pairs, 200, seed=3, q=q, keep_values=True)
+        paths = [reference_path(q.kernel, q.absorbing, model.root, 3, i) for i in range(200)]
+        for est, (view, h) in zip(ests, pairs):
+            want = self.oracle_values(view, h, q, paths)
+            assert est.per_scenario_values.tobytes() == want.tobytes()
+            assert np.isinf(want).any() and np.isfinite(want).any()
+            # An overflowed path's walk is finite over its last steps and
+            # infinite from some step back: the value of each suffix of the
+            # path is the walk's continuation at that step.
+            path = paths[int(np.flatnonzero(np.isinf(want))[0])]
+            suffixes = [path[k:] for k in range(len(path) - 1)]
+            walk = np.array([zd.weak_form_inner_ssp(view, p, q, h) for p in suffixes])
+            assert walk.tobytes() == self.oracle_values(view, h, q, suffixes).tobytes()
+            assert np.isinf(walk[0]) and np.isfinite(walk[-1])
+
+    @pytest.mark.parametrize("free", [zd.PLAYER_A, zd.PLAYER_B])
+    def test_zero_ratio_with_a_finite_negative_continuation(self, free):
+        # State 0: the free player's action 0 moves to state 1, action 1
+        # absorbs at cost 0; state 1 absorbs at cost 0.5. With h = (0, 5, 0)
+        # the step 0 -> 1 has diff = 0.5 - 5 = -4.5, so action 1 (rho = 0,
+        # base +0.0) carries 0 * -4.5 = -0.0 where the repair gives +0.0;
+        # +0.0 + -0.0 is +0.0 either way, and it is the optimum.
+        n = 3
+        shape = (2, 1, n) if free == zd.PLAYER_A else (1, 2, n)
+        p0 = np.zeros(shape)
+        p0.reshape(2, n)[:, 1:] = np.eye(2)
+        g0 = np.zeros(shape)
+        g0.reshape(2, n)[0] = -1.0 if free == zd.PLAYER_A else 10.0
+        p1 = np.zeros((1, 1, n))
+        p1[0, 0, 2] = 1.0
+        cost = [g0, np.full((1, 1, n), 0.5), np.zeros((1, 1, n))]
+        model = zd.make_game(zd.Ssp(absorbing=2), [p0, p1, p1.copy()], cost, root=0)
+        fixed = zd.PLAYER_B if free == zd.PLAYER_A else zd.PLAYER_A
+        view = zd.fix_player(model, zd.uniform_policy(model, fixed), fixed)
+        q = zd.make_uniform_reference(model)
+        h = np.array([0.0, 5.0, 0.0])
+        got = zd.weak_form_inner_ssp(view, np.array([0, 1, 2]), q, h)
+        assert got == 0.0 and not np.signbit(got)
+        paths = [reference_path(q.kernel, q.absorbing, 0, 4, i) for i in range(100)]
+        assert any(list(path[:3]) == [0, 1, 2] for path in paths)
+        est = zd.estimate_dual_bound_ssp(view, h, q, 100, seed=4, keep_values=True)
+        assert est.per_scenario_values.tobytes() == self.oracle_values(view, h, q, paths).tobytes()
