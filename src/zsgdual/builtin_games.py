@@ -150,12 +150,6 @@ def build_waste_inspection_game(cfg: WasteGameConfig) -> GameModel:
     n_states = N * N + N + 1
     absorbing = N * N + N
 
-    def idx_clear(pu: int, pv: int) -> int:
-        return pu * N + pv
-
-    def idx_caught(s: int) -> int:
-        return N * N + s
-
     d = cfg.distances
     d_max = float(d.max())
     slope = (cfg.p_low - cfg.p_high) / ((cfg.k1 + cfg.k2) * d_max)
@@ -167,18 +161,17 @@ def build_waste_inspection_game(cfg: WasteGameConfig) -> GameModel:
         (pu, pv, False) for pu in range(N) for pv in range(N)
     ] + [(s, s, True) for s in range(N)]
 
-    clear_targets = np.arange(N)[:, None] * N + np.arange(N)[None, :]
-    uu, vv = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    sites = np.arange(N)
+    clear_targets = sites[:, None] * N + sites[None, :]
+    uu, vv = np.meshgrid(sites, sites, indexing="ij")
     for pu, pv, caught in states:
         # Detection probability for tonight's coincident site choice s.
         pd_site = cfg.p_high + slope * (cfg.k1 * d[:, pu] + cfg.k2 * d[:, pv])
         p = np.zeros((N, N, n_states))
         pd_grid = np.where(uu == vv, pd_site[np.minimum(uu, vv)], 0.0)
         p[uu, vv, clear_targets] = 1.0 - pd_grid
-        hit_target = absorbing if caught else None
-        for s in range(N):
-            tgt = hit_target if hit_target is not None else idx_caught(s)
-            p[s, s, tgt] += pd_site[s]
+        # A detection at site s: while caught, out of business; else caught at s.
+        p[sites, sites, absorbing if caught else N * N + sites] += pd_site
         transition.append(p)
         cost.append(np.ones((N, N, n_states)))
         labels.append(f"d{pu + 1}:i{pv + 1}:{'caught' if caught else 'clear'}")
@@ -194,7 +187,7 @@ def build_waste_inspection_game(cfg: WasteGameConfig) -> GameModel:
         transition=transition,
         cost=cost,
         labels=labels,
-        root=idx_clear(0, 0),
+        root=0,  # both players last at site 1, clear
     )
 
 

@@ -75,13 +75,14 @@ def _resolve_game(spec: str) -> GameModel:
             model = builtin_games.build_waste_inspection_game(cfg)
         else:
             raise InputError(f"unknown builtin game {name!r}")
+        # A game file is validated as it is read; a built-in game's
+        # parameters come from the command line.
+        problems = validate(model)
+        if problems:
+            lines = "\n".join(f"  {loc}: {what}" for loc, what in problems)
+            raise InputError(f"game failed validation:\n{lines}")
     else:
         raise InputError(f"game source must be builtin:<name> or file:<path>, got {spec!r}")
-
-    problems = validate(model)
-    if problems:
-        lines = "\n".join(f"  {loc}: {what}" for loc, what in problems)
-        raise InputError(f"game failed validation:\n{lines}")
     if isinstance(model.regime, FiniteHorizon):
         model = embed_finite_horizon(model)
     return model
@@ -413,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument("--game")
     p_solve.add_argument("--tol", type=float, help="certified best-response interval "
-                         "width, > 0 (time-embedded game: the last sweep's change)")
+                         "width, > 0 (time-embedded game: only range-checked; sweeps "
+                         "run until one changes no value)")
     p_solve.add_argument("--max-iter", dest="max_iter", type=int,
                          help="cap on Hoffman-Karp iterations (or on sweeps)")
 

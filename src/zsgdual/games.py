@@ -211,7 +211,11 @@ def check_policy(model: GameModel, policy: MixedPolicy, player: str) -> None:
 
 
 def _check_simplex(v: np.ndarray, what: str) -> None:
-    if np.any(v < -SIMPLEX_TOL) or abs(float(v.sum()) - 1.0) > SIMPLEX_TOL:
+    if (
+        not np.isfinite(v).all()
+        or np.any(v < -SIMPLEX_TOL)
+        or abs(float(v.sum()) - 1.0) > SIMPLEX_TOL
+    ):
         raise ValueError(f"{what} is not a probability vector: {v}")
 
 
@@ -235,8 +239,6 @@ class MdpView:
     cost: np.ndarray
     kernel: np.ndarray
     regime: Regime
-    fixed_player: str
-    fixed_policy: MixedPolicy
     root: int | None = None
     horizon: int | None = None
     period: np.ndarray | None = None
@@ -300,8 +302,6 @@ def fix_player(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpVi
         cost=padded_cost,
         kernel=padded_kernel,
         regime=model.regime,
-        fixed_player=fixed_player,
-        fixed_policy=fixed,
         root=model.root,
         horizon=model.horizon,
         period=model.period,
@@ -312,39 +312,34 @@ def fix_player(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpVi
 # Time embedding
 
 
-def embed_finite_horizon(model: GameModel, root: int | None = None) -> GameModel:
+def embed_finite_horizon(model: GameModel) -> GameModel:
     """Fold the period counter into the state of a finite-horizon game.
 
     States become (period, original state) pairs plus a single terminal
     state; transitions advance the period and the last period maps to the
-    terminal state. When a root is given (argument or ``model.root``), only
-    pairs reachable from (0, root) are kept. Stage costs per destination are
-    preserved exactly, except on the final move where the destination
-    collapses to the terminal state and the expected stage cost is used.
+    terminal state. When the model has a root, only pairs reachable from
+    (0, root) are kept. Stage costs per destination are preserved exactly,
+    except on the final move where the destination collapses to the
+    terminal state and the expected stage cost is used.
     """
     if not isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed_finite_horizon requires a finite-horizon game")
     T = model.regime.periods
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
-    if root is None:
-        root = model.root
+    root = model.root
 
     # Enumerate (t, i) pairs breadth-first so indices come out period-ordered.
-    if root is None:
-        level = list(range(model.n_states))
-    else:
-        level = [root]
+    level = list(range(model.n_states)) if root is None else [root]
     pairs: list[tuple[int, int]] = []
     for t in range(T):
         pairs.extend((t, i) for i in level)
         if t == T - 1:
             break
-        nxt: set[int] = set()
+        reach = np.zeros(model.n_states, dtype=bool)
         for i in level:
-            reach = np.asarray(model.transition[i]).max(axis=(0, 1)) > 0.0
-            nxt.update(int(j) for j in np.flatnonzero(reach))
-        level = sorted(nxt)
+            reach |= model.transition[i].max(axis=(0, 1)) > 0.0
+        level = np.flatnonzero(reach).tolist()
 
     index = {pair: k for k, pair in enumerate(pairs)}
     terminal = len(pairs)
@@ -357,13 +352,10 @@ def embed_finite_horizon(model: GameModel, root: int | None = None) -> GameModel
         p = np.zeros((na, nb, n_emb))
         g = np.zeros((na, nb, n_emb))
         if t < T - 1:
-            for j in range(model.n_states):
-                col = model.transition[i][:, :, j]
-                if not col.any():
-                    continue
-                k = index[(t + 1, j)]
-                p[:, :, k] = col
-                g[:, :, k] = model.cost[i][:, :, j]
+            dest = np.flatnonzero(model.transition[i].any(axis=(0, 1)))
+            cols = [index[(t + 1, j)] for j in dest]
+            p[:, :, cols] = model.transition[i][:, :, dest]
+            g[:, :, cols] = model.cost[i][:, :, dest]
         else:
             p[:, :, terminal] = 1.0
             g[:, :, terminal] = model.expected_cost[i]
@@ -439,24 +431,23 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
         out.append(("model", f"{len(model.labels)} labels for {n} states"))
     for i in range(n):
         p, g = model.transition[i], model.cost[i]
-        shape = (model.actions_a[i], model.actions_b[i], n)
+        shape = (int(model.actions_a[i]), int(model.actions_b[i]), n)
         if p.shape != shape or g.shape != shape:
             out.append((f"state {i}", f"tensor shape {p.shape} != {shape}"))
             continue
         if model.actions_a[i] < 1 or model.actions_b[i] < 1:
             out.append((f"state {i}", "empty action set"))
-        for u in range(shape[0]):
-            for v in range(shape[1]):
-                row = p[u, v]
-                if np.any(row < 0):
-                    out.append(
-                        (f"state {i}, u={u}, v={v}", "negative transition probability")
-                    )
-                s = float(row.sum())
-                if abs(s - 1.0) > SIMPLEX_TOL:
-                    out.append(
-                        (f"state {i}, u={u}, v={v}", f"row sums to {s!r}, not 1")
-                    )
+        if not (np.isfinite(p).all() and np.isfinite(g).all()):
+            out.append((f"state {i}", "non-finite transition probability or cost"))
+        negative = (p < 0).any(axis=2)
+        sums = p.sum(axis=2)
+        off = np.abs(sums - 1.0) > SIMPLEX_TOL
+        for u, v in np.argwhere(negative | off):
+            where = f"state {i}, u={u}, v={v}"
+            if negative[u, v]:
+                out.append((where, "negative transition probability"))
+            if off[u, v]:
+                out.append((where, f"row sums to {float(sums[u, v])!r}, not 1"))
 
     reg = model.regime
     if isinstance(reg, Discounted) and not (0.0 < reg.alpha < 1.0):
@@ -467,9 +458,9 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
         a = reg.absorbing
         if not 0 <= a < n:
             out.append(("regime", f"absorbing state {a} out of range"))
-        else:
+        elif model.transition[a].shape[2] == n:  # a wrong shape is recorded above
             p, g = model.transition[a], model.cost[a]
-            if not np.allclose(p[:, :, a], 1.0, atol=SIMPLEX_TOL):
+            if not (np.abs(p[:, :, a] - 1.0) <= SIMPLEX_TOL).all():
                 out.append(
                     (f"state {a}", "absorbing state does not self-transition w.p. 1")
                 )

@@ -180,8 +180,9 @@ def shapley_value_iteration(
     response to ``mu`` once A's response to ``nu`` lies at most ``tol``
     (> 0) above it at every state; ``NoConvergence`` names the width reached
     if the sweep residual sinks to rounding noise first. ``max_iter`` caps
-    the iterations. A time-embedded game runs plain Shapley sweeps, exact
-    after one per period, until one changes no value by more than ``tol``.
+    the iterations. A time-embedded game runs plain Shapley sweeps until
+    one changes no value, which takes at most ``horizon + 1`` sweeps;
+    ``tol`` is then only range-checked.
     """
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before solving")
@@ -199,7 +200,7 @@ def shapley_value_iteration(
         residual = float(np.abs(TV - V).max())
         if embedded:
             V = TV
-            if residual <= tol:
+            if residual == 0.0:
                 V.setflags(write=False)
                 return V, mu, nu
             continue

@@ -440,3 +440,175 @@ def shapley_iteration(
         J = J_new
         if delta <= tol:
             return J, mu, nu
+
+
+# ---------------------------------------------------------------------------
+# Games layer, one table entry at a time. The library builds, checks and
+# embeds games with array expressions per state; these loops over action
+# pairs, destinations and sites are the references its output must equal
+# byte for byte.
+
+
+def validate_by_entry(model: GameModel) -> list[tuple[str, str]]:
+    """``games.validate`` with every per-state check run entry by entry."""
+    from zsgdual.games import SIMPLEX_TOL
+
+    out: list[tuple[str, str]] = []
+    n = model.n_states
+    if len(model.transition) != n or len(model.cost) != n:
+        out.append(("model", "transition/cost length differs from n_states"))
+        return out
+    root = model.root
+    if root is not None and not (
+        isinstance(root, (int, np.integer)) and 0 <= root < n
+    ):
+        out.append(("model", f"root {root!r} is not a state index in [0, {n})"))
+    if model.labels is not None and len(model.labels) != n:
+        out.append(("model", f"{len(model.labels)} labels for {n} states"))
+    for i in range(n):
+        p, g = model.transition[i], model.cost[i]
+        shape = (int(model.actions_a[i]), int(model.actions_b[i]), n)
+        if p.shape != shape or g.shape != shape:
+            out.append((f"state {i}", f"tensor shape {p.shape} != {shape}"))
+            continue
+        if model.actions_a[i] < 1 or model.actions_b[i] < 1:
+            out.append((f"state {i}", "empty action set"))
+        if not all(np.isfinite(x) for x in [*p.flat, *g.flat]):
+            out.append((f"state {i}", "non-finite transition probability or cost"))
+        for u in range(shape[0]):
+            for v in range(shape[1]):
+                row = p[u, v]
+                if np.any(row < 0):
+                    out.append(
+                        (f"state {i}, u={u}, v={v}", "negative transition probability")
+                    )
+                s = float(row.sum())
+                if abs(s - 1.0) > SIMPLEX_TOL:
+                    out.append(
+                        (f"state {i}, u={u}, v={v}", f"row sums to {s!r}, not 1")
+                    )
+
+    reg = model.regime
+    if isinstance(reg, Discounted) and not (0.0 < reg.alpha < 1.0):
+        out.append(("regime", f"alpha {reg.alpha} outside (0, 1)"))
+    if isinstance(reg, FiniteHorizon) and reg.periods < 1:
+        out.append(("regime", f"periods {reg.periods} < 1"))
+    if isinstance(reg, Ssp):
+        a = reg.absorbing
+        if not 0 <= a < n:
+            out.append(("regime", f"absorbing state {a} out of range"))
+        elif model.transition[a].shape[2] == n:
+            p, g = model.transition[a], model.cost[a]
+            stays = [abs(x - 1.0) <= SIMPLEX_TOL for x in p[:, :, a].flat]
+            if not all(stays):
+                out.append(
+                    (f"state {a}", "absorbing state does not self-transition w.p. 1")
+                )
+            if np.any(g != 0.0):
+                out.append((f"state {a}", "absorbing state has nonzero cost"))
+    if model.horizon is not None:
+        if model.period is None:
+            out.append(("model", "embedded model lacks period tags"))
+        elif isinstance(reg, Ssp):
+            if model.period[reg.absorbing] != model.horizon:
+                out.append(("model", "terminal state not tagged with final period"))
+            for i in range(n):
+                if i == reg.absorbing:
+                    continue
+                t = model.period[i]
+                succ = np.flatnonzero(model.transition[i].max(axis=(0, 1)) > 0)
+                bad = [int(j) for j in succ if model.period[j] != t + 1]
+                if bad:
+                    out.append(
+                        (f"state {i}", f"transitions skip a period (to {bad})")
+                    )
+    return out
+
+
+def embed_by_entry(model: GameModel) -> GameModel:
+    """``games.embed_finite_horizon`` copying one destination column at a time."""
+    from zsgdual.games import make_game
+
+    T = model.regime.periods
+    root = model.root
+    level = list(range(model.n_states)) if root is None else [root]
+    pairs: list[tuple[int, int]] = []
+    for t in range(T):
+        pairs.extend((t, i) for i in level)
+        if t == T - 1:
+            break
+        nxt: set[int] = set()
+        for i in level:
+            reach = model.transition[i].max(axis=(0, 1)) > 0.0
+            nxt.update(int(j) for j in np.flatnonzero(reach))
+        level = sorted(nxt)
+
+    index = {pair: k for k, pair in enumerate(pairs)}
+    terminal = len(pairs)
+    n_emb = terminal + 1
+    transition, cost = [], []
+    for t, i in pairs:
+        na, nb = model.actions_a[i], model.actions_b[i]
+        p = np.zeros((na, nb, n_emb))
+        g = np.zeros((na, nb, n_emb))
+        if t < T - 1:
+            for j in range(model.n_states):
+                col = model.transition[i][:, :, j]
+                if not col.any():
+                    continue
+                k = index[(t + 1, j)]
+                p[:, :, k] = col
+                g[:, :, k] = model.cost[i][:, :, j]
+        else:
+            p[:, :, terminal] = 1.0
+            g[:, :, terminal] = model.expected_cost[i]
+        transition.append(p)
+        cost.append(g)
+    p_term = np.zeros((1, 1, n_emb))
+    p_term[0, 0, terminal] = 1.0
+    transition.append(p_term)
+    cost.append(np.zeros((1, 1, n_emb)))
+    return make_game(
+        regime=Ssp(absorbing=terminal),
+        transition=transition,
+        cost=cost,
+        labels=[f"t{t}:{model.label(i)}" for t, i in pairs] + ["end"],
+        root=index[(0, root)] if root is not None else None,
+        horizon=T,
+        period=[t for t, _ in pairs] + [T],
+        base_state=[i for _, i in pairs] + [-1],
+    )
+
+
+def waste_game_by_site(cfg) -> GameModel:
+    """``builtin_games.build_waste_inspection_game`` adding each site's
+    detection mass in its own step."""
+    from zsgdual.games import make_game
+
+    N = cfg.n_sites
+    n_states = N * N + N + 1
+    absorbing = N * N + N
+    d = cfg.distances
+    slope = (cfg.p_low - cfg.p_high) / ((cfg.k1 + cfg.k2) * float(d.max()))
+    states = [(pu, pv, False) for pu in range(N) for pv in range(N)] + [
+        (s, s, True) for s in range(N)
+    ]
+    clear_targets = np.arange(N)[:, None] * N + np.arange(N)[None, :]
+    uu, vv = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    transition, cost, labels = [], [], []
+    for pu, pv, caught in states:
+        pd_site = cfg.p_high + slope * (cfg.k1 * d[:, pu] + cfg.k2 * d[:, pv])
+        p = np.zeros((N, N, n_states))
+        pd_grid = np.where(uu == vv, pd_site[np.minimum(uu, vv)], 0.0)
+        p[uu, vv, clear_targets] = 1.0 - pd_grid
+        for s in range(N):
+            p[s, s, absorbing if caught else N * N + s] += pd_site[s]
+        transition.append(p)
+        cost.append(np.ones((N, N, n_states)))
+        labels.append(f"d{pu + 1}:i{pv + 1}:{'caught' if caught else 'clear'}")
+    p_abs = np.zeros((1, 1, n_states))
+    p_abs[0, 0, absorbing] = 1.0
+    transition.append(p_abs)
+    cost.append(np.zeros((1, 1, n_states)))
+    labels.append("out")
+    return make_game(Ssp(absorbing=absorbing), transition, cost, labels=labels, root=0)

@@ -3,6 +3,8 @@ import pytest
 
 import zsgdual as zd
 
+from oracles import waste_game_by_site
+
 
 class TestTwoPeriodGame:
     def test_structure_and_validation(self, two_period):
@@ -102,6 +104,22 @@ class TestWasteGameModel:
 
     def test_root_is_first_sites_clear(self, waste3):
         assert waste3.label(waste3.root) == "d1:i1:clear"
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 5])
+    def test_tensors_match_site_by_site_build(self, n_sites):
+        positions = np.array([0.0, 2.5, 3.0, 7.0, 7.5])[:n_sites]
+        for cfg in (
+            zd.WasteGameConfig(n_sites=n_sites),
+            zd.WasteGameConfig(
+                n_sites=n_sites, positions=positions, p_low=0.2, p_high=0.7, k1=0.5, k2=3.0
+            ),
+        ):
+            got, want = zd.build_waste_inspection_game(cfg), waste_game_by_site(cfg)
+            assert got.labels == want.labels and got.root == want.root
+            assert got.regime == want.regime
+            for x in range(got.n_states):
+                assert got.transition[x].tobytes() == want.transition[x].tobytes()
+                assert got.cost[x].tobytes() == want.cost[x].tobytes()
 
 
 class TestUniformPolicy:

@@ -53,6 +53,16 @@ class TestSolveCommand:
         assert code == 2
         assert "row sums" in err
 
+    def test_tol_does_not_stop_a_time_embedded_solve(self, capsys):
+        outs = [
+            run(capsys, "solve", "--game", "builtin:matrix2p", "--tol", tol)
+            for tol in ("10", "1e-12")
+        ]
+        assert outs[0] == outs[1]
+        code, out, _ = outs[0]
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == "5.0"
+
     def test_short_labels_exit_2(self, capsys, tmp_path):
         game = waste2_file(tmp_path, labels=["a", "b", "c"])
         code, _, err = run(capsys, "solve", "--game", game)
@@ -175,6 +185,29 @@ class TestBoundCommand:
                            "--fix", f"B={policy}", "--tol", "nan", "--n", "10")
         assert code == 2
         assert "tol must be finite" in err
+
+    def test_non_finite_game_entry_exits_2(self, capsys, tmp_path):
+        for field, value in (("transition", "NaN"), ("cost", "NaN"), ("cost", "-Infinity")):
+            doc = zd.game_to_dict(zd.build_two_period_matrix_game())
+            doc[field][1][0][1][2] = "BAD"
+            path = tmp_path / "game.json"
+            path.write_text(json.dumps(doc).replace('"BAD"', value))
+            code, out, err = run(
+                capsys, "bound", "--game", f"file:{path}", "--fix", "B=uniform",
+                "--h", "zero", "--n", "100",
+            )
+            assert (code, out) == (2, "")
+            assert "state 1: non-finite transition probability or cost" in err
+
+    def test_non_finite_policy_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text('{"0": [NaN, 1.0], "1": [1.0, 0.0], "2": [0.0, 1.0], "3": [1.0]}')
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:matrix2p", "--fix", f"B=file:{path}",
+            "--h", "zero", "--n", "100",
+        )
+        assert (code, out) == (2, "")
+        assert "policy at state 0 is not a probability vector" in err
 
     def test_missing_fix_exits_2(self, capsys):
         code, _, err = run(capsys, "bound", "--game", "builtin:matrix2p")

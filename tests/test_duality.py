@@ -318,8 +318,6 @@ def skipping_view(orientation):
         cost=cost,
         kernel=kernel,
         regime=zd.Ssp(absorbing=6),
-        fixed_player=zd.PLAYER_B if orientation == "max" else zd.PLAYER_A,
-        fixed_policy=None,
         root=0,
         horizon=4,
         period=np.array([0, 1, 1, 3, 3, 3, 4]),
@@ -374,7 +372,6 @@ class TestVectorizedFiniteInner:
         view = zd.games.MdpView(
             orientation="max", n_states=4, n_actions=np.array([1, 1, 2, 1]),
             cost=cost, kernel=kernel, regime=zd.Ssp(absorbing=3),
-            fixed_player=zd.PLAYER_B, fixed_policy=None,
             root=1, horizon=2, period=np.array([1, 0, 1, 2]),
         )
         h = np.array([-1e308, 0.0, 0.0, 0.0])

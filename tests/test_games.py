@@ -7,10 +7,14 @@ import zsgdual as zd
 from zsgdual.games import SIMPLEX_TOL
 
 from oracles import (
+    embed_by_entry,
     finite_forward_value,
     random_discounted_game,
+    random_finite_game,
     random_policy,
+    random_ssp_game,
     rollout_pair,
+    validate_by_entry,
 )
 
 
@@ -207,6 +211,134 @@ class TestValidate:
         problems = zd.validate(broken)
         assert any("nonzero cost" in msg for _, msg in problems)
 
+    def test_non_finite_entries_name_the_state(self, waste3):
+        for bad in (np.nan, np.inf, -np.inf):
+            t = [np.array(x) for x in waste3.transition]
+            t[2][1, 0, 5] = bad
+            c = [np.array(x) for x in waste3.cost]
+            c[4][0, 2, 7] = bad
+            broken = zd.make_game(waste3.regime, t, c)
+            problems = zd.validate(broken)
+            non_finite = [loc for loc, msg in problems if "non-finite" in msg]
+            assert non_finite == ["state 2", "state 4"]
+
+    def test_absorbing_leak_above_tolerance(self, waste3):
+        # 4e-6 is inside allclose's default rtol; the check allows SIMPLEX_TOL only.
+        a = waste3.absorbing
+        t = [np.array(x) for x in waste3.transition]
+        t[a][0, 0, a] = 1.0 - 4e-6
+        t[a][0, 0, 0] = 4e-6
+        broken = zd.make_game(waste3.regime, t, waste3.cost)
+        assert zd.validate(broken) == [
+            (f"state {a}", "absorbing state does not self-transition w.p. 1")
+        ]
+        t[a] = t[a].copy()  # make_game froze it
+        t[a][0, 0, a] = 1.0 - SIMPLEX_TOL / 2
+        t[a][0, 0, 0] = SIMPLEX_TOL / 2
+        assert zd.validate(zd.make_game(waste3.regime, t, waste3.cost)) == []
+
+    def test_short_absorbing_row_is_recorded_not_raised(self, waste3):
+        a = waste3.absorbing
+        t = [np.array(x) for x in waste3.transition]
+        c = [np.array(x) for x in waste3.cost]
+        t[a], c[a] = t[a][:, :, :a], c[a][:, :, :a]
+        broken = zd.make_game(waste3.regime, t, c)
+        shape = (1, 1, a + 1)
+        assert zd.validate(broken) == [
+            (f"state {a}", f"tensor shape {(1, 1, a)} != {shape}")
+        ]
+
+
+def _random_game(rng):
+    kind = int(rng.integers(4))
+    n = int(rng.integers(2, 12))
+    if kind == 0:
+        return random_discounted_game(rng, n_states=n, max_actions=4)
+    if kind == 1:
+        return random_ssp_game(rng, n_states=n, max_actions=4)
+    raw = random_finite_game(rng, n_states=max(n, 3), periods=int(rng.integers(1, 4)))
+    return raw if kind == 2 else zd.embed_finite_horizon(raw)
+
+
+def _break(rng, model):
+    """A copy of ``model`` with a few random entries spoilt in the ways
+    ``validate`` looks for, and some left valid."""
+    t = [np.array(x) for x in model.transition]
+    c = [np.array(x) for x in model.cost]
+    for _ in range(int(rng.integers(4))):
+        i = int(rng.integers(len(t)))
+        if rng.random() < 0.2 and model.absorbing is not None:
+            i = model.absorbing
+        u, v, j = (int(rng.integers(k)) for k in t[i].shape)
+        kind = int(rng.integers(7))
+        if kind == 0:
+            t[i][u, v, j] = -rng.uniform(0.0, 0.3)
+        elif kind == 1:
+            t[i][u, v] *= rng.uniform(0.5, 1.5)
+        elif kind == 2:
+            t[i][u, v, j] += rng.choice([1e-13, 2e-12, 1e-9])
+        elif kind == 3:
+            t[i][u, v, j] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 4:
+            c[i][u, v, j] = rng.choice([np.nan, np.inf, -np.inf, 1.0])
+        elif kind == 5:
+            t[i][u, v, j], t[i][u, v, -1] = t[i][u, v, -1], t[i][u, v, j]
+    return zd.make_game(
+        model.regime, t, c, labels=model.labels, root=model.root,
+        horizon=model.horizon, period=model.period, base_state=model.base_state,
+    )
+
+
+class TestGamesLayerMatchesEntryLoops:
+    """``validate`` and ``embed_finite_horizon`` work one array pass per
+    state; the per-entry loops in ``oracles`` are their references."""
+
+    def test_validate_records(self):
+        rng = np.random.default_rng(2024)
+        broken = 0
+        for _ in range(300):
+            model = _random_game(rng)
+            if rng.random() < 0.7:
+                model = _break(rng, model)
+            want = validate_by_entry(model)
+            assert zd.validate(model) == want
+            broken += bool(want)
+        assert 100 < broken < 300
+
+    def test_row_sum_text(self, two_period):
+        t = [np.array(x) for x in two_period.transition]
+        t[0][1, 1] *= 1.0 + 3e-12
+        broken = zd.make_game(two_period.regime, t, two_period.cost)
+        assert zd.validate(broken) == validate_by_entry(broken)
+        [(_, message)] = zd.validate(broken)
+        assert message == f"row sums to {float(t[0][1, 1].sum())!r}, not 1"
+
+    @pytest.mark.parametrize("rooted", [True, False])
+    def test_embedding_bytes(self, rooted):
+        rng = np.random.default_rng(77 + rooted)
+        for _ in range(40):
+            raw = random_finite_game(
+                rng,
+                n_states=int(rng.integers(2, 9)),
+                periods=int(rng.integers(1, 5)),
+                successors=int(rng.integers(1, 3)),
+            )
+            root = int(rng.integers(raw.n_states)) if rooted else None
+            raw = zd.make_game(
+                raw.regime, raw.transition, raw.cost,
+                labels=[f"s{i}" for i in range(raw.n_states)], root=root,
+            )
+            got, want = zd.embed_finite_horizon(raw), embed_by_entry(raw)
+            assert got.regime == want.regime and got.root == want.root
+            assert got.labels == want.labels and got.horizon == want.horizon
+            assert got.period.tobytes() == want.period.tobytes()
+            assert got.base_state.tobytes() == want.base_state.tobytes()
+            assert len(got.transition) == len(want.transition)
+            for x in range(got.n_states):
+                assert got.transition[x].tobytes() == want.transition[x].tobytes()
+                assert got.cost[x].tobytes() == want.cost[x].tobytes()
+            assert zd.validate(got) == []
+
 
 class TestJsonInterchange:
     def test_round_trip(self, two_period):
@@ -241,6 +373,9 @@ class TestJsonInterchange:
         np.testing.assert_allclose(nu[0], [0.6, 0.4])
         with pytest.raises(ValueError):
             zd.policy_from_dict(two_period, zd.PLAYER_B, {"0": [0.6, 0.4]})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="policy at state 1"):
+                zd.policy_from_dict(two_period, zd.PLAYER_B, {**doc, "1": [bad, 1.0]})
         values = zd.values_from_dict(
             two_period, {"0": 0.0, "1": 8.0, "2": -8.0, "3": 0.0}
         )

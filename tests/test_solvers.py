@@ -93,6 +93,19 @@ class TestShapleyValueIteration:
         np.testing.assert_allclose(mu[2], [1.0, 0.0], atol=1e-7)
         np.testing.assert_allclose(nu[2], [0.0, 1.0], atol=1e-7)
 
+    def test_embedded_game_ignores_tol(self):
+        # Sweeps run to the exact fixed point, at most horizon + 1 of them.
+        rng = np.random.default_rng(33)
+        for _ in range(5):
+            game = zd.embed_finite_horizon(random_finite_game(rng, n_states=6, periods=4))
+            want = zd.shapley_value_iteration(game, tol=0.0, max_iter=game.horizon + 1)
+            for tol in (1e-12, 10.0, 1e6):
+                got = zd.shapley_value_iteration(game, tol=tol)
+                assert got[0].tobytes() == want[0].tobytes()
+                for x in range(game.n_states):
+                    assert got[1][x].tobytes() == want[1][x].tobytes()
+                    assert got[2][x].tobytes() == want[2][x].tobytes()
+
     def test_single_action_game_is_linear_solve(self):
         rng = np.random.default_rng(30)
         model = random_discounted_game(rng, n_states=4, max_actions=1, alpha=0.85)
