@@ -120,14 +120,16 @@ class WasteGameConfig:
             raise ValueError("need at least two sites")
         if not 0.0 < self.p_low < self.p_high < 1.0:
             raise ValueError("require 0 < p_low < p_high < 1")
-        if self.k1 <= 0.0 or self.k2 <= 0.0:
-            raise ValueError("distance weights must be positive")
+        if not (0.0 < self.k1 < np.inf and 0.0 < self.k2 < np.inf):
+            raise ValueError("distance weights must be positive and finite")
         pos = self.positions
         if pos is None:
             pos = np.arange(1, self.n_sites + 1, dtype=float)
         pos = np.asarray(pos, dtype=float)
         if pos.shape != (self.n_sites,):
             raise ValueError("positions must have one coordinate per site")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 

@@ -24,7 +24,7 @@ from .games import (
     Ssp,
     embed_finite_horizon,
     fix_player,
-    load_game,
+    game_from_dict,
     policy_from_dict,
     validate,
     values_from_dict,
@@ -55,11 +55,7 @@ class InputError(Exception):
 
 def _resolve_game(spec: str) -> GameModel:
     if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        try:
-            model = load_game(path)
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"cannot load game from {path}: {exc}") from exc
+        model = _from_file(spec[len("file:"):], "game", game_from_dict)
     elif spec.startswith("builtin:"):
         name, _, params = spec[len("builtin:"):].partition(",")
         if name == "matrix2p":
@@ -86,6 +82,16 @@ def _resolve_game(spec: str) -> GameModel:
     if isinstance(model.regime, FiniteHorizon):
         model = embed_finite_horizon(model)
     return model
+
+
+def _from_file(path: str, what: str, read):
+    """``read`` applied to the JSON document at ``path``; a failure to open,
+    parse or read it is an InputError."""
+    try:
+        with open(path) as f:
+            return read(json.load(f))
+    except (OSError, ValueError, KeyError) as exc:
+        raise InputError(f"cannot load {what} from {path}: {exc}") from exc
 
 
 def _parse_waste_params(params: str) -> dict:
@@ -120,12 +126,9 @@ def _resolve_policy(model: GameModel, token: str, player: str, tol: float) -> Mi
         _, mu, nu = solvers.shapley_value_iteration(model, tol=tol)
         return mu if player == PLAYER_A else nu
     if token.startswith("file:"):
-        path = token[len("file:"):]
-        try:
-            with open(path) as f:
-                return policy_from_dict(model, player, json.load(f))
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"cannot load policy from {path}: {exc}") from exc
+        return _from_file(
+            token[len("file:"):], "policy", lambda d: policy_from_dict(model, player, d)
+        )
     raise InputError(f"unknown policy source {token!r}")
 
 
@@ -167,12 +170,9 @@ def _resolve_generator(
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if token.startswith("file:"):
-        path = token[len("file:"):]
-        try:
-            with open(path) as f:
-                return values_from_dict(model, json.load(f))
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"cannot load generator from {path}: {exc}") from exc
+        return _from_file(
+            token[len("file:"):], "generator", lambda d: values_from_dict(model, d)
+        )
     raise InputError(f"unknown generator source {token!r}")
 
 
@@ -180,18 +180,16 @@ def _resolve_q(model: GameModel, token: str) -> duality.ReferenceMeasure:
     if token == "uniform":
         return duality.make_uniform_reference(model)
     if token.startswith("file:"):
-        path = token[len("file:"):]
         if model.absorbing is None:
             raise InputError("reference measures apply to absorbing-state games only")
-        try:
-            with open(path) as f:
-                doc = json.load(f)
+
+        def read(doc: dict) -> duality.ReferenceMeasure:
             kernel = np.zeros((model.n_states, model.n_states))
             for i in range(model.n_states):
                 kernel[i] = np.asarray(doc[str(i)], dtype=float)
             return duality.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"cannot load reference measure from {path}: {exc}") from exc
+
+        return _from_file(token[len("file:"):], "reference measure", read)
     raise InputError(f"unknown reference measure {token!r}")
 
 

@@ -63,8 +63,10 @@ def regime_alpha(regime: Regime) -> float:
 # Core types
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _freeze(a: np.ndarray, dtype: type = float) -> np.ndarray:
+    """A read-only contiguous view of ``a`` as ``dtype``; ``a`` itself stays
+    writable (it is copied only when its layout or dtype differ)."""
+    a = np.ascontiguousarray(a, dtype=dtype).view()
     a.setflags(write=False)
     return a
 
@@ -135,31 +137,18 @@ def make_game(
                 f"state {i}: transition shape {p.shape} and cost shape "
                 f"{g.shape} must agree as (|U|, |V|, n)"
             )
-    n = len(transition)
-    actions_a = np.array([t.shape[0] for t in transition], dtype=int)
-    actions_b = np.array([t.shape[1] for t in transition], dtype=int)
-    actions_a.setflags(write=False)
-    actions_b.setflags(write=False)
-    per = None
-    if period is not None:
-        per = np.asarray(period, dtype=int)
-        per.setflags(write=False)
-    base = None
-    if base_state is not None:
-        base = np.asarray(base_state, dtype=int)
-        base.setflags(write=False)
     return GameModel(
-        n_states=n,
+        n_states=len(transition),
         regime=regime,
-        actions_a=actions_a,
-        actions_b=actions_b,
+        actions_a=_freeze([t.shape[0] for t in transition], int),
+        actions_b=_freeze([t.shape[1] for t in transition], int),
         transition=transition,
         cost=cost,
         labels=tuple(labels) if labels is not None else None,
         root=root,
         horizon=horizon,
-        period=per,
-        base_state=base,
+        period=None if period is None else _freeze(period, int),
+        base_state=None if base_state is None else _freeze(base_state, int),
     )
 
 
@@ -183,16 +172,17 @@ def make_policy(vectors: Iterable[np.ndarray]) -> MixedPolicy:
 def pure_policy(model: GameModel, player: str, actions: Sequence[int]) -> MixedPolicy:
     """Degenerate MixedPolicy playing ``actions[i]`` with probability one."""
     counts = model.actions_a if player == PLAYER_A else model.actions_b
-    vecs = []
-    for i, a in enumerate(actions):
-        v = np.zeros(counts[i])
-        v[a] = 1.0
-        vecs.append(v)
-    return make_policy(vecs)
+    return make_policy(np.eye(c)[a] for c, a in zip(counts, actions))
 
 
 def check_policy(model: GameModel, policy: MixedPolicy, player: str) -> None:
-    """Raise ValueError unless ``policy`` is valid for ``player`` on ``model``."""
+    """Raise ValueError unless ``policy`` is valid for ``player`` on ``model``.
+
+    One array pass flags every state that may be faulty (its sums test half
+    the tolerance, as their order differs from ``_check_simplex``'s); the
+    per-state checks then name the first faulty state, where a wrong length
+    comes before a vector that is not a probability vector.
+    """
     if player not in (PLAYER_A, PLAYER_B):
         raise ValueError(f"unknown player {player!r}")
     counts = model.actions_a if player == PLAYER_A else model.actions_b
@@ -200,7 +190,19 @@ def check_policy(model: GameModel, policy: MixedPolicy, player: str) -> None:
         raise ValueError(
             f"policy covers {len(policy)} states, model has {model.n_states}"
         )
-    for i in range(model.n_states):
+    lengths = np.array([len(v) if v.ndim == 1 else -1 for v in policy.probs])
+    sizes = np.where(lengths == counts, counts, 0)
+    suspect = sizes == 0  # a wrong length, or an empty vector, which sums to 0
+    if not suspect.all():
+        flat = np.concatenate([v for v, s in zip(policy.probs, suspect) if not s])
+        starts = (np.cumsum(sizes) - sizes)[~suspect]
+        ok = flat >= -SIMPLEX_TOL  # NaN fails here, +inf the sum test
+        with np.errstate(over="ignore"):  # an overflowed sum is flagged
+            sums = np.add.reduceat(np.where(ok, flat, 0.0), starts)
+        suspect[~suspect] = ~np.logical_and.reduceat(ok, starts) | (
+            np.abs(sums - 1.0) > 0.5 * SIMPLEX_TOL
+        )
+    for i in np.flatnonzero(suspect):
         v = policy[i]
         if v.shape != (counts[i],):
             raise ValueError(
@@ -386,11 +388,7 @@ def lift_policy(embedded: GameModel, policy: MixedPolicy) -> MixedPolicy:
     """Map a stationary policy on the base game onto an embedded one."""
     if embedded.base_state is None:
         raise ValueError("model has no embedding metadata")
-    vecs = []
-    for x in range(embedded.n_states):
-        b = embedded.base_state[x]
-        vecs.append(np.array([1.0]) if b < 0 else policy[b])
-    return make_policy(vecs)
+    return make_policy(np.ones(1) if b < 0 else policy[b] for b in embedded.base_state)
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +524,22 @@ def game_to_dict(model: GameModel) -> dict:
     return d
 
 
+def _tensors(d: dict, key: str) -> list[np.ndarray]:
+    """The per-state float tensors of field ``key`` of a game document."""
+    if not isinstance(d[key], list):
+        raise ValueError(f"{key} must be a list of per-state tensors")
+    try:
+        return [np.asarray(t, dtype=float) for t in d[key]]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} holds a ragged or non-numeric tensor: {exc}") from exc
+
+
 def game_from_dict(d: dict) -> GameModel:
     """Build and validate a GameModel from its JSON document form."""
     n = int(d["n_states"])
     regime = _regime_from_dict(d["regime"])
-    transition = [np.asarray(t, dtype=float) for t in d["transition"]]
-    cost = [np.asarray(c, dtype=float) for c in d["cost"]]
+    transition = _tensors(d, "transition")
+    cost = _tensors(d, "cost")
     if len(transition) != n:
         raise ValueError(f"transition lists {len(transition)} states, header says {n}")
     if len(cost) != n:

@@ -5,9 +5,10 @@ policy iteration stopped on a certified best-response interval (Shapley
 sweeps solve the stage games on the one-step lookahead, those of all states
 with equal action counts in one ``matrix_games.solve_many`` call; a
 time-embedded game takes plain sweeps), best responses to a fixed opponent
-(Howard policy iteration, polished by ``games.lookahead`` sweeps to a float
-fixed point), the alternating "naive" policy-iteration scheme, and the
-exact sandwich interval that best responses put around the game value.
+(Howard policy iteration, Newton residual-correction steps, then
+``games.lookahead`` sweeps to a float fixed point), the alternating "naive"
+policy-iteration scheme, and the exact sandwich interval that best
+responses put around the game value.
 """
 
 from __future__ import annotations
@@ -242,9 +243,10 @@ def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     """Optimal value and pure action per state of a one-player view.
 
     An infinite-horizon view is solved by Howard policy iteration (exact
-    linear evaluation; an action switches only on a strict gain), whose
-    values are polished by sweeps ``opt(lookahead(view, V))`` until a sweep
-    moves no value by more than ``tol``. ``tol == 0`` demands an exact
+    linear evaluation; an action switches only on a strict gain). Newton
+    residual-correction steps then cut the residual of Howard's values to
+    a few ulps, and sweeps ``opt(lookahead(view, V))`` polish them until a
+    sweep moves no value by more than ``tol``. ``tol == 0`` demands an exact
     floating-point fixed point of ``lookahead``, as zero-variance duality
     checks need. A time-embedded view is acyclic: the same sweeps from zero
     reach its exact fixed point within ``horizon + 1`` sweeps, whatever
@@ -257,7 +259,7 @@ def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     if view.horizon is not None:
         V, qa = _polish(view, np.zeros(view.n_states), 0.0, view.horizon + 1)
     else:
-        V, qa = _polish(view, _howard(view), tol, MAX_SWEEPS)
+        V, qa = _polish(view, _newton(view, _howard(view)), tol, MAX_SWEEPS)
     V.setflags(write=False)
     return V, argopt(qa, axis=1)
 
@@ -305,9 +307,36 @@ def _howard(view: MdpView) -> np.ndarray:
     raise NoConvergence(f"policy iteration still switching after {MAX_SWEEPS} steps", 0.0)
 
 
+def _newton(view: MdpView, V: np.ndarray) -> np.ndarray:
+    """Residual-correction (Newton) steps from ``V``: add the solution ``d`` of
+    ``(I - alpha P_pi) d = opt(qa) - V``, where ``qa = lookahead(view, V)``
+    and ``pi`` is greedy on ``qa``, while the sup residual strictly falls.
+    Returns the values of least residual. A greedy ``pi`` that cannot absorb
+    (an exact tie with a zero-cost loop) ends the steps, as its system is
+    singular."""
+    opt = np.max if view.orientation == "max" else np.min
+    argopt = np.argmax if view.orientation == "max" else np.argmin
+    best, least = V, np.inf
+    for _ in range(MAX_SWEEPS):
+        qa = lookahead(view, V)
+        r = opt(qa, axis=1) - V
+        if not float(np.abs(r).max()) < least:  # NaN included
+            break
+        best, least = V, float(np.abs(r).max())
+        P = view.kernel[np.arange(view.n_states), argopt(qa, axis=1)]
+        if least == 0.0 or (
+            view.absorbing is not None and not absorbing_reachable(P, view.absorbing)
+        ):
+            break
+        V = V + _solve_chain(P, r, regime_alpha(view.regime), view.absorbing)
+    return best
+
+
 def _polish(view: MdpView, V: np.ndarray, tol: float, max_sweeps: int):
     """Sweep ``V = opt(lookahead(view, V))`` until no value moves by more
-    than ``tol``; return the last values and action values.
+    than ``tol``; return the last values and action values. From Newton's
+    values this takes a few sweeps; from values with a larger residual the
+    sweeps crawl at the chain's contraction rate.
 
     Brent's method spots a float cycle. The sweep is monotone (nonnegative
     kernel, fixed summation order), so the elementwise minimum ``L`` of the

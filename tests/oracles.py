@@ -612,3 +612,64 @@ def waste_game_by_site(cfg) -> GameModel:
     cost.append(np.zeros((1, 1, n_states)))
     labels.append("out")
     return make_game(Ssp(absorbing=absorbing), transition, cost, labels=labels, root=0)
+
+
+# ---------------------------------------------------------------------------
+# Per-state loops that the library replaced with array passes or faster
+# steps; the references its results must match.
+
+
+def sweep_polished_view(view: MdpView) -> np.ndarray:
+    """Optimal values of an infinite-horizon view the way ``solve_view`` took
+    them before residual correction: Howard policy iteration, then plain
+    sweeps ``opt(lookahead)`` to an exact float fixed point, restarted from
+    the elementwise minimum of a float cycle when one is spotted (Brent)."""
+    from zsgdual.games import lookahead
+    from zsgdual.solvers import _howard
+
+    opt = np.max if view.orientation == "max" else np.min
+    V = _howard(view)
+    mark, lam, power = V, 0, 1
+    for _ in range(100_000):
+        new = opt(lookahead(view, V), axis=1)
+        if np.array_equal(new, V):
+            return V
+        V = new
+        lam += 1
+        if np.array_equal(V, mark):
+            low = V
+            for _ in range(lam - 1):
+                V = opt(lookahead(view, V), axis=1)
+                low = np.minimum(low, V)
+            V, mark, lam, power = low, low, 0, 1
+        elif lam == power:
+            mark, lam, power = V, 0, 2 * power
+    raise RuntimeError("sweeps found no float fixed point in 100,000 sweeps")
+
+
+def check_policy_by_state(model: GameModel, policy: MixedPolicy, player: str) -> None:
+    """``games.check_policy`` one state at a time: at the first faulty state
+    in index order, a wrong length before a vector that is not a
+    probability vector."""
+    from zsgdual.games import PLAYER_A, PLAYER_B, SIMPLEX_TOL
+
+    if player not in (PLAYER_A, PLAYER_B):
+        raise ValueError(f"unknown player {player!r}")
+    counts = model.actions_a if player == PLAYER_A else model.actions_b
+    if len(policy) != model.n_states:
+        raise ValueError(
+            f"policy covers {len(policy)} states, model has {model.n_states}"
+        )
+    for i in range(model.n_states):
+        v = policy[i]
+        if v.shape != (counts[i],):
+            raise ValueError(
+                f"state {i}: policy vector has length {v.shape[0]}, "
+                f"expected {counts[i]}"
+            )
+        if (
+            not np.isfinite(v).all()
+            or np.any(v < -SIMPLEX_TOL)
+            or abs(float(v.sum()) - 1.0) > SIMPLEX_TOL
+        ):
+            raise ValueError(f"policy at state {i} is not a probability vector: {v}")

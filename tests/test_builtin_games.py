@@ -73,6 +73,14 @@ class TestDetectionProbability:
             zd.WasteGameConfig(n_sites=3, p_low=0.9, p_high=0.5)
         with pytest.raises(ValueError):
             zd.WasteGameConfig(n_sites=3, k1=0.0)
+        for k in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                zd.WasteGameConfig(n_sites=3, k1=k)
+            with pytest.raises(ValueError, match="positive and finite"):
+                zd.WasteGameConfig(n_sites=3, k2=k)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                zd.WasteGameConfig(n_sites=3, positions=[1.0, bad, 3.0])
 
 
 class TestWasteGameModel:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,24 @@ class TestSolveCommand:
         code, _, err = run(capsys, "solve", "--game", f"file:{path}")
         assert code == 2
         assert "row sums" in err
+
+    def test_non_list_tensor_field_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps({
+            "n_states": 1, "regime": {"kind": "discounted", "alpha": 0.5},
+            "transition": 5, "cost": 5,
+        }))
+        code, out, err = run(capsys, "solve", "--game", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert "transition must be a list of per-state tensors" in err
+
+    @pytest.mark.parametrize("param", ["k1=inf", "k2=-inf", "k1=nan"])
+    def test_non_finite_waste_weight_exits_2(self, capsys, param):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "solve", "--game", f"builtin:waste,N=3,{param}")
+        assert (code, out) == (2, "")
+        assert err == "error: distance weights must be positive and finite\n"
 
     def test_tol_does_not_stop_a_time_embedded_solve(self, capsys):
         outs = [

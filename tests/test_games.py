@@ -7,6 +7,7 @@ import zsgdual as zd
 from zsgdual.games import SIMPLEX_TOL
 
 from oracles import (
+    check_policy_by_state,
     embed_by_entry,
     finite_forward_value,
     random_discounted_game,
@@ -340,6 +341,84 @@ class TestGamesLayerMatchesEntryLoops:
             assert zd.validate(got) == []
 
 
+def _spoilt_policy(rng, model, player):
+    """A random policy for ``player`` with a few states spoilt: a wrong
+    length, a negative, NaN or infinite entry, or a sum off by amounts on
+    both sides of ``SIMPLEX_TOL``."""
+    counts = model.actions_a if player == zd.PLAYER_A else model.actions_b
+    vecs = [rng.dirichlet(np.ones(c)) for c in counts]
+    for _ in range(int(rng.integers(4))):
+        i = int(rng.integers(len(vecs)))
+        v = vecs[i]
+        if not len(v):
+            continue
+        kind = int(rng.integers(5))
+        if kind == 0:
+            vecs[i] = v[:-1] if rng.random() < 0.5 else np.append(v, 0.0)
+        elif kind == 1:
+            v[int(rng.integers(len(v)))] = -rng.choice([1e-3, 2e-12, 5e-13])
+        elif kind == 2:
+            v[int(rng.integers(len(v)))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 3:
+            v[int(rng.integers(len(v)))] += rng.choice([-1e-9, -3e-12, 8e-13, 2e-12, 0.5])
+    return zd.make_policy(vecs)
+
+
+def _outcome(check, model, policy, player):
+    try:
+        check(model, policy, player)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckPolicyMatchesStateLoop:
+    """``check_policy`` checks every state in one array pass; the per-state
+    loop in ``oracles`` is its reference, error text included."""
+
+    def test_random_policies(self):
+        rng = np.random.default_rng(315)
+        faulty = 0
+        for _ in range(400):
+            model = _random_game(rng)
+            player = zd.PLAYER_A if rng.random() < 0.5 else zd.PLAYER_B
+            policy = _spoilt_policy(rng, model, player)
+            want = _outcome(check_policy_by_state, model, policy, player)
+            assert _outcome(zd.check_policy, model, policy, player) == want
+            faulty += want is not None
+        assert 150 < faulty < 400
+
+    @pytest.mark.filterwarnings("error")
+    def test_first_faulty_state_and_length_first(self, waste3):
+        vecs = [np.ones(3) / 3 for _ in range(waste3.n_states)]
+        vecs[-1] = np.ones(1)
+        vecs[9] = np.full(3, 1e308)  # its sum overflows, after the first fault
+        vecs[7] = np.array([0.5, 0.5, np.nan])
+        vecs[4] = np.array([0.5, 0.5])
+        vecs[2] = np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^state 2: policy vector has length 2"):
+            zd.check_policy(waste3, zd.make_policy(vecs), zd.PLAYER_A)
+        vecs[2] = np.ones(3) / 3
+        with pytest.raises(ValueError, match=r"^state 4: policy vector has length 2"):
+            zd.check_policy(waste3, zd.make_policy(vecs), zd.PLAYER_A)
+        vecs[4] = np.ones(3) / 3
+        with pytest.raises(ValueError, match=r"^policy at state 7 is not a probability"):
+            zd.check_policy(waste3, zd.make_policy(vecs), zd.PLAYER_A)
+
+
+class TestMakeGame:
+    def test_caller_arrays_stay_writable(self, two_period):
+        t = [np.array(x) for x in two_period.transition]
+        c = [np.array(x) for x in two_period.cost]
+        model = zd.make_game(two_period.regime, t, c)
+        assert t[0].flags.writeable and c[0].flags.writeable
+        assert not model.transition[0].flags.writeable
+        assert not model.cost[0].flags.writeable
+        assert np.shares_memory(model.transition[0], t[0])  # frozen, not copied
+        t[0][0, 0, 0] = 0.25
+        assert model.transition[0][0, 0, 0] == 0.25
+
+
 class TestJsonInterchange:
     def test_round_trip(self, two_period):
         doc = zd.game_to_dict(two_period)
@@ -355,6 +434,14 @@ class TestJsonInterchange:
         path.write_text(json.dumps(zd.game_to_dict(two_period)))
         model = zd.load_game(str(path))
         assert model.labels == two_period.labels
+
+    @pytest.mark.parametrize("field", ["transition", "cost"])
+    @pytest.mark.parametrize("value", [5, "abc", {"0": 1}, [[[[1.0]], [[1.0, 2.0]]]]])
+    def test_malformed_tensor_fields_name_the_field(self, two_period, field, value):
+        doc = zd.game_to_dict(two_period)
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"^{field} "):
+            zd.game_from_dict(doc)
 
     def test_invalid_document_rejected(self, two_period):
         doc = zd.game_to_dict(two_period)

@@ -14,6 +14,7 @@ from oracles import (
     rollout_pair,
     shapley_iteration,
     shapley_sweep,
+    sweep_polished_view,
     value_iteration,
 )
 
@@ -420,6 +421,101 @@ class TestSolveViewMatchesValueIteration:
             view = zd.fix_player(model, zd.uniform_policy(model, player), player)
             with pytest.raises(zd.UnboundedValue, match="state 1 cannot reach"):
                 zd.solve_view(view)
+
+
+class TestNewtonPolish:
+    """Residual-correction steps between Howard and the polish sweeps reach
+    an exact float fixed point of ``lookahead``, within 1e-12 relative of
+    the one that sweeps alone reach, in few sweeps."""
+
+    def assert_matches_sweeps(self, view):
+        values, _ = zd.solve_view(view, tol=0.0)
+        assert_fixed_point(view, values)
+        want = sweep_polished_view(view)
+        scale = np.abs(want).max()
+        assert np.abs(values - want).max() <= 1e-12 * scale
+
+    def test_random_views(self):
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            ssp = random_ssp_game(rng, n_states=int(rng.integers(3, 12)), max_actions=3)
+            disc = random_discounted_game(
+                rng, n_states=int(rng.integers(2, 10)), max_actions=3, alpha=0.97
+            )
+            for model in (ssp, disc):
+                for player in (zd.PLAYER_A, zd.PLAYER_B):
+                    view = zd.fix_player(model, random_policy(rng, model, player), player)
+                    self.assert_matches_sweeps(view)
+
+    @pytest.mark.parametrize("n_sites", [3, 5, 10])
+    def test_waste_views_of_uniform_and_equilibrium_opponents(self, n_sites):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
+        _, mu, nu = zd.shapley_value_iteration(model, tol=1e-8)
+        uniform = {p: zd.uniform_policy(model, p) for p in (zd.PLAYER_A, zd.PLAYER_B)}
+        for player, equilibrium in ((zd.PLAYER_A, mu), (zd.PLAYER_B, nu)):
+            for policy in (uniform[player], equilibrium):
+                self.assert_matches_sweeps(zd.fix_player(model, policy, player))
+
+    def test_greedy_tie_with_a_free_loop_stops_the_steps(self):
+        # At state 0 B's free self-loop ties exactly with absorbing at cost
+        # 1. Elsewhere Howard's values leave a residual of a few ulps, so a
+        # step is due, but the lowest-index greedy policy loops at 0 for ever
+        # and its system is singular: the steps end there.
+        rng = np.random.default_rng(0)
+        n = 6
+        p0 = np.zeros((1, 2, n)); p0[0, 0, 0] = p0[0, 1, n - 1] = 1.0
+        g0 = np.zeros((1, 2, n)); g0[0, 1, n - 1] = 1.0
+        transition, cost = [p0], [g0]
+        for _ in range(1, n - 1):
+            p = rng.dirichlet(np.ones(n), size=(1, 1))
+            p[0, 0, 0] = 0.0
+            p[0, 0, n - 1] += 0.2
+            transition.append(p / p.sum())
+            cost.append(np.full((1, 1, n), rng.uniform(0.1, 3.0)))
+        p_abs = np.zeros((1, 1, n)); p_abs[0, 0, n - 1] = 1.0
+        transition.append(p_abs)
+        cost.append(np.zeros((1, 1, n)))
+        model = zd.make_game(zd.Ssp(absorbing=n - 1), transition, cost, root=0)
+        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_A), zd.PLAYER_A)
+        start = solvers._howard(view)
+        assert np.abs(lookahead(view, start).min(axis=1) - start).max() > 0.0
+        values, _ = zd.solve_view(view, tol=0.0)
+        assert values[0] == 1.0
+        assert_fixed_point(view, values)
+
+    def test_certification_polish_is_short(self, monkeypatch):
+        # Waste N=5 at tol 1e-8 is the benchmark's equilibrium solve. Plain
+        # sweeps from Howard's values took 429 to polish one of its views.
+        calls, polishes = [0], []
+        lookahead_, polish_ = solvers.lookahead, solvers._polish
+
+        def counting_lookahead(view, values):
+            calls[0] += 1
+            return lookahead_(view, values)
+
+        def counting_polish(*args):
+            before = calls[0]
+            out = polish_(*args)
+            polishes.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(solvers, "lookahead", counting_lookahead)
+        monkeypatch.setattr(solvers, "_polish", counting_polish)
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=5))
+        zd.shapley_value_iteration(model, tol=1e-8)
+        assert polishes and max(polishes) <= 20
+        assert calls[0] <= 100
+
+    def test_exact_generators_keep_zero_variance(self):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=5))
+        _, mu, nu = zd.shapley_value_iteration(model, tol=1e-8)
+        q = zd.make_uniform_reference(model)
+        for player, policy in ((zd.PLAYER_A, mu), (zd.PLAYER_B, nu)):
+            view = zd.fix_player(model, policy, player)
+            h, _ = zd.solve_view(view, tol=0.0)
+            est = zd.estimate_dual_bound_ssp(view, h, q, 200, seed=3)
+            assert est.standard_error == 0.0
+            assert est.mean == h[model.root]
 
 
 class TestNaivePolicyIteration:
