@@ -16,6 +16,7 @@ from .games import (
     MixedPolicy,
     Ssp,
     embed_finite_horizon,
+    make_block,
     make_game,
     make_policy,
 )
@@ -130,6 +131,8 @@ class WasteGameConfig:
             raise ValueError("positions must have one coordinate per site")
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
+        if np.ptp(pos) == 0.0:
+            raise ValueError("positions must not all coincide")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -156,39 +159,36 @@ def build_waste_inspection_game(cfg: WasteGameConfig) -> GameModel:
     d_max = float(d.max())
     slope = (cfg.p_low - cfg.p_high) / ((cfg.k1 + cfg.k2) * d_max)
 
-    transition: list[np.ndarray] = []
-    cost: list[np.ndarray] = []
-    labels: list[str] = []
-    states: list[tuple[int, int, bool]] = [
-        (pu, pv, False) for pu in range(N) for pv in range(N)
-    ] + [(s, s, True) for s in range(N)]
-
+    # Non-absorbing state x is (pu[x], pv[x], caught[x]): n^2 clear, n caught.
     sites = np.arange(N)
-    clear_targets = sites[:, None] * N + sites[None, :]
+    pu = np.concatenate([np.repeat(sites, N), sites])
+    pv = np.concatenate([np.tile(sites, N), sites])
+    caught = np.arange(absorbing) >= N * N
+    # Detection probability at each state for tonight's coincident site s.
+    pd_site = (cfg.p_high + slope * (cfg.k1 * d[:, pu] + cfg.k2 * d[:, pv])).T
     uu, vv = np.meshgrid(sites, sites, indexing="ij")
-    for pu, pv, caught in states:
-        # Detection probability for tonight's coincident site choice s.
-        pd_site = cfg.p_high + slope * (cfg.k1 * d[:, pu] + cfg.k2 * d[:, pv])
-        p = np.zeros((N, N, n_states))
-        pd_grid = np.where(uu == vv, pd_site[np.minimum(uu, vv)], 0.0)
-        p[uu, vv, clear_targets] = 1.0 - pd_grid
-        # A detection at site s: while caught, out of business; else caught at s.
-        p[sites, sites, absorbing if caught else N * N + sites] += pd_site
-        transition.append(p)
-        cost.append(np.ones((N, N, n_states)))
-        labels.append(f"d{pu + 1}:i{pv + 1}:{'caught' if caught else 'clear'}")
+    p = np.zeros((absorbing, N, N, n_states))
+    p[:, uu, vv, sites[:, None] * N + sites] = 1.0 - np.where(
+        uu == vv, pd_site[:, np.minimum(uu, vv)], 0.0
+    )
+    # A detection at site s: while caught, out of business; else caught at s.
+    detect = np.where(caught[:, None], absorbing, N * N + sites)
+    p[np.arange(absorbing)[:, None], sites, sites, detect] = pd_site
 
-    p_abs = np.zeros((1, 1, n_states))
-    p_abs[0, 0, absorbing] = 1.0
-    transition.append(p_abs)
-    cost.append(np.zeros((1, 1, n_states)))
-    labels.append("out")
-
-    return make_game(
+    p_abs = np.zeros((1, 1, 1, n_states))
+    p_abs[..., absorbing] = 1.0
+    labels = [
+        f"d{a + 1}:i{b + 1}:{'caught' if c else 'clear'}"
+        for a, b, c in zip(pu.tolist(), pv.tolist(), caught.tolist())
+    ]
+    return GameModel(
+        n_states=n_states,
         regime=Ssp(absorbing=absorbing),
-        transition=transition,
-        cost=cost,
-        labels=labels,
+        blocks=(
+            make_block(np.arange(absorbing), p, np.broadcast_to(1.0, p.shape)),
+            make_block(np.array([absorbing]), p_abs, np.zeros_like(p_abs)),
+        ),
+        labels=labels + ["out"],
         root=0,  # both players last at site 1, clear
     )
 

@@ -9,6 +9,11 @@ picks ``v``, the system moves from state ``i`` to ``j`` with probability
 the one action-value expression every solver and dual estimator reads),
 time embedding of finite-horizon games and JSON ingestion all live here.
 
+A ``GameModel`` stores its tensors as blocks: the states of one action
+shape ``(A, B)`` share one ``Block`` of stacked arrays, so fixing a player,
+inducing a chain and deriving the expected stage cost each take one array
+operation per block, and the per-state tensors are views into the blocks.
+
 All objects are immutable after construction and safe to share across
 threads; every operation in this module is pure.
 """
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,44 +76,73 @@ def _freeze(a: np.ndarray, dtype: type = float) -> np.ndarray:
     return a
 
 
+class Block(NamedTuple):
+    """States of one action shape ``(A, B)``, ascending, and their stacked
+    read-only ``(k, A, B, n)`` transitions and costs and ``(k, A, B)`` means."""
+
+    states: np.ndarray
+    transition: np.ndarray
+    cost: np.ndarray
+    expected_cost: np.ndarray
+
+
+def make_block(states: np.ndarray, transition: np.ndarray, cost: np.ndarray) -> Block:
+    """A block of fresh arrays (``cost`` may broadcast), frozen in place."""
+    expected = np.einsum("kuvj,kuvj->kuv", transition, cost)
+    for a in (states, transition, cost, expected):
+        a.setflags(write=False)
+    return Block(states, transition, cost, expected)
+
+
+def by_state(n: int, stacks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple:
+    """Views of the rows ``array[r]`` of each pair ``(states, array)`` of
+    ``stacks``, placed at state ``states[r]``; other states get None."""
+    out = np.empty(n, dtype=object)
+    for states, array in stacks:
+        out[states] = np.fromiter(array, dtype=object, count=len(states))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class GameModel:
     """A finite two-player zero-sum stochastic game.
 
-    ``transition[i]`` and ``cost[i]`` are arrays of shape
-    ``(|U(i)|, |V(i)|, n_states)``; row ``transition[i][u][v]`` is the
-    distribution of the next state and ``cost[i][u][v][j]`` is what B pays A
-    on that move. ``expected_cost[i][u][v]`` is the stage cost averaged over
-    the next state, derived once on construction; every solver reads it.
-    Time-embedded models additionally carry a per-state ``period`` tag, the
-    original ``base_state`` of each embedded state and the ``horizon``
-    (number of decision periods).
+    Each ``Block`` stacks the states of one action shape ``(A, B)`` (the
+    absorbing state of a built-in game keeps its own); a constant cost is a
+    broadcast array. ``transition[i]``, ``cost[i]`` and ``expected_cost[i]``
+    are read-only views of state ``i``'s rows: ``transition[i][u][v]`` is
+    the distribution of the next state, ``cost[i][u][v][j]`` what B pays A
+    on that move and ``expected_cost[i][u][v]`` the stage cost averaged over
+    the next state. Time-embedded models also carry a per-state ``period``
+    tag, the original ``base_state`` of each embedded state and the
+    ``horizon``.
     """
 
     n_states: int
     regime: Regime
-    actions_a: np.ndarray
-    actions_b: np.ndarray
-    transition: tuple[np.ndarray, ...]
-    cost: tuple[np.ndarray, ...]
+    blocks: tuple[Block, ...]
     labels: tuple[str, ...] | None = None
     root: int | None = None
     horizon: int | None = None
     period: np.ndarray | None = None
     base_state: np.ndarray | None = None
-    expected_cost: tuple[np.ndarray, ...] = field(
-        init=False, repr=False, compare=False
-    )
+    actions_a: np.ndarray = field(init=False, repr=False, compare=False)
+    actions_b: np.ndarray = field(init=False, repr=False, compare=False)
+    transition: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    cost: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    expected_cost: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "expected_cost",
-            tuple(
-                _freeze(np.einsum("uvj,uvj->uv", p, g))
-                for p, g in zip(self.transition, self.cost)
-            ),
-        )
+        for name in ("transition", "cost", "expected_cost"):
+            stacks = ((b.states, getattr(b, name)) for b in self.blocks)
+            object.__setattr__(self, name, by_state(self.n_states, stacks))
+        for name, axis in (("actions_a", 0), ("actions_b", 1)):
+            object.__setattr__(self, name, _freeze([t.shape[axis] for t in self.transition], int))
+        for name in ("period", "base_state"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(getattr(self, name), int))
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def absorbing(self) -> int | None:
@@ -128,27 +162,25 @@ def make_game(
     period: Sequence[int] | None = None,
     base_state: Sequence[int] | None = None,
 ) -> GameModel:
-    """Assemble a GameModel from per-state tensors, freezing all arrays."""
-    transition = tuple(_freeze(t) for t in transition)
-    cost = tuple(_freeze(c) for c in cost)
-    for i, (p, g) in enumerate(zip(transition, cost)):
+    """Assemble a GameModel from per-state tensors, stacking the states of
+    each shape into one block (a copy; the caller's arrays stay as they are)."""
+    transition = [np.asarray(t, dtype=float) for t in transition]
+    cost = [np.asarray(c, dtype=float) for c in cost]
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, (p, g) in enumerate(zip(transition, cost, strict=True)):
         if p.ndim != 3 or p.shape != g.shape:
             raise ValueError(
                 f"state {i}: transition shape {p.shape} and cost shape "
                 f"{g.shape} must agree as (|U|, |V|, n)"
             )
+        by_shape.setdefault(p.shape, []).append(i)
+    blocks = tuple(
+        make_block(np.array(s), np.stack([transition[i] for i in s]), np.stack([cost[i] for i in s]))
+        for s in by_shape.values()
+    )
     return GameModel(
-        n_states=len(transition),
-        regime=regime,
-        actions_a=_freeze([t.shape[0] for t in transition], int),
-        actions_b=_freeze([t.shape[1] for t in transition], int),
-        transition=transition,
-        cost=cost,
-        labels=tuple(labels) if labels is not None else None,
-        root=root,
-        horizon=horizon,
-        period=None if period is None else _freeze(period, int),
-        base_state=None if base_state is None else _freeze(base_state, int),
+        n_states=len(transition), regime=regime, blocks=blocks, labels=labels,
+        root=root, horizon=horizon, period=period, base_state=base_state,
     )
 
 
@@ -275,34 +307,40 @@ def lookahead(view: MdpView, values: np.ndarray) -> np.ndarray:
     return view.cost + regime_alpha(view.regime) * (view.kernel @ values)
 
 
+def block_rows(model: GameModel, policy: MixedPolicy, player: str) -> list[np.ndarray]:
+    """The vectors of a valid ``policy`` of ``player`` stacked per block of
+    ``model``: one ``(k, A)`` array per block for player A, ``(k, B)`` for B."""
+    counts = model.actions_a if player == PLAYER_A else model.actions_b
+    flat, starts = np.concatenate(policy.probs), np.cumsum(counts) - counts
+    return [flat[starts[b.states, None] + np.arange(counts[b.states[0]])] for b in model.blocks]
+
+
 def fix_player(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpView:
     """Average out one player's mixed policy, leaving the other's MDP.
 
     Fixing B leaves A's maximization problem; fixing A leaves B's
     minimization problem. The view's arrays are built once, here, in the
-    padded layout that ``MdpView`` describes.
+    padded layout that ``MdpView`` describes: one ``matmul`` for the costs
+    and one ``einsum`` for the kernel rows per block of the model.
     """
     check_policy(model, fixed, fixed_player)
-    cost: list[np.ndarray] = []
-    kernel: list[np.ndarray] = []
-    for i in range(model.n_states):
-        w = fixed[i]
-        g_bar = model.expected_cost[i]
-        if fixed_player == PLAYER_B:
-            cost.append(g_bar @ w)
-            kernel.append(np.einsum("v,uvj->uj", w, model.transition[i]))
-        else:
-            cost.append(w @ g_bar)
-            kernel.append(np.einsum("u,uvj->vj", w, model.transition[i]))
-    counts = model.actions_a if fixed_player == PLAYER_B else model.actions_b
-    orientation = "max" if fixed_player == PLAYER_B else "min"
-    padded_cost, padded_kernel = stack_view(cost, kernel, orientation)
+    free_a = fixed_player == PLAYER_B
+    counts = model.actions_a if free_a else model.actions_b
+    n, amax = model.n_states, int(counts.max())
+    cost = np.full((n, amax), -np.inf if free_a else np.inf)
+    kernel = np.zeros((n, amax, n))
+    for b, w in zip(model.blocks, block_rows(model, fixed, fixed_player)):
+        # Axis 1 of p and g is the free player's action.
+        p, g = (b.transition, b.expected_cost) if free_a else (
+            b.transition.transpose(0, 2, 1, 3), b.expected_cost.transpose(0, 2, 1))
+        cost[b.states, : g.shape[1]] = (g @ w[:, :, None])[:, :, 0]
+        kernel[b.states, : g.shape[1]] = np.einsum("kv,kuvj->kuj", w, p)
     return MdpView(
-        orientation=orientation,
-        n_states=model.n_states,
+        orientation="max" if free_a else "min",
+        n_states=n,
         n_actions=counts.copy(),
-        cost=padded_cost,
-        kernel=padded_kernel,
+        cost=_freeze(cost),
+        kernel=_freeze(kernel),
         regime=model.regime,
         root=model.root,
         horizon=model.horizon,
@@ -331,56 +369,52 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
         raise ValueError(f"horizon must be >= 1, got {T}")
     root = model.root
 
-    # Enumerate (t, i) pairs breadth-first so indices come out period-ordered.
-    level = list(range(model.n_states)) if root is None else [root]
-    pairs: list[tuple[int, int]] = []
-    for t in range(T):
-        pairs.extend((t, i) for i in level)
-        if t == T - 1:
-            break
-        reach = np.zeros(model.n_states, dtype=bool)
-        for i in level:
-            reach |= model.transition[i].max(axis=(0, 1)) > 0.0
-        level = np.flatnonzero(reach).tolist()
-
-    index = {pair: k for k, pair in enumerate(pairs)}
-    terminal = len(pairs)
+    # Each period's level of reachable states; embedded states come out
+    # period-ordered, ascending by original state within a period.
+    succ = np.zeros((model.n_states, model.n_states), dtype=bool)
+    for b in model.blocks:
+        succ[b.states] = b.transition.max(axis=(1, 2)) > 0.0
+    levels = [np.arange(model.n_states) if root is None else np.array([root])]
+    for _ in range(T - 1):
+        levels.append(np.flatnonzero(succ[levels[-1]].any(axis=0)))
+    offsets = np.cumsum([0] + [len(level) for level in levels])
+    period = np.repeat(np.arange(T), np.diff(offsets))
+    base = np.concatenate(levels)
+    terminal = len(base)
     n_emb = terminal + 1
 
-    transition: list[np.ndarray] = []
-    cost: list[np.ndarray] = []
-    for t, i in pairs:
-        na, nb = model.actions_a[i], model.actions_b[i]
-        p = np.zeros((na, nb, n_emb))
-        g = np.zeros((na, nb, n_emb))
-        if t < T - 1:
-            dest = np.flatnonzero(model.transition[i].any(axis=(0, 1)))
-            cols = [index[(t + 1, j)] for j in dest]
-            p[:, :, cols] = model.transition[i][:, :, dest]
-            g[:, :, cols] = model.cost[i][:, :, dest]
-        else:
-            p[:, :, terminal] = 1.0
-            g[:, :, terminal] = model.expected_cost[i]
-        transition.append(p)
-        cost.append(g)
+    # Each block's embedded states, period by period, copy the columns of
+    # the next level; a column gets its cost only where it can be entered.
+    blocks = []
+    for b in model.blocks:
+        states = np.flatnonzero(np.isin(base, b.states))
+        if not len(states):
+            continue
+        src = np.searchsorted(b.states, base[states])  # rows of b
+        bounds = np.searchsorted(period[states], np.arange(T + 1))
+        _, na, nb, _ = b.transition.shape
+        p = np.zeros((len(states), na, nb, n_emb))
+        g = np.zeros_like(p)
+        for t in range(T - 1):
+            rows, cols = slice(bounds[t], bounds[t + 1]), slice(offsets[t + 1], offsets[t + 2])
+            take = np.ix_(src[rows], np.arange(na), np.arange(nb), levels[t + 1])
+            p[rows, :, :, cols] = b.transition[take]
+            enter = p[rows, :, :, cols].any(axis=(1, 2), keepdims=True)
+            np.copyto(g[rows, :, :, cols], b.cost[take], where=enter)
+        last = slice(bounds[T - 1], bounds[T])
+        p[last, :, :, terminal] = 1.0
+        g[last, :, :, terminal] = b.expected_cost[src[last]]
+        blocks.append(make_block(states, p, g))
     # Terminal: one action pair, self-loop, zero cost.
-    p_term = np.zeros((1, 1, n_emb))
-    p_term[0, 0, terminal] = 1.0
-    transition.append(p_term)
-    cost.append(np.zeros((1, 1, n_emb)))
+    p_term = np.zeros((1, 1, 1, n_emb))
+    p_term[..., terminal] = 1.0
+    blocks.append(make_block(np.array([terminal]), p_term, np.zeros_like(p_term)))
 
-    labels = [f"t{t}:{model.label(i)}" for t, i in pairs] + ["end"]
-    period = [t for t, _ in pairs] + [T]
-    base = [i for _, i in pairs] + [-1]
-    return make_game(
-        regime=Ssp(absorbing=terminal),
-        transition=transition,
-        cost=cost,
-        labels=labels,
-        root=index[(0, root)] if root is not None else None,
-        horizon=T,
-        period=period,
-        base_state=base,
+    labels = [f"t{t}:{model.label(i)}" for t, i in zip(period.tolist(), base.tolist())]
+    return GameModel(
+        n_emb, Ssp(absorbing=terminal), tuple(blocks), labels + ["end"],
+        root=None if root is None else 0, horizon=T,
+        period=np.append(period, T), base_state=np.append(base, -1),
     )
 
 
@@ -417,9 +451,6 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
     """Check all structural invariants; return (location, violation) records."""
     out: list[tuple[str, str]] = []
     n = model.n_states
-    if len(model.transition) != n or len(model.cost) != n:
-        out.append(("model", "transition/cost length differs from n_states"))
-        return out
     root = model.root
     if root is not None and not (
         isinstance(root, (int, np.integer)) and 0 <= root < n
@@ -459,9 +490,7 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
         elif model.transition[a].shape[2] == n:  # a wrong shape is recorded above
             p, g = model.transition[a], model.cost[a]
             if not (np.abs(p[:, :, a] - 1.0) <= SIMPLEX_TOL).all():
-                out.append(
-                    (f"state {a}", "absorbing state does not self-transition w.p. 1")
-                )
+                out.append((f"state {a}", "absorbing state does not self-transition w.p. 1"))
             if np.any(g != 0.0):
                 out.append((f"state {a}", "absorbing state has nonzero cost"))
     if model.horizon is not None:
@@ -470,18 +499,11 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
         elif isinstance(reg, Ssp):
             if model.period[reg.absorbing] != model.horizon:
                 out.append(("model", "terminal state not tagged with final period"))
-            for i in range(n):
-                if i == reg.absorbing:
-                    continue
-                t = model.period[i]
-                succ = np.flatnonzero(
-                    np.asarray(model.transition[i]).max(axis=(0, 1)) > 0
-                )
-                bad = [int(j) for j in succ if model.period[j] != t + 1]
+            for i in np.flatnonzero(np.arange(n) != reg.absorbing):
+                succ = np.flatnonzero(model.transition[i].max(axis=(0, 1)) > 0)
+                bad = succ[model.period[succ] != model.period[i] + 1].tolist()
                 if bad:
-                    out.append(
-                        (f"state {i}", f"transitions skip a period (to {bad})")
-                    )
+                    out.append((f"state {i}", f"transitions skip a period (to {bad})"))
     return out
 
 
@@ -498,6 +520,8 @@ def _regime_to_dict(regime: Regime) -> dict:
 
 
 def _regime_from_dict(d: dict) -> Regime:
+    if not isinstance(d, dict):
+        raise ValueError(f"regime must be an object with a kind, got {d!r}")
     kind = d.get("kind")
     if kind == "finite_horizon":
         return FiniteHorizon(periods=int(d["periods"]))
@@ -574,7 +598,10 @@ def policy_from_dict(model: GameModel, player: str, d: dict) -> MixedPolicy:
         key = str(i)
         if key not in d:
             raise ValueError(f"policy file missing state {i}")
-        vecs.append(np.asarray(d[key], dtype=float))
+        try:
+            vecs.append(np.asarray(d[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"policy file state {i}: not a list of numbers: {exc}") from exc
     policy = make_policy(vecs)
     check_policy(model, policy, player)
     return policy
@@ -587,5 +614,8 @@ def values_from_dict(model: GameModel, d: dict) -> np.ndarray:
         key = str(i)
         if key not in d:
             raise ValueError(f"value file missing state {i}")
-        out[i] = float(d[key])
+        try:
+            out[i] = float(d[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"value file state {i}: not a number: {exc}") from exc
     return out

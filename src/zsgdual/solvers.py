@@ -2,13 +2,18 @@
 
 Covers policy-pair evaluation by linear solve, equilibria by Hoffman–Karp
 policy iteration stopped on a certified best-response interval (Shapley
-sweeps solve the stage games on the one-step lookahead, those of all states
-with equal action counts in one ``matrix_games.solve_many`` call; a
-time-embedded game takes plain sweeps), best responses to a fixed opponent
-(Howard policy iteration, Newton residual-correction steps, then
-``games.lookahead`` sweeps to a float fixed point), the alternating "naive"
-policy-iteration scheme, and the exact sandwich interval that best
-responses put around the game value.
+sweeps solve the stage games on the one-step lookahead; a time-embedded
+game takes plain sweeps), best responses to a fixed opponent (Howard
+policy iteration, Newton residual-correction steps, then ``games.lookahead``
+sweeps to a float fixed point), the alternating "naive" policy-iteration
+scheme, and the exact sandwich interval that best responses put around the
+game value.
+
+Everything here reads the model's block layout (``games.GameModel``): the
+states of one action shape ``(A, B)``, stacked into ``(k, A, B, n)``
+transitions and ``(k, A, B)`` expected costs. A sweep solves one block's
+stage games in one ``matrix_games.solve_many`` call, reading the block
+without a copy; induced chains take one array operation per block.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from .games import (
     MdpView,
     MixedPolicy,
     absorbing_reachable,
+    block_rows,
+    by_state,
     check_policy,
     fix_player,
     lookahead,
-    make_policy,
     pure_policy,
     regime_alpha,
 )
@@ -61,14 +67,14 @@ class UnboundedValue(RuntimeError):
 def induced_chain(
     model: GameModel, mu: MixedPolicy, nu: MixedPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrix and expected stage-cost vector of a policy pair."""
-    n = model.n_states
-    P = np.zeros((n, n))
-    G = np.zeros(n)
-    for i in range(n):
-        y, z = mu[i], nu[i]
-        P[i] = np.einsum("u,v,uvj->j", y, z, model.transition[i])
-        G[i] = y @ model.expected_cost[i] @ z
+    """Transition matrix and expected stage-cost vector of a valid policy
+    pair, one ``einsum`` and one ``matmul`` per block of the model."""
+    P = np.zeros((model.n_states, model.n_states))
+    G = np.zeros(model.n_states)
+    stacked = zip(model.blocks, block_rows(model, mu, PLAYER_A), block_rows(model, nu, PLAYER_B))
+    for b, y, z in stacked:
+        P[b.states] = np.einsum("ku,kv,kuvj->kj", y, z, b.transition)
+        G[b.states] = ((y[:, None] @ b.expected_cost) @ z[:, :, None])[:, 0, 0]
     return P, G
 
 
@@ -112,21 +118,18 @@ def _solve_chain(
 
 
 def _stage_groups(model: GameModel) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The non-absorbing states grouped by their action counts, each group
-    with its stacked transitions and expected costs, so that a sweep solves
-    one group's stage games in one ``matrix_games.solve_many`` call."""
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i in range(model.n_states):
-        if i != model.absorbing:
-            by_shape.setdefault((model.actions_a[i], model.actions_b[i]), []).append(i)
-    return [
-        (
-            np.array(states),
-            np.stack([model.transition[i] for i in states]),
-            np.stack([model.expected_cost[i] for i in states]),
-        )
-        for states in by_shape.values()
-    ]
+    """The model's blocks without the absorbing state, each as its states,
+    transitions and expected costs, so that a sweep solves one group's stage
+    games in one ``matrix_games.solve_many`` call. Only a block that holds
+    the absorbing state next to other states is copied."""
+    groups = []
+    for b in model.blocks:
+        keep = b.states != model.absorbing
+        if keep.all():
+            groups.append((b.states, b.transition, b.expected_cost))
+        elif keep.any():
+            groups.append((b.states[keep], b.transition[keep], b.expected_cost[keep]))
+    return groups
 
 
 def _sweep(model: GameModel, groups, values: np.ndarray):
@@ -148,14 +151,18 @@ def _sweep(model: GameModel, groups, values: np.ndarray):
 
 
 def _stage_policies(model: GameModel, strategies) -> tuple[MixedPolicy, MixedPolicy]:
-    """The policy pair of one sweep; the absorbing state plays uniformly."""
-    mu_vecs = [np.ones(a) / a for a in model.actions_a]
-    nu_vecs = [np.ones(b) / b for b in model.actions_b]
-    for states, rows, cols in strategies:
-        for i, y, z in zip(states, rows, cols):
-            mu_vecs[i] = y
-            nu_vecs[i] = z
-    return make_policy(mu_vecs), make_policy(nu_vecs)
+    """The policy pair of one sweep, as row views of the stage solutions;
+    the absorbing state plays uniformly."""
+    a = model.absorbing
+    if a is not None:
+        uniform = [np.ones((1, c)) / c for c in (model.actions_a[a], model.actions_b[a])]
+        for u in uniform:
+            u.setflags(write=False)
+        strategies = [*strategies, (np.array([a]), *uniform)]
+    return tuple(  # each strategy is (states, rows, cols)
+        MixedPolicy(by_state(model.n_states, [(g[0], g[k]) for g in strategies]))
+        for k in (1, 2)
+    )
 
 
 def shapley_backup(

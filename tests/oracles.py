@@ -673,3 +673,61 @@ def check_policy_by_state(model: GameModel, policy: MixedPolicy, player: str) ->
             or abs(float(v.sum()) - 1.0) > SIMPLEX_TOL
         ):
             raise ValueError(f"policy at state {i} is not a probability vector: {v}")
+
+
+def fix_player_by_state(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpView:
+    """``games.fix_player`` one state at a time: a matrix-vector product for
+    the costs and an ``einsum`` for the kernel rows of each state, padded by
+    ``games.stack_view``."""
+    from zsgdual.games import PLAYER_B, stack_view
+
+    cost, kernel = [], []
+    for i in range(model.n_states):
+        w, g_bar = fixed[i], model.expected_cost[i]
+        if fixed_player == PLAYER_B:
+            cost.append(g_bar @ w)
+            kernel.append(np.einsum("v,uvj->uj", w, model.transition[i]))
+        else:
+            cost.append(w @ g_bar)
+            kernel.append(np.einsum("u,uvj->vj", w, model.transition[i]))
+    orientation = "max" if fixed_player == PLAYER_B else "min"
+    padded_cost, padded_kernel = stack_view(cost, kernel, orientation)
+    return MdpView(
+        orientation=orientation,
+        n_states=model.n_states,
+        n_actions=model.actions_a if fixed_player == PLAYER_B else model.actions_b,
+        cost=padded_cost,
+        kernel=padded_kernel,
+        regime=model.regime,
+        root=model.root,
+        horizon=model.horizon,
+        period=model.period,
+    )
+
+
+def induced_chain_by_state(
+    model: GameModel, mu: MixedPolicy, nu: MixedPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """``solvers.induced_chain`` one state at a time."""
+    n = model.n_states
+    P = np.zeros((n, n))
+    G = np.zeros(n)
+    for i in range(n):
+        y, z = mu[i], nu[i]
+        P[i] = np.einsum("u,v,uvj->j", y, z, model.transition[i])
+        G[i] = y @ model.expected_cost[i] @ z
+    return P, G
+
+
+def stage_policies_by_state(model: GameModel, strategies) -> tuple[MixedPolicy, MixedPolicy]:
+    """``solvers._stage_policies`` one state at a time: each state's stage
+    strategies copied into a fresh policy, uniform at the absorbing state."""
+    from zsgdual.games import make_policy
+
+    mu_vecs = [np.ones(a) / a for a in model.actions_a]
+    nu_vecs = [np.ones(b) / b for b in model.actions_b]
+    for states, rows, cols in strategies:
+        for i, y, z in zip(states, rows, cols):
+            mu_vecs[i] = y
+            nu_vecs[i] = z
+    return make_policy(mu_vecs), make_policy(nu_vecs)

@@ -81,6 +81,8 @@ class TestDetectionProbability:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="positions must be finite"):
                 zd.WasteGameConfig(n_sites=3, positions=[1.0, bad, 3.0])
+        with pytest.raises(ValueError, match="positions must not all coincide"):
+            zd.WasteGameConfig(n_sites=3, positions=[2.0, 2.0, 2.0])
 
 
 class TestWasteGameModel:

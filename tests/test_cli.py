@@ -64,6 +64,12 @@ class TestSolveCommand:
         assert (code, out) == (2, "")
         assert "transition must be a list of per-state tensors" in err
 
+    def test_non_object_regime_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "--game", waste2_file(tmp_path, regime=5))
+        assert (code, out) == (2, "")
+        assert err.endswith("regime must be an object with a kind, got 5\n")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("param", ["k1=inf", "k2=-inf", "k1=nan"])
     def test_non_finite_waste_weight_exits_2(self, capsys, param):
         with warnings.catch_warnings():
@@ -227,6 +233,28 @@ class TestBoundCommand:
         )
         assert (code, out) == (2, "")
         assert "policy at state 0 is not a probability vector" in err
+
+    def test_list_generator_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text('{"0": [1.0], "1": 8.0, "2": -8.0, "3": 0.0}')
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:matrix2p", "--fix", "B=uniform",
+            "--h", f"file:{path}", "--n", "100",
+        )
+        assert (code, out) == (2, "")
+        assert "value file state 0: not a number" in err
+        assert len(err.splitlines()) == 1
+
+    def test_object_policy_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text('{"0": {"a": 1}, "1": [1.0, 0.0], "2": [0.0, 1.0], "3": [1.0]}')
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:matrix2p", "--fix", f"B=file:{path}",
+            "--h", "zero", "--n", "100",
+        )
+        assert (code, out) == (2, "")
+        assert "policy file state 0: not a list of numbers" in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_fix_exits_2(self, capsys):
         code, _, err = run(capsys, "bound", "--game", "builtin:matrix2p")

@@ -1,20 +1,30 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import zsgdual as zd
 from zsgdual.games import SIMPLEX_TOL
+from zsgdual.solvers import _stage_groups, _stage_policies, _sweep, induced_chain
+
+try:
+    from numpy.lib.array_utils import byte_bounds
+except ImportError:  # numpy < 2
+    from numpy import byte_bounds
 
 from oracles import (
     check_policy_by_state,
     embed_by_entry,
     finite_forward_value,
+    fix_player_by_state,
+    induced_chain_by_state,
     random_discounted_game,
     random_finite_game,
     random_policy,
     random_ssp_game,
     rollout_pair,
+    stage_policies_by_state,
     validate_by_entry,
 )
 
@@ -414,9 +424,124 @@ class TestMakeGame:
         assert t[0].flags.writeable and c[0].flags.writeable
         assert not model.transition[0].flags.writeable
         assert not model.cost[0].flags.writeable
-        assert np.shares_memory(model.transition[0], t[0])  # frozen, not copied
+        # Stacked into its block, a copy: the caller's arrays stay their own.
+        assert not np.shares_memory(model.transition[0], t[0])
         t[0][0, 0, 0] = 0.25
-        assert model.transition[0][0, 0, 0] == 0.25
+        assert model.transition[0][0, 0, 0] == two_period.transition[0][0, 0, 0]
+
+
+def _permuted(rng, model):
+    """``model`` with its states in a random order, so that the absorbing
+    state of an SSP game need not be the last."""
+    perm = rng.permutation(model.n_states)  # new state k is old state perm[k]
+    regime = model.regime
+    if isinstance(regime, zd.Ssp):
+        regime = zd.Ssp(absorbing=int(np.flatnonzero(perm == regime.absorbing)[0]))
+    return zd.make_game(
+        regime,
+        [model.transition[i][:, :, perm] for i in perm],
+        [model.cost[i][:, :, perm] for i in perm],
+    )
+
+
+def _block_game(rng, kind):
+    """A random game of 1 to 4 actions per player and state, so that its
+    shape blocks interleave in state order and hold 1-action states."""
+    n = int(rng.integers(4, 14))
+    if kind == "discounted":
+        return random_discounted_game(rng, n_states=n, max_actions=4)
+    if kind == "ssp":
+        return _permuted(rng, random_ssp_game(rng, n_states=n, max_actions=4))
+    raw = random_finite_game(rng, n_states=n, max_actions=4, periods=int(rng.integers(1, 4)))
+    return zd.embed_finite_horizon(raw)
+
+
+def _owned_bytes(model) -> int:
+    """The bytes of memory the arrays of a model's blocks span."""
+    arrays = [a for b in model.blocks for a in (b.transition, b.cost, b.expected_cost)]
+    return sum(high - low for low, high in map(byte_bounds, arrays))
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("kind", ["discounted", "ssp", "embedded"])
+    def test_views_chains_and_stage_policies_match_state_loops(self, kind):
+        rng = np.random.default_rng({"discounted": 3, "ssp": 4, "embedded": 5}[kind])
+        interleaved = one_action = absorbing_inside = False
+        for _ in range(40):
+            model = _block_game(rng, kind)
+            mu = random_policy(rng, model, zd.PLAYER_A)
+            nu = random_policy(rng, model, zd.PLAYER_B)
+            for fixed, player in ((mu, zd.PLAYER_A), (nu, zd.PLAYER_B)):
+                got = zd.fix_player(model, fixed, player)
+                want = fix_player_by_state(model, fixed, player)
+                assert got.orientation == want.orientation
+                assert np.array_equal(got.n_actions, want.n_actions)
+                assert np.array_equal(got.cost, want.cost)
+                assert np.array_equal(got.kernel, want.kernel)
+            for got, want in zip(induced_chain(model, mu, nu), induced_chain_by_state(model, mu, nu)):
+                assert np.array_equal(got, want)
+
+            values = rng.uniform(-5.0, 5.0, model.n_states)
+            if model.absorbing is not None:
+                values[model.absorbing] = 0.0
+            _, strategies, _ = _sweep(model, _stage_groups(model), values)
+            got = _stage_policies(model, strategies)
+            want = stage_policies_by_state(model, strategies)
+            for g, w in zip(got, want):
+                assert len(g) == model.n_states
+                assert all(np.array_equal(x, y) for x, y in zip(g.probs, w.probs))
+                assert not any(v.flags.writeable for v in g.probs)
+            for states, rows, cols in strategies:  # row views, not copies
+                assert all(np.shares_memory(got[0][i], rows) for i in states)
+                assert all(np.shares_memory(got[1][i], cols) for i in states)
+
+            interleaved |= any(np.diff(b.states).max(initial=1) > 1 for b in model.blocks)
+            free = np.arange(model.n_states) != model.absorbing
+            one_action |= bool(((model.actions_a == 1) | (model.actions_b == 1))[free].any())
+            absorbing_inside |= model.absorbing not in (None, model.n_states - 1)
+        assert interleaved and one_action
+        assert absorbing_inside == (kind == "ssp")
+
+    def test_state_tensors_are_views_of_their_block(self, waste3, two_period):
+        rng = np.random.default_rng(6)
+        for model in (waste3, two_period, *(_block_game(rng, "ssp") for _ in range(5))):
+            covered = np.sort(np.concatenate([b.states for b in model.blocks]))
+            assert np.array_equal(covered, np.arange(model.n_states))
+            for b in model.blocks:
+                assert b.transition.shape[1:3] == b.expected_cost.shape[1:]
+                for name in ("transition", "cost", "expected_cost"):
+                    block = getattr(b, name)
+                    assert not block.flags.writeable
+                    for r, i in enumerate(b.states):
+                        state = getattr(model, name)[i]
+                        assert np.shares_memory(state, block)
+                        assert np.array_equal(state, block[r]) and not state.flags.writeable
+                assert np.array_equal(
+                    b.expected_cost, np.einsum("kuvj,kuvj->kuv", b.transition, b.cost)
+                )
+
+    def test_builders_make_no_transient_copy(self):
+        # The embedded game is large enough that its tensors, not the Python
+        # objects of its labels and per-state views, set the peak.
+        raw = random_finite_game(np.random.default_rng(7), n_states=40, periods=5)
+        builds = {
+            "waste": lambda: zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10)),
+            "embed": lambda: zd.embed_finite_horizon(raw),
+        }
+        tracemalloc.start()
+        try:
+            for name, build in builds.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                model = build()
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak <= 1.25 * _owned_bytes(model), name
+        finally:
+            tracemalloc.stop()
+        # The waste game's cost of 1 on every move is one broadcast float.
+        waste = builds["waste"]()
+        assert _owned_bytes(waste) < 1.01 * waste.blocks[0].transition.nbytes
+        assert byte_bounds(waste.blocks[0].cost)[1] - byte_bounds(waste.blocks[0].cost)[0] == 8
 
 
 class TestJsonInterchange:
