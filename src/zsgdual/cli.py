@@ -310,7 +310,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 f"reference measure fails absolute continuity at "
                 f"{len(bad)} transitions, first (state, action, next) = {bad[0]}"
             )
-    reports = list(zip(sides, duality.estimate_dual_bounds(pairs, args.n, args.seed, q=q)))
+    ests = duality.estimate_dual_bounds(pairs, args.n, args.seed, q=q, keep_values=True)
+    reports = list(zip(sides, ests))
     for bound_side, est in reports:
         print(
             f"{bound_side}: mean={est.mean!r} se={est.standard_error!r} "
@@ -339,7 +340,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
             )
             _write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
-    return EXIT_OK
+    # An overflowed bound is valid but says nothing: it fails the command.
+    failed = [(side, est) for side, est in reports if not np.isfinite(est.mean)]
+    for bound_side, est in failed:
+        bad = np.count_nonzero(~np.isfinite(est.per_scenario_values))
+        unit = "paths" if is_ssp else "scenarios"
+        print(f"{bound_side}: the dual bound is not finite (mean={est.mean!r}): "
+              f"{bad} of {est.n_scenarios} {unit} are not finite", file=sys.stderr)
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def cmd_repro(args: argparse.Namespace) -> int:

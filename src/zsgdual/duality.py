@@ -16,10 +16,9 @@ backward induction under the canonical coupling (one shared uniform drives
 the inverse-CDF transition of every action). Absorbing-state views sample
 scenario paths from an action-independent reference kernel ``q`` instead,
 and per-step likelihood ratios p/q re-weight the inner recursion. A ratio
-depends only on the step's transition ``x -> y`` and the action, so each
-inner problem divides them once into a table and a step gathers its row;
-the zero-ratio repair that keeps an overflowed continuation from turning
-into NaN runs only on steps where it can change a bit (``_SspInner``).
+depends only on the step's transition ``x -> y`` and the action, so the
+ratios of all pairs on a draw are divided once into one stacked table, and
+one backward walk over the draw's steps serves every pair (``_walk``).
 Both inner problems read their action values from ``games.lookahead``, the
 expression whose fixed point ``solvers.solve_view`` returns, so an
 exact-value generator cancels the continuation scenario by scenario and the
@@ -245,9 +244,14 @@ class _GuideTable(NamedTuple):
         )
 
     def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``_icdf`` of row ``x`` at ``w / B``, for draws ``w`` scaled by B."""
-        f = self.start[x, w.astype(np.intp)]
-        return self.dest[f + (self.cdf[f[:, None] + self.cols] <= w[:, None]).sum(axis=1)]
+        """``_icdf`` of row ``x`` at ``w / B``, for draws ``w`` scaled by B:
+        flat ``take`` gathers, ``start`` at ``x * B + floor(w)`` in ``intp``
+        since a narrow state dtype wraps. Values rise along a row, so K steps
+        past each one at or below ``w`` count them."""
+        f = self.start.take(x.astype(np.intp) * self.scale + w.astype(np.intp))
+        for _ in self.cols:
+            f += self.cdf.take(f) <= w
+        return self.dest.take(f)
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +565,20 @@ def _draw_paths(
     A stop is a transition that no action of any view evaluated on the draw
     can make (``_SspInner.stop``): the inner value of its step does not
     depend on what follows it, so the rest of the path is never drawn. All
-    live paths step together. Step ``t`` is stored as the ids of the paths
-    that take it, their states and their next states. Path ``i`` takes its
-    ``t``-th uniform from its stream, the ``t``-th double of
-    ``scenario_rng``'s: every ``_DRAWS`` steps one vectorized Philox call
-    (``uniforms``) computes the next ``_DRAWS`` doubles, ``_DRAWS // 4``
-    counters, of every live path's stream, scaled in place by ``q.search``'s
-    B. The next state is ``q.search``'s: the index a scan of the row of
-    ``q``'s CDF returns, found by comparing the draw with at most the K
-    values of its bucket. ``cap`` bounds the steps of every path until it
-    is absorbed or stopped.
+    live paths step together. Step ``t`` is stored as the int32 ids of the
+    paths that take it, their states and their next states, in
+    ``q.search.dest``'s dtype. Path ``i`` takes its ``t``-th uniform from
+    its stream, the ``t``-th double of ``scenario_rng``'s: every ``_DRAWS``
+    steps one vectorized Philox call (``uniforms``) computes the next
+    ``_DRAWS`` doubles of every live path's stream, scaled in place by
+    ``q.search``'s B. The next state is ``q.search``'s: the index a scan of
+    the row of ``q``'s CDF returns. Most steps have few live paths, so a
+    step makes few NumPy calls: flat ``take`` gathers, with ``x * n + next``
+    in ``intp``, and one ``nonzero``. ``cap`` bounds the steps of every path
+    until it is absorbed or stopped.
     """
     search = q.search
+    n = q.kernel.shape[0]
     go_on = ~stop
     go_on[:, q.absorbing] = False
     k0, k1 = keys
@@ -582,42 +588,26 @@ def _draw_paths(
     for t in range(cap):
         k = t % _DRAWS
         if k == 0:
-            u = uniforms(k0[ids], k1[ids], t, _DRAWS)
+            u = uniforms(k0.take(ids), k1.take(ids), t, _DRAWS)
             u *= search.scale
-            rows = np.arange(len(ids))
-        xn = search(x, u[rows, k])
+            rows = np.arange(0, u.size, _DRAWS)
+        xn = search(x, u.take(rows + k))
         steps.append((ids, x, xn))
-        live = go_on[x, xn]
-        if not live.any():
+        (live,) = np.nonzero(go_on.take(x.astype(np.intp) * n + xn))
+        if not live.size:
             return steps
-        ids, x, rows = ids[live], xn[live], rows[live]
+        ids, x, rows = ids.take(live), xn.take(live), rows.take(live)
     raise PathCapExceeded(
         f"a path was neither absorbed nor stopped within {cap} steps under q"
     )
 
 
 class _SspInner:
-    """Weak-form inner problem along reference-measure paths.
-
-    Precomputes the penalty-adjusted action values ``lookahead(view, h)``,
-    the likelihood-ratio table ``rho[x, y, a] = p(y|x,a) / q(y|x)`` and the
-    stop table: ``stop[x, y]`` holds when a path's step ``x -> y`` has the
-    same value whatever follows it.
-
-    A step's ratios depend only on its transition ``(x, y)``, so each is
-    divided once, the same IEEE division a step would make, and a step
-    reads its row of ratios with one gather. Entries with ``q(y|x) = 0`` hold 0 and are never read:
-    a drawn step has q-mass, and ``weak_form_inner_ssp`` refuses a caller's
-    step without it.
-
-    A zero ratio must contribute exactly 0 to its action's value, where
-    ``rho * diff`` gives NaN if the continuation has overflowed. The repair
-    that sets it to +0.0 runs only on a step where it can change a bit.
-    With ``diff`` finite, ``0 * diff`` is +-0.0, and ``base + -0.0`` equals
-    ``base + 0.0`` bit for bit unless ``base`` is -0.0 (``-0.0 + -0.0`` is
-    -0.0, ``-0.0 + 0.0`` is +0.0). So the repair runs when some ``diff`` of
-    the step is not finite, or when some action value of the view is -0.0
-    (``signed_zero``); otherwise the step skips it.
+    """One ``(view, h)`` pair's weak-form inner problem, checked against
+    ``q``: the action values ``lookahead(view, h)``, ``signed_zero`` (some
+    action value is -0.0) and the stop table: ``stop[x, y]`` holds when a
+    path's step ``x -> y`` has the same value whatever follows it. ``_walk``
+    divides the ratios of all pairs on a draw into one stacked table.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray, q: ReferenceMeasure):
@@ -637,14 +627,9 @@ class _SspInner:
                 f"first at (state, action, next) = {bad[0]}"
             )
         self.h = h
+        self.kernel = view.kernel
         self.base = lookahead(view, h)
         self.reduce = np.maximum.reduce if view.orientation == "max" else np.minimum.reduce
-        n, slots, _ = view.kernel.shape
-        q_col = q.kernel[:, :, None]
-        self.rho = np.divide(
-            view.kernel.transpose(0, 2, 1), q_col,
-            out=np.zeros((n, n, slots)), where=q_col > 0.0,
-        )
         # When no action slot of x, padded ones included, moves to y, every
         # rho of a step x -> y is 0. The carry is then the np.where branch's
         # 0.0 if the continuation differs from h[y], and 0 * 0 = +-0.0 if it
@@ -656,25 +641,62 @@ class _SspInner:
         self.stop = ~(view.kernel != 0.0).any(axis=1)
         self.stop[signed] = False
 
-    def evaluate(self, steps: _Steps, n_paths: int) -> np.ndarray:
-        """Inner values of ``n_paths`` paths stored as steps, walked backward
-        with one continuation value per path."""
-        h = self.h
-        W = np.zeros(n_paths)
-        # Weak generators can let the recursion overflow legitimately (the
-        # bound stays valid, just useless); keep 0 * inf at zero-rho actions
-        # from poisoning the optimization with NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(len(steps) - 1, -1, -1):
-                ids, x, xn = steps[t]
-                rho = self.rho[x, xn]
-                diff = W[ids] - h[xn]
-                carry = rho * diff[:, None]
-                if self.signed_zero or not np.isfinite(diff).all():
-                    carry = np.where((rho == 0.0) & (diff[:, None] != 0.0), 0.0, carry)
-                carry += self.base[x]
-                W[ids] = self.reduce(carry, axis=1)
-        return W
+
+def _walk(
+    inners: Sequence[_SspInner], q: ReferenceMeasure, steps: _Steps, n_paths: int
+) -> list[np.ndarray]:
+    """Inner values of ``n_paths`` paths stored as steps, one array per pair,
+    all from one backward walk.
+
+    The pairs are stacked into ``rho[x * n + y, p * slots + a] = p(y|x,a) /
+    q(y|x)`` (0 where q is 0, which no accepted step reads), ``base[p, a,
+    x]`` and ``h[p, y]``. A step takes its rows of each, with paths last,
+    and one multiply and one add serve every pair. Each pair reduces its
+    own slots in order, one elementwise max or min at a time: bit for bit
+    the optimum of a one-pair walk, unless a row ties +0.0 with -0.0, which
+    NumPy's vector loop may break at another position; a value is -0.0 only
+    where its base is, so with ``signed_zero`` rows are reduced contiguously.
+
+    A zero ratio must contribute exactly 0, where ``rho * diff`` is NaN if
+    the continuation has overflowed. With ``diff`` finite, ``0 * diff`` is
+    +-0.0, and ``base + -0.0`` equals ``base + 0.0`` unless ``base`` is
+    -0.0. So the repair to +0.0 runs, on every pair, only on a step with a
+    ``diff`` that is not finite, or when ``signed_zero``.
+    """
+    n = q.kernel.shape[0]
+    P, S = len(inners), max(inner.kernel.shape[1] for inner in inners)
+    rho, base, h = np.zeros((n, n, P, S)), np.zeros((P, S, n)), np.empty((P, n))
+    for j, inner in enumerate(inners):
+        slots = inner.kernel.shape[1]
+        np.divide(
+            inner.kernel.transpose(0, 2, 1), q.kernel[:, :, None],
+            out=rho[:, :, j, :slots], where=q.kernel[:, :, None] > 0.0,
+        )
+        base[j, :slots], h[j] = inner.base.T, inner.h
+    rho = rho.reshape(n * n, P * S)
+    signed_zero = any(inner.signed_zero for inner in inners)
+    W = np.zeros((P, n_paths))
+    # Weak generators can let the recursion overflow legitimately (the bound
+    # stays valid, just useless); keep 0 * inf at zero-rho actions from
+    # poisoning the optimization with NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ids, x, xn in reversed(steps):
+            xy = x.astype(np.intp) * n + xn
+            ratios = np.ascontiguousarray(rho.take(xy, axis=0).T).reshape(P, S, -1)
+            diff = W.take(ids, axis=1) - h.take(xn, axis=1)
+            d = diff[:, None, :]
+            carry = ratios * d
+            if signed_zero or not np.isfinite(diff).all():
+                carry = np.where((ratios == 0.0) & (d != 0.0), 0.0, carry)
+            carry += base.take(x, axis=-1)
+            for j, inner in enumerate(inners):
+                values = carry[j, : inner.kernel.shape[1]]
+                if signed_zero:
+                    inner.reduce(np.ascontiguousarray(values.T), axis=1, out=diff[j])
+                else:
+                    inner.reduce(values, axis=0, out=diff[j])
+            W[:, ids] = diff
+    return list(W)
 
 
 def weak_form_inner_ssp(
@@ -704,9 +726,10 @@ def weak_form_inner_ssp(
         raise AbsContinuityViolation(
             f"step {t}: q({path[t + 1]}|{path[t]}) = 0 on a simulated path"
         )
+    path = path.astype(np.intp)
     one = np.zeros(1, dtype=np.int32)
     steps = [(one, path[t : t + 1], path[t + 1 : t + 2]) for t in range(len(path) - 1)]
-    return float(inner.evaluate(steps, 1)[0])
+    return float(_walk([inner], q, steps, 1)[0][0])
 
 
 def estimate_dual_bound_ssp(
@@ -781,9 +804,8 @@ def estimate_dual_bounds(
         stop = np.logical_and.reduce([inner.stop for inner in ssp])
 
         def block(indices: range) -> list[np.ndarray]:
-            keys = stream_keys(seed, indices)
-            steps = _draw_paths(q, x0, keys, cap, stop)
-            return [inner.evaluate(steps, len(indices)) for inner in ssp]
+            steps = _draw_paths(q, x0, stream_keys(seed, indices), cap, stop)
+            return _walk(ssp, q, steps, len(indices))
 
         size = _PATH_BLOCK
     values = _block_values(block, len(pairs), n, size)

@@ -353,6 +353,37 @@ class TestBoundCommand:
         assert mean == pytest.approx(365217391.304347, rel=1e-12)
         assert "se=0.0" in out
 
+    def test_non_finite_bound_exits_1_after_writing_it(self, capsys, tmp_path):
+        # At 1e300 x the pair value some likelihood-ratio walks overflow.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=3))
+        mu = zd.uniform_policy(model, zd.PLAYER_A)
+        nu = zd.uniform_policy(model, zd.PLAYER_B)
+        h = 1e300 * zd.evaluate_policy_pair(model, mu, nu)
+        hpath = tmp_path / "h.json"
+        hpath.write_text(json.dumps({str(i): v for i, v in enumerate(h.tolist())}))
+        view = zd.fix_player(model, nu, zd.PLAYER_B)
+        est = zd.estimate_dual_bound_ssp(
+            view, h, zd.make_uniform_reference(model), 300, seed=1, keep_values=True
+        )
+        bad = int((~np.isfinite(est.per_scenario_values)).sum())
+        assert bad and est.mean == np.inf
+        out_path = tmp_path / "bounds.csv"
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:waste,N=3", "--fix", "B=uniform",
+            "--h", f"file:{hpath}", "--n", "300", "--seed", "1", "--out", str(out_path),
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "upper: mean=inf se=inf n=300 seed=1", f"wrote {out_path}"
+        ]
+        assert out_path.read_text().splitlines()[-2:] == [
+            "side,mean,se,n,seed", "upper,inf,inf,300,1"
+        ]
+        assert err.splitlines() == [
+            f"upper: the dual bound is not finite (mean=inf): {bad} of 300 paths "
+            f"are not finite"
+        ]
+
 
 class TestReproCommand:
     def test_matrix_game_artifacts(self, capsys, tmp_path):

@@ -1384,3 +1384,145 @@ class TestRatioTableWalk:
         assert any(list(path[:3]) == [0, 1, 2] for path in paths)
         est = zd.estimate_dual_bound_ssp(view, h, q, 100, seed=4, keep_values=True)
         assert est.per_scenario_values.tobytes() == self.oracle_values(view, h, q, paths).tobytes()
+
+
+class TestOneWalk:
+    """Every pair of a shared draw is walked in one backward pass over
+    stacked tables; each pair's values equal, byte for byte, a draw of that
+    pair alone and the oracle's walk of the full path."""
+
+    @staticmethod
+    def assert_pairwise(pairs, q, n, seed, x0=None, base=None):
+        ests = zd.estimate_dual_bounds(pairs, n, seed, q=q, x0=x0, keep_values=True)
+        start = pairs[0][0].root if x0 is None else x0
+        paths = [reference_path(q.kernel, q.absorbing, start, seed, i) for i in range(n)]
+        for est, (view, h) in zip(ests, pairs):
+            alone = zd.estimate_dual_bound_ssp(view, h, q, n, seed, x0=x0, keep_values=True)
+            want = np.array([
+                ssp_path_value(view, path, q.kernel, h, None if base is None else base(view, h))
+                for path in paths
+            ])
+            assert est.per_scenario_values.tobytes() == want.tobytes()
+            assert alone.per_scenario_values.tobytes() == want.tobytes()
+        return ests
+
+    def test_mixed_orientations_slot_counts_and_overflow(self, waste3):
+        # waste N=3 with a copy of B's first action at every live state:
+        # the min view has 4 action slots and the max view 3.
+        grow = [
+            (np.concatenate([p, p[:, :1]], axis=1), np.concatenate([g, g[:, :1]], axis=1))
+            if s != waste3.absorbing else (p, g)
+            for s, (p, g) in enumerate(zip(waste3.transition, waste3.cost))
+        ]
+        model = zd.make_game(waste3.regime, *map(list, zip(*grow)), root=waste3.root)
+        mu = zd.uniform_policy(model, zd.PLAYER_A)
+        nu = zd.uniform_policy(model, zd.PLAYER_B)
+        lower = zd.fix_player(model, mu, zd.PLAYER_A)
+        upper = zd.fix_player(model, nu, zd.PLAYER_B)
+        exact_lower = zd.solve_view(lower, tol=0.0)[0]
+        exact_upper = zd.solve_view(upper, tol=0.0)[0]
+        rough = np.random.default_rng(63).uniform(-2.0, 2.0, model.n_states)
+        pairs = [
+            (lower, rough),
+            (upper, 1e300 * zd.evaluate_policy_pair(model, mu, nu)),
+            (lower, exact_lower),
+            (upper, 0.97 * exact_upper),
+        ]
+        assert [view.orientation for view, _ in pairs] == ["min", "max"] * 2
+        assert [view.kernel.shape[1] for view, _ in pairs] == [4, 3] * 2
+        ests = self.assert_pairwise(pairs, zd.make_uniform_reference(model), 300, seed=1)
+        assert np.isinf(ests[1].per_scenario_values).any()
+        assert np.isfinite(ests[0].per_scenario_values).all()
+        assert ests[2].standard_error == 0.0
+        assert ests[2].mean == exact_lower[model.root]
+
+    @staticmethod
+    def patch_lookahead(monkeypatch, target, slot):
+        """Make the action value at ``(0, slot)`` of view ``target`` a -0.0."""
+        lookahead = duality.lookahead
+
+        def signed(view, h):
+            base = lookahead(view, h)
+            if view is target:
+                base[0, slot] = -0.0
+            return base
+
+        monkeypatch.setattr(duality, "lookahead", signed)
+        return signed
+
+    def test_negative_zero_action_value_in_a_two_pair_draw(self, monkeypatch):
+        # The game and the injected -0.0 of
+        # TestStoppedPaths.test_negative_zero_action_value_never_stops, with
+        # the other player's view first on the same draw: the -0.0 of the
+        # second pair alone must force the zero-ratio repair.
+        n = 3
+        p0 = np.zeros((1, 1, n))
+        p0[0, 0] = [0.5, 0.0, 0.5]
+        p1 = np.zeros((1, 1, n))
+        p1[0, 0] = [0.0, 0.5, 0.5]
+        pa = np.zeros((1, 1, n))
+        pa[0, 0, 2] = 1.0
+        ones, zeros = np.ones((1, 1, n)), np.zeros((1, 1, n))
+        model = zd.make_game(zd.Ssp(absorbing=2), [p0, p1, pa], [zeros, ones, zeros], root=0)
+        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        kernel = view.kernel.copy()
+        kernel[0, 0, 1] = -0.0
+        view = dataclasses.replace(view, kernel=kernel)
+        other = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_A), zd.PLAYER_A)
+        signed = self.patch_lookahead(monkeypatch, view, 0)
+        pairs = [(other, np.array([0.5, -1.0, 0.0])), (view, np.zeros(n))]
+        q = zd.make_uniform_reference(model)
+        ests = self.assert_pairwise(pairs, q, 200, seed=3, base=signed)
+        assert (ests[1].per_scenario_values == 0.0).all()
+        assert not np.signbit(ests[1].per_scenario_values).any()
+
+    def test_signed_zero_tie_over_nine_slots(self, monkeypatch):
+        # State 0: B picks one of 9 actions, each staying w.p. 0.75 and
+        # absorbing w.p. 0.25, at cost 0; q is uniform, so every ratio is
+        # 1.5 or 0.5. With h = (0, 5e-324) a last step 0 -> 1 carries
+        # 0.5 * -5e-324 = -0.0 in every slot, and with the last slot's value
+        # made -0.0 the row to minimize is eight +0.0 and one -0.0. The
+        # one-pair walk reduces that row as one contiguous array, as the
+        # oracle's np.min does; an elementwise min over the slots in order
+        # can break the tie the other way.
+        n, k = 2, 9
+        p = np.zeros((1, k, n))
+        p[0, :, 0], p[0, :, 1] = 0.75, 0.25
+        pa = np.zeros((1, 1, n))
+        pa[0, 0, 1] = 1.0
+        model = zd.make_game(
+            zd.Ssp(absorbing=1), [p, pa], [np.zeros((1, k, n)), np.zeros((1, 1, n))], root=0
+        )
+        lower = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_A), zd.PLAYER_A)
+        upper = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        assert (lower.orientation, lower.kernel.shape[1]) == ("min", k)
+        signed = self.patch_lookahead(monkeypatch, lower, -1)
+        h = np.array([0.0, 5e-324])
+        q = zd.make_uniform_reference(model)
+        ests = self.assert_pairwise([(upper, h), (lower, h)], q, 50, seed=2, base=signed)
+        assert (ests[1].per_scenario_values == 0.0).all()
+        assert not np.signbit(ests[1].per_scenario_values).any()
+        single = [
+            zd.weak_form_inner_ssp(lower, reference_path(q.kernel, 1, 0, 2, i), q, h)
+            for i in range(50)
+        ]
+        assert np.array(single).tobytes() == ests[1].per_scenario_values.tobytes()
+
+    def test_wide_state_indices(self):
+        # 300 states come in uint16, and a walk from state 298 reads flat
+        # indices x * n + y and x * B + bucket above 2**16. The rows of q
+        # differ, so a wrapped index reads another row's CDF.
+        rng = np.random.default_rng(64)
+        model = random_sparse_ssp_game(rng, n_states=300, max_actions=3)
+        kernel = rng.dirichlet(np.ones(300), size=300)
+        kernel[:, model.absorbing] += 0.05  # paths of about 20 steps
+        kernel[model.absorbing] = np.eye(300)[model.absorbing]
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        q = zd.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
+        assert q.search.dest.dtype == np.uint16 and q.search.scale == 512
+        pairs = [
+            (zd.fix_player(model, random_policy(rng, model, player), player),
+             rng.uniform(-2.0, 2.0, model.n_states))
+            for player in (zd.PLAYER_A, zd.PLAYER_B)
+        ]
+        self.assert_pairwise(pairs, q, 40, seed=9, x0=298)
