@@ -345,8 +345,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     for bound_side, est in failed:
         bad = np.count_nonzero(~np.isfinite(est.per_scenario_values))
         unit = "paths" if is_ssp else "scenarios"
-        print(f"{bound_side}: the dual bound is not finite (mean={est.mean!r}): "
-              f"{bad} of {est.n_scenarios} {unit} are not finite", file=sys.stderr)
+        why = (f"{bad} of {est.n_scenarios} {unit} are not finite" if bad else
+               f"all {est.n_scenarios} {unit} are finite; their sum overflowed")
+        print(f"{bound_side}: the dual bound is not finite (mean={est.mean!r}): {why}",
+              file=sys.stderr)
     return EXIT_RUNTIME if failed else EXIT_OK
 
 

@@ -18,7 +18,7 @@ scenario paths from an action-independent reference kernel ``q`` instead,
 and per-step likelihood ratios p/q re-weight the inner recursion. A ratio
 depends only on the step's transition ``x -> y`` and the action, so the
 ratios of all pairs on a draw are divided once into one stacked table, and
-one backward walk over the draw's steps serves every pair (``_walk``).
+one backward walk over the draw's steps serves every pair (``_Walk``).
 Both inner problems read their action values from ``games.lookahead``, the
 expression whose fixed point ``solvers.solve_view`` returns, so an
 exact-value generator cancels the continuation scenario by scenario and the
@@ -62,6 +62,7 @@ scan of the row returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import inf, sqrt
 from typing import Callable, NamedTuple, Sequence
 
@@ -244,13 +245,10 @@ class _GuideTable(NamedTuple):
         )
 
     def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``_icdf`` of row ``x`` at ``w / B``, for draws ``w`` scaled by B:
-        flat ``take`` gathers, ``start`` at ``x * B + floor(w)`` in ``intp``
-        since a narrow state dtype wraps. Values rise along a row, so K steps
-        past each one at or below ``w`` count them."""
+        """``_icdf`` of row ``x`` at ``w / B``, for draws ``w`` scaled by B,
+        with ``x * B + floor(w)`` in ``intp``: a narrow state dtype wraps."""
         f = self.start.take(x.astype(np.intp) * self.scale + w.astype(np.intp))
-        for _ in self.cols:
-            f += self.cdf.take(f) <= w
+        f += (self.cdf.take(f[:, None] + self.cols) <= w[:, None]).sum(axis=1, dtype=f.dtype)
         return self.dest.take(f)
 
 
@@ -578,7 +576,6 @@ def _draw_paths(
     until it is absorbed or stopped.
     """
     search = q.search
-    n = q.kernel.shape[0]
     go_on = ~stop
     go_on[:, q.absorbing] = False
     k0, k1 = keys
@@ -593,7 +590,7 @@ def _draw_paths(
             rows = np.arange(0, u.size, _DRAWS)
         xn = search(x, u.take(rows + k))
         steps.append((ids, x, xn))
-        (live,) = np.nonzero(go_on.take(x.astype(np.intp) * n + xn))
+        (live,) = np.nonzero(go_on.take(x.astype(np.intp) * len(go_on) + xn))
         if not live.size:
             return steps
         ids, x, rows = ids.take(live), xn.take(live), rows.take(live)
@@ -606,7 +603,7 @@ class _SspInner:
     """One ``(view, h)`` pair's weak-form inner problem, checked against
     ``q``: the action values ``lookahead(view, h)``, ``signed_zero`` (some
     action value is -0.0) and the stop table: ``stop[x, y]`` holds when a
-    path's step ``x -> y`` has the same value whatever follows it. ``_walk``
+    path's step ``x -> y`` has the same value whatever follows it. ``_Walk``
     divides the ratios of all pairs on a draw into one stacked table.
     """
 
@@ -642,20 +639,17 @@ class _SspInner:
         self.stop[signed] = False
 
 
-def _walk(
-    inners: Sequence[_SspInner], q: ReferenceMeasure, steps: _Steps, n_paths: int
-) -> list[np.ndarray]:
-    """Inner values of ``n_paths`` paths stored as steps, one array per pair,
-    all from one backward walk.
-
-    The pairs are stacked into ``rho[x * n + y, p * slots + a] = p(y|x,a) /
-    q(y|x)`` (0 where q is 0, which no accepted step reads), ``base[p, a,
-    x]`` and ``h[p, y]``. A step takes its rows of each, with paths last,
-    and one multiply and one add serve every pair. Each pair reduces its
-    own slots in order, one elementwise max or min at a time: bit for bit
-    the optimum of a one-pair walk, unless a row ties +0.0 with -0.0, which
-    NumPy's vector loop may break at another position; a value is -0.0 only
-    where its base is, so with ``signed_zero`` rows are reduced contiguously.
+class _Walk:
+    """Inner values of paths stored as steps, one array per pair, from one
+    backward walk over tables stacked once per estimate: ``base[p, a, x]``,
+    ``h[p, y]`` and ``rho[x * n + y, p * slots + a] = p(y|x,a) / q(y|x)``
+    (0 where q is 0, which no accepted step reads). A step takes its rows of
+    each, with paths last, and one multiply and one add serve every pair.
+    Each pair reduces its own slots in order, one elementwise max or min at
+    a time: bit for bit the optimum of a one-pair walk, unless a row ties
+    +0.0 with -0.0, which NumPy's vector loop may break at another position;
+    a value is -0.0 only where its base is, so with ``signed_zero`` rows are
+    reduced contiguously.
 
     A zero ratio must contribute exactly 0, where ``rho * diff`` is NaN if
     the continuation has overflowed. With ``diff`` finite, ``0 * diff`` is
@@ -663,40 +657,42 @@ def _walk(
     -0.0. So the repair to +0.0 runs, on every pair, only on a step with a
     ``diff`` that is not finite, or when ``signed_zero``.
     """
-    n = q.kernel.shape[0]
-    P, S = len(inners), max(inner.kernel.shape[1] for inner in inners)
-    rho, base, h = np.zeros((n, n, P, S)), np.zeros((P, S, n)), np.empty((P, n))
-    for j, inner in enumerate(inners):
-        slots = inner.kernel.shape[1]
-        np.divide(
-            inner.kernel.transpose(0, 2, 1), q.kernel[:, :, None],
-            out=rho[:, :, j, :slots], where=q.kernel[:, :, None] > 0.0,
-        )
-        base[j, :slots], h[j] = inner.base.T, inner.h
-    rho = rho.reshape(n * n, P * S)
-    signed_zero = any(inner.signed_zero for inner in inners)
-    W = np.zeros((P, n_paths))
-    # Weak generators can let the recursion overflow legitimately (the bound
-    # stays valid, just useless); keep 0 * inf at zero-rho actions from
-    # poisoning the optimization with NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ids, x, xn in reversed(steps):
-            xy = x.astype(np.intp) * n + xn
-            ratios = np.ascontiguousarray(rho.take(xy, axis=0).T).reshape(P, S, -1)
-            diff = W.take(ids, axis=1) - h.take(xn, axis=1)
-            d = diff[:, None, :]
-            carry = ratios * d
-            if signed_zero or not np.isfinite(diff).all():
-                carry = np.where((ratios == 0.0) & (d != 0.0), 0.0, carry)
-            carry += base.take(x, axis=-1)
-            for j, inner in enumerate(inners):
-                values = carry[j, : inner.kernel.shape[1]]
-                if signed_zero:
-                    inner.reduce(np.ascontiguousarray(values.T), axis=1, out=diff[j])
-                else:
-                    inner.reduce(values, axis=0, out=diff[j])
-            W[:, ids] = diff
-    return list(W)
+
+    def __init__(self, inners: Sequence[_SspInner], q: ReferenceMeasure):
+        n = q.kernel.shape[0]
+        P, S = len(inners), max(inner.kernel.shape[1] for inner in inners)
+        rho, base, h = np.zeros((n, n, P, S)), np.zeros((P, S, n)), np.empty((P, n))
+        for j, inner in enumerate(inners):
+            slots = inner.kernel.shape[1]
+            np.divide(inner.kernel.transpose(0, 2, 1), q.kernel[:, :, None],
+                      out=rho[:, :, j, :slots], where=q.kernel[:, :, None] > 0.0)
+            base[j, :slots], h[j] = inner.base.T, inner.h
+        self.inners, self.rho, self.base, self.h = inners, rho.reshape(n * n, -1), base, h
+
+    def __call__(self, steps: _Steps, n_paths: int) -> list[np.ndarray]:
+        rho, base, h, inners = self.rho, self.base, self.h, self.inners
+        (P, S, n), signed_zero = base.shape, any(inner.signed_zero for inner in inners)
+        W = np.zeros((P, n_paths))
+        # Weak generators can let the recursion overflow legitimately (the
+        # bound stays valid, just useless); keep 0 * inf at zero-rho actions
+        # from poisoning the optimization with NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ids, x, xn in reversed(steps):
+                xy = x.astype(np.intp) * n + xn
+                ratios = np.ascontiguousarray(rho.take(xy, axis=0).T).reshape(P, S, -1)
+                diff = W.take(ids, axis=1) - h.take(xn, axis=1)
+                carry = ratios * diff[:, None]
+                if signed_zero or not np.isfinite(diff).all():
+                    carry = np.where((ratios == 0.0) & (diff[:, None] != 0.0), 0.0, carry)
+                carry += base.take(x, axis=-1)
+                for j, inner in enumerate(inners):
+                    values = carry[j, : inner.kernel.shape[1]]
+                    if signed_zero:
+                        inner.reduce(np.ascontiguousarray(values.T), axis=1, out=diff[j])
+                    else:
+                        inner.reduce(values, axis=0, out=diff[j])
+                W[:, ids] = diff
+        return list(W)
 
 
 def weak_form_inner_ssp(
@@ -729,7 +725,7 @@ def weak_form_inner_ssp(
     path = path.astype(np.intp)
     one = np.zeros(1, dtype=np.int32)
     steps = [(one, path[t : t + 1], path[t + 1 : t + 2]) for t in range(len(path) - 1)]
-    return float(_walk([inner], q, steps, 1)[0][0])
+    return float(_Walk([inner], q)(steps, 1)[0][0])
 
 
 def estimate_dual_bound_ssp(
@@ -802,10 +798,12 @@ def estimate_dual_bounds(
         _check_start(x0, q.kernel.shape[0], q.absorbing)
         _check_cap(cap)
         stop = np.logical_and.reduce([inner.stop for inner in ssp])
+        # The table is built after the first draw: the draw's peak never holds it.
+        walk = cache(lambda: _Walk(ssp, q))
 
         def block(indices: range) -> list[np.ndarray]:
             steps = _draw_paths(q, x0, stream_keys(seed, indices), cap, stop)
-            return _walk(ssp, q, steps, len(indices))
+            return walk()(steps, len(indices))
 
         size = _PATH_BLOCK
     values = _block_values(block, len(pairs), n, size)

@@ -384,6 +384,34 @@ class TestBoundCommand:
             f"are not finite"
         ]
 
+    def test_overflowing_sum_of_finite_values_exits_1(self, capsys, tmp_path):
+        # At 1e306 x the pair value every scenario value is finite, but
+        # their sum is not.
+        model = zd.build_two_period_matrix_game()
+        mu = zd.uniform_policy(model, zd.PLAYER_A)
+        nu = zd.uniform_policy(model, zd.PLAYER_B)
+        h = 1e306 * zd.evaluate_policy_pair(model, mu, nu)
+        hpath = tmp_path / "h.json"
+        hpath.write_text(json.dumps({str(i): v for i, v in enumerate(h.tolist())}))
+        est = zd.estimate_dual_bound_finite(
+            zd.fix_player(model, nu, zd.PLAYER_B), h, 300, seed=1, keep_values=True
+        )
+        assert np.isfinite(est.per_scenario_values).all() and est.mean == np.inf
+        out_path = tmp_path / "bounds.csv"
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:matrix2p", "--fix", "B=uniform",
+            "--h", f"file:{hpath}", "--n", "300", "--seed", "1", "--out", str(out_path),
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "upper: mean=inf se=inf n=300 seed=1", f"wrote {out_path}"
+        ]
+        assert out_path.read_text().splitlines()[-1] == "upper,inf,inf,300,1"
+        assert err.splitlines() == [
+            "upper: the dual bound is not finite (mean=inf): all 300 scenarios are "
+            "finite; their sum overflowed"
+        ]
+
 
 class TestReproCommand:
     def test_matrix_game_artifacts(self, capsys, tmp_path):
