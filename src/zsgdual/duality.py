@@ -56,7 +56,10 @@ uniform, scaled exactly by a power of two B >= the number of states, picks
 a bucket, a table holds how many of the row's CDF values lie at or below
 the bucket's lower edge, and only the K or fewer values inside the bucket
 are compared. A CDF never decreases, so the index is bit for bit the one a
-scan of the row returns.
+scan of the row returns. When every non-absorbing row of ``q`` is the same,
+as under ``make_uniform_reference``, a next state does not depend on the
+state: each path draws a window of steps with one search, and only other
+measures step all live paths together (``_draw_paths``).
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ DEFAULT_CELL_BUDGET = 10**6
 # estimate walks the long tail of path lengths once.
 _BLOCK = 512
 _PATH_BLOCK = 8192
-# Uniforms drawn from a path's stream at a time.
-_DRAWS = 64
+# Uniforms drawn from the streams of all live paths at a time (``_refill``).
+_CELLS = 16384
 
 
 class SupportViolation(ValueError):
@@ -246,9 +249,10 @@ class _GuideTable(NamedTuple):
 
     def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``_icdf`` of row ``x`` at ``w / B``, for draws ``w`` scaled by B,
-        with ``x * B + floor(w)`` in ``intp``: a narrow state dtype wraps."""
+        with ``x * B + floor(w)`` in ``intp``: a narrow state dtype wraps.
+        ``x`` broadcasts against ``w``, which may have any shape."""
         f = self.start.take(x.astype(np.intp) * self.scale + w.astype(np.intp))
-        f += (self.cdf.take(f[:, None] + self.cols) <= w[:, None]).sum(axis=1, dtype=f.dtype)
+        f += (self.cdf.take(f[..., None] + self.cols) <= w[..., None]).sum(axis=-1, dtype=f.dtype)
         return self.dest.take(f)
 
 
@@ -451,14 +455,17 @@ def estimate_dual_bound_finite(
 class ReferenceMeasure:
     """Action-independent transition kernel used to simulate dual paths.
 
-    ``search`` is derived from the kernel once: the guide table of its row
-    CDFs, which finds each step of a path in O(1) expected work and returns
-    the index a scan of the whole row would (``_GuideTable``).
+    ``search`` and ``iid`` are derived from the kernel once: the guide table
+    of its row CDFs, which finds each step of a path in O(1) expected work
+    and returns the index a scan of the whole row would (``_GuideTable``),
+    and whether every non-absorbing row is bitwise the same, so that a
+    path's steps are i.i.d. draws of that row.
     """
 
     kernel: np.ndarray
     absorbing: int
     search: _GuideTable = field(init=False, repr=False, compare=False)
+    iid: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = np.ascontiguousarray(self.kernel, dtype=float)
@@ -482,6 +489,8 @@ class ReferenceMeasure:
         k.setflags(write=False)
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "search", _GuideTable.of(np.cumsum(k, axis=1)))
+        rows = np.delete(k, a, axis=0).view(np.uint64)
+        object.__setattr__(self, "iid", bool((rows == rows[:1]).all()))
 
 
 def make_uniform_reference(model: GameModel) -> ReferenceMeasure:
@@ -547,6 +556,13 @@ def _check_cap(cap: int) -> None:
 _Steps = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
+def _refill(live: int, left: int) -> int:
+    """Doubles to draw from each of ``live`` paths' streams at a time: about
+    ``_CELLS`` in all, 8 to 256 per path and a multiple of 4 (Philox makes
+    four doubles per counter), and none past the step cap."""
+    return min(256, max(8, _CELLS // live // 4 * 4), left)
+
+
 def _draw_paths(
     q: ReferenceMeasure,
     x0: int,
@@ -562,35 +578,64 @@ def _draw_paths(
 
     A stop is a transition that no action of any view evaluated on the draw
     can make (``_SspInner.stop``): the inner value of its step does not
-    depend on what follows it, so the rest of the path is never drawn. All
-    live paths step together. Step ``t`` is stored as the int32 ids of the
-    paths that take it, their states and their next states, in
-    ``q.search.dest``'s dtype. Path ``i`` takes its ``t``-th uniform from
-    its stream, the ``t``-th double of ``scenario_rng``'s: every ``_DRAWS``
-    steps one vectorized Philox call (``uniforms``) computes the next
-    ``_DRAWS`` doubles of every live path's stream, scaled in place by
-    ``q.search``'s B. The next state is ``q.search``'s: the index a scan of
-    the row of ``q``'s CDF returns. Most steps have few live paths, so a
-    step makes few NumPy calls: flat ``take`` gathers, with ``x * n + next``
-    in ``intp``, and one ``nonzero``. ``cap`` bounds the steps of every path
-    until it is absorbed or stopped.
+    depend on what follows it, so the rest of the path is never drawn. Step
+    ``t`` is stored as the int32 ids of the paths that take it, their
+    states and their next states, in ``q.search.dest``'s dtype. Path ``i``
+    takes its ``t``-th uniform from its stream, the ``t``-th double of
+    ``scenario_rng``'s: one vectorized Philox call (``uniforms``) computes
+    the next ``_refill`` doubles of every live path's stream, scaled in
+    place by ``q.search``'s B. The next state is ``q.search``'s: the index
+    a scan of the row of ``q``'s CDF returns. ``cap`` bounds the steps of
+    every path until it is absorbed or stopped.
+
+    When ``q.iid``, each refill is a window: one search over x0's row draws
+    every live path's next state for each of its doubles, and a path ends
+    at the window's first transition that does not go on. The window's
+    states are one ``(steps + 1, paths)`` array, paths ordered longest
+    first, and each step's arrays are views of a prefix of it: about one
+    byte per drawn path-step. Otherwise all live paths step together, with
+    flat ``take`` gathers (``x * n + next`` in ``intp``) and one
+    ``nonzero`` per step.
     """
-    search = q.search
+    search, n = q.search, q.kernel.shape[0]
     go_on = ~stop
     go_on[:, q.absorbing] = False
+    go_on = go_on.ravel()
     k0, k1 = keys
     ids = np.arange(len(k0), dtype=np.int32)
     x = np.full(len(k0), x0, dtype=search.dest.dtype)
     steps: _Steps = []
-    for t in range(cap):
-        k = t % _DRAWS
-        if k == 0:
-            u = uniforms(k0.take(ids), k1.take(ids), t, _DRAWS)
+    t = 0
+    while q.iid and t < cap:
+        count = _refill(len(ids), cap - t)
+        u = uniforms(k0.take(ids), k1.take(ids), t, count)
+        u *= search.scale
+        path = np.empty((count + 1, len(ids)), dtype=x.dtype)
+        path[0] = x
+        path[1:] = search(np.intp(x0), u).T
+        del u  # before the go table: it lowers the window's peak memory
+        go = go_on.take(path[:-1].astype(np.intp) * n + path[1:])
+        # Steps a path takes in the window; count + 1 if it goes on after it.
+        length = np.where(go.all(axis=0), count + 1, go.argmin(axis=0) + 1)
+        order = np.argsort(-length, kind="stable")
+        path, ids = path.take(order, axis=1), ids.take(order)
+        # Paths that take step j, for j up to count (those that go on).
+        takes = len(ids) - np.cumsum(np.bincount(length, minlength=count + 2))
+        *takes, m = takes[: count + 1].tolist()
+        steps += [(ids[:k], path[j, :k], path[j + 1, :k]) for j, k in enumerate(takes) if k]
+        if not m:
+            return steps
+        ids, x, t = ids[:m], path[count, :m], t + count
+    t0 = count = 0
+    for t in range(t, cap):
+        if t - t0 == count:
+            t0, count = t, _refill(len(ids), cap - t)
+            u = uniforms(k0.take(ids), k1.take(ids), t, count)
             u *= search.scale
-            rows = np.arange(0, u.size, _DRAWS)
-        xn = search(x, u.take(rows + k))
+            rows = np.arange(0, u.size, count)
+        xn = search(x, u.take(rows + (t - t0)))
         steps.append((ids, x, xn))
-        (live,) = np.nonzero(go_on.take(x.astype(np.intp) * len(go_on) + xn))
+        (live,) = np.nonzero(go_on.take(x.astype(np.intp) * n + xn))
         if not live.size:
             return steps
         ids, x, rows = ids.take(live), xn.take(live), rows.take(live)

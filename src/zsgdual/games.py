@@ -448,7 +448,10 @@ def absorbing_reachable(kernel: np.ndarray, absorbing: int) -> bool:
 
 
 def validate(model: GameModel) -> list[tuple[str, str]]:
-    """Check all structural invariants; return (location, violation) records."""
+    """Check all structural invariants; return (location, violation) records.
+
+    Each block is checked in one array pass; the records of its flagged
+    states are then written out state by state, in state order."""
     out: list[tuple[str, str]] = []
     n = model.n_states
     root = model.root
@@ -458,25 +461,31 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
         out.append(("model", f"root {root!r} is not a state index in [0, {n})"))
     if model.labels is not None and len(model.labels) != n:
         out.append(("model", f"{len(model.labels)} labels for {n} states"))
-    for i in range(n):
-        p, g = model.transition[i], model.cost[i]
-        shape = (int(model.actions_a[i]), int(model.actions_b[i]), n)
-        if p.shape != shape or g.shape != shape:
-            out.append((f"state {i}", f"tensor shape {p.shape} != {shape}"))
+    found: dict[int, list[tuple[str, str]]] = {}
+    for b in model.blocks:
+        p, g = b.transition, b.cost
+        shape = (*p.shape[1:3], n)
+        if p.shape[1:] != shape or g.shape[1:] != shape:
+            for i in b.states.tolist():
+                found[i] = [(f"state {i}", f"tensor shape {p.shape[1:]} != {shape}")]
             continue
-        if model.actions_a[i] < 1 or model.actions_b[i] < 1:
-            out.append((f"state {i}", "empty action set"))
-        if not (np.isfinite(p).all() and np.isfinite(g).all()):
-            out.append((f"state {i}", "non-finite transition probability or cost"))
-        negative = (p < 0).any(axis=2)
-        sums = p.sum(axis=2)
+        finite = np.isfinite(p).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=(1, 2, 3))
+        negative = (p < 0).any(axis=3)
+        sums = p.sum(axis=3)
         off = np.abs(sums - 1.0) > SIMPLEX_TOL
-        for u, v in np.argwhere(negative | off):
-            where = f"state {i}, u={u}, v={v}"
-            if negative[u, v]:
-                out.append((where, "negative transition probability"))
-            if off[u, v]:
-                out.append((where, f"row sums to {float(sums[u, v])!r}, not 1"))
+        empty = min(shape[:2]) < 1
+        for r in np.flatnonzero(empty | ~finite | (negative | off).any(axis=(1, 2))):
+            i = int(b.states[r])
+            rec = found[i] = [(f"state {i}", "empty action set")] if empty else []
+            if not finite[r]:
+                rec.append((f"state {i}", "non-finite transition probability or cost"))
+            for u, v in np.argwhere(negative[r] | off[r]):
+                where = f"state {i}, u={u}, v={v}"
+                if negative[r, u, v]:
+                    rec.append((where, "negative transition probability"))
+                if off[r, u, v]:
+                    rec.append((where, f"row sums to {float(sums[r, u, v])!r}, not 1"))
+    out += [rec for i in sorted(found) for rec in found[i]]
 
     reg = model.regime
     if isinstance(reg, Discounted) and not (0.0 < reg.alpha < 1.0):
@@ -499,11 +508,15 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
         elif isinstance(reg, Ssp):
             if model.period[reg.absorbing] != model.horizon:
                 out.append(("model", "terminal state not tagged with final period"))
-            for i in np.flatnonzero(np.arange(n) != reg.absorbing):
-                succ = np.flatnonzero(model.transition[i].max(axis=(0, 1)) > 0)
-                bad = succ[model.period[succ] != model.period[i] + 1].tolist()
-                if bad:
-                    out.append((f"state {i}", f"transitions skip a period (to {bad})"))
+            skips: dict[int, list[int]] = {}
+            for b in model.blocks:
+                reach = np.max(b.transition, axis=(1, 2), initial=0.0) > 0
+                skip = reach & (model.period[: reach.shape[1]] != model.period[b.states, None] + 1)
+                skip[b.states == reg.absorbing] = False
+                for r in np.flatnonzero(skip.any(axis=1)):
+                    skips[int(b.states[r])] = np.flatnonzero(skip[r]).tolist()
+            out += [(f"state {i}", f"transitions skip a period (to {skips[i]})")
+                    for i in sorted(skips)]
     return out
 
 

@@ -171,10 +171,11 @@ def random_ssp_game(
 
 
 def random_sparse_ssp_game(
-    rng: np.random.Generator, n_states: int = 8, max_actions: int = 3
+    rng: np.random.Generator, n_states: int = 8, max_actions: int = 3, support=None
 ) -> GameModel:
     """Random absorbing-state game whose action pairs each move to one or
-    two states, so a view with a pure fixed policy reaches few successors."""
+    two states, so a view with a pure fixed policy reaches few successors;
+    the successors are drawn from ``support`` when given."""
     from zsgdual.games import make_game
 
     absorbing = n_states - 1
@@ -185,7 +186,10 @@ def random_sparse_ssp_game(
         p = np.zeros((na, nb, n_states))
         for u in range(na):
             for v in range(nb):
-                succ = rng.choice(n_states, size=int(rng.integers(1, 3)), replace=False)
+                succ = rng.choice(
+                    n_states if support is None else support,
+                    size=int(rng.integers(1, 3)), replace=False,
+                )
                 p[u, v, succ] = rng.dirichlet(np.ones(len(succ)))
         transition.append(p)
         cost.append(rng.uniform(0.0, 3.0, size=(na, nb, n_states)))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1178,6 +1179,40 @@ class TestSharedDraw:
             )
 
 
+def signed_zero_case(monkeypatch):
+    """A 3-state game whose view has a -0.0 action value at state 0: its
+    view, generator, uniform ``q`` and action values.
+
+    NumPy's matmul sums from +0.0, so lookahead never yields -0.0 on its
+    own; it is injected here. At a stop 0 -> 1 through a -0.0 kernel entry
+    the carry is -0.0 after a zero continuation but +0.0 after the real
+    one, and -0.0 + carry tells them apart.
+    """
+    n = 3
+    p0 = np.zeros((1, 1, n))
+    p0[0, 0] = [0.5, 0.0, 0.5]
+    p1 = np.zeros((1, 1, n))
+    p1[0, 0] = [0.0, 0.5, 0.5]
+    pa = np.zeros((1, 1, n))
+    pa[0, 0, 2] = 1.0
+    ones, zeros = np.ones((1, 1, n)), np.zeros((1, 1, n))
+    model = zd.make_game(zd.Ssp(absorbing=2), [p0, p1, pa], [zeros, ones, zeros], root=0)
+    view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+    kernel = view.kernel.copy()
+    kernel[0, 0, 1] = -0.0
+    view = dataclasses.replace(view, kernel=kernel)
+    lookahead = duality.lookahead
+
+    def signed(view, h):
+        base = lookahead(view, h)
+        base[0, 0] = -0.0
+        return base
+
+    monkeypatch.setattr(duality, "lookahead", signed)
+    h = np.zeros(n)
+    return view, h, zd.make_uniform_reference(model), signed(view, h)
+
+
 class TestStoppedPaths:
     """A reference path ends at its first transition that no action of the
     views can make; every value is byte-equal to the walk of the full path
@@ -1256,38 +1291,11 @@ class TestStoppedPaths:
         assert drawn < sum(len(path) - 1 for path in paths)
 
     def test_negative_zero_action_value_never_stops(self, monkeypatch):
-        # NumPy's matmul sums from +0.0, so lookahead never yields -0.0 on
-        # its own; it is injected here. At a stop 0 -> 1 through a -0.0
-        # kernel entry the carry is -0.0 after a zero continuation but +0.0
-        # after the real one, and -0.0 + carry tells them apart.
-        n = 3
-        p0 = np.zeros((1, 1, n))
-        p0[0, 0] = [0.5, 0.0, 0.5]
-        p1 = np.zeros((1, 1, n))
-        p1[0, 0] = [0.0, 0.5, 0.5]
-        pa = np.zeros((1, 1, n))
-        pa[0, 0, 2] = 1.0
-        ones, zeros = np.ones((1, 1, n)), np.zeros((1, 1, n))
-        model = zd.make_game(zd.Ssp(absorbing=2), [p0, p1, pa], [zeros, ones, zeros], root=0)
-        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
-        kernel = view.kernel.copy()
-        kernel[0, 0, 1] = -0.0
-        view = dataclasses.replace(view, kernel=kernel)
-        lookahead = duality.lookahead
-
-        def signed(view, h):
-            base = lookahead(view, h)
-            base[0, 0] = -0.0
-            return base
-
-        monkeypatch.setattr(duality, "lookahead", signed)
-        h = np.zeros(n)
-        q = zd.make_uniform_reference(model)
+        view, h, q, base = signed_zero_case(monkeypatch)
         assert not duality._SspInner(view, h, q).stop[0].any()
         paths = self.full_paths(view, q, 200, seed=3)
         assert any(((path[:-1] == 0) & (path[1:] == 1)).any() for path in paths)
         est = zd.estimate_dual_bound_ssp(view, h, q, 200, seed=3, keep_values=True)
-        base = signed(view, h)
         want = np.array([ssp_path_value(view, path, q.kernel, h, base) for path in paths])
         assert est.per_scenario_values.tobytes() == want.tobytes()
         # Every path is worth +0.0; a walk that skipped the zero-ratio repair
@@ -1526,3 +1534,186 @@ class TestOneWalk:
             for player in (zd.PLAYER_A, zd.PLAYER_B)
         ]
         self.assert_pairwise(pairs, q, 40, seed=9, x0=298)
+
+
+class TestWindowDraw:
+    """Under a ``q`` whose non-absorbing rows are all the same, each live
+    path draws a window of steps at a time; every path's states equal the
+    scalar oracle's path up to its first stop or absorption, every value the
+    oracle's walk of the full path, byte for byte, and the per-step loop
+    draws the same record."""
+
+    @staticmethod
+    def shared_row_q(rng, model, zeros):
+        """A ``q`` whose live rows are one Dirichlet row, zero at ``zeros``."""
+        row = rng.dirichlet(np.full(model.n_states, 0.5))
+        row[list(zeros)] = 0.0
+        row[model.absorbing] += 0.05
+        row /= row.sum()
+        kernel = np.tile(row, (model.n_states, 1))
+        kernel[model.absorbing] = np.eye(model.n_states)[model.absorbing]
+        return zd.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Wrap the draw: its step records and the windows of uniforms drawn."""
+        draws, windows = [], []
+        draw, uniforms = duality._draw_paths, duality.uniforms
+
+        def drawn(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+
+        def counted(k0, k1, start, count):
+            windows.append((start, count))
+            return uniforms(k0, k1, start, count)
+
+        monkeypatch.setattr(duality, "_draw_paths", drawn)
+        monkeypatch.setattr(duality, "uniforms", counted)
+        return draws, windows
+
+    @staticmethod
+    def paths_of(steps, x0, n):
+        paths = [[x0] for _ in range(n)]
+        for ids, x, xn in steps:
+            for i, a, b in zip(ids.tolist(), x.tolist(), xn.tolist()):
+                assert paths[i][-1] == a
+                paths[i].append(b)
+        return paths
+
+    @staticmethod
+    def truncated(path, stop, absorbing):
+        for t in range(len(path) - 1):
+            if stop[path[t], path[t + 1]] or path[t + 1] == absorbing:
+                return [int(s) for s in path[: t + 2]]
+        raise AssertionError("an oracle path ends at absorption")
+
+    def check_draw(self, monkeypatch, model, q, n, seed):
+        """Bound both players' views at random mixed policies on one draw;
+        return the paths' drawn lengths and the windows."""
+        rng = np.random.default_rng(seed)
+        pairs = [
+            (zd.fix_player(model, random_policy(rng, model, player), player),
+             rng.uniform(-2.0, 2.0, model.n_states))
+            for player in (zd.PLAYER_A, zd.PLAYER_B)
+        ]
+        draws, windows = self.recorded(monkeypatch)
+        ests = zd.estimate_dual_bounds(pairs, n, seed, q=q, keep_values=True)
+        [steps] = draws
+        full = [reference_path(q.kernel, q.absorbing, model.root, seed, i) for i in range(n)]
+        for est, (view, h) in zip(ests, pairs):
+            want = TestStoppedPaths.oracle_values(view, h, q, full)
+            assert est.per_scenario_values.tobytes() == want.tobytes()
+        stop = np.logical_and.reduce([duality._SspInner(v, h, q).stop for v, h in pairs])
+        got = self.paths_of(steps, model.root, n)
+        assert got == [self.truncated(path, stop, q.absorbing) for path in full]
+        stepwise = dataclasses.replace(q)
+        object.__setattr__(stepwise, "iid", False)
+        again = duality._draw_paths(stepwise, model.root, duality.stream_keys(seed, range(n)), 10**6, stop)
+        assert self.paths_of(again, model.root, n) == got
+        assert sum(len(p) - 1 for p in got) < sum(len(p) - 1 for p in full)
+        return [len(p) - 1 for p in got], windows
+
+    @pytest.mark.parametrize("cells", [None, 1])
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+    def test_paths_and_values_match_the_scalar_oracle(self, monkeypatch, kind, cells):
+        if cells is not None:  # windows of 8 steps throughout
+            monkeypatch.setattr(duality, "_CELLS", cells)
+        rng = np.random.default_rng(71)
+        at_window_end = 0
+        for trial in range(3):
+            zeros = (2, 4) if kind == "dirichlet" else ()
+            support = [s for s in range(8) if s not in zeros]
+            model = random_sparse_ssp_game(rng, n_states=8, max_actions=4, support=support)
+            q = self.shared_row_q(rng, model, zeros) if zeros else zd.make_uniform_reference(model)
+            assert q.iid
+            if zeros:
+                assert len(q.search.cols) > 1  # a guide bucket holds K > 1 rises
+            lengths, windows = self.check_draw(monkeypatch, model, q, 400, seed=trial)
+            ends = {start + count for start, count in windows}
+            at_window_end += sum(length in ends for length in lengths)
+        if cells is not None:
+            assert at_window_end > 0
+
+    def test_wide_state_indices(self):
+        # 300 states in uint16: x * n + next exceeds 2**16.
+        rng = np.random.default_rng(72)
+        model = random_sparse_ssp_game(rng, n_states=300, max_actions=3)
+        q = self.shared_row_q(rng, model, ())
+        assert q.iid and q.search.dest.dtype == np.uint16
+        pairs = [
+            (zd.fix_player(model, random_policy(rng, model, player), player),
+             rng.uniform(-2.0, 2.0, model.n_states))
+            for player in (zd.PLAYER_A, zd.PLAYER_B)
+        ]
+        TestOneWalk.assert_pairwise(pairs, q, 40, seed=9, x0=298)
+
+    def test_cap_as_in_the_step_loop(self):
+        rng = np.random.default_rng(73)
+        model = random_sparse_ssp_game(rng, n_states=8, max_actions=3)
+        q = zd.make_uniform_reference(model)
+        stepwise = dataclasses.replace(q)
+        object.__setattr__(stepwise, "iid", False)
+        stop = duality._SspInner(TestStoppedPaths.pure_view(model, zd.PLAYER_A), np.zeros(8), q).stop
+        keys = duality.stream_keys(4, range(300))
+        steps = duality._draw_paths(q, model.root, keys, 10**6, stop)
+        longest = len(steps)
+        # Every path ends inside the first window, which the cap must cut.
+        assert 2 < longest < duality._refill(300, 10**6)
+        for cap in (1, 2, longest - 1, longest, longest + 1):
+            for measure in (q, stepwise):
+                if cap < longest:
+                    with pytest.raises(zd.PathCapExceeded):
+                        duality._draw_paths(measure, model.root, keys, cap, stop)
+                else:
+                    drawn = duality._draw_paths(measure, model.root, keys, cap, stop)
+                    assert self.paths_of(drawn, model.root, 300) == self.paths_of(steps, model.root, 300)
+
+    def test_first_values_do_not_depend_on_the_path_count(self, waste3):
+        view = zd.fix_player(waste3, zd.uniform_policy(waste3, zd.PLAYER_B), zd.PLAYER_B)
+        h = 0.9 * zd.solve_view(view, tol=0.0)[0]
+        q = zd.make_uniform_reference(waste3)
+        many = zd.estimate_dual_bound_ssp(view, h, q, 2000, seed=6, keep_values=True)
+        few = zd.estimate_dual_bound_ssp(view, h, q, 37, seed=6, keep_values=True)
+        assert duality._refill(2000, 10**6) != duality._refill(37, 10**6)
+        assert many.per_scenario_values[:37].tobytes() == few.per_scenario_values.tobytes()
+
+    def test_negative_zero_action_value_never_stops(self, monkeypatch):
+        monkeypatch.setattr(duality, "_CELLS", 1)
+        view, h, q, base = signed_zero_case(monkeypatch)
+        assert q.iid
+        draws, windows = self.recorded(monkeypatch)
+        est = zd.estimate_dual_bound_ssp(view, h, q, 200, seed=3, keep_values=True)
+        paths = [reference_path(q.kernel, q.absorbing, 0, 3, i) for i in range(200)]
+        want = np.array([ssp_path_value(view, path, q.kernel, h, base) for path in paths])
+        assert est.per_scenario_values.tobytes() == want.tobytes()
+        assert not np.signbit(want).any()
+        # State 0 never stops: a path is drawn up to a stop out of state 1
+        # or to absorption, across windows of 8 steps.
+        stop = duality._SspInner(view, h, q).stop
+        assert not stop[0].any() and stop[1].any()
+        [steps] = draws
+        got = self.paths_of(steps, 0, 200)
+        assert got == [self.truncated(path, stop, q.absorbing) for path in paths]
+        assert max(len(path) for path in got) > 9 and len(windows) > 1
+
+    def test_window_draw_memory_is_linear_in_path_steps(self):
+        # 8,192 paths to absorption on waste N=10: about 920,000 path-steps,
+        # the longest path over 900 steps. A step record takes 6 bytes per
+        # path-step (int32 id, uint8 state and next state); the draw's peak
+        # stays within that, while a dense paths-by-longest-path matrix of
+        # states alone would exceed it.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
+        q = zd.make_uniform_reference(model)
+        keys = duality.stream_keys(7, range(duality._PATH_BLOCK))
+        never = np.zeros(q.kernel.shape, dtype=bool)
+        tracemalloc.start()
+        try:
+            steps = duality._draw_paths(q, model.root, keys, 10**6, never)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = sum(a.nbytes for step in steps for a in step)
+        assert record == 6 * sum(len(ids) for ids, _, _ in steps)
+        assert duality._PATH_BLOCK * (len(steps) + 1) > record
+        assert peak <= record

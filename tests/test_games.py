@@ -316,6 +316,45 @@ class TestGamesLayerMatchesEntryLoops:
             broken += bool(want)
         assert 100 < broken < 300
 
+    def test_records_of_two_blocks_come_in_state_order(self):
+        # States 0 and 2 share the (2, 1) block, state 1 has the (1, 2) one,
+        # so the blocks' flagged states interleave.
+        n = 4
+        rng = np.random.default_rng(3)
+        t = [rng.dirichlet(np.ones(n), size=s) for s in [(2, 1), (1, 2), (2, 1), (1, 1)]]
+        c = [np.zeros(p.shape) for p in t]
+        t[0][1, 0, 2] = -0.1
+        t[1][0, 1] *= 0.5
+        c[1][0, 0, 3] = np.nan
+        t[2][0, 0] *= 2.0
+        t[2][1, 0, 0] = -0.2
+        broken = zd.make_game(zd.Discounted(alpha=0.9), t, c)
+        assert [len(b.states) for b in broken.blocks] == [2, 1, 1]
+        got = zd.validate(broken)
+        assert [loc for loc, _ in got] == [
+            "state 0, u=1, v=0", "state 0, u=1, v=0",
+            "state 1", "state 1, u=0, v=1",
+            "state 2, u=0, v=0", "state 2, u=1, v=0", "state 2, u=1, v=0",
+        ]
+        assert got == validate_by_entry(broken)
+
+    def test_skipped_periods_of_two_blocks_come_in_state_order(self):
+        emb = zd.embed_finite_horizon(random_finite_game(np.random.default_rng(5), n_states=4))
+        live = [i for i in range(emb.n_states) if i != emb.absorbing]
+        t = [np.array(p) for p in emb.transition]
+        for i in live:  # half of every row stays put: a transition within a period
+            t[i] *= 0.5
+            t[i][:, :, i] += 0.5
+        broken = zd.make_game(
+            emb.regime, t, emb.cost, root=emb.root, horizon=emb.horizon,
+            period=emb.period, base_state=emb.base_state,
+        )
+        assert np.concatenate([b.states for b in broken.blocks]).tolist() != sorted(range(emb.n_states))
+        got = zd.validate(broken)
+        assert [loc for loc, _ in got] == [f"state {i}" for i in live]
+        assert all("skip a period" in message for _, message in got)
+        assert got == validate_by_entry(broken)
+
     def test_row_sum_text(self, two_period):
         t = [np.array(x) for x in two_period.transition]
         t[0][1, 1] *= 1.0 + 3e-12

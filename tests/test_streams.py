@@ -37,9 +37,10 @@ class TestBlockDraw:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_uniforms_match_scenario_rng(self, seed):
         k0, k1 = streams.stream_keys(seed, self.INDICES)
-        # Up to and across Philox's four-word buffer, and the refills that
-        # _draw_paths makes every _DRAWS steps.
-        for start, count in [(0, 1), (0, 3), (0, 4), (0, 5), (0, 70), (64, 64), (128, 64)]:
+        # Up to and across Philox's four-word buffer, and refills of any size
+        # from any offset, as _draw_paths makes them (duality._refill).
+        for start, count in [(0, 1), (0, 3), (0, 4), (0, 5), (0, 70), (64, 64), (128, 64),
+                             (32, 37), (13, 256), (257, 3)]:
             got = streams.uniforms(k0, k1, start, count)
             assert got.dtype == np.float64 and got.shape == (len(self.INDICES), count)
             assert got.view(np.uint64).tobytes() == self.want(
@@ -48,8 +49,9 @@ class TestBlockDraw:
 
     def test_full_path_block(self):
         indices = range(duality._PATH_BLOCK)
-        got = streams.uniforms(*streams.stream_keys(11, indices), 0, duality._DRAWS)
-        assert got.view(np.uint64).tobytes() == self.want(11, indices, 0, duality._DRAWS).tobytes()
+        count = duality._refill(len(indices), duality.DEFAULT_PATH_CAP)
+        got = streams.uniforms(*streams.stream_keys(11, indices), 0, count)
+        assert got.view(np.uint64).tobytes() == self.want(11, indices, 0, count).tobytes()
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
     def test_bad_seed_raises_as_scenario_rng(self, seed, error, two_period):
