@@ -90,7 +90,7 @@ def _from_file(path: str, what: str, read):
     try:
         with open(path) as f:
             return read(json.load(f))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot load {what} from {path}: {exc}") from exc
 
 

@@ -56,10 +56,10 @@ uniform, scaled exactly by a power of two B >= the number of states, picks
 a bucket, a table holds how many of the row's CDF values lie at or below
 the bucket's lower edge, and only the K or fewer values inside the bucket
 are compared. A CDF never decreases, so the index is bit for bit the one a
-scan of the row returns. When every non-absorbing row of ``q`` is the same,
-as under ``make_uniform_reference``, a next state does not depend on the
-state: each path draws a window of steps with one search, and only other
-measures step all live paths together (``_draw_paths``).
+scan of the row returns. Paths are drawn a window of steps at a time
+(``_draw_paths``); when every non-absorbing row of ``q`` is the same, as
+under ``make_uniform_reference``, a next state does not depend on the state,
+and one search draws the whole window.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ DEFAULT_CELL_BUDGET = 10**6
 
 # Scenarios evaluated together, as the rows of one block of arrays; no result
 # depends on either size. A finite block holds a (block, states) value array
-# per inner problem. A path block stores every step of its paths, about 6 B
-# per path-step, and steps until its longest path absorbs: one block per
-# estimate walks the long tail of path lengths once.
+# per inner problem. A path block stores every step of its paths, about 2 B
+# per path-step on waste N=10, and steps until its longest path absorbs: one
+# block per estimate walks the long tail of path lengths once.
 _BLOCK = 512
 _PATH_BLOCK = 8192
 # Uniforms drawn from the streams of all live paths at a time (``_refill``).
@@ -458,8 +458,8 @@ class ReferenceMeasure:
     ``search`` and ``iid`` are derived from the kernel once: the guide table
     of its row CDFs, which finds each step of a path in O(1) expected work
     and returns the index a scan of the whole row would (``_GuideTable``),
-    and whether every non-absorbing row is bitwise the same, so that a
-    path's steps are i.i.d. draws of that row.
+    and whether every non-absorbing row is bitwise the same, so that one
+    search draws a whole window of i.i.d. steps (``_draw_paths``).
     """
 
     kernel: np.ndarray
@@ -570,51 +570,56 @@ def _draw_paths(
     cap: int,
     stop: np.ndarray,
 ) -> _Steps:
-    """Reference-measure paths from x0, one per stream key of ``keys``, each
-    ending at its first step that absorbs or whose transition ``(x, next)``
-    is a stop. ``keys`` comes from ``stream_keys``: SeedSequence run over
-    the whole block as arrays, byte-equal to ``scenario_rng``'s keys, with a
-    SeedSequence fallback for rows whose index needs a second word.
+    """Reference-measure paths from x0, one per stream key of ``keys`` (from
+    ``stream_keys``), each ending at its first step that absorbs or whose
+    transition ``(x, next)`` is a stop: a transition that no action of any
+    view evaluated on the draw can make (``_SspInner.stop``), so the rest of
+    the path is never drawn. Step ``t`` is stored as the int32 ids of the
+    paths that take it, their states and their next states, in
+    ``q.search.dest``'s dtype. Path ``i`` takes its ``t``-th uniform from
+    its stream, the ``t``-th double of ``scenario_rng``'s, and its next
+    state is ``q.search``'s: the index a scan of the row of ``q``'s CDF
+    returns. ``cap`` bounds the steps of every path until it ends.
 
-    A stop is a transition that no action of any view evaluated on the draw
-    can make (``_SspInner.stop``): the inner value of its step does not
-    depend on what follows it, so the rest of the path is never drawn. Step
-    ``t`` is stored as the int32 ids of the paths that take it, their
-    states and their next states, in ``q.search.dest``'s dtype. Path ``i``
-    takes its ``t``-th uniform from its stream, the ``t``-th double of
-    ``scenario_rng``'s: one vectorized Philox call (``uniforms``) computes
-    the next ``_refill`` doubles of every live path's stream, scaled in
-    place by ``q.search``'s B. The next state is ``q.search``'s: the index
-    a scan of the row of ``q``'s CDF returns. ``cap`` bounds the steps of
-    every path until it is absorbed or stopped.
-
-    When ``q.iid``, each refill is a window: one search over x0's row draws
-    every live path's next state for each of its doubles, and a path ends
-    at the window's first transition that does not go on. The window's
-    states are one ``(steps + 1, paths)`` array, paths ordered longest
-    first, and each step's arrays are views of a prefix of it: about one
-    byte per drawn path-step. Otherwise all live paths step together, with
-    flat ``take`` gathers (``x * n + next`` in ``intp``) and one
-    ``nonzero`` per step.
+    Each refill is a window: one vectorized Philox call (``uniforms``)
+    computes the next ``_refill`` doubles of every live path's stream,
+    scaled by ``q.search``'s B, and the paths' states for them fill one
+    ``(count + 1, paths)`` array. When ``q.iid``, one search over x0's row
+    draws them all; otherwise each double takes one search from the states
+    before it, and the fill stops after 1, 2, 4, ... doubles once no path
+    goes on. A path ends at the window's first transition that does not go
+    on (``goes``). The window's paths are ordered longest first, and each
+    step's arrays are views of a prefix of it.
     """
     search, n = q.search, q.kernel.shape[0]
     go_on = ~stop
     go_on[:, q.absorbing] = False
     go_on = go_on.ravel()
+
+    def goes(path: np.ndarray) -> np.ndarray:
+        return go_on.take(path[:-1].astype(np.intp) * n + path[1:])
+
     k0, k1 = keys
     ids = np.arange(len(k0), dtype=np.int32)
     x = np.full(len(k0), x0, dtype=search.dest.dtype)
     steps: _Steps = []
     t = 0
-    while q.iid and t < cap:
+    while t < cap:
         count = _refill(len(ids), cap - t)
         u = uniforms(k0.take(ids), k1.take(ids), t, count)
         u *= search.scale
         path = np.empty((count + 1, len(ids)), dtype=x.dtype)
         path[0] = x
-        path[1:] = search(np.intp(x0), u).T
+        if q.iid:
+            path[1:] = search(np.intp(x0), u).T
+        else:
+            for j in range(count):
+                path[j + 1] = search(path[j], u[:, j])
+                if not j & (j + 1) and j + 1 < count and not goes(path[: j + 2]).all(axis=0).any():
+                    path = path[: j + 2]
+                    break
         del u  # before the go table: it lowers the window's peak memory
-        go = go_on.take(path[:-1].astype(np.intp) * n + path[1:])
+        go = goes(path)
         # Steps a path takes in the window; count + 1 if it goes on after it.
         length = np.where(go.all(axis=0), count + 1, go.argmin(axis=0) + 1)
         order = np.argsort(-length, kind="stable")
@@ -626,19 +631,6 @@ def _draw_paths(
         if not m:
             return steps
         ids, x, t = ids[:m], path[count, :m], t + count
-    t0 = count = 0
-    for t in range(t, cap):
-        if t - t0 == count:
-            t0, count = t, _refill(len(ids), cap - t)
-            u = uniforms(k0.take(ids), k1.take(ids), t, count)
-            u *= search.scale
-            rows = np.arange(0, u.size, count)
-        xn = search(x, u.take(rows + (t - t0)))
-        steps.append((ids, x, xn))
-        (live,) = np.nonzero(go_on.take(x.astype(np.intp) * n + xn))
-        if not live.size:
-            return steps
-        ids, x, rows = ids.take(live), xn.take(live), rows.take(live)
     raise PathCapExceeded(
         f"a path was neither absorbed nor stopped within {cap} steps under q"
     )

@@ -18,12 +18,13 @@ def strip_timestamp(text: str) -> list[str]:
     return [l for l in text.splitlines() if not l.startswith("# timestamp")]
 
 
+WASTE2 = zd.game_to_dict(zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2)))
+
+
 def waste2_file(tmp_path, **overrides) -> str:
     """Game-file spec of waste N=2 (7 states, root 0) with fields replaced."""
-    doc = zd.game_to_dict(zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2)))
-    doc.update(overrides)
     path = tmp_path / "waste2.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({**WASTE2, **overrides}))
     return f"file:{path}"
 
 
@@ -503,6 +504,34 @@ def test_negative_seed_flag_exits_2(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert "argument --seed: seed must be a non-negative integer" in err
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "what, doc",
+    [
+        ("game", [1, 2]),
+        ("game", "waste"),
+        ("game", {**WASTE2, "n_states": None}),
+        ("game", {**WASTE2, "labels": 5}),
+        ("game", {**WASTE2, "actions_a": 3}),
+        ("reference measure", [[1.0]]),
+        ("reference measure", "uniform"),
+    ],
+    ids=["game-list", "game-string", "null-n_states", "int-labels", "int-actions_a",
+         "q-list", "q-string"],
+)
+def test_malformed_json_file_exits_2(capsys, tmp_path, what, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if what == "game":
+        argv = ["solve", "--game", f"file:{path}"]
+    else:
+        argv = ["bound", "--game", "builtin:waste,N=2", "--fix", "B=uniform", "--q", f"file:{path}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot load {what} from {path}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 class TestConfigPrecedence:

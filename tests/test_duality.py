@@ -1537,11 +1537,12 @@ class TestOneWalk:
 
 
 class TestWindowDraw:
-    """Under a ``q`` whose non-absorbing rows are all the same, each live
-    path draws a window of steps at a time; every path's states equal the
+    """Each live path draws a window of steps at a time, with one search
+    for the whole window when the non-absorbing rows of ``q`` are all the
+    same and one search per step otherwise; every path's states equal the
     scalar oracle's path up to its first stop or absorption, every value the
-    oracle's walk of the full path, byte for byte, and the per-step loop
-    draws the same record."""
+    oracle's walk of the full path, byte for byte, and both fills draw the
+    same record."""
 
     @staticmethod
     def shared_row_q(rng, model, zeros):
@@ -1552,6 +1553,15 @@ class TestWindowDraw:
         row /= row.sum()
         kernel = np.tile(row, (model.n_states, 1))
         kernel[model.absorbing] = np.eye(model.n_states)[model.absorbing]
+        return zd.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
+
+    @staticmethod
+    def half_dirichlet_q(rng, model):
+        """A ``q`` whose live rows differ: each half uniform, half a
+        Dirichlet row."""
+        uniform = zd.make_uniform_reference(model).kernel
+        kernel = 0.5 * uniform + 0.5 * rng.dirichlet(np.ones(model.n_states), size=model.n_states)
+        kernel[model.absorbing] = uniform[model.absorbing]
         return zd.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
 
     @staticmethod
@@ -1607,6 +1617,7 @@ class TestWindowDraw:
         stop = np.logical_and.reduce([duality._SspInner(v, h, q).stop for v, h in pairs])
         got = self.paths_of(steps, model.root, n)
         assert got == [self.truncated(path, stop, q.absorbing) for path in full]
+        # The state-dependent fill draws the same paths.
         stepwise = dataclasses.replace(q)
         object.__setattr__(stepwise, "iid", False)
         again = duality._draw_paths(stepwise, model.root, duality.stream_keys(seed, range(n)), 10**6, stop)
@@ -1615,7 +1626,7 @@ class TestWindowDraw:
         return [len(p) - 1 for p in got], windows
 
     @pytest.mark.parametrize("cells", [None, 1])
-    @pytest.mark.parametrize("kind", ["uniform", "dirichlet"])
+    @pytest.mark.parametrize("kind", ["uniform", "dirichlet", "state"])
     def test_paths_and_values_match_the_scalar_oracle(self, monkeypatch, kind, cells):
         if cells is not None:  # windows of 8 steps throughout
             monkeypatch.setattr(duality, "_CELLS", cells)
@@ -1625,8 +1636,12 @@ class TestWindowDraw:
             zeros = (2, 4) if kind == "dirichlet" else ()
             support = [s for s in range(8) if s not in zeros]
             model = random_sparse_ssp_game(rng, n_states=8, max_actions=4, support=support)
-            q = self.shared_row_q(rng, model, zeros) if zeros else zd.make_uniform_reference(model)
-            assert q.iid
+            if kind == "state":
+                q = self.half_dirichlet_q(rng, model)
+                assert not q.iid
+            else:
+                q = self.shared_row_q(rng, model, zeros) if zeros else zd.make_uniform_reference(model)
+                assert q.iid
             if zeros:
                 assert len(q.search.cols) > 1  # a guide bucket holds K > 1 rises
             lengths, windows = self.check_draw(monkeypatch, model, q, 400, seed=trial)
@@ -1648,7 +1663,7 @@ class TestWindowDraw:
         ]
         TestOneWalk.assert_pairwise(pairs, q, 40, seed=9, x0=298)
 
-    def test_cap_as_in_the_step_loop(self):
+    def test_cap_as_in_the_state_dependent_fill(self):
         rng = np.random.default_rng(73)
         model = random_sparse_ssp_game(rng, n_states=8, max_actions=3)
         q = zd.make_uniform_reference(model)
@@ -1697,14 +1712,19 @@ class TestWindowDraw:
         assert got == [self.truncated(path, stop, q.absorbing) for path in paths]
         assert max(len(path) for path in got) > 9 and len(windows) > 1
 
-    def test_window_draw_memory_is_linear_in_path_steps(self):
-        # 8,192 paths to absorption on waste N=10: about 920,000 path-steps,
-        # the longest path over 900 steps. A step record takes 6 bytes per
-        # path-step (int32 id, uint8 state and next state); the draw's peak
-        # stays within that, while a dense paths-by-longest-path matrix of
-        # states alone would exceed it.
+    @pytest.mark.parametrize("kind", ["uniform", "state"])
+    def test_window_draw_memory_is_linear_in_path_steps(self, kind):
+        # 8,192 paths to absorption on waste N=10: about 920,000 path-steps
+        # under the uniform q, the longest path over 900 steps. A step
+        # record takes 6 bytes per path-step (int32 id, uint8 state and
+        # next state); the draw's peak stays within that, while a dense
+        # paths-by-longest-path matrix of states alone would exceed it.
         model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
-        q = zd.make_uniform_reference(model)
+        if kind == "state":
+            q = self.half_dirichlet_q(np.random.default_rng(5), model)
+            assert not q.iid
+        else:
+            q = zd.make_uniform_reference(model)
         keys = duality.stream_keys(7, range(duality._PATH_BLOCK))
         never = np.zeros(q.kernel.shape, dtype=bool)
         tracemalloc.start()
