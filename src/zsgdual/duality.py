@@ -16,9 +16,11 @@ backward induction under the canonical coupling (one shared uniform drives
 the inverse-CDF transition of every action). Absorbing-state views sample
 scenario paths from an action-independent reference kernel ``q`` instead,
 and per-step likelihood ratios p/q re-weight the inner recursion. A ratio
-depends only on the step's transition ``x -> y`` and the action, so the
-ratios of all pairs on a draw are divided once into one stacked table, and
-one backward walk over the draw's steps serves every pair (``_Walk``).
+depends only on the step's transition ``x -> y`` and the action, and most
+are 0, so one table per draw holds, for every pair and transition, the
+nonzero ratios with their action values and one entry for all the rest;
+one backward walk over the draw's windows of steps serves every pair
+(``_Walk``).
 Both inner problems read their action values from ``games.lookahead``, the
 expression whose fixed point ``solvers.solve_view`` returns, so an
 exact-value generator cancels the continuation scenario by scenario and the
@@ -515,10 +517,20 @@ def validate_abs_continuity(
 ) -> list[tuple[int, int, int]]:
     """All (state, action, next) where the view moves but q puts no mass,
     in index order."""
-    bad = (view.kernel > 0.0) & (q.kernel == 0.0)[:, None, :]
-    if view.absorbing is not None:
-        bad[view.absorbing] = False
-    return [(int(x), int(a), int(j)) for x, a, j in np.argwhere(bad)]
+    return _unsupported(view.kernel > 0.0, view.absorbing, q)
+
+
+def _unsupported(
+    moves: np.ndarray, absorbing: int | None, q: ReferenceMeasure
+) -> list[tuple[int, int, int]]:
+    """``validate_abs_continuity`` of the view's nonzero slots ``moves``; a
+    q with no zero outside the absorbing row needs no pass over them."""
+    zero = q.kernel == 0.0
+    if absorbing is not None:
+        zero[absorbing] = False
+    if not zero.any():
+        return []
+    return [(int(x), int(a), int(j)) for x, a, j in np.argwhere(moves & zero[:, None, :])]
 
 
 def simulate_q_path(
@@ -528,8 +540,8 @@ def simulate_q_path(
     _check_start(x0, q.kernel.shape[0], q.absorbing)
     _check_cap(cap)
     never = np.zeros(q.kernel.shape, dtype=bool)
-    steps = _draw_paths(q, x0, stream_keys(seed, [0]), cap, never)
-    return np.array([x0] + [int(xn[0]) for _, _, xn in steps], dtype=int)
+    windows = _draw_paths(q, x0, stream_keys(seed, [0]), cap, never)
+    return np.concatenate([[x0], *(path[1:, 0] for _, path, _ in windows)]).astype(int)
 
 
 def _check_start(x0: int, n_states: int, absorbing: int) -> None:
@@ -553,7 +565,7 @@ def _check_cap(cap: int) -> None:
         raise ValueError(f"path step cap must be an integer >= 1, got {cap!r}")
 
 
-_Steps = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+_Windows = list[tuple[np.ndarray, np.ndarray, list[int]]]
 
 
 def _refill(live: int, left: int) -> int:
@@ -569,17 +581,15 @@ def _draw_paths(
     keys: tuple[np.ndarray, np.ndarray],
     cap: int,
     stop: np.ndarray,
-) -> _Steps:
+) -> _Windows:
     """Reference-measure paths from x0, one per stream key of ``keys`` (from
     ``stream_keys``), each ending at its first step that absorbs or whose
     transition ``(x, next)`` is a stop: a transition that no action of any
     view evaluated on the draw can make (``_SspInner.stop``), so the rest of
-    the path is never drawn. Step ``t`` is stored as the int32 ids of the
-    paths that take it, their states and their next states, in
-    ``q.search.dest``'s dtype. Path ``i`` takes its ``t``-th uniform from
-    its stream, the ``t``-th double of ``scenario_rng``'s, and its next
-    state is ``q.search``'s: the index a scan of the row of ``q``'s CDF
-    returns. ``cap`` bounds the steps of every path until it ends.
+    the path is never drawn. Path ``i`` takes its ``t``-th uniform from its
+    stream, the ``t``-th double of ``scenario_rng``'s, and its next state
+    is ``q.search``'s: the index a scan of the row of ``q``'s CDF returns.
+    ``cap`` bounds the steps of every path until it ends.
 
     Each refill is a window: one vectorized Philox call (``uniforms``)
     computes the next ``_refill`` doubles of every live path's stream,
@@ -588,8 +598,11 @@ def _draw_paths(
     draws them all; otherwise each double takes one search from the states
     before it, and the fill stops after 1, 2, 4, ... doubles once no path
     goes on. A path ends at the window's first transition that does not go
-    on (``goes``). The window's paths are ordered longest first, and each
-    step's arrays are views of a prefix of it.
+    on (``goes``). The window's paths are ordered longest first, and it is
+    recorded as their int32 ids, the rows of its state array (in
+    ``q.search.dest``'s dtype) that some path steps from or to, and
+    ``takes``: ``takes[j]`` paths, a prefix of the ids, take step ``j``
+    from ``path[j]`` to ``path[j + 1]``.
     """
     search, n = q.search, q.kernel.shape[0]
     go_on = ~stop
@@ -602,7 +615,7 @@ def _draw_paths(
     k0, k1 = keys
     ids = np.arange(len(k0), dtype=np.int32)
     x = np.full(len(k0), x0, dtype=search.dest.dtype)
-    steps: _Steps = []
+    windows: _Windows = []
     t = 0
     while t < cap:
         count = _refill(len(ids), cap - t)
@@ -627,9 +640,10 @@ def _draw_paths(
         # Paths that take step j, for j up to count (those that go on).
         takes = len(ids) - np.cumsum(np.bincount(length, minlength=count + 2))
         *takes, m = takes[: count + 1].tolist()
-        steps += [(ids[:k], path[j, :k], path[j + 1, :k]) for j, k in enumerate(takes) if k]
+        takes = [k for k in takes if k]
+        windows.append((ids, path[: len(takes) + 1], takes))
         if not m:
-            return steps
+            return windows
         ids, x, t = ids[:m], path[count, :m], t + count
     raise PathCapExceeded(
         f"a path was neither absorbed nor stopped within {cap} steps under q"
@@ -639,9 +653,10 @@ def _draw_paths(
 class _SspInner:
     """One ``(view, h)`` pair's weak-form inner problem, checked against
     ``q``: the action values ``lookahead(view, h)``, ``signed_zero`` (some
-    action value is -0.0) and the stop table: ``stop[x, y]`` holds when a
-    path's step ``x -> y`` has the same value whatever follows it. ``_Walk``
-    divides the ratios of all pairs on a draw into one stacked table.
+    action value is -0.0), the kernel's nonzero slots ``moves`` and the stop
+    table: ``stop[x, y]`` holds when a path's step ``x -> y`` has the same
+    value whatever follows it. ``_Walk`` builds one ratio table for all
+    pairs on a draw.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray, q: ReferenceMeasure):
@@ -654,7 +669,8 @@ class _SspInner:
                 f"{q.absorbing} does not match the view's {view.n_states} states "
                 f"absorbing at {view.absorbing}"
             )
-        bad = validate_abs_continuity(view, q)
+        self.moves = view.kernel != 0.0
+        bad = _unsupported(self.moves, view.absorbing, q)
         if bad:
             raise AbsContinuityViolation(
                 f"{len(bad)} reachable transitions carry no q-mass, "
@@ -663,7 +679,10 @@ class _SspInner:
         self.h = h
         self.kernel = view.kernel
         self.base = lookahead(view, h)
-        self.reduce = np.maximum.reduce if view.orientation == "max" else np.minimum.reduce
+        if view.orientation == "max":
+            self.opt, self.first, self.worst = np.maximum, np.argmax, -inf
+        else:
+            self.opt, self.first, self.worst = np.minimum, np.argmin, inf
         # When no action slot of x, padded ones included, moves to y, every
         # rho of a step x -> y is 0. The carry is then the np.where branch's
         # 0.0 if the continuation differs from h[y], and 0 * 0 = +-0.0 if it
@@ -672,63 +691,117 @@ class _SspInner:
         # turns into +0.0. So a row without -0.0 stops at every such y.
         signed = ((self.base == 0.0) & np.signbit(self.base)).any(axis=1)
         self.signed_zero = bool(signed.any())
-        self.stop = ~(view.kernel != 0.0).any(axis=1)
+        self.stop = ~self.moves.any(axis=1)
         self.stop[signed] = False
 
 
 class _Walk:
-    """Inner values of paths stored as steps, one array per pair, from one
-    backward walk over tables stacked once per estimate: ``base[p, a, x]``,
-    ``h[p, y]`` and ``rho[x * n + y, p * slots + a] = p(y|x,a) / q(y|x)``
-    (0 where q is 0, which no accepted step reads). A step takes its rows of
-    each, with paths last, and one multiply and one add serve every pair.
-    Each pair reduces its own slots in order, one elementwise max or min at
-    a time: bit for bit the optimum of a one-pair walk, unless a row ties
-    +0.0 with -0.0, which NumPy's vector loop may break at another position;
-    a value is -0.0 only where its base is, so with ``signed_zero`` rows are
-    reduced contiguously.
+    """Inner values of drawn paths, one array per pair, from one backward
+    walk over a table built once per estimate: for pair ``p`` and step
+    ``x -> y``, column ``x * n + y`` of ``rho`` and ``value`` holds ``C``
+    entries at rows ``p * C + c``, and the step's value is the optimum of
+    ``value + rho * (continuation - h[y])`` over them. A step takes its
+    columns with paths last, and one multiply and one add serve every pair.
+
+    Entry 0 has ratio 0 and the optimum action value of the slots, padded
+    ones included, that cannot move to y: what each of them adds. Entries
+    ``1..K`` hold ``p(y|x,a) / q(y|x)`` and the action value of each slot
+    that can, K the most of a row, then pads of ratio 0 and value -inf
+    (max) or +inf (min). A step into absorption is a path's last, so its
+    entry 0 is the walk's expression at continuation 0. No entry is then
+    -0.0, so the optimum does not depend on their order, and it is bit for
+    bit the optimum over all slots. With ``signed_zero`` on some pair a
+    +0.0/-0.0 tie could fall either way: the entries are then every slot in
+    order, and each path's row is reduced contiguously over its pair's own.
 
     A zero ratio must contribute exactly 0, where ``rho * diff`` is NaN if
     the continuation has overflowed. With ``diff`` finite, ``0 * diff`` is
-    +-0.0, and ``base + -0.0`` equals ``base + 0.0`` unless ``base`` is
+    +-0.0, and ``value + -0.0`` equals ``value + 0.0`` unless ``value`` is
     -0.0. So the repair to +0.0 runs, on every pair, only on a step with a
     ``diff`` that is not finite, or when ``signed_zero``.
     """
 
     def __init__(self, inners: Sequence[_SspInner], q: ReferenceMeasure):
         n = q.kernel.shape[0]
-        P, S = len(inners), max(inner.kernel.shape[1] for inner in inners)
-        rho, base, h = np.zeros((n, n, P, S)), np.zeros((P, S, n)), np.empty((P, n))
+        self.signed_zero = any(inner.signed_zero for inner in inners)
+        self.slots = [inner.kernel.shape[1] for inner in inners]
+        if not self.signed_zero:
+            entries = [self._entries(inner, q) for inner in inners]
+            self.slots = [1 + max(int(count.max()) for *_, count in entries)] * len(inners)
+        rho = np.zeros((len(inners), max(self.slots), n * n))
+        value = np.zeros(rho.shape)
         for j, inner in enumerate(inners):
-            slots = inner.kernel.shape[1]
-            np.divide(inner.kernel.transpose(0, 2, 1), q.kernel[:, :, None],
-                      out=rho[:, :, j, :slots], where=q.kernel[:, :, None] > 0.0)
-            base[j, :slots], h[j] = inner.base.T, inner.h
-        self.inners, self.rho, self.base, self.h = inners, rho.reshape(n * n, -1), base, h
+            if self.signed_zero:
+                S = self.slots[j]
+                np.divide(inner.kernel.transpose(1, 0, 2), q.kernel, where=q.kernel > 0.0,
+                          out=rho[j, :S].reshape(S, n, n))
+                value[j, :S].reshape(S, n, n)[...] = inner.base.T[:, :, None]
+                continue
+            value[j, 0], a, xy, col, _ = entries[j]
+            value[j, 1:] = inner.worst
+            xa = xy // n * inner.kernel.shape[1] + a
+            rho[j, col, xy] = inner.kernel.take(xa * n + xy % n) / q.kernel.take(xy)
+            value[j, col, xy] = inner.base.take(xa)
+        self.n, self.h = n, np.array([inner.h for inner in inners])
+        self.rho, self.value = rho.reshape(-1, n * n), value.reshape(-1, n * n)
+        self.opt = [inner.opt for inner in inners]
 
-    def __call__(self, steps: _Steps, n_paths: int) -> list[np.ndarray]:
-        rho, base, h, inners = self.rho, self.base, self.h, self.inners
-        (P, S, n), signed_zero = base.shape, any(inner.signed_zero for inner in inners)
+    @staticmethod
+    def _entries(inner: _SspInner, q: ReferenceMeasure):
+        """A pair's entry 0 of every row ``x * n + y``; the slot ``a``, row
+        and entry (1, 2, ... in slot order) of every slot that can move, in
+        the rows neither into nor out of absorption; each row's count."""
+        base, worst, (n, S, _), end = inner.base, inner.worst, inner.moves.shape, q.absorbing
+        live = inner.moves.transpose(1, 0, 2).copy()
+        live[:, end] = live[:, :, end] = False
+        live = live.reshape(S, n * n)
+        col = np.empty(live.shape, dtype=np.min_scalar_type(S))
+        count = np.zeros(n * n, dtype=col.dtype)
+        for a, row in enumerate(live):
+            count += row
+            col[a] = count
+        # A row takes its state's optimum unless the state's first optimal
+        # slot can move; those rows are reduced here.
+        const = np.repeat(inner.opt.reduce(base, axis=1), n)
+        (hit,) = np.nonzero(live.reshape(S, n, n)[inner.first(base, axis=1), np.arange(n)].ravel())
+        const[hit] = inner.opt.reduce(np.where(live[:, hit], worst, base[hit // n].T), axis=0)
+        into = q.kernel[:, end, None]
+        rho = np.divide(inner.kernel[:, :, end], into, out=np.zeros(base.shape), where=into > 0.0)
+        diff = 0.0 - inner.h[end]
+        carry = np.where((rho == 0.0) & (diff != 0.0), 0.0, rho * diff)
+        const[end::n] = inner.opt.reduce(carry + base, axis=1)
+        (f,) = np.nonzero(live.ravel())
+        a, xy = np.divmod(f, n * n)
+        return const, a, xy, col.ravel()[f], count
+
+    def __call__(self, windows: _Windows, n_paths: int) -> list[np.ndarray]:
+        rho, value, h, n, signed_zero = self.rho, self.value, self.h, self.n, self.signed_zero
+        P = len(h)
+        C = len(rho) // P
         W = np.zeros((P, n_paths))
         # Weak generators can let the recursion overflow legitimately (the
-        # bound stays valid, just useless); keep 0 * inf at zero-rho actions
+        # bound stays valid, just useless); keep 0 * inf at zero-rho entries
         # from poisoning the optimization with NaN.
         with np.errstate(over="ignore", invalid="ignore"):
-            for ids, x, xn in reversed(steps):
-                xy = x.astype(np.intp) * n + xn
-                ratios = np.ascontiguousarray(rho.take(xy, axis=0).T).reshape(P, S, -1)
-                diff = W.take(ids, axis=1) - h.take(xn, axis=1)
-                carry = ratios * diff[:, None]
-                if signed_zero or not np.isfinite(diff).all():
-                    carry = np.where((ratios == 0.0) & (diff[:, None] != 0.0), 0.0, carry)
-                carry += base.take(x, axis=-1)
-                for j, inner in enumerate(inners):
-                    values = carry[j, : inner.kernel.shape[1]]
-                    if signed_zero:
-                        inner.reduce(np.ascontiguousarray(values.T), axis=1, out=diff[j])
-                    else:
-                        inner.reduce(values, axis=0, out=diff[j])
-                W[:, ids] = diff
+            for ids, path, takes in reversed(windows):
+                V = W.take(ids, axis=1)
+                xy = path[:-1].astype(np.intp) * n + path[1:]
+                hy = h.take(path[1:], axis=1)
+                for j in range(len(takes) - 1, -1, -1):
+                    k = takes[j]
+                    at = xy[j, :k]
+                    diff = V[:, :k] - hy[:, j, :k]
+                    ratios = rho.take(at, axis=1).reshape(P, C, k)
+                    carry = ratios * diff[:, None]
+                    if signed_zero or not np.isfinite(diff).all():
+                        carry = np.where((ratios == 0.0) & (diff[:, None] != 0.0), 0.0, carry)
+                    carry += value.take(at, axis=1).reshape(P, C, k)
+                    for p, (opt, slots) in enumerate(zip(self.opt, self.slots)):
+                        if signed_zero:
+                            opt.reduce(np.ascontiguousarray(carry[p, :slots].T), axis=1, out=V[p, :k])
+                        else:
+                            opt.reduce(carry[p], axis=0, out=V[p, :k])
+                W[:, ids] = V
         return list(W)
 
 
@@ -759,10 +832,8 @@ def weak_form_inner_ssp(
         raise AbsContinuityViolation(
             f"step {t}: q({path[t + 1]}|{path[t]}) = 0 on a simulated path"
         )
-    path = path.astype(np.intp)
-    one = np.zeros(1, dtype=np.int32)
-    steps = [(one, path[t : t + 1], path[t + 1 : t + 2]) for t in range(len(path) - 1)]
-    return float(_Walk([inner], q)(steps, 1)[0][0])
+    window = (np.zeros(1, dtype=np.int32), path.astype(np.intp)[:, None], [1] * (len(path) - 1))
+    return float(_Walk([inner], q)([window], 1)[0][0])
 
 
 def estimate_dual_bound_ssp(
@@ -839,8 +910,8 @@ def estimate_dual_bounds(
         walk = cache(lambda: _Walk(ssp, q))
 
         def block(indices: range) -> list[np.ndarray]:
-            steps = _draw_paths(q, x0, stream_keys(seed, indices), cap, stop)
-            return walk()(steps, len(indices))
+            windows = _draw_paths(q, x0, stream_keys(seed, indices), cap, stop)
+            return walk()(windows, len(indices))
 
         size = _PATH_BLOCK
     values = _block_values(block, len(pairs), n, size)

@@ -573,7 +573,9 @@ def _tensors(d: dict, key: str) -> list[np.ndarray]:
 
 def game_from_dict(d: dict) -> GameModel:
     """Build and validate a GameModel from its JSON document form."""
-    n = int(d["n_states"])
+    n = d["n_states"]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n_states must be an integer, got {n!r}")
     regime = _regime_from_dict(d["regime"])
     transition = _tensors(d, "transition")
     cost = _tensors(d, "cost")

@@ -512,12 +512,17 @@ def test_negative_seed_flag_exits_2(capsys, tmp_path, argv):
         ("game", [1, 2]),
         ("game", "waste"),
         ("game", {**WASTE2, "n_states": None}),
+        ("game", {**WASTE2, "n_states": 7.5}),
+        ("game", {**WASTE2, "n_states": "7"}),
+        ("game", {**WASTE2, "n_states": 7.0}),
+        ("game", {**WASTE2, "n_states": True}),
         ("game", {**WASTE2, "labels": 5}),
         ("game", {**WASTE2, "actions_a": 3}),
         ("reference measure", [[1.0]]),
         ("reference measure", "uniform"),
     ],
-    ids=["game-list", "game-string", "null-n_states", "int-labels", "int-actions_a",
+    ids=["game-list", "game-string", "null-n_states", "float-n_states", "string-n_states",
+         "integral-float-n_states", "bool-n_states", "int-labels", "int-actions_a",
          "q-list", "q-string"],
 )
 def test_malformed_json_file_exits_2(capsys, tmp_path, what, doc):

@@ -1213,6 +1213,16 @@ def signed_zero_case(monkeypatch):
     return view, h, zd.make_uniform_reference(model), signed(view, h)
 
 
+def step_records(windows):
+    """A draw's windows expanded to one ``(ids, x, next)`` record per step:
+    the ids of the paths that take the step, their states and next states."""
+    return [
+        (ids[:k], path[j, :k], path[j + 1, :k])
+        for ids, path, takes in windows
+        for j, k in enumerate(takes)
+    ]
+
+
 class TestStoppedPaths:
     """A reference path ends at its first transition that no action of the
     views can make; every value is byte-equal to the walk of the full path
@@ -1232,9 +1242,9 @@ class TestStoppedPaths:
         draw, drawn = duality._draw_paths, []
 
         def counted(*args):
-            steps = draw(*args)
-            drawn.append(sum(len(ids) for ids, _, _ in steps))
-            return steps
+            windows = draw(*args)
+            drawn.append(sum(len(ids) for ids, _, _ in step_records(windows)))
+            return windows
 
         monkeypatch.setattr(duality, "_draw_paths", counted)
         ests = zd.estimate_dual_bounds(pairs, n, seed, q=q, keep_values=True, **kwargs)
@@ -1566,7 +1576,7 @@ class TestWindowDraw:
 
     @staticmethod
     def recorded(monkeypatch):
-        """Wrap the draw: its step records and the windows of uniforms drawn."""
+        """Wrap the draw: its window records and the windows of uniforms drawn."""
         draws, windows = [], []
         draw, uniforms = duality._draw_paths, duality.uniforms
 
@@ -1583,9 +1593,9 @@ class TestWindowDraw:
         return draws, windows
 
     @staticmethod
-    def paths_of(steps, x0, n):
+    def paths_of(windows, x0, n):
         paths = [[x0] for _ in range(n)]
-        for ids, x, xn in steps:
+        for ids, x, xn in step_records(windows):
             for i, a, b in zip(ids.tolist(), x.tolist(), xn.tolist()):
                 assert paths[i][-1] == a
                 paths[i].append(b)
@@ -1609,13 +1619,13 @@ class TestWindowDraw:
         ]
         draws, windows = self.recorded(monkeypatch)
         ests = zd.estimate_dual_bounds(pairs, n, seed, q=q, keep_values=True)
-        [steps] = draws
+        [drawn] = draws
         full = [reference_path(q.kernel, q.absorbing, model.root, seed, i) for i in range(n)]
         for est, (view, h) in zip(ests, pairs):
             want = TestStoppedPaths.oracle_values(view, h, q, full)
             assert est.per_scenario_values.tobytes() == want.tobytes()
         stop = np.logical_and.reduce([duality._SspInner(v, h, q).stop for v, h in pairs])
-        got = self.paths_of(steps, model.root, n)
+        got = self.paths_of(drawn, model.root, n)
         assert got == [self.truncated(path, stop, q.absorbing) for path in full]
         # The state-dependent fill draws the same paths.
         stepwise = dataclasses.replace(q)
@@ -1671,8 +1681,8 @@ class TestWindowDraw:
         object.__setattr__(stepwise, "iid", False)
         stop = duality._SspInner(TestStoppedPaths.pure_view(model, zd.PLAYER_A), np.zeros(8), q).stop
         keys = duality.stream_keys(4, range(300))
-        steps = duality._draw_paths(q, model.root, keys, 10**6, stop)
-        longest = len(steps)
+        windows = duality._draw_paths(q, model.root, keys, 10**6, stop)
+        longest = len(step_records(windows))
         # Every path ends inside the first window, which the cap must cut.
         assert 2 < longest < duality._refill(300, 10**6)
         for cap in (1, 2, longest - 1, longest, longest + 1):
@@ -1682,7 +1692,7 @@ class TestWindowDraw:
                         duality._draw_paths(measure, model.root, keys, cap, stop)
                 else:
                     drawn = duality._draw_paths(measure, model.root, keys, cap, stop)
-                    assert self.paths_of(drawn, model.root, 300) == self.paths_of(steps, model.root, 300)
+                    assert self.paths_of(drawn, model.root, 300) == self.paths_of(windows, model.root, 300)
 
     def test_first_values_do_not_depend_on_the_path_count(self, waste3):
         view = zd.fix_player(waste3, zd.uniform_policy(waste3, zd.PLAYER_B), zd.PLAYER_B)
@@ -1707,8 +1717,8 @@ class TestWindowDraw:
         # or to absorption, across windows of 8 steps.
         stop = duality._SspInner(view, h, q).stop
         assert not stop[0].any() and stop[1].any()
-        [steps] = draws
-        got = self.paths_of(steps, 0, 200)
+        [drawn] = draws
+        got = self.paths_of(drawn, 0, 200)
         assert got == [self.truncated(path, stop, q.absorbing) for path in paths]
         assert max(len(path) for path in got) > 9 and len(windows) > 1
 
@@ -1729,11 +1739,116 @@ class TestWindowDraw:
         never = np.zeros(q.kernel.shape, dtype=bool)
         tracemalloc.start()
         try:
-            steps = duality._draw_paths(q, model.root, keys, 10**6, never)
+            windows = duality._draw_paths(q, model.root, keys, 10**6, never)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        steps = step_records(windows)
         record = sum(a.nbytes for step in steps for a in step)
         assert record == 6 * sum(len(ids) for ids, _, _ in steps)
         assert duality._PATH_BLOCK * (len(steps) + 1) > record
         assert peak <= record
+
+
+class TestCompactTable:
+    """The walk's table holds, for each transition x -> y, one entry for
+    the slots that cannot move to y and one per slot that can; a step into
+    absorption is one entry, the step's value at continuation 0. Every
+    value equals, byte for byte, the walk of each pair alone and the
+    oracle's walk over all slots."""
+
+    @staticmethod
+    def walk(pairs, q):
+        return duality._Walk([duality._SspInner(view, h, q) for view, h in pairs], q)
+
+    @staticmethod
+    def random_pairs(rng, model, h_end=None):
+        pairs = []
+        for player in (zd.PLAYER_A, zd.PLAYER_B):
+            h = rng.uniform(-2.0, 2.0, model.n_states)
+            if h_end is not None:
+                h[model.absorbing] = h_end
+            pairs.append((zd.fix_player(model, random_policy(rng, model, player), player), h))
+        return pairs
+
+    def test_sparse_random_games_with_several_slots_per_transition(self):
+        rng = np.random.default_rng(81)
+        for trial in range(3):
+            model = random_sparse_ssp_game(rng, n_states=8, max_actions=4)
+            q = zd.make_uniform_reference(model)
+            pairs = self.random_pairs(rng, model)
+            walk = self.walk(pairs, q)
+            assert not walk.signed_zero and walk.slots[0] >= 3  # K >= 2
+            TestOneWalk.assert_pairwise(pairs, q, 300, seed=trial)
+
+    def test_steps_into_absorption_with_a_nonzero_generator_there(self):
+        # Dense kernels: every path is drawn to absorption, and every action
+        # can absorb, so each last step's entry 0 is the whole step.
+        rng = np.random.default_rng(82)
+        model = random_ssp_game(rng, n_states=5, max_actions=3)
+        q = zd.make_uniform_reference(model)
+        for h_end in (1.75, -0.5):
+            pairs = self.random_pairs(rng, model, h_end)
+            walk = self.walk(pairs, q)
+            assert walk.slots[0] == 1 + max(view.kernel.shape[1] for view, _ in pairs)
+            TestOneWalk.assert_pairwise(pairs, q, 200, seed=4)
+
+    def test_reference_kernel_with_zeros(self):
+        rng = np.random.default_rng(83)
+        zeros = (1, 4)
+        for trial in range(2):
+            support = [s for s in range(8) if s not in zeros]
+            model = random_sparse_ssp_game(rng, n_states=8, max_actions=4, support=support)
+            q = TestWindowDraw.shared_row_q(rng, model, zeros)
+            assert (q.kernel[:, list(zeros)] == 0.0).all()
+            pairs = self.random_pairs(rng, model, 0.5)
+            assert self.walk(pairs, q).slots[0] >= 3
+            TestOneWalk.assert_pairwise(pairs, q, 300, seed=trial)
+
+    def test_overflowing_pair_beside_a_finite_one(self, waste3):
+        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        lower = zd.fix_player(waste3, mu, zd.PLAYER_A)
+        upper = zd.fix_player(waste3, nu, zd.PLAYER_B)
+        rough = np.random.default_rng(84).uniform(-2.0, 2.0, waste3.n_states)
+        pairs = [(upper, 1e300 * zd.evaluate_policy_pair(waste3, mu, nu)), (lower, rough)]
+        q = zd.make_uniform_reference(waste3)
+        assert not self.walk(pairs, q).signed_zero
+        ests = TestOneWalk.assert_pairwise(pairs, q, 300, seed=1)
+        assert np.isinf(ests[0].per_scenario_values).any()
+        assert np.isfinite(ests[1].per_scenario_values).all()
+
+    def test_signed_zero_layout_in_a_two_pair_draw(self, monkeypatch):
+        # The nine-slot game of TestOneWalk.test_signed_zero_tie_over_nine_slots
+        # with a -0.0 on the maximizer's one slot: both pairs keep every slot
+        # in order, and the maximizer's row is its own slot, whose values go
+        # below the zeros that fill the rest of its table.
+        n, k = 2, 9
+        p = np.zeros((1, k, n))
+        p[0, :, 0], p[0, :, 1] = 0.75, 0.25
+        pa = np.zeros((1, 1, n))
+        pa[0, 0, 1] = 1.0
+        model = zd.make_game(
+            zd.Ssp(absorbing=1), [p, pa], [np.zeros((1, k, n)), np.zeros((1, 1, n))], root=0
+        )
+        lower = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_A), zd.PLAYER_A)
+        upper = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
+        signed = TestOneWalk.patch_lookahead(monkeypatch, upper, 0)
+        pairs = [(lower, np.array([1.0, 0.0])), (upper, np.array([2.0, 0.0]))]
+        q = zd.make_uniform_reference(model)
+        walk = self.walk(pairs, q)
+        assert walk.signed_zero and walk.slots == [k, 1]
+        ests = TestOneWalk.assert_pairwise(pairs, q, 100, seed=5, base=signed)
+        assert (ests[1].per_scenario_values < 0.0).any()
+
+    def test_table_is_at_most_half_the_dense_one_at_waste_n10(self):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
+        q = zd.make_uniform_reference(model)
+        pairs = [
+            (zd.fix_player(model, zd.uniform_policy(model, player), player), np.zeros(model.n_states))
+            for player in (zd.PLAYER_A, zd.PLAYER_B)
+        ]
+        walk = self.walk(pairs, q)
+        n, S = model.n_states, max(view.kernel.shape[1] for view, _ in pairs)
+        dense = n * n * len(pairs) * S * 8
+        assert walk.rho.nbytes + walk.value.nbytes <= dense // 2
