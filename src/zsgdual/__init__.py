@@ -25,20 +25,14 @@ from .duality import (
     DualEstimate,
     PathCapExceeded,
     ReferenceMeasure,
-    SupportViolation,
     dual_sandwich,
     estimate_dual_bound_finite,
     estimate_dual_bound_ssp,
     estimate_dual_bounds,
     exact_dual_bound_enumeration,
-    inverse_cdf_transition,
-    make_penalty_term,
     make_uniform_reference,
-    pi_inner_finite,
     scenario_rng,
-    simulate_q_path,
     validate_abs_continuity,
-    weak_form_inner_ssp,
 )
 from .games import (
     PLAYER_A,

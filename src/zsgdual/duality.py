@@ -46,8 +46,7 @@ each of its estimates is bit for bit the one a separate call returns.
 A reference path is drawn only up to its first *stop*: a transition
 ``x -> y`` of ``q`` that no action of the view can make. Every likelihood
 ratio of that step is 0, so its value is ``opt(lookahead(view, h)[x] +
-0.0)`` whatever path follows, unless that row holds a ``-0.0`` (such a state
-never stops; see ``_SspInner``). The inner recursion starts from a zero
+0.0)`` whatever path follows. The inner recursion starts from a zero
 continuation after a path's last drawn step, so a stopped path has, bit for
 bit, the value of the same path drawn on to absorption. Pairs that share a
 draw stop only where every one of them stops.
@@ -102,10 +101,6 @@ _PATH_BLOCK = 8192
 _CELLS = 16384
 
 
-class SupportViolation(ValueError):
-    """Realized next state has zero probability under the queried action."""
-
-
 class AbsContinuityViolation(RuntimeError):
     """A true transition is possible where the reference kernel puts no mass."""
 
@@ -140,6 +135,8 @@ class DualBounds:
 # The canonical coupling
 
 
+# Nothing in the package calls inverse_cdf_transition or simulate_q_path; they
+# stay for the path recount in perfbench/tracing.py.
 def inverse_cdf_transition(row: np.ndarray, w: float) -> int:
     """Smallest destination whose cumulative probability strictly exceeds w.
 
@@ -258,33 +255,6 @@ class _GuideTable(NamedTuple):
         return self.dest.take(f)
 
 
-# ---------------------------------------------------------------------------
-# Penalties
-
-
-def make_penalty_term(
-    view: MdpView, h: np.ndarray, x: int, a: int, realized_next: int
-) -> float:
-    """Expected-minus-realized value of ``h`` at the next state.
-
-    Added to the stage cost inside a relaxed inner problem, this charges the
-    clairvoyant decision maker for knowing which next state comes up; it has
-    zero conditional mean under any non-anticipating policy.
-    """
-    h = _check_generator(view, h)
-    if not (0 <= x < view.n_states and 0 <= a < view.n_actions[x]):
-        raise ValueError(f"no action {a} at state {x} of the view")
-    if not 0 <= realized_next < view.n_states:
-        raise ValueError(f"next state {realized_next} is not a state of the view")
-    row = view.kernel[x, a]
-    if row[realized_next] <= 0.0:
-        raise SupportViolation(
-            f"state {realized_next} is not reachable from state {x} "
-            f"under action {a}"
-        )
-    return float(row @ h) - float(h[realized_next])
-
-
 def _check_generator(view: MdpView, h: np.ndarray) -> np.ndarray:
     """``h`` as a float array, checked to hold one finite value per state."""
     h = np.asarray(h, dtype=float)
@@ -374,20 +344,6 @@ class _FiniteInner:
             # an overflow, base + (V - h) there could be inf - inf = NaN.
             V[:, p.states] = self.opt(np.where(p.real, values, p.base), axis=-1)
         return V[:, self.view.root]
-
-
-def pi_inner_finite(view: MdpView, scenario: np.ndarray, h: np.ndarray) -> float:
-    """Perfect-information inner value of one scenario on an embedded view."""
-    inner = _FiniteInner(view, h)
-    scenario = np.asarray(scenario, dtype=float)
-    if scenario.shape != (inner.horizon,):
-        raise ValueError(
-            f"scenario length {scenario.shape} does not match horizon "
-            f"{inner.horizon}"
-        )
-    if not ((scenario >= 0.0) & (scenario < 1.0)).all():
-        raise ValueError(f"scenario uniforms {scenario} must lie in [0, 1)")
-    return float(inner.evaluate(scenario[None, :])[0])
 
 
 def exact_dual_bound_enumeration(
@@ -545,10 +501,11 @@ def simulate_q_path(
 
 
 def _check_start(x0: int, n_states: int, absorbing: int) -> None:
-    if not 0 <= x0 < n_states or x0 == absorbing:
+    if (isinstance(x0, bool) or not isinstance(x0, (int, np.integer))
+            or not 0 <= x0 < n_states or x0 == absorbing):
         raise ValueError(
-            f"path must start at a non-absorbing state in [0, {n_states}), "
-            f"got {x0}"
+            f"path must start at a non-absorbing state index in [0, {n_states}), "
+            f"got {x0!r}"
         )
 
 
@@ -652,11 +609,11 @@ def _draw_paths(
 
 class _SspInner:
     """One ``(view, h)`` pair's weak-form inner problem, checked against
-    ``q``: the action values ``lookahead(view, h)``, ``signed_zero`` (some
-    action value is -0.0), the kernel's nonzero slots ``moves`` and the stop
-    table: ``stop[x, y]`` holds when a path's step ``x -> y`` has the same
-    value whatever follows it. ``_Walk`` builds one ratio table for all
-    pairs on a draw.
+    ``q``: the action values ``lookahead(view, h) + 0.0``, which reads a
+    -0.0 as +0.0 and leaves every other value as it is, the kernel's nonzero
+    slots ``moves`` and the stop table: ``stop[x, y]`` holds when a path's
+    step ``x -> y`` has the same value whatever follows it. ``_Walk`` builds
+    one ratio table for all pairs on a draw.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray, q: ReferenceMeasure):
@@ -678,21 +635,15 @@ class _SspInner:
             )
         self.h = h
         self.kernel = view.kernel
-        self.base = lookahead(view, h)
+        self.base = lookahead(view, h) + 0.0
         if view.orientation == "max":
             self.opt, self.first, self.worst = np.maximum, np.argmax, -inf
         else:
             self.opt, self.first, self.worst = np.minimum, np.argmin, inf
         # When no action slot of x, padded ones included, moves to y, every
-        # rho of a step x -> y is 0. The carry is then the np.where branch's
-        # 0.0 if the continuation differs from h[y], and 0 * 0 = +-0.0 if it
-        # equals it. Adding +0.0 or -0.0 to base[x] gives base[x] + 0.0 in
-        # every entry but a -0.0 one: -0.0 + -0.0 keeps the -0.0 that +0.0
-        # turns into +0.0. So a row without -0.0 stops at every such y.
-        signed = ((self.base == 0.0) & np.signbit(self.base)).any(axis=1)
-        self.signed_zero = bool(signed.any())
+        # rho of a step x -> y is 0, and the carry is +0.0 or -0.0. Adding
+        # either to base[x], which holds no -0.0, gives base[x].
         self.stop = ~self.moves.any(axis=1)
-        self.stop[signed] = False
 
 
 class _Walk:
@@ -708,36 +659,25 @@ class _Walk:
     ``1..K`` hold ``p(y|x,a) / q(y|x)`` and the action value of each slot
     that can, K the most of a row, then pads of ratio 0 and value -inf
     (max) or +inf (min). A step into absorption is a path's last, so its
-    entry 0 is the walk's expression at continuation 0. No entry is then
-    -0.0, so the optimum does not depend on their order, and it is bit for
-    bit the optimum over all slots. With ``signed_zero`` on some pair a
-    +0.0/-0.0 tie could fall either way: the entries are then every slot in
-    order, and each path's row is reduced contiguously over its pair's own.
+    entry 0 is the walk's expression at continuation 0. No entry is -0.0,
+    so the optimum does not depend on their order, and it is bit for bit
+    the optimum over all slots.
 
     A zero ratio must contribute exactly 0, where ``rho * diff`` is NaN if
     the continuation has overflowed. With ``diff`` finite, ``0 * diff`` is
-    +-0.0, and ``value + -0.0`` equals ``value + 0.0`` unless ``value`` is
+    +-0.0, and ``value + -0.0`` equals ``value + 0.0`` when ``value`` is not
     -0.0. So the repair to +0.0 runs, on every pair, only on a step with a
-    ``diff`` that is not finite, or when ``signed_zero``.
+    ``diff`` that is not finite.
     """
 
     def __init__(self, inners: Sequence[_SspInner], q: ReferenceMeasure):
         n = q.kernel.shape[0]
-        self.signed_zero = any(inner.signed_zero for inner in inners)
-        self.slots = [inner.kernel.shape[1] for inner in inners]
-        if not self.signed_zero:
-            entries = [self._entries(inner, q) for inner in inners]
-            self.slots = [1 + max(int(count.max()) for *_, count in entries)] * len(inners)
-        rho = np.zeros((len(inners), max(self.slots), n * n))
+        entries = [self._entries(inner, q) for inner in inners]
+        C = 1 + max(K for *_, K in entries)
+        rho = np.zeros((len(inners), C, n * n))
         value = np.zeros(rho.shape)
-        for j, inner in enumerate(inners):
-            if self.signed_zero:
-                S = self.slots[j]
-                np.divide(inner.kernel.transpose(1, 0, 2), q.kernel, where=q.kernel > 0.0,
-                          out=rho[j, :S].reshape(S, n, n))
-                value[j, :S].reshape(S, n, n)[...] = inner.base.T[:, :, None]
-                continue
-            value[j, 0], a, xy, col, _ = entries[j]
+        for j, (inner, (const, a, xy, col, _)) in enumerate(zip(inners, entries)):
+            value[j, 0] = const
             value[j, 1:] = inner.worst
             xa = xy // n * inner.kernel.shape[1] + a
             rho[j, col, xy] = inner.kernel.take(xa * n + xy % n) / q.kernel.take(xy)
@@ -750,7 +690,7 @@ class _Walk:
     def _entries(inner: _SspInner, q: ReferenceMeasure):
         """A pair's entry 0 of every row ``x * n + y``; the slot ``a``, row
         and entry (1, 2, ... in slot order) of every slot that can move, in
-        the rows neither into nor out of absorption; each row's count."""
+        the rows neither into nor out of absorption; the most entries of a row."""
         base, worst, (n, S, _), end = inner.base, inner.worst, inner.moves.shape, q.absorbing
         live = inner.moves.transpose(1, 0, 2).copy()
         live[:, end] = live[:, :, end] = False
@@ -772,10 +712,10 @@ class _Walk:
         const[end::n] = inner.opt.reduce(carry + base, axis=1)
         (f,) = np.nonzero(live.ravel())
         a, xy = np.divmod(f, n * n)
-        return const, a, xy, col.ravel()[f], count
+        return const, a, xy, col.ravel()[f], int(count.max())
 
     def __call__(self, windows: _Windows, n_paths: int) -> list[np.ndarray]:
-        rho, value, h, n, signed_zero = self.rho, self.value, self.h, self.n, self.signed_zero
+        rho, value, h, n = self.rho, self.value, self.h, self.n
         P = len(h)
         C = len(rho) // P
         W = np.zeros((P, n_paths))
@@ -793,47 +733,13 @@ class _Walk:
                     diff = V[:, :k] - hy[:, j, :k]
                     ratios = rho.take(at, axis=1).reshape(P, C, k)
                     carry = ratios * diff[:, None]
-                    if signed_zero or not np.isfinite(diff).all():
+                    if not np.isfinite(diff).all():
                         carry = np.where((ratios == 0.0) & (diff[:, None] != 0.0), 0.0, carry)
                     carry += value.take(at, axis=1).reshape(P, C, k)
-                    for p, (opt, slots) in enumerate(zip(self.opt, self.slots)):
-                        if signed_zero:
-                            opt.reduce(np.ascontiguousarray(carry[p, :slots].T), axis=1, out=V[p, :k])
-                        else:
-                            opt.reduce(carry[p], axis=0, out=V[p, :k])
+                    for p, opt in enumerate(self.opt):
+                        opt.reduce(carry[p], axis=0, out=V[p, :k])
                 W[:, ids] = V
         return list(W)
-
-
-def weak_form_inner_ssp(
-    view: MdpView, path: np.ndarray, q: ReferenceMeasure, h: np.ndarray
-) -> float:
-    """Inner value of one reference-measure path, likelihood-ratio weighted.
-
-    Backward along the path, each step optimizes stage cost plus expected
-    generator value plus rho * (continuation - realized generator value),
-    where rho = p(next|x,a)/q(next|x) corrects the change of measure.
-    """
-    path = np.asarray(path)
-    if path.ndim != 1 or path.size == 0 or path.dtype.kind not in "iu":
-        raise ValueError(f"path must be a 1-D array of state indices, got {path!r}")
-    _check_start(int(path[0]), view.n_states, view.absorbing)
-    if not ((path >= 0) & (path < view.n_states)).all():
-        raise ValueError(f"path leaves the states [0, {view.n_states}): {path}")
-    if path[-1] != view.absorbing or (path[:-1] == view.absorbing).any():
-        raise ValueError(
-            f"path must reach the absorbing state {view.absorbing} at its last entry only"
-        )
-    inner = _SspInner(view, h, q)
-    # A drawn step always has q-mass; a caller's path may not.
-    (bad,) = np.nonzero(q.kernel[path[:-1], path[1:]] <= 0.0)
-    if bad.size:
-        t = int(bad[-1])
-        raise AbsContinuityViolation(
-            f"step {t}: q({path[t + 1]}|{path[t]}) = 0 on a simulated path"
-        )
-    window = (np.zeros(1, dtype=np.int32), path.astype(np.intp)[:, None], [1] * (len(path) - 1))
-    return float(_Walk([inner], q)([window], 1)[0][0])
 
 
 def estimate_dual_bound_ssp(

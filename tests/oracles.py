@@ -338,12 +338,12 @@ def value_iteration(
 
 def reference_path(q_kernel: np.ndarray, absorbing: int, x0: int, seed: int, index: int) -> np.ndarray:
     """Path ``index`` of a dual estimate, redrawn one uniform at a time."""
-    from zsgdual.duality import inverse_cdf_transition, scenario_rng
+    from zsgdual.duality import scenario_rng
 
     rng = scenario_rng(seed, index)
     path = [x0]
     while path[-1] != absorbing:
-        path.append(inverse_cdf_transition(q_kernel[path[-1]], float(rng.random())))
+        path.append(icdf(np.cumsum(q_kernel[path[-1]]), float(rng.random())))
     return np.array(path)
 
 

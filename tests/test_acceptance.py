@@ -19,6 +19,7 @@ import zsgdual as zd
 from zsgdual import experiments
 
 from oracles import (
+    icdf,
     random_discounted_game,
     random_policy,
     rollout_pair,
@@ -204,8 +205,8 @@ class TestCriterion8PropertySuites:
             w = zd.scenario_rng(17, i).random(2)
             x, total = 0, 0.0
             for t in range(2):
-                nxt = zd.inverse_cdf_transition(view.kernel[x][1], w[t])
-                total += zd.make_penalty_term(view, h, x, 1, nxt)
+                nxt = icdf(np.cumsum(view.kernel[x, 1]), w[t])
+                total += view.kernel[x, 1] @ h - h[nxt]
                 x = nxt
             totals[i] = total
         se = totals.std(ddof=1) / np.sqrt(n)

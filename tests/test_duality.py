@@ -43,35 +43,35 @@ def one_period_view():
 
 class TestInverseCdfTransition:
     def test_basic_rows(self):
-        assert zd.inverse_cdf_transition(np.array([0.64, 0.36]), 0.5) == 0
-        assert zd.inverse_cdf_transition(np.array([0.64, 0.36]), 0.7) == 1
-        assert zd.inverse_cdf_transition(np.array([0.64, 0.36]), 0.0) == 0
+        assert duality.inverse_cdf_transition(np.array([0.64, 0.36]), 0.5) == 0
+        assert duality.inverse_cdf_transition(np.array([0.64, 0.36]), 0.7) == 1
+        assert duality.inverse_cdf_transition(np.array([0.64, 0.36]), 0.0) == 0
 
     def test_deterministic_row(self):
         row = np.array([0.0, 0.0, 1.0, 0.0])
         for w in (0.0, 0.3, 0.999):
-            assert zd.inverse_cdf_transition(row, w) == 2
+            assert duality.inverse_cdf_transition(row, w) == 2
 
     def test_shared_uniform_couples_rows(self):
         rows = [np.array([0.64, 0.36]), np.array([0.44, 0.56])]
         for w in (0.1, 0.5, 0.9):
-            picks = [zd.inverse_cdf_transition(r, w) for r in rows]
+            picks = [duality.inverse_cdf_transition(r, w) for r in rows]
             assert picks == sorted(picks)  # higher-mass-first row lags behind
 
     def test_rounding_shortfall_guarded(self):
         row = np.array([1.0 / 3.0] * 3)
-        assert zd.inverse_cdf_transition(row, 0.9999999999999999) == 2
+        assert duality.inverse_cdf_transition(row, 0.9999999999999999) == 2
 
     @pytest.mark.parametrize(
         "row", [[0.2, 0.2], [np.nan, 1.0], [-0.5, 1.5], [0.5, 0.5 + 1e-11], [[0.5, 0.5]]]
     )
     def test_rejects_rows_that_are_not_distributions(self, row):
         with pytest.raises(ValueError, match="not a distribution"):
-            zd.inverse_cdf_transition(np.array(row), 0.5)
+            duality.inverse_cdf_transition(np.array(row), 0.5)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            zd.inverse_cdf_transition(np.array([1.0]), 1.0)
+            duality.inverse_cdf_transition(np.array([1.0]), 1.0)
 
     def test_last_rise_table_matches_rounding_loop(self):
         # Rows whose cumulative sum falls short of 1, with zero or tiny
@@ -198,39 +198,30 @@ class TestScenarioStreams:
 
 
 class TestPenaltyTerm:
+    """A period's penalty is the expected minus the realized value of the
+    generator at the next state, ``kernel[x, a] @ h - h[next]``."""
+
     def test_expected_minus_realized(self, two_period, upper_view):
         h = zd.first_action_value_generator(two_period)
-        assert upper_view.kernel[0][0] @ h == pytest.approx(2.24, abs=1e-12)
-        got = zd.make_penalty_term(upper_view, h, 0, 0, 1)
-        assert got == pytest.approx(2.24 - 8.0, abs=1e-12)
+        assert upper_view.kernel[0, 0] @ h == pytest.approx(2.24, abs=1e-12)
+        assert upper_view.kernel[0, 0] @ h - h[1] == pytest.approx(2.24 - 8.0, abs=1e-12)
 
     def test_zero_generator_gives_zero(self, upper_view):
+        # With h = 0 a scenario's value is the unpenalized clairvoyant optimum.
         h = np.zeros(4)
-        for x, a, nxt in [(0, 0, 1), (0, 1, 2), (1, 0, 3)]:
-            assert zd.make_penalty_term(upper_view, h, x, a, nxt) == 0.0
-
-    def test_unreachable_next_state_flagged(self, upper_view):
-        h = np.zeros(4)
-        with pytest.raises(zd.SupportViolation):
-            zd.make_penalty_term(upper_view, h, 0, 0, 3)
-
-    @pytest.mark.parametrize("x, a", [(0, -1), (0, 2), (3, 1), (-1, 0), (4, 0)])
-    def test_action_must_exist_at_state(self, upper_view, x, a):
-        # (3, 1) is a padded slot: the terminal state has one action.
-        with pytest.raises(ValueError, match="no action"):
-            zd.make_penalty_term(upper_view, np.zeros(4), x, a, 3)
+        est = zd.estimate_dual_bound_finite(upper_view, h, 50, seed=3, keep_values=True)
+        want = [finite_scenario_value(upper_view, zd.scenario_rng(3, i).random(2), h)
+                for i in range(50)]
+        assert est.per_scenario_values.tolist() == want
 
     @pytest.mark.parametrize("h", [[np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    def test_generator_checked(self, upper_view, h):
+    def test_generator_checked(self, upper_view, waste3, h):
         with pytest.raises(ValueError, match="generator"):
-            zd.make_penalty_term(upper_view, np.array(h), 0, 0, 1)
-
-    @pytest.mark.parametrize("nxt", [-2, -1, 4])
-    def test_next_state_must_exist(self, two_period, upper_view, nxt):
-        # -2 would wrap around to state 2, a reachable successor of (0, 0).
-        h = zd.first_action_value_generator(two_period)
-        with pytest.raises(ValueError, match="not a state"):
-            zd.make_penalty_term(upper_view, h, 0, 0, nxt)
+            zd.estimate_dual_bound_finite(upper_view, np.array(h), 10, seed=1)
+        view = zd.fix_player(waste3, zd.uniform_policy(waste3, zd.PLAYER_B), zd.PLAYER_B)
+        q = zd.make_uniform_reference(waste3)
+        with pytest.raises(ValueError, match="generator"):
+            zd.estimate_dual_bound_ssp(view, np.array(h), q, 10, seed=1)
 
     def test_zero_mean_under_nonanticipating_play(self, upper_view):
         # Simulate a fixed pure policy forward with the canonical coupling
@@ -243,8 +234,8 @@ class TestPenaltyTerm:
             w = zd.scenario_rng(40, i).random(2)
             x, total = 0, 0.0
             for t in range(2):
-                nxt = zd.inverse_cdf_transition(upper_view.kernel[x][0], w[t])
-                total += zd.make_penalty_term(upper_view, h, x, 0, nxt)
+                nxt = icdf(np.cumsum(upper_view.kernel[x, 0]), w[t])
+                total += upper_view.kernel[x, 0] @ h - h[nxt]
                 x = nxt
             totals[i] = total
         se = totals.std(ddof=1) / np.sqrt(n)
@@ -253,28 +244,16 @@ class TestPenaltyTerm:
 
 class TestFiniteInnerProblem:
     def test_exact_generator_is_tight_pathwise(self, upper_view, exact_upper_values):
-        for w in ([0.1, 0.5], [0.43, 0.99], [0.64, 0.0], [0.999, 0.2]):
-            got = zd.pi_inner_finite(upper_view, np.array(w), exact_upper_values)
-            assert got == pytest.approx(5.6, abs=1e-9)
+        est = zd.estimate_dual_bound_finite(
+            upper_view, exact_upper_values, 200, seed=9, keep_values=True
+        )
+        np.testing.assert_allclose(est.per_scenario_values, 5.6, rtol=0.0, atol=1e-9)
 
     def test_one_period_view_ignores_generator(self):
         view = one_period_view()
-        h = np.array([3.0, 0.0])
-        for w in (0.0, 0.37, 0.99):
-            got = zd.pi_inner_finite(view, np.array([w]), h)
-            assert got == pytest.approx(2.25, abs=1e-12)  # max_a of mixed costs
-
-    def test_scenario_length_checked(self, upper_view):
-        with pytest.raises(ValueError):
-            zd.pi_inner_finite(upper_view, np.array([0.5]), np.zeros(4))
-
-    @pytest.mark.parametrize(
-        "w", [[np.nan, 0.5], [1.5, 0.5], [-0.3, 0.5], [0.5, 1.0], [0.2, -np.inf]]
-    )
-    def test_scenario_uniforms_checked(self, upper_view, two_period, w):
-        h = zd.first_action_value_generator(two_period)
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            zd.pi_inner_finite(upper_view, np.array(w), h)
+        est = zd.estimate_dual_bound_finite(view, np.array([3.0, 0.0]), 50, seed=2, keep_values=True)
+        # max_a of mixed costs
+        np.testing.assert_allclose(est.per_scenario_values, 2.25, rtol=0.0, atol=1e-12)
 
     def test_piecewise_structure_matches_enumeration(self, upper_view, two_period):
         # Inner values are constant between transition CDF breakpoints, so
@@ -283,8 +262,8 @@ class TestFiniteInnerProblem:
         cells = [(0.0, 0.44), (0.44, 0.64), (0.64, 1.0)]
         total = 0.0
         for lo, hi in cells:
-            v_lo = zd.pi_inner_finite(upper_view, np.array([lo + 1e-9, 0.5]), h)
-            v_hi = zd.pi_inner_finite(upper_view, np.array([hi - 1e-9, 0.5]), h)
+            v_lo = finite_scenario_value(upper_view, np.array([lo + 1e-9, 0.5]), h)
+            v_hi = finite_scenario_value(upper_view, np.array([hi - 1e-9, 0.5]), h)
             assert v_lo == pytest.approx(v_hi, abs=1e-12)
             total += (hi - lo) * v_lo
         oracle = zd.exact_dual_bound_enumeration(upper_view, h)
@@ -550,34 +529,34 @@ class TestQPathSimulation:
         kernel = np.zeros((n, n))
         kernel[:, waste3.absorbing] = 1.0
         q = zd.ReferenceMeasure(kernel=kernel, absorbing=waste3.absorbing)
-        path = zd.simulate_q_path(q, waste3.root, seed=1)
+        path = duality.simulate_q_path(q, waste3.root, seed=1)
         assert list(path) == [waste3.root, waste3.absorbing]
 
     def test_geometric_path_length(self, waste3):
         q = zd.make_uniform_reference(waste3)
         n = waste3.n_states
         lengths = np.array(
-            [len(zd.simulate_q_path(q, waste3.root, seed=s)) - 1 for s in range(4000)]
+            [len(duality.simulate_q_path(q, waste3.root, seed=s)) - 1 for s in range(4000)]
         )
         se = lengths.std(ddof=1) / np.sqrt(len(lengths))
         assert abs(lengths.mean() - n) <= 3 * se
 
     def test_seed_reproducibility(self, waste3):
         q = zd.make_uniform_reference(waste3)
-        a = zd.simulate_q_path(q, waste3.root, seed=123)
-        b = zd.simulate_q_path(q, waste3.root, seed=123)
+        a = duality.simulate_q_path(q, waste3.root, seed=123)
+        b = duality.simulate_q_path(q, waste3.root, seed=123)
         np.testing.assert_array_equal(a, b)
 
     def test_path_cap(self, waste3):
         q = zd.make_uniform_reference(waste3)
         with pytest.raises(zd.PathCapExceeded):
-            zd.simulate_q_path(q, waste3.root, seed=1, cap=1)
+            duality.simulate_q_path(q, waste3.root, seed=1, cap=1)
 
     def test_matches_one_uniform_at_a_time_redraw(self, waste3):
         q = zd.make_uniform_reference(waste3)
         for seed in range(20):
             np.testing.assert_array_equal(
-                zd.simulate_q_path(q, waste3.root, seed=seed),
+                duality.simulate_q_path(q, waste3.root, seed=seed),
                 reference_path(q.kernel, q.absorbing, waste3.root, seed, 0),
             )
 
@@ -603,13 +582,12 @@ class TestWeakFormInner:
         view = zd.fix_player(waste3, nu, zd.PLAYER_B)
         values, _ = zd.solve_view(view, tol=0.0)
         q = zd.make_uniform_reference(waste3)
-        for s in range(40):
-            path = zd.simulate_q_path(q, waste3.root, seed=s)
-            got = zd.weak_form_inner_ssp(view, path, q, values)
-            assert got == values[waste3.root]
+        est = zd.estimate_dual_bound_ssp(view, values, q, 40, seed=0, keep_values=True)
+        assert (est.per_scenario_values == values[waste3.root]).all()
 
     def test_deterministic_chain_totals_path_cost(self):
-        # 0 -> 1 -> absorbing with unit action sets and q equal to the chain.
+        # 0 -> 1 -> absorbing with unit action sets and q equal to the chain,
+        # so every path is [0, 1, 2].
         n = 3
         costs = [1.5, 2.5]
         trans, cost = [], []
@@ -632,12 +610,13 @@ class TestWeakFormInner:
         kernel[1, 2] = 1.0
         kernel[2, 2] = 1.0
         q = zd.ReferenceMeasure(kernel=kernel, absorbing=2)
-        got = zd.weak_form_inner_ssp(view, np.array([0, 1, 2]), q, np.zeros(n))
-        assert got == pytest.approx(4.0, abs=1e-12)
+        est = zd.estimate_dual_bound_ssp(view, np.zeros(n), q, 20, seed=1, keep_values=True)
+        np.testing.assert_allclose(est.per_scenario_values, 4.0, rtol=0.0, atol=1e-12)
+        assert est.standard_error == 0.0
 
     def test_one_step_path_reduces_to_stage_optimum(self):
         # True kernel cannot absorb from the start state, q can: with a zero
-        # generator the single-step value is just the best stage cost.
+        # generator a path's single step 0 -> 2 is worth the best stage cost.
         rng = np.random.default_rng(51)
         n = 3
         p0 = np.zeros((2, 2, n))
@@ -655,53 +634,14 @@ class TestWeakFormInner:
         mu = zd.uniform_policy(model, zd.PLAYER_A)
         view = zd.fix_player(model, mu, zd.PLAYER_A)  # min orientation, 1 action
         q = zd.make_uniform_reference(model)
-        got = zd.weak_form_inner_ssp(view, np.array([0, 2]), q, np.zeros(n))
-        expected = view.cost[0].min()
-        assert got == pytest.approx(float(expected), abs=1e-12)
-
-    def test_caller_path_outside_q_support(self):
-        # Waste N=2: no action of B's uniform view moves 4 -> 5, so q may put
-        # no mass there; a caller's path that takes that step is refused.
-        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
-        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
-        exact, _ = zd.solve_view(view, tol=0.0)
-        kernel = zd.make_uniform_reference(model).kernel.copy()
-        kernel[4, 5] = 0.0
-        kernel[4] /= kernel[4].sum()
-        q = zd.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
-        with pytest.raises(
-            zd.AbsContinuityViolation, match=r"^step 1: q\(5\|4\) = 0 on a simulated path$"
-        ):
-            zd.weak_form_inner_ssp(view, np.array([0, 4, 5, 6]), q, exact)
-
-    def test_path_must_reach_absorbing(self, waste3):
-        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
-        view = zd.fix_player(waste3, nu, zd.PLAYER_B)
-        q = zd.make_uniform_reference(waste3)
-        with pytest.raises(ValueError):
-            zd.weak_form_inner_ssp(view, np.array([0, 1]), q, np.zeros(13))
-
-    @pytest.mark.parametrize(
-        "path",
-        [
-            [-1, 6],  # -1 would index the absorbing state
-            [0, 6, 6],  # walks on past absorption
-            [],
-            [0, 99, 6],
-            [6],  # starts absorbed
-            [[0, 6]],  # not 1-D
-            [0.0, 6.0],  # not state indices
-        ],
-    )
-    def test_path_checked_before_evaluation(self, path):
-        # Waste N=2: 7 states, absorbing state 6.
-        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
-        view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
-        values, _ = zd.solve_view(view, tol=0.0)
-        q = zd.make_uniform_reference(model)
-        assert zd.weak_form_inner_ssp(view, np.array([0, 6]), q, values) == values[0]
-        with pytest.raises(ValueError):
-            zd.weak_form_inner_ssp(view, np.array(path), q, values)
+        est = zd.estimate_dual_bound_ssp(view, np.zeros(n), q, 60, seed=3, keep_values=True)
+        one_step = [
+            i for i in range(60) if len(reference_path(q.kernel, 2, 0, 3, i)) == 2
+        ]
+        assert one_step
+        np.testing.assert_allclose(
+            est.per_scenario_values[one_step], view.cost[0].min(), rtol=0.0, atol=1e-12
+        )
 
 
 class TestSspEstimator:
@@ -796,7 +736,7 @@ class TestSspEstimator:
         with pytest.raises(ValueError, match="cap must be an integer >= 1"):
             zd.estimate_dual_bound_ssp(view, np.zeros(13), q, 50, seed=1, cap=cap)
         with pytest.raises(ValueError, match="cap must be an integer >= 1"):
-            zd.simulate_q_path(q, waste3.root, seed=1, cap=cap)
+            duality.simulate_q_path(q, waste3.root, seed=1, cap=cap)
 
     def test_overflow_reports_infinite_standard_error(self, waste3):
         # A generator near the float limit overflows the recursion on some
@@ -814,18 +754,22 @@ class TestSspEstimator:
         assert est.mean == np.inf
         assert est.standard_error == np.inf
 
-    @pytest.mark.parametrize("x0", [6, 7, -1, -2])
+    @pytest.mark.parametrize("x0", [6, 7, -1, -2, 1.5, 1.9, 1.0, np.float64(1.0), True, "1"])
     def test_start_must_be_a_non_absorbing_state(self, x0):
         # Waste N=2 has 7 states; state 6 absorbs and its value is 0, so a
-        # negative index or the absorbing state would bound another state.
+        # negative index or the absorbing state would bound another state,
+        # and a float or bool would start from int(x0).
         model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
         assert (model.n_states, model.absorbing) == (7, 6)
         nu = zd.uniform_policy(model, zd.PLAYER_B)
         view = zd.fix_player(model, nu, zd.PLAYER_B)
         values, _ = zd.solve_view(view, tol=0.0)
         q = zd.make_uniform_reference(model)
-        with pytest.raises(ValueError, match="non-absorbing"):
-            zd.estimate_dual_bound_ssp(view, values, q, 50, seed=1, x0=x0)
+        with pytest.raises(ValueError, match="non-absorbing state index"):
+            zd.estimate_dual_bounds([(view, values)], 50, seed=1, q=q, x0=x0)
+        with pytest.raises(ValueError, match="non-absorbing state index"):
+            duality.simulate_q_path(q, x0, seed=1)
+        assert duality.simulate_q_path(q, np.int64(1), seed=1)[0] == 1
 
 
 class TestBatchedKernelsMatchScalarReference:
@@ -903,19 +847,16 @@ class TestBatchedKernelsMatchScalarReference:
             self.check_finite(view, h, 300, seed=7)
             self.check_finite(view, values, 100, seed=8)
 
-    def test_single_scenario_helpers(self, waste3, upper_view, two_period):
+    def test_two_scenario_estimates(self, waste3, upper_view, two_period):
         h = zd.first_action_value_generator(two_period)
-        for w in ([0.1, 0.5], [0.43, 0.99], [0.999, 0.0]):
-            got = zd.pi_inner_finite(upper_view, np.array(w), h)
-            assert got == finite_scenario_value(upper_view, np.array(w), h)
+        for seed in range(3):
+            self.check_finite(upper_view, h, 2, seed)
         nu = zd.uniform_policy(waste3, zd.PLAYER_B)
         view = zd.fix_player(waste3, nu, zd.PLAYER_B)
         values, _ = zd.solve_view(view, tol=0.0)
         q = zd.make_uniform_reference(waste3)
         for seed in range(5):
-            path = zd.simulate_q_path(q, waste3.root, seed=seed)
-            got = zd.weak_form_inner_ssp(view, path, q, 0.9 * values)
-            assert got == ssp_path_value(view, path, q.kernel, 0.9 * values)
+            self.check_ssp(view, 0.9 * values, q, 2, seed)
 
 
 class TestDualSandwich:
@@ -1181,12 +1122,13 @@ class TestSharedDraw:
 
 def signed_zero_case(monkeypatch):
     """A 3-state game whose view has a -0.0 action value at state 0: its
-    view, generator, uniform ``q`` and action values.
+    view, generator, uniform ``q`` and the action values the estimators
+    read, where that -0.0 is +0.0.
 
     NumPy's matmul sums from +0.0, so lookahead never yields -0.0 on its
-    own; it is injected here. At a stop 0 -> 1 through a -0.0 kernel entry
-    the carry is -0.0 after a zero continuation but +0.0 after the real
-    one, and -0.0 + carry tells them apart.
+    own; it is injected here. No action moves 0 -> 1, through a -0.0 kernel
+    entry, so a step 0 -> 1 is a stop; its carry is -0.0 after a zero
+    continuation, and -0.0 + -0.0 would keep a -0.0 action value.
     """
     n = 3
     p0 = np.zeros((1, 1, n))
@@ -1210,7 +1152,7 @@ def signed_zero_case(monkeypatch):
 
     monkeypatch.setattr(duality, "lookahead", signed)
     h = np.zeros(n)
-    return view, h, zd.make_uniform_reference(model), signed(view, h)
+    return view, h, zd.make_uniform_reference(model), signed(view, h) + 0.0
 
 
 def step_records(windows):
@@ -1300,19 +1242,16 @@ class TestStoppedPaths:
         assert np.isinf(want).any()
         assert drawn < sum(len(path) - 1 for path in paths)
 
-    def test_negative_zero_action_value_never_stops(self, monkeypatch):
+    def test_negative_zero_action_value_is_read_as_positive_zero(self, monkeypatch):
         view, h, q, base = signed_zero_case(monkeypatch)
-        assert not duality._SspInner(view, h, q).stop[0].any()
+        inner = duality._SspInner(view, h, q)
+        assert inner.stop[0].tolist() == [False, True, False] and not np.signbit(inner.base[0, 0])
         paths = self.full_paths(view, q, 200, seed=3)
         assert any(((path[:-1] == 0) & (path[1:] == 1)).any() for path in paths)
         est = zd.estimate_dual_bound_ssp(view, h, q, 200, seed=3, keep_values=True)
         want = np.array([ssp_path_value(view, path, q.kernel, h, base) for path in paths])
         assert est.per_scenario_values.tobytes() == want.tobytes()
-        # Every path is worth +0.0; a walk that skipped the zero-ratio repair
-        # at a 0 -> 1 step would leave -0.0 + -0.0 = -0.0 there.
         assert (want == 0.0).all() and not np.signbit(want).any()
-        single = np.array([zd.weak_form_inner_ssp(view, path, q, h) for path in paths])
-        assert single.tobytes() == want.tobytes()
 
     def test_cap_counts_steps_until_a_stop(self):
         # 0 -> 1 -> absorbing under every action: each path is absorbed or
@@ -1370,9 +1309,7 @@ class TestRatioTableWalk:
             # infinite from some step back: the value of each suffix of the
             # path is the walk's continuation at that step.
             path = paths[int(np.flatnonzero(np.isinf(want))[0])]
-            suffixes = [path[k:] for k in range(len(path) - 1)]
-            walk = np.array([zd.weak_form_inner_ssp(view, p, q, h) for p in suffixes])
-            assert walk.tobytes() == self.oracle_values(view, h, q, suffixes).tobytes()
+            walk = self.oracle_values(view, h, q, [path[k:] for k in range(len(path) - 1)])
             assert np.isinf(walk[0]) and np.isfinite(walk[-1])
 
     @pytest.mark.parametrize("free", [zd.PLAYER_A, zd.PLAYER_B])
@@ -1396,12 +1333,11 @@ class TestRatioTableWalk:
         view = zd.fix_player(model, zd.uniform_policy(model, fixed), fixed)
         q = zd.make_uniform_reference(model)
         h = np.array([0.0, 5.0, 0.0])
-        got = zd.weak_form_inner_ssp(view, np.array([0, 1, 2]), q, h)
-        assert got == 0.0 and not np.signbit(got)
         paths = [reference_path(q.kernel, q.absorbing, 0, 4, i) for i in range(100)]
-        assert any(list(path[:3]) == [0, 1, 2] for path in paths)
         est = zd.estimate_dual_bound_ssp(view, h, q, 100, seed=4, keep_values=True)
         assert est.per_scenario_values.tobytes() == self.oracle_values(view, h, q, paths).tobytes()
+        got = est.per_scenario_values[[list(path) == [0, 1, 2] for path in paths]]
+        assert got.size and (got == 0.0).all() and not np.signbit(got).any()
 
 
 class TestOneWalk:
@@ -1469,10 +1405,10 @@ class TestOneWalk:
         return signed
 
     def test_negative_zero_action_value_in_a_two_pair_draw(self, monkeypatch):
-        # The game and the injected -0.0 of
-        # TestStoppedPaths.test_negative_zero_action_value_never_stops, with
-        # the other player's view first on the same draw: the -0.0 of the
-        # second pair alone must force the zero-ratio repair.
+        # The game and the injected -0.0 of signed_zero_case, with the other
+        # player's view first on the same draw: the second pair reads its
+        # -0.0 as +0.0, so the shared draw stops at 0 -> 1, where neither
+        # view moves.
         n = 3
         p0 = np.zeros((1, 1, n))
         p0[0, 0] = [0.5, 0.0, 0.5]
@@ -1490,19 +1426,20 @@ class TestOneWalk:
         signed = self.patch_lookahead(monkeypatch, view, 0)
         pairs = [(other, np.array([0.5, -1.0, 0.0])), (view, np.zeros(n))]
         q = zd.make_uniform_reference(model)
-        ests = self.assert_pairwise(pairs, q, 200, seed=3, base=signed)
+        assert all(duality._SspInner(v, h, q).stop[0, 1] for v, h in pairs)
+        ests = self.assert_pairwise(pairs, q, 200, seed=3, base=lambda v, h: signed(v, h) + 0.0)
         assert (ests[1].per_scenario_values == 0.0).all()
         assert not np.signbit(ests[1].per_scenario_values).any()
 
-    def test_signed_zero_tie_over_nine_slots(self, monkeypatch):
+    def test_negative_zero_tie_over_nine_slots_is_read_as_positive_zero(self, monkeypatch):
         # State 0: B picks one of 9 actions, each staying w.p. 0.75 and
         # absorbing w.p. 0.25, at cost 0; q is uniform, so every ratio is
         # 1.5 or 0.5. With h = (0, 5e-324) a last step 0 -> 1 carries
         # 0.5 * -5e-324 = -0.0 in every slot, and with the last slot's value
-        # made -0.0 the row to minimize is eight +0.0 and one -0.0. The
-        # one-pair walk reduces that row as one contiguous array, as the
-        # oracle's np.min does; an elementwise min over the slots in order
-        # can break the tie the other way.
+        # made -0.0 the row to minimize would be eight +0.0 and one -0.0, a
+        # tie that np.min and an elementwise min over the slots in order can
+        # break differently. Read as +0.0, the -0.0 leaves no tie. Every
+        # transition of state 0 has a slot that moves, so it never stops.
         n, k = 2, 9
         p = np.zeros((1, k, n))
         p[0, :, 0], p[0, :, 1] = 0.75, 0.25
@@ -1517,14 +1454,13 @@ class TestOneWalk:
         signed = self.patch_lookahead(monkeypatch, lower, -1)
         h = np.array([0.0, 5e-324])
         q = zd.make_uniform_reference(model)
-        ests = self.assert_pairwise([(upper, h), (lower, h)], q, 50, seed=2, base=signed)
+        inner = duality._SspInner(lower, h, q)
+        assert not inner.stop[0].any() and not np.signbit(inner.base[0]).any()
+        ests = self.assert_pairwise(
+            [(upper, h), (lower, h)], q, 50, seed=2, base=lambda v, h: signed(v, h) + 0.0
+        )
         assert (ests[1].per_scenario_values == 0.0).all()
         assert not np.signbit(ests[1].per_scenario_values).any()
-        single = [
-            zd.weak_form_inner_ssp(lower, reference_path(q.kernel, 1, 0, 2, i), q, h)
-            for i in range(50)
-        ]
-        assert np.array(single).tobytes() == ests[1].per_scenario_values.tobytes()
 
     def test_wide_state_indices(self):
         # 300 states come in uint16, and a walk from state 298 reads flat
@@ -1703,24 +1639,24 @@ class TestWindowDraw:
         assert duality._refill(2000, 10**6) != duality._refill(37, 10**6)
         assert many.per_scenario_values[:37].tobytes() == few.per_scenario_values.tobytes()
 
-    def test_negative_zero_action_value_never_stops(self, monkeypatch):
-        monkeypatch.setattr(duality, "_CELLS", 1)
+    def test_negative_zero_action_value_is_read_as_positive_zero(self, monkeypatch):
         view, h, q, base = signed_zero_case(monkeypatch)
         assert q.iid
-        draws, windows = self.recorded(monkeypatch)
+        draws, _ = self.recorded(monkeypatch)
         est = zd.estimate_dual_bound_ssp(view, h, q, 200, seed=3, keep_values=True)
         paths = [reference_path(q.kernel, q.absorbing, 0, 3, i) for i in range(200)]
         want = np.array([ssp_path_value(view, path, q.kernel, h, base) for path in paths])
         assert est.per_scenario_values.tobytes() == want.tobytes()
-        assert not np.signbit(want).any()
-        # State 0 never stops: a path is drawn up to a stop out of state 1
-        # or to absorption, across windows of 8 steps.
-        stop = duality._SspInner(view, h, q).stop
-        assert not stop[0].any() and stop[1].any()
+        assert (want == 0.0).all() and not np.signbit(want).any()
+        # State 0 stops at 0 -> 1 as state 1 does at 1 -> 0: a path is drawn
+        # up to the first of them or to absorption.
+        inner = duality._SspInner(view, h, q)
+        stop = inner.stop
+        assert stop[0, 1] and stop[1, 0] and not np.signbit(inner.base[0, 0])
         [drawn] = draws
         got = self.paths_of(drawn, 0, 200)
         assert got == [self.truncated(path, stop, q.absorbing) for path in paths]
-        assert max(len(path) for path in got) > 9 and len(windows) > 1
+        assert any(path[-2:] == [0, 1] for path in got)
 
     @pytest.mark.parametrize("kind", ["uniform", "state"])
     def test_window_draw_memory_is_linear_in_path_steps(self, kind):
@@ -1777,8 +1713,7 @@ class TestCompactTable:
             model = random_sparse_ssp_game(rng, n_states=8, max_actions=4)
             q = zd.make_uniform_reference(model)
             pairs = self.random_pairs(rng, model)
-            walk = self.walk(pairs, q)
-            assert not walk.signed_zero and walk.slots[0] >= 3  # K >= 2
+            assert len(self.walk(pairs, q).rho) >= 2 * 3  # K >= 2
             TestOneWalk.assert_pairwise(pairs, q, 300, seed=trial)
 
     def test_steps_into_absorption_with_a_nonzero_generator_there(self):
@@ -1790,7 +1725,7 @@ class TestCompactTable:
         for h_end in (1.75, -0.5):
             pairs = self.random_pairs(rng, model, h_end)
             walk = self.walk(pairs, q)
-            assert walk.slots[0] == 1 + max(view.kernel.shape[1] for view, _ in pairs)
+            assert len(walk.rho) == 2 * (1 + max(view.kernel.shape[1] for view, _ in pairs))
             TestOneWalk.assert_pairwise(pairs, q, 200, seed=4)
 
     def test_reference_kernel_with_zeros(self):
@@ -1802,7 +1737,7 @@ class TestCompactTable:
             q = TestWindowDraw.shared_row_q(rng, model, zeros)
             assert (q.kernel[:, list(zeros)] == 0.0).all()
             pairs = self.random_pairs(rng, model, 0.5)
-            assert self.walk(pairs, q).slots[0] >= 3
+            assert len(self.walk(pairs, q).rho) >= 2 * 3
             TestOneWalk.assert_pairwise(pairs, q, 300, seed=trial)
 
     def test_overflowing_pair_beside_a_finite_one(self, waste3):
@@ -1813,16 +1748,15 @@ class TestCompactTable:
         rough = np.random.default_rng(84).uniform(-2.0, 2.0, waste3.n_states)
         pairs = [(upper, 1e300 * zd.evaluate_policy_pair(waste3, mu, nu)), (lower, rough)]
         q = zd.make_uniform_reference(waste3)
-        assert not self.walk(pairs, q).signed_zero
         ests = TestOneWalk.assert_pairwise(pairs, q, 300, seed=1)
         assert np.isinf(ests[0].per_scenario_values).any()
         assert np.isfinite(ests[1].per_scenario_values).all()
 
-    def test_signed_zero_layout_in_a_two_pair_draw(self, monkeypatch):
-        # The nine-slot game of TestOneWalk.test_signed_zero_tie_over_nine_slots
-        # with a -0.0 on the maximizer's one slot: both pairs keep every slot
-        # in order, and the maximizer's row is its own slot, whose values go
-        # below the zeros that fill the rest of its table.
+    def test_negative_zero_action_value_in_the_compact_table(self, monkeypatch):
+        # The nine-slot game of TestOneWalk's tie test with a -0.0 on the
+        # maximizer's one slot in place of 1.5: read as +0.0, it takes the
+        # compact table of 1 + 9 entries like every other value, and the
+        # maximizer's values go below zero. No transition of state 0 stops.
         n, k = 2, 9
         p = np.zeros((1, k, n))
         p[0, :, 0], p[0, :, 1] = 0.75, 0.25
@@ -1837,9 +1771,14 @@ class TestCompactTable:
         pairs = [(lower, np.array([1.0, 0.0])), (upper, np.array([2.0, 0.0]))]
         q = zd.make_uniform_reference(model)
         walk = self.walk(pairs, q)
-        assert walk.signed_zero and walk.slots == [k, 1]
-        ests = TestOneWalk.assert_pairwise(pairs, q, 100, seed=5, base=signed)
-        assert (ests[1].per_scenario_values < 0.0).any()
+        assert len(walk.rho) == 2 * (1 + k)
+        assert not np.signbit(walk.value[walk.value == 0.0]).any()
+        ests = TestOneWalk.assert_pairwise(
+            pairs, q, 100, seed=5, base=lambda v, h: signed(v, h) + 0.0
+        )
+        values = ests[1].per_scenario_values
+        assert (values < 0.0).any() and (values == 0.0).any()
+        assert not np.signbit(values[values == 0.0]).any()
 
     def test_table_is_at_most_half_the_dense_one_at_waste_n10(self):
         model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
