@@ -13,7 +13,10 @@ scenario by scenario (zero variance).
 Two regimes are supported. Time-embedded finite-horizon views consume one
 uniform per period; the per-scenario inner problem is a deterministic
 backward induction under the canonical coupling (one shared uniform drives
-the inverse-CDF transition of every action). Absorbing-state views sample
+the inverse-CDF transition of every action). So every next state of a
+period is a step function of its uniform, and a block of scenarios takes
+them all from one merge of the period's CDF values into its sorted
+uniforms (``_FiniteInner``). Absorbing-state views sample
 scenario paths from an action-independent reference kernel ``q`` instead,
 and per-step likelihood ratios p/q re-weight the inner recursion. A ratio
 depends only on the step's transition ``x -> y`` and the action, and most
@@ -273,28 +276,32 @@ def _check_generator(view: MdpView, h: np.ndarray) -> np.ndarray:
 class _Period:
     """One period of a finite inner problem, as arrays over its states.
 
-    ``cols`` is the sorted union of the columns where the CDF of any action
-    slot of ``states`` rises (exceeds the entry before it, or 0 for column
-    0), followed by ``n_states``; ``cum`` holds those CDFs at the rise
-    columns, shaped (states, slots, rises). A CDF's first entry above a
-    draw is one of its own rises, so ``cols[count of cum <= w]``, capped at
-    ``last``, is the right-sided search ``_icdf`` does. ``real`` marks the
-    action slots that are not padding.
+    Row ``a * len(states) + i`` stands for action slot ``a`` of
+    ``states[i]``: slots first. ``cols`` is the sorted union of the columns
+    where the CDF of any row rises (exceeds the entry before it, or 0 for
+    column 0), and ``cum`` holds each row's CDF at those columns. A CDF's
+    first entry above a draw is one of its own rises, so with ``j`` entries
+    of ``cum`` at or below the draw, the next state is ``cols[dest[j]]``:
+    the right-sided search ``_icdf`` does, capped at the row's last rise.
+    A padded slot's CDF is 0 and its cap ``len(cols)``, a column of exact
+    zeros in ``_FiniteInner.evaluate``, so it keeps its +-inf ``base``,
+    which opt never picks; ``base`` is shaped (slots, states, 1).
     """
 
     states: np.ndarray
     cols: np.ndarray
     cum: np.ndarray
-    last: np.ndarray
+    dest: np.ndarray
     base: np.ndarray
-    real: np.ndarray
 
 
 class _FiniteInner:
     """Per-scenario deterministic inner problems on an embedded view.
 
     Precomputes the penalty-adjusted action values ``lookahead(view, h)``
-    and, per period, the transition CDFs at the columns where they rise.
+    and, per period, the transition CDFs at the columns where they rise:
+    cumulative sums over the columns the period's rows reach, since the
+    skipped entries are exact zeros, which leave a running sum as it is.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray):
@@ -306,43 +313,53 @@ class _FiniteInner:
         self.h = _check_generator(view, h)
         self.horizon = view.horizon
         base = lookahead(view, h)
-        cum = np.cumsum(view.kernel, axis=2)
-        last = _last_rise(cum)
-        slots = np.arange(view.kernel.shape[1])
-        live = np.arange(view.n_states) != view.absorbing
+        n, slots = view.n_states, view.kernel.shape[1]
+        live = np.arange(n) != view.absorbing
         self.plan: list[_Period] = []
         for t in range(view.horizon):
             X = np.flatnonzero(live & (view.period == t))
-            rises = (np.diff(cum[X], axis=2, prepend=0.0) != 0.0).any(axis=(0, 1))
-            cols = np.flatnonzero(rises)
+            k = view.kernel[X].transpose(1, 0, 2).reshape(-1, n)
+            reach = np.flatnonzero(k.any(axis=0))
+            cum = np.cumsum(k[:, reach], axis=1)
+            rise = np.diff(cum, axis=1, prepend=0.0) != 0.0
+            cols = rise.any(axis=0)
+            rise, R = rise[:, cols], np.count_nonzero(cols)
+            last = np.where(rise, np.arange(R), 0).max(axis=1, initial=0)
+            real = (np.arange(slots)[:, None] < view.n_actions[X]).ravel()
             self.plan.append(_Period(
                 states=X,
-                cols=np.append(cols, view.n_states),
-                cum=cum[X][:, :, cols],
-                last=last[X],
-                base=base[X],
-                real=slots < view.n_actions[X][:, None],
+                cols=reach[cols],
+                cum=cum[:, cols],
+                dest=np.minimum(np.arange(R + 1), np.where(real, last, R)[:, None]),
+                base=base[X].T[:, :, None],
             ))
-        self.opt = np.max if view.orientation == "max" else np.min
+        self.opt = np.maximum if view.orientation == "max" else np.minimum
 
     def evaluate(self, scenarios: np.ndarray) -> np.ndarray:
         """Inner values of a block of scenarios, one row of uniforms each.
 
         Backward induction runs one period at a time over all rows, with
-        ``V`` shaped (scenarios, states) and each period's next states and
-        action values shaped (scenarios, states, slots).
+        ``V`` shaped (scenarios, states). A period's next states come from
+        one merge of its CDF values into its sorted uniforms: ``below``
+        counts the scenarios whose uniform lies strictly below each value,
+        so between two of a row's values the sorted scenarios see a run of
+        equal counts ``count_nonzero(cum <= w)``, and one ``repeat`` writes
+        every row's ``dest`` over its runs. The action values are reduced
+        in sorted order and stored back through it.
         """
-        V = np.zeros((scenarios.shape[0], self.view.n_states))
-        rows = np.arange(scenarios.shape[0])[:, None, None]
-        h = self.h
+        N = scenarios.shape[0]
+        V = np.zeros((N, self.view.n_states))
         for t in range(self.horizon - 1, -1, -1):
             p = self.plan[t]
-            w = scenarios[:, t, None, None, None]
-            nxt = np.minimum(p.cols[np.count_nonzero(p.cum <= w, axis=-1)], p.last)
-            values = p.base + (V[rows, nxt] - h[nxt])
-            # Padded slots keep their +-inf base, which opt never picks; after
-            # an overflow, base + (V - h) there could be inf - inf = NaN.
-            V[:, p.states] = self.opt(np.where(p.real, values, p.base), axis=-1)
+            order = np.argsort(scenarios[:, t], kind="stable")
+            below = np.searchsorted(scenarios[order, t], p.cum, side="left")
+            # Row r of ``at`` indexes ``diff`` flat, by sorted scenario.
+            at = np.repeat(p.dest, np.diff(below, axis=1, prepend=0, append=N).ravel())
+            at = at.reshape(len(below), N) + p.dest.shape[1] * np.arange(N)
+            diff = np.zeros((N, p.dest.shape[1]))
+            np.subtract(V[order[:, None], p.cols], self.h[p.cols], out=diff[:, :-1])
+            values = p.base + diff.take(at).reshape(*p.base.shape[:2], N)
+            V[order, p.states[:, None]] = self.opt.reduce(values, axis=0)
         return V[:, self.view.root]
 
 
@@ -783,8 +800,9 @@ def estimate_dual_bounds(
     scenario ``i`` is the reference path from ``x0`` (default: the views'
     common root) drawn from the same stream, up to absorption or to its
     first transition that no action of any of the views can make; ``cap``
-    bounds its steps until then. Every pair is checked before
-    any scenario is drawn, and estimate ``k`` equals, bit for bit, what
+    bounds its steps until then; without ``q``, passing either raises
+    ``ValueError``. Every pair is checked before any scenario is drawn,
+    and estimate ``k`` equals, bit for bit, what
     ``estimate_dual_bound_finite`` or ``estimate_dual_bound_ssp`` returns
     for pair ``k`` alone.
     """
@@ -792,6 +810,8 @@ def estimate_dual_bounds(
         raise ValueError("no (view, generator) pairs to estimate")
     _check_count(n)
     if q is None:
+        if x0 is not None or cap != DEFAULT_PATH_CAP:
+            raise ValueError("x0 and cap apply to reference paths only; pass q")
         finite = [_FiniteInner(view, h) for view, h in pairs]
         T = max(inner.horizon for inner in finite)
 

@@ -305,8 +305,9 @@ def skipping_view(orientation):
 
 
 class TestVectorizedFiniteInner:
-    """``_FiniteInner.evaluate`` solves each period in one array expression;
-    its values equal the one-state-at-a-time oracle bit for bit."""
+    """``_FiniteInner.evaluate`` solves each period for a whole block from
+    one merge of its CDF values into the sorted uniforms; its values equal
+    the one-state-at-a-time oracle bit for bit."""
 
     @pytest.mark.parametrize("orientation", ["max", "min"])
     def test_padded_slots_empty_period_and_breakpoints(self, orientation):
@@ -368,8 +369,30 @@ class TestVectorizedFiniteInner:
         assert [p.states.tolist() for p in plan] == [[0], [1, 2], [], [3, 4, 5]]
         # Rises: period 1's CDFs rise at columns 3, 4 and 5 only; the
         # trailing 1e-18 does not move its sum.
-        assert plan[1].cols.tolist() == [3, 4, 5, 7]
-        assert plan[1].real.tolist() == [[True, False, False], [True, True, False]]
+        assert plan[1].cols.tolist() == [3, 4, 5]
+        # Rows are slots first. A real slot's last rise is one of the rise
+        # columns; a padded one reads the zero column after them.
+        real = plan[1].dest[:, -1] < len(plan[1].cols)
+        assert real.reshape(3, 2).T.tolist() == [[True, False, False], [True, True, False]]
+
+    @pytest.mark.parametrize("orientation", ["max", "min"])
+    def test_merge_on_ties_breakpoints_and_small_blocks(self, orientation):
+        # Uniforms drawn with replacement from the CDF breakpoints and a few
+        # other points: many fall exactly on a breakpoint, and equal ones
+        # repeat across scenarios. Period 2 of the view is empty.
+        view = skipping_view(orientation)
+        h = np.array([0.3, -1.2, 2.5, 0.7, -0.4, 1.1, 0.0])
+        inner = duality._FiniteInner(view, h)
+        cum = np.cumsum(view.kernel, axis=2)
+        points = np.concatenate([np.unique(cum[(cum > 0.0) & (cum < 1.0)]), [0.0, 0.1, 0.95]])
+        rng = np.random.default_rng(8)
+        scenarios = rng.choice(points, size=(64, view.horizon))
+        want = np.array([finite_scenario_value(view, w, h) for w in scenarios])
+        assert len(np.unique(scenarios[:, 1])) < 64 and np.unique(want).size > 1
+        for size in (64, 2, 1):
+            for start in range(0, 64, size):
+                got = inner.evaluate(scenarios[start : start + size])
+                assert got.tobytes() == want[start : start + size].tobytes()
 
 
 class TestEnumerationOracle:
@@ -535,9 +558,15 @@ class TestQPathSimulation:
     def test_geometric_path_length(self, waste3):
         q = zd.make_uniform_reference(waste3)
         n = waste3.n_states
-        lengths = np.array(
-            [len(duality.simulate_q_path(q, waste3.root, seed=s)) - 1 for s in range(4000)]
+        # One 4,000-path draw, every path to absorption: stop nowhere.
+        never = np.zeros(q.kernel.shape, dtype=bool)
+        windows = duality._draw_paths(
+            q, waste3.root, duality.stream_keys(0, range(4000)), duality.DEFAULT_PATH_CAP, never
         )
+        lengths = np.zeros(4000)
+        for ids, _, takes in windows:
+            for k in takes:
+                lengths[ids[:k]] += 1
         se = lengths.std(ddof=1) / np.sqrt(len(lengths))
         assert abs(lengths.mean() - n) <= 3 * se
 
@@ -837,6 +866,11 @@ class TestBatchedKernelsMatchScalarReference:
         lower = zd.fix_player(two_period, mu, zd.PLAYER_A)
         self.check_finite(lower, h, 300, seed=5)
 
+    def test_skipping_view_across_a_block_boundary(self):
+        # Padded slots, an empty period and a CDF that falls short of 1.
+        h = np.array([0.3, -1.2, 2.5, 0.7, -0.4, 1.1, 0.0])
+        self.check_finite(skipping_view("min"), h, duality._BLOCK + 37, seed=6)
+
     def test_random_embedded_finite_game(self):
         rng = np.random.default_rng(54)
         game = zd.embed_finite_horizon(random_finite_game(rng, periods=4))
@@ -1049,6 +1083,14 @@ class TestSharedDraw:
             pair = (good, h) if kwargs else finite[0]
             with pytest.raises(AssertionError, match="drawn"):
                 zd.estimate_dual_bounds([pair], 50, seed=1, **kwargs)
+
+    def test_finite_draw_rejects_path_arguments(self, two_period):
+        pair = self.two_period_pairs(two_period)[0]
+        [est] = zd.estimate_dual_bounds([pair], 100, seed=1)
+        assert est.mean == pytest.approx(5.88)
+        for kwargs in ({"x0": 2, "cap": -5}, {"x0": 1.5}, {"cap": 10}):
+            with pytest.raises(ValueError, match="pass q"):
+                zd.estimate_dual_bounds([pair], 100, seed=1, **kwargs)
 
     @pytest.mark.parametrize("n", [2.5, 10.0, np.float64(4.0), "10", True, 1, -3])
     def test_scenario_count_must_be_an_integer(self, monkeypatch, two_period, waste3, n):
