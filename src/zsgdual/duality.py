@@ -22,7 +22,8 @@ and per-step likelihood ratios p/q re-weight the inner recursion. A ratio
 depends only on the step's transition ``x -> y`` and the action, and most
 are 0, so one table per draw holds, for every pair and transition, the
 nonzero ratios with their action values and one entry for all the rest;
-one backward walk over the draw's windows of steps serves every pair
+one backward walk over the draw's windows of steps serves every pair and
+multiplies no zero ratio, so an overflowed continuation never meets 0 * inf
 (``_Walk``).
 Both inner problems read their action values from ``games.lookahead``, the
 expression whose fixed point ``solvers.solve_view`` returns, so an
@@ -665,40 +666,42 @@ class _SspInner:
 
 class _Walk:
     """Inner values of drawn paths, one array per pair, from one backward
-    walk over a table built once per estimate: for pair ``p`` and step
-    ``x -> y``, column ``x * n + y`` of ``rho`` and ``value`` holds ``C``
-    entries at rows ``p * C + c``, and the step's value is the optimum of
-    ``value + rho * (continuation - h[y])`` over them. A step takes its
-    columns with paths last, and one multiply and one add serve every pair.
+    walk over a table built once per estimate: for pair ``p`` of ``P`` and
+    step ``x -> y``, column ``x * n + y`` of ``rho`` and ``value`` holds
+    ``C`` entries at rows ``c * P + p``, and the step's value is the optimum
+    of ``value + rho * (continuation - h[y])`` over them.
 
     Entry 0 has ratio 0 and the optimum action value of the slots, padded
     ones included, that cannot move to y: what each of them adds. Entries
     ``1..K`` hold ``p(y|x,a) / q(y|x)`` and the action value of each slot
-    that can, K the most of a row, then pads of ratio 0 and value -inf
+    that can, K >= 1 the most of a row, then pads of ratio 0 and value -inf
     (max) or +inf (min). A step into absorption is a path's last, so its
     entry 0 is the walk's expression at continuation 0. No entry is -0.0,
     so the optimum does not depend on their order, and it is bit for bit
     the optimum over all slots.
 
-    A zero ratio must contribute exactly 0, where ``rho * diff`` is NaN if
-    the continuation has overflowed. With ``diff`` finite, ``0 * diff`` is
-    +-0.0, and ``value + -0.0`` equals ``value + 0.0`` when ``value`` is not
-    -0.0. So the repair to +0.0 runs, on every pair, only on a step with a
-    ``diff`` that is not finite.
+    A window's columns are gathered once, one ``take`` per table, and each
+    serves one step. Entry 0 is never multiplied, and entries ``1..K`` only
+    where their ratio is not 0, in place: a zero ratio adds exactly +0.0
+    where ``0 * diff`` is NaN after an overflow. Every other NaN is the
+    oracle's and is kept, as where a ratio over a subnormal ``q(y|x)`` is
+    inf and meets a ``diff`` of exactly 0. Such a mass is a rise of its row
+    only as the row's first mass, so a uniform of exactly 0 draws that step.
     """
 
     def __init__(self, inners: Sequence[_SspInner], q: ReferenceMeasure):
         n = q.kernel.shape[0]
         entries = [self._entries(inner, q) for inner in inners]
-        C = 1 + max(K for *_, K in entries)
-        rho = np.zeros((len(inners), C, n * n))
+        C = 1 + max(1, *(K for *_, K in entries))
+        rho = np.zeros((C, len(inners), n * n))
         value = np.zeros(rho.shape)
         for j, (inner, (const, a, xy, col, _)) in enumerate(zip(inners, entries)):
-            value[j, 0] = const
-            value[j, 1:] = inner.worst
+            value[0, j] = const
+            value[1:, j] = inner.worst
             xa = xy // n * inner.kernel.shape[1] + a
-            rho[j, col, xy] = inner.kernel.take(xa * n + xy % n) / q.kernel.take(xy)
-            value[j, col, xy] = inner.base.take(xa)
+            with np.errstate(over="ignore"):  # p / q is inf where q is subnormal
+                rho[col, j, xy] = inner.kernel.take(xa * n + xy % n) / q.kernel.take(xy)
+            value[col, j, xy] = inner.base.take(xa)
         self.n, self.h = n, np.array([inner.h for inner in inners])
         self.rho, self.value = rho.reshape(-1, n * n), value.reshape(-1, n * n)
         self.opt = [inner.opt for inner in inners]
@@ -732,29 +735,30 @@ class _Walk:
         return const, a, xy, col.ravel()[f], int(count.max())
 
     def __call__(self, windows: _Windows, n_paths: int) -> list[np.ndarray]:
-        rho, value, h, n = self.rho, self.value, self.h, self.n
-        P = len(h)
-        C = len(rho) // P
+        h, n, P = self.h, self.n, len(self.h)
         W = np.zeros((P, n_paths))
         # Weak generators can let the recursion overflow legitimately (the
-        # bound stays valid, just useless); keep 0 * inf at zero-rho entries
-        # from poisoning the optimization with NaN.
+        # bound stays valid, just useless).
         with np.errstate(over="ignore", invalid="ignore"):
             for ids, path, takes in reversed(windows):
                 V = W.take(ids, axis=1)
-                xy = path[:-1].astype(np.intp) * n + path[1:]
-                hy = h.take(path[1:], axis=1)
-                for j in range(len(takes) - 1, -1, -1):
-                    k = takes[j]
-                    at = xy[j, :k]
-                    diff = V[:, :k] - hy[:, j, :k]
-                    ratios = rho.take(at, axis=1).reshape(P, C, k)
-                    carry = ratios * diff[:, None]
-                    if not np.isfinite(diff).all():
-                        carry = np.where((ratios == 0.0) & (diff[:, None] != 0.0), 0.0, carry)
-                    carry += value.take(at, axis=1).reshape(P, C, k)
+                # The window's steps, flat: step j's takes[j] paths end at cumsum(takes)[j].
+                steps = np.arange(len(ids)) < np.array(takes)[:, None]
+                y = path[1:][steps]
+                at = path[:-1][steps].astype(np.intp) * n + y
+                ratios = self.rho[P:].take(at, axis=1).reshape(-1, P, len(at))
+                values = self.value[P:].take(at, axis=1).reshape(ratios.shape)
+                entry0, hy = self.value[:P].take(at, axis=1), h.take(y, axis=1)
+                moves = ratios != 0.0
+                for k, end in zip(reversed(takes), reversed(np.cumsum(takes).tolist())):
+                    s = slice(end - k, end)
+                    Vk, c, e0 = V[:, :k], ratios[..., s], entry0[:, s]
+                    np.multiply(c, Vk - hy[:, s], out=c, where=moves[..., s])
+                    c += values[..., s]
                     for p, opt in enumerate(self.opt):
-                        opt.reduce(carry[p], axis=0, out=V[p, :k])
+                        opt(e0[p], c[0, p], out=Vk[p])
+                        for i in range(1, len(c)):
+                            opt(Vk[p], c[i, p], out=Vk[p])
                 W[:, ids] = V
         return list(W)
 

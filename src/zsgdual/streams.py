@@ -6,10 +6,10 @@ Scenario ``i`` of an estimate under ``seed`` reads the stream
 The estimators draw a whole block of streams at once instead: ``stream_keys``
 runs SeedSequence's hash mixing as uint32 array arithmetic over the block's
 indices, and ``uniforms`` runs the Philox rounds as uint64 array arithmetic
-over every (stream, counter) pair. Their doubles are byte-equal to
-``scenario_rng(seed, i).random(k)``; a row that the vectorized mixing does
-not cover (an index of 2**32 or more, a seed that is not an integer) takes
-its key from SeedSequence itself.
+over every (stream, counter) pair, each round's two multiplies as one stacked
+array. Their doubles are byte-equal to ``scenario_rng(seed, i).random(k)``;
+a row that the vectorized mixing does not cover (an index of 2**32 or more,
+a seed that is not an integer) takes its key from SeedSequence itself.
 
 Philox is counter-based (Salmon, Moraes, Dror & Shaw 2011, *Parallel random
 numbers: as easy as 1, 2, 3*): each block of four outputs is a fixed
@@ -43,7 +43,12 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_PHILOX_CHUNK = 16384
+# Multipliers, their 32-bit halves and key increments, stacked per product.
+_ROUND_CONSTANTS = np.array(
+    [_PHILOX_M, [m & _MASK32 for m in _PHILOX_M], [m >> 32 for m in _PHILOX_M], _PHILOX_W],
+    dtype=np.uint64,
+)[:, :, None, None]
+_PHILOX_CHUNK = 8192
 
 
 def stream_keys(seed: int, indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -110,45 +115,61 @@ def _seed_sequence_keys(entropy: list[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     return words[0] | (words[1] << 32), words[2] | (words[3] << 32)
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of ``a * b``, the high one from 32-bit halves."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    u = b_hi * a_lo + ((b_lo * a_lo) >> 32)
-    v = b_lo * a_hi + (u & _MASK32)
-    return b_hi * a_hi + (u >> 32) + (v >> 32), b * a
-
-
 def uniforms(k0: np.ndarray, k1: np.ndarray, start: int, count: int) -> np.ndarray:
     """Uniforms ``start`` to ``start + count - 1`` of the Philox4x64-10
     streams keyed ``(k0, k1)``, one row per stream.
 
     As NumPy's Philox draws them: uniform ``j`` is word ``j % 4`` of the
     block at counter ``(j // 4 + 1, 0, 0, 0)`` (the counter is bumped before
-    the first block), and the double is ``(word >> 11) * 2**-53``. Rows are
-    computed ``_PHILOX_CHUNK`` counters at a time, which keeps the round
-    temporaries in cache.
+    the first block), and the double is ``(word >> 11) * 2**-53``. Round 1
+    sees only the counters, the same in every row, and takes Python's exact
+    products. Each later round multiplies ``(c0, c2)`` by ``(M0, M1)`` as one
+    stacked array, in buffers reused from round to round: ``(c0, c2)``
+    becomes ``(hi ^ (c3, c1))[::-1] ^ key`` and ``(c3, c1)`` becomes ``lo``.
+    Rows are computed ``_PHILOX_CHUNK`` counters at a time, which keeps the
+    buffers in cache.
     """
+    out = np.empty((len(k0), count))
+    if not out.size:
+        return out
     first = start // 4
     blocks = -(-(start + count) // 4) - first
-    ctr = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)[None, :]
-    zero = np.zeros((1, 1), dtype=np.uint64)
     skip = start % 4
-    out = np.empty((len(k0), count))
+    products = [divmod(_PHILOX_M[0] * i, 2**64) for i in range(first + 1, first + blocks + 1)]
+    hi0, lo0 = np.array(products, dtype=np.uint64).T
     step = max(1, _PHILOX_CHUNK // blocks)
+    # Full-size constants: a broadcast operand takes numpy's slower loops.
+    buffers = np.empty((12, 2, min(step, len(k0)), blocks), dtype=np.uint64)
+    buffers[8:] = _ROUND_CONSTANTS
     for row in range(0, len(k0), step):
-        # The counter's upper words start at 0 and its first word is the
-        # same in every row, so the early rounds broadcast small arrays.
-        c0, c1, c2, c3 = ctr, zero, zero, zero
-        key0, key1 = k0[row : row + step, None], k1[row : row + step, None]
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-        shape = (len(key0), blocks)
-        words = np.stack([np.broadcast_to(c, shape) for c in (c0, c1, c2, c3)], axis=-1)
-        words = words.reshape(len(key0), 4 * blocks)[:, skip : skip + count]
-        out[row : row + step] = (words >> 11) * 2.0**-53
+        m = min(step, len(k0) - row)
+        c, d, hi, b_lo, b_hi, t, u, key, M, M_lo, M_hi, W = buffers[:, :, :m]
+        key[0], key[1] = k0[row : row + m, None], k1[row : row + m, None]
+        # After round 1, (c0, c2) = (key0, hi0 ^ key1) and (c3, c1) = (lo0, 0).
+        c[0] = key[0]
+        np.bitwise_xor(hi0, key[1], out=c[1])
+        d[0], d[1] = lo0, 0
+        for _ in range(_PHILOX_ROUNDS - 1):
+            key += W
+            # hi = the high words of M * c, from 32-bit halves; then d = lo.
+            np.bitwise_and(c, _MASK32, out=b_lo)
+            np.right_shift(c, 32, out=b_hi)
+            np.multiply(b_lo, M_lo, out=t)
+            t >>= 32
+            np.multiply(b_hi, M_lo, out=u)
+            u += t
+            np.bitwise_and(u, _MASK32, out=t)
+            np.multiply(b_lo, M_hi, out=b_lo)
+            b_lo += t
+            np.multiply(b_hi, M_hi, out=hi)
+            u >>= 32
+            hi += u
+            b_lo >>= 32
+            hi += b_lo
+            hi ^= d
+            np.multiply(c, M, out=d)
+            np.bitwise_xor(hi[::-1], key, out=c)
+        words = np.stack([c[0], d[1], c[1], d[0]], axis=-1).reshape(m, 4 * blocks)
+        words >>= 11
+        np.multiply(words[:, skip : skip + count], 2.0**-53, out=out[row : row + m])
     return out

@@ -1822,6 +1822,61 @@ class TestCompactTable:
         assert (values < 0.0).any() and (values == 0.0).any()
         assert not np.signbit(values[values == 0.0]).any()
 
+    def test_zero_ratios_of_an_overflowed_pair_where_only_the_other_moves(self):
+        # The maximizer's generator overflows its continuation to +-inf. On
+        # a step x -> y that none of its slots can make while the
+        # minimizer's can, each of its entries 1..K has ratio 0: 0 * inf is
+        # NaN, and the step's value is its entry 0, as in the oracle.
+        rng = np.random.default_rng(2)
+        model = random_sparse_ssp_game(rng, n_states=8, max_actions=4)
+        q = zd.make_uniform_reference(model)
+        big = 1e307 * rng.uniform(-1.0, 1.0, model.n_states)
+        big[model.absorbing] = 0.0
+        pairs = [
+            (TestStoppedPaths.pure_view(model, zd.PLAYER_B), big),
+            (TestStoppedPaths.pure_view(model, zd.PLAYER_A), rng.uniform(-2.0, 2.0, 8)),
+        ]
+        assert [view.orientation for view, _ in pairs] == ["max", "min"]
+        assert len(self.walk(pairs, q).rho) >= 2 * 3  # K >= 2
+        (view, h), n = pairs[0], 200
+        alone, moves = (duality._SspInner(v, hv, q).stop for v, hv in pairs)
+        paths = [reference_path(q.kernel, q.absorbing, model.root, 3, i) for i in range(n)]
+        padded = [
+            ssp_path_value(view, path[t + 1 :], q.kernel, h)
+            for path in paths
+            for t in range(len(path) - 1)
+            if alone[path[t], path[t + 1]] and not moves[path[t], path[t + 1]]
+        ]
+        assert np.isinf(padded).any()
+        ests = TestOneWalk.assert_pairwise(pairs, q, n, seed=3)
+        values = np.concatenate([est.per_scenario_values for est in ests])
+        assert np.isinf(values).any() and not np.isnan(values).any()
+
+    def test_overflowed_ratio_at_a_zero_difference_keeps_its_nan(self, monkeypatch):
+        # q(1|0) = 5e-324 is the first mass of its row, so a uniform of
+        # exactly 0 draws 0 -> 1, whose ratio 0.5 / 5e-324 overflows to inf.
+        # State 1 absorbs at cost 0 and h = 0, so that step meets a diff of
+        # exactly 0: inf * 0 is NaN, as the oracle has it, and it is kept.
+        n = 3
+        p0 = np.zeros((1, 1, n))
+        p0[0, 0, 1:] = 0.5
+        pa = np.zeros((1, 1, n))
+        pa[0, 0, 2] = 1.0
+        zeros = np.zeros((1, 1, n))
+        model = zd.make_game(zd.Ssp(absorbing=2), [p0, pa, pa.copy()], [zeros] * 3, root=0)
+        kernel = np.array([[0.0, 5e-324, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        q = zd.ReferenceMeasure(kernel=kernel, absorbing=2)
+
+        def zero_uniforms(k0, k1, start, count):
+            return np.zeros((len(k0), count))
+
+        monkeypatch.setattr(duality, "uniforms", zero_uniforms)
+        for player in (zd.PLAYER_A, zd.PLAYER_B):
+            view = zd.fix_player(model, zd.uniform_policy(model, player), player)
+            est = zd.estimate_dual_bound_ssp(view, np.zeros(n), q, 2, seed=0, keep_values=True)
+            want = ssp_path_value(view, np.array([0, 1, 2]), q.kernel, np.zeros(n))
+            assert np.isnan(want) and np.isnan(est.per_scenario_values).all()
+
     def test_table_is_at_most_half_the_dense_one_at_waste_n10(self):
         model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
         q = zd.make_uniform_reference(model)

@@ -53,6 +53,25 @@ class TestBlockDraw:
         got = streams.uniforms(*streams.stream_keys(11, indices), 0, count)
         assert got.view(np.uint64).tobytes() == self.want(11, indices, 0, count).tobytes()
 
+    @pytest.mark.parametrize("rows, start, count", [
+        # Six counters per row: several row chunks, the last one partial.
+        (5000, 13, 20),
+        # One row past a full path block, at that block's refill size.
+        (duality._PATH_BLOCK + 1, 0, duality._refill(duality._PATH_BLOCK + 1, 10**6)),
+    ])
+    def test_rows_across_chunk_boundaries(self, rows, start, count):
+        blocks = -(-(start + count) // 4) - start // 4
+        assert rows % (streams._PHILOX_CHUNK // blocks) and rows > streams._PHILOX_CHUNK // blocks
+        got = streams.uniforms(*streams.stream_keys(11, range(rows)), start, count)
+        assert got.view(np.uint64).tobytes() == self.want(11, range(rows), start, count).tobytes()
+
+    @pytest.mark.parametrize("start", range(8))
+    def test_empty_draws(self, start):
+        k0, k1 = streams.stream_keys(3, range(5))
+        assert streams.uniforms(k0, k1, start, 0).shape == (5, 0)
+        assert streams.uniforms(k0[:0], k1[:0], start, 7).shape == (0, 7)
+        assert streams.uniforms(k0[:0], k1[:0], start, 0).shape == (0, 0)
+
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
     def test_bad_seed_raises_as_scenario_rng(self, seed, error, two_period):
         view = zd.fix_player(
