@@ -17,7 +17,6 @@ from .games import (
     Ssp,
     embed_finite_horizon,
     make_block,
-    make_game,
     make_policy,
 )
 
@@ -39,26 +38,24 @@ def build_two_period_matrix_game() -> GameModel:
     ]
     to_g2 = np.array([[0.7, 0.55], [0.4, 0.5]])
 
-    transition = []
-    cost = []
-    # Root: move to state 1 or 2 with action-dependent probabilities.
-    p0 = np.zeros((2, 2, 3))
-    p0[:, :, 1] = to_g2
-    p0[:, :, 2] = 1.0 - to_g2
-    transition.append(p0)
-    cost.append(np.broadcast_to(payoff[0][:, :, None], (2, 2, 3)).copy())
-    # Follow-up states: stage payoff matters, the onward kernel never does
-    # (the embedding maps the final period to the terminal state).
+    # Padded successor lists of the three games: the root moves to state 1
+    # or 2 with action-dependent probabilities. A follow-up game's stage
+    # payoff matters, its onward move never does (the embedding maps the
+    # final period to the terminal state), so it stays put.
+    succ = np.zeros((3, 2, 2, 2), dtype=np.intp)
+    p = np.zeros((3, 2, 2, 2))
+    g = np.zeros((3, 2, 2, 2))
+    succ[0, :, :, 0], succ[0, :, :, 1] = 1, 2
+    p[0, :, :, 0], p[0, :, :, 1] = to_g2, 1.0 - to_g2
+    g[0] = payoff[0][:, :, None]
     for i in (1, 2):
-        p = np.zeros((2, 2, 3))
-        p[:, :, i] = 1.0
-        transition.append(p)
-        cost.append(np.broadcast_to(payoff[i][:, :, None], (2, 2, 3)).copy())
-
-    raw = make_game(
+        succ[i, :, :, 0] = i
+        p[i, :, :, 0] = 1.0
+        g[i, :, :, 0] = payoff[i]
+    raw = GameModel(
+        n_states=3,
         regime=FiniteHorizon(periods=2),
-        transition=transition,
-        cost=cost,
+        blocks=(make_block(np.arange(3), succ, p, g, 3),),
         labels=("g1", "g2", "g3"),
         root=0,
     )
@@ -166,17 +163,17 @@ def build_waste_inspection_game(cfg: WasteGameConfig) -> GameModel:
     caught = np.arange(absorbing) >= N * N
     # Detection probability at each state for tonight's coincident site s.
     pd_site = (cfg.p_high + slope * (cfg.k1 * d[:, pu] + cfg.k2 * d[:, pv])).T
-    uu, vv = np.meshgrid(sites, sites, indexing="ij")
-    p = np.zeros((absorbing, N, N, n_states))
-    p[:, uu, vv, sites[:, None] * N + sites] = 1.0 - np.where(
-        uu == vv, pd_site[:, np.minimum(uu, vv)], 0.0
-    )
-    # A detection at site s: while caught, out of business; else caught at s.
-    detect = np.where(caught[:, None], absorbing, N * N + sites)
-    p[np.arange(absorbing)[:, None], sites, sites, detect] = pd_site
+    # Each move lists its clear destination, then, where the two sites
+    # coincide, its detection destination: while caught, out of business;
+    # else caught at that site.
+    succ = np.zeros((absorbing, N, N, 2), dtype=np.intp)
+    p = np.zeros((absorbing, N, N, 2))
+    succ[..., 0] = sites[:, None] * N + sites
+    p[..., 0] = 1.0
+    p[:, sites, sites, 0] = 1.0 - pd_site
+    succ[:, sites, sites, 1] = np.where(caught[:, None], absorbing, N * N + sites)
+    p[:, sites, sites, 1] = pd_site
 
-    p_abs = np.zeros((1, 1, 1, n_states))
-    p_abs[..., absorbing] = 1.0
     labels = [
         f"d{a + 1}:i{b + 1}:{'caught' if c else 'clear'}"
         for a, b, c in zip(pu.tolist(), pv.tolist(), caught.tolist())
@@ -185,8 +182,11 @@ def build_waste_inspection_game(cfg: WasteGameConfig) -> GameModel:
         n_states=n_states,
         regime=Ssp(absorbing=absorbing),
         blocks=(
-            make_block(np.arange(absorbing), p, np.broadcast_to(1.0, p.shape)),
-            make_block(np.array([absorbing]), p_abs, np.zeros_like(p_abs)),
+            make_block(np.arange(absorbing), succ, p, np.broadcast_to(1.0, p.shape), n_states),
+            make_block(
+                np.array([absorbing]), np.full((1, 1, 1, 1), absorbing), np.ones((1, 1, 1, 1)),
+                np.broadcast_to(0.0, (1, 1, 1, 1)), n_states,
+            ),
         ),
         labels=labels + ["out"],
         root=0,  # both players last at site 1, clear

@@ -10,9 +10,11 @@ the one action-value expression every solver and dual estimator reads),
 time embedding of finite-horizon games and JSON ingestion all live here.
 
 A ``GameModel`` stores its tensors as blocks: the states of one action
-shape ``(A, B)`` share one ``Block`` of stacked arrays, so fixing a player,
-inducing a chain and deriving the expected stage cost each take one array
-operation per block, and the per-state tensors are views into the blocks.
+shape ``(A, B)`` share one ``Block`` of padded successor lists, which hold
+only the destinations a move can reach or that carry a cost. Fixing a
+player or inducing a chain scatters every block into its dense result with
+one ``np.bincount``; the dense per-state tensors ``transition[i]`` and
+``cost[i]`` are rebuilt from the lists on access, never stored.
 
 All objects are immutable after construction and safe to share across
 threads; every operation in this module is pure.
@@ -21,8 +23,9 @@ threads; every operation in this module is pure.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,21 +80,111 @@ def _freeze(a: np.ndarray, dtype: type = float) -> np.ndarray:
 
 
 class Block(NamedTuple):
-    """States of one action shape ``(A, B)``, ascending, and their stacked
-    read-only ``(k, A, B, n)`` transitions and costs and ``(k, A, B)`` means."""
+    """States of one action shape ``(A, B)``, ascending, and their rows as
+    read-only padded successor lists of shape ``(k, A, B, S)``.
+
+    Entry ``s`` of the row of state ``states[r]`` under actions ``(u, v)``
+    moves to state ``succ[r, u, v, s]`` with probability ``transition[r, u,
+    v, s]`` and B pays A ``cost[r, u, v, s]``. A row keeps, in ascending
+    order, every destination where its probability or its cost is nonzero;
+    the other ``S`` slots are pads of probability 0 and cost 0. A ``cost``
+    of all-zero strides is one value broadcast: the cost of every move,
+    listed or not, and the rows list only the destinations of nonzero
+    probability. ``expected_cost`` is the ``(k, A, B)`` mean cost and
+    ``width`` the length ``n`` of a dense row.
+    """
 
     states: np.ndarray
+    succ: np.ndarray
     transition: np.ndarray
     cost: np.ndarray
     expected_cost: np.ndarray
+    width: int
 
 
-def make_block(states: np.ndarray, transition: np.ndarray, cost: np.ndarray) -> Block:
-    """A block of fresh arrays (``cost`` may broadcast), frozen in place."""
-    expected = np.einsum("kuvj,kuvj->kuv", transition, cost)
-    for a in (states, transition, cost, expected):
+def _uniform(cost: np.ndarray) -> bool:
+    """Whether a block's ``cost`` is one value broadcast over every move."""
+    return not any(cost.strides)
+
+
+def make_block(
+    states: np.ndarray, succ: np.ndarray, transition: np.ndarray, cost: np.ndarray, width: int
+) -> Block:
+    """A block of fresh padded successor lists (``cost`` may be one value
+    broadcast), frozen in place."""
+    expected = np.einsum("kuvs,kuvs->kuv", transition, cost)
+    for a in (states, succ, transition, cost, expected):
         a.setflags(write=False)
-    return Block(states, transition, cost, expected)
+    return Block(states, succ, transition, cost, expected, int(width))
+
+
+def _pack(
+    states: np.ndarray, succ: np.ndarray, transition: np.ndarray, cost: np.ndarray, width: int
+) -> Block:
+    """The block of the entries of padded lists that carry a nonzero
+    probability or cost, kept in their order.
+
+    ``succ`` and ``cost`` broadcast against ``transition``; a ``cost`` of
+    all-zero strides stays one value, and only the entries of nonzero
+    probability are kept.
+    """
+    uniform = _uniform(cost)
+    keep = transition != 0.0
+    if not uniform:
+        keep |= cost != 0.0
+    *lead, _ = np.nonzero(keep)
+    row = np.ravel_multi_index(lead, keep.shape[:-1])
+    slot = np.arange(len(row)) - np.searchsorted(row, row)
+    shape = (*keep.shape[:-1], int(slot.max(initial=0)) + 1)
+    where = (*lead, slot)
+    new_succ = np.zeros(shape, dtype=np.intp)
+    new_succ[where] = np.broadcast_to(succ, keep.shape)[keep]
+    new_p = np.zeros(shape)
+    new_p[where] = transition[keep]
+    if uniform:
+        new_g = np.broadcast_to(cost[..., :1], shape)
+    else:
+        new_g = np.zeros(shape)
+        new_g[where] = cost[keep]
+    return make_block(states, new_succ, new_p, new_g, width)
+
+
+def take_rows(b: Block, rows: np.ndarray) -> Block:
+    """The block of the rows ``rows`` (a boolean mask) of ``b``; a broadcast
+    cost stays one value."""
+    states = b.states[rows]
+    if _uniform(b.cost):
+        cost = np.broadcast_to(b.cost[:1], (len(states), *b.cost.shape[1:]))
+    else:
+        cost = b.cost[rows]
+    return Block(states, b.succ[rows], b.transition[rows], cost, b.expected_cost[rows], b.width)
+
+
+def _dense_row(b: Block, r: int, values: np.ndarray) -> np.ndarray:
+    """Row ``r`` of ``values``, the block's ``transition`` or ``cost``, as a
+    fresh dense ``(A, B, width)`` tensor."""
+    _, na, nb, _ = b.succ.shape
+    if _uniform(values):
+        return np.broadcast_to(values[r, :, :, :1], (na, nb, b.width)).copy()
+    index = b.succ[r] + b.width * np.arange(na * nb).reshape(na, nb, 1)
+    dense = np.bincount(index.ravel(), values[r].ravel(), minlength=na * nb * b.width)
+    return dense.reshape(na, nb, b.width)
+
+
+class DenseRows(Sequence):
+    """Per-state dense ``(A, B, n)`` tensors of one field of a model's
+    blocks, ``transition`` or ``cost``, rebuilt read-only on every access."""
+
+    def __init__(self, blocks: tuple[Block, ...], where: np.ndarray, name: str):
+        self._blocks, self._where, self._name = blocks, where, name
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        k, r = self._where[i]
+        b = self._blocks[k]
+        return _freeze(_dense_row(b, r, getattr(b, self._name)))
 
 
 def by_state(n: int, stacks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple:
@@ -108,14 +201,15 @@ class GameModel:
     """A finite two-player zero-sum stochastic game.
 
     Each ``Block`` stacks the states of one action shape ``(A, B)`` (the
-    absorbing state of a built-in game keeps its own); a constant cost is a
-    broadcast array. ``transition[i]``, ``cost[i]`` and ``expected_cost[i]``
-    are read-only views of state ``i``'s rows: ``transition[i][u][v]`` is
-    the distribution of the next state, ``cost[i][u][v][j]`` what B pays A
-    on that move and ``expected_cost[i][u][v]`` the stage cost averaged over
-    the next state. Time-embedded models also carry a per-state ``period``
-    tag, the original ``base_state`` of each embedded state and the
-    ``horizon``.
+    absorbing state of a built-in game keeps its own) as padded successor
+    lists; a constant cost is one broadcast value. ``transition[i]`` and
+    ``cost[i]`` are state ``i``'s dense read-only tensors, rebuilt from its
+    block on each access: ``transition[i][u][v]`` is the distribution of the
+    next state and ``cost[i][u][v][j]`` what B pays A on that move.
+    ``expected_cost[i]``, the stage cost averaged over the next state, is a
+    read-only view of the block. Time-embedded models also carry a
+    per-state ``period`` tag, the original ``base_state`` of each embedded
+    state and the ``horizon``.
     """
 
     n_states: int
@@ -128,16 +222,23 @@ class GameModel:
     base_state: np.ndarray | None = None
     actions_a: np.ndarray = field(init=False, repr=False, compare=False)
     actions_b: np.ndarray = field(init=False, repr=False, compare=False)
-    transition: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    cost: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    transition: DenseRows = field(init=False, repr=False, compare=False)
+    cost: DenseRows = field(init=False, repr=False, compare=False)
     expected_cost: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("transition", "cost", "expected_cost"):
-            stacks = ((b.states, getattr(b, name)) for b in self.blocks)
-            object.__setattr__(self, name, by_state(self.n_states, stacks))
-        for name, axis in (("actions_a", 0), ("actions_b", 1)):
-            object.__setattr__(self, name, _freeze([t.shape[axis] for t in self.transition], int))
+        where = np.zeros((self.n_states, 2), dtype=int)  # block and row of each state
+        counts = np.zeros((2, self.n_states), dtype=int)
+        for k, b in enumerate(self.blocks):
+            where[b.states] = np.column_stack([np.full(len(b.states), k), np.arange(len(b.states))])
+            counts[:, b.states] = np.array(b.succ.shape[1:3])[:, None]
+        where.setflags(write=False)
+        for name in ("transition", "cost"):
+            object.__setattr__(self, name, DenseRows(self.blocks, where, name))
+        stacks = ((b.states, b.expected_cost) for b in self.blocks)
+        object.__setattr__(self, "expected_cost", by_state(self.n_states, stacks))
+        object.__setattr__(self, "actions_a", _freeze(counts[0], int))
+        object.__setattr__(self, "actions_b", _freeze(counts[1], int))
         for name in ("period", "base_state"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _freeze(getattr(self, name), int))
@@ -162,8 +263,10 @@ def make_game(
     period: Sequence[int] | None = None,
     base_state: Sequence[int] | None = None,
 ) -> GameModel:
-    """Assemble a GameModel from per-state tensors, stacking the states of
-    each shape into one block (a copy; the caller's arrays stay as they are)."""
+    """Assemble a GameModel from per-state dense tensors: the states of each
+    shape are stacked into one block and packed into successor lists, with
+    a cost of one value throughout kept as a broadcast (the caller's arrays
+    stay as they are)."""
     transition = [np.asarray(t, dtype=float) for t in transition]
     cost = [np.asarray(c, dtype=float) for c in cost]
     by_shape: dict[tuple[int, ...], list[int]] = {}
@@ -174,12 +277,16 @@ def make_game(
                 f"{g.shape} must agree as (|U|, |V|, n)"
             )
         by_shape.setdefault(p.shape, []).append(i)
-    blocks = tuple(
-        make_block(np.array(s), np.stack([transition[i] for i in s]), np.stack([cost[i] for i in s]))
-        for s in by_shape.values()
-    )
+    blocks = []
+    for (_, _, width), s in by_shape.items():
+        g = np.stack([cost[i] for i in s])
+        bits = g.view(np.int64)
+        if g.size and (bits == bits.flat[0]).all():
+            g = np.broadcast_to(g.flat[0], g.shape)
+        p = np.stack([transition[i] for i in s])
+        blocks.append(_pack(np.array(s), np.arange(width), p, g, width))
     return GameModel(
-        n_states=len(transition), regime=regime, blocks=blocks, labels=labels,
+        n_states=len(transition), regime=regime, blocks=tuple(blocks), labels=labels,
         root=root, horizon=horizon, period=period, base_state=base_state,
     )
 
@@ -320,27 +427,48 @@ def fix_player(model: GameModel, fixed: MixedPolicy, fixed_player: str) -> MdpVi
 
     Fixing B leaves A's maximization problem; fixing A leaves B's
     minimization problem. The view's arrays are built once, here, in the
-    padded layout that ``MdpView`` describes: one ``matmul`` for the costs
-    and one ``einsum`` for the kernel rows per block of the model.
+    padded layout that ``MdpView`` describes.
     """
     check_policy(model, fixed, fixed_player)
+    return fix_rows(model, zip(model.blocks, block_rows(model, fixed, fixed_player)), fixed_player)
+
+
+def fix_rows(
+    model: GameModel, parts: Iterable[tuple[Block, np.ndarray]], fixed_player: str
+) -> MdpView:
+    """``fix_player`` on a policy given as stacked rows, unchecked: each pair
+    ``(block, w)`` of ``parts`` holds the ``(k, A)`` or ``(k, B)`` vectors
+    ``w`` of the block's states, and the blocks cover every state once.
+
+    One ``matmul`` per block gives the costs; one ``np.bincount`` over the
+    successor lists of all blocks scatters the kernel rows.
+    """
     free_a = fixed_player == PLAYER_B
     counts = model.actions_a if free_a else model.actions_b
     n, amax = model.n_states, int(counts.max())
     cost = np.full((n, amax), -np.inf if free_a else np.inf)
-    kernel = np.zeros((n, amax, n))
-    for b, w in zip(model.blocks, block_rows(model, fixed, fixed_player)):
-        # Axis 1 of p and g is the free player's action.
-        p, g = (b.transition, b.expected_cost) if free_a else (
-            b.transition.transpose(0, 2, 1, 3), b.expected_cost.transpose(0, 2, 1))
+    index, weight = [], []
+    for b, w in parts:
+        # Axis 1 of g is the free player's action.
+        g = b.expected_cost if free_a else b.expected_cost.transpose(0, 2, 1)
         cost[b.states, : g.shape[1]] = (g @ w[:, :, None])[:, :, 0]
-        kernel[b.states, : g.shape[1]] = np.einsum("kv,kuvj->kuj", w, p)
+        # Entry (x, u, v, s) adds its probability times the fixed player's
+        # weight of its action to kernel[x, a, succ[x, u, v, s]], where a is
+        # the free player's action.
+        if free_a:
+            free = np.arange(g.shape[1])[:, None, None]
+            weight.append((w[:, None, :, None] * b.transition).ravel())
+        else:
+            free = np.arange(g.shape[1])[:, None]
+            weight.append((w[:, :, None, None] * b.transition).ravel())
+        index.append(((b.states[:, None, None, None] * amax + free) * n + b.succ).ravel())
+    kernel = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n * amax * n)
     return MdpView(
         orientation="max" if free_a else "min",
         n_states=n,
         n_actions=counts.copy(),
         cost=_freeze(cost),
-        kernel=_freeze(kernel),
+        kernel=_freeze(kernel.reshape(n, amax, n)),
         regime=model.regime,
         root=model.root,
         horizon=model.horizon,
@@ -368,13 +496,15 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
     root = model.root
+    n = model.n_states
 
     # Each period's level of reachable states; embedded states come out
     # period-ordered, ascending by original state within a period.
-    succ = np.zeros((model.n_states, model.n_states), dtype=bool)
+    succ = np.zeros((n, n), dtype=bool)
     for b in model.blocks:
-        succ[b.states] = b.transition.max(axis=(1, 2)) > 0.0
-    levels = [np.arange(model.n_states) if root is None else np.array([root])]
+        live = b.transition > 0.0
+        succ[np.broadcast_to(b.states[:, None, None, None], live.shape)[live], b.succ[live]] = True
+    levels = [np.arange(n) if root is None else np.array([root])]
     for _ in range(T - 1):
         levels.append(np.flatnonzero(succ[levels[-1]].any(axis=0)))
     offsets = np.cumsum([0] + [len(level) for level in levels])
@@ -383,8 +513,9 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
     terminal = len(base)
     n_emb = terminal + 1
 
-    # Each block's embedded states, period by period, copy the columns of
-    # the next level; a column gets its cost only where it can be entered.
+    # The rows of a block's embedded states copy the rows of the states they
+    # embed, period by period, with each destination moved to the next
+    # level; the last period's rows move to the terminal state.
     blocks = []
     for b in model.blocks:
         states = np.flatnonzero(np.isin(base, b.states))
@@ -392,23 +523,31 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
             continue
         src = np.searchsorted(b.states, base[states])  # rows of b
         bounds = np.searchsorted(period[states], np.arange(T + 1))
-        _, na, nb, _ = b.transition.shape
-        p = np.zeros((len(states), na, nb, n_emb))
-        g = np.zeros_like(p)
+        entered = _entered(b)
+        shape = (len(states), *entered.succ.shape[1:])
+        s, p, g = np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape)
         for t in range(T - 1):
-            rows, cols = slice(bounds[t], bounds[t + 1]), slice(offsets[t + 1], offsets[t + 2])
-            take = np.ix_(src[rows], np.arange(na), np.arange(nb), levels[t + 1])
-            p[rows, :, :, cols] = b.transition[take]
-            enter = p[rows, :, :, cols].any(axis=(1, 2), keepdims=True)
-            np.copyto(g[rows, :, :, cols], b.cost[take], where=enter)
+            rows = slice(bounds[t], bounds[t + 1])
+            index = np.full(n, -1)
+            index[levels[t + 1]] = np.arange(offsets[t + 1], offsets[t + 2])
+            dest = index[entered.succ[src[rows]]]
+            # Pads, and entries of a negative or NaN probability, may leave the level.
+            off = dest < 0
+            s[rows] = dest
+            p[rows] = entered.transition[src[rows]]
+            g[rows] = entered.cost[src[rows]]
+            for a in (s, p, g):
+                a[rows][off] = 0
         last = slice(bounds[T - 1], bounds[T])
-        p[last, :, :, terminal] = 1.0
-        g[last, :, :, terminal] = b.expected_cost[src[last]]
-        blocks.append(make_block(states, p, g))
+        s[last, :, :, 0] = terminal
+        p[last, :, :, 0] = 1.0
+        g[last, :, :, 0] = b.expected_cost[src[last]]
+        blocks.append(make_block(states, s, p, g, n_emb))
     # Terminal: one action pair, self-loop, zero cost.
-    p_term = np.zeros((1, 1, 1, n_emb))
-    p_term[..., terminal] = 1.0
-    blocks.append(make_block(np.array([terminal]), p_term, np.zeros_like(p_term)))
+    blocks.append(make_block(
+        np.array([terminal]), np.full((1, 1, 1, 1), terminal), np.ones((1, 1, 1, 1)),
+        np.broadcast_to(0.0, (1, 1, 1, 1)), n_emb,
+    ))
 
     labels = [f"t{t}:{model.label(i)}" for t, i in zip(period.tolist(), base.tolist())]
     return GameModel(
@@ -416,6 +555,35 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
         root=None if root is None else 0, horizon=T,
         period=np.append(period, T), base_state=np.append(base, -1),
     )
+
+
+def _entered(b: Block) -> Block:
+    """Block ``b`` with each state's rows cut to the destinations that state
+    enters, those of a nonzero probability under some action pair: a cost
+    elsewhere is dropped, and a broadcast cost is written out at every
+    entered destination of every row."""
+    k, na, nb, _ = b.succ.shape
+    key = b.succ + b.width * np.arange(k)[:, None, None, None]
+    cols = np.unique(key[b.transition != 0.0])  # per state, ascending
+    row = cols // b.width
+    slot = np.arange(len(cols)) - np.searchsorted(row, row)
+    union = np.zeros((k, int(slot.max(initial=0)) + 1), dtype=np.intp)
+    union[row, slot] = cols % b.width
+    shape = (k, na, nb, union.shape[1])
+    if _uniform(b.cost):
+        listed = b.transition != 0.0
+        count = np.bincount(row, minlength=k)[:, None, None, None]
+        g = np.where(np.arange(shape[3]) < count, b.cost[..., :1], 0.0)
+    else:
+        listed = (b.transition != 0.0) | (b.cost != 0.0)
+        g = np.zeros(shape)
+    listed &= np.isin(key, cols)
+    r, u, v, _ = np.nonzero(listed)
+    q = np.searchsorted(cols, key[listed]) - np.searchsorted(row, r)
+    p = np.zeros(shape)
+    p[r, u, v, q] = b.transition[listed]
+    g[r, u, v, q] = b.cost[listed]
+    return _pack(b.states, union[:, None, None, :], p, g, b.width)
 
 
 def lift_policy(embedded: GameModel, policy: MixedPolicy) -> MixedPolicy:
@@ -450,13 +618,14 @@ def absorbing_reachable(kernel: np.ndarray, absorbing: int) -> bool:
 def validate(model: GameModel) -> list[tuple[str, str]]:
     """Check all structural invariants; return (location, violation) records.
 
-    Each block is checked in one array pass; the records of its flagged
-    states are then written out state by state, in state order."""
+    Each block's stored entries are checked in one array pass; the records
+    of its flagged states are then written out state by state, in state
+    order."""
     out: list[tuple[str, str]] = []
     n = model.n_states
     root = model.root
-    if root is not None and not (
-        isinstance(root, (int, np.integer)) and 0 <= root < n
+    if root is not None and (
+        isinstance(root, bool) or not isinstance(root, (int, np.integer)) or not 0 <= root < n
     ):
         out.append(("model", f"root {root!r} is not a state index in [0, {n})"))
     if model.labels is not None and len(model.labels) != n:
@@ -464,16 +633,16 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
     found: dict[int, list[tuple[str, str]]] = {}
     for b in model.blocks:
         p, g = b.transition, b.cost
-        shape = (*p.shape[1:3], n)
-        if p.shape[1:] != shape or g.shape[1:] != shape:
+        if b.width != n:
+            shape = (*p.shape[1:3], b.width)
             for i in b.states.tolist():
-                found[i] = [(f"state {i}", f"tensor shape {p.shape[1:]} != {shape}")]
+                found[i] = [(f"state {i}", f"tensor shape {shape} != {(*shape[:2], n)}")]
             continue
         finite = np.isfinite(p).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=(1, 2, 3))
         negative = (p < 0).any(axis=3)
         sums = p.sum(axis=3)
         off = np.abs(sums - 1.0) > SIMPLEX_TOL
-        empty = min(shape[:2]) < 1
+        empty = min(p.shape[1:3]) < 1
         for r in np.flatnonzero(empty | ~finite | (negative | off).any(axis=(1, 2))):
             i = int(b.states[r])
             rec = found[i] = [(f"state {i}", "empty action set")] if empty else []
@@ -510,11 +679,11 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
                 out.append(("model", "terminal state not tagged with final period"))
             skips: dict[int, list[int]] = {}
             for b in model.blocks:
-                reach = np.max(b.transition, axis=(1, 2), initial=0.0) > 0
-                skip = reach & (model.period[: reach.shape[1]] != model.period[b.states, None] + 1)
+                step = model.period[b.succ] - model.period[b.states, None, None, None]
+                skip = (b.transition > 0.0) & (step != 1)
                 skip[b.states == reg.absorbing] = False
-                for r in np.flatnonzero(skip.any(axis=1)):
-                    skips[int(b.states[r])] = np.flatnonzero(skip[r]).tolist()
+                for r in np.flatnonzero(skip.any(axis=(1, 2, 3))):
+                    skips[int(b.states[r])] = np.unique(b.succ[r][skip[r]]).tolist()
             out += [(f"state {i}", f"transitions skip a period (to {skips[i]})")
                     for i in sorted(skips)]
     return out
@@ -532,16 +701,23 @@ def _regime_to_dict(regime: Regime) -> dict:
     return {"kind": "ssp", "absorbing": regime.absorbing}
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is an integer and not a bool; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _regime_from_dict(d: dict) -> Regime:
     if not isinstance(d, dict):
         raise ValueError(f"regime must be an object with a kind, got {d!r}")
     kind = d.get("kind")
     if kind == "finite_horizon":
-        return FiniteHorizon(periods=int(d["periods"]))
+        return FiniteHorizon(periods=_integer(d["periods"], "periods"))
     if kind == "discounted":
         return Discounted(alpha=float(d["alpha"]))
     if kind == "ssp":
-        return Ssp(absorbing=int(d["absorbing"]))
+        return Ssp(absorbing=_integer(d["absorbing"], "absorbing"))
     raise ValueError(f"unknown regime kind {kind!r}")
 
 
@@ -573,9 +749,7 @@ def _tensors(d: dict, key: str) -> list[np.ndarray]:
 
 def game_from_dict(d: dict) -> GameModel:
     """Build and validate a GameModel from its JSON document form."""
-    n = d["n_states"]
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n_states must be an integer, got {n!r}")
+    n = _integer(d["n_states"], "n_states")
     regime = _regime_from_dict(d["regime"])
     transition = _tensors(d, "transition")
     cost = _tensors(d, "cost")

@@ -10,10 +10,12 @@ scheme, and the exact sandwich interval that best responses put around the
 game value.
 
 Everything here reads the model's block layout (``games.GameModel``): the
-states of one action shape ``(A, B)``, stacked into ``(k, A, B, n)``
-transitions and ``(k, A, B)`` expected costs. A sweep solves one block's
-stage games in one ``matrix_games.solve_many`` call, reading the block
-without a copy; induced chains take one array operation per block.
+states of one action shape ``(A, B)``, stacked into ``(k, A, B, S)``
+padded successor lists and ``(k, A, B)`` expected costs. A sweep solves
+one block's stage games in one ``matrix_games.solve_many`` call, reading
+the block without a copy; an induced chain is one ``np.bincount`` over all
+blocks. Hoffman–Karp builds its views from the sweep's stacked stage
+strategies directly (``games.fix_rows``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from . import matrix_games
 from .games import (
     PLAYER_A,
     PLAYER_B,
+    Block,
     FiniteHorizon,
     GameModel,
     MdpView,
@@ -35,9 +38,11 @@ from .games import (
     by_state,
     check_policy,
     fix_player,
+    fix_rows,
     lookahead,
     pure_policy,
     regime_alpha,
+    take_rows,
 )
 
 # Each loop of an infinite-horizon solve (Howard iterations, polish sweeps)
@@ -68,14 +73,18 @@ def induced_chain(
     model: GameModel, mu: MixedPolicy, nu: MixedPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix and expected stage-cost vector of a valid policy
-    pair, one ``einsum`` and one ``matmul`` per block of the model."""
-    P = np.zeros((model.n_states, model.n_states))
-    G = np.zeros(model.n_states)
+    pair: one ``matmul`` per block for the costs and one ``np.bincount``
+    over the successor lists of all blocks for the matrix."""
+    n = model.n_states
+    G = np.zeros(n)
+    index, weight = [], []
     stacked = zip(model.blocks, block_rows(model, mu, PLAYER_A), block_rows(model, nu, PLAYER_B))
     for b, y, z in stacked:
-        P[b.states] = np.einsum("ku,kv,kuvj->kj", y, z, b.transition)
+        index.append((b.states[:, None, None, None] * n + b.succ).ravel())
+        weight.append((y[:, :, None, None] * z[:, None, :, None] * b.transition).ravel())
         G[b.states] = ((y[:, None] @ b.expected_cost) @ z[:, :, None])[:, 0, 0]
-    return P, G
+    P = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n * n)
+    return P.reshape(n, n), G
 
 
 def evaluate_policy_pair(
@@ -117,22 +126,22 @@ def _solve_chain(
 # Shapley value iteration
 
 
-def _stage_groups(model: GameModel) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The model's blocks without the absorbing state, each as its states,
-    transitions and expected costs, so that a sweep solves one group's stage
-    games in one ``matrix_games.solve_many`` call. Only a block that holds
-    the absorbing state next to other states is copied."""
+def _stage_groups(model: GameModel) -> list[Block]:
+    """The model's blocks without the absorbing state, so that a sweep
+    solves one group's stage games in one ``matrix_games.solve_many`` call.
+    Only a block that holds the absorbing state next to other states is
+    copied."""
     groups = []
     for b in model.blocks:
         keep = b.states != model.absorbing
         if keep.all():
-            groups.append((b.states, b.transition, b.expected_cost))
+            groups.append(b)
         elif keep.any():
-            groups.append((b.states[keep], b.transition[keep], b.expected_cost[keep]))
+            groups.append(take_rows(b, keep))
     return groups
 
 
-def _sweep(model: GameModel, groups, values: np.ndarray):
+def _sweep(model: GameModel, groups: list[Block], values: np.ndarray):
     """Shapley operator on ``values``: the new values, per group the states
     with their stage games' row and column strategies, and the largest
     exploitability gap ``max(R z) - min(y R)`` of a stage solution, which
@@ -140,10 +149,11 @@ def _sweep(model: GameModel, groups, values: np.ndarray):
     alpha = regime_alpha(model.regime)
     new = np.zeros(model.n_states)
     strategies, gap = [], 0.0
-    for states, transition, expected_cost in groups:
-        stage = expected_cost + alpha * np.einsum("iuvj,j->iuv", transition, values)
-        new[states], rows, cols = matrix_games.solve_many(stage)
-        strategies.append((states, rows, cols))
+    for b in groups:
+        onward = np.einsum("iuvs,iuvs->iuv", b.transition, values[b.succ])
+        stage = b.expected_cost + alpha * onward
+        new[b.states], rows, cols = matrix_games.solve_many(stage)
+        strategies.append((b.states, rows, cols))
         gaps = (np.einsum("iuv,iv->iu", stage, cols).max(axis=1)
                 - np.einsum("iu,iuv->iv", rows, stage).min(axis=1))
         gap = max(gap, float(gaps.max()))
@@ -163,6 +173,20 @@ def _stage_policies(model: GameModel, strategies) -> tuple[MixedPolicy, MixedPol
         MixedPolicy(by_state(model.n_states, [(g[0], g[k]) for g in strategies]))
         for k in (1, 2)
     )
+
+
+def _stage_view(model: GameModel, groups: list[Block], strategies, fixed_player: str) -> MdpView:
+    """``fix_player`` on one sweep's stage strategies of ``fixed_player``,
+    built from their stacked rows without a check; the absorbing state plays
+    uniformly."""
+    k = 1 if fixed_player == PLAYER_A else 2
+    parts = [(b, s[k]) for b, s in zip(groups, strategies)]
+    a = model.absorbing
+    if a is not None:
+        b = next(b for b in model.blocks if a in b.states)
+        c = b.succ.shape[k]
+        parts.append((take_rows(b, b.states == a), np.ones((1, c)) / c))
+    return fix_rows(model, parts, fixed_player)
 
 
 def shapley_backup(
@@ -204,32 +228,32 @@ def shapley_value_iteration(
     V = np.zeros(model.n_states)
     for _ in range(max_iter):
         TV, strategies, gap = _sweep(model, groups, V)
-        mu, nu = _stage_policies(model, strategies)
         residual = float(np.abs(TV - V).max())
         if embedded:
             V = TV
             if residual == 0.0:
                 V.setflags(write=False)
-                return V, mu, nu
+                return (V, *_stage_policies(model, strategies))
             continue
         # No iteration can push the residual below the stage solutions' own
         # error or a few ulps of the values.
         floor = max(gap, 4.0 * np.finfo(float).eps * float(np.abs(TV).max()))
+        view = _stage_view(model, groups, strategies, PLAYER_A)
         if residual <= max(tol, floor):
-            lo, _ = solve_view(fix_player(model, mu, PLAYER_A), tol=0.0)
+            lo, _ = solve_view(view, tol=0.0)
             try:
-                up, _ = solve_view(fix_player(model, nu, PLAYER_B), tol=0.0)
+                up, _ = solve_view(_stage_view(model, groups, strategies, PLAYER_B), tol=0.0)
                 width = float((up - lo).max())
             except UnboundedValue:
                 width = np.inf
             if width <= tol:
-                return lo, mu, nu
+                return (lo, *_stage_policies(model, strategies))
             if residual <= floor:
                 raise NoConvergence(
                     f"residual {residual:.3e} is rounding noise; "
                     f"certified width {width:.3e} > tol {tol:.3e}", width
                 )
-        V = _howard(fix_player(model, mu, PLAYER_A))
+        V = _howard(view)
     raise NoConvergence(
         f"no convergence within {max_iter} iterations (last residual {residual:.3e})",
         residual,

@@ -463,8 +463,8 @@ def validate_by_entry(model: GameModel) -> list[tuple[str, str]]:
         out.append(("model", "transition/cost length differs from n_states"))
         return out
     root = model.root
-    if root is not None and not (
-        isinstance(root, (int, np.integer)) and 0 <= root < n
+    if root is not None and (
+        isinstance(root, bool) or not isinstance(root, (int, np.integer)) or not 0 <= root < n
     ):
         out.append(("model", f"root {root!r} is not a state index in [0, {n})"))
     if model.labels is not None and len(model.labels) != n:

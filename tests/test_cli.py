@@ -195,7 +195,7 @@ class TestBoundCommand:
         assert code == 2
         assert "both policies" in err
 
-    @pytest.mark.parametrize("root", [99, -1, "0"])
+    @pytest.mark.parametrize("root", [99, -1, "0", True])
     def test_root_outside_state_range_exits_2(self, capsys, tmp_path, root):
         code, out, err = run(
             capsys, "bound", "--game", waste2_file(tmp_path, root=root),
@@ -204,6 +204,15 @@ class TestBoundCommand:
         assert code == 2
         assert f"root {root!r} is not a state index in [0, 7)" in err
         assert "mean=" not in out
+
+    @pytest.mark.parametrize("regime, message", [
+        ({"kind": "ssp", "absorbing": 6.7}, "absorbing must be an integer, got 6.7"),
+        ({"kind": "finite_horizon", "periods": 2.9}, "periods must be an integer, got 2.9"),
+    ])
+    def test_fractional_regime_index_exits_2(self, capsys, tmp_path, regime, message):
+        code, out, err = run(capsys, "solve", "--game", waste2_file(tmp_path, regime=regime))
+        assert (code, out) == (2, "")
+        assert err.endswith(message + "\n")
 
     @pytest.mark.parametrize("policy", ["optimal", "uniform"])
     def test_non_finite_tol_exits_2(self, capsys, policy):

@@ -6,7 +6,7 @@ import pytest
 
 import zsgdual as zd
 from zsgdual.games import SIMPLEX_TOL
-from zsgdual.solvers import _stage_groups, _stage_policies, _sweep, induced_chain
+from zsgdual.solvers import _stage_groups, _stage_policies, _stage_view, _sweep, induced_chain
 
 try:
     from numpy.lib.array_utils import byte_bounds
@@ -26,6 +26,7 @@ from oracles import (
     rollout_pair,
     stage_policies_by_state,
     validate_by_entry,
+    waste_game_by_site,
 )
 
 
@@ -497,8 +498,40 @@ def _block_game(rng, kind):
 
 def _owned_bytes(model) -> int:
     """The bytes of memory the arrays of a model's blocks span."""
-    arrays = [a for b in model.blocks for a in (b.transition, b.cost, b.expected_cost)]
+    arrays = [
+        a for b in model.blocks for a in (b.succ, b.transition, b.cost, b.expected_cost)
+    ]
     return sum(high - low for low, high in map(byte_bounds, arrays))
+
+
+def _uniform_cost(b) -> bool:
+    return not any(b.cost.strides)
+
+
+def assert_lists_of(model, transition, cost):
+    """``model`` rebuilds ``transition`` and ``cost`` byte for byte, and its
+    blocks list, ascending, exactly the destinations of a nonzero
+    probability or cost (a nonzero probability under a broadcast cost), with
+    every pad of probability 0 and cost 0 after them."""
+    assert len(model.transition) == len(model.cost) == len(transition) == model.n_states
+    for i in range(model.n_states):
+        for got, want in ((model.transition[i], transition[i]), (model.cost[i], cost[i])):
+            assert got.shape == want.shape and got.tobytes() == np.asarray(want).tobytes()
+            assert not got.flags.writeable
+    for b in model.blocks:
+        listed = b.transition != 0.0
+        if not _uniform_cost(b):
+            listed |= b.cost != 0.0
+        assert not (listed[..., 1:] & ~listed[..., :-1]).any()  # pads come last
+        assert not b.transition[~listed].any()
+        assert _uniform_cost(b) or not b.cost[~listed].any()
+        step = np.diff(b.succ, axis=3)
+        assert (step[listed[..., 1:]] > 0).all()
+        for r, i in enumerate(b.states):
+            dense = np.asarray(transition[i]) != 0.0
+            if not _uniform_cost(b):
+                dense |= np.asarray(cost[i]) != 0.0
+            assert np.array_equal(listed[r].sum(axis=2), dense.sum(axis=2))
 
 
 class TestBlockLayout:
@@ -523,9 +556,18 @@ class TestBlockLayout:
             values = rng.uniform(-5.0, 5.0, model.n_states)
             if model.absorbing is not None:
                 values[model.absorbing] = 0.0
-            _, strategies, _ = _sweep(model, _stage_groups(model), values)
+            groups = _stage_groups(model)
+            _, strategies, _ = _sweep(model, groups, values)
             got = _stage_policies(model, strategies)
             want = stage_policies_by_state(model, strategies)
+            # Hoffman-Karp's views of the stage strategies skip the policy
+            # check and the restacking, not a bit of the view.
+            for policy, player in zip(got, (zd.PLAYER_A, zd.PLAYER_B)):
+                view = _stage_view(model, groups, strategies, player)
+                want_view = fix_player_by_state(model, policy, player)
+                assert np.array_equal(view.n_actions, want_view.n_actions)
+                assert np.array_equal(view.cost, want_view.cost)
+                assert np.array_equal(view.kernel, want_view.kernel)
             for g, w in zip(got, want):
                 assert len(g) == model.n_states
                 assert all(np.array_equal(x, y) for x, y in zip(g.probs, w.probs))
@@ -541,28 +583,33 @@ class TestBlockLayout:
         assert interleaved and one_action
         assert absorbing_inside == (kind == "ssp")
 
-    def test_state_tensors_are_views_of_their_block(self, waste3, two_period):
+    def test_blocks_are_read_only_successor_lists(self, waste3, two_period):
         rng = np.random.default_rng(6)
         for model in (waste3, two_period, *(_block_game(rng, "ssp") for _ in range(5))):
             covered = np.sort(np.concatenate([b.states for b in model.blocks]))
             assert np.array_equal(covered, np.arange(model.n_states))
             for b in model.blocks:
-                assert b.transition.shape[1:3] == b.expected_cost.shape[1:]
-                for name in ("transition", "cost", "expected_cost"):
-                    block = getattr(b, name)
-                    assert not block.flags.writeable
-                    for r, i in enumerate(b.states):
-                        state = getattr(model, name)[i]
-                        assert np.shares_memory(state, block)
-                        assert np.array_equal(state, block[r]) and not state.flags.writeable
+                assert b.width == model.n_states
+                assert b.succ.shape == b.transition.shape == b.cost.shape
+                assert b.transition.shape[:3] == b.expected_cost.shape
+                for a in b[:5]:
+                    assert not a.flags.writeable
+                # The expected cost sums each row's entries; the dense
+                # tensors' sums agree up to their order of summation.
                 assert np.array_equal(
-                    b.expected_cost, np.einsum("kuvj,kuvj->kuv", b.transition, b.cost)
+                    b.expected_cost, np.einsum("kuvs,kuvs->kuv", b.transition, b.cost)
                 )
+                for r, i in enumerate(b.states):
+                    state = model.expected_cost[i]
+                    assert np.shares_memory(state, b.expected_cost)
+                    assert np.array_equal(state, b.expected_cost[r]) and not state.flags.writeable
+                    dense = (model.transition[i] * model.cost[i]).sum(axis=2)
+                    np.testing.assert_allclose(state, dense, rtol=1e-14, atol=0.0)
 
     def test_builders_make_no_transient_copy(self):
-        # The embedded game is large enough that its tensors, not the Python
-        # objects of its labels and per-state views, set the peak.
-        raw = random_finite_game(np.random.default_rng(7), n_states=40, periods=5)
+        # The embedded game (378 states) is large enough that its lists, not
+        # the Python objects of its labels and per-state views, set the peak.
+        raw = random_finite_game(np.random.default_rng(7), n_states=60, periods=8)
         builds = {
             "waste": lambda: zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10)),
             "embed": lambda: zd.embed_finite_horizon(raw),
@@ -577,10 +624,76 @@ class TestBlockLayout:
                 assert peak <= 1.25 * _owned_bytes(model), name
         finally:
             tracemalloc.stop()
-        # The waste game's cost of 1 on every move is one broadcast float.
+        # The waste game's cost of 1 on every move is one broadcast float,
+        # and a move lists at most two destinations.
         waste = builds["waste"]()
-        assert _owned_bytes(waste) < 1.01 * waste.blocks[0].transition.nbytes
-        assert byte_bounds(waste.blocks[0].cost)[1] - byte_bounds(waste.blocks[0].cost)[0] == 8
+        cost = waste.blocks[0].cost
+        assert byte_bounds(cost)[1] - byte_bounds(cost)[0] == 8
+        assert waste.blocks[0].succ.shape[3] == 2
+        # Dense (k, A, B, n) blocks of waste N=20 take 540 MiB.
+        big = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=20))
+        assert _owned_bytes(big) < 8 * 2**20
+
+
+class TestDenseTensors:
+    """``transition[i]`` and ``cost[i]`` rebuild the dense tensors a model
+    was made from, whatever builder made it."""
+
+    def test_random_games(self):
+        rng = np.random.default_rng(808)
+        kinds = set()
+        for _ in range(60):
+            model = _random_game(rng)
+            kinds.add((type(model.regime), model.horizon is not None))
+            # make_game packs any dense tensors; these are a model's own.
+            t = [np.array(x) for x in model.transition]
+            c = [np.array(x) for x in model.cost]
+            again = zd.make_game(model.regime, t, c)
+            assert_lists_of(again, t, c)
+            assert_lists_of(model, t, c)
+        assert len(kinds) == 4
+
+    @pytest.mark.parametrize("rooted", [True, False])
+    def test_embedded_games(self, rooted):
+        rng = np.random.default_rng(31 + rooted)
+        for _ in range(20):
+            raw = random_finite_game(
+                rng, n_states=int(rng.integers(3, 9)), periods=int(rng.integers(1, 5))
+            )
+            if not rooted:
+                raw = zd.make_game(raw.regime, raw.transition, raw.cost)
+            want = embed_by_entry(raw)
+            assert_lists_of(zd.embed_finite_horizon(raw), want.transition, want.cost)
+
+    def test_broadcast_cost_is_written_out_when_embedded(self):
+        # Under a cost of 1 on every move, the embedding charges 1 at every
+        # destination a state enters, whichever action pair moves there.
+        raw = random_finite_game(np.random.default_rng(9), n_states=6, periods=3, successors=2)
+        raw = zd.make_game(raw.regime, raw.transition, [np.ones_like(c) for c in raw.cost], root=0)
+        assert all(_uniform_cost(b) for b in raw.blocks)
+        want = embed_by_entry(raw)
+        assert_lists_of(zd.embed_finite_horizon(raw), want.transition, want.cost)
+
+    def test_built_in_games(self, two_period):
+        for n_sites in (2, 3, 6):
+            cfg = zd.WasteGameConfig(n_sites=n_sites)
+            want = waste_game_by_site(cfg)
+            assert_lists_of(zd.build_waste_inspection_game(cfg), want.transition, want.cost)
+        payoff = [[[2.0, 1.0], [6.0, 8.0]], [[8.0, 15.0], [10.0, 12.0]], [[-8.0, -10.0], [3.0, -11.0]]]
+        p = np.zeros((3, 2, 2, 3))
+        p[0, :, :, 1] = [[0.7, 0.55], [0.4, 0.5]]
+        p[0, :, :, 2] = 1.0 - p[0, :, :, 1]
+        p[1, :, :, 1] = p[2, :, :, 2] = 1.0
+        g = np.array(payoff)[..., None] * (p > 0.0)
+        raw = zd.make_game(zd.FiniteHorizon(periods=2), p, g, root=0)
+        want = embed_by_entry(raw)
+        assert_lists_of(two_period, want.transition, want.cost)
+
+    def test_json_round_trip(self, two_period, waste3):
+        rng = np.random.default_rng(12)
+        for model in (two_period, waste3, *(_random_game(rng) for _ in range(10))):
+            again = zd.game_from_dict(json.loads(json.dumps(zd.game_to_dict(model))))
+            assert_lists_of(again, model.transition, model.cost)
 
 
 class TestJsonInterchange:
@@ -606,6 +719,22 @@ class TestJsonInterchange:
         doc[field] = value
         with pytest.raises(ValueError, match=f"^{field} "):
             zd.game_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("root", True, "root True is not a state index in [0, 13)"),
+        ("root", 1.5, "root 1.5 is not a state index in [0, 13)"),
+        ("n_states", True, "n_states must be an integer, got True"),
+        ("regime", {"kind": "ssp", "absorbing": 12.7}, "absorbing must be an integer, got 12.7"),
+        ("regime", {"kind": "ssp", "absorbing": True}, "absorbing must be an integer, got True"),
+        ("regime", {"kind": "finite_horizon", "periods": 2.9}, "periods must be an integer, got 2.9"),
+        ("regime", {"kind": "finite_horizon", "periods": True}, "periods must be an integer, got True"),
+    ])
+    def test_bool_or_fractional_index_rejected(self, waste3, field, value, message):
+        # int() would read 12.7 as 12 and a bool as 0 or 1.
+        doc = {**zd.game_to_dict(waste3), field: value}
+        with pytest.raises(ValueError) as exc:
+            zd.game_from_dict(doc)
+        assert message in str(exc.value)
 
     def test_invalid_document_rejected(self, two_period):
         doc = zd.game_to_dict(two_period)
