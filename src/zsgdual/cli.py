@@ -29,6 +29,7 @@ from .games import (
     validate,
     values_from_dict,
 )
+from .streams import check_seed
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -395,14 +396,13 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 
 def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, as NumPy seeds are."""
+    """A ``--seed`` value: an integer in ``[0, 2**64)``, a stream key word."""
     try:
-        value = int(text)
+        return check_seed(int(text))
     except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer below 2**64, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

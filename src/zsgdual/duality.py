@@ -30,13 +30,12 @@ expression whose fixed point ``solvers.solve_view`` returns, so an
 exact-value generator cancels the continuation scenario by scenario and the
 estimate has zero variance.
 
-Estimates are bitwise reproducible: scenario ``i`` draws from a
-counter-based stream keyed by ``(seed, i)``, ``scenario_rng(seed, i)``. A
-block of streams is drawn at once, with SeedSequence's hash mixing and the
-Philox4x64-10 rounds run as array arithmetic over the block's rows
-(``streams.stream_keys``, ``streams.uniforms``); the doubles are byte-equal
-to ``scenario_rng``'s, and a row whose index needs a second 32-bit word
-takes its key from SeedSequence itself. Scenarios are evaluated in
+Estimates are bitwise reproducible: scenario ``i`` draws from the Philox
+stream keyed by the two words ``(seed, i)``, ``scenario_rng(seed, i)``, and
+a seed is an integer in ``[0, 2**64)``, checked before any draw. A block of
+streams is drawn at once, with the Philox4x64-10 rounds run as array
+arithmetic over the block's rows (``streams.uniforms``); the doubles are
+byte-equal to ``scenario_rng``'s. Scenarios are evaluated in
 fixed-size blocks of consecutive indices (``_BLOCK`` = 512 finite scenarios,
 ``_PATH_BLOCK`` = 8,192 reference paths), each scenario one row of the
 block's arrays, and every row goes through the same elementwise operations
@@ -84,12 +83,13 @@ from .games import (
     MdpView,
     MixedPolicy,
     Ssp,
+    _integer,
     absorbing_reachable,
     fix_player,
     lookahead,
 )
 # scenario_rng stays importable from here: it is public as duality.scenario_rng.
-from .streams import scenario_rng, stream_keys, uniforms
+from .streams import check_seed, scenario_rng, uniforms
 
 DEFAULT_PATH_CAP = 10**6
 DEFAULT_CELL_BUDGET = 10**6
@@ -448,16 +448,14 @@ class ReferenceMeasure:
         n = k.shape[0]
         if k.shape != (n, n):
             raise ValueError("reference kernel must be square")
-        a = self.absorbing
-        if not (isinstance(a, (int, np.integer)) and 0 <= a < n):
-            raise ValueError(f"absorbing state {a!r} is not a state index in [0, {n})")
+        a = _integer(self.absorbing, "absorbing state", 0, n)
         if not np.isfinite(k).all():
             raise ValueError("reference kernel entries must be finite")
         if not _are_distributions(k):
             raise ValueError("reference kernel rows must be distributions")
-        if abs(k[self.absorbing, self.absorbing] - 1.0) > 1e-12:
+        if abs(k[a, a] - 1.0) > 1e-12:
             raise ValueError("absorbing state must self-map under q")
-        if not absorbing_reachable(k, self.absorbing):
+        if not absorbing_reachable(k, a):
             raise ValueError(
                 "absorbing state unreachable under q from some state; "
                 "paths would never terminate"
@@ -512,32 +510,16 @@ def simulate_q_path(
 ) -> np.ndarray:
     """One reference-measure path from x0 to absorption (inclusive)."""
     _check_start(x0, q.kernel.shape[0], q.absorbing)
-    _check_cap(cap)
+    _integer(cap, "path step cap", 1)
     never = np.zeros(q.kernel.shape, dtype=bool)
-    windows = _draw_paths(q, x0, stream_keys(seed, [0]), cap, never)
+    windows = _draw_paths(q, x0, check_seed(seed), np.arange(1), cap, never)
     return np.concatenate([[x0], *(path[1:, 0] for _, path, _ in windows)]).astype(int)
 
 
 def _check_start(x0: int, n_states: int, absorbing: int) -> None:
-    if (isinstance(x0, bool) or not isinstance(x0, (int, np.integer))
-            or not 0 <= x0 < n_states or x0 == absorbing):
-        raise ValueError(
-            f"path must start at a non-absorbing state index in [0, {n_states}), "
-            f"got {x0!r}"
-        )
-
-
-def _check_count(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(
-            f"scenario count must be an integer >= 2 (two scenarios for a "
-            f"standard error), got {n!r}"
-        )
-
-
-def _check_cap(cap: int) -> None:
-    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
-        raise ValueError(f"path step cap must be an integer >= 1, got {cap!r}")
+    what = "path start (a non-absorbing state index)"
+    if _integer(x0, what, 0, n_states) == absorbing:
+        raise ValueError(f"{what} must not be the absorbing state {absorbing}")
 
 
 _Windows = list[tuple[np.ndarray, np.ndarray, list[int]]]
@@ -553,16 +535,17 @@ def _refill(live: int, left: int) -> int:
 def _draw_paths(
     q: ReferenceMeasure,
     x0: int,
-    keys: tuple[np.ndarray, np.ndarray],
+    seed: int,
+    index: np.ndarray,
     cap: int,
     stop: np.ndarray,
 ) -> _Windows:
-    """Reference-measure paths from x0, one per stream key of ``keys`` (from
-    ``stream_keys``), each ending at its first step that absorbs or whose
+    """Reference-measure paths from x0, one per scenario ``i`` of ``index``
+    under ``seed``, each ending at its first step that absorbs or whose
     transition ``(x, next)`` is a stop: a transition that no action of any
     view evaluated on the draw can make (``_SspInner.stop``), so the rest of
     the path is never drawn. Path ``i`` takes its ``t``-th uniform from its
-    stream, the ``t``-th double of ``scenario_rng``'s, and its next state
+    stream, the ``t``-th double of ``scenario_rng(seed, i)``, and its next state
     is ``q.search``'s: the index a scan of the row of ``q``'s CDF returns.
     ``cap`` bounds the steps of every path until it ends.
 
@@ -587,14 +570,13 @@ def _draw_paths(
     def goes(path: np.ndarray) -> np.ndarray:
         return go_on.take(path[:-1].astype(np.intp) * n + path[1:])
 
-    k0, k1 = keys
-    ids = np.arange(len(k0), dtype=np.int32)
-    x = np.full(len(k0), x0, dtype=search.dest.dtype)
+    ids = np.arange(len(index), dtype=np.int32)
+    x = np.full(len(index), x0, dtype=search.dest.dtype)
     windows: _Windows = []
     t = 0
     while t < cap:
         count = _refill(len(ids), cap - t)
-        u = uniforms(k0.take(ids), k1.take(ids), t, count)
+        u = uniforms(seed, index.take(ids), t, count)
         u *= search.scale
         path = np.empty((count + 1, len(ids)), dtype=x.dtype)
         path[0] = x
@@ -798,29 +780,31 @@ def estimate_dual_bounds(
     Without ``q`` the views must be time-embedded: scenario ``i`` is one
     uniform per period from ``scenario_rng(seed, i)``, drawn once for the
     longest horizon (a stream's first draws do not depend on how many
-    follow). Each block of scenarios is one ``stream_keys`` and one
-    ``uniforms`` call, byte-equal to drawing every stream on its own.
+    follow). Each block of scenarios is one ``uniforms`` call, byte-equal
+    to drawing every stream on its own.
     With ``q`` the views must be absorbing-state views matching it:
     scenario ``i`` is the reference path from ``x0`` (default: the views'
     common root) drawn from the same stream, up to absorption or to its
     first transition that no action of any of the views can make; ``cap``
     bounds its steps until then; without ``q``, passing either raises
-    ``ValueError``. Every pair is checked before any scenario is drawn,
+    ``ValueError``. ``seed`` must be an integer in ``[0, 2**64)``. The
+    arguments and every pair are checked before any scenario is drawn,
     and estimate ``k`` equals, bit for bit, what
     ``estimate_dual_bound_finite`` or ``estimate_dual_bound_ssp`` returns
     for pair ``k`` alone.
     """
     if not pairs:
         raise ValueError("no (view, generator) pairs to estimate")
-    _check_count(n)
+    _integer(n, "scenario count", 2)  # two scenarios for a standard error
+    seed = check_seed(seed)
     if q is None:
         if x0 is not None or cap != DEFAULT_PATH_CAP:
             raise ValueError("x0 and cap apply to reference paths only; pass q")
         finite = [_FiniteInner(view, h) for view, h in pairs]
         T = max(inner.horizon for inner in finite)
 
-        def block(indices: range) -> list[np.ndarray]:
-            scenarios = uniforms(*stream_keys(seed, indices), 0, T)
+        def block(indices: np.ndarray) -> list[np.ndarray]:
+            scenarios = uniforms(seed, indices, 0, T)
             return [inner.evaluate(scenarios[:, : inner.horizon]) for inner in finite]
 
         size = _BLOCK
@@ -834,13 +818,13 @@ def estimate_dual_bounds(
         if x0 is None:
             raise ValueError("view does not designate an initial state")
         _check_start(x0, q.kernel.shape[0], q.absorbing)
-        _check_cap(cap)
+        _integer(cap, "path step cap", 1)
         stop = np.logical_and.reduce([inner.stop for inner in ssp])
         # The table is built after the first draw: the draw's peak never holds it.
         walk = cache(lambda: _Walk(ssp, q))
 
-        def block(indices: range) -> list[np.ndarray]:
-            windows = _draw_paths(q, x0, stream_keys(seed, indices), cap, stop)
+        def block(indices: np.ndarray) -> list[np.ndarray]:
+            windows = _draw_paths(q, x0, seed, indices, cap, stop)
             return walk()(windows, len(indices))
 
         size = _PATH_BLOCK
@@ -908,7 +892,7 @@ def dual_sandwich(
 
 
 def _block_values(
-    block: Callable[[range], list[np.ndarray]], n_inner: int, n: int, size: int
+    block: Callable[[np.ndarray], list[np.ndarray]], n_inner: int, n: int, size: int
 ) -> list[np.ndarray]:
     """Values of scenarios ``0..n-1`` under each of ``n_inner`` inner
     problems, evaluated ``size`` indices at a time; ``block`` returns one
@@ -916,7 +900,7 @@ def _block_values(
     out = [np.empty(n) for _ in range(n_inner)]
     for start in range(0, n, size):
         stop = min(start + size, n)
-        for values, part in zip(out, block(range(start, stop))):
+        for values, part in zip(out, block(np.arange(start, stop))):
             values[start:stop] = part
     return out
 

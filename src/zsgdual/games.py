@@ -701,10 +701,15 @@ def _regime_to_dict(regime: Regime) -> dict:
     return {"kind": "ssp", "absorbing": regime.absorbing}
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is an integer and not a bool; else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+def _integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int if it is an integer, not a bool, at least ``low``
+    and below ``high`` (each bound optional, ``high`` only with ``low``);
+    else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or low is not None and value < low or high is not None and value >= high):
+        bounds = (f" in [{low}, {high})" if high is not None
+                  else f" >= {low}" if low is not None else "")
+        raise ValueError(f"{what} must be an integer{bounds}, got {value!r}")
     return int(value)
 
 

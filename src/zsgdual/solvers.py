@@ -33,6 +33,7 @@ from .games import (
     GameModel,
     MdpView,
     MixedPolicy,
+    _integer,
     absorbing_reachable,
     block_rows,
     by_state,
@@ -219,8 +220,7 @@ def shapley_value_iteration(
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before solving")
     check_tol(tol)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _integer(max_iter, "max_iter", 1)
     embedded = model.horizon is not None
     if tol == 0.0 and not embedded:
         raise ValueError("tol must be positive: it is the certified interval width")
@@ -458,6 +458,7 @@ def naive_policy_iteration(
     lookahead games at the previous value function. A pair that turns
     improper mid-run truncates the trace and sets ``failure``.
     """
+    _integer(rounds, "rounds", 0)
     mu, nu = mu0, nu0
     J = evaluate_policy_pair(model, mu, nu)
     recs = [PolicyIterationRound(mu=mu, nu=nu, values=J)]

@@ -515,6 +515,39 @@ def test_negative_seed_flag_exits_2(capsys, tmp_path, argv):
     assert not (tmp_path / "f.csv").exists()
 
 
+# A seed is the first of the two 64-bit words of a scenario's Philox key.
+WASTE3_BOUND = ["bound", "--game", "builtin:waste,N=3", "--fix", "B=uniform", "--n", "100"]
+
+
+def test_seed_past_the_key_word_exits_2(capsys, tmp_path):
+    argv = WASTE3_BOUND + ["--seed", str(2**65), "--out", str(tmp_path / "f.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: seed must be a non-negative integer below 2**64" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_top_seed_runs(capsys, tmp_path, source):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 2**64 - 1}))
+    how = ["--seed", str(2**64 - 1)] if source == "flag" else ["--config", str(cfg)]
+    code, out, _ = run(capsys, *WASTE3_BOUND, *how)
+    assert code == 0
+    assert f"n=100 seed={2**64 - 1}" in out
+
+
+def test_negative_rounds_exit_2(capsys, tmp_path):
+    out_path = tmp_path / "f.csv"
+    code, out, err = run(
+        capsys, "repro", "waste-game", "--sites", "3", "--rounds", "-3", "--out", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: rounds must be an integer >= 0, got -3\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "what, doc",
     [
@@ -593,7 +626,7 @@ class TestConfigPrecedence:
         assert "n=50 " in out
 
     @pytest.mark.parametrize(
-        "config", [{"n": 2.5}, {"n": True}, {"side": "middle"}, {"seed": -3}]
+        "config", [{"n": 2.5}, {"n": True}, {"side": "middle"}, {"seed": -3}, {"seed": 2**64}]
     )
     def test_value_its_flag_rejects_exits_2(self, capsys, tmp_path, config):
         code, _, err = self.bound_with_config(capsys, tmp_path, config)

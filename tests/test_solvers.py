@@ -136,7 +136,8 @@ class TestShapleyValueIteration:
             assert lhs <= rhs + 1e-9
 
 
-    @pytest.mark.parametrize("max_iter", [0, -3])
+    # A float cap would reach range(); True would run one iteration.
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
     def test_max_iter_must_be_positive(self, waste3, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             zd.shapley_value_iteration(waste3, tol=1e-8, max_iter=max_iter)
@@ -526,6 +527,14 @@ class TestNaivePolicyIteration:
         assert len(trace.rounds) == 1
         expected = zd.evaluate_policy_pair(waste3, mu, nu)
         np.testing.assert_allclose(trace.rounds[0].values, expected, atol=0)
+
+    @pytest.mark.parametrize("rounds", [-3, 1.5, True])
+    def test_rounds_must_be_a_non_negative_integer(self, waste3, rounds):
+        # -3 would record round 0 alone, as if 0 rounds were asked for.
+        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        with pytest.raises(ValueError, match="rounds must be an integer >= 0"):
+            zd.naive_policy_iteration(waste3, mu, nu, rounds=rounds)
 
     def test_reaches_equilibrium_on_two_period_game(self, two_period):
         mu = zd.uniform_policy(two_period, zd.PLAYER_A)

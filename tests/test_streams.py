@@ -4,54 +4,54 @@ import pytest
 import zsgdual as zd
 from zsgdual import duality, streams
 
+# Seeds across the 64-bit key word, and seeds of NumPy's integer types.
+SEEDS = [0, 1, 7, 2**32 - 1, 2**40, 2**63, np.int64(7), np.uint64(7), 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_keys_are_seed_and_index(seed):
+    for i in (0, 1, 3, duality._PATH_BLOCK, 2**32, 2**64 - 1):
+        rng = zd.scenario_rng(seed, i)
+        assert rng.bit_generator.state["state"]["key"].tolist() == [int(seed), i]
+        key = np.array([seed, i], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(9)
+        assert rng.random(9).tobytes() == want.tobytes()
+        if max(seed, i) < 2**63:
+            # NumPy takes a list key through float64 from 2**63 up.
+            listed = np.random.Generator(np.random.Philox(key=[seed, i])).random(9)
+            assert listed.tobytes() == want.tobytes()
+
 
 class TestBlockDraw:
-    """``streams.stream_keys`` and ``streams.uniforms`` reproduce
-    ``scenario_rng(seed, i).random(k)`` byte for byte, a block of streams at
-    a time."""
+    """``streams.uniforms`` reproduces ``scenario_rng(seed, i).random(k)``
+    byte for byte, a block of streams at a time."""
 
-    # 2**40 takes two seed words, 2**100 four: five entropy words in all. A
-    # list of words is a seed that SeedSequence takes and the vectorized
-    # mixing does not: every row takes the fallback.
-    SEEDS = [0, 1, 7, 2**32 - 1, 2**40, 2**100, np.int64(7), [7, 3]]
-    # The first and last index of a full path block, and 2**32, which needs
-    # a second index word and takes the SeedSequence fallback.
-    INDICES = [*range(40), duality._PATH_BLOCK - 1, 2**32 - 1, 2**32]
+    # The first and last index of a full path block.
+    INDICES = np.array([*range(40), duality._PATH_BLOCK - 1])
 
     @staticmethod
     def want(seed, indices, start, count):
-        draws = [zd.scenario_rng(seed, i).random(start + count)[start:] for i in indices]
+        draws = [zd.scenario_rng(seed, int(i)).random(start + count)[start:] for i in indices]
         return np.stack(draws).view(np.uint64)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_keys_match_seed_sequence(self, seed):
-        indices = [*range(duality._PATH_BLOCK), 2**32, 2**32 + 5]
-        k0, k1 = streams.stream_keys(seed, indices)
-        want = np.array([
-            np.random.SeedSequence(entropy=(seed, i)).generate_state(2, np.uint64)
-            for i in indices
-        ])
-        assert k0.dtype == k1.dtype == np.uint64
-        assert np.stack([k0, k1], axis=1).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", SEEDS)
     def test_uniforms_match_scenario_rng(self, seed):
-        k0, k1 = streams.stream_keys(seed, self.INDICES)
         # Up to and across Philox's four-word buffer, and refills of any size
         # from any offset, as _draw_paths makes them (duality._refill).
         for start, count in [(0, 1), (0, 3), (0, 4), (0, 5), (0, 70), (64, 64), (128, 64),
                              (32, 37), (13, 256), (257, 3)]:
-            got = streams.uniforms(k0, k1, start, count)
+            got = streams.uniforms(seed, self.INDICES, start, count)
             assert got.dtype == np.float64 and got.shape == (len(self.INDICES), count)
             assert got.view(np.uint64).tobytes() == self.want(
                 seed, self.INDICES, start, count
             ).tobytes()
 
     def test_full_path_block(self):
-        indices = range(duality._PATH_BLOCK)
+        indices = np.arange(duality._PATH_BLOCK)
         count = duality._refill(len(indices), duality.DEFAULT_PATH_CAP)
-        got = streams.uniforms(*streams.stream_keys(11, indices), 0, count)
-        assert got.view(np.uint64).tobytes() == self.want(11, indices, 0, count).tobytes()
+        for seed in (11, 2**64 - 1):
+            got = streams.uniforms(seed, indices, 0, count)
+            assert got.view(np.uint64).tobytes() == self.want(seed, indices, 0, count).tobytes()
 
     @pytest.mark.parametrize("rows, start, count", [
         # Six counters per row: several row chunks, the last one partial.
@@ -62,24 +62,36 @@ class TestBlockDraw:
     def test_rows_across_chunk_boundaries(self, rows, start, count):
         blocks = -(-(start + count) // 4) - start // 4
         assert rows % (streams._PHILOX_CHUNK // blocks) and rows > streams._PHILOX_CHUNK // blocks
-        got = streams.uniforms(*streams.stream_keys(11, range(rows)), start, count)
-        assert got.view(np.uint64).tobytes() == self.want(11, range(rows), start, count).tobytes()
+        indices = np.arange(rows)
+        got = streams.uniforms(11, indices, start, count)
+        assert got.view(np.uint64).tobytes() == self.want(11, indices, start, count).tobytes()
 
     @pytest.mark.parametrize("start", range(8))
     def test_empty_draws(self, start):
-        k0, k1 = streams.stream_keys(3, range(5))
-        assert streams.uniforms(k0, k1, start, 0).shape == (5, 0)
-        assert streams.uniforms(k0[:0], k1[:0], start, 7).shape == (0, 7)
-        assert streams.uniforms(k0[:0], k1[:0], start, 0).shape == (0, 0)
+        indices = np.arange(5)
+        assert streams.uniforms(3, indices, start, 0).shape == (5, 0)
+        assert streams.uniforms(3, indices[:0], start, 7).shape == (0, 7)
+        assert streams.uniforms(3, indices[:0], start, 0).shape == (0, 0)
 
-    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
-    def test_bad_seed_raises_as_scenario_rng(self, seed, error, two_period):
-        view = zd.fix_player(
-            two_period, zd.uniform_policy(two_period, zd.PLAYER_B), zd.PLAYER_B
-        )
-        with pytest.raises(error):
-            zd.scenario_rng(seed, 0)
-        with pytest.raises(error):
-            streams.stream_keys(seed, range(3))
-        with pytest.raises(error):
-            zd.estimate_dual_bound_finite(view, np.zeros(view.n_states), 5, seed)
+    # A list of words was a seed to SeedSequence; it is not a key word.
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (2**64, ValueError), (1.5, ValueError), (True, ValueError),
+        ([7, 3], ValueError),
+    ])
+    def test_bad_seed_raises_as_scenario_rng(self, monkeypatch, seed, error, two_period, waste3):
+        def no_draw(*args):
+            raise AssertionError("a scenario was drawn")
+
+        monkeypatch.setattr(duality, "uniforms", no_draw)
+        finite = zd.fix_player(two_period, zd.uniform_policy(two_period, zd.PLAYER_B), zd.PLAYER_B)
+        ssp = zd.fix_player(waste3, zd.uniform_policy(waste3, zd.PLAYER_B), zd.PLAYER_B)
+        q = zd.make_uniform_reference(waste3)
+        calls = [
+            lambda: zd.scenario_rng(seed, 0),
+            lambda: zd.estimate_dual_bound_finite(finite, np.zeros(finite.n_states), 5, seed),
+            lambda: zd.estimate_dual_bound_ssp(ssp, np.zeros(ssp.n_states), q, 5, seed),
+            lambda: duality.simulate_q_path(q, waste3.root, seed),
+        ]
+        for call in calls:
+            with pytest.raises(error, match=rf"^seed must be an integer in \[0, {2**64}\)"):
+                call()
