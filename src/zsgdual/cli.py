@@ -232,8 +232,11 @@ def _result_csv(result: experiments.ExperimentResult) -> str:
 
 
 def _result_json(result: experiments.ExperimentResult) -> str:
+    """The rows, states and metadata as JSON; the metadata also holds the
+    seconds each stage of the experiment took (``timings``), which the CSV
+    leaves out so that reruns stay byte-identical."""
     doc = {
-        "metadata": {**result.metadata, "timestamp": _timestamp()},
+        "metadata": {**result.metadata, "timings": result.timings, "timestamp": _timestamp()},
         "rows": [row.__dict__ for row in result.rows],
     }
     if result.states:

@@ -16,7 +16,11 @@ backward induction under the canonical coupling (one shared uniform drives
 the inverse-CDF transition of every action). So every next state of a
 period is a step function of its uniform, and a block of scenarios takes
 them all from one merge of the period's CDF values into its sorted
-uniforms (``_FiniteInner``). Absorbing-state views sample
+uniforms (``_FiniteInner``). The CDF values come from the view's period
+layout (``MdpView.periods``), which is built once per view and shared by
+every generator ``h``, the enumeration oracle and ``solvers.solve_view``;
+only the action values ``lookahead(view, h)`` are per ``h``.
+Absorbing-state views sample
 scenario paths from an action-independent reference kernel ``q`` instead,
 and per-step likelihood ratios p/q re-weight the inner recursion. A ratio
 depends only on the step's transition ``x -> y`` and the action, and most
@@ -273,36 +277,15 @@ def _check_generator(view: MdpView, h: np.ndarray) -> np.ndarray:
 # Finite-horizon (time-embedded) inner problems
 
 
-@dataclass(frozen=True)
-class _Period:
-    """One period of a finite inner problem, as arrays over its states.
-
-    Row ``a * len(states) + i`` stands for action slot ``a`` of
-    ``states[i]``: slots first. ``cols`` is the sorted union of the columns
-    where the CDF of any row rises (exceeds the entry before it, or 0 for
-    column 0), and ``cum`` holds each row's CDF at those columns. A CDF's
-    first entry above a draw is one of its own rises, so with ``j`` entries
-    of ``cum`` at or below the draw, the next state is ``cols[dest[j]]``:
-    the right-sided search ``_icdf`` does, capped at the row's last rise.
-    A padded slot's CDF is 0 and its cap ``len(cols)``, a column of exact
-    zeros in ``_FiniteInner.evaluate``, so it keeps its +-inf ``base``,
-    which opt never picks; ``base`` is shaped (slots, states, 1).
-    """
-
-    states: np.ndarray
-    cols: np.ndarray
-    cum: np.ndarray
-    dest: np.ndarray
-    base: np.ndarray
-
-
 class _FiniteInner:
     """Per-scenario deterministic inner problems on an embedded view.
 
-    Precomputes the penalty-adjusted action values ``lookahead(view, h)``
-    and, per period, the transition CDFs at the columns where they rise:
-    cumulative sums over the columns the period's rows reach, since the
-    skipped entries are exact zeros, which leave a running sum as it is.
+    Reads the view's period layout (``MdpView.periods``, built once per
+    view, whatever ``h``) as its ``plan``, and precomputes the
+    penalty-adjusted action values ``lookahead(view, h)``, sliced per
+    period as ``base[t]``, shaped (slots, states, 1). A padded slot's cap
+    reads a column of exact zeros in ``evaluate``, so it keeps its +-inf
+    base, which opt never picks.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray):
@@ -313,27 +296,9 @@ class _FiniteInner:
         self.view = view
         self.h = _check_generator(view, h)
         self.horizon = view.horizon
-        base = lookahead(view, h)
-        n, slots = view.n_states, view.kernel.shape[1]
-        live = np.arange(n) != view.absorbing
-        self.plan: list[_Period] = []
-        for t in range(view.horizon):
-            X = np.flatnonzero(live & (view.period == t))
-            k = view.kernel[X].transpose(1, 0, 2).reshape(-1, n)
-            reach = np.flatnonzero(k.any(axis=0))
-            cum = np.cumsum(k[:, reach], axis=1)
-            rise = np.diff(cum, axis=1, prepend=0.0) != 0.0
-            cols = rise.any(axis=0)
-            rise, R = rise[:, cols], np.count_nonzero(cols)
-            last = np.where(rise, np.arange(R), 0).max(axis=1, initial=0)
-            real = (np.arange(slots)[:, None] < view.n_actions[X]).ravel()
-            self.plan.append(_Period(
-                states=X,
-                cols=reach[cols],
-                cum=cum[:, cols],
-                dest=np.minimum(np.arange(R + 1), np.where(real, last, R)[:, None]),
-                base=base[X].T[:, :, None],
-            ))
+        self.plan = view.periods
+        base = lookahead(view, self.h)
+        self.base = [base[p.states].T[:, :, None] for p in self.plan]
         self.opt = np.maximum if view.orientation == "max" else np.minimum
 
     def evaluate(self, scenarios: np.ndarray) -> np.ndarray:
@@ -351,15 +316,22 @@ class _FiniteInner:
         N = scenarios.shape[0]
         V = np.zeros((N, self.view.n_states))
         for t in range(self.horizon - 1, -1, -1):
-            p = self.plan[t]
+            p, base = self.plan[t], self.base[t]
             order = np.argsort(scenarios[:, t], kind="stable")
             below = np.searchsorted(scenarios[order, t], p.cum, side="left")
+            # Run lengths between a row's counts, with 0 before and N after:
+            # the counts, then N, each less the one before it.
+            R = below.shape[1]
+            runs = np.empty((len(below), R + 1), dtype=np.intp)
+            runs[:, :R] = below
+            runs[:, R] = N
+            np.subtract(runs[:, 1:], below, out=runs[:, 1:])
             # Row r of ``at`` indexes ``diff`` flat, by sorted scenario.
-            at = np.repeat(p.dest, np.diff(below, axis=1, prepend=0, append=N).ravel())
-            at = at.reshape(len(below), N) + p.dest.shape[1] * np.arange(N)
-            diff = np.zeros((N, p.dest.shape[1]))
+            at = np.repeat(p.dest, runs.ravel())
+            at = at.reshape(len(below), N) + (R + 1) * np.arange(N)
+            diff = np.zeros((N, R + 1))
             np.subtract(V[order[:, None], p.cols], self.h[p.cols], out=diff[:, :-1])
-            values = p.base + diff.take(at).reshape(*p.base.shape[:2], N)
+            values = base + diff.take(at).reshape(*base.shape[:2], N)
             V[order, p.states[:, None]] = self.opt.reduce(values, axis=0)
         return V[:, self.view.root]
 

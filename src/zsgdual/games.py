@@ -17,7 +17,10 @@ one ``np.bincount``; the dense per-state tensors ``transition[i]`` and
 ``cost[i]`` are rebuilt from the lists on access, never stored.
 
 All objects are immutable after construction and safe to share across
-threads; every operation in this module is pure.
+threads; every operation in this module is pure. The one derived state is
+an embedded view's period layout (``MdpView.periods``), built on first
+use and cached: a function of the view's fields that no caller can
+change, so two threads that race to build it build equal ones.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -372,6 +376,12 @@ class MdpView:
     n_states)``). Only the first ``n_actions[x]`` slots of a row are real;
     the others carry cost -inf (max) or +inf (min) and an all-zero kernel
     row, so optimizing a row over its slots never picks one.
+
+    A time-embedded view (``horizon`` and ``period`` set) also has a period
+    layout, ``periods``: derived from the fields, built by ``period_layout``
+    on first use and cached on the instance, so each view builds it once
+    however many solves and inner problems read it. The view stays
+    logically immutable: the cache only ever holds that one value.
     """
 
     orientation: str
@@ -387,6 +397,57 @@ class MdpView:
     @property
     def absorbing(self) -> int | None:
         return self.regime.absorbing if isinstance(self.regime, Ssp) else None
+
+    @cached_property
+    def periods(self) -> tuple[Period, ...]:
+        return period_layout(self)
+
+
+class Period(NamedTuple):
+    """One period of a time-embedded view, as read-only arrays over its
+    live states ``states`` (ascending; possibly none).
+
+    Row ``a * len(states) + i`` stands for action slot ``a`` of
+    ``states[i]``: slots first. ``cols`` is the sorted union of the columns
+    where the CDF of any row rises (exceeds the entry before it, or 0 for
+    column 0), and ``cum`` holds each row's CDF at those columns. A CDF's
+    first entry above a draw is one of its own rises, so with ``j`` entries
+    of ``cum`` at or below the draw, the next state is ``cols[dest[j]]``:
+    the right-sided search of an inverse-CDF draw, capped at the row's last
+    rise. A padded slot's CDF is 0 and its cap ``len(cols)``, one past the
+    rise columns.
+    """
+
+    states: np.ndarray
+    cols: np.ndarray
+    cum: np.ndarray
+    dest: np.ndarray
+
+
+def period_layout(view: MdpView) -> tuple[Period, ...]:
+    """The ``Period`` of each period ``0 .. horizon - 1`` of a time-embedded
+    view, its states grouped by ``view.period`` (no period need be
+    contiguous or hold a state). The CDFs are cumulative sums over the
+    columns the period's rows reach, since the skipped entries are exact
+    zeros, which leave a running sum as it is."""
+    if view.horizon is None or view.period is None:
+        raise ValueError("a period layout needs a time-embedded view")
+    n, slots = view.n_states, view.kernel.shape[1]
+    live = np.arange(n) != view.absorbing
+    out = []
+    for t in range(view.horizon):
+        X = np.flatnonzero(live & (view.period == t))
+        k = view.kernel[X].transpose(1, 0, 2).reshape(-1, n)
+        reach = np.flatnonzero(k.any(axis=0))
+        cum = np.cumsum(k[:, reach], axis=1)
+        rise = np.diff(cum, axis=1, prepend=0.0) != 0.0
+        cols = rise.any(axis=0)
+        rise, R = rise[:, cols], np.count_nonzero(cols)
+        last = np.where(rise, np.arange(R), 0).max(axis=1, initial=0)
+        real = (np.arange(slots)[:, None] < view.n_actions[X]).ravel()
+        dest = np.minimum(np.arange(R + 1), np.where(real, last, R)[:, None])
+        out.append(Period(*(_freeze(a, a.dtype) for a in (X, reach[cols], cum[:, cols], dest))))
+    return tuple(out)
 
 
 def stack_view(

@@ -1,20 +1,23 @@
 """Exact solving and policy analysis for dynamic zero-sum games.
 
-Covers policy-pair evaluation by linear solve, equilibria by Hoffman–Karp
-policy iteration stopped on a certified best-response interval (Shapley
-sweeps solve the stage games on the one-step lookahead; a time-embedded
-game takes plain sweeps), best responses to a fixed opponent (Howard
-policy iteration, Newton residual-correction steps, then ``games.lookahead``
-sweeps to a float fixed point), the alternating "naive" policy-iteration
-scheme, and the exact sandwich interval that best responses put around the
-game value.
+Covers policy-pair evaluation (a linear solve, or one backward pass over
+the periods of a time-embedded game), equilibria by Hoffman–Karp policy
+iteration stopped on a certified best-response interval (Shapley sweeps
+solve the stage games on the one-step lookahead; a time-embedded game takes
+plain sweeps), best responses to a fixed opponent (Howard policy iteration,
+Newton residual-correction steps, then ``games.lookahead`` sweeps to a
+float fixed point; on a time-embedded view, backward induction over its
+periods and one confirming sweep), the alternating "naive"
+policy-iteration scheme, and the exact sandwich interval that best
+responses put around the game value.
 
 Everything here reads the model's block layout (``games.GameModel``): the
 states of one action shape ``(A, B)``, stacked into ``(k, A, B, S)``
 padded successor lists and ``(k, A, B)`` expected costs. A sweep solves
 one block's stage games in one ``matrix_games.solve_many`` call, reading
 the block without a copy; an induced chain is one ``np.bincount`` over all
-blocks. Hoffman–Karp builds its views from the sweep's stacked stage
+blocks, and a time-embedded pair one ``np.bincount`` per period over the
+same entries. Hoffman–Karp builds its views from the sweep's stacked stage
 strategies directly (``games.fix_rows``).
 """
 
@@ -70,32 +73,55 @@ class UnboundedValue(RuntimeError):
 # Policy-pair evaluation
 
 
+def _pair_entries(
+    model: GameModel, mu: MixedPolicy, nu: MixedPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The successor-list entries of a valid policy pair, each as its key
+    ``state * n + succ`` and its weight ``y[u] z[v] p``, the probability of
+    the move, and the expected stage-cost vector: one ``matmul`` per block
+    for the costs."""
+    n = model.n_states
+    G = np.zeros(n)
+    key, weight = [], []
+    stacked = zip(model.blocks, block_rows(model, mu, PLAYER_A), block_rows(model, nu, PLAYER_B))
+    for b, y, z in stacked:
+        key.append((b.states[:, None, None, None] * n + b.succ).ravel())
+        weight.append((y[:, :, None, None] * z[:, None, :, None] * b.transition).ravel())
+        G[b.states] = ((y[:, None] @ b.expected_cost) @ z[:, :, None])[:, 0, 0]
+    return np.concatenate(key), np.concatenate(weight), G
+
+
 def induced_chain(
     model: GameModel, mu: MixedPolicy, nu: MixedPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix and expected stage-cost vector of a valid policy
-    pair: one ``matmul`` per block for the costs and one ``np.bincount``
-    over the successor lists of all blocks for the matrix."""
+    pair: one ``np.bincount`` over the successor lists of all blocks."""
     n = model.n_states
-    G = np.zeros(n)
-    index, weight = [], []
-    stacked = zip(model.blocks, block_rows(model, mu, PLAYER_A), block_rows(model, nu, PLAYER_B))
-    for b, y, z in stacked:
-        index.append((b.states[:, None, None, None] * n + b.succ).ravel())
-        weight.append((y[:, :, None, None] * z[:, None, :, None] * b.transition).ravel())
-        G[b.states] = ((y[:, None] @ b.expected_cost) @ z[:, :, None])[:, 0, 0]
-    P = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n * n)
+    key, weight, G = _pair_entries(model, mu, nu)
+    P = np.bincount(key, weight, minlength=n * n)
     return P.reshape(n, n), G
 
 
 def evaluate_policy_pair(
     model: GameModel, mu: MixedPolicy, nu: MixedPolicy
 ) -> np.ndarray:
-    """Exact cost-to-go of the pair (mu, nu) at every state."""
+    """Exact cost-to-go of the pair (mu, nu) at every state.
+
+    A time-embedded model is evaluated backward, period by period: every
+    move leads exactly one period ahead (``validate`` checks it), so a
+    period's values are its expected costs plus one ``np.bincount`` of its
+    entries' weighted values, read from the period after it; no
+    ``(n, n)`` matrix is built. Other models solve the induced chain's
+    linear system.
+    """
     check_policy(model, mu, PLAYER_A)
     check_policy(model, nu, PLAYER_B)
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before evaluating policies")
+    if model.horizon is not None:
+        J = _backward_pair(model, *_pair_entries(model, mu, nu))
+        J.setflags(write=False)
+        return J
     P, G = induced_chain(model, mu, nu)
     a = model.absorbing
     if a is not None and not absorbing_reachable(P, a):
@@ -107,6 +133,27 @@ def evaluate_policy_pair(
     except np.linalg.LinAlgError as exc:
         raise ImproperPair(f"singular evaluation system: {exc}") from exc
     J.setflags(write=False)
+    return J
+
+
+def _backward_pair(
+    model: GameModel, key: np.ndarray, weight: np.ndarray, G: np.ndarray
+) -> np.ndarray:
+    """Values of a time-embedded model's pair from its entries, from the last
+    period to the first: each adds ``weight * J[succ]`` of its states'
+    entries to their expected costs ``G``, reading only the next period's
+    values, which are final by then. The absorbing state keeps 0."""
+    n = model.n_states
+    state, succ = np.divmod(key, n)
+    period = model.period[state]
+    order = np.argsort(period, kind="stable")
+    state, succ, weight = state[order], succ[order], weight[order]
+    cut = np.searchsorted(period[order], np.arange(model.horizon + 1))
+    J = G.copy()
+    J[model.absorbing] = 0.0
+    for t in range(model.horizon - 1, -1, -1):
+        e = slice(cut[t], cut[t + 1])
+        J += np.bincount(state[e], weight[e] * J[succ[e]], minlength=n)
     return J
 
 
@@ -279,20 +326,38 @@ def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     a few ulps, and sweeps ``opt(lookahead(view, V))`` polish them until a
     sweep moves no value by more than ``tol``. ``tol == 0`` demands an exact
     floating-point fixed point of ``lookahead``, as zero-variance duality
-    checks need. A time-embedded view is acyclic: the same sweeps from zero
-    reach its exact fixed point within ``horizon + 1`` sweeps, whatever
-    ``tol``. Actions are the last sweep's, ties broken toward the lowest index.
+    checks need. A time-embedded view is acyclic and solved by backward
+    induction over its period layout (``MdpView.periods``): from the last
+    period to the first, ``V[X] = opt(lookahead)`` on the rows ``X`` of the
+    period alone. A full sweep then polishes those values to an exact
+    fixed point of ``lookahead``, whatever ``tol``: it moves no bit unless
+    the row slices rounded differently, and each further sweep (at most
+    ``horizon + 1`` in all) fixes one more period. Actions are the last
+    sweep's, ties broken toward the lowest index.
     """
     if view.horizon is None and isinstance(view.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon view before solving")
     check_tol(tol)
     argopt = np.argmax if view.orientation == "max" else np.argmin
     if view.horizon is not None:
-        V, qa = _polish(view, np.zeros(view.n_states), 0.0, view.horizon + 1)
+        V, qa = _polish(view, _backward(view), 0.0, view.horizon + 1)
     else:
         V, qa = _polish(view, _newton(view, _howard(view)), tol, MAX_SWEEPS)
     V.setflags(write=False)
     return V, argopt(qa, axis=1)
+
+
+def _backward(view: MdpView) -> np.ndarray:
+    """Backward induction on a time-embedded view: ``lookahead``'s
+    expression on one period's rows at a time, the last period first;
+    the absorbing state keeps 0."""
+    opt = np.max if view.orientation == "max" else np.min
+    alpha = regime_alpha(view.regime)
+    V = np.zeros(view.n_states)
+    for p in reversed(view.periods):
+        X = p.states
+        V[X] = opt(view.cost[X] + alpha * (view.kernel[X] @ V), axis=1)
+    return V
 
 
 def _proper_start(view: MdpView) -> np.ndarray:

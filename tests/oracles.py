@@ -17,6 +17,7 @@ from zsgdual.games import (
     MixedPolicy,
     Ssp,
     regime_alpha,
+    stack_view,
 )
 from zsgdual.matrix_games import PIVOT_TOL
 
@@ -229,6 +230,40 @@ def random_finite_game(
         transition.append(p)
         cost.append(rng.uniform(-3.0, 3.0, size=(na, nb, n_states)))
     return make_game(FiniteHorizon(periods=periods), transition, cost, root=0)
+
+
+def skipping_view(orientation):
+    """Hand-built embedded view of horizon 4 whose period 2 has no state.
+
+    States 0 (period 0), 1 and 2 (period 1), 3, 4 and 5 (period 3) take 3,
+    1, 2, 2, 1 and 3 actions; 6 is the terminal state. State 1's only CDF
+    ends at 0.7 + 0.2 + 0.1 = 0.9999999999999999, and state 2's first one
+    carries a trailing 1e-18 that does not move its cumulative sum.
+    """
+    rows = [
+        [[0, 0.7, 0.3, 0, 0, 0, 0], [0, 0.25, 0.75, 0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0, 0]],
+        [[0, 0, 0, 0.7, 0.2, 0.1, 0]],
+        [[0, 0, 0, 0.7, 0.2, 0.1, 1e-18], [0, 0, 0, 0, 0.5, 0.5, 0]],
+        [[0, 0, 0, 0, 0, 0, 1.0]] * 2,
+        [[0, 0, 0, 0, 0, 0, 1.0]],
+        [[0, 0, 0, 0, 0, 0, 1.0]] * 3,
+        [[0, 0, 0, 0, 0, 0, 1.0]],
+    ]
+    kernel = [np.array(r) for r in rows]
+    cost = [np.linspace(-1.5, 2.0, len(r)) * (x + 1) for x, r in enumerate(rows)]
+    cost[-1] = np.zeros(1)
+    cost, kernel = stack_view(cost, kernel, orientation)
+    return MdpView(
+        orientation=orientation,
+        n_states=7,
+        n_actions=np.array([len(r) for r in rows]),
+        cost=cost,
+        kernel=kernel,
+        regime=Ssp(absorbing=6),
+        root=0,
+        horizon=4,
+        period=np.array([0, 1, 1, 3, 3, 3, 4]),
+    )
 
 
 # ---------------------------------------------------------------------------

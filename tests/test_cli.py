@@ -476,6 +476,19 @@ class TestReproCommand:
         assert len(doc["rows"]) == 2
         assert len(doc["states"]) == 4
 
+    @pytest.mark.parametrize("argv, keys", [
+        (["matrix-game", "--n", "200"], {"solve", "bounds"}),
+        (["waste-game", "--sites", "2", "--rounds", "1", "--n", "100"],
+         {"naive_policy_iteration", "best_responses_k0", "best_responses_k1", "dual_bounds"}),
+    ])
+    def test_json_records_timings(self, capsys, tmp_path, argv, keys):
+        out_path = tmp_path / "t.json"
+        code, _, _ = run(capsys, "repro", *argv, "--format", "json", "--out", str(out_path))
+        assert code == 0
+        timings = json.loads(out_path.read_text())["metadata"]["timings"]
+        assert set(timings) == keys
+        assert all(np.isfinite(t) and t >= 0.0 for t in timings.values())
+
     def test_rows_satisfy_bracketing_invariant(self, capsys, tmp_path):
         out_path = tmp_path / "w.csv"
         code, _, _ = run(

@@ -15,6 +15,7 @@ from oracles import (
     random_sparse_ssp_game,
     random_ssp_game,
     reference_path,
+    skipping_view,
     ssp_path_value,
 )
 
@@ -270,40 +271,6 @@ class TestFiniteInnerProblem:
         assert total == pytest.approx(oracle, abs=1e-9)
 
 
-def skipping_view(orientation):
-    """Hand-built embedded view of horizon 4 whose period 2 has no state.
-
-    States 0 (period 0), 1 and 2 (period 1), 3, 4 and 5 (period 3) take 3,
-    1, 2, 2, 1 and 3 actions; 6 is the terminal state. State 1's only CDF
-    ends at 0.7 + 0.2 + 0.1 = 0.9999999999999999, and state 2's first one
-    carries a trailing 1e-18 that does not move its cumulative sum.
-    """
-    rows = [
-        [[0, 0.7, 0.3, 0, 0, 0, 0], [0, 0.25, 0.75, 0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0, 0]],
-        [[0, 0, 0, 0.7, 0.2, 0.1, 0]],
-        [[0, 0, 0, 0.7, 0.2, 0.1, 1e-18], [0, 0, 0, 0, 0.5, 0.5, 0]],
-        [[0, 0, 0, 0, 0, 0, 1.0]] * 2,
-        [[0, 0, 0, 0, 0, 0, 1.0]],
-        [[0, 0, 0, 0, 0, 0, 1.0]] * 3,
-        [[0, 0, 0, 0, 0, 0, 1.0]],
-    ]
-    kernel = [np.array(r) for r in rows]
-    cost = [np.linspace(-1.5, 2.0, len(r)) * (x + 1) for x, r in enumerate(rows)]
-    cost[-1] = np.zeros(1)
-    cost, kernel = zd.games.stack_view(cost, kernel, orientation)
-    return zd.games.MdpView(
-        orientation=orientation,
-        n_states=7,
-        n_actions=np.array([len(r) for r in rows]),
-        cost=cost,
-        kernel=kernel,
-        regime=zd.Ssp(absorbing=6),
-        root=0,
-        horizon=4,
-        period=np.array([0, 1, 1, 3, 3, 3, 4]),
-    )
-
-
 class TestVectorizedFiniteInner:
     """``_FiniteInner.evaluate`` solves each period for a whole block from
     one merge of its CDF values into the sorted uniforms; its values equal
@@ -393,6 +360,31 @@ class TestVectorizedFiniteInner:
             for start in range(0, 64, size):
                 got = inner.evaluate(scenarios[start : start + size])
                 assert got.tobytes() == want[start : start + size].tobytes()
+
+
+class TestPeriodLayout:
+    def test_built_once_per_view(self, monkeypatch, two_period):
+        builds = []
+        layout = zd.games.period_layout
+
+        def counting(view):
+            builds.append(view)
+            return layout(view)
+
+        monkeypatch.setattr(zd.games, "period_layout", counting)
+        view = zd.fix_player(two_period, zd.suboptimal_minimizer_policy(two_period), zd.PLAYER_B)
+        exact, _ = zd.solve_view(view)
+        h = zd.first_action_value_generator(two_period)
+        zd.estimate_dual_bound_finite(view, exact, 100, seed=1)
+        zd.estimate_dual_bound_finite(view, h, 100, seed=2)
+        zd.exact_dual_bound_enumeration(view, h)
+        assert len(builds) == 1 and builds[0] is view
+        assert all(not a.flags.writeable for p in view.periods for a in p)
+
+    def test_needs_a_time_embedded_view(self, waste3):
+        view = zd.fix_player(waste3, zd.uniform_policy(waste3, zd.PLAYER_B), zd.PLAYER_B)
+        with pytest.raises(ValueError, match="time-embedded"):
+            view.periods
 
 
 class TestEnumerationOracle:

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from zsgdual.games import lookahead
 
 from oracles import (
     finite_backward_induction,
+    finite_forward_value,
     random_discounted_game,
     random_finite_game,
     random_policy,
@@ -14,6 +18,7 @@ from oracles import (
     rollout_pair,
     shapley_iteration,
     shapley_sweep,
+    skipping_view,
     sweep_polished_view,
     value_iteration,
 )
@@ -81,6 +86,107 @@ class TestEvaluatePolicyPair:
         pol = zd.make_policy([np.array([1.0])])
         with pytest.raises(ValueError):
             zd.evaluate_policy_pair(raw, pol, pol)
+
+
+def finite_embeddings():
+    """Raw random finite games (unequal action counts, seeds 0-5), each with
+    its root and without one, paired with their embeddings."""
+    out = []
+    for seed in range(6):
+        raw = random_finite_game(np.random.default_rng(seed), n_states=6, periods=4)
+        rootless = zd.make_game(raw.regime, raw.transition, raw.cost)
+        out += [(g, zd.embed_finite_horizon(g)) for g in (raw, rootless)]
+    return out
+
+
+def seeded_finite_game(n, periods, seed, actions=4, successors=3):
+    """The random finite game of the CI scale steps: ``successors`` next
+    states per action pair, Dirichlet weights, costs in [0, 10) on them."""
+    rng = np.random.default_rng(seed)
+    p = np.zeros((n, actions, actions, n))
+    for x in range(n):
+        for u in range(actions):
+            for v in range(actions):
+                p[x, u, v, rng.choice(n, successors, replace=False)] = rng.dirichlet(
+                    np.ones(successors)
+                )
+    g = np.where(p > 0.0, rng.uniform(0.0, 10.0, p.shape), 0.0)
+    return zd.make_game(zd.FiniteHorizon(periods), list(p), list(g), root=0)
+
+
+class TestTimeEmbeddedModels:
+    """Pair values and best responses of time-embedded models come from one
+    backward pass over the periods, never from a linear solve or from
+    sweeps over every state."""
+
+    def test_pair_values_match_the_linear_solve_and_forward_recursion(self, two_period):
+        rng = np.random.default_rng(26)
+        cases = [(raw, emb, zd.lift_policy) for raw, emb in finite_embeddings()]
+        cases.append((two_period, two_period, lambda emb, policy: policy))
+        for raw, emb, lift in cases:
+            mu = random_policy(rng, raw, zd.PLAYER_A)
+            nu = random_policy(rng, raw, zd.PLAYER_B)
+            mu_e, nu_e = lift(emb, mu), lift(emb, nu)
+            J = zd.evaluate_policy_pair(emb, mu_e, nu_e)
+            P, G = solvers.induced_chain(emb, mu_e, nu_e)
+            lu = solvers._solve_chain(P, G, 1.0, emb.absorbing)
+            scale = np.abs(lu).max()
+            np.testing.assert_allclose(J, lu, rtol=1e-13, atol=1e-13 * scale)
+            if raw is emb:
+                starts = [(0, emb.root)]
+                forward = lambda x0: finite_forward_value(emb, mu, nu, x0, emb.horizon)
+            else:
+                starts = [(x0, np.flatnonzero((emb.period == 0) & (emb.base_state == x0))[0])
+                          for x0 in ([raw.root] if raw.root is not None else range(raw.n_states))]
+                forward = lambda x0: finite_forward_value(raw, mu, nu, x0, raw.regime.periods)
+            for x0, x in starts:
+                assert J[x] == pytest.approx(forward(x0), rel=1e-13, abs=1e-13 * scale)
+
+    def test_large_pair_builds_no_dense_matrix(self):
+        # 100 base states over 40 periods: 3,839 states once embedded, so
+        # one (n, n) float array takes 118 MB.
+        model = zd.embed_finite_horizon(seeded_finite_game(100, 40, seed=100))
+        n = model.n_states
+        mu = zd.uniform_policy(model, zd.PLAYER_A)
+        nu = zd.uniform_policy(model, zd.PLAYER_B)
+        tracemalloc.start()
+        try:
+            zd.evaluate_policy_pair(model, mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        took = []
+        for _ in range(3):
+            start = time.perf_counter()
+            zd.evaluate_policy_pair(model, mu, nu)
+            took.append(time.perf_counter() - start)
+        assert min(took) < 0.05
+
+    def test_best_responses_are_backward_induction_in_two_sweeps(
+        self, monkeypatch, two_period
+    ):
+        sweeps = [0]
+        lookahead_ = solvers.lookahead
+
+        def counting(view, values):
+            sweeps[0] += 1
+            return lookahead_(view, values)
+
+        monkeypatch.setattr(solvers, "lookahead", counting)
+        rng = np.random.default_rng(27)
+        views = [skipping_view("max"), skipping_view("min")]
+        for game in [emb for _, emb in finite_embeddings()] + [two_period]:
+            for player in (zd.PLAYER_A, zd.PLAYER_B):
+                views.append(zd.fix_player(game, random_policy(rng, game, player), player))
+        for view in views:
+            sweeps[0] = 0
+            values, actions = zd.solve_view(view)
+            assert sweeps[0] <= 2
+            want_values, want_actions = finite_backward_induction(view)
+            assert values.tobytes() == want_values.tobytes()
+            np.testing.assert_array_equal(actions, want_actions)
+            assert_fixed_point(view, values)
 
 
 class TestShapleyValueIteration:
