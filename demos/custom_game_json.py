@@ -19,18 +19,15 @@ import zsgdual as zd
 def build():
     # State 0: evader loose, state 1: evader cornered. Both players pick
     # left/right; matching moves corner (from 0) or catch-and-reset (from 1).
+    # Each state's cost is its (A, B) stage cost: what B pays A per period.
     p0 = np.zeros((2, 2, 2))
-    g0 = np.zeros((2, 2, 2))
     for u in range(2):
         for v in range(2):
             p0[u, v, 1 if u == v else 0] = 1.0
-            g0[u, v, :] = 1.0
+    g0 = np.ones((2, 2))
     p1 = np.zeros((2, 2, 2))
-    g1 = np.zeros((2, 2, 2))
-    for u in range(2):
-        for v in range(2):
-            p1[u, v, 0] = 1.0
-            g1[u, v, :] = 0.0 if u == v else 1.0
+    p1[:, :, 0] = 1.0
+    g1 = 1.0 - np.eye(2)
     return zd.make_game(
         regime=zd.Discounted(alpha=0.9),
         transition=[p0, p1],

@@ -31,11 +31,11 @@ def build_two_period_matrix_game() -> GameModel:
     Returned time-embedded, with states (t0 root, t1 game 2, t1 game 3,
     terminal) and root 0.
     """
-    payoff = [
-        np.array([[2.0, 1.0], [6.0, 8.0]]),
-        np.array([[8.0, 15.0], [10.0, 12.0]]),
-        np.array([[-8.0, -10.0], [3.0, -11.0]]),
-    ]
+    payoff = np.array([
+        [[2.0, 1.0], [6.0, 8.0]],
+        [[8.0, 15.0], [10.0, 12.0]],
+        [[-8.0, -10.0], [3.0, -11.0]],
+    ])
     to_g2 = np.array([[0.7, 0.55], [0.4, 0.5]])
 
     # Padded successor lists of the three games: the root moves to state 1
@@ -44,18 +44,15 @@ def build_two_period_matrix_game() -> GameModel:
     # final period to the terminal state), so it stays put.
     succ = np.zeros((3, 2, 2, 2), dtype=np.intp)
     p = np.zeros((3, 2, 2, 2))
-    g = np.zeros((3, 2, 2, 2))
     succ[0, :, :, 0], succ[0, :, :, 1] = 1, 2
     p[0, :, :, 0], p[0, :, :, 1] = to_g2, 1.0 - to_g2
-    g[0] = payoff[0][:, :, None]
     for i in (1, 2):
         succ[i, :, :, 0] = i
         p[i, :, :, 0] = 1.0
-        g[i, :, :, 0] = payoff[i]
     raw = GameModel(
         n_states=3,
         regime=FiniteHorizon(periods=2),
-        blocks=(make_block(np.arange(3), succ, p, g, 3),),
+        blocks=(make_block(np.arange(3), succ, p, payoff, 3),),
         labels=("g1", "g2", "g3"),
         root=0,
     )
@@ -182,10 +179,10 @@ def build_waste_inspection_game(cfg: WasteGameConfig) -> GameModel:
         n_states=n_states,
         regime=Ssp(absorbing=absorbing),
         blocks=(
-            make_block(np.arange(absorbing), succ, p, np.broadcast_to(1.0, p.shape), n_states),
+            make_block(np.arange(absorbing), succ, p, np.ones((absorbing, N, N)), n_states),
             make_block(
                 np.array([absorbing]), np.full((1, 1, 1, 1), absorbing), np.ones((1, 1, 1, 1)),
-                np.broadcast_to(0.0, (1, 1, 1, 1)), n_states,
+                np.zeros((1, 1, 1)), n_states,
             ),
         ),
         labels=labels + ["out"],

@@ -2,19 +2,19 @@
 
 A game is played by two players on a finite state space: player A (the
 maximizer) picks an action ``u``, player B (the minimizer) simultaneously
-picks ``v``, the system moves from state ``i`` to ``j`` with probability
-``p[i][u][v][j]`` and B pays A the stage cost ``g[i][u][v][j]``. Mixed
+picks ``v``, B pays A the stage cost ``g[i][u][v]`` and the system moves
+from state ``i`` to ``j`` with probability ``p[i][u][v][j]``. Mixed
 (randomized) per-state policies, reduction to one-player decision problems
 (``MdpView``, one padded array layout for every state, and ``lookahead``,
 the one action-value expression every solver and dual estimator reads),
 time embedding of finite-horizon games and JSON ingestion all live here.
 
 A ``GameModel`` stores its tensors as blocks: the states of one action
-shape ``(A, B)`` share one ``Block`` of padded successor lists, which hold
-only the destinations a move can reach or that carry a cost. Fixing a
-player or inducing a chain scatters every block into its dense result with
-one ``np.bincount``; the dense per-state tensors ``transition[i]`` and
-``cost[i]`` are rebuilt from the lists on access, never stored.
+shape ``(A, B)`` share one ``Block`` of stage costs and padded successor
+lists, which hold only the destinations a move can reach. Fixing a player
+or inducing a chain scatters every block into its dense result with one
+``np.bincount``; the dense per-state tensors ``transition[i]`` are rebuilt
+from the lists on access, never stored.
 
 All objects are immutable after construction and safe to share across
 threads; every operation in this module is pure. The one derived state is
@@ -84,103 +84,44 @@ def _freeze(a: np.ndarray, dtype: type = float) -> np.ndarray:
 
 
 class Block(NamedTuple):
-    """States of one action shape ``(A, B)``, ascending, and their rows as
-    read-only padded successor lists of shape ``(k, A, B, S)``.
+    """States of one action shape ``(A, B)``, ascending, with their read-only
+    ``(k, A, B)`` stage costs and their rows as read-only padded successor
+    lists of shape ``(k, A, B, S)``.
 
-    Entry ``s`` of the row of state ``states[r]`` under actions ``(u, v)``
-    moves to state ``succ[r, u, v, s]`` with probability ``transition[r, u,
-    v, s]`` and B pays A ``cost[r, u, v, s]``. A row keeps, in ascending
-    order, every destination where its probability or its cost is nonzero;
-    the other ``S`` slots are pads of probability 0 and cost 0. A ``cost``
-    of all-zero strides is one value broadcast: the cost of every move,
-    listed or not, and the rows list only the destinations of nonzero
-    probability. ``expected_cost`` is the ``(k, A, B)`` mean cost and
-    ``width`` the length ``n`` of a dense row.
+    Under actions ``(u, v)``, state ``states[r]`` makes B pay A ``cost[r, u,
+    v]``, and entry ``s`` of its row moves to state ``succ[r, u, v, s]`` with
+    probability ``transition[r, u, v, s]``. A row lists, in ascending order,
+    the destinations of nonzero probability; the other ``S`` slots are pads
+    of probability 0. ``width`` is the length ``n`` of a dense row.
     """
 
     states: np.ndarray
     succ: np.ndarray
     transition: np.ndarray
     cost: np.ndarray
-    expected_cost: np.ndarray
     width: int
-
-
-def _uniform(cost: np.ndarray) -> bool:
-    """Whether a block's ``cost`` is one value broadcast over every move."""
-    return not any(cost.strides)
 
 
 def make_block(
     states: np.ndarray, succ: np.ndarray, transition: np.ndarray, cost: np.ndarray, width: int
 ) -> Block:
-    """A block of fresh padded successor lists (``cost`` may be one value
-    broadcast), frozen in place."""
-    expected = np.einsum("kuvs,kuvs->kuv", transition, cost)
-    for a in (states, succ, transition, cost, expected):
+    """A block of fresh arrays, frozen in place."""
+    for a in (states, succ, transition, cost):
         a.setflags(write=False)
-    return Block(states, succ, transition, cost, expected, int(width))
-
-
-def _pack(
-    states: np.ndarray, succ: np.ndarray, transition: np.ndarray, cost: np.ndarray, width: int
-) -> Block:
-    """The block of the entries of padded lists that carry a nonzero
-    probability or cost, kept in their order.
-
-    ``succ`` and ``cost`` broadcast against ``transition``; a ``cost`` of
-    all-zero strides stays one value, and only the entries of nonzero
-    probability are kept.
-    """
-    uniform = _uniform(cost)
-    keep = transition != 0.0
-    if not uniform:
-        keep |= cost != 0.0
-    *lead, _ = np.nonzero(keep)
-    row = np.ravel_multi_index(lead, keep.shape[:-1])
-    slot = np.arange(len(row)) - np.searchsorted(row, row)
-    shape = (*keep.shape[:-1], int(slot.max(initial=0)) + 1)
-    where = (*lead, slot)
-    new_succ = np.zeros(shape, dtype=np.intp)
-    new_succ[where] = np.broadcast_to(succ, keep.shape)[keep]
-    new_p = np.zeros(shape)
-    new_p[where] = transition[keep]
-    if uniform:
-        new_g = np.broadcast_to(cost[..., :1], shape)
-    else:
-        new_g = np.zeros(shape)
-        new_g[where] = cost[keep]
-    return make_block(states, new_succ, new_p, new_g, width)
+    return Block(states, succ, transition, cost, int(width))
 
 
 def take_rows(b: Block, rows: np.ndarray) -> Block:
-    """The block of the rows ``rows`` (a boolean mask) of ``b``; a broadcast
-    cost stays one value."""
-    states = b.states[rows]
-    if _uniform(b.cost):
-        cost = np.broadcast_to(b.cost[:1], (len(states), *b.cost.shape[1:]))
-    else:
-        cost = b.cost[rows]
-    return Block(states, b.succ[rows], b.transition[rows], cost, b.expected_cost[rows], b.width)
-
-
-def _dense_row(b: Block, r: int, values: np.ndarray) -> np.ndarray:
-    """Row ``r`` of ``values``, the block's ``transition`` or ``cost``, as a
-    fresh dense ``(A, B, width)`` tensor."""
-    _, na, nb, _ = b.succ.shape
-    if _uniform(values):
-        return np.broadcast_to(values[r, :, :, :1], (na, nb, b.width)).copy()
-    index = b.succ[r] + b.width * np.arange(na * nb).reshape(na, nb, 1)
-    dense = np.bincount(index.ravel(), values[r].ravel(), minlength=na * nb * b.width)
-    return dense.reshape(na, nb, b.width)
+    """The block of the rows ``rows`` (a boolean mask) of ``b``."""
+    return Block(b.states[rows], b.succ[rows], b.transition[rows], b.cost[rows], b.width)
 
 
 class DenseRows(Sequence):
-    """Per-state dense ``(A, B, n)`` tensors of one field of a model's
-    blocks, ``transition`` or ``cost``, rebuilt read-only on every access."""
+    """Per-state dense ``(A, B, n)`` transition tensors of a model's blocks,
+    rebuilt read-only from the successor lists on every access."""
 
-    def __init__(self, blocks: tuple[Block, ...], where: np.ndarray, name: str):
-        self._blocks, self._where, self._name = blocks, where, name
+    def __init__(self, blocks: tuple[Block, ...], where: np.ndarray):
+        self._blocks, self._where = blocks, where
 
     def __len__(self) -> int:
         return len(self._where)
@@ -188,7 +129,10 @@ class DenseRows(Sequence):
     def __getitem__(self, i: int) -> np.ndarray:
         k, r = self._where[i]
         b = self._blocks[k]
-        return _freeze(_dense_row(b, r, getattr(b, self._name)))
+        _, na, nb, _ = b.succ.shape
+        index = b.succ[r] + b.width * np.arange(na * nb).reshape(na, nb, 1)
+        dense = np.bincount(index.ravel(), b.transition[r].ravel(), minlength=na * nb * b.width)
+        return _freeze(dense.reshape(na, nb, b.width))
 
 
 def by_state(n: int, stacks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple:
@@ -205,13 +149,12 @@ class GameModel:
     """A finite two-player zero-sum stochastic game.
 
     Each ``Block`` stacks the states of one action shape ``(A, B)`` (the
-    absorbing state of a built-in game keeps its own) as padded successor
-    lists; a constant cost is one broadcast value. ``transition[i]`` and
-    ``cost[i]`` are state ``i``'s dense read-only tensors, rebuilt from its
-    block on each access: ``transition[i][u][v]`` is the distribution of the
-    next state and ``cost[i][u][v][j]`` what B pays A on that move.
-    ``expected_cost[i]``, the stage cost averaged over the next state, is a
-    read-only view of the block. Time-embedded models also carry a
+    absorbing state of a built-in game keeps its own). ``cost[i]`` is state
+    ``i``'s read-only ``(A, B)`` stage cost, a view of its block:
+    ``cost[i][u][v]`` is what B pays A under actions ``(u, v)``.
+    ``transition[i]`` is its dense read-only ``(A, B, n)`` tensor, rebuilt
+    from its block on each access: ``transition[i][u][v]`` is the
+    distribution of the next state. Time-embedded models also carry a
     per-state ``period`` tag, the original ``base_state`` of each embedded
     state and the ``horizon``.
     """
@@ -227,8 +170,7 @@ class GameModel:
     actions_a: np.ndarray = field(init=False, repr=False, compare=False)
     actions_b: np.ndarray = field(init=False, repr=False, compare=False)
     transition: DenseRows = field(init=False, repr=False, compare=False)
-    cost: DenseRows = field(init=False, repr=False, compare=False)
-    expected_cost: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    cost: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         where = np.zeros((self.n_states, 2), dtype=int)  # block and row of each state
@@ -237,10 +179,9 @@ class GameModel:
             where[b.states] = np.column_stack([np.full(len(b.states), k), np.arange(len(b.states))])
             counts[:, b.states] = np.array(b.succ.shape[1:3])[:, None]
         where.setflags(write=False)
-        for name in ("transition", "cost"):
-            object.__setattr__(self, name, DenseRows(self.blocks, where, name))
-        stacks = ((b.states, b.expected_cost) for b in self.blocks)
-        object.__setattr__(self, "expected_cost", by_state(self.n_states, stacks))
+        object.__setattr__(self, "transition", DenseRows(self.blocks, where))
+        stacks = ((b.states, b.cost) for b in self.blocks)
+        object.__setattr__(self, "cost", by_state(self.n_states, stacks))
         object.__setattr__(self, "actions_a", _freeze(counts[0], int))
         object.__setattr__(self, "actions_b", _freeze(counts[1], int))
         for name in ("period", "base_state"):
@@ -268,27 +209,45 @@ def make_game(
     base_state: Sequence[int] | None = None,
 ) -> GameModel:
     """Assemble a GameModel from per-state dense tensors: the states of each
-    shape are stacked into one block and packed into successor lists, with
-    a cost of one value throughout kept as a broadcast (the caller's arrays
-    stay as they are)."""
+    shape are stacked into one block and their ``(A, B, n)`` transitions
+    packed into successor lists (the caller's arrays stay as they are).
+
+    A state's ``cost`` is its ``(A, B)`` stage cost, or an ``(A, B, n)`` cost
+    per destination. The latter is reduced to the expected stage cost over
+    the listed entries, in list order; a stage cost whose destinations hold
+    a non-finite value, listed or not, is NaN, so that ``validate`` flags it.
+    """
     transition = [np.asarray(t, dtype=float) for t in transition]
     cost = [np.asarray(c, dtype=float) for c in cost]
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for i, (p, g) in enumerate(zip(transition, cost, strict=True)):
-        if p.ndim != 3 or p.shape != g.shape:
+        if p.ndim != 3 or g.shape not in (p.shape, p.shape[:2]):
             raise ValueError(
-                f"state {i}: transition shape {p.shape} and cost shape "
-                f"{g.shape} must agree as (|U|, |V|, n)"
+                f"state {i}: transition shape {p.shape} and cost shape {g.shape} "
+                "must agree as (|U|, |V|, n) and (|U|, |V|) or (|U|, |V|, n)"
             )
         by_shape.setdefault(p.shape, []).append(i)
     blocks = []
-    for (_, _, width), s in by_shape.items():
-        g = np.stack([cost[i] for i in s])
-        bits = g.view(np.int64)
-        if g.size and (bits == bits.flat[0]).all():
-            g = np.broadcast_to(g.flat[0], g.shape)
+    for (na, nb, width), s in by_shape.items():
         p = np.stack([transition[i] for i in s])
-        blocks.append(_pack(np.array(s), np.arange(width), p, g, width))
+        keep = p != 0.0
+        *lead, col = np.nonzero(keep)
+        row = np.ravel_multi_index(lead, keep.shape[:-1])
+        where = (*lead, np.arange(len(row)) - np.searchsorted(row, row))
+        shape = (len(s), na, nb, int(where[-1].max(initial=0)) + 1)
+        succ, listed = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+        succ[where], listed[where] = col, p[keep]
+        given = [cost[i] for i in s]
+        dense = np.array([c.ndim == 3 for c in given])
+        g = np.zeros((len(s), na, nb))
+        if dense.any():
+            per, at = np.zeros(p.shape), np.zeros(shape)
+            per[dense] = [c for c in given if c.ndim == 3]
+            at[where] = per[keep]
+            g = np.where(np.isfinite(per).all(axis=3), np.einsum("kuvs,kuvs->kuv", listed, at), np.nan)
+        if not dense.all():
+            g[~dense] = [c for c in given if c.ndim == 2]
+        blocks.append(make_block(np.array(s), succ, listed, g, width))
     return GameModel(
         n_states=len(transition), regime=regime, blocks=tuple(blocks), labels=labels,
         root=root, horizon=horizon, period=period, base_state=base_state,
@@ -511,7 +470,7 @@ def fix_rows(
     index, weight = [], []
     for b, w in parts:
         # Axis 1 of g is the free player's action.
-        g = b.expected_cost if free_a else b.expected_cost.transpose(0, 2, 1)
+        g = b.cost if free_a else b.cost.transpose(0, 2, 1)
         cost[b.states, : g.shape[1]] = (g @ w[:, :, None])[:, :, 0]
         # Entry (x, u, v, s) adds its probability times the fixed player's
         # weight of its action to kernel[x, a, succ[x, u, v, s]], where a is
@@ -547,9 +506,7 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
     States become (period, original state) pairs plus a single terminal
     state; transitions advance the period and the last period maps to the
     terminal state. When the model has a root, only pairs reachable from
-    (0, root) are kept. Stage costs per destination are preserved exactly,
-    except on the final move where the destination collapses to the
-    terminal state and the expected stage cost is used.
+    (0, root) are kept. Stage costs carry over unchanged.
     """
     if not isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed_finite_horizon requires a finite-horizon game")
@@ -584,30 +541,26 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
             continue
         src = np.searchsorted(b.states, base[states])  # rows of b
         bounds = np.searchsorted(period[states], np.arange(T + 1))
-        entered = _entered(b)
-        shape = (len(states), *entered.succ.shape[1:])
-        s, p, g = np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape)
+        shape = (len(states), *b.succ.shape[1:])
+        s, p = np.zeros(shape, dtype=np.intp), np.zeros(shape)
         for t in range(T - 1):
             rows = slice(bounds[t], bounds[t + 1])
             index = np.full(n, -1)
             index[levels[t + 1]] = np.arange(offsets[t + 1], offsets[t + 2])
-            dest = index[entered.succ[src[rows]]]
+            dest = index[b.succ[src[rows]]]
             # Pads, and entries of a negative or NaN probability, may leave the level.
             off = dest < 0
-            s[rows] = dest
-            p[rows] = entered.transition[src[rows]]
-            g[rows] = entered.cost[src[rows]]
-            for a in (s, p, g):
+            s[rows], p[rows] = dest, b.transition[src[rows]]
+            for a in (s, p):
                 a[rows][off] = 0
         last = slice(bounds[T - 1], bounds[T])
         s[last, :, :, 0] = terminal
         p[last, :, :, 0] = 1.0
-        g[last, :, :, 0] = b.expected_cost[src[last]]
-        blocks.append(make_block(states, s, p, g, n_emb))
+        blocks.append(make_block(states, s, p, b.cost[src], n_emb))
     # Terminal: one action pair, self-loop, zero cost.
     blocks.append(make_block(
         np.array([terminal]), np.full((1, 1, 1, 1), terminal), np.ones((1, 1, 1, 1)),
-        np.broadcast_to(0.0, (1, 1, 1, 1)), n_emb,
+        np.zeros((1, 1, 1)), n_emb,
     ))
 
     labels = [f"t{t}:{model.label(i)}" for t, i in zip(period.tolist(), base.tolist())]
@@ -616,35 +569,6 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
         root=None if root is None else 0, horizon=T,
         period=np.append(period, T), base_state=np.append(base, -1),
     )
-
-
-def _entered(b: Block) -> Block:
-    """Block ``b`` with each state's rows cut to the destinations that state
-    enters, those of a nonzero probability under some action pair: a cost
-    elsewhere is dropped, and a broadcast cost is written out at every
-    entered destination of every row."""
-    k, na, nb, _ = b.succ.shape
-    key = b.succ + b.width * np.arange(k)[:, None, None, None]
-    cols = np.unique(key[b.transition != 0.0])  # per state, ascending
-    row = cols // b.width
-    slot = np.arange(len(cols)) - np.searchsorted(row, row)
-    union = np.zeros((k, int(slot.max(initial=0)) + 1), dtype=np.intp)
-    union[row, slot] = cols % b.width
-    shape = (k, na, nb, union.shape[1])
-    if _uniform(b.cost):
-        listed = b.transition != 0.0
-        count = np.bincount(row, minlength=k)[:, None, None, None]
-        g = np.where(np.arange(shape[3]) < count, b.cost[..., :1], 0.0)
-    else:
-        listed = (b.transition != 0.0) | (b.cost != 0.0)
-        g = np.zeros(shape)
-    listed &= np.isin(key, cols)
-    r, u, v, _ = np.nonzero(listed)
-    q = np.searchsorted(cols, key[listed]) - np.searchsorted(row, r)
-    p = np.zeros(shape)
-    p[r, u, v, q] = b.transition[listed]
-    g[r, u, v, q] = b.cost[listed]
-    return _pack(b.states, union[:, None, None, :], p, g, b.width)
 
 
 def lift_policy(embedded: GameModel, policy: MixedPolicy) -> MixedPolicy:
@@ -699,7 +623,7 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
             for i in b.states.tolist():
                 found[i] = [(f"state {i}", f"tensor shape {shape} != {(*shape[:2], n)}")]
             continue
-        finite = np.isfinite(p).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=(1, 2, 3))
+        finite = np.isfinite(p).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=(1, 2))
         negative = (p < 0).any(axis=3)
         sums = p.sum(axis=3)
         off = np.abs(sums - 1.0) > SIMPLEX_TOL
@@ -774,16 +698,29 @@ def _integer(value, what: str, low: int | None = None, high: int | None = None) 
     return int(value)
 
 
+def _required(d: dict, key: str, name: str):
+    """Field ``key`` of document object ``d``; ValueError naming it ``name``
+    when it is missing."""
+    if key not in d:
+        raise ValueError(f"game file lacks the required field {name}")
+    return d[key]
+
+
 def _regime_from_dict(d: dict) -> Regime:
     if not isinstance(d, dict):
         raise ValueError(f"regime must be an object with a kind, got {d!r}")
     kind = d.get("kind")
     if kind == "finite_horizon":
-        return FiniteHorizon(periods=_integer(d["periods"], "periods"))
+        periods = _required(d, "periods", "regime.periods")
+        return FiniteHorizon(periods=_integer(periods, "regime.periods"))
     if kind == "discounted":
-        return Discounted(alpha=float(d["alpha"]))
+        alpha = _required(d, "alpha", "regime.alpha")
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+            raise ValueError(f"regime.alpha must be a number, got {alpha!r}")
+        return Discounted(alpha=float(alpha))
     if kind == "ssp":
-        return Ssp(absorbing=_integer(d["absorbing"], "absorbing"))
+        absorbing = _required(d, "absorbing", "regime.absorbing")
+        return Ssp(absorbing=_integer(absorbing, "regime.absorbing"))
     raise ValueError(f"unknown regime kind {kind!r}")
 
 
@@ -805,7 +742,7 @@ def game_to_dict(model: GameModel) -> dict:
 
 def _tensors(d: dict, key: str) -> list[np.ndarray]:
     """The per-state float tensors of field ``key`` of a game document."""
-    if not isinstance(d[key], list):
+    if not isinstance(_required(d, key, key), list):
         raise ValueError(f"{key} must be a list of per-state tensors")
     try:
         return [np.asarray(t, dtype=float) for t in d[key]]
@@ -814,9 +751,14 @@ def _tensors(d: dict, key: str) -> list[np.ndarray]:
 
 
 def game_from_dict(d: dict) -> GameModel:
-    """Build and validate a GameModel from its JSON document form."""
-    n = _integer(d["n_states"], "n_states")
-    regime = _regime_from_dict(d["regime"])
+    """Build and validate a GameModel from its JSON document form.
+
+    Each state's ``cost`` is its ``[u][v]`` stage cost, or a ``[u][v][j]``
+    cost per destination, which ``make_game`` reduces to the former."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a game file must hold a JSON object, got {type(d).__name__}")
+    n = _integer(_required(d, "n_states", "n_states"), "n_states")
+    regime = _regime_from_dict(_required(d, "regime", "regime"))
     transition = _tensors(d, "transition")
     cost = _tensors(d, "cost")
     if len(transition) != n:

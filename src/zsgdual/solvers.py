@@ -87,7 +87,7 @@ def _pair_entries(
     for b, y, z in stacked:
         key.append((b.states[:, None, None, None] * n + b.succ).ravel())
         weight.append((y[:, :, None, None] * z[:, None, :, None] * b.transition).ravel())
-        G[b.states] = ((y[:, None] @ b.expected_cost) @ z[:, :, None])[:, 0, 0]
+        G[b.states] = ((y[:, None] @ b.cost) @ z[:, :, None])[:, 0, 0]
     return np.concatenate(key), np.concatenate(weight), G
 
 
@@ -199,7 +199,7 @@ def _sweep(model: GameModel, groups: list[Block], values: np.ndarray):
     strategies, gap = [], 0.0
     for b in groups:
         onward = np.einsum("iuvs,iuvs->iuv", b.transition, values[b.succ])
-        stage = b.expected_cost + alpha * onward
+        stage = b.cost + alpha * onward
         new[b.states], rows, cols = matrix_games.solve_many(stage)
         strategies.append((b.states, rows, cols))
         gaps = (np.einsum("iuv,iv->iu", stage, cols).max(axis=1)

@@ -59,7 +59,7 @@ def rollout_pair(
     cum_mu = _padded_cumsum(mu.probs, (n, amax))
     cum_nu = _padded_cumsum(nu.probs, (n, bmax))
     cum_p = _padded_cumsum(model.transition, (n, amax, bmax, n))
-    cost = np.zeros((n, amax, bmax, n))
+    cost = np.zeros((n, amax, bmax))
     for i, g in enumerate(model.cost):
         cost[i, : g.shape[0], : g.shape[1]] = g
 
@@ -87,7 +87,7 @@ def rollout_pair(
             u = draw(cum_mu[x], w[:, 0], model.actions_a[x])
             v = draw(cum_nu[x], w[:, 1], model.actions_b[x])
             j = draw(cum_p[x, u, v], w[:, 2], n)
-            totals[rows] += cost[x, u, v, j]
+            totals[rows] += cost[x, u, v]
             # Kill after the stage: stage t then carries weight alpha^t.
             x = np.where(w[:, 3] >= alpha, absorbing, j)
         else:
@@ -105,9 +105,7 @@ def finite_forward_value(
     G = np.zeros(n)
     for i in range(n):
         P[i] = np.einsum("u,v,uvj->j", mu[i], nu[i], model.transition[i])
-        G[i] = np.einsum(
-            "u,v,uvj,uvj->", mu[i], nu[i], model.transition[i], model.cost[i]
-        )
+        G[i] = mu[i] @ model.cost[i] @ nu[i]
     dist = np.zeros(n)
     dist[x0] = 1.0
     total = 0.0
@@ -459,7 +457,7 @@ def shapley_sweep(
             mu.append(np.ones(model.actions_a[i]) / model.actions_a[i])
             nu.append(np.ones(model.actions_b[i]) / model.actions_b[i])
             continue
-        R = model.expected_cost[i] + alpha * np.einsum(
+        R = model.cost[i] + alpha * np.einsum(
             "uvj,j->uv", model.transition[i], values
         )
         new[i], y, z = matrix_game(R)
@@ -507,7 +505,7 @@ def validate_by_entry(model: GameModel) -> list[tuple[str, str]]:
     for i in range(n):
         p, g = model.transition[i], model.cost[i]
         shape = (int(model.actions_a[i]), int(model.actions_b[i]), n)
-        if p.shape != shape or g.shape != shape:
+        if p.shape != shape or g.shape != shape[:2]:
             out.append((f"state {i}", f"tensor shape {p.shape} != {shape}"))
             continue
         if model.actions_a[i] < 1 or model.actions_b[i] < 1:
@@ -521,7 +519,7 @@ def validate_by_entry(model: GameModel) -> list[tuple[str, str]]:
                     out.append(
                         (f"state {i}, u={u}, v={v}", "negative transition probability")
                     )
-                s = float(row.sum())
+                s = float(row[row != 0.0].sum())  # the listed entries, in order
                 if abs(s - 1.0) > SIMPLEX_TOL:
                     out.append(
                         (f"state {i}, u={u}, v={v}", f"row sums to {s!r}, not 1")
@@ -589,7 +587,6 @@ def embed_by_entry(model: GameModel) -> GameModel:
     for t, i in pairs:
         na, nb = model.actions_a[i], model.actions_b[i]
         p = np.zeros((na, nb, n_emb))
-        g = np.zeros((na, nb, n_emb))
         if t < T - 1:
             for j in range(model.n_states):
                 col = model.transition[i][:, :, j]
@@ -597,16 +594,14 @@ def embed_by_entry(model: GameModel) -> GameModel:
                     continue
                 k = index[(t + 1, j)]
                 p[:, :, k] = col
-                g[:, :, k] = model.cost[i][:, :, j]
         else:
             p[:, :, terminal] = 1.0
-            g[:, :, terminal] = model.expected_cost[i]
         transition.append(p)
-        cost.append(g)
+        cost.append(model.cost[i])
     p_term = np.zeros((1, 1, n_emb))
     p_term[0, 0, terminal] = 1.0
     transition.append(p_term)
-    cost.append(np.zeros((1, 1, n_emb)))
+    cost.append(np.zeros((1, 1)))
     return make_game(
         regime=Ssp(absorbing=terminal),
         transition=transition,
@@ -643,12 +638,12 @@ def waste_game_by_site(cfg) -> GameModel:
         for s in range(N):
             p[s, s, absorbing if caught else N * N + s] += pd_site[s]
         transition.append(p)
-        cost.append(np.ones((N, N, n_states)))
+        cost.append(np.ones((N, N)))
         labels.append(f"d{pu + 1}:i{pv + 1}:{'caught' if caught else 'clear'}")
     p_abs = np.zeros((1, 1, n_states))
     p_abs[0, 0, absorbing] = 1.0
     transition.append(p_abs)
-    cost.append(np.zeros((1, 1, n_states)))
+    cost.append(np.zeros((1, 1)))
     labels.append("out")
     return make_game(Ssp(absorbing=absorbing), transition, cost, labels=labels, root=0)
 
@@ -722,7 +717,7 @@ def fix_player_by_state(model: GameModel, fixed: MixedPolicy, fixed_player: str)
 
     cost, kernel = [], []
     for i in range(model.n_states):
-        w, g_bar = fixed[i], model.expected_cost[i]
+        w, g_bar = fixed[i], model.cost[i]
         if fixed_player == PLAYER_B:
             cost.append(g_bar @ w)
             kernel.append(np.einsum("v,uvj->uj", w, model.transition[i]))
@@ -754,7 +749,7 @@ def induced_chain_by_state(
     for i in range(n):
         y, z = mu[i], nu[i]
         P[i] = np.einsum("u,v,uvj->j", y, z, model.transition[i])
-        G[i] = y @ model.expected_cost[i] @ z
+        G[i] = y @ model.cost[i] @ z
     return P, G
 
 

@@ -74,7 +74,7 @@ def test_criterion_2_best_response_to_imbalanced_minimizer(two_period):
     assert values[0] == pytest.approx(5.6, abs=1e-9)
     np.testing.assert_allclose(responder[0], [0.0, 1.0])
     continuation = np.array([0.0, values[1], values[2], 0.0])
-    Q = two_period.expected_cost[0] + two_period.transition[0] @ continuation
+    Q = two_period.cost[0] + two_period.transition[0] @ continuation
     np.testing.assert_allclose(Q, [[6.0, 2.0], [4.0, 8.0]], atol=1e-12)
     print(
         "ACCEPTANCE 2 PASS: best response 5.6 via second action, "

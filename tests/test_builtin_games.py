@@ -14,7 +14,7 @@ class TestTwoPeriodGame:
 
     def test_root_stage_payoffs(self, two_period):
         # A plays its second action, B its first.
-        assert two_period.expected_cost[0][1, 0] == pytest.approx(6.0)
+        assert two_period.cost[0][1, 0] == pytest.approx(6.0)
         np.testing.assert_allclose(
             two_period.transition[0][1, 0], [0.0, 0.4, 0.6, 0.0], atol=1e-12
         )

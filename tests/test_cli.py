@@ -222,9 +222,23 @@ class TestBoundCommand:
         assert "tol must be finite" in err
 
     def test_non_finite_game_entry_exits_2(self, capsys, tmp_path):
-        for field, value in (("transition", "NaN"), ("cost", "NaN"), ("cost", "-Infinity")):
-            doc = zd.game_to_dict(zd.build_two_period_matrix_game())
-            doc[field][1][0][1][2] = "BAD"
+        model = zd.build_two_period_matrix_game()
+        # The last input writes state 1's cost per destination, with the bad
+        # value where the move (0, 1) has probability 0: a cost per
+        # destination is checked at every destination.
+        assert model.transition[1][0, 1, 2] == 0.0
+        per_destination = [np.repeat(c[:, :, None], 4, axis=2).tolist() for c in model.cost]
+        for field, where, value, cost in (
+            ("transition", (1, 0, 1, 2), "NaN", None), ("cost", (1, 0, 1), "NaN", None),
+            ("cost", (1, 0, 1), "-Infinity", None), ("cost", (1, 0, 1, 2), "NaN", per_destination),
+        ):
+            doc = zd.game_to_dict(model)
+            if cost is not None:
+                doc["cost"] = cost
+            entry = doc[field]
+            for k in where[:-1]:
+                entry = entry[k]
+            entry[where[-1]] = "BAD"
             path = tmp_path / "game.json"
             path.write_text(json.dumps(doc).replace('"BAD"', value))
             code, out, err = run(
@@ -233,6 +247,30 @@ class TestBoundCommand:
             )
             assert (code, out) == (2, "")
             assert "state 1: non-finite transition probability or cost" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "a game file must hold a JSON object, got list"),
+        ({"regime": {"kind": "ssp", "absorbing": 6}}, "lacks the required field n_states"),
+        ({"n_states": "7", "regime": {"kind": "ssp", "absorbing": 6}},
+         "n_states must be an integer, got '7'"),
+        ({"n_states": 7}, "lacks the required field regime"),
+        ({"n_states": 7, "regime": {"kind": "ssp"}}, "lacks the required field regime.absorbing"),
+        ({"n_states": 7, "regime": {"kind": "finite_horizon"}},
+         "lacks the required field regime.periods"),
+        ({"n_states": 7, "regime": {"kind": "discounted"}}, "lacks the required field regime.alpha"),
+        ({"n_states": 7, "regime": {"kind": "discounted", "alpha": [0.9]}},
+         "regime.alpha must be a number, got [0.9]"),
+        ({"n_states": 7, "regime": {"kind": "ssp", "absorbing": 6}},
+         "lacks the required field transition"),
+        ({"n_states": 7, "regime": {"kind": "ssp", "absorbing": 6}, "transition": []},
+         "lacks the required field cost"),
+    ])
+    def test_missing_or_ill_typed_field_is_named(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--game", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err.rstrip().endswith(message)
 
     def test_non_finite_policy_entry_exits_2(self, capsys, tmp_path):
         path = tmp_path / "policy.json"

@@ -22,6 +22,7 @@ from oracles import (
     random_discounted_game,
     random_finite_game,
     random_policy,
+    random_sparse_ssp_game,
     random_ssp_game,
     rollout_pair,
     stage_policies_by_state,
@@ -31,19 +32,19 @@ from oracles import (
 
 
 # Mixed actions act on the model's tensors directly: the expected stage cost
-# is y @ expected_cost[i] @ z and the next-state distribution the einsum of
-# y, z and transition[i].
+# is y @ cost[i] @ z and the next-state distribution the einsum of y, z and
+# transition[i].
 E1, E2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
 
 class TestStageCostMixed:
     def test_pure_actions(self, two_period):
-        assert E2 @ two_period.expected_cost[0] @ E1 == pytest.approx(6.0, abs=1e-12)
-        assert E1 @ two_period.expected_cost[0] @ E1 == pytest.approx(2.0, abs=1e-12)
+        assert E2 @ two_period.cost[0] @ E1 == pytest.approx(6.0, abs=1e-12)
+        assert E1 @ two_period.cost[0] @ E1 == pytest.approx(2.0, abs=1e-12)
 
     def test_mixed_actions(self, two_period):
         y, z = np.array([0.5, 0.5]), np.array([0.75, 0.25])
-        assert y @ two_period.expected_cost[0] @ z == pytest.approx(4.125, abs=1e-12)
+        assert y @ two_period.cost[0] @ z == pytest.approx(4.125, abs=1e-12)
 
     def test_rejects_bad_vectors(self, two_period):
         # Mixed actions reach the model through policies; check_policy
@@ -56,7 +57,7 @@ class TestStageCostMixed:
 
     def test_bilinearity(self, two_period):
         rng = np.random.default_rng(10)
-        R = two_period.expected_cost[0]
+        R = two_period.cost[0]
         for _ in range(50):
             lam = rng.uniform()
             y1, y2 = rng.dirichlet([1, 1]), rng.dirichlet([1, 1])
@@ -142,7 +143,7 @@ class TestFixPlayer:
             for a in range(two_period.actions_a[i]):
                 e_a = np.eye(two_period.actions_a[i])[a]
                 assert view.cost[i][a] == pytest.approx(
-                    e_a @ two_period.expected_cost[i] @ z, abs=1e-12
+                    e_a @ two_period.cost[i] @ z, abs=1e-12
                 )
 
     def test_policy_mismatch_raises(self, two_period):
@@ -224,15 +225,23 @@ class TestValidate:
         assert any("nonzero cost" in msg for _, msg in problems)
 
     def test_non_finite_entries_name_the_state(self, waste3):
+        # A cost per destination is checked at every destination, also at
+        # one the move never reaches (state 4 under (0, 2) cannot reach 7).
+        assert waste3.transition[4][0, 2, 7] == 0.0
         for bad in (np.nan, np.inf, -np.inf):
-            t = [np.array(x) for x in waste3.transition]
-            t[2][1, 0, 5] = bad
-            c = [np.array(x) for x in waste3.cost]
-            c[4][0, 2, 7] = bad
-            broken = zd.make_game(waste3.regime, t, c)
-            problems = zd.validate(broken)
-            non_finite = [loc for loc, msg in problems if "non-finite" in msg]
-            assert non_finite == ["state 2", "state 4"]
+            for per_destination in (False, True):
+                t = [np.array(x) for x in waste3.transition]
+                t[2][1, 0, 5] = bad
+                c = [np.array(x) for x in waste3.cost]
+                if per_destination:
+                    c[4] = np.repeat(c[4][:, :, None], waste3.n_states, axis=2)
+                    c[4][0, 2, 7] = bad
+                else:
+                    c[4][0, 2] = bad
+                broken = zd.make_game(waste3.regime, t, c)
+                problems = zd.validate(broken)
+                non_finite = [loc for loc, msg in problems if "non-finite" in msg]
+                assert non_finite == ["state 2", "state 4"]
 
     def test_absorbing_leak_above_tolerance(self, waste3):
         # 4e-6 is inside allclose's default rtol; the check allows SIMPLEX_TOL only.
@@ -252,9 +261,8 @@ class TestValidate:
     def test_short_absorbing_row_is_recorded_not_raised(self, waste3):
         a = waste3.absorbing
         t = [np.array(x) for x in waste3.transition]
-        c = [np.array(x) for x in waste3.cost]
-        t[a], c[a] = t[a][:, :, :a], c[a][:, :, :a]
-        broken = zd.make_game(waste3.regime, t, c)
+        t[a] = t[a][:, :, :a]
+        broken = zd.make_game(waste3.regime, t, waste3.cost)
         shape = (1, 1, a + 1)
         assert zd.validate(broken) == [
             (f"state {a}", f"tensor shape {(1, 1, a)} != {shape}")
@@ -292,7 +300,7 @@ def _break(rng, model):
         elif kind == 3:
             t[i][u, v, j] = rng.choice([np.nan, np.inf, -np.inf])
         elif kind == 4:
-            c[i][u, v, j] = rng.choice([np.nan, np.inf, -np.inf, 1.0])
+            c[i][u, v] = rng.choice([np.nan, np.inf, -np.inf, 1.0])
         elif kind == 5:
             t[i][u, v, j], t[i][u, v, -1] = t[i][u, v, -1], t[i][u, v, j]
     return zd.make_game(
@@ -323,10 +331,10 @@ class TestGamesLayerMatchesEntryLoops:
         n = 4
         rng = np.random.default_rng(3)
         t = [rng.dirichlet(np.ones(n), size=s) for s in [(2, 1), (1, 2), (2, 1), (1, 1)]]
-        c = [np.zeros(p.shape) for p in t]
+        c = [np.zeros(p.shape[:2]) for p in t]
         t[0][1, 0, 2] = -0.1
         t[1][0, 1] *= 0.5
-        c[1][0, 0, 3] = np.nan
+        c[1][0, 0] = np.nan
         t[2][0, 0] *= 2.0
         t[2][1, 0, 0] = -0.2
         broken = zd.make_game(zd.Discounted(alpha=0.9), t, c)
@@ -480,7 +488,7 @@ def _permuted(rng, model):
     return zd.make_game(
         regime,
         [model.transition[i][:, :, perm] for i in perm],
-        [model.cost[i][:, :, perm] for i in perm],
+        [model.cost[i] for i in perm],
     )
 
 
@@ -499,20 +507,15 @@ def _block_game(rng, kind):
 def _owned_bytes(model) -> int:
     """The bytes of memory the arrays of a model's blocks span."""
     arrays = [
-        a for b in model.blocks for a in (b.succ, b.transition, b.cost, b.expected_cost)
+        a for b in model.blocks for a in (b.succ, b.transition, b.cost)
     ]
     return sum(high - low for low, high in map(byte_bounds, arrays))
 
 
-def _uniform_cost(b) -> bool:
-    return not any(b.cost.strides)
-
-
 def assert_lists_of(model, transition, cost):
-    """``model`` rebuilds ``transition`` and ``cost`` byte for byte, and its
-    blocks list, ascending, exactly the destinations of a nonzero
-    probability or cost (a nonzero probability under a broadcast cost), with
-    every pad of probability 0 and cost 0 after them."""
+    """``model`` rebuilds ``transition`` and holds the stage costs ``cost``
+    byte for byte, and its blocks list, ascending, exactly the destinations
+    of a nonzero probability, with every pad of probability 0 after them."""
     assert len(model.transition) == len(model.cost) == len(transition) == model.n_states
     for i in range(model.n_states):
         for got, want in ((model.transition[i], transition[i]), (model.cost[i], cost[i])):
@@ -520,17 +523,11 @@ def assert_lists_of(model, transition, cost):
             assert not got.flags.writeable
     for b in model.blocks:
         listed = b.transition != 0.0
-        if not _uniform_cost(b):
-            listed |= b.cost != 0.0
         assert not (listed[..., 1:] & ~listed[..., :-1]).any()  # pads come last
-        assert not b.transition[~listed].any()
-        assert _uniform_cost(b) or not b.cost[~listed].any()
         step = np.diff(b.succ, axis=3)
         assert (step[listed[..., 1:]] > 0).all()
         for r, i in enumerate(b.states):
             dense = np.asarray(transition[i]) != 0.0
-            if not _uniform_cost(b):
-                dense |= np.asarray(cost[i]) != 0.0
             assert np.array_equal(listed[r].sum(axis=2), dense.sum(axis=2))
 
 
@@ -590,25 +587,20 @@ class TestBlockLayout:
             assert np.array_equal(covered, np.arange(model.n_states))
             for b in model.blocks:
                 assert b.width == model.n_states
-                assert b.succ.shape == b.transition.shape == b.cost.shape
-                assert b.transition.shape[:3] == b.expected_cost.shape
-                for a in b[:5]:
+                assert b.succ.shape == b.transition.shape
+                assert b.transition.shape[:3] == b.cost.shape
+                for a in b[:4]:
                     assert not a.flags.writeable
-                # The expected cost sums each row's entries; the dense
-                # tensors' sums agree up to their order of summation.
-                assert np.array_equal(
-                    b.expected_cost, np.einsum("kuvs,kuvs->kuv", b.transition, b.cost)
-                )
                 for r, i in enumerate(b.states):
-                    state = model.expected_cost[i]
-                    assert np.shares_memory(state, b.expected_cost)
-                    assert np.array_equal(state, b.expected_cost[r]) and not state.flags.writeable
-                    dense = (model.transition[i] * model.cost[i]).sum(axis=2)
-                    np.testing.assert_allclose(state, dense, rtol=1e-14, atol=0.0)
+                    state = model.cost[i]
+                    assert np.shares_memory(state, b.cost)
+                    assert np.array_equal(state, b.cost[r]) and not state.flags.writeable
 
     def test_builders_make_no_transient_copy(self):
-        # The embedded game (378 states) is large enough that its lists, not
-        # the Python objects of its labels and per-state views, set the peak.
+        # A build's peak stays within a quarter above what its model keeps:
+        # its lists and the Python objects of its labels and per-state views.
+        # Each build runs once unmeasured, so that the one-off work of a
+        # first call (imports, caches) does not count.
         raw = random_finite_game(np.random.default_rng(7), n_states=60, periods=8)
         builds = {
             "waste": lambda: zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10)),
@@ -617,19 +609,17 @@ class TestBlockLayout:
         tracemalloc.start()
         try:
             for name, build in builds.items():
+                model = build()
+                del model
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 model = build()
-                peak = tracemalloc.get_traced_memory()[1] - before
-                assert peak <= 1.25 * _owned_bytes(model), name
+                kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+                assert kept >= _owned_bytes(model) and peak <= 1.25 * kept, name
         finally:
             tracemalloc.stop()
-        # The waste game's cost of 1 on every move is one broadcast float,
-        # and a move lists at most two destinations.
-        waste = builds["waste"]()
-        cost = waste.blocks[0].cost
-        assert byte_bounds(cost)[1] - byte_bounds(cost)[0] == 8
-        assert waste.blocks[0].succ.shape[3] == 2
+        # A move of the waste game lists at most two destinations.
+        assert builds["waste"]().blocks[0].succ.shape[3] == 2
         # Dense (k, A, B, n) blocks of waste N=20 take 540 MiB.
         big = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=20))
         assert _owned_bytes(big) < 8 * 2**20
@@ -665,15 +655,6 @@ class TestDenseTensors:
             want = embed_by_entry(raw)
             assert_lists_of(zd.embed_finite_horizon(raw), want.transition, want.cost)
 
-    def test_broadcast_cost_is_written_out_when_embedded(self):
-        # Under a cost of 1 on every move, the embedding charges 1 at every
-        # destination a state enters, whichever action pair moves there.
-        raw = random_finite_game(np.random.default_rng(9), n_states=6, periods=3, successors=2)
-        raw = zd.make_game(raw.regime, raw.transition, [np.ones_like(c) for c in raw.cost], root=0)
-        assert all(_uniform_cost(b) for b in raw.blocks)
-        want = embed_by_entry(raw)
-        assert_lists_of(zd.embed_finite_horizon(raw), want.transition, want.cost)
-
     def test_built_in_games(self, two_period):
         for n_sites in (2, 3, 6):
             cfg = zd.WasteGameConfig(n_sites=n_sites)
@@ -684,8 +665,7 @@ class TestDenseTensors:
         p[0, :, :, 1] = [[0.7, 0.55], [0.4, 0.5]]
         p[0, :, :, 2] = 1.0 - p[0, :, :, 1]
         p[1, :, :, 1] = p[2, :, :, 2] = 1.0
-        g = np.array(payoff)[..., None] * (p > 0.0)
-        raw = zd.make_game(zd.FiniteHorizon(periods=2), p, g, root=0)
+        raw = zd.make_game(zd.FiniteHorizon(periods=2), p, payoff, root=0)
         want = embed_by_entry(raw)
         assert_lists_of(two_period, want.transition, want.cost)
 
@@ -694,6 +674,75 @@ class TestDenseTensors:
         for model in (two_period, waste3, *(_random_game(rng) for _ in range(10))):
             again = zd.game_from_dict(json.loads(json.dumps(zd.game_to_dict(model))))
             assert_lists_of(again, model.transition, model.cost)
+
+    def test_stage_cost_round_trip_of_every_generator(self, two_period):
+        rng = np.random.default_rng(13)
+        built_in = [two_period, *(
+            zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n)) for n in (2, 3, 5, 10)
+        )]
+        random = []
+        for _ in range(5):
+            finite = random_finite_game(rng, n_states=int(rng.integers(3, 9)))
+            random += [
+                random_discounted_game(rng, n_states=int(rng.integers(2, 9))),
+                random_ssp_game(rng, n_states=int(rng.integers(2, 9))),
+                random_sparse_ssp_game(rng, n_states=int(rng.integers(2, 9))),
+                finite, zd.embed_finite_horizon(finite),
+            ]
+        for model in built_in + random:
+            doc = zd.game_to_dict(model)
+            assert [np.shape(c) for c in doc["cost"]] == list(zip(model.actions_a, model.actions_b))
+            again = zd.game_from_dict(json.loads(json.dumps(doc)))
+            assert_lists_of(again, model.transition, model.cost)
+
+    def test_cost_per_destination_reduces_over_listed_entries(self):
+        # Each move reaches one to four states, and its cost is drawn at
+        # every destination: the stage cost is the einsum over the entries
+        # of nonzero probability, bit for bit, whatever the others hold.
+        rng = np.random.default_rng(14)
+        n = 9
+        transition, cost = [], []
+        for _ in range(n - 1):
+            p = np.zeros((int(rng.integers(1, 4)), int(rng.integers(1, 4)), n))
+            for row in p.reshape(-1, n):
+                reach = rng.choice(n, int(rng.integers(1, 5)), replace=False)
+                row[reach] = rng.dirichlet(np.ones(len(reach)))
+            transition.append(p)
+            cost.append(rng.uniform(-5.0, 5.0, p.shape))
+        transition.append(np.eye(n)[None, None, -1])
+        cost.append(np.zeros((1, 1, n)))
+        doc = {
+            "n_states": n, "regime": {"kind": "ssp", "absorbing": n - 1},
+            "transition": [p.tolist() for p in transition],
+            "cost": [g.tolist() for g in cost],
+        }
+        model = zd.game_from_dict(json.loads(json.dumps(doc)))
+        for i, (p, g) in enumerate(zip(transition, cost)):
+            want = np.zeros(p.shape[:2])
+            for u, v in np.ndindex(*p.shape[:2]):
+                listed = p[u, v] != 0.0
+                want[u, v] = np.einsum("s,s->", p[u, v][listed], g[u, v][listed])
+            assert model.cost[i].tobytes() == want.tobytes()
+        written = zd.game_to_dict(model)["cost"]
+        assert [np.shape(c) for c in written] == [p.shape[:2] for p in transition]
+
+    def test_stage_cost_written_at_every_destination_packs_to_the_moves(self):
+        # 200 states, 3 x 3 actions and 2 successors per move, with each
+        # move's cost written out at all 200 destinations: the rows list
+        # the 2 successors, and the blocks take less than dense transitions.
+        rng = np.random.default_rng(15)
+        n, m = 200, 3
+        p = np.zeros((n, m, m, n))
+        for row in p.reshape(-1, n):
+            row[rng.choice(n, 2, replace=False)] = rng.dirichlet(np.ones(2))
+        stage = rng.uniform(0.0, 10.0, (n, m, m))
+        model = zd.make_game(
+            zd.Discounted(alpha=0.9), p, np.repeat(stage[..., None], n, axis=3)
+        )
+        [b] = model.blocks
+        assert b.succ.shape == (n, m, m, 2)
+        assert _owned_bytes(model) < p.nbytes
+        np.testing.assert_allclose(b.cost, stage, rtol=1e-15, atol=0.0)
 
 
 class TestJsonInterchange:

@@ -379,7 +379,7 @@ class TestBestResponse:
         nu_hat = zd.suboptimal_minimizer_policy(two_period)
         values, _ = zd.best_response(two_period, nu_hat, zd.PLAYER_B)
         continuation = np.array([0.0, values[1], values[2], 0.0])
-        Q = two_period.expected_cost[0] + two_period.transition[0] @ continuation
+        Q = two_period.cost[0] + two_period.transition[0] @ continuation
         np.testing.assert_allclose(Q, [[6.0, 2.0], [4.0, 8.0]], atol=1e-12)
 
     def test_response_to_equilibrium_gives_value(self, two_period):
