@@ -149,16 +149,10 @@ def _parse_fix(specs: list[str]) -> dict[str, str]:
 
 
 def _resolve_generator(
-    model: GameModel,
-    token: str,
-    view,
-    policies: dict[str, MixedPolicy],
+    model: GameModel, token: str, policies: dict[str, MixedPolicy]
 ) -> np.ndarray:
     if token == "zero":
         return np.zeros(model.n_states)
-    if token == "exact":
-        values, _ = solvers.solve_view(view, tol=0.0)
-        return values
     if token == "pair-value":
         if PLAYER_A not in policies or PLAYER_B not in policies:
             raise InputError("--h pair-value needs both policies fixed (--fix both=...)")
@@ -303,11 +297,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
         raise InputError("dual bounds cover time-embedded and absorbing-state games only")
     q = _resolve_q(model, args.q) if is_ssp else None
     sides = ("lower", "upper") if side == "both" else (side,)
+    # Every generator but the exact one is the same for both sides.
+    shared = None if args.h == "exact" else _resolve_generator(model, args.h, policies)
     pairs = []
     for bound_side in sides:
         player = PLAYER_A if bound_side == "lower" else PLAYER_B
         view = fix_player(model, policies[player], player)
-        pairs.append((view, _resolve_generator(model, args.h, view, policies)))
+        h = solvers.solve_view(view, tol=0.0)[0] if shared is None else shared
+        pairs.append((view, h))
         bad = duality.validate_abs_continuity(view, q) if is_ssp else []
         if bad:
             raise InputError(
@@ -425,10 +422,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument("--game")
     p_solve.add_argument("--tol", type=float, help="certified best-response interval "
-                         "width, > 0 (time-embedded game: only range-checked; sweeps "
-                         "run until one changes no value)")
+                         "width, > 0 (time-embedded game: only range-checked; it is "
+                         "solved in one backward pass)")
     p_solve.add_argument("--max-iter", dest="max_iter", type=int,
-                         help="cap on Hoffman-Karp iterations (or on sweeps)")
+                         help="cap on Hoffman-Karp iterations")
 
     p_bound = sub.add_parser("bound", help="estimate dual bounds for fixed policies")
     common(p_bound)

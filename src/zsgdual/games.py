@@ -14,7 +14,8 @@ shape ``(A, B)`` share one ``Block`` of stage costs and padded successor
 lists, which hold only the destinations a move can reach. Fixing a player
 or inducing a chain scatters every block into its dense result with one
 ``np.bincount``; the dense per-state tensors ``transition[i]`` are rebuilt
-from the lists on access, never stored.
+from the lists on access, never stored. Every sum over a successor list
+is ``list_sum``, in list order, so a state's sums depend on its list alone.
 
 All objects are immutable after construction and safe to share across
 threads; every operation in this module is pure. The one derived state is
@@ -198,6 +199,16 @@ class GameModel:
         return self.labels[i] if self.labels is not None else str(i)
 
 
+def list_sum(p: np.ndarray, x: np.ndarray | float = 1.0) -> np.ndarray:
+    """Sum of ``p * x`` over the last axis, entry after entry in list order.
+    Entries where ``p`` is 0 (pads, a dense row's unlisted destinations) add
+    nothing, not even a zero's sign. Overflow gives inf or NaN unwarned, as
+    every caller flags or carries non-finite results."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.multiply(p, x, out=np.full(p.shape, -0.0), where=p != 0.0)
+        return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 def make_game(
     regime: Regime,
     transition: Sequence[np.ndarray],
@@ -213,9 +224,10 @@ def make_game(
     packed into successor lists (the caller's arrays stay as they are).
 
     A state's ``cost`` is its ``(A, B)`` stage cost, or an ``(A, B, n)`` cost
-    per destination. The latter is reduced to the expected stage cost over
-    the listed entries, in list order; a stage cost whose destinations hold
-    a non-finite value, listed or not, is NaN, so that ``validate`` flags it.
+    per destination. The latter is reduced, state by state, to the expected
+    stage cost over the destinations of nonzero probability in destination
+    order (``list_sum``); a stage cost whose destinations hold a non-finite
+    value, listed or not, is NaN, so that ``validate`` flags it.
     """
     transition = [np.asarray(t, dtype=float) for t in transition]
     cost = [np.asarray(c, dtype=float) for c in cost]
@@ -226,6 +238,8 @@ def make_game(
                 f"state {i}: transition shape {p.shape} and cost shape {g.shape} "
                 "must agree as (|U|, |V|, n) and (|U|, |V|) or (|U|, |V|, n)"
             )
+        if g.ndim == 3:
+            cost[i] = np.where(np.isfinite(g).all(axis=2), list_sum(p, g), np.nan)
         by_shape.setdefault(p.shape, []).append(i)
     blocks = []
     for (na, nb, width), s in by_shape.items():
@@ -237,17 +251,7 @@ def make_game(
         shape = (len(s), na, nb, int(where[-1].max(initial=0)) + 1)
         succ, listed = np.zeros(shape, dtype=np.intp), np.zeros(shape)
         succ[where], listed[where] = col, p[keep]
-        given = [cost[i] for i in s]
-        dense = np.array([c.ndim == 3 for c in given])
-        g = np.zeros((len(s), na, nb))
-        if dense.any():
-            per, at = np.zeros(p.shape), np.zeros(shape)
-            per[dense] = [c for c in given if c.ndim == 3]
-            at[where] = per[keep]
-            g = np.where(np.isfinite(per).all(axis=3), np.einsum("kuvs,kuvs->kuv", listed, at), np.nan)
-        if not dense.all():
-            g[~dense] = [c for c in given if c.ndim == 2]
-        blocks.append(make_block(np.array(s), succ, listed, g, width))
+        blocks.append(make_block(np.array(s), succ, listed, np.stack([cost[i] for i in s]), width))
     return GameModel(
         n_states=len(transition), regime=regime, blocks=tuple(blocks), labels=labels,
         root=root, horizon=horizon, period=period, base_state=base_state,
@@ -525,37 +529,32 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
     levels = [np.arange(n) if root is None else np.array([root])]
     for _ in range(T - 1):
         levels.append(np.flatnonzero(succ[levels[-1]].any(axis=0)))
-    offsets = np.cumsum([0] + [len(level) for level in levels])
-    period = np.repeat(np.arange(T), np.diff(offsets))
+    period = np.repeat(np.arange(T), [len(level) for level in levels])
     base = np.concatenate(levels)
     terminal = len(base)
     n_emb = terminal + 1
+    # The embedded state of each (period, original state) pair, -1 for a pair
+    # that is not reached and for every pair of period T.
+    index = np.full((T + 1, n), -1, dtype=np.intp)
+    index[period, base] = np.arange(terminal)
 
     # The rows of a block's embedded states copy the rows of the states they
-    # embed, period by period, with each destination moved to the next
-    # level; the last period's rows move to the terminal state.
+    # embed, with each destination moved to the next period; the last
+    # period's rows move to the terminal state.
     blocks = []
     for b in model.blocks:
         states = np.flatnonzero(np.isin(base, b.states))
         if not len(states):
             continue
         src = np.searchsorted(b.states, base[states])  # rows of b
-        bounds = np.searchsorted(period[states], np.arange(T + 1))
-        shape = (len(states), *b.succ.shape[1:])
-        s, p = np.zeros(shape, dtype=np.intp), np.zeros(shape)
-        for t in range(T - 1):
-            rows = slice(bounds[t], bounds[t + 1])
-            index = np.full(n, -1)
-            index[levels[t + 1]] = np.arange(offsets[t + 1], offsets[t + 2])
-            dest = index[b.succ[src[rows]]]
-            # Pads, and entries of a negative or NaN probability, may leave the level.
-            off = dest < 0
-            s[rows], p[rows] = dest, b.transition[src[rows]]
-            for a in (s, p):
-                a[rows][off] = 0
-        last = slice(bounds[T - 1], bounds[T])
-        s[last, :, :, 0] = terminal
-        p[last, :, :, 0] = 1.0
+        s = index[period[states, None, None, None] + 1, b.succ[src]]
+        p = b.transition[src]
+        # Pads, entries of a negative or NaN probability and the last
+        # period's entries leave the next period's pairs.
+        off = s < 0
+        s[off], p[off] = 0, 0.0
+        last = period[states] == T - 1
+        s[last, :, :, 0], p[last, :, :, 0] = terminal, 1.0
         blocks.append(make_block(states, s, p, b.cost[src], n_emb))
     # Terminal: one action pair, self-loop, zero cost.
     blocks.append(make_block(
@@ -625,7 +624,7 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
             continue
         finite = np.isfinite(p).all(axis=(1, 2, 3)) & np.isfinite(g).all(axis=(1, 2))
         negative = (p < 0).any(axis=3)
-        sums = p.sum(axis=3)
+        sums = list_sum(p)
         off = np.abs(sums - 1.0) > SIMPLEX_TOL
         empty = min(p.shape[1:3]) < 1
         for r in np.flatnonzero(empty | ~finite | (negative | off).any(axis=(1, 2))):

@@ -4,18 +4,19 @@ Covers policy-pair evaluation (a linear solve, or one backward pass over
 the periods of a time-embedded game), equilibria by Hoffman–Karp policy
 iteration stopped on a certified best-response interval (Shapley sweeps
 solve the stage games on the one-step lookahead; a time-embedded game takes
-plain sweeps), best responses to a fixed opponent (Howard policy iteration,
-Newton residual-correction steps, then ``games.lookahead`` sweeps to a
-float fixed point; on a time-embedded view, backward induction over its
-periods and one confirming sweep), the alternating "naive"
-policy-iteration scheme, and the exact sandwich interval that best
-responses put around the game value.
+one backward pass over its periods), best responses to a fixed opponent
+(Howard policy iteration, Newton residual-correction steps, then
+``games.lookahead`` sweeps to a float fixed point; on a time-embedded
+view, backward induction over its periods and one confirming sweep), the
+alternating "naive" policy-iteration scheme, and the exact sandwich
+interval that best responses put around the game value.
 
 Everything here reads the model's block layout (``games.GameModel``): the
 states of one action shape ``(A, B)``, stacked into ``(k, A, B, S)``
-padded successor lists and ``(k, A, B)`` expected costs. A sweep solves
-one block's stage games in one ``matrix_games.solve_many`` call, reading
-the block without a copy; an induced chain is one ``np.bincount`` over all
+padded successor lists and ``(k, A, B)`` stage costs. A sweep solves one
+block's stage games in one ``matrix_games.solve_many`` call, reading the
+block without a copy, and sums each row's onward value in list order
+(``games.list_sum``); an induced chain is one ``np.bincount`` over all
 blocks, and a time-embedded pair one ``np.bincount`` per period over the
 same entries. Hoffman–Karp builds its views from the sweep's stacked stage
 strategies directly (``games.fix_rows``).
@@ -43,6 +44,7 @@ from .games import (
     check_policy,
     fix_player,
     fix_rows,
+    list_sum,
     lookahead,
     pure_policy,
     regime_alpha,
@@ -189,17 +191,18 @@ def _stage_groups(model: GameModel) -> list[Block]:
     return groups
 
 
-def _sweep(model: GameModel, groups: list[Block], values: np.ndarray):
-    """Shapley operator on ``values``: the new values, per group the states
-    with their stage games' row and column strategies, and the largest
-    exploitability gap ``max(R z) - min(y R)`` of a stage solution, which
-    bounds the error of a new value."""
+def _sweep(model: GameModel, groups: list[Block], values: np.ndarray, new=None):
+    """Shapley operator on ``values``: the new values, written group by group
+    into ``new`` (a fresh array by default), per group the states with their
+    stage games' row and column strategies, and the largest exploitability
+    gap ``max(R z) - min(y R)`` of a stage solution, which bounds the error
+    of a new value. With ``new`` the array ``values`` itself, each group
+    reads the values that the groups before it wrote."""
     alpha = regime_alpha(model.regime)
-    new = np.zeros(model.n_states)
+    new = np.zeros(model.n_states) if new is None else new
     strategies, gap = [], 0.0
     for b in groups:
-        onward = np.einsum("iuvs,iuvs->iuv", b.transition, values[b.succ])
-        stage = b.cost + alpha * onward
+        stage = b.cost + alpha * list_sum(b.transition, values[b.succ])
         new[b.states], rows, cols = matrix_games.solve_many(stage)
         strategies.append((b.states, rows, cols))
         gaps = (np.einsum("iuv,iv->iu", stage, cols).max(axis=1)
@@ -260,28 +263,27 @@ def shapley_value_iteration(
     response to ``mu`` once A's response to ``nu`` lies at most ``tol``
     (> 0) above it at every state; ``NoConvergence`` names the width reached
     if the sweep residual sinks to rounding noise first. ``max_iter`` caps
-    the iterations. A time-embedded game runs plain Shapley sweeps until
-    one changes no value, which takes at most ``horizon + 1`` sweeps;
-    ``tol`` is then only range-checked.
+    the Hoffman–Karp iterations only. A time-embedded game takes one
+    backward pass, its stage games period by period, the last first, each
+    reading the next period's final values; ``tol`` is only range-checked.
     """
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before solving")
     check_tol(tol)
     _integer(max_iter, "max_iter", 1)
-    embedded = model.horizon is not None
-    if tol == 0.0 and not embedded:
-        raise ValueError("tol must be positive: it is the certified interval width")
     groups = _stage_groups(model)
     V = np.zeros(model.n_states)
+    if model.horizon is not None:
+        late = [take_rows(b, at) for t in range(model.horizon - 1, -1, -1) for b in groups
+                if (at := model.period[b.states] == t).any()]
+        _, strategies, _ = _sweep(model, late, V, V)
+        V.setflags(write=False)
+        return (V, *_stage_policies(model, strategies))
+    if tol == 0.0:
+        raise ValueError("tol must be positive: it is the certified interval width")
     for _ in range(max_iter):
         TV, strategies, gap = _sweep(model, groups, V)
         residual = float(np.abs(TV - V).max())
-        if embedded:
-            V = TV
-            if residual == 0.0:
-                V.setflags(write=False)
-                return (V, *_stage_policies(model, strategies))
-            continue
         # No iteration can push the residual below the stage solutions' own
         # error or a few ulps of the values.
         floor = max(gap, 4.0 * np.finfo(float).eps * float(np.abs(TV).max()))

@@ -457,9 +457,11 @@ def shapley_sweep(
             mu.append(np.ones(model.actions_a[i]) / model.actions_a[i])
             nu.append(np.ones(model.actions_b[i]) / model.actions_b[i])
             continue
-        R = model.cost[i] + alpha * np.einsum(
-            "uvj,j->uv", model.transition[i], values
-        )
+        R = np.array(model.cost[i])
+        for u, v in np.ndindex(*R.shape):
+            listed = np.flatnonzero(model.transition[i][u, v])
+            onward = model.transition[i][u, v, listed] * values[listed]
+            R[u, v] += alpha * sum(onward.tolist(), -0.0)  # in destination order
         new[i], y, z = matrix_game(R)
         mu.append(y)
         nu.append(z)
@@ -519,7 +521,7 @@ def validate_by_entry(model: GameModel) -> list[tuple[str, str]]:
                     out.append(
                         (f"state {i}, u={u}, v={v}", "negative transition probability")
                     )
-                s = float(row[row != 0.0].sum())  # the listed entries, in order
+                s = sum(row[row != 0.0].tolist(), -0.0)  # the listed entries, in order
                 if abs(s - 1.0) > SIMPLEX_TOL:
                     out.append(
                         (f"state {i}, u={u}, v={v}", f"row sums to {s!r}, not 1")

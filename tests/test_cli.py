@@ -187,6 +187,27 @@ class TestBoundCommand:
         upper = float(rows[1].split(",")[1])
         assert lower < upper
 
+    def test_generator_resolved_once_for_both_sides(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        evaluate = zd.solvers.evaluate_policy_pair
+        monkeypatch.setattr(
+            zd.solvers, "evaluate_policy_pair", lambda *a: calls.append(a) or evaluate(*a)
+        )
+        argv = ["bound", "--game", "builtin:waste,N=3", "--fix", "both=uniform",
+                "--side", "both", "--n", "50", "--seed", "1"]
+        code, out, _ = run(capsys, *argv, "--h", "pair-value")
+        assert code == 0 and len(calls) == 1
+        assert out.startswith("lower: ") and "\nupper: " in out
+        # A generator file is read once too, and gives the same bounds.
+        values = evaluate(*calls[0])
+        hpath = tmp_path / "h.json"
+        hpath.write_text(json.dumps({str(i): v for i, v in enumerate(values.tolist())}))
+        reads = []
+        read = cli._from_file
+        monkeypatch.setattr(cli, "_from_file", lambda *a: reads.append(a) or read(*a))
+        code, again, _ = run(capsys, *argv, "--h", f"file:{hpath}")
+        assert code == 0 and len(reads) == 1 and again == out
+
     def test_pair_value_needs_both_policies(self, capsys):
         code, _, err = run(
             capsys, "bound", "--game", "builtin:waste,N=3",

@@ -697,8 +697,9 @@ class TestDenseTensors:
 
     def test_cost_per_destination_reduces_over_listed_entries(self):
         # Each move reaches one to four states, and its cost is drawn at
-        # every destination: the stage cost is the einsum over the entries
-        # of nonzero probability, bit for bit, whatever the others hold.
+        # every destination: the stage cost is the sum over the entries of
+        # nonzero probability in destination order, bit for bit, whatever
+        # the others hold.
         rng = np.random.default_rng(14)
         n = 9
         transition, cost = [], []
@@ -721,7 +722,7 @@ class TestDenseTensors:
             want = np.zeros(p.shape[:2])
             for u, v in np.ndindex(*p.shape[:2]):
                 listed = p[u, v] != 0.0
-                want[u, v] = np.einsum("s,s->", p[u, v][listed], g[u, v][listed])
+                want[u, v] = sum((p[u, v][listed] * g[u, v][listed]).tolist(), -0.0)
             assert model.cost[i].tobytes() == want.tobytes()
         written = zd.game_to_dict(model)["cost"]
         assert [np.shape(c) for c in written] == [p.shape[:2] for p in transition]
@@ -743,6 +744,52 @@ class TestDenseTensors:
         assert b.succ.shape == (n, m, m, 2)
         assert _owned_bytes(model) < p.nbytes
         np.testing.assert_allclose(b.cost, stage, rtol=1e-15, atol=0.0)
+
+
+class TestListOrderSums:
+    """A state's numbers depend on its own successor list alone, not on the
+    width of the block it shares with other states of its action shape."""
+
+    def test_state_results_ignore_block_mate_width(self):
+        # State 0 (2 x 3 actions) reaches 5 destinations per move and shares
+        # its block with state 1, which reaches 5 or 12. Its stage cost from
+        # a cost per destination, its Shapley backup from (A, B) costs and
+        # the row sum that validate prints for a spoilt row come out byte
+        # for byte the same next to either mate.
+        rng = np.random.default_rng(16)
+        n, absorbing = 14, 13
+
+        def moves(width):
+            p = np.zeros((2, 3, n))
+            for row in p.reshape(-1, n):
+                reach = rng.choice(n, width, replace=False)
+                row[reach] = rng.dirichlet(np.ones(width))
+            return p
+
+        def results(p0, mate, per_destination, stage):
+            transition = [p0, mate] + [np.eye(n)[None, None, absorbing]] * (n - 2)
+            rest = [np.zeros((1, 1))] * (n - 2)
+            dest = zd.make_game(zd.Ssp(absorbing), transition, per_destination + rest)
+            plain = zd.make_game(zd.Ssp(absorbing), transition, stage + rest)
+            [b] = [b for b in dest.blocks if 0 in b.states]
+            assert b.succ.shape[3] == mate.astype(bool).sum(axis=2).max()
+            values = np.linspace(-7.0, 11.0, n) ** 3
+            records = [rec for rec in zd.validate(dest) if rec[0].startswith("state 0,")]
+            assert records
+            return dest.cost[0].tobytes(), zd.shapley_backup(plain, values)[0][0], records
+
+        for _ in range(50):
+            p0 = moves(5)
+            p0[0, 0] *= 1.0 + 1e-9  # spoilt: sums to about 1 + 1e-9
+            g0, stage0 = rng.uniform(-5.0, 5.0, (2, 3, n)), rng.uniform(-5.0, 5.0, (2, 3))
+            got = [
+                results(p0, moves(width), [g0, rng.uniform(-5.0, 5.0, (2, 3, n))],
+                        [stage0, rng.uniform(-5.0, 5.0, (2, 3))])
+                for width in (5, 12)
+            ]
+            assert got[0][0] == got[1][0]
+            assert got[0][1].tobytes() == got[1][1].tobytes()
+            assert got[0][2] == got[1][2]
 
 
 class TestJsonInterchange:

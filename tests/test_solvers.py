@@ -201,17 +201,46 @@ class TestShapleyValueIteration:
         np.testing.assert_allclose(nu[2], [0.0, 1.0], atol=1e-7)
 
     def test_embedded_game_ignores_tol(self):
-        # Sweeps run to the exact fixed point, at most horizon + 1 of them.
+        # One backward pass, whatever the tolerance or the iteration cap.
         rng = np.random.default_rng(33)
         for _ in range(5):
             game = zd.embed_finite_horizon(random_finite_game(rng, n_states=6, periods=4))
-            want = zd.shapley_value_iteration(game, tol=0.0, max_iter=game.horizon + 1)
+            want = zd.shapley_value_iteration(game, tol=0.0, max_iter=1)
             for tol in (1e-12, 10.0, 1e6):
                 got = zd.shapley_value_iteration(game, tol=tol)
                 assert got[0].tobytes() == want[0].tobytes()
                 for x in range(game.n_states):
                     assert got[1][x].tobytes() == want[1][x].tobytes()
                     assert got[2][x].tobytes() == want[2][x].tobytes()
+
+    def test_embedded_game_is_one_backward_pass(self, two_period, monkeypatch):
+        # Each live state's stage game is solved once, and the solution is,
+        # bit for bit, that of Shapley sweeps from zero run until one
+        # changes no value.
+        solved = []
+        solve_many = zd.matrix_games.solve_many
+        monkeypatch.setattr(
+            zd.matrix_games, "solve_many", lambda stage: solved.append(len(stage)) or solve_many(stage)
+        )
+        rng = np.random.default_rng(36)
+        games = [two_period, *(
+            zd.embed_finite_horizon(random_finite_game(rng, n_states=n, periods=t))
+            for n, t in ((6, 4), (9, 7), (20, 8))
+        )]
+        for game in games:
+            solved.clear()
+            J, mu, nu = zd.shapley_value_iteration(game)
+            assert sum(solved) == game.n_states - 1
+            V = np.zeros(game.n_states)
+            while True:
+                new, want_mu, want_nu = zd.shapley_backup(game, V)
+                if np.array_equal(new, V):
+                    break
+                V = new
+            assert J.tobytes() == V.tobytes()
+            for x in range(game.n_states):
+                assert mu[x].tobytes() == want_mu[x].tobytes()
+                assert nu[x].tobytes() == want_nu[x].tobytes()
 
     def test_single_action_game_is_linear_solve(self):
         rng = np.random.default_rng(30)
