@@ -425,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "width, > 0 (time-embedded game: only range-checked; it is "
                          "solved in one backward pass)")
     p_solve.add_argument("--max-iter", dest="max_iter", type=int,
-                         help="cap on Hoffman-Karp iterations")
+                         help="cap on iterations, each a Newton or Hoffman-Karp step")
 
     p_bound = sub.add_parser("bound", help="estimate dual bounds for fixed policies")
     common(p_bound)

@@ -1,10 +1,11 @@
 """Exact solving and policy analysis for dynamic zero-sum games.
 
 Covers policy-pair evaluation (a linear solve, or one backward pass over
-the periods of a time-embedded game), equilibria by Hoffman–Karp policy
-iteration stopped on a certified best-response interval (Shapley sweeps
-solve the stage games on the one-step lookahead; a time-embedded game takes
-one backward pass over its periods), best responses to a fixed opponent
+the periods of a time-embedded game), equilibria by Newton steps
+safeguarded by Hoffman–Karp policy iteration, stopped on a certified
+best-response interval (Shapley sweeps solve the stage games on the
+one-step lookahead; a time-embedded game takes one backward pass over its
+periods), best responses to a fixed opponent
 (Howard policy iteration, Newton residual-correction steps, then
 ``games.lookahead`` sweeps to a float fixed point; on a time-embedded
 view, backward induction over its periods and one confirming sweep), the
@@ -18,8 +19,9 @@ block's stage games in one ``matrix_games.solve_many`` call, reading the
 block without a copy, and sums each row's onward value in list order
 (``games.list_sum``); an induced chain is one ``np.bincount`` over all
 blocks, and a time-embedded pair one ``np.bincount`` per period over the
-same entries. Hoffman–Karp builds its views from the sweep's stacked stage
-strategies directly (``games.fix_rows``).
+same entries. A Newton step evaluates, and a Hoffman–Karp step fixes, the
+sweep's stacked stage strategies directly (``_pair_entries``,
+``games.fix_rows``).
 """
 
 from __future__ import annotations
@@ -75,22 +77,26 @@ class UnboundedValue(RuntimeError):
 # Policy-pair evaluation
 
 
-def _pair_entries(
-    model: GameModel, mu: MixedPolicy, nu: MixedPolicy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The successor-list entries of a valid policy pair, each as its key
+def _pair_entries(model: GameModel, parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The successor-list entries of a policy pair given as stacked rows,
+    unchecked: each triple ``(block, y, z)`` of ``parts`` holds the ``(k, A)``
+    and ``(k, B)`` vectors of the block's states. Each entry comes as its key
     ``state * n + succ`` and its weight ``y[u] z[v] p``, the probability of
-    the move, and the expected stage-cost vector: one ``matmul`` per block
-    for the costs."""
+    the move, next to the expected stage-cost vector: one ``matmul`` per
+    block for the costs. States no block holds keep cost 0 and no entry."""
     n = model.n_states
     G = np.zeros(n)
     key, weight = [], []
-    stacked = zip(model.blocks, block_rows(model, mu, PLAYER_A), block_rows(model, nu, PLAYER_B))
-    for b, y, z in stacked:
+    for b, y, z in parts:
         key.append((b.states[:, None, None, None] * n + b.succ).ravel())
         weight.append((y[:, :, None, None] * z[:, None, :, None] * b.transition).ravel())
         G[b.states] = ((y[:, None] @ b.cost) @ z[:, :, None])[:, 0, 0]
     return np.concatenate(key), np.concatenate(weight), G
+
+
+def _pair_rows(model: GameModel, mu: MixedPolicy, nu: MixedPolicy):
+    """The blocks of ``model`` with the stacked rows of ``mu`` and ``nu``."""
+    return zip(model.blocks, block_rows(model, mu, PLAYER_A), block_rows(model, nu, PLAYER_B))
 
 
 def induced_chain(
@@ -99,7 +105,7 @@ def induced_chain(
     """Transition matrix and expected stage-cost vector of a valid policy
     pair: one ``np.bincount`` over the successor lists of all blocks."""
     n = model.n_states
-    key, weight, G = _pair_entries(model, mu, nu)
+    key, weight, G = _pair_entries(model, _pair_rows(model, mu, nu))
     P = np.bincount(key, weight, minlength=n * n)
     return P.reshape(n, n), G
 
@@ -120,20 +126,26 @@ def evaluate_policy_pair(
     check_policy(model, nu, PLAYER_B)
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before evaluating policies")
+    return _pair_values(model, _pair_rows(model, mu, nu))
+
+
+def _pair_values(model: GameModel, parts) -> np.ndarray:
+    """``evaluate_policy_pair`` on a pair given as stacked rows, unchecked
+    (``_pair_entries``); the absorbing state's rows may be left out."""
+    key, weight, G = _pair_entries(model, parts)
     if model.horizon is not None:
-        J = _backward_pair(model, *_pair_entries(model, mu, nu))
-        J.setflags(write=False)
-        return J
-    P, G = induced_chain(model, mu, nu)
-    a = model.absorbing
-    if a is not None and not absorbing_reachable(P, a):
-        raise ImproperPair(
-            "induced chain does not reach the absorbing state from every state"
-        )
-    try:
-        J = _solve_chain(P, G, regime_alpha(model.regime), a)
-    except np.linalg.LinAlgError as exc:
-        raise ImproperPair(f"singular evaluation system: {exc}") from exc
+        J = _backward_pair(model, key, weight, G)
+    else:
+        n, a = model.n_states, model.absorbing
+        P = np.bincount(key, weight, minlength=n * n).reshape(n, n)
+        if a is not None and not absorbing_reachable(P, a):
+            raise ImproperPair(
+                "induced chain does not reach the absorbing state from every state"
+            )
+        try:
+            J = _solve_chain(P, G, regime_alpha(model.regime), a)
+        except np.linalg.LinAlgError as exc:
+            raise ImproperPair(f"singular evaluation system: {exc}") from exc
     J.setflags(write=False)
     return J
 
@@ -193,7 +205,7 @@ def _stage_groups(model: GameModel) -> list[Block]:
 
 def _sweep(model: GameModel, groups: list[Block], values: np.ndarray, new=None):
     """Shapley operator on ``values``: the new values, written group by group
-    into ``new`` (a fresh array by default), per group the states with their
+    into ``new`` (a fresh array by default), per group the block with its
     stage games' row and column strategies, and the largest exploitability
     gap ``max(R z) - min(y R)`` of a stage solution, which bounds the error
     of a new value. With ``new`` the array ``values`` itself, each group
@@ -204,40 +216,43 @@ def _sweep(model: GameModel, groups: list[Block], values: np.ndarray, new=None):
     for b in groups:
         stage = b.cost + alpha * list_sum(b.transition, values[b.succ])
         new[b.states], rows, cols = matrix_games.solve_many(stage)
-        strategies.append((b.states, rows, cols))
+        strategies.append((b, rows, cols))
         gaps = (np.einsum("iuv,iv->iu", stage, cols).max(axis=1)
                 - np.einsum("iu,iuv->iv", rows, stage).min(axis=1))
         gap = max(gap, float(gaps.max()))
     return new, strategies, gap
 
 
+def _with_absorbing(model: GameModel, strategies) -> list:
+    """One sweep's ``(block, rows, cols)`` stage strategies, with the
+    absorbing state's own row block playing uniformly."""
+    a = model.absorbing
+    if a is None:
+        return strategies
+    b = next(b for b in model.blocks if a in b.states)
+    uniform = [np.ones((1, c)) / c for c in b.succ.shape[1:3]]
+    for u in uniform:
+        u.setflags(write=False)
+    return [*strategies, (take_rows(b, b.states == a), *uniform)]
+
+
 def _stage_policies(model: GameModel, strategies) -> tuple[MixedPolicy, MixedPolicy]:
     """The policy pair of one sweep, as row views of the stage solutions;
     the absorbing state plays uniformly."""
-    a = model.absorbing
-    if a is not None:
-        uniform = [np.ones((1, c)) / c for c in (model.actions_a[a], model.actions_b[a])]
-        for u in uniform:
-            u.setflags(write=False)
-        strategies = [*strategies, (np.array([a]), *uniform)]
-    return tuple(  # each strategy is (states, rows, cols)
-        MixedPolicy(by_state(model.n_states, [(g[0], g[k]) for g in strategies]))
+    strategies = _with_absorbing(model, strategies)
+    return tuple(
+        MixedPolicy(by_state(model.n_states, [(s[0].states, s[k]) for s in strategies]))
         for k in (1, 2)
     )
 
 
-def _stage_view(model: GameModel, groups: list[Block], strategies, fixed_player: str) -> MdpView:
+def _stage_view(model: GameModel, strategies, fixed_player: str) -> MdpView:
     """``fix_player`` on one sweep's stage strategies of ``fixed_player``,
     built from their stacked rows without a check; the absorbing state plays
     uniformly."""
     k = 1 if fixed_player == PLAYER_A else 2
-    parts = [(b, s[k]) for b, s in zip(groups, strategies)]
-    a = model.absorbing
-    if a is not None:
-        b = next(b for b in model.blocks if a in b.states)
-        c = b.succ.shape[k]
-        parts.append((take_rows(b, b.states == a), np.ones((1, c)) / c))
-    return fix_rows(model, parts, fixed_player)
+    return fix_rows(model, [(s[0], s[k]) for s in _with_absorbing(model, strategies)],
+                    fixed_player)
 
 
 def shapley_backup(
@@ -257,15 +272,20 @@ def shapley_value_iteration(
 ) -> tuple[np.ndarray, MixedPolicy, MixedPolicy]:
     """Equilibrium value function and per-state equilibrium strategies.
 
-    Infinite horizon: Hoffman–Karp policy iteration. Each iteration solves
-    the stage games at ``V`` (one Shapley sweep) and sets ``V`` to B's exact
-    best response to A's stage strategies ``mu``. The solve returns B's
-    response to ``mu`` once A's response to ``nu`` lies at most ``tol``
-    (> 0) above it at every state; ``NoConvergence`` names the width reached
-    if the sweep residual sinks to rounding noise first. ``max_iter`` caps
-    the Hoffman–Karp iterations only. A time-embedded game takes one
-    backward pass, its stage games period by period, the last first, each
-    reading the next period's final values; ``tol`` is only range-checked.
+    Infinite horizon: each iteration solves the stage games at ``V`` (one
+    Shapley sweep), then tries a Newton step (Pollatschek and Avi-Itzhak
+    1969): the exact value of the stage strategy pair becomes ``V`` if a
+    sweep there halves the residual ``max |TV - V|``, which near the
+    solution then falls quadratically. Newton steps alone may not converge,
+    so otherwise, or if the pair's chain is improper, a Hoffman–Karp step
+    sets ``V`` to B's exact best response to A's stage strategies ``mu``.
+    The solve returns B's response to ``mu`` once A's response to ``nu``
+    lies at most ``tol`` (> 0) above it at every state; ``NoConvergence``
+    names the width reached if the residual sinks to rounding noise first.
+    ``max_iter`` caps the iterations of either kind. A time-embedded game
+    takes one backward pass, its stage games period by period, the last
+    first, each reading the next period's final values; ``tol`` is only
+    range-checked.
     """
     if isinstance(model.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon game before solving")
@@ -281,17 +301,17 @@ def shapley_value_iteration(
         return (V, *_stage_policies(model, strategies))
     if tol == 0.0:
         raise ValueError("tol must be positive: it is the certified interval width")
+    swept = _sweep(model, groups, V)
     for _ in range(max_iter):
-        TV, strategies, gap = _sweep(model, groups, V)
+        TV, strategies, gap = swept
         residual = float(np.abs(TV - V).max())
         # No iteration can push the residual below the stage solutions' own
         # error or a few ulps of the values.
         floor = max(gap, 4.0 * np.finfo(float).eps * float(np.abs(TV).max()))
-        view = _stage_view(model, groups, strategies, PLAYER_A)
         if residual <= max(tol, floor):
-            lo, _ = solve_view(view, tol=0.0)
+            lo, _ = solve_view(_stage_view(model, strategies, PLAYER_A), tol=0.0)
             try:
-                up, _ = solve_view(_stage_view(model, groups, strategies, PLAYER_B), tol=0.0)
+                up, _ = solve_view(_stage_view(model, strategies, PLAYER_B), tol=0.0)
                 width = float((up - lo).max())
             except UnboundedValue:
                 width = np.inf
@@ -302,7 +322,19 @@ def shapley_value_iteration(
                     f"residual {residual:.3e} is rounding noise; "
                     f"certified width {width:.3e} > tol {tol:.3e}", width
                 )
-        V = _howard(view)
+        # Newton step: the exact value of the stage pair, kept if its sweep
+        # halves the residual.
+        try:
+            J = _pair_values(model, strategies)
+        except ImproperPair:
+            pass
+        else:
+            swept = _sweep(model, groups, J)
+            if float(np.abs(swept[0] - J).max()) < residual / 2:
+                V = J
+                continue
+        V = _howard(_stage_view(model, strategies, PLAYER_A))
+        swept = _sweep(model, groups, V)
     raise NoConvergence(
         f"no convergence within {max_iter} iterations (last residual {residual:.3e})",
         residual,
@@ -531,15 +563,16 @@ def naive_policy_iteration(
     recs = [PolicyIterationRound(mu=mu, nu=nu, values=J)]
     deltas: list[float] = []
     failure = None
+    groups = _stage_groups(model)
     for k in range(rounds):
-        _, mu_new, nu_new = shapley_backup(model, J)
+        _, strategies, _ = _sweep(model, groups, J)
         try:
-            J_new = evaluate_policy_pair(model, mu_new, nu_new)
+            J_new = _pair_values(model, strategies)
         except ImproperPair as exc:
             failure = f"round {k + 1}: {exc}"
             break
         deltas.append(float(np.abs(J_new - J).max()))
-        mu, nu, J = mu_new, nu_new, J_new
+        (mu, nu), J = _stage_policies(model, strategies), J_new
         recs.append(PolicyIterationRound(mu=mu, nu=nu, values=J))
     converged = failure is None and bool(deltas) and deltas[-1] <= tol
     return PolicyIterationTrace(

@@ -762,8 +762,8 @@ def stage_policies_by_state(model: GameModel, strategies) -> tuple[MixedPolicy, 
 
     mu_vecs = [np.ones(a) / a for a in model.actions_a]
     nu_vecs = [np.ones(b) / b for b in model.actions_b]
-    for states, rows, cols in strategies:
-        for i, y, z in zip(states, rows, cols):
+    for b, rows, cols in strategies:
+        for i, y, z in zip(b.states, rows, cols):
             mu_vecs[i] = y
             nu_vecs[i] = z
     return make_policy(mu_vecs), make_policy(nu_vecs)

@@ -7,6 +7,8 @@ import pytest
 import zsgdual as zd
 from zsgdual import cli, experiments
 
+from oracles import random_sparse_ssp_game
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -150,6 +152,18 @@ class TestSolveCommand:
         code, out, err = run(capsys, "solve", "--game", "builtin:waste,N=3")
         assert code == 1
         assert out == "" and err.startswith("solver failure: simplex")
+
+    def test_unbounded_game_file_exits_1(self, capsys, tmp_path):
+        # State 0 of this sparse game cannot reach the absorbing state, so
+        # its stage pair is improper and the fallback best response finds an
+        # infinite value after one sweep.
+        rng = np.random.default_rng(0)
+        n, a = int(rng.integers(3, 25)), int(rng.integers(2, 5))
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(zd.game_to_dict(random_sparse_ssp_game(rng, n, a))))
+        code, out, err = run(capsys, "solve", "--game", f"file:{path}")
+        assert code == 1
+        assert out == "" and err.startswith("solver failure: state 0 cannot reach")
 
 
 class TestBoundCommand:

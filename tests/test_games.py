@@ -6,7 +6,9 @@ import pytest
 
 import zsgdual as zd
 from zsgdual.games import SIMPLEX_TOL
-from zsgdual.solvers import _stage_groups, _stage_policies, _stage_view, _sweep, induced_chain
+from zsgdual.solvers import (
+    _pair_values, _stage_groups, _stage_policies, _stage_view, _sweep, induced_chain,
+)
 
 try:
     from numpy.lib.array_utils import byte_bounds
@@ -560,7 +562,7 @@ class TestBlockLayout:
             # Hoffman-Karp's views of the stage strategies skip the policy
             # check and the restacking, not a bit of the view.
             for policy, player in zip(got, (zd.PLAYER_A, zd.PLAYER_B)):
-                view = _stage_view(model, groups, strategies, player)
+                view = _stage_view(model, strategies, player)
                 want_view = fix_player_by_state(model, policy, player)
                 assert np.array_equal(view.n_actions, want_view.n_actions)
                 assert np.array_equal(view.cost, want_view.cost)
@@ -569,9 +571,13 @@ class TestBlockLayout:
                 assert len(g) == model.n_states
                 assert all(np.array_equal(x, y) for x, y in zip(g.probs, w.probs))
                 assert not any(v.flags.writeable for v in g.probs)
-            for states, rows, cols in strategies:  # row views, not copies
-                assert all(np.shares_memory(got[0][i], rows) for i in states)
-                assert all(np.shares_memory(got[1][i], cols) for i in states)
+            for b, rows, cols in strategies:  # row views, not copies
+                assert all(np.shares_memory(got[0][i], rows) for i in b.states)
+                assert all(np.shares_memory(got[1][i], cols) for i in b.states)
+            # The pair's value read from the stacked rows, without the
+            # absorbing state's, is the checked evaluation's, bit for bit.
+            pair = _pair_values(model, strategies)
+            assert pair.tobytes() == zd.evaluate_policy_pair(model, *got).tobytes()
 
             interleaved |= any(np.diff(b.states).max(initial=1) > 1 for b in model.blocks)
             free = np.arange(model.n_states) != model.absorbing

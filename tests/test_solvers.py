@@ -14,6 +14,7 @@ from oracles import (
     random_discounted_game,
     random_finite_game,
     random_policy,
+    random_sparse_ssp_game,
     random_ssp_game,
     rollout_pair,
     shapley_iteration,
@@ -310,6 +311,61 @@ class TestShapleyValueIteration:
     def test_max_iter_caps_iterations(self, waste3):
         with pytest.raises(zd.NoConvergence, match="within 2 iterations"):
             zd.shapley_value_iteration(waste3, tol=1e-10, max_iter=2)
+
+    @pytest.mark.parametrize("n_sites, most", [(5, 7), (10, 8)])
+    def test_newton_steps_cut_the_sweeps(self, n_sites, most, monkeypatch):
+        # Every live state has N x N actions, so a sweep is one solve_many
+        # call. Hoffman-Karp steps alone take 11 sweeps at N=5 and 10 at N=10.
+        calls = []
+        solve_many = zd.matrix_games.solve_many
+        monkeypatch.setattr(
+            zd.matrix_games, "solve_many", lambda stage: calls.append(1) or solve_many(stage)
+        )
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
+        J, mu, nu = zd.shapley_value_iteration(model, tol=1e-8)
+        assert len(calls) <= most
+        assert_certified(model, J, mu, nu, 1e-8)
+
+    def test_rejected_candidate_falls_back_to_hoffman_karp(self, monkeypatch):
+        # At V = 0 the stage pair's exact value sweeps to a residual of 2,
+        # twice the residual 1 of V itself: the step is a Hoffman-Karp one.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=5))
+        groups = solvers._stage_groups(model)
+        V = np.zeros(model.n_states)
+        TV, strategies, _ = solvers._sweep(model, groups, V)
+        J = solvers._pair_values(model, strategies)
+        TJ, _, _ = solvers._sweep(model, groups, J)
+        assert np.abs(TJ - J).max() >= np.abs(TV - V).max() / 2
+        # Count the Howard solves made outside solve_view's best responses.
+        steps, inside = [0], [False]
+        howard, solve_view = solvers._howard, solvers.solve_view
+
+        def counting_howard(view):
+            steps[0] += not inside[0]
+            return howard(view)
+
+        def flagged_solve_view(*args, **kwargs):
+            inside[0] = True
+            try:
+                return solve_view(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(solvers, "_howard", counting_howard)
+        monkeypatch.setattr(solvers, "solve_view", flagged_solve_view)
+        J, mu, nu = zd.shapley_value_iteration(model, tol=1e-8)
+        assert steps[0] >= 1
+        assert_certified(model, J, mu, nu, 1e-8)
+
+    def test_sparse_game_certifies(self):
+        # Hoffman-Karp steps alone stall here at residual 7.6e-10 and run
+        # 3,000 iterations without reaching tol.
+        rng = np.random.default_rng(8)
+        n, a = int(rng.integers(3, 25)), int(rng.integers(2, 5))
+        assert (n, a) == (18, 2)
+        model = random_sparse_ssp_game(rng, n, a)
+        J, mu, nu = zd.shapley_value_iteration(model, tol=1e-9, max_iter=50)
+        assert_certified(model, J, mu, nu, 1e-9)
 
     def test_certified_on_random_games(self):
         # Discount factors up to 0.99 leave the residual far below the
