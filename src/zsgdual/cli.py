@@ -22,6 +22,7 @@ from .games import (
     GameModel,
     MixedPolicy,
     Ssp,
+    _per_state,
     embed_finite_horizon,
     fix_player,
     game_from_dict,
@@ -42,7 +43,6 @@ SOLVER_ERRORS = (
     solvers.UnboundedValue,
     duality.PathCapExceeded,
     duality.CellBudgetExceeded,
-    duality.AbsContinuityViolation,
 )
 
 
@@ -178,11 +178,17 @@ def _resolve_q(model: GameModel, token: str) -> duality.ReferenceMeasure:
         if model.absorbing is None:
             raise InputError("reference measures apply to absorbing-state games only")
 
+        n = model.n_states
+
+        def row(entry) -> np.ndarray:
+            r = np.asarray(entry, dtype=float)
+            if r.shape != (n,):
+                raise ValueError(f"got shape {r.shape}")
+            return r
+
         def read(doc: dict) -> duality.ReferenceMeasure:
-            kernel = np.zeros((model.n_states, model.n_states))
-            for i in range(model.n_states):
-                kernel[i] = np.asarray(doc[str(i)], dtype=float)
-            return duality.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
+            rows = _per_state(model, doc, "reference measure", row, f"a list of {n} numbers")
+            return duality.ReferenceMeasure(kernel=np.array(rows), absorbing=model.absorbing)
 
         return _from_file(token[len("file:"):], "reference measure", read)
     raise InputError(f"unknown reference measure {token!r}")
@@ -206,35 +212,9 @@ def _meta_lines(metadata: dict) -> str:
     return "\n".join(lines)
 
 
-def _states_csv(states: list[experiments.StateRow]) -> str:
-    lines = ["state,label,value,strategy_a,strategy_b"]
-    for s in states:
-        a = ";".join(repr(p) for p in s.strategy_a)
-        b = ";".join(repr(p) for p in s.strategy_b)
-        lines.append(f"{s.state},{s.label},{s.value!r},{a},{b}")
-    return "\n".join(lines) + "\n"
-
-
-def _states_json(states: list[experiments.StateRow]) -> list[dict]:
-    return [s.__dict__ for s in states]
-
-
-def _result_csv(result: experiments.ExperimentResult) -> str:
-    lines = [_meta_lines(result.metadata), experiments.CSV_HEADER]
-    lines.extend(row.as_csv() for row in result.rows)
-    return "\n".join(lines) + "\n"
-
-
-def _result_json(result: experiments.ExperimentResult) -> str:
-    """The rows, states and metadata as JSON; the metadata also holds the
-    seconds each stage of the experiment took (``timings``), which the CSV
-    leaves out so that reruns stay byte-identical."""
-    doc = {
-        "metadata": {**result.metadata, "timings": result.timings, "timestamp": _timestamp()},
-        "rows": [row.__dict__ for row in result.rows],
-    }
-    if result.states:
-        doc["states"] = _states_json(result.states)
+def _json_doc(metadata: dict, **tables) -> str:
+    """A JSON document of ``metadata``, time-stamped, then each table."""
+    doc = {"metadata": {**metadata, "timestamp": _timestamp()}, **tables}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -248,15 +228,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         model, tol=args.tol, max_iter=args.max_iter
     )
     states = experiments.state_table(model, values, mu, nu)
-    table = _states_csv(states)
+    table = experiments.csv_table(experiments.StateRow, states)
     if args.out:
         if args.format == "json":
-            doc = {
-                "metadata": {"game": args.game, "tol": args.tol,
-                             "timestamp": _timestamp()},
-                "states": _states_json(states),
-            }
-            _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+            meta = {"game": args.game, "tol": args.tol}
+            _write_text(args.out, _json_doc(meta, states=[vars(s) for s in states]))
         else:
             _write_text(args.out, table)
         print(f"wrote {args.out}")
@@ -266,6 +242,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    """Dual bounds of the fixed policies on one draw. ``estimate_dual_bounds``
+    checks every pair first, absolute continuity against ``q`` included, so
+    a ``q`` that misses a move of either view exits 2 before any output."""
     solvers.check_tol(args.tol)  # also when no `optimal` policy reads it
     model = _resolve_game(args.game)
     fixed_tokens = _parse_fix(args.fix or [])
@@ -305,12 +284,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
         view = fix_player(model, policies[player], player)
         h = solvers.solve_view(view, tol=0.0)[0] if shared is None else shared
         pairs.append((view, h))
-        bad = duality.validate_abs_continuity(view, q) if is_ssp else []
-        if bad:
-            raise InputError(
-                f"reference measure fails absolute continuity at "
-                f"{len(bad)} transitions, first (state, action, next) = {bad[0]}"
-            )
     ests = duality.estimate_dual_bounds(pairs, args.n, args.seed, q=q, keep_values=True)
     reports = list(zip(sides, ests))
     for bound_side, est in reports:
@@ -323,15 +296,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
         meta = {"game": args.game, "h": args.h, "n": args.n, "seed": args.seed,
                 "fix": ",".join(f"{k}={v}" for k, v in sorted(fixed_tokens.items()))}
         if args.format == "json":
-            doc = {
-                "metadata": {**meta, "timestamp": _timestamp()},
-                "bounds": {
-                    name: {"mean": est.mean, "standard_error": est.standard_error,
-                           "n_scenarios": est.n_scenarios, "seed": est.seed}
-                    for name, est in reports
-                },
+            bounds = {
+                name: {"mean": est.mean, "standard_error": est.standard_error,
+                       "n_scenarios": est.n_scenarios, "seed": est.seed}
+                for name, est in reports
             }
-            _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+            _write_text(args.out, _json_doc(meta, bounds=bounds))
         else:
             lines = [_meta_lines(meta), "side,mean,se,n,seed"]
             lines.extend(
@@ -373,12 +343,19 @@ def cmd_repro(args: argparse.Namespace) -> int:
         return EXIT_RUNTIME
 
     if args.format == "json":
-        _write_text(args.out, _result_json(result))
+        # The metadata also holds the seconds each stage of the experiment
+        # took, which the CSV leaves out so that reruns stay byte-identical.
+        tables = {"rows": [vars(row) for row in result.rows]}
+        if result.states:
+            tables["states"] = [vars(s) for s in result.states]
+        meta = {**result.metadata, "timings": result.timings}
+        _write_text(args.out, _json_doc(meta, **tables))
     else:
-        _write_text(args.out, _result_csv(result))
+        rows = experiments.csv_table(experiments.ExperimentRow, result.rows)
+        _write_text(args.out, f"{_meta_lines(result.metadata)}\n{rows}")
         if result.states:
             side = str(Path(args.out).with_name(Path(args.out).stem + "_states.csv"))
-            _write_text(side, _states_csv(result.states))
+            _write_text(side, experiments.csv_table(experiments.StateRow, result.states))
             print(f"wrote {side}")
     print(f"wrote {args.out}")
     for row in result.rows:
@@ -535,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError("repro requires --out")
         handler = {"solve": cmd_solve, "bound": cmd_bound, "repro": cmd_repro}
         return handler[args.command](args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, duality.AbsContinuityViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SOLVER_ERRORS as exc:

@@ -602,8 +602,8 @@ class _SspInner:
         bad = _unsupported(self.moves, view.absorbing, q)
         if bad:
             raise AbsContinuityViolation(
-                f"{len(bad)} reachable transitions carry no q-mass, "
-                f"first at (state, action, next) = {bad[0]}"
+                f"reference measure fails absolute continuity at {len(bad)} "
+                f"transitions, first (state, action, next) = {bad[0]}"
             )
         self.h = h
         self.kernel = view.kernel

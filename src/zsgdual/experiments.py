@@ -6,18 +6,13 @@ for CSV/JSON export. The CLI's repro command is a thin wrapper around these.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from math import isfinite
 
 import numpy as np
 
 from . import builtin_games, duality, solvers
 from .games import PLAYER_A, PLAYER_B, GameModel, fix_player
-
-CSV_HEADER = (
-    "k,pair_value,br_lower,br_upper,dual_lower,dual_lower_se,"
-    "dual_upper,dual_upper_se,status"
-)
 
 # Absolute rounding allowance of the sandwich check.
 CONSISTENCY_SLACK = 1e-9
@@ -37,20 +32,6 @@ class ExperimentRow:
     dual_upper_se: float
     status: str = "ok"
 
-    def as_csv(self) -> str:
-        cells = [
-            str(self.k),
-            repr(self.pair_value),
-            repr(self.br_lower),
-            repr(self.br_upper),
-            repr(self.dual_lower),
-            repr(self.dual_lower_se),
-            repr(self.dual_upper),
-            repr(self.dual_upper_se),
-            self.status,
-        ]
-        return ",".join(cells)
-
 
 @dataclass(frozen=True)
 class StateRow:
@@ -61,6 +42,29 @@ class StateRow:
     value: float
     strategy_a: tuple[float, ...]
     strategy_b: tuple[float, ...]
+
+
+def csv_table(kind: type, records) -> str:
+    """CSV text of dataclass ``records`` of type ``kind``: a header line of
+    its field names, then one line per record (``_cell``). Fields are read
+    with ``getattr``: ``astuple`` would deep-copy every record."""
+    names = [f.name for f in fields(kind)]
+    lines = [",".join(names)]
+    lines.extend(",".join(_cell(getattr(r, name)) for name in names) for r in records)
+    return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    """A CSV cell: a string as it is, a tuple's floats' ``repr``s joined by
+    ``;``, the ``repr`` of anything else."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ";".join(map(repr, value))
+    return repr(value)
+
+
+CSV_HEADER = csv_table(ExperimentRow, []).rstrip()
 
 
 @dataclass

@@ -787,31 +787,38 @@ def load_game(path: str) -> GameModel:
         return game_from_dict(json.load(f))
 
 
-def policy_from_dict(model: GameModel, player: str, d: dict) -> MixedPolicy:
-    """Policy file format: JSON object mapping state index -> probability array."""
-    vecs = []
+def _per_state(model: GameModel, doc, what: str, parse, expected: str) -> list:
+    """``parse`` of each state's entry of a per-state JSON document, in state
+    order: ``doc`` must be an object whose key ``str(i)`` holds state ``i``'s
+    entry. ValueError, naming the ``what`` file, when it is not an object;
+    else naming the first state it lacks or whose entry ``parse`` rejects."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {what} file must hold a JSON object, got {type(doc).__name__}")
+    out = []
     for i in range(model.n_states):
-        key = str(i)
-        if key not in d:
-            raise ValueError(f"policy file missing state {i}")
+        if str(i) not in doc:
+            raise ValueError(f"{what} file missing state {i}")
         try:
-            vecs.append(np.asarray(d[key], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"policy file state {i}: not a list of numbers: {exc}") from exc
-    policy = make_policy(vecs)
+            out.append(parse(doc[str(i)]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{what} file state {i}: not {expected}: {exc}") from exc
+    return out
+
+
+def policy_from_dict(model: GameModel, player: str, d: dict) -> MixedPolicy:
+    """Policy file format: a JSON object mapping each state index, as a
+    string, to ``player``'s probability array there. ValueError names the
+    first missing or unreadable state (``_per_state``), or the vector that
+    ``check_policy`` rejects."""
+    policy = make_policy(_per_state(
+        model, d, "policy", lambda v: np.asarray(v, dtype=float), "a list of numbers"
+    ))
     check_policy(model, policy, player)
     return policy
 
 
 def values_from_dict(model: GameModel, d: dict) -> np.ndarray:
-    """Generator/value file format: JSON object mapping state index -> real."""
-    out = np.zeros(model.n_states)
-    for i in range(model.n_states):
-        key = str(i)
-        if key not in d:
-            raise ValueError(f"value file missing state {i}")
-        try:
-            out[i] = float(d[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"value file state {i}: not a number: {exc}") from exc
-    return out
+    """Generator/value file format: a JSON object mapping each state index,
+    as a string, to a real. ValueError when ``d`` is not an object, or names
+    the first state it lacks or whose entry is not a number."""
+    return np.array(_per_state(model, d, "value", float, "a number"))

@@ -99,17 +99,6 @@ def _pair_rows(model: GameModel, mu: MixedPolicy, nu: MixedPolicy):
     return zip(model.blocks, block_rows(model, mu, PLAYER_A), block_rows(model, nu, PLAYER_B))
 
 
-def induced_chain(
-    model: GameModel, mu: MixedPolicy, nu: MixedPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transition matrix and expected stage-cost vector of a valid policy
-    pair: one ``np.bincount`` over the successor lists of all blocks."""
-    n = model.n_states
-    key, weight, G = _pair_entries(model, _pair_rows(model, mu, nu))
-    P = np.bincount(key, weight, minlength=n * n)
-    return P.reshape(n, n), G
-
-
 def evaluate_policy_pair(
     model: GameModel, mu: MixedPolicy, nu: MixedPolicy
 ) -> np.ndarray:

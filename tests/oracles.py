@@ -744,7 +744,8 @@ def fix_player_by_state(model: GameModel, fixed: MixedPolicy, fixed_player: str)
 def induced_chain_by_state(
     model: GameModel, mu: MixedPolicy, nu: MixedPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``solvers.induced_chain`` one state at a time."""
+    """Transition matrix and expected stage-cost vector of a policy pair,
+    one state at a time."""
     n = model.n_states
     P = np.zeros((n, n))
     G = np.zeros(n)

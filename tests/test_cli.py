@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -379,6 +380,49 @@ class TestBoundCommand:
         assert "finite" in err
         assert "mean=" not in out
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("3"), "reference measure file missing state 3"),
+        (lambda doc: doc["2"].pop(), "reference measure file state 2: not a list of 7 numbers"),
+        (lambda doc: doc.update({"0": {"1": 1.0}}),
+         "reference measure file state 0: not a list of 7 numbers"),
+    ], ids=["missing-state", "short-row", "object-entry"])
+    def test_malformed_reference_measure_names_the_state(self, capsys, tmp_path, edit, message):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
+        kernel = zd.make_uniform_reference(model).kernel.tolist()
+        doc = {str(i): row for i, row in enumerate(kernel)}
+        edit(doc)
+        qpath = tmp_path / "q.json"
+        qpath.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:waste,N=2", "--fix", "B=uniform",
+            "--q", f"file:{qpath}", "--n", "50",
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--fix", "--h"])
+    def test_list_policy_or_value_file_exits_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "list.json"
+        path.write_text("[[1.0], [1.0], [1.0], [1.0]]")
+        fix, h = (f"B=file:{path}", "zero") if flag == "--fix" else ("B=uniform", f"file:{path}")
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:matrix2p", "--fix", fix, "--h", h,
+            "--n", "100",
+        )
+        assert (code, out) == (2, "")
+        assert "must hold a JSON object, got list" in err
+
+    def test_value_past_the_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text('{"0": 1' + "0" * 400 + ', "1": 0, "2": 0, "3": 0}')
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:matrix2p", "--fix", "B=uniform",
+            "--h", f"file:{path}", "--n", "100",
+        )
+        assert (code, out) == (2, "")
+        assert "value file state 0: not a number: int too large" in err
+
     def test_both_sides_checked_before_any_estimate(self, capsys, tmp_path):
         # A pure A policy: q covers every move of the lower view but misses
         # moves of A's other sites in the upper view, so nothing is printed.
@@ -548,6 +592,39 @@ class TestReproCommand:
         assert doc["metadata"]["seed"] == 2
         assert len(doc["rows"]) == 2
         assert len(doc["states"]) == 4
+
+    def test_csv_tables_carry_the_json_records(self, capsys, tmp_path):
+        # One writer for both record types: the header is the field names,
+        # a float cell reads back to the JSON value bit for bit, and a tuple
+        # cell is its floats joined by ';'.
+        argv = ["repro", "matrix-game", "--n", "500", "--seed", "3"]
+        csv_path, json_path = tmp_path / "m.csv", tmp_path / "m.json"
+        assert run(capsys, *argv, "--out", str(csv_path))[0] == 0
+        assert run(capsys, *argv, "--format", "json", "--out", str(json_path))[0] == 0
+        doc = json.loads(json_path.read_text())
+        rows_text = [l for l in csv_path.read_text().splitlines() if not l.startswith("#")]
+        states_text = (tmp_path / "m_states.csv").read_text().splitlines()
+        for kind, lines, records in (
+            (experiments.ExperimentRow, rows_text, doc["rows"]),
+            (experiments.StateRow, states_text, doc["states"]),
+        ):
+            names = [f.name for f in dataclasses.fields(kind)]
+            assert lines[0].split(",") == names
+            assert len(lines) == len(records) + 1
+            for line, record in zip(lines[1:], records):
+                assert list(record) == names
+                for cell, value in zip(line.split(","), record.values()):
+                    if isinstance(value, str):
+                        assert cell == value
+                    elif isinstance(value, list):
+                        got = [float(c) for c in cell.split(";")]
+                        assert np.array_equal(np.array(got).view(np.uint64),
+                                              np.array(value, dtype=float).view(np.uint64))
+                    elif isinstance(value, int):
+                        assert int(cell) == value
+                    else:
+                        assert np.float64(float(cell)).view(np.uint64) == \
+                            np.float64(value).view(np.uint64)
 
     @pytest.mark.parametrize("argv, keys", [
         (["matrix-game", "--n", "200"], {"solve", "bounds"}),

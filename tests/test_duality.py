@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -1057,7 +1058,11 @@ class TestSharedDraw:
         q_bad = zd.ReferenceMeasure(kernel=absorb_only, absorbing=waste3.absorbing)
         with pytest.raises(ValueError, match="one value per state"):
             zd.estimate_dual_bounds([(good, h), (good, h[:-1])], 50, seed=1, q=q)
-        with pytest.raises(zd.AbsContinuityViolation):
+        bad = zd.validate_abs_continuity(good, q_bad)
+        with pytest.raises(zd.AbsContinuityViolation, match=re.escape(
+            f"reference measure fails absolute continuity at {len(bad)} "
+            f"transitions, first (state, action, next) = {bad[0]}"
+        )):
             zd.estimate_dual_bounds([(good, h), (good, h)], 50, seed=1, q=q_bad)
         with pytest.raises(ValueError, match="non-absorbing"):
             zd.estimate_dual_bounds([(good, h), (good, h)], 50, seed=1, q=q, x0=-1)

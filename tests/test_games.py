@@ -7,7 +7,8 @@ import pytest
 import zsgdual as zd
 from zsgdual.games import SIMPLEX_TOL
 from zsgdual.solvers import (
-    _pair_values, _stage_groups, _stage_policies, _stage_view, _sweep, induced_chain,
+    _pair_entries, _pair_rows, _pair_values, _stage_groups, _stage_policies, _stage_view,
+    _sweep,
 )
 
 try:
@@ -549,7 +550,11 @@ class TestBlockLayout:
                 assert np.array_equal(got.n_actions, want.n_actions)
                 assert np.array_equal(got.cost, want.cost)
                 assert np.array_equal(got.kernel, want.kernel)
-            for got, want in zip(induced_chain(model, mu, nu), induced_chain_by_state(model, mu, nu)):
+            # The successor lists scatter into the dense chain bit for bit.
+            n = model.n_states
+            key, weight, G = _pair_entries(model, _pair_rows(model, mu, nu))
+            P = np.bincount(key, weight, minlength=n * n).reshape(n, n)
+            for got, want in zip((P, G), induced_chain_by_state(model, mu, nu)):
                 assert np.array_equal(got, want)
 
             values = rng.uniform(-5.0, 5.0, model.n_states)

@@ -11,6 +11,7 @@ from zsgdual.games import lookahead
 from oracles import (
     finite_backward_induction,
     finite_forward_value,
+    induced_chain_by_state,
     random_discounted_game,
     random_finite_game,
     random_policy,
@@ -129,7 +130,7 @@ class TestTimeEmbeddedModels:
             nu = random_policy(rng, raw, zd.PLAYER_B)
             mu_e, nu_e = lift(emb, mu), lift(emb, nu)
             J = zd.evaluate_policy_pair(emb, mu_e, nu_e)
-            P, G = solvers.induced_chain(emb, mu_e, nu_e)
+            P, G = induced_chain_by_state(emb, mu_e, nu_e)
             lu = solvers._solve_chain(P, G, 1.0, emb.absorbing)
             scale = np.abs(lu).max()
             np.testing.assert_allclose(J, lu, rtol=1e-13, atol=1e-13 * scale)
