@@ -745,7 +745,7 @@ def _tensors(d: dict, key: str) -> list[np.ndarray]:
         raise ValueError(f"{key} must be a list of per-state tensors")
     try:
         return [np.asarray(t, dtype=float) for t in d[key]]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key} holds a ragged or non-numeric tensor: {exc}") from exc
 
 

@@ -68,6 +68,15 @@ class TestSolveCommand:
         assert (code, out) == (2, "")
         assert "transition must be a list of per-state tensors" in err
 
+    def test_cost_past_the_float_range_exits_2(self, capsys, tmp_path):
+        doc = zd.game_to_dict(zd.build_two_period_matrix_game())
+        doc["cost"][0][0][0] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--game", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert "cost holds a ragged or non-numeric tensor: int too large" in err
+
     def test_non_object_regime_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "solve", "--game", waste2_file(tmp_path, regime=5))
         assert (code, out) == (2, "")

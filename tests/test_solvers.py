@@ -327,6 +327,48 @@ class TestShapleyValueIteration:
         assert len(calls) <= most
         assert_certified(model, J, mu, nu, 1e-8)
 
+    @pytest.mark.parametrize("n_sites, tol, sweeps", [(5, 1e-8, 6), (20, 1e-7, 7)])
+    def test_one_certificate_per_solve(self, n_sites, tol, sweeps, monkeypatch):
+        # The certificate (two solve_view calls) waits while the Newton step
+        # still moves V by more than tol, so the first one succeeds; a
+        # Hoffman-Karp value equal to the rejected candidate reuses its sweep.
+        calls = {"_sweep": 0, "solve_view": 0}
+
+        def counted(name):
+            f = getattr(solvers, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solvers, name, counted(name))
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
+        J, mu, nu = zd.shapley_value_iteration(model, tol=tol)
+        assert calls == {"_sweep": sweeps, "solve_view": 2}
+        monkeypatch.undo()
+        assert_certified(model, J, mu, nu, tol)
+
+    def test_no_certificate_waits_without_progress(self, monkeypatch):
+        # Shifted by 1, every Newton candidate fails the halving test, so a
+        # deferred certificate must run at once: the solve then takes the
+        # 11 iterations of Hoffman-Karp steps alone, where a certificate
+        # that waited for the rounding-noise floor would take 14.
+        pair_values = solvers._pair_values
+        monkeypatch.setattr(
+            solvers, "_pair_values", lambda model, parts: pair_values(model, parts) + 1.0
+        )
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=3))
+        J, mu, nu = zd.shapley_value_iteration(model, tol=1e-8, max_iter=11)
+        assert_certified(model, J, mu, nu, 1e-8)
+        for seed, error in [(4, zd.UnboundedValue), (10, zd.NoConvergence),
+                            (37, zd.NoConvergence)]:
+            rng = np.random.default_rng(seed)
+            n, a = int(rng.integers(3, 25)), int(rng.integers(2, 5))
+            with pytest.raises(error):
+                zd.shapley_value_iteration(random_sparse_ssp_game(rng, n, a), tol=1e-8)
+
     def test_rejected_candidate_falls_back_to_hoffman_karp(self, monkeypatch):
         # At V = 0 the stage pair's exact value sweeps to a residual of 2,
         # twice the residual 1 of V itself: the step is a Hoffman-Karp one.
