@@ -51,12 +51,13 @@ that shares the seed (and, for reference paths, ``q`` and the start), and
 each of its estimates is bit for bit the one a separate call returns.
 
 A reference path is drawn only up to its first *stop*: a transition
-``x -> y`` of ``q`` that no action of the view can make. Every likelihood
-ratio of that step is 0, so its value is ``opt(lookahead(view, h)[x] +
-0.0)`` whatever path follows. The inner recursion starts from a zero
-continuation after a path's last drawn step, so a stopped path has, bit for
-bit, the value of the same path drawn on to absorption. Pairs that share a
-draw stop only where every one of them stops.
+``x -> y`` of ``q`` that no action of the view can make (``MdpView.moves``,
+the one move predicate here). Every likelihood ratio of that step is 0, so
+its value is ``opt(lookahead(view, h)[x] + 0.0)`` whatever path follows.
+The inner recursion starts from a zero continuation after a path's last
+drawn step, so a stopped path has, bit for bit, the value of the same path
+drawn on to absorption. Pairs that share a draw stop only where every one
+of them stops.
 
 Each step of a path is an inverse-CDF draw from its row of ``q``, found by
 a guide table built once per ``ReferenceMeasure`` (``_GuideTable``): the
@@ -459,22 +460,14 @@ def make_uniform_reference(model: GameModel) -> ReferenceMeasure:
 def validate_abs_continuity(
     view: MdpView, q: ReferenceMeasure
 ) -> list[tuple[int, int, int]]:
-    """All (state, action, next) where the view moves but q puts no mass,
-    in index order."""
-    return _unsupported(view.kernel > 0.0, view.absorbing, q)
-
-
-def _unsupported(
-    moves: np.ndarray, absorbing: int | None, q: ReferenceMeasure
-) -> list[tuple[int, int, int]]:
-    """``validate_abs_continuity`` of the view's nonzero slots ``moves``; a
-    q with no zero outside the absorbing row needs no pass over them."""
+    """All (state, action, next) where the view moves (``MdpView.moves``)
+    but q puts no mass, in index order; a q without such zeros needs no pass."""
     zero = q.kernel == 0.0
-    if absorbing is not None:
-        zero[absorbing] = False
+    if view.absorbing is not None:
+        zero[view.absorbing] = False
     if not zero.any():
         return []
-    return [(int(x), int(a), int(j)) for x, a, j in np.argwhere(moves & zero[:, None, :])]
+    return [(int(x), int(a), int(j)) for x, a, j in np.argwhere(view.moves & zero[:, None, :])]
 
 
 def simulate_q_path(
@@ -582,8 +575,8 @@ def _draw_paths(
 class _SspInner:
     """One ``(view, h)`` pair's weak-form inner problem, checked against
     ``q``: the action values ``lookahead(view, h) + 0.0``, which reads a
-    -0.0 as +0.0 and leaves every other value as it is, the kernel's nonzero
-    slots ``moves`` and the stop table: ``stop[x, y]`` holds when a path's
+    -0.0 as +0.0 and leaves every other value as it is, the view's moves
+    (``MdpView.moves``) and the stop table: ``stop[x, y]`` holds when a path's
     step ``x -> y`` has the same value whatever follows it. ``_Walk`` builds
     one ratio table for all pairs on a draw.
     """
@@ -598,15 +591,14 @@ class _SspInner:
                 f"{q.absorbing} does not match the view's {view.n_states} states "
                 f"absorbing at {view.absorbing}"
             )
-        self.moves = view.kernel != 0.0
-        bad = _unsupported(self.moves, view.absorbing, q)
+        bad = validate_abs_continuity(view, q)
         if bad:
             raise AbsContinuityViolation(
                 f"reference measure fails absolute continuity at {len(bad)} "
                 f"transitions, first (state, action, next) = {bad[0]}"
             )
         self.h = h
-        self.kernel = view.kernel
+        self.kernel, self.moves = view.kernel, view.moves
         self.base = lookahead(view, h) + 0.0
         if view.orientation == "max":
             self.opt, self.first, self.worst = np.maximum, np.argmax, -inf
@@ -679,8 +671,8 @@ class _Walk:
         const = np.repeat(inner.opt.reduce(base, axis=1), n)
         (hit,) = np.nonzero(live.reshape(S, n, n)[inner.first(base, axis=1), np.arange(n)].ravel())
         const[hit] = inner.opt.reduce(np.where(live[:, hit], worst, base[hit // n].T), axis=0)
-        into = q.kernel[:, end, None]
-        rho = np.divide(inner.kernel[:, :, end], into, out=np.zeros(base.shape), where=into > 0.0)
+        rho = np.divide(inner.kernel[:, :, end], q.kernel[:, end, None],
+                        out=np.zeros(base.shape), where=inner.moves[:, :, end])
         diff = 0.0 - inner.h[end]
         carry = np.where((rho == 0.0) & (diff != 0.0), 0.0, rho * diff)
         const[end::n] = inner.opt.reduce(carry + base, axis=1)

@@ -4,9 +4,9 @@ A game is played by two players on a finite state space: player A (the
 maximizer) picks an action ``u``, player B (the minimizer) simultaneously
 picks ``v``, B pays A the stage cost ``g[i][u][v]`` and the system moves
 from state ``i`` to ``j`` with probability ``p[i][u][v][j]``. Mixed
-(randomized) per-state policies, reduction to one-player decision problems
-(``MdpView``, one padded array layout for every state, and ``lookahead``,
-the one action-value expression every solver and dual estimator reads),
+(randomized) per-state policies, one-player views (``MdpView``: one padded
+layout and move predicate for all states; ``lookahead``, the one action
+value expression; ``absorbing_attractor``, the one reachability fixpoint),
 time embedding of finite-horizon games and JSON ingestion all live here.
 
 A ``GameModel`` stores its tensors as blocks: the states of one action
@@ -18,10 +18,10 @@ from the lists on access, never stored. Every sum over a successor list
 is ``list_sum``, in list order, so a state's sums depend on its list alone.
 
 All objects are immutable after construction and safe to share across
-threads; every operation in this module is pure. The one derived state is
-an embedded view's period layout (``MdpView.periods``), built on first
-use and cached: a function of the view's fields that no caller can
-change, so two threads that race to build it build equal ones.
+threads; every operation in this module is pure. The only derived state
+is a view's ``moves`` and ``periods``, each built on first use and cached:
+functions of the view's fields that no caller can change, so two threads
+that race to build one build equal ones.
 """
 
 from __future__ import annotations
@@ -340,11 +340,11 @@ class MdpView:
     the others carry cost -inf (max) or +inf (min) and an all-zero kernel
     row, so optimizing a row over its slots never picks one.
 
-    A time-embedded view (``horizon`` and ``period`` set) also has a period
-    layout, ``periods``: derived from the fields, built by ``period_layout``
-    on first use and cached on the instance, so each view builds it once
-    however many solves and inner problems read it. The view stays
-    logically immutable: the cache only ever holds that one value.
+    ``moves`` (the read-only boolean ``kernel > 0``, the one move predicate)
+    and, on a time-embedded view (``horizon`` and ``period`` set), the
+    period layout ``periods`` are derived from the fields, built on first
+    use and cached on the instance, so each view builds them once however
+    many solves and inner problems read them; a cache holds one value.
     """
 
     orientation: str
@@ -360,6 +360,10 @@ class MdpView:
     @property
     def absorbing(self) -> int | None:
         return self.regime.absorbing if isinstance(self.regime, Ssp) else None
+
+    @cached_property
+    def moves(self) -> np.ndarray:
+        return _freeze(self.kernel > 0.0, bool)
 
     @cached_property
     def periods(self) -> tuple[Period, ...]:
@@ -427,15 +431,15 @@ def stack_view(
     return _freeze(padded_cost), _freeze(padded_kernel)
 
 
-def lookahead(view: MdpView, values: np.ndarray) -> np.ndarray:
-    """Stage cost plus discounted expected ``values`` of every (state, action)
-    slot of a view.
+def lookahead(view: MdpView, values: np.ndarray, states=slice(None)) -> np.ndarray:
+    """Stage cost plus discounted expected ``values`` of every action slot
+    of the rows ``states`` of a view (all rows by default).
 
     The exact solvers and both dual inner problems read action values
     through this one expression; an exact-value generator cancels the
     inner continuation only because they agree bit for bit.
     """
-    return view.cost + regime_alpha(view.regime) * (view.kernel @ values)
+    return view.cost[states] + regime_alpha(view.regime) * (view.kernel[states] @ values)
 
 
 def block_rows(model: GameModel, policy: MixedPolicy, player: str) -> list[np.ndarray]:
@@ -581,22 +585,28 @@ def lift_policy(embedded: GameModel, policy: MixedPolicy) -> MixedPolicy:
 # Validation
 
 
-def absorbing_reachable(kernel: np.ndarray, absorbing: int) -> bool:
-    """Whether every state reaches ``absorbing`` along the positive entries
-    of the square transition matrix ``kernel``.
+def absorbing_attractor(kernel: np.ndarray, absorbing: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states that reach ``absorbing`` along the positive entries of a
+    non-negative ``(n, slots, n)`` kernel, by one backward fixpoint that
+    stops once every state is reached or a round adds none, and for each
+    the lowest slot with mass into the set reached before it (else 0)."""
+    reached = np.arange(len(kernel)) == absorbing
+    slot = np.zeros(len(kernel), dtype=int)
+    while not reached.all():
+        enters = (kernel @ reached) > 0.0
+        new = enters.any(axis=1) & ~reached
+        if not new.any():
+            break
+        slot[new] = enters[new].argmax(axis=1)
+        reached |= new
+    return reached, slot
 
-    For a stochastic matrix this is exactly the condition that the block on
-    the other states has spectral radius below 1, so paths absorb with
-    probability one and the chain is proper.
-    """
-    edge = np.asarray(kernel) > 0.0
-    reached = np.zeros(edge.shape[0], dtype=bool)
-    reached[absorbing] = True
-    while True:
-        grown = reached | edge[:, reached].any(axis=1)
-        if grown.sum() == reached.sum():
-            return bool(reached.all())
-        reached = grown
+
+def absorbing_reachable(kernel: np.ndarray, absorbing: int) -> bool:
+    """Whether every state of the non-negative square chain ``kernel``
+    reaches ``absorbing``: for a stochastic matrix, exactly when the block
+    on the other states has spectral radius below 1, so the chain is proper."""
+    return bool(absorbing_attractor(np.asarray(kernel)[:, None, :], absorbing)[0].all())
 
 
 def validate(model: GameModel) -> list[tuple[str, str]]:

@@ -8,9 +8,10 @@ one-step lookahead; a time-embedded game takes one backward pass over its
 periods), best responses to a fixed opponent
 (Howard policy iteration, Newton residual-correction steps, then
 ``games.lookahead`` sweeps to a float fixed point; on a time-embedded
-view, backward induction over its periods and one confirming sweep), the
-alternating "naive" policy-iteration scheme, and the exact sandwich
-interval that best responses put around the game value.
+view, backward induction by ``lookahead`` on one period's rows at a time
+and one confirming sweep), the alternating "naive" policy-iteration
+scheme, and the exact sandwich interval that best responses put around
+the game value.
 
 Everything here reads the model's block layout (``games.GameModel``): the
 states of one action shape ``(A, B)``, stacked into ``(k, A, B, S)``
@@ -40,6 +41,7 @@ from .games import (
     MdpView,
     MixedPolicy,
     _integer,
+    absorbing_attractor,
     absorbing_reachable,
     block_rows,
     by_state,
@@ -271,10 +273,11 @@ def shapley_value_iteration(
     (reusing the Newton sweep if it lands on the Newton value bit for bit).
     The solve returns B's response to ``mu`` once A's response to ``nu``
     lies at most ``tol`` (> 0) above it at every state. This certificate
-    runs once the residual is at most ``tol`` or rounding noise, but waits
-    for a kept Newton step that moves ``V`` by more than ``tol``: waste N=5
-    at ``tol=1e-8`` takes 6 sweeps and one certificate. ``NoConvergence``
-    names the width reached if the residual sinks to rounding noise first.
+    runs once the residual is at most ``tol`` or at its floor (the stage
+    gap or a few ulps of ``max |V|``), but waits for a kept Newton step
+    that moves ``V`` by more than ``tol``: waste N=5 at ``tol=1e-8`` takes
+    6 sweeps and one certificate. At the floor, ``NoConvergence`` names the
+    width reached, the stage gap and ``max |V|``.
     ``max_iter`` caps the iterations of either kind. A time-embedded game
     takes one backward pass, its stage games period by period, the last
     first, each reading the next period's final values; ``tol`` is only
@@ -300,7 +303,8 @@ def shapley_value_iteration(
         residual = float(np.abs(TV - V).max())
         # No iteration can push the residual below the stage solutions' own
         # error or a few ulps of the values.
-        floor = max(gap, 4.0 * np.finfo(float).eps * float(np.abs(TV).max()))
+        scale = float(np.abs(TV).max())
+        floor = max(gap, 4.0 * np.finfo(float).eps * scale)
         ready = residual <= max(tol, floor)
         newton = None
         try:
@@ -323,8 +327,9 @@ def shapley_value_iteration(
                 return (lo, *_stage_policies(model, strategies))
             if residual <= floor:
                 raise NoConvergence(
-                    f"residual {residual:.3e} is rounding noise; "
-                    f"certified width {width:.3e} > tol {tol:.3e}", width
+                    f"residual {residual:.3e} is within the stage gap {gap:.3e} or a few "
+                    f"ulps of max |V| {scale:.3e}; certified width {width:.3e} > tol {tol:.3e}",
+                    width,
                 )
         # Newton step: the exact value of the stage pair, kept if its sweep
         # halves the residual.
@@ -383,31 +388,23 @@ def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
 
 
 def _backward(view: MdpView) -> np.ndarray:
-    """Backward induction on a time-embedded view: ``lookahead``'s
-    expression on one period's rows at a time, the last period first;
-    the absorbing state keeps 0."""
+    """Backward induction on a time-embedded view: ``lookahead`` on one
+    period's rows at a time, the last period first; the absorbing state
+    keeps 0."""
     opt = np.max if view.orientation == "max" else np.min
-    alpha = regime_alpha(view.regime)
     V = np.zeros(view.n_states)
     for p in reversed(view.periods):
-        X = p.states
-        V[X] = opt(view.cost[X] + alpha * (view.kernel[X] @ V), axis=1)
+        V[p.states] = opt(lookahead(view, V, p.states), axis=1)
     return V
 
 
 def _proper_start(view: MdpView) -> np.ndarray:
-    """A proper policy of an SSP view, found backward from the absorbing
-    state: each state takes its lowest action that enters the reached set."""
-    reached = np.arange(view.n_states) == view.absorbing
-    policy = np.zeros(view.n_states, dtype=int)
-    while not reached.all():
-        enters = (view.kernel @ reached) > 0.0
-        new = enters.any(axis=1) & ~reached
-        if not new.any():
-            x = np.flatnonzero(~reached)[0]
-            raise UnboundedValue(f"state {x} cannot reach the absorbing state; improper")
-        policy[new] = enters[new].argmax(axis=1)
-        reached |= new
+    """A proper policy of an SSP view: each state's lowest action that
+    enters the set ``games.absorbing_attractor`` reached before it."""
+    reached, policy = absorbing_attractor(view.kernel, view.absorbing)
+    if not reached.all():
+        x = np.flatnonzero(~reached)[0]
+        raise UnboundedValue(f"state {x} cannot reach the absorbing state; improper")
     return policy
 
 

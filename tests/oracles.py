@@ -741,6 +741,39 @@ def fix_player_by_state(model: GameModel, fixed: MixedPolicy, fixed_player: str)
     )
 
 
+def reached_by_loop(kernel: np.ndarray, absorbing: int) -> np.ndarray:
+    """Reference for ``games.absorbing_attractor``'s reached set on a square
+    chain: the states that reach ``absorbing`` along positive entries, grown
+    one round at a time until a round adds none. Its ``.all()`` is
+    ``games.absorbing_reachable``'s verdict."""
+    edge = np.asarray(kernel) > 0.0
+    reached = np.zeros(edge.shape[0], dtype=bool)
+    reached[absorbing] = True
+    while True:
+        grown = reached | edge[:, reached].any(axis=1)
+        if grown.sum() == reached.sum():
+            return reached
+        reached = grown
+
+
+def proper_start_by_loop(view: MdpView) -> np.ndarray:
+    """``solvers._proper_start`` as its own backward loop: each state takes
+    its lowest action that enters the reached set."""
+    from zsgdual.solvers import UnboundedValue
+
+    reached = np.arange(view.n_states) == view.absorbing
+    policy = np.zeros(view.n_states, dtype=int)
+    while not reached.all():
+        enters = (view.kernel @ reached) > 0.0
+        new = enters.any(axis=1) & ~reached
+        if not new.any():
+            x = np.flatnonzero(~reached)[0]
+            raise UnboundedValue(f"state {x} cannot reach the absorbing state; improper")
+        policy[new] = enters[new].argmax(axis=1)
+        reached |= new
+    return policy
+
+
 def induced_chain_by_state(
     model: GameModel, mu: MixedPolicy, nu: MixedPolicy
 ) -> tuple[np.ndarray, np.ndarray]:

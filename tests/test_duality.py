@@ -538,6 +538,33 @@ class TestReferenceMeasure:
         bad = zd.validate_abs_continuity(view, q_noself)
         assert bad and all(x == j for x, _, j in bad)
 
+    @pytest.mark.parametrize("b, bad", [
+        ([1.0 + 5e-13, -5e-13], []),
+        ([0.5, 0.5], [(0, 0, 1)]),
+    ])
+    def test_check_and_estimator_share_one_move_predicate(self, b, bad):
+        # check_policy accepts B at [1 + 5e-13, -5e-13], which leaves the
+        # kernel entry (0, 0, 1) of A's view at -5e-13: no move, so a q with
+        # q[0, 1] = 0 passes the check and the estimator alike. B uniform
+        # moves there, and both name that transition first.
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=2))
+        nu = zd.make_policy([np.array(b) if c == 2 else np.ones(1) for c in model.actions_b])
+        view = zd.fix_player(model, nu, zd.PLAYER_B)
+        kernel = zd.make_uniform_reference(model).kernel.copy()
+        kernel[0, 1] = 0.0
+        kernel[0] /= kernel[0].sum()
+        q = zd.ReferenceMeasure(kernel=kernel, absorbing=model.absorbing)
+        assert zd.validate_abs_continuity(view, q) == bad
+        h = np.zeros(model.n_states)
+        if bad:
+            with pytest.raises(zd.AbsContinuityViolation, match=re.escape(
+                f"at {len(bad)} transitions, first (state, action, next) = {bad[0]}"
+            )):
+                zd.estimate_dual_bound_ssp(view, h, q, n_paths=50, seed=1)
+        else:
+            est = zd.estimate_dual_bound_ssp(view, h, q, n_paths=50, seed=1)
+            assert np.isfinite(est.mean)
+
 
 class TestQPathSimulation:
     def test_immediate_absorption(self, waste3):

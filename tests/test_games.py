@@ -1,14 +1,15 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import zsgdual as zd
-from zsgdual.games import SIMPLEX_TOL
+from zsgdual.games import SIMPLEX_TOL, absorbing_attractor, absorbing_reachable
 from zsgdual.solvers import (
-    _pair_entries, _pair_rows, _pair_values, _stage_groups, _stage_policies, _stage_view,
-    _sweep,
+    _pair_entries, _pair_rows, _pair_values, _proper_start, _stage_groups, _stage_policies,
+    _stage_view, _sweep,
 )
 
 try:
@@ -22,11 +23,13 @@ from oracles import (
     finite_forward_value,
     fix_player_by_state,
     induced_chain_by_state,
+    proper_start_by_loop,
     random_discounted_game,
     random_finite_game,
     random_policy,
     random_sparse_ssp_game,
     random_ssp_game,
+    reached_by_loop,
     rollout_pair,
     stage_policies_by_state,
     validate_by_entry,
@@ -314,7 +317,8 @@ def _break(rng, model):
 
 class TestGamesLayerMatchesEntryLoops:
     """``validate`` and ``embed_finite_horizon`` work one array pass per
-    state; the per-entry loops in ``oracles`` are their references."""
+    state; the per-entry loops in ``oracles`` are their references, as the
+    reachability loops are ``absorbing_attractor``'s."""
 
     def test_validate_records(self):
         rng = np.random.default_rng(2024)
@@ -374,6 +378,35 @@ class TestGamesLayerMatchesEntryLoops:
         assert zd.validate(broken) == validate_by_entry(broken)
         [(_, message)] = zd.validate(broken)
         assert message == f"row sums to {float(t[0][1, 1].sum())!r}, not 1"
+
+    def test_absorbing_attractor(self):
+        # Sparse views, n in 3..19: A or B fixed, at a pure policy on even
+        # seeds and a random mixed one on odd seeds; 35 of them have no
+        # proper start. The reached set is the loop's on the union of the
+        # slots' chains.
+        improper = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            model = random_sparse_ssp_game(rng, n_states=int(rng.integers(3, 20)))
+            player = (zd.PLAYER_A, zd.PLAYER_B)[seed // 2 % 2]
+            policy = random_policy(rng, model, player)
+            if seed % 2 == 0:
+                policy = zd.pure_policy(model, player, [int(rng.integers(len(p))) for p in policy])
+            view = zd.fix_player(model, policy, player)
+            a = view.absorbing
+            reached, slot = absorbing_attractor(view.kernel, a)
+            assert reached.tolist() == reached_by_loop(view.kernel.sum(axis=1), a).tolist()
+            try:
+                want = proper_start_by_loop(view)
+            except zd.UnboundedValue as exc:
+                improper += 1
+                with pytest.raises(zd.UnboundedValue, match=f"^{re.escape(str(exc))}$"):
+                    _proper_start(view)
+            else:
+                assert slot.tolist() == want.tolist() == _proper_start(view).tolist()
+            first = view.kernel[:, 0]
+            assert absorbing_reachable(first, a) == bool(reached_by_loop(first, a).all())
+        assert 0 < improper < 300
 
     @pytest.mark.parametrize("rooted", [True, False])
     def test_embedding_bytes(self, rooted):

@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -168,12 +169,14 @@ class TestTimeEmbeddedModels:
     def test_best_responses_are_backward_induction_in_two_sweeps(
         self, monkeypatch, two_period
     ):
+        # Backward induction reads one period's rows at a time; only the
+        # full-view calls are sweeps.
         sweeps = [0]
         lookahead_ = solvers.lookahead
 
-        def counting(view, values):
-            sweeps[0] += 1
-            return lookahead_(view, values)
+        def counting(view, values, states=slice(None)):
+            sweeps[0] += isinstance(states, slice)
+            return lookahead_(view, values, states)
 
         monkeypatch.setattr(solvers, "lookahead", counting)
         rng = np.random.default_rng(27)
@@ -308,6 +311,17 @@ class TestShapleyValueIteration:
         with pytest.raises(zd.NoConvergence, match="certified width") as info:
             zd.shapley_value_iteration(model, tol=tol, max_iter=40)
         assert tol < info.value.last_delta < 1e-8
+
+    def test_climbing_values_stop_naming_max_v(self):
+        # Sparse seed 10's values climb toward an unbounded game until the
+        # residual 5.0 meets the stage gap 5.8: no rounding noise, so the
+        # message names the gap and max |V|.
+        rng = np.random.default_rng(10)
+        n, a = int(rng.integers(3, 25)), int(rng.integers(2, 5))
+        with pytest.raises(zd.NoConvergence, match=r"stage gap 5\.8.* max \|V\| ") as info:
+            zd.shapley_value_iteration(random_sparse_ssp_game(rng, n, a), tol=1e-8)
+        assert "rounding noise" not in str(info.value)
+        assert 8.0e9 < float(re.search(r"max \|V\| (\S+);", str(info.value))[1]) < 8.2e9
 
     def test_max_iter_caps_iterations(self, waste3):
         with pytest.raises(zd.NoConvergence, match="within 2 iterations"):
