@@ -18,6 +18,11 @@ and a game drops out once it is optimal. ``solve`` is its one-game wrapper.
 Bland's rule keeps the pivot sequence deterministic and cycle-free, so
 degenerate games terminate and repeated calls return the identical vertex;
 a game's pivots, and so its result, do not depend on the rest of the stack.
+
+A completely mixed game has one equilibrium, which equalizes the
+opponent's payoffs (Kaplansky 1945; Shapley and Snow 1950). ``solve_mixed``
+finds it for a whole stack in one linear solve, and sends ``solve_many`` only
+the games whose answer fails its test.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-10
+GAP_ULPS = 4  # per action, the stage gap ``solve_mixed`` accepts, in ulps of max |R|
 
 
 class UnboundedProgram(RuntimeError):
@@ -59,6 +65,92 @@ def solve_many(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(k, n)``, all read-only. A game's result, bit for bit, does not
     depend on the other games in the stack.
     """
+    R, lo, e, S = _shifted(R)
+    obj, q, p = _simplex_max_ones(S + 1.0)
+    v_scaled = 1.0 / obj
+    col = np.maximum(q, 0.0) * v_scaled[:, None]
+    row = np.maximum(p, 0.0) * v_scaled[:, None]
+    col /= col.sum(axis=1, keepdims=True)
+    row /= row.sum(axis=1, keepdims=True)
+    values = np.ldexp(v_scaled - 1.0, e) + lo
+    for a in (values, row, col):
+        a.setflags(write=False)
+    return values, row, col
+
+
+def solve_mixed(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_many``'s values and strategies, and each game's
+    ``exploitability``, where an ``equalizable`` stack's completely mixed
+    games take their equilibria from their equalizing systems.
+
+    With ``S = (R - min R) / 2**e`` as the simplex scales it, the column
+    strategy ``z`` and value ``w`` solve ``[S, -1; 1^T, 0] (z, w) = (0, 1)``
+    and the row strategy the transposed system: one batched solve of shape
+    ``(k, 2, A+1, A+1)``. A game takes this answer when both strategies are
+    non-negative and its gap is at most ``GAP_ULPS * A`` ulps of ``max |R|``,
+    the rounding of its length-``A`` sums. The other games (a singular
+    system, ulps below the normal range) share one ``solve_many`` call.
+    """
+    R = np.asarray(R, dtype=float)
+    solved = _equalizing(R) if equalizable(R.shape) else None
+    if solved is not None:
+        x, lo, e = solved
+        n = R.shape[2]
+        with np.errstate(all="ignore"):  # a near-singular system may overflow
+            p = x[:, :, :n] / x[:, :, :n].sum(axis=2, keepdims=True)
+            values, rows, cols = np.ldexp(x[:, 0, n], e) + lo, p[:, 1], p[:, 0]
+            gaps = exploitability(R, rows, cols)
+            bound = GAP_ULPS * n * np.finfo(float).eps * np.abs(R).max(axis=(1, 2))
+            refused = ~((p >= 0.0).all(axis=(1, 2)) & (gaps <= bound)
+                        & (bound >= np.finfo(float).tiny))
+    if solved is None or refused.all():
+        values, rows, cols = solve_many(R)
+        return values, rows, cols, exploitability(R, rows, cols)
+    if refused.any():
+        values[refused], rows[refused], cols[refused] = solve_many(R[refused])
+        gaps[refused] = exploitability(R[refused], rows[refused], cols[refused])
+    for a in (values, rows, cols):
+        a.setflags(write=False)
+    return values, rows, cols, gaps
+
+
+def _equalizing(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The solutions ``(k, 2, A+1)`` of ``solve_mixed``'s equalizing systems,
+    NaN where a system is singular, and ``_shifted``'s ``lo`` and ``e``; None
+    when every system is singular."""
+    R, lo, e, S = _shifted(R)
+    k, n = S.shape[:2]
+    M = np.zeros((k, 2, n + 1, n + 1))
+    M[:, 0, :n, :n], M[:, 1, :n, :n] = S, S.transpose(0, 2, 1)
+    M[:, :, :n, n], M[:, :, n, :n] = -1.0, 1.0
+    rhs = np.eye(n + 1)[:, n:]
+    try:
+        return np.linalg.solve(M, rhs)[..., 0], lo, e
+    except np.linalg.LinAlgError:
+        # A zero pivot in one system fails the whole batch; det reads the
+        # same LU factors, so it finds the singular games.
+        regular = (np.abs(np.linalg.det(M)) > 0.0).all(axis=1)
+        if not regular.any():
+            return None
+        x = np.full((k, 2, n + 1), np.nan)
+        x[regular] = np.linalg.solve(M[regular], rhs)[..., 0]
+        return x, lo, e
+
+
+def equalizable(shape: tuple[int, ...]) -> bool:
+    """Whether ``solve_mixed`` tries a stack of this shape: square, 2x2 or more."""
+    return len(shape) == 3 and shape[1] == shape[2] >= 2
+
+
+def exploitability(R: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stage gap ``max(R z) - min(y R)`` of each game's pair: 0 at an equilibrium."""
+    return (np.einsum("iuv,iv->iu", R, cols).max(axis=1)
+            - np.einsum("iu,iuv->iv", rows, R).min(axis=1))
+
+
+def _shifted(R) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The checked stack ``R``, each game's least entry ``lo`` and exponent
+    ``e``, and ``S = (R - lo) / 2**e`` in [0, 1): the simplex's entries less 1."""
     R = np.asarray(R, dtype=float)
     if R.ndim != 3 or R.shape[1] == 0 or R.shape[2] == 0:
         raise ValueError(
@@ -72,19 +164,8 @@ def solve_many(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.isfinite(span).all():
         bad = int(np.argmin(np.isfinite(span)))
         raise ValueError(f"game {bad}: payoff range overflows a float")
-
     _, e = np.frexp(span)  # span < 2**e; a constant game has e == 0
-    A = np.ldexp(R - lo[:, None, None], -e[:, None, None]) + 1.0
-    obj, q, p = _simplex_max_ones(A)
-    v_scaled = 1.0 / obj
-    col = np.maximum(q, 0.0) * v_scaled[:, None]
-    row = np.maximum(p, 0.0) * v_scaled[:, None]
-    col /= col.sum(axis=1, keepdims=True)
-    row /= row.sum(axis=1, keepdims=True)
-    values = np.ldexp(v_scaled - 1.0, e) + lo
-    for a in (values, row, col):
-        a.setflags(write=False)
-    return values, row, col
+    return R, lo, e, np.ldexp(R - lo[:, None, None], -e[:, None, None])
 
 
 def _simplex_max_ones(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

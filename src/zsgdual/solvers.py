@@ -194,22 +194,30 @@ def _stage_groups(model: GameModel) -> list[Block]:
     return groups
 
 
-def _sweep(model: GameModel, groups: list[Block], values: np.ndarray, new=None):
+def _stage(model: GameModel, b: Block, values: np.ndarray) -> np.ndarray:
+    """Block ``b``'s ``(k, A, B)`` stage games on the lookahead at ``values``."""
+    return b.cost + regime_alpha(model.regime) * list_sum(b.transition, values[b.succ])
+
+
+def _sweep(model: GameModel, groups: list[Block], values: np.ndarray, new=None,
+           mixed: bool = False):
     """Shapley operator on ``values``: the new values, written group by group
     into ``new`` (a fresh array by default), per group the block with its
     stage games' row and column strategies, and the largest exploitability
     gap ``max(R z) - min(y R)`` of a stage solution, which bounds the error
     of a new value. With ``new`` the array ``values`` itself, each group
-    reads the values that the groups before it wrote."""
-    alpha = regime_alpha(model.regime)
+    reads the values that the groups before it wrote. With ``mixed`` the
+    stage games go through ``matrix_games.solve_mixed``, not ``solve_many``."""
     new = np.zeros(model.n_states) if new is None else new
     strategies, gap = [], 0.0
     for b in groups:
-        stage = b.cost + alpha * list_sum(b.transition, values[b.succ])
-        new[b.states], rows, cols = matrix_games.solve_many(stage)
+        stage = _stage(model, b, values)
+        if mixed:
+            new[b.states], rows, cols, gaps = matrix_games.solve_mixed(stage)
+        else:
+            new[b.states], rows, cols = matrix_games.solve_many(stage)
+            gaps = matrix_games.exploitability(stage, rows, cols)
         strategies.append((b, rows, cols))
-        gaps = (np.einsum("iuv,iv->iu", stage, cols).max(axis=1)
-                - np.einsum("iu,iuv->iv", rows, stage).min(axis=1))
         gap = max(gap, float(gaps.max()))
     return new, strategies, gap
 
@@ -276,8 +284,10 @@ def shapley_value_iteration(
     runs once the residual is at most ``tol`` or at its floor (the stage
     gap or a few ulps of ``max |V|``), but waits for a kept Newton step
     that moves ``V`` by more than ``tol``: waste N=5 at ``tol=1e-8`` takes
-    6 sweeps and one certificate. At the floor, ``NoConvergence`` names the
-    width reached, the stage gap and ``max |V|``.
+    6 sweeps and one certificate. The loop's sweeps go through
+    ``matrix_games.solve_mixed``; the certificate certifies, and returns,
+    simplex vertices of the same stage games. At the floor,
+    ``NoConvergence`` names the width reached, the stage gap and ``max |V|``.
     ``max_iter`` caps the iterations of either kind. A time-embedded game
     takes one backward pass, its stage games period by period, the last
     first, each reading the next period's final values; ``tol`` is only
@@ -297,7 +307,7 @@ def shapley_value_iteration(
         return (V, *_stage_policies(model, strategies))
     if tol == 0.0:
         raise ValueError("tol must be positive: it is the certified interval width")
-    swept = _sweep(model, groups, V)
+    swept = _sweep(model, groups, V, mixed=True)
     for _ in range(max_iter):
         TV, strategies, gap = swept
         residual = float(np.abs(TV - V).max())
@@ -314,17 +324,24 @@ def shapley_value_iteration(
         # The certificate waits for a kept Newton step that moves V by more
         # than tol.
         if ready and J is not None and residual > floor and float(np.abs(J - V).max()) > tol:
-            newton = _sweep(model, groups, J)
+            newton = _sweep(model, groups, J, mixed=True)
             ready = not float(np.abs(newton[0] - J).max()) < residual / 2
         if ready:
-            lo, _ = solve_view(_stage_view(model, strategies, PLAYER_A), tol=0.0)
+            # Certify simplex vertices: against an equalizing opponent every
+            # response ties, and the tol=0 polish creeps an ulp at a time.
+            vertices = [(b, *matrix_games.solve_many(_stage(model, b, V))[1:])
+                        if matrix_games.equalizable(b.cost.shape) else (b, rows, cols)
+                        for b, rows, cols in strategies]
+            # If A's response is unbounded, so is the width: B's is not needed.
             try:
-                up, _ = solve_view(_stage_view(model, strategies, PLAYER_B), tol=0.0)
-                width = float((up - lo).max())
+                up, _ = solve_view(_stage_view(model, vertices, PLAYER_B), tol=0.0)
             except UnboundedValue:
                 width = np.inf
+            else:
+                lo, _ = solve_view(_stage_view(model, vertices, PLAYER_A), tol=0.0)
+                width = float((up - lo).max())
             if width <= tol:
-                return (lo, *_stage_policies(model, strategies))
+                return (lo, *_stage_policies(model, vertices))
             if residual <= floor:
                 raise NoConvergence(
                     f"residual {residual:.3e} is within the stage gap {gap:.3e} or a few "
@@ -335,12 +352,13 @@ def shapley_value_iteration(
         # halves the residual.
         if J is not None:
             if newton is None:
-                newton = _sweep(model, groups, J)
+                newton = _sweep(model, groups, J, mixed=True)
             if float(np.abs(newton[0] - J).max()) < residual / 2:
                 V, swept = J, newton
                 continue
         V = _howard(_stage_view(model, strategies, PLAYER_A))
-        swept = newton if J is not None and np.array_equal(V, J) else _sweep(model, groups, V)
+        swept = (newton if J is not None and np.array_equal(V, J)
+                 else _sweep(model, groups, V, mixed=True))
     raise NoConvergence(
         f"no convergence within {max_iter} iterations (last residual {residual:.3e})",
         residual,

@@ -256,3 +256,111 @@ class TestBatchedSimplexMatchesScalarReference:
                 break
             J = new
         assert k > 100
+
+
+@pytest.fixture(scope="module")
+def waste5_stage_stacks():
+    """The stage stacks that the sweeps of a waste N=5 solve at tol=1e-8
+    pass to ``solve_mixed``."""
+    stacks, solve_mixed = [], matrix_games.solve_mixed
+    matrix_games.solve_mixed = lambda R: stacks.append(np.array(R)) or solve_mixed(R)
+    try:
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=5))
+        zd.shapley_value_iteration(model, tol=1e-8)
+    finally:
+        matrix_games.solve_mixed = solve_mixed
+    return stacks
+
+
+def gap_bound(R):
+    """``solve_mixed``'s acceptance bound: GAP_ULPS ulps of max |R| per action."""
+    eps = np.finfo(float).eps
+    return matrix_games.GAP_ULPS * R.shape[2] * eps * np.abs(R).max(axis=(1, 2))
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """The stacks that ``solve_mixed`` hands to ``solve_many``."""
+    calls, solve_many = [], matrix_games.solve_many
+    monkeypatch.setattr(matrix_games, "solve_many", lambda R: calls.append(R) or solve_many(R))
+    return calls
+
+
+class TestSolveMixed:
+    """The completely mixed step: one batched equalizing solve per stack,
+    accepted game by game, and the simplex for the rest."""
+
+    def test_accepts_exactly_the_full_supports_of_a_waste_solve(
+        self, waste5_stage_stacks, simplex_calls
+    ):
+        eps = np.finfo(float).eps
+        accepted = []
+        for R in waste5_stage_stacks:
+            want, want_rows, want_cols = matrix_games.solve_many(R)
+            full = (want_rows > 0).all(axis=1) & (want_cols > 0).all(axis=1)
+            simplex_calls.clear()
+            values, rows, cols, gaps = matrix_games.solve_mixed(R)
+            if full.all():
+                assert simplex_calls == []
+            else:
+                assert len(simplex_calls) == 1
+                assert_same_bits(simplex_calls[0], R[~full])
+            accepted.append(int(full.sum()))
+            assert not any(a.flags.writeable for a in (values, rows, cols))
+            assert_same_bits(gaps, matrix_games.exploitability(R, rows, cols))
+            assert np.all(gaps[full] <= gap_bound(R)[full])
+            # Each value lies within its own stage gap of the game value.
+            want_gap = matrix_games.exploitability(R, want_rows, want_cols)
+            scale = np.abs(R).max(axis=(1, 2))
+            assert np.all(np.abs(values - want) <= gaps + want_gap + 4 * eps * scale)
+        # From the third sweep on, every stage game is completely mixed.
+        assert accepted[:2] == [0, 5] and accepted[2:] == [30] * (len(accepted) - 2)
+
+    @pytest.mark.parametrize("name", ["pure saddle", "dominated row", "constant", "subnormal"])
+    def test_refused_game_leaves_the_others_alone(self, waste5_stage_stacks, name, simplex_calls):
+        good = waste5_stage_stacks[-1][:4]
+        bad = good[0].copy()
+        if name == "pure saddle":
+            bad[2] += 10.0  # row 2 dominates every other
+        elif name == "dominated row":
+            bad[0] = bad[1] - np.linspace(1.0, 2.0, 5)  # its system is regular
+        elif name == "constant":
+            bad[:] = 2.5  # its system is singular
+        else:
+            bad *= 1e-310 / np.abs(bad).max()
+        alone = matrix_games.solve_mixed(good)
+        assert simplex_calls == []
+        R = np.concatenate([good[:2], bad[None], good[2:]])
+        mixed = matrix_games.solve_mixed(R)
+        assert len(simplex_calls) == 1
+        assert_same_bits(simplex_calls[0], bad[None])
+        simplex = matrix_games.solve_many(bad[None])
+        simplex += (matrix_games.exploitability(bad[None], *simplex[1:]),)
+        for got, want, other in zip(mixed, simplex, alone):
+            assert_same_bits(got[2], want[0])
+            assert_same_bits(got[[0, 1, 3, 4]], other)
+
+    def test_one_by_one_and_non_square_games_take_the_simplex(self):
+        for R in (np.full((3, 1, 1), 2.0), np.ones((2, 2, 3))):
+            assert not matrix_games.equalizable(R.shape)
+            want = matrix_games.solve_many(R)
+            want += (matrix_games.exploitability(R, *want[1:]),)
+            for got, w in zip(matrix_games.solve_mixed(R), want):
+                assert_same_bits(got, w)
+
+    def test_empty_stack(self):
+        values, rows, cols, gaps = matrix_games.solve_mixed(np.zeros((0, 3, 3)))
+        assert values.shape == gaps.shape == (0,)
+        assert rows.shape == cols.shape == (0, 3)
+
+    def test_rejects_what_solve_many_rejects(self):
+        R = np.ones((2, 3, 3))
+        R[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_games.solve_mixed(R)
+        R[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_games.solve_mixed(R)
+        R[1, 0, 0], R[1, 1, 1] = 1e308, -1e308
+        with pytest.raises(ValueError, match="game 1: payoff range overflows"):
+            matrix_games.solve_mixed(R)

@@ -329,17 +329,33 @@ class TestShapleyValueIteration:
 
     @pytest.mark.parametrize("n_sites, most", [(5, 7), (10, 8)])
     def test_newton_steps_cut_the_sweeps(self, n_sites, most, monkeypatch):
-        # Every live state has N x N actions, so a sweep is one solve_many
-        # call. Hoffman-Karp steps alone take 11 sweeps at N=5 and 10 at N=10.
+        # Hoffman-Karp steps alone take 11 sweeps at N=5 and 10 at N=10.
+        calls = []
+        sweep = solvers._sweep
+        monkeypatch.setattr(
+            solvers, "_sweep", lambda *args, **kwargs: calls.append(1) or sweep(*args, **kwargs)
+        )
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
+        J, mu, nu = zd.shapley_value_iteration(model, tol=1e-8)
+        assert len(calls) <= most
+        assert_certified(model, J, mu, nu, 1e-8)
+
+    @pytest.mark.parametrize("n_sites, tol", [(5, 1e-8), (20, 1e-7)])
+    def test_completely_mixed_sweeps_skip_the_simplex(self, n_sites, tol, monkeypatch):
+        # Every live state has N x N actions, so a sweep makes at most one
+        # solve_many call. From the third sweep on every stage game is
+        # completely mixed and takes its equalizing solution, so the simplex
+        # runs on the first two sweeps and for the certificate: 3 calls,
+        # where every sweep's simplex made 6 at N=5 and 7 at N=20.
         calls = []
         solve_many = zd.matrix_games.solve_many
         monkeypatch.setattr(
             zd.matrix_games, "solve_many", lambda stage: calls.append(1) or solve_many(stage)
         )
         model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
-        J, mu, nu = zd.shapley_value_iteration(model, tol=1e-8)
-        assert len(calls) <= most
-        assert_certified(model, J, mu, nu, 1e-8)
+        J, mu, nu = zd.shapley_value_iteration(model, tol=tol)
+        assert len(calls) <= 3
+        assert_certified(model, J, mu, nu, tol)
 
     @pytest.mark.parametrize("n_sites, tol, sweeps", [(5, 1e-8, 6), (20, 1e-7, 7)])
     def test_one_certificate_per_solve(self, n_sites, tol, sweeps, monkeypatch):
