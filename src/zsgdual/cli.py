@@ -175,9 +175,6 @@ def _resolve_q(model: GameModel, token: str) -> duality.ReferenceMeasure:
     if token == "uniform":
         return duality.make_uniform_reference(model)
     if token.startswith("file:"):
-        if model.absorbing is None:
-            raise InputError("reference measures apply to absorbing-state games only")
-
         n = model.n_states
 
         def row(entry) -> np.ndarray:
@@ -228,16 +225,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         model, tol=args.tol, max_iter=args.max_iter
     )
     states = experiments.state_table(model, values, mu, nu)
-    table = experiments.csv_table(experiments.StateRow, states)
+    if args.format == "json":
+        meta = {"game": args.game, "tol": args.tol}
+        text = _json_doc(meta, states=[vars(s) for s in states])
+    else:
+        text = experiments.csv_table(experiments.StateRow, states)
     if args.out:
-        if args.format == "json":
-            meta = {"game": args.game, "tol": args.tol}
-            _write_text(args.out, _json_doc(meta, states=[vars(s) for s in states]))
-        else:
-            _write_text(args.out, table)
+        _write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
-        print(table, end="")
+        print(text, end="")
     return EXIT_OK
 
 
@@ -274,6 +271,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     is_ssp = model.horizon is None and isinstance(model.regime, Ssp)
     if model.horizon is None and not is_ssp:
         raise InputError("dual bounds cover time-embedded and absorbing-state games only")
+    if not is_ssp and args.q != "uniform":
+        raise InputError("reference measures apply to absorbing-state games only")
     q = _resolve_q(model, args.q) if is_ssp else None
     sides = ("lower", "upper") if side == "both" else (side,)
     # Every generator but the exact one is the same for both sides.
@@ -286,30 +285,27 @@ def cmd_bound(args: argparse.Namespace) -> int:
         pairs.append((view, h))
     ests = duality.estimate_dual_bounds(pairs, args.n, args.seed, q=q, keep_values=True)
     reports = list(zip(sides, ests))
-    for bound_side, est in reports:
-        print(
-            f"{bound_side}: mean={est.mean!r} se={est.standard_error!r} "
-            f"n={est.n_scenarios} seed={est.seed}"
-        )
-
+    meta = {"game": args.game, "h": args.h, "n": args.n, "seed": args.seed,
+            "fix": ",".join(f"{k}={v}" for k, v in sorted(fixed_tokens.items()))}
+    if args.format == "json":
+        text = _json_doc(meta, bounds={
+            name: {"mean": est.mean, "standard_error": est.standard_error,
+                   "n_scenarios": est.n_scenarios, "seed": est.seed}
+            for name, est in reports
+        })
+    else:
+        text = "\n".join([_meta_lines(meta), "side,mean,se,n,seed", *(
+            f"{name},{est.mean!r},{est.standard_error!r},{est.n_scenarios},{est.seed}"
+            for name, est in reports
+        )]) + "\n"
+    if args.format == "json" and not args.out:  # the document takes the summary's place
+        print(text, end="")
+    else:
+        for name, est in reports:
+            print(f"{name}: mean={est.mean!r} se={est.standard_error!r} "
+                  f"n={est.n_scenarios} seed={est.seed}")
     if args.out:
-        meta = {"game": args.game, "h": args.h, "n": args.n, "seed": args.seed,
-                "fix": ",".join(f"{k}={v}" for k, v in sorted(fixed_tokens.items()))}
-        if args.format == "json":
-            bounds = {
-                name: {"mean": est.mean, "standard_error": est.standard_error,
-                       "n_scenarios": est.n_scenarios, "seed": est.seed}
-                for name, est in reports
-            }
-            _write_text(args.out, _json_doc(meta, bounds=bounds))
-        else:
-            lines = [_meta_lines(meta), "side,mean,se,n,seed"]
-            lines.extend(
-                f"{name},{est.mean!r},{est.standard_error!r},"
-                f"{est.n_scenarios},{est.seed}"
-                for name, est in reports
-            )
-            _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, text)
         print(f"wrote {args.out}")
     # An overflowed bound is valid but says nothing: it fails the command.
     failed = [(side, est) for side, est in reports if not np.isfinite(est.mean)]

@@ -30,7 +30,8 @@ one backward walk over the draw's windows of steps serves every pair and
 multiplies no zero ratio, so an overflowed continuation never meets 0 * inf
 (``_Walk``).
 Both inner problems read their action values from ``games.lookahead``, the
-expression whose fixed point ``solvers.solve_view`` returns, so an
+expression whose fixed point ``solvers.solve_view`` returns, and optimize
+them by the view's ``MdpView.optimizer``, as ``solve_view`` does, so an
 exact-value generator cancels the continuation scenario by scenario and the
 estimate has zero variance.
 
@@ -91,6 +92,7 @@ from .games import (
     _integer,
     absorbing_reachable,
     fix_player,
+    last_rise,
     lookahead,
 )
 # scenario_rng stays importable from here: it is public as duality.scenario_rng.
@@ -160,7 +162,7 @@ def inverse_cdf_transition(row: np.ndarray, w: float) -> int:
     if row.ndim != 1 or not np.isfinite(row).all() or not _are_distributions(row):
         raise ValueError(f"transition row {row} is not a distribution")
     cum = np.cumsum(row)
-    return int(_icdf(cum, np.array([w]), _last_rise(cum))[0])
+    return int(_icdf(cum, np.array([w]), last_rise(cum))[0])
 
 
 def _are_distributions(rows: np.ndarray) -> bool:
@@ -169,22 +171,10 @@ def _are_distributions(rows: np.ndarray) -> bool:
     return not ((rows < 0.0).any() or (np.abs(rows.sum(axis=-1) - 1.0) > 1e-12).any())
 
 
-def _last_rise(cum: np.ndarray) -> np.ndarray:
-    """Index of the last entry of each CDF (the last axis) that exceeds the
-    entry before it, or 0: the last destination a draw can reach.
-
-    Taken from the CDF, not from ``p > 0``, so a trailing mass too small to
-    move the cumulative sum is never chosen.
-    """
-    n = cum.shape[-1]
-    rises = cum[..., 1:] != cum[..., :-1]
-    return np.max(np.where(rises, np.arange(1, n), 0), axis=-1, initial=0)
-
-
 def _icdf(cum: np.ndarray, w: np.ndarray, last: int) -> np.ndarray:
     """Smallest index whose CDF value strictly exceeds each draw in ``w``.
 
-    ``cum`` is one CDF shared by every draw and ``last`` its ``_last_rise``;
+    ``cum`` is one CDF shared by every draw and ``last`` its ``last_rise``;
     the right-sided search counts the entries at or below a draw, since a
     CDF never decreases. A draw at or above a final cumulative sum that fell
     short of 1 by rounding takes ``last``; every other index is at most
@@ -198,11 +188,11 @@ class _GuideTable(NamedTuple):
     draw: a guide table (Chen & Asau 1974; Devroye 1986, section III.2.4).
 
     A draw's index is a *rise* of its row (a column whose CDF value exceeds
-    the one before it, or 0) or the row's ``_last_rise``, so only the rise
-    values are searched. ``scale`` B is the least power of two >= n, the
-    row length. Row x's rise values times B, then +inf, fill ``cdf[x * W :
-    (x + 1) * W]``; ``dest`` there holds each rise's column, then the
-    ``_last_rise``. ``start[x, b]`` is ``x * W`` plus the count of row x's
+    the one before it, or 0) or the row's ``games.last_rise``, so only the
+    rise values are searched. ``scale`` B is the least power of two >= n,
+    the row length. Row x's rise values times B, then +inf, fill ``cdf[x *
+    W : (x + 1) * W]``; ``dest`` there holds each rise's column, then the
+    ``last_rise``. ``start[x, b]`` is ``x * W`` plus the count of row x's
     rise values at or below ``b / B``, and ``cols`` is ``arange(K)`` for K
     the most rise values of a row in one bucket ``(b / B, (b + 1) / B]``.
     W is the most rises of a row plus ``max(K, 1)``.
@@ -244,7 +234,7 @@ class _GuideTable(NamedTuple):
         at = at[rise]
         cdf = np.full(m * W, inf)
         cdf[at] = scaled[rise]
-        dest = np.repeat(_last_rise(cum).astype(np.min_scalar_type(n - 1)), W)
+        dest = np.repeat(last_rise(cum).astype(np.min_scalar_type(n - 1)), W)
         dest[at] = np.broadcast_to(np.arange(n), (m, n))[rise]
         at_most += W * np.arange(m)[:, None]
         return cls(
@@ -300,7 +290,7 @@ class _FiniteInner:
         self.plan = view.periods
         base = lookahead(view, self.h)
         self.base = [base[p.states].T[:, :, None] for p in self.plan]
-        self.opt = np.maximum if view.orientation == "max" else np.minimum
+        self.opt = view.optimizer.opt
 
     def evaluate(self, scenarios: np.ndarray) -> np.ndarray:
         """Inner values of a block of scenarios, one row of uniforms each.
@@ -600,10 +590,7 @@ class _SspInner:
         self.h = h
         self.kernel, self.moves = view.kernel, view.moves
         self.base = lookahead(view, h) + 0.0
-        if view.orientation == "max":
-            self.opt, self.first, self.worst = np.maximum, np.argmax, -inf
-        else:
-            self.opt, self.first, self.worst = np.minimum, np.argmin, inf
+        self.opt, self.first, self.worst = view.optimizer
         # When no action slot of x, padded ones included, moves to y, every
         # rho of a step x -> y is 0, and the carry is +0.0 or -0.0. Adding
         # either to base[x], which holds no -0.0, gives base[x].

@@ -9,8 +9,6 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from math import isfinite
 
-import numpy as np
-
 from . import builtin_games, duality, solvers
 from .games import PLAYER_A, PLAYER_B, GameModel, fix_player
 

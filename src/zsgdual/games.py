@@ -5,9 +5,10 @@ maximizer) picks an action ``u``, player B (the minimizer) simultaneously
 picks ``v``, B pays A the stage cost ``g[i][u][v]`` and the system moves
 from state ``i`` to ``j`` with probability ``p[i][u][v][j]``. Mixed
 (randomized) per-state policies, one-player views (``MdpView``: one padded
-layout and move predicate for all states; ``lookahead``, the one action
-value expression; ``absorbing_attractor``, the one reachability fixpoint),
-time embedding of finite-horizon games and JSON ingestion all live here.
+layout and move predicate for all states; ``OPTIMIZERS``, how a view
+optimizes; ``lookahead``, the one action value expression; ``last_rise``,
+the last destination a CDF draws; ``absorbing_attractor``, the one
+reachability fixpoint), time embedding and JSON ingestion all live here.
 
 A ``GameModel`` stores its tensors as blocks: the states of one action
 shape ``(A, B)`` share one ``Block`` of stage costs and padded successor
@@ -30,7 +31,7 @@ import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -327,18 +328,26 @@ def _check_simplex(v: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not a probability vector: {v}")
 
 
+# How a view of each orientation optimizes: the free player's elementwise
+# choice ``opt`` (``opt.reduce`` over a row of action values is its optimum),
+# the lowest optimal slot ``first`` and the cost ``pad`` of a padded slot.
+Optimizer = NamedTuple("Optimizer", [("opt", np.ufunc), ("first", Callable), ("pad", float)])
+OPTIMIZERS = {"max": Optimizer(np.maximum, np.argmax, -np.inf),
+              "min": Optimizer(np.minimum, np.argmin, np.inf)}
+
+
 @dataclass(frozen=True)
 class MdpView:
     """One-player decision problem induced by fixing the other player.
 
     ``orientation`` is ``"max"`` when B was fixed (A, the maximizer, stays
-    free) and ``"min"`` when A was fixed. Every state, the absorbing one
-    included, is one row of two padded arrays: ``cost[x, a]`` is the
-    expected stage cost of action ``a`` (shape ``(n_states, amax)``) and
-    ``kernel[x, a]`` its next-state distribution (shape ``(n_states, amax,
-    n_states)``). Only the first ``n_actions[x]`` slots of a row are real;
-    the others carry cost -inf (max) or +inf (min) and an all-zero kernel
-    row, so optimizing a row over its slots never picks one.
+    free) and ``"min"`` when A was fixed; ``optimizer`` is its ``OPTIMIZERS``
+    entry. Every state, the absorbing one included, is one row of two padded
+    arrays: ``cost[x, a]`` is the expected stage cost of action ``a`` (shape
+    ``(n_states, amax)``) and ``kernel[x, a]`` its next-state distribution
+    (shape ``(n_states, amax, n_states)``). Only the first ``n_actions[x]``
+    slots of a row are real; the others carry cost ``optimizer.pad`` and an
+    all-zero kernel row, so optimizing a row over its slots never picks one.
 
     ``moves`` (the read-only boolean ``kernel > 0``, the one move predicate)
     and, on a time-embedded view (``horizon`` and ``period`` set), the
@@ -361,6 +370,10 @@ class MdpView:
     def absorbing(self) -> int | None:
         return self.regime.absorbing if isinstance(self.regime, Ssp) else None
 
+    @property
+    def optimizer(self) -> Optimizer:
+        return OPTIMIZERS[self.orientation]
+
     @cached_property
     def moves(self) -> np.ndarray:
         return _freeze(self.kernel > 0.0, bool)
@@ -380,9 +393,9 @@ class Period(NamedTuple):
     column 0), and ``cum`` holds each row's CDF at those columns. A CDF's
     first entry above a draw is one of its own rises, so with ``j`` entries
     of ``cum`` at or below the draw, the next state is ``cols[dest[j]]``:
-    the right-sided search of an inverse-CDF draw, capped at the row's last
-    rise. A padded slot's CDF is 0 and its cap ``len(cols)``, one past the
-    rise columns.
+    the right-sided search of an inverse-CDF draw, capped at the row's
+    ``last_rise``. A padded slot's CDF is 0 and its cap ``len(cols)``, one
+    past the rise columns.
     """
 
     states: np.ndarray
@@ -407,14 +420,24 @@ def period_layout(view: MdpView) -> tuple[Period, ...]:
         k = view.kernel[X].transpose(1, 0, 2).reshape(-1, n)
         reach = np.flatnonzero(k.any(axis=0))
         cum = np.cumsum(k[:, reach], axis=1)
-        rise = np.diff(cum, axis=1, prepend=0.0) != 0.0
-        cols = rise.any(axis=0)
-        rise, R = rise[:, cols], np.count_nonzero(cols)
-        last = np.where(rise, np.arange(R), 0).max(axis=1, initial=0)
+        cols = (np.diff(cum, axis=1, prepend=0.0) != 0.0).any(axis=0)
+        cum, R = cum[:, cols], np.count_nonzero(cols)
         real = (np.arange(slots)[:, None] < view.n_actions[X]).ravel()
-        dest = np.minimum(np.arange(R + 1), np.where(real, last, R)[:, None])
-        out.append(Period(*(_freeze(a, a.dtype) for a in (X, reach[cols], cum[:, cols], dest))))
+        dest = np.minimum(np.arange(R + 1), np.where(real, last_rise(cum), R)[:, None])
+        out.append(Period(*(_freeze(a, a.dtype) for a in (X, reach[cols], cum, dest))))
     return tuple(out)
+
+
+def last_rise(cum: np.ndarray) -> np.ndarray:
+    """Index of the last entry of each CDF (the last axis) that exceeds the
+    entry before it, or 0: the last destination a draw can reach.
+
+    Taken from the CDF, not from ``p > 0``, so a trailing mass too small to
+    move the cumulative sum is never chosen.
+    """
+    n = cum.shape[-1]
+    rises = cum[..., 1:] != cum[..., :-1]
+    return np.max(np.where(rises, np.arange(1, n), 0), axis=-1, initial=0)
 
 
 def stack_view(
@@ -422,8 +445,7 @@ def stack_view(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pad per-state action costs and kernels to the ``MdpView`` layout."""
     amax = max(len(c) for c in cost)
-    pad = np.inf if orientation == "min" else -np.inf
-    padded_cost = np.full((len(cost), amax), pad)
+    padded_cost = np.full((len(cost), amax), OPTIMIZERS[orientation].pad)
     padded_kernel = np.zeros((len(cost), amax, kernel[0].shape[1]))
     for x, (c, k) in enumerate(zip(cost, kernel)):
         padded_cost[x, : len(c)] = c
@@ -472,9 +494,10 @@ def fix_rows(
     successor lists of all blocks scatters the kernel rows.
     """
     free_a = fixed_player == PLAYER_B
+    orientation = "max" if free_a else "min"
     counts = model.actions_a if free_a else model.actions_b
     n, amax = model.n_states, int(counts.max())
-    cost = np.full((n, amax), -np.inf if free_a else np.inf)
+    cost = np.full((n, amax), OPTIMIZERS[orientation].pad)
     index, weight = [], []
     for b, w in parts:
         # Axis 1 of g is the free player's action.
@@ -492,7 +515,7 @@ def fix_rows(
         index.append(((b.states[:, None, None, None] * amax + free) * n + b.succ).ravel())
     kernel = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n * amax * n)
     return MdpView(
-        orientation="max" if free_a else "min",
+        orientation=orientation,
         n_states=n,
         n_actions=counts.copy(),
         cost=_freeze(cost),

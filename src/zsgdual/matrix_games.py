@@ -22,7 +22,8 @@ a game's pivots, and so its result, do not depend on the rest of the stack.
 A completely mixed game has one equilibrium, which equalizes the
 opponent's payoffs (Kaplansky 1945; Shapley and Snow 1950). ``solve_mixed``
 finds it for a whole stack in one linear solve, and sends ``solve_many`` only
-the games whose answer fails its test.
+the games whose answer fails its test, or the whole stack when the solve
+fails.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ def solve_mixed(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     and the row strategy the transposed system: one batched solve of shape
     ``(k, 2, A+1, A+1)``. A game takes this answer when both strategies are
     non-negative and its gap is at most ``GAP_ULPS * A`` ulps of ``max |R|``,
-    the rounding of its length-``A`` sums. The other games (a singular
-    system, ulps below the normal range) share one ``solve_many`` call.
+    the rounding of its length-``A`` sums; the other games share one
+    ``solve_many`` call. A stack whose batched solve fails, as one singular
+    system makes it, goes to ``solve_many`` whole.
     """
     R = np.asarray(R, dtype=float)
     solved = _equalizing(R) if equalizable(R.shape) else None
@@ -115,9 +117,9 @@ def solve_mixed(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def _equalizing(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The solutions ``(k, 2, A+1)`` of ``solve_mixed``'s equalizing systems,
-    NaN where a system is singular, and ``_shifted``'s ``lo`` and ``e``; None
-    when every system is singular."""
+    """The solutions ``(k, 2, A+1)`` of ``solve_mixed``'s equalizing systems
+    and ``_shifted``'s ``lo`` and ``e``; None when the batched solve fails,
+    which one singular system makes it do."""
     R, lo, e, S = _shifted(R)
     k, n = S.shape[:2]
     M = np.zeros((k, 2, n + 1, n + 1))
@@ -127,14 +129,7 @@ def _equalizing(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     try:
         return np.linalg.solve(M, rhs)[..., 0], lo, e
     except np.linalg.LinAlgError:
-        # A zero pivot in one system fails the whole batch; det reads the
-        # same LU factors, so it finds the singular games.
-        regular = (np.abs(np.linalg.det(M)) > 0.0).all(axis=1)
-        if not regular.any():
-            return None
-        x = np.full((k, 2, n + 1), np.nan)
-        x[regular] = np.linalg.solve(M[regular], rhs)[..., 0]
-        return x, lo, e
+        return None
 
 
 def equalizable(shape: tuple[int, ...]) -> bool:

@@ -5,20 +5,21 @@ the periods of a time-embedded game), equilibria by Newton steps
 safeguarded by Hoffman–Karp policy iteration, stopped on a certified
 best-response interval (Shapley sweeps solve the stage games on the
 one-step lookahead; a time-embedded game takes one backward pass over its
-periods), best responses to a fixed opponent
-(Howard policy iteration, Newton residual-correction steps, then
-``games.lookahead`` sweeps to a float fixed point; on a time-embedded
-view, backward induction by ``lookahead`` on one period's rows at a time
-and one confirming sweep), the alternating "naive" policy-iteration
-scheme, and the exact sandwich interval that best responses put around
-the game value.
+periods), best responses to a fixed opponent (Howard policy iteration,
+Newton residual-correction steps, then ``games.lookahead`` sweeps to a
+float fixed point; on a time-embedded view, backward induction by
+``lookahead`` on one period's rows at a time and one confirming sweep;
+every step optimizes as ``MdpView.optimizer`` says), the alternating
+"naive" policy-iteration scheme, and the exact sandwich interval that best
+responses put around the game value.
 
 Everything here reads the model's block layout (``games.GameModel``): the
 states of one action shape ``(A, B)``, stacked into ``(k, A, B, S)``
 padded successor lists and ``(k, A, B)`` stage costs. A sweep solves one
-block's stage games in one ``matrix_games.solve_many`` call, reading the
-block without a copy, and sums each row's onward value in list order
-(``games.list_sum``); an induced chain is one ``np.bincount`` over all
+block's stage games together, by ``matrix_games.solve_mixed`` in the
+equilibrium loop and by one ``matrix_games.solve_many`` call elsewhere,
+reading the block without a copy, and sums each row's onward value in list
+order (``games.list_sum``); an induced chain is one ``np.bincount`` over all
 blocks, and a time-embedded pair one ``np.bincount`` per period over the
 same entries. A Newton step evaluates, and a Hoffman–Karp step fixes, the
 sweep's stacked stage strategies directly (``_pair_entries``,
@@ -181,9 +182,8 @@ def _solve_chain(
 
 def _stage_groups(model: GameModel) -> list[Block]:
     """The model's blocks without the absorbing state, so that a sweep
-    solves one group's stage games in one ``matrix_games.solve_many`` call.
-    Only a block that holds the absorbing state next to other states is
-    copied."""
+    solves one group's stage games together (``_sweep``). Only a block
+    that holds the absorbing state next to other states is copied."""
     groups = []
     for b in model.blocks:
         keep = b.states != model.absorbing
@@ -396,23 +396,22 @@ def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
     if view.horizon is None and isinstance(view.regime, FiniteHorizon):
         raise ValueError("embed a finite-horizon view before solving")
     check_tol(tol)
-    argopt = np.argmax if view.orientation == "max" else np.argmin
     if view.horizon is not None:
         V, qa = _polish(view, _backward(view), 0.0, view.horizon + 1)
     else:
         V, qa = _polish(view, _newton(view, _howard(view)), tol, MAX_SWEEPS)
     V.setflags(write=False)
-    return V, argopt(qa, axis=1)
+    return V, view.optimizer.first(qa, axis=1)
 
 
 def _backward(view: MdpView) -> np.ndarray:
     """Backward induction on a time-embedded view: ``lookahead`` on one
     period's rows at a time, the last period first; the absorbing state
     keeps 0."""
-    opt = np.max if view.orientation == "max" else np.min
+    opt = view.optimizer.opt
     V = np.zeros(view.n_states)
     for p in reversed(view.periods):
-        V[p.states] = opt(lookahead(view, V, p.states), axis=1)
+        V[p.states] = opt.reduce(lookahead(view, V, p.states), axis=1)
     return V
 
 
@@ -428,24 +427,24 @@ def _proper_start(view: MdpView) -> np.ndarray:
 
 def _howard(view: MdpView) -> np.ndarray:
     """Values of the final policy of Howard policy iteration on a view."""
-    sign = 1.0 if view.orientation == "max" else -1.0
-    argopt = np.argmax if view.orientation == "max" else np.argmin
+    first = view.optimizer.first
     rows = np.arange(view.n_states)
     alpha = regime_alpha(view.regime)
     ssp = view.absorbing is not None
-    policy = _proper_start(view) if ssp else argopt(view.cost, axis=1)
+    policy = _proper_start(view) if ssp else first(view.cost, axis=1)
     for _ in range(MAX_SWEEPS):
         P = view.kernel[rows, policy]
         if ssp and not absorbing_reachable(P, view.absorbing):
             # A strict gain closed a cycle whose average cost favours the
             # responder: the value is unbounded.
-            inf = "+inf" if sign > 0 else "-inf"
-            raise UnboundedValue(f"improving step made the policy improper; value {inf}")
+            raise UnboundedValue(
+                f"improving step made the policy improper; value {-view.optimizer.pad:+}"
+            )
         V = _solve_chain(P, view.cost[rows, policy], alpha, view.absorbing)
         qa = lookahead(view, V)
-        best = argopt(qa, axis=1)
+        best = first(qa, axis=1)
         current = qa[rows, policy]
-        gain = sign * (qa[rows, best] - current)
+        gain = np.abs(qa[rows, best] - current)
         switch = gain > 1e-12 * np.maximum(1.0, np.abs(current))
         if not switch.any():
             return V
@@ -460,16 +459,15 @@ def _newton(view: MdpView, V: np.ndarray) -> np.ndarray:
     Returns the values of least residual. A greedy ``pi`` that cannot absorb
     (an exact tie with a zero-cost loop) ends the steps, as its system is
     singular."""
-    opt = np.max if view.orientation == "max" else np.min
-    argopt = np.argmax if view.orientation == "max" else np.argmin
+    opt, first, _ = view.optimizer
     best, least = V, np.inf
     for _ in range(MAX_SWEEPS):
         qa = lookahead(view, V)
-        r = opt(qa, axis=1) - V
+        r = opt.reduce(qa, axis=1) - V
         if not float(np.abs(r).max()) < least:  # NaN included
             break
         best, least = V, float(np.abs(r).max())
-        P = view.kernel[np.arange(view.n_states), argopt(qa, axis=1)]
+        P = view.kernel[np.arange(view.n_states), first(qa, axis=1)]
         if least == 0.0 or (
             view.absorbing is not None and not absorbing_reachable(P, view.absorbing)
         ):
@@ -489,11 +487,11 @@ def _polish(view: MdpView, V: np.ndarray, tol: float, max_sweeps: int):
     cycle has ``T(L) <= L``, and sweeps restarted from it descend to a
     fixed point.
     """
-    opt = np.max if view.orientation == "max" else np.min
+    opt = view.optimizer.opt
     mark, lam, power = V, 0, 1
     for _ in range(max_sweeps):
         qa = lookahead(view, V)
-        new = opt(qa, axis=1)
+        new = opt.reduce(qa, axis=1)
         delta = float(np.abs(new - V).max())
         V = new
         if delta <= tol:
@@ -502,7 +500,7 @@ def _polish(view: MdpView, V: np.ndarray, tol: float, max_sweeps: int):
         if np.array_equal(V, mark):
             low = V
             for _ in range(lam - 1):
-                V = opt(lookahead(view, V), axis=1)
+                V = opt.reduce(lookahead(view, V), axis=1)
                 low = np.minimum(low, V)
             V, mark, lam, power = low, low, 0, 1
         elif lam == power:

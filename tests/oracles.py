@@ -277,7 +277,7 @@ def icdf(cum: np.ndarray, w: float) -> int:
     """Smallest index whose CDF value strictly exceeds ``w``; a draw at or
     above a final cumulative sum that fell short of 1 walks back over the
     trailing entries that do not rise. The library takes that index from a
-    per-CDF table (``duality._last_rise``) instead of this loop."""
+    per-CDF table (``games.last_rise``) instead of this loop."""
     j = int(np.searchsorted(cum, w, side="right"))
     if j >= len(cum):  # final cumsum fell short of 1 by rounding
         j = len(cum) - 1

@@ -122,6 +122,17 @@ class TestSolveCommand:
         doc = json.loads(out_path.read_text())
         assert doc["states"][0]["value"] == pytest.approx(5.0, abs=1e-9)
 
+    def test_json_without_out_prints_the_document(self, capsys, tmp_path):
+        argv = ["solve", "--game", "builtin:waste,N=2", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        out_path = tmp_path / "solution.json"
+        assert run(capsys, *argv, "--out", str(out_path))[0] == 0
+        printed, written = json.loads(out), json.loads(out_path.read_text())
+        for doc in (printed, written):
+            assert doc["metadata"].pop("timestamp")
+        assert printed == written and len(printed["states"]) == 7
+
 
     @pytest.mark.parametrize(
         "flags",
@@ -348,6 +359,26 @@ class TestBoundCommand:
         assert (code, out) == (2, "")
         assert "policy file state 0: not a list of numbers" in err
         assert len(err.splitlines()) == 1
+
+    def test_json_without_out_prints_the_document(self, capsys, tmp_path):
+        argv = ["bound", "--game", "builtin:waste,N=2", "--fix", "B=uniform",
+                "--n", "50", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        out_path = tmp_path / "bounds.json"
+        assert run(capsys, *argv, "--out", str(out_path))[0] == 0
+        printed, written = json.loads(out), json.loads(out_path.read_text())
+        for doc in (printed, written):
+            assert doc["metadata"].pop("timestamp")
+        assert printed == written and list(printed["bounds"]) == ["upper"]
+
+    def test_reference_measure_on_a_time_embedded_game_exits_2(self, capsys, tmp_path):
+        argv = ["bound", "--game", "builtin:matrix2p", "--fix", "A=optimal",
+                "--side", "lower", "--n", "100"]
+        code, out, err = run(capsys, *argv, "--q", f"file:{tmp_path / 'missing.json'}")
+        assert code == 2 and out == ""
+        assert "reference measures apply to absorbing-state games only" in err
+        assert run(capsys, *argv, "--q", "uniform")[0] == 0
 
     def test_missing_fix_exits_2(self, capsys):
         code, _, err = run(capsys, "bound", "--game", "builtin:matrix2p")

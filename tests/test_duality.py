@@ -92,7 +92,7 @@ class TestInverseCdfTransition:
             np.linspace(0.0, 1.0, 201)[:-1], cum.ravel(), [np.nextafter(1.0, 0.0)]
         ]))
         w = w[w < 1.0]
-        last = duality._last_rise(cum)
+        last = zd.games.last_rise(cum)
         fallback = 0
         for c, k in zip(cum, last):
             got = duality._icdf(c, w, k)
@@ -103,6 +103,36 @@ class TestInverseCdfTransition:
         search = duality._GuideTable.of(cum)
         got = search(pick, w * search.scale)
         assert got.tolist() == [icdf(cum[i], x) for i, x in zip(pick, w)]
+
+    @pytest.mark.parametrize("row", [[0.5, 0.5, 1e-17], [0.7, 0.2, 0.1, 1e-17]])
+    def test_trailing_mass_that_leaves_the_cdf_is_never_drawn(self, row):
+        # The second row's CDF falls short of 1, so the draw nextafter(1, 0)
+        # runs past its end and takes the cap.
+        n = len(row)
+        cum = np.cumsum(row)
+        assert cum[-1] == cum[-2]
+        w = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0, 101)[:-1], cum, [np.nextafter(1.0, 0.0)]
+        ]))
+        w = w[w < 1.0]
+        want = [icdf(cum, x) for x in w]
+        assert max(want) == n - 2
+        search = duality._GuideTable.of(cum[None])
+        assert search(np.zeros(len(w), dtype=np.intp), w * search.scale).tolist() == want
+        # State 0 (period 0) moves by the row to states 1..n (period 1),
+        # which absorb at state n + 1.
+        kernel = np.zeros((n + 2, 1, n + 2))
+        kernel[0, 0, 1 : n + 1] = row
+        kernel[1:, 0, n + 1] = 1.0
+        view = zd.games.MdpView(
+            orientation="max", n_states=n + 2, n_actions=np.ones(n + 2, dtype=int),
+            cost=np.zeros((n + 2, 1)), kernel=kernel, regime=zd.Ssp(absorbing=n + 1),
+            root=0, horizon=2, period=np.array([0] + [1] * n + [2]),
+        )
+        p = view.periods[0]
+        assert p.cols.tolist() == list(range(1, n))
+        got = [int(p.cols[p.dest[0, np.count_nonzero(p.cum[0] <= x)]]) - 1 for x in w]
+        assert got == want
 
 
 class TestGuideTableSearch:

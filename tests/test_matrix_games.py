@@ -316,7 +316,7 @@ class TestSolveMixed:
         # From the third sweep on, every stage game is completely mixed.
         assert accepted[:2] == [0, 5] and accepted[2:] == [30] * (len(accepted) - 2)
 
-    @pytest.mark.parametrize("name", ["pure saddle", "dominated row", "constant", "subnormal"])
+    @pytest.mark.parametrize("name", ["pure saddle", "dominated row", "subnormal"])
     def test_refused_game_leaves_the_others_alone(self, waste5_stage_stacks, name, simplex_calls):
         good = waste5_stage_stacks[-1][:4]
         bad = good[0].copy()
@@ -324,8 +324,6 @@ class TestSolveMixed:
             bad[2] += 10.0  # row 2 dominates every other
         elif name == "dominated row":
             bad[0] = bad[1] - np.linspace(1.0, 2.0, 5)  # its system is regular
-        elif name == "constant":
-            bad[:] = 2.5  # its system is singular
         else:
             bad *= 1e-310 / np.abs(bad).max()
         alone = matrix_games.solve_mixed(good)
@@ -339,6 +337,21 @@ class TestSolveMixed:
         for got, want, other in zip(mixed, simplex, alone):
             assert_same_bits(got[2], want[0])
             assert_same_bits(got[[0, 1, 3, 4]], other)
+
+    def test_singular_game_sends_the_whole_stack_to_the_simplex(
+        self, waste5_stage_stacks, simplex_calls
+    ):
+        # A constant game's equalizing system is singular, which fails the
+        # batched solve of the whole stack.
+        good = waste5_stage_stacks[-1][:4]
+        R = np.concatenate([good[:2], np.full_like(good[:1], 2.5), good[2:]])
+        mixed = matrix_games.solve_mixed(R)
+        assert len(simplex_calls) == 1
+        assert_same_bits(simplex_calls[0], R)
+        want = matrix_games.solve_many(R)
+        want += (matrix_games.exploitability(R, *want[1:]),)
+        for got, w in zip(mixed, want):
+            assert_same_bits(got, w)
 
     def test_one_by_one_and_non_square_games_take_the_simplex(self):
         for R in (np.full((3, 1, 1), 2.0), np.ones((2, 2, 3))):
