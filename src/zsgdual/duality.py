@@ -451,13 +451,18 @@ def validate_abs_continuity(
     view: MdpView, q: ReferenceMeasure
 ) -> list[tuple[int, int, int]]:
     """All (state, action, next) where the view moves (``MdpView.moves``)
-    but q puts no mass, in index order; a q without such zeros needs no pass."""
+    but q puts no mass, in index order; a q without such zeros needs no
+    pass."""
     zero = q.kernel == 0.0
     if view.absorbing is not None:
         zero[view.absorbing] = False
     if not zero.any():
         return []
-    return [(int(x), int(a), int(j)) for x, a, j in np.argwhere(view.moves & zero[:, None, :])]
+    x, a, y, _ = view.entries()
+    bad = zero[x, y]
+    x, a, y = x[bad], a[bad], y[bad]
+    order = np.lexsort((y, a, x))
+    return list(zip(x[order].tolist(), a[order].tolist(), y[order].tolist()))
 
 
 def simulate_q_path(
@@ -565,10 +570,11 @@ def _draw_paths(
 class _SspInner:
     """One ``(view, h)`` pair's weak-form inner problem, checked against
     ``q``: the action values ``lookahead(view, h) + 0.0``, which reads a
-    -0.0 as +0.0 and leaves every other value as it is, the view's moves
-    (``MdpView.moves``) and the stop table: ``stop[x, y]`` holds when a path's
-    step ``x -> y`` has the same value whatever follows it. ``_Walk`` builds
-    one ratio table for all pairs on a draw.
+    -0.0 as +0.0 and leaves every other value as it is, the view, whose
+    moving entries (``MdpView.entries``) the ratios are taken from, and the
+    stop table: ``stop[x, y]`` holds when a path's step ``x -> y`` has the
+    same value whatever follows it. ``_Walk`` builds one ratio table for all
+    pairs on a draw.
     """
 
     def __init__(self, view: MdpView, h: np.ndarray, q: ReferenceMeasure):
@@ -587,14 +593,16 @@ class _SspInner:
                 f"reference measure fails absolute continuity at {len(bad)} "
                 f"transitions, first (state, action, next) = {bad[0]}"
             )
-        self.h = h
-        self.kernel, self.moves = view.kernel, view.moves
+        self.h, self.view = h, view
         self.base = lookahead(view, h) + 0.0
         self.opt, self.first, self.worst = view.optimizer
         # When no action slot of x, padded ones included, moves to y, every
         # rho of a step x -> y is 0, and the carry is +0.0 or -0.0. Adding
         # either to base[x], which holds no -0.0, gives base[x].
-        self.stop = ~self.moves.any(axis=1)
+        n = view.n_states
+        stop = np.ones((n, n + 1), dtype=bool)  # column n takes the entries that cannot move
+        stop[np.arange(n)[:, None], np.where(view.moves, view.succ, n)] = False
+        self.stop = stop[:, :n]
 
 
 class _Walk:
@@ -628,44 +636,54 @@ class _Walk:
         C = 1 + max(1, *(K for *_, K in entries))
         rho = np.zeros((C, len(inners), n * n))
         value = np.zeros(rho.shape)
-        for j, (inner, (const, a, xy, col, _)) in enumerate(zip(inners, entries)):
+        for j, (inner, (const, x, a, xy, p, col, _)) in enumerate(zip(inners, entries)):
             value[0, j] = const
             value[1:, j] = inner.worst
-            xa = xy // n * inner.kernel.shape[1] + a
             with np.errstate(over="ignore"):  # p / q is inf where q is subnormal
-                rho[col, j, xy] = inner.kernel.take(xa * n + xy % n) / q.kernel.take(xy)
-            value[col, j, xy] = inner.base.take(xa)
+                rho[col, j, xy] = p / q.kernel.take(xy)
+            value[col, j, xy] = inner.base[x, a]
         self.n, self.h = n, np.array([inner.h for inner in inners])
         self.rho, self.value = rho.reshape(-1, n * n), value.reshape(-1, n * n)
         self.opt = [inner.opt for inner in inners]
 
     @staticmethod
     def _entries(inner: _SspInner, q: ReferenceMeasure):
-        """A pair's entry 0 of every row ``x * n + y``; the slot ``a``, row
-        and entry (1, 2, ... in slot order) of every slot that can move, in
-        the rows neither into nor out of absorption; the most entries of a row."""
-        base, worst, (n, S, _), end = inner.base, inner.worst, inner.moves.shape, q.absorbing
-        live = inner.moves.transpose(1, 0, 2).copy()
-        live[:, end] = live[:, :, end] = False
-        live = live.reshape(S, n * n)
-        col = np.empty(live.shape, dtype=np.min_scalar_type(S))
-        count = np.zeros(n * n, dtype=col.dtype)
-        for a, row in enumerate(live):
-            count += row
-            col[a] = count
+        """A pair's entry 0 of every row ``x * n + y``; the state, slot,
+        row, probability and entry (1, 2, ... in slot order) of every moving
+        list entry in the rows neither into nor out of absorption; the most
+        entries of a row."""
+        base, worst, end = inner.base, inner.worst, q.absorbing
+        n, S = base.shape
+        x, a, y, p = inner.view.entries()
+        # A step into absorption is a path's last: its carry is rho * (0 - h).
+        into = y == end
+        rho = np.zeros(base.shape)
+        rho[x[into], a[into]] = p[into] / q.kernel[x[into], end]
+        diff = 0.0 - inner.h[end]
+        carry = np.where((rho == 0.0) & (diff != 0.0), 0.0, rho * diff)
+        live = ~into & (x != end)
+        x, a, p = x[live], a[live], p[live]
+        xy = x * n + y[live]
+        # Entry c of a row is its c-th slot that can move: count each row's
+        # entries slot by slot (a row lists a destination once per slot).
+        col, count = np.empty(len(xy), dtype=np.intp), np.zeros(n * n, dtype=np.intp)
+        for s in range(S):
+            (e,) = np.nonzero(a == s)
+            count[xy[e]] += 1
+            col[e] = count.take(xy[e])
         # A row takes its state's optimum unless the state's first optimal
         # slot can move; those rows are reduced here.
         const = np.repeat(inner.opt.reduce(base, axis=1), n)
-        (hit,) = np.nonzero(live.reshape(S, n, n)[inner.first(base, axis=1), np.arange(n)].ravel())
-        const[hit] = inner.opt.reduce(np.where(live[:, hit], worst, base[hit // n].T), axis=0)
-        rho = np.divide(inner.kernel[:, :, end], q.kernel[:, end, None],
-                        out=np.zeros(base.shape), where=inner.moves[:, :, end])
-        diff = 0.0 - inner.h[end]
-        carry = np.where((rho == 0.0) & (diff != 0.0), 0.0, rho * diff)
+        hit = xy[a == inner.first(base, axis=1)[x]]
+        row = np.full(n * n, -1)
+        row[hit] = np.arange(len(hit))
+        row = row.take(xy)
+        (at,) = np.nonzero(row >= 0)
+        blocked = np.zeros((len(hit), S), dtype=bool)
+        blocked[row[at], a[at]] = True
+        const[hit] = inner.opt.reduce(np.where(blocked, worst, base[hit // n]), axis=1)
         const[end::n] = inner.opt.reduce(carry + base, axis=1)
-        (f,) = np.nonzero(live.ravel())
-        a, xy = np.divmod(f, n * n)
-        return const, a, xy, col.ravel()[f], int(count.max())
+        return const, x, a, xy, p, col, int(col.max(initial=0))
 
     def __call__(self, windows: _Windows, n_paths: int) -> list[np.ndarray]:
         h, n, P = self.h, self.n, len(self.h)

@@ -5,18 +5,24 @@ maximizer) picks an action ``u``, player B (the minimizer) simultaneously
 picks ``v``, B pays A the stage cost ``g[i][u][v]`` and the system moves
 from state ``i`` to ``j`` with probability ``p[i][u][v][j]``. Mixed
 (randomized) per-state policies, one-player views (``MdpView``: one padded
-layout and move predicate for all states; ``OPTIMIZERS``, how a view
-optimizes; ``lookahead``, the one action value expression; ``last_rise``,
-the last destination a CDF draws; ``absorbing_attractor``, the one
-reachability fixpoint), time embedding and JSON ingestion all live here.
+layout of successor lists and one move predicate for all states;
+``OPTIMIZERS``, how a view optimizes; ``lookahead``, the one action value
+expression; ``last_rise``, the last destination a CDF draws;
+``absorbing_attractor``, the one reachability fixpoint), time embedding and
+JSON ingestion all live here.
 
 A ``GameModel`` stores its tensors as blocks: the states of one action
 shape ``(A, B)`` share one ``Block`` of stage costs and padded successor
-lists, which hold only the destinations a move can reach. Fixing a player
-or inducing a chain scatters every block into its dense result with one
-``np.bincount``; the dense per-state tensors ``transition[i]`` are rebuilt
-from the lists on access, never stored. Every sum over a successor list
-is ``list_sum``, in list order, so a state's sums depend on its list alone.
+lists, which hold only the destinations a move can reach. A view keeps
+successor lists too: fixing a player folds the fixed player's actions into
+each free slot's list with ``np.bincount`` over the compressed
+``(state, slot, destination)`` keys (``successor_lists``), a batch of
+states at a time, so no ``(n, slots, n)`` array is ever built; inducing a
+pair's chain scatters every block into its ``(n, n)`` matrix. The dense per-state tensors
+``transition[i]`` are rebuilt from the lists on access, never stored. Every
+sum over a successor list is in list order, so a state's sums depend on its
+list alone: ``list_sum`` for a block's, and ``lookahead``'s the same running
+sums with each addition's rounding error added back.
 
 All objects are immutable after construction and safe to share across
 threads; every operation in this module is pure. The only derived state
@@ -27,7 +33,9 @@ that race to build one build equal ones.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,6 +44,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 SIMPLEX_TOL = 1e-12
+# Entries that ``fix_rows`` folds into successor lists, and ``lookahead``
+# takes rounding errors of, at a time.
+_ENTRIES = 1 << 16
 
 PLAYER_A = "A"  # maximizer
 PLAYER_B = "B"  # minimizer
@@ -342,14 +353,19 @@ class MdpView:
 
     ``orientation`` is ``"max"`` when B was fixed (A, the maximizer, stays
     free) and ``"min"`` when A was fixed; ``optimizer`` is its ``OPTIMIZERS``
-    entry. Every state, the absorbing one included, is one row of two padded
-    arrays: ``cost[x, a]`` is the expected stage cost of action ``a`` (shape
-    ``(n_states, amax)``) and ``kernel[x, a]`` its next-state distribution
-    (shape ``(n_states, amax, n_states)``). Only the first ``n_actions[x]``
-    slots of a row are real; the others carry cost ``optimizer.pad`` and an
-    all-zero kernel row, so optimizing a row over its slots never picks one.
+    entry. Every state, the absorbing one included, has ``amax`` action
+    slots. ``cost[x, a]`` is the expected stage cost of slot ``a`` (shape
+    ``(n_states, amax)``), and the slot's next-state distribution is a
+    padded successor list, entry-major: entry ``l`` moves to ``succ[l, x,
+    a]`` with probability ``prob[l, x, a]`` (int32 and float arrays of shape
+    ``(L, n_states, amax)``, ``L`` the longest list). A list holds the
+    destinations of nonzero probability in ascending order, then pads of
+    probability +0.0 whose destination is ``n_states``, one past the last
+    state. Only the first ``n_actions[x]`` slots of a state are real; the
+    others carry cost ``optimizer.pad`` and an empty list, so optimizing a
+    row over its slots never picks one.
 
-    ``moves`` (the read-only boolean ``kernel > 0``, the one move predicate)
+    ``moves`` (the read-only boolean ``prob > 0``, the one move predicate)
     and, on a time-embedded view (``horizon`` and ``period`` set), the
     period layout ``periods`` are derived from the fields, built on first
     use and cached on the instance, so each view builds them once however
@@ -360,7 +376,8 @@ class MdpView:
     n_states: int
     n_actions: np.ndarray
     cost: np.ndarray
-    kernel: np.ndarray
+    succ: np.ndarray
+    prob: np.ndarray
     regime: Regime
     root: int | None = None
     horizon: int | None = None
@@ -376,7 +393,17 @@ class MdpView:
 
     @cached_property
     def moves(self) -> np.ndarray:
-        return _freeze(self.kernel > 0.0, bool)
+        return _freeze(self.prob > 0.0, bool)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The state ``x``, slot ``a``, destination ``y`` and probability
+        ``p`` of every list entry that moves (``moves``), in the layout's
+        order: by list position, then state, then slot."""
+        flat = np.flatnonzero(self.moves)
+        shape = self.succ.shape
+        x, a = (np.broadcast_to(i, shape).ravel().take(flat)
+                for i in (np.arange(shape[1])[:, None], np.arange(shape[2])))
+        return x, a, self.succ.take(flat), self.prob.take(flat)
 
     @cached_property
     def periods(self) -> tuple[Period, ...]:
@@ -407,19 +434,25 @@ class Period(NamedTuple):
 def period_layout(view: MdpView) -> tuple[Period, ...]:
     """The ``Period`` of each period ``0 .. horizon - 1`` of a time-embedded
     view, its states grouped by ``view.period`` (no period need be
-    contiguous or hold a state). The CDFs are cumulative sums over the
-    columns the period's rows reach, since the skipped entries are exact
-    zeros, which leave a running sum as it is."""
+    contiguous or hold a state). A period's listed entries are scattered
+    into one row per slot over the columns they reach, and the CDFs are
+    cumulative sums over those columns alone, since the skipped entries are
+    exact zeros, which leave a running sum as it is."""
     if view.horizon is None or view.period is None:
         raise ValueError("a period layout needs a time-embedded view")
-    n, slots = view.n_states, view.kernel.shape[1]
+    n, (L, _, slots) = view.n_states, view.succ.shape
     live = np.arange(n) != view.absorbing
     out = []
     for t in range(view.horizon):
         X = np.flatnonzero(live & (view.period == t))
-        k = view.kernel[X].transpose(1, 0, 2).reshape(-1, n)
-        reach = np.flatnonzero(k.any(axis=0))
-        cum = np.cumsum(k[:, reach], axis=1)
+        succ, prob = (a[:, X].transpose(0, 2, 1).reshape(L, -1) for a in (view.succ, view.prob))
+        # Column of each destination the period reaches; pads reach column R.
+        hit = np.zeros(n + 1, dtype=bool)
+        hit[succ] = True
+        reach, rank = np.flatnonzero(hit[:n]), np.cumsum(hit) - 1
+        k = np.zeros((succ.shape[1], len(reach) + 1))
+        k[np.arange(succ.shape[1]), rank[succ]] = prob
+        cum = np.cumsum(k[:, :-1], axis=1)
         cols = (np.diff(cum, axis=1, prepend=0.0) != 0.0).any(axis=0)
         cum, R = cum[:, cols], np.count_nonzero(cols)
         real = (np.arange(slots)[:, None] < view.n_actions[X]).ravel()
@@ -440,28 +473,126 @@ def last_rise(cum: np.ndarray) -> np.ndarray:
     return np.max(np.where(rises, np.arange(1, n), 0), axis=-1, initial=0)
 
 
+def successor_lists(
+    key: np.ndarray, weight: np.ndarray, rows: int, slots: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only successor lists ``(succ, prob)`` of shape ``(L, rows,
+    slots)`` (``MdpView``'s layout, over ``n`` destinations) of weighted
+    entries: an entry of key ``(x * slots + a) * n + y`` adds its ``weight``
+    to the probability that slot ``a`` of row ``x`` moves to ``y``.
+
+    One ``np.bincount`` over the compressed keys sums each key's weights in
+    entry order, as a dense bincount over all ``rows * slots * n`` cells
+    would, bit for bit. Entries of weight 0 are dropped first, since they
+    could only change the sign of a zero sum, and keys whose sum is 0 are
+    not listed."""
+    live = np.flatnonzero(weight != 0.0)
+    E = max(len(live), 1)
+    if rows * slots * n * E > np.iinfo(np.int64).max:
+        raise ValueError(f"{len(live)} entries over {rows} rows overflow the entry keys")
+    # Sorting key * E + index orders the entries by key, a key's in entry order.
+    tagged = key.take(live) * E
+    tagged += np.arange(len(live))
+    tagged.sort()
+    key, order = np.divmod(tagged, E)
+    new = _starts(key)
+    p = np.bincount(np.cumsum(new), weight.take(live.take(order)))[1:]
+    listed = p != 0.0
+    return _pack(key[new][listed], p[listed], rows, slots, n)
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``a`` starts, as a boolean mask."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new
+
+
+def _pack(
+    keys: np.ndarray, p: np.ndarray, rows: int, slots: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Successor lists of ascending distinct keys ``(x * slots + a) * n + y``
+    with probabilities ``p``: each slot's entries in key order, then pads
+    of destination ``n``."""
+    slot, y = np.divmod(keys, n)
+    index = np.arange(len(slot))
+    at = index - np.maximum.accumulate(index * _starts(slot))  # entry of its slot
+    size = (int(at.max(initial=0)) + 1) * rows * slots
+    at *= rows * slots
+    at += slot
+    succ, prob = np.full(size, n, dtype=np.int32), np.zeros(size)
+    succ[at], prob[at] = y, p
+    succ, prob = succ.reshape(-1, rows, slots), prob.reshape(-1, rows, slots)
+    for a in (succ, prob):
+        a.setflags(write=False)
+    return succ, prob
+
+
 def stack_view(
     cost: Sequence[np.ndarray], kernel: Sequence[np.ndarray], orientation: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pad per-state action costs and kernels to the ``MdpView`` layout."""
-    amax = max(len(c) for c in cost)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-state action costs and dense ``(actions, n)`` kernels in the
+    ``MdpView`` layout: the padded costs and the successor lists of the
+    kernels' nonzero entries."""
+    amax, n = max(len(c) for c in cost), np.shape(kernel[0])[1]
     padded_cost = np.full((len(cost), amax), OPTIMIZERS[orientation].pad)
-    padded_kernel = np.zeros((len(cost), amax, kernel[0].shape[1]))
+    key, weight = [], []
     for x, (c, k) in enumerate(zip(cost, kernel)):
         padded_cost[x, : len(c)] = c
-        padded_kernel[x, : len(c)] = k
-    return _freeze(padded_cost), _freeze(padded_kernel)
+        k = np.asarray(k, dtype=float)
+        a, y = np.nonzero(k)
+        key.append((x * amax + a) * n + y)
+        weight.append(k[a, y])
+    return (_freeze(padded_cost),
+            *successor_lists(np.concatenate(key), np.concatenate(weight), len(cost), amax, n))
 
 
 def lookahead(view: MdpView, values: np.ndarray, states=slice(None)) -> np.ndarray:
     """Stage cost plus discounted expected ``values`` of every action slot
     of the rows ``states`` of a view (all rows by default).
 
+    A loop over the ``L`` list positions adds each entry's ``p * value``
+    in list order, the running sums being ``list_sum``'s: a pad reads its
+    destination ``n``, a -0.0 appended to ``values``, and adding ``0 *
+    -0.0`` leaves a sum as it is, so a pad adds nothing, not a zero's sign
+    nor the NaN of ``0 * inf``. Each addition's rounding error is then
+    taken exactly (Knuth's TwoSum), for a batch of positions at a time, and
+    the errors, summed in list order, are added to the total where their
+    sum is finite and nonzero, so an expectation is within about an ulp of
+    the exact sum of its terms, whatever their order. Plain running sums
+    drift by ulps per step: waste N=25's equilibrium solve then took 65
+    lookaheads instead of 16, its ``tol=0`` polish creeping an ulp at a
+    time, and mirror-image slots of a symmetric game, which tie in real
+    arithmetic, did not tie.
+
     The exact solvers and both dual inner problems read action values
     through this one expression; an exact-value generator cancels the
     inner continuation only because they agree bit for bit.
     """
-    return view.cost[states] + regime_alpha(view.regime) * (view.kernel[states] @ values)
+    ext = np.empty(view.n_states + 1)
+    ext[:-1], ext[-1] = values, -0.0
+    terms = view.prob[:, states] * ext.take(view.succ[:, states])
+    sums, error = terms.copy(), np.zeros(terms.shape[1:])
+    step = max(1, _ENTRIES // max(1, error.size))  # positions whose errors are taken at once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pos in range(1, len(sums)):
+            sums[pos] += sums[pos - 1]
+        for first in range(1, len(sums), step):
+            # TwoSum: with s + t = u rounded, (s - (u - b)) + (t - b) is its
+            # error exactly, b = u - s. The terms are overwritten.
+            last = min(first + step, len(sums))
+            s, u, t = sums[first - 1 : last - 1], sums[first:last], terms[first:last]
+            back = u - s
+            t -= back
+            np.subtract(u, back, out=back)
+            np.subtract(s, back, out=back)
+            back += t
+            for lost in back:
+                error += lost
+        total = sums[-1]
+        np.add(total, error, out=total, where=np.isfinite(error) & (error != 0.0))
+    alpha = regime_alpha(view.regime)
+    return view.cost[states] + (total if alpha == 1.0 else alpha * total)
 
 
 def block_rows(model: GameModel, policy: MixedPolicy, player: str) -> list[np.ndarray]:
@@ -490,41 +621,70 @@ def fix_rows(
     ``(block, w)`` of ``parts`` holds the ``(k, A)`` or ``(k, B)`` vectors
     ``w`` of the block's states, and the blocks cover every state once.
 
-    One ``matmul`` per block gives the costs; one ``np.bincount`` over the
-    successor lists of all blocks scatters the kernel rows.
+    One ``matmul`` per block gives the costs; ``successor_lists`` folds the
+    entries of the blocks' states into the free slots' lists, a batch of
+    rows of about ``_ENTRIES`` entries at a time, so that no temporary grows
+    with the game.
     """
     free_a = fixed_player == PLAYER_B
     orientation = "max" if free_a else "min"
     counts = model.actions_a if free_a else model.actions_b
     n, amax = model.n_states, int(counts.max())
     cost = np.full((n, amax), OPTIMIZERS[orientation].pad)
-    index, weight = [], []
+    pieces, batch = [], []
     for b, w in parts:
         # Axis 1 of g is the free player's action.
         g = b.cost if free_a else b.cost.transpose(0, 2, 1)
         cost[b.states, : g.shape[1]] = (g @ w[:, :, None])[:, :, 0]
         # Entry (x, u, v, s) adds its probability times the fixed player's
-        # weight of its action to kernel[x, a, succ[x, u, v, s]], where a is
-        # the free player's action.
+        # weight of its action to the move of slot a to succ[x, u, v, s],
+        # where a is the free player's action.
         if free_a:
-            free = np.arange(g.shape[1])[:, None, None]
-            weight.append((w[:, None, :, None] * b.transition).ravel())
+            free, w = np.arange(g.shape[1])[:, None, None], w[:, None, :, None]
         else:
-            free = np.arange(g.shape[1])[:, None]
-            weight.append((w[:, :, None, None] * b.transition).ravel())
-        index.append(((b.states[:, None, None, None] * amax + free) * n + b.succ).ravel())
-    kernel = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n * amax * n)
+            free, w = np.arange(g.shape[1])[:, None], w[:, :, None, None]
+        step = max(1, _ENTRIES // math.prod(b.succ.shape[1:]))
+        for r in range(0, len(b.states), step):
+            rows = slice(r, r + step)
+            batch.append((b.states[rows], w[rows] * b.transition[rows], free, b.succ[rows]))
+            if sum(weight.size for _, weight, _, _ in batch) >= _ENTRIES:
+                pieces.append(_fold(batch, amax, n))
+                batch = []
+    if batch:
+        pieces.append(_fold(batch, amax, n))
+    states, succ, prob = pieces[0]
+    if len(pieces) > 1 or not (np.diff(states) == 1).all():
+        L = max(s.shape[0] for _, s, _ in pieces)
+        succ, prob = np.full((L, n, amax), n, dtype=np.int32), np.zeros((L, n, amax))
+        for states, s, p in pieces:
+            succ[: len(s), states], prob[: len(p), states] = s, p
+        succ, prob = _freeze(succ, np.int32), _freeze(prob)
     return MdpView(
         orientation=orientation,
         n_states=n,
         n_actions=counts.copy(),
         cost=_freeze(cost),
-        kernel=_freeze(kernel.reshape(n, amax, n)),
+        succ=succ,
+        prob=prob,
         regime=model.regime,
         root=model.root,
         horizon=model.horizon,
         period=model.period,
     )
+
+
+def _fold(batch: list, slots: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states of a batch of ``fix_rows`` row groups ``(states, weight,
+    free, succ)`` and their successor lists, row ``x`` standing for the
+    batch's ``x``-th state."""
+    states = np.concatenate([s for s, *_ in batch])
+    first = itertools.accumulate([len(s) for s, *_ in batch], initial=0)
+    key = np.concatenate([
+        (((x + np.arange(len(s)))[:, None, None, None] * slots + free) * n + succ).ravel()
+        for x, (s, _, free, succ) in zip(first, batch)
+    ])
+    weight = np.concatenate([weight.ravel() for _, weight, _, _ in batch])
+    return states, *successor_lists(key, weight, len(states), slots, n)
 
 
 # ---------------------------------------------------------------------------
@@ -608,28 +768,41 @@ def lift_policy(embedded: GameModel, policy: MixedPolicy) -> MixedPolicy:
 # Validation
 
 
-def absorbing_attractor(kernel: np.ndarray, absorbing: int) -> tuple[np.ndarray, np.ndarray]:
-    """The states that reach ``absorbing`` along the positive entries of a
-    non-negative ``(n, slots, n)`` kernel, by one backward fixpoint that
-    stops once every state is reached or a round adds none, and for each
-    the lowest slot with mass into the set reached before it (else 0)."""
-    reached = np.arange(len(kernel)) == absorbing
-    slot = np.zeros(len(kernel), dtype=int)
-    while not reached.all():
-        enters = (kernel @ reached) > 0.0
-        new = enters.any(axis=1) & ~reached
-        if not new.any():
+def absorbing_attractor(
+    succ: np.ndarray, prob: np.ndarray, absorbing: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The states that reach ``absorbing`` along the positive entries of
+    successor lists ``(succ, prob)`` of shape ``(L, n, slots)`` (the
+    ``MdpView`` layout; ``succ`` may broadcast to it), by one backward
+    fixpoint that stops once every state is reached or a round adds none,
+    and for each the lowest slot with an entry into the set reached before
+    it (else 0)."""
+    moves = prob > 0.0
+    n = prob.shape[1]
+    reached = np.arange(n + 1) == absorbing  # a pad's destination n is never reached
+    slot = np.zeros(n, dtype=int)
+    left = n - 1
+    while left:
+        enters = (moves & reached[succ]).any(axis=0)
+        enters[reached[:n]] = False
+        (new,) = np.nonzero(enters.any(axis=1))
+        if not len(new):
             break
         slot[new] = enters[new].argmax(axis=1)
-        reached |= new
-    return reached, slot
+        reached[new] = True
+        left -= len(new)
+    return reached[:n], slot
 
 
 def absorbing_reachable(kernel: np.ndarray, absorbing: int) -> bool:
     """Whether every state of the non-negative square chain ``kernel``
     reaches ``absorbing``: for a stochastic matrix, exactly when the block
-    on the other states has spectral radius below 1, so the chain is proper."""
-    return bool(absorbing_attractor(np.asarray(kernel)[:, None, :], absorbing)[0].all())
+    on the other states has spectral radius below 1, so the chain is proper.
+    The fixpoint reads each row as a one-slot list of ``n`` entries, entry
+    ``y`` moving to ``y``: a view of the matrix, not a copy."""
+    k = np.asarray(kernel)
+    succ = np.arange(len(k))[:, None, None]
+    return bool(absorbing_attractor(succ, k.T[:, :, None], absorbing)[0].all())
 
 
 def validate(model: GameModel) -> list[tuple[str, str]]:

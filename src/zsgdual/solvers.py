@@ -23,7 +23,9 @@ order (``games.list_sum``); an induced chain is one ``np.bincount`` over all
 blocks, and a time-embedded pair one ``np.bincount`` per period over the
 same entries. A Newton step evaluates, and a Hoffman–Karp step fixes, the
 sweep's stacked stage strategies directly (``_pair_entries``,
-``games.fix_rows``).
+``games.fix_rows``). A best response reads its view's successor lists:
+the system ``I - alpha P`` of a pure policy is scattered from the lists of
+the slots it picks (``_chain_values``).
 """
 
 from __future__ import annotations
@@ -169,9 +171,17 @@ def _solve_chain(
     """Values ``V`` of a Markov chain with transition matrix ``P`` and stage
     costs ``cost``: ``(I - alpha P) V = cost`` on the states other than
     ``absorbing``, where ``V`` is 0."""
+    keep = np.flatnonzero(np.arange(len(cost)) != absorbing)
+    A = np.eye(len(keep))
+    A -= alpha * P.take(keep, 0).take(keep, 1)
+    return _solve(A, cost, absorbing)
+
+
+def _solve(A: np.ndarray, cost: np.ndarray, absorbing: int | None) -> np.ndarray:
+    """``V`` with ``A V = cost`` on the states other than ``absorbing``, the
+    rows and columns of ``A``, and 0 at ``absorbing``."""
     keep = np.arange(len(cost)) != absorbing
     V = np.zeros(len(cost))
-    A = np.eye(keep.sum()) - alpha * P[np.ix_(keep, keep)]
     V[keep] = np.linalg.solve(A, cost[keep])
     return V
 
@@ -356,7 +366,7 @@ def shapley_value_iteration(
             if float(np.abs(newton[0] - J).max()) < residual / 2:
                 V, swept = J, newton
                 continue
-        V = _howard(_stage_view(model, strategies, PLAYER_A))
+        V, _ = _howard(_stage_view(model, strategies, PLAYER_A))
         swept = (newton if J is not None and np.array_equal(V, J)
                  else _sweep(model, groups, V, mixed=True))
     raise NoConvergence(
@@ -397,9 +407,9 @@ def solve_view(view: MdpView, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarra
         raise ValueError("embed a finite-horizon view before solving")
     check_tol(tol)
     if view.horizon is not None:
-        V, qa = _polish(view, _backward(view), 0.0, view.horizon + 1)
+        V, qa = _polish(view, _backward(view), None, 0.0, view.horizon + 1)
     else:
-        V, qa = _polish(view, _newton(view, _howard(view)), tol, MAX_SWEEPS)
+        V, qa = _polish(view, *_newton(view, *_howard(view)), tol, MAX_SWEEPS)
     V.setflags(write=False)
     return V, view.optimizer.first(qa, axis=1)
 
@@ -418,84 +428,109 @@ def _backward(view: MdpView) -> np.ndarray:
 def _proper_start(view: MdpView) -> np.ndarray:
     """A proper policy of an SSP view: each state's lowest action that
     enters the set ``games.absorbing_attractor`` reached before it."""
-    reached, policy = absorbing_attractor(view.kernel, view.absorbing)
+    reached, policy = absorbing_attractor(view.succ, view.prob, view.absorbing)
     if not reached.all():
         x = np.flatnonzero(~reached)[0]
         raise UnboundedValue(f"state {x} cannot reach the absorbing state; improper")
     return policy
 
 
-def _howard(view: MdpView) -> np.ndarray:
-    """Values of the final policy of Howard policy iteration on a view."""
+def _chain_values(view: MdpView, policy: np.ndarray, cost: np.ndarray) -> np.ndarray | None:
+    """``_solve_chain`` on the chain ``P`` of a pure ``policy`` on a view and
+    the stage costs ``cost``, or None when the view has an absorbing state
+    that the chain does not reach from every state. Each listed entry of the
+    slots ``policy`` picks is subtracted from the identity where
+    ``_solve_chain`` subtracts its cell of a dense ``P``, so both build the
+    same bits, and no ``(n, n)`` ``P`` is made."""
+    n, absorbing = view.n_states, view.absorbing
+    x = np.arange(n)
+    succ, prob = view.succ[:, x, policy], view.prob[:, x, policy]
+    if absorbing is not None and not absorbing_attractor(
+        succ[..., None], prob[..., None], absorbing
+    )[0].all():
+        return None
+    # Row and column of each state in A; the absorbing state and a pad's
+    # destination n take row and column k, which are cut off.
+    k = n - (absorbing is not None)
+    index = np.arange(n + 1)
+    if absorbing is not None:
+        index[absorbing + 1 :] -= 1
+        index[absorbing] = k
+    A = np.eye(k + 1)
+    A[index[:n], index[succ]] -= regime_alpha(view.regime) * prob
+    return _solve(A[:k, :k], cost, absorbing)
+
+
+def _howard(view: MdpView) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the final policy of Howard policy iteration on a view, and
+    their ``lookahead``."""
     first = view.optimizer.first
     rows = np.arange(view.n_states)
-    alpha = regime_alpha(view.regime)
-    ssp = view.absorbing is not None
-    policy = _proper_start(view) if ssp else first(view.cost, axis=1)
+    policy = _proper_start(view) if view.absorbing is not None else first(view.cost, axis=1)
     for _ in range(MAX_SWEEPS):
-        P = view.kernel[rows, policy]
-        if ssp and not absorbing_reachable(P, view.absorbing):
+        V = _chain_values(view, policy, view.cost[rows, policy])
+        if V is None:
             # A strict gain closed a cycle whose average cost favours the
             # responder: the value is unbounded.
             raise UnboundedValue(
                 f"improving step made the policy improper; value {-view.optimizer.pad:+}"
             )
-        V = _solve_chain(P, view.cost[rows, policy], alpha, view.absorbing)
         qa = lookahead(view, V)
         best = first(qa, axis=1)
         current = qa[rows, policy]
         gain = np.abs(qa[rows, best] - current)
         switch = gain > 1e-12 * np.maximum(1.0, np.abs(current))
         if not switch.any():
-            return V
+            return V, qa
         policy = np.where(switch, best, policy)
     raise NoConvergence(f"policy iteration still switching after {MAX_SWEEPS} steps", 0.0)
 
 
-def _newton(view: MdpView, V: np.ndarray) -> np.ndarray:
-    """Residual-correction (Newton) steps from ``V``: add the solution ``d`` of
-    ``(I - alpha P_pi) d = opt(qa) - V``, where ``qa = lookahead(view, V)``
-    and ``pi`` is greedy on ``qa``, while the sup residual strictly falls.
-    Returns the values of least residual. A greedy ``pi`` that cannot absorb
-    (an exact tie with a zero-cost loop) ends the steps, as its system is
-    singular."""
+def _newton(view: MdpView, V: np.ndarray, qa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual-correction (Newton) steps from ``V``, whose lookahead is
+    ``qa``: add the solution ``d`` of ``(I - alpha P_pi) d = opt(qa) - V``,
+    where ``pi`` is greedy on ``qa``, while the sup residual strictly falls.
+    Returns the values of least residual and their lookahead. A greedy
+    ``pi`` that cannot absorb (an exact tie with a zero-cost loop) ends the
+    steps, as its system is singular."""
     opt, first, _ = view.optimizer
-    best, least = V, np.inf
+    best, least = (V, qa), np.inf
     for _ in range(MAX_SWEEPS):
-        qa = lookahead(view, V)
         r = opt.reduce(qa, axis=1) - V
         if not float(np.abs(r).max()) < least:  # NaN included
             break
-        best, least = V, float(np.abs(r).max())
-        P = view.kernel[np.arange(view.n_states), first(qa, axis=1)]
-        if least == 0.0 or (
-            view.absorbing is not None and not absorbing_reachable(P, view.absorbing)
-        ):
+        best, least = (V, qa), float(np.abs(r).max())
+        d = None if least == 0.0 else _chain_values(view, first(qa, axis=1), r)
+        if d is None:
             break
-        V = V + _solve_chain(P, r, regime_alpha(view.regime), view.absorbing)
+        V = V + d
+        qa = lookahead(view, V)
     return best
 
 
-def _polish(view: MdpView, V: np.ndarray, tol: float, max_sweeps: int):
+def _polish(view: MdpView, V: np.ndarray, qa: np.ndarray | None, tol: float, max_sweeps: int):
     """Sweep ``V = opt(lookahead(view, V))`` until no value moves by more
-    than ``tol``; return the last values and action values. From Newton's
-    values this takes a few sweeps; from values with a larger residual the
-    sweeps crawl at the chain's contraction rate.
+    than ``tol``; return the last values and action values. ``qa`` is the
+    lookahead at ``V`` when the caller has it. From Newton's values this
+    takes a few sweeps; from values with a larger residual the sweeps crawl
+    at the chain's contraction rate.
 
     Brent's method spots a float cycle. The sweep is monotone (nonnegative
-    kernel, fixed summation order), so the elementwise minimum ``L`` of the
+    probabilities, and each sum its terms' exact sum rounded once, unless
+    its error terms round too), so the elementwise minimum ``L`` of the
     cycle has ``T(L) <= L``, and sweeps restarted from it descend to a
     fixed point.
     """
     opt = view.optimizer.opt
     mark, lam, power = V, 0, 1
     for _ in range(max_sweeps):
-        qa = lookahead(view, V)
+        qa = lookahead(view, V) if qa is None else qa
         new = opt.reduce(qa, axis=1)
         delta = float(np.abs(new - V).max())
         V = new
         if delta <= tol:
             return V, qa
+        qa = None
         lam += 1
         if np.array_equal(V, mark):
             low = V

@@ -16,6 +16,7 @@ from zsgdual.games import (
     MdpView,
     MixedPolicy,
     Ssp,
+    lookahead,
     regime_alpha,
     stack_view,
 )
@@ -250,13 +251,14 @@ def skipping_view(orientation):
     kernel = [np.array(r) for r in rows]
     cost = [np.linspace(-1.5, 2.0, len(r)) * (x + 1) for x, r in enumerate(rows)]
     cost[-1] = np.zeros(1)
-    cost, kernel = stack_view(cost, kernel, orientation)
+    cost, succ, prob = stack_view(cost, kernel, orientation)
     return MdpView(
         orientation=orientation,
         n_states=7,
         n_actions=np.array([len(r) for r in rows]),
         cost=cost,
-        kernel=kernel,
+        succ=succ,
+        prob=prob,
         regime=Ssp(absorbing=6),
         root=0,
         horizon=4,
@@ -268,9 +270,21 @@ def skipping_view(orientation):
 # Scalar recursions: one state and one scenario at a time, in plain loops.
 # The library sweeps all states and evaluates blocks of scenarios as array
 # rows; these are the references its values must equal bit for bit, so they
-# repeat its arithmetic expression for expression. A state's padded action
-# row of a view is multiplied as a whole, as the library does: a dot product
-# over a sliced row can round differently.
+# repeat its arithmetic expression for expression. They test the recursions,
+# not the order of a sum: action values come from ``games.lookahead``, and
+# transition rows from ``dense_kernel``.
+
+
+def dense_kernel(view: MdpView) -> np.ndarray:
+    """A view's dense ``(n, amax, n)`` kernel, scattered from its successor
+    lists: cell ``(x, a, y)`` holds the listed probability of slot ``a`` of
+    ``x`` moving to ``y``, a listed -0.0 included, and +0.0 elsewhere. The
+    tests read a view's kernel only through this helper."""
+    _, n, slots = view.succ.shape
+    l, x, a = np.nonzero((view.prob != 0.0) | np.signbit(view.prob))
+    out = np.zeros((n, slots, n))
+    out[x, a, view.succ[l, x, a]] = view.prob[l, x, a]
+    return out
 
 
 def icdf(cum: np.ndarray, w: float) -> int:
@@ -290,6 +304,7 @@ def finite_scenario_value(view: MdpView, scenario: np.ndarray, h: np.ndarray) ->
     """Inner value of one scenario on a time-embedded view: backward
     induction with every action's next state drawn from the shared uniform."""
     opt = np.max if view.orientation == "max" else np.min
+    values, kernel = lookahead(view, h), dense_kernel(view)
     V = np.zeros(view.n_states)
     for t in range(view.horizon - 1, -1, -1):
         w = float(scenario[t])
@@ -297,8 +312,8 @@ def finite_scenario_value(view: MdpView, scenario: np.ndarray, h: np.ndarray) ->
             if x == view.absorbing or view.period[x] != t:
                 continue
             a = view.n_actions[x]
-            base = view.cost[x] + view.kernel[x] @ h
-            cum = np.cumsum(view.kernel[x, :a], axis=1)
+            base = values[x]
+            cum = np.cumsum(kernel[x, :a], axis=1)
             nxt = np.array([icdf(c, w) for c in cum])
             V[x] = opt(base[:a] + (V[nxt] - h[nxt]))
     return float(V[view.root])
@@ -313,17 +328,16 @@ def ssp_path_value(
 ) -> float:
     """Weak-form inner value of one reference path, walked backward with
     likelihood ratios rho = p(next|x,a) / q(next|x). ``base`` replaces the
-    action values ``cost + kernel @ h`` of every state when given."""
+    action values ``lookahead(view, h)`` of every state when given."""
     opt = np.max if view.orientation == "max" else np.min
+    kernel = dense_kernel(view)
+    base = lookahead(view, h) if base is None else base
     W = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(len(path) - 2, -1, -1):
             x, xn = int(path[t]), int(path[t + 1])
-            if base is None:
-                values = view.cost[x] + view.kernel[x] @ h
-            else:
-                values = base[x]
-            rho = view.kernel[x, :, xn] / q_kernel[x, xn]
+            values = base[x]
+            rho = kernel[x, :, xn] / q_kernel[x, xn]
             carry = rho * (W - h[xn])
             if W - h[xn] != 0.0:
                 carry = np.where(rho == 0.0, 0.0, carry)
@@ -343,7 +357,7 @@ def finite_backward_induction(view: MdpView) -> tuple[np.ndarray, np.ndarray]:
         key=lambda x: -int(view.period[x]),
     )
     for x in order:
-        vals = view.cost[x] + view.kernel[x] @ V
+        vals = lookahead(view, V)[x]
         V[x] = opt(vals)
         act[x] = argopt(vals)
     return V, act
@@ -357,10 +371,9 @@ def value_iteration(
     moves no value by more than ``tol``."""
     opt = np.max if view.orientation == "max" else np.min
     argopt = np.argmax if view.orientation == "max" else np.argmin
-    alpha = regime_alpha(view.regime)
     V = np.zeros(view.n_states)
     for _ in range(max_sweeps):
-        qa = view.cost + alpha * (view.kernel @ V)
+        qa = lookahead(view, V)
         new = opt(qa, axis=1)
         delta = float(np.abs(new - V).max())
         V = new
@@ -664,7 +677,7 @@ def sweep_polished_view(view: MdpView) -> np.ndarray:
     from zsgdual.solvers import _howard
 
     opt = np.max if view.orientation == "max" else np.min
-    V = _howard(view)
+    V, _ = _howard(view)
     mark, lam, power = V, 0, 1
     for _ in range(100_000):
         new = opt(lookahead(view, V), axis=1)
@@ -727,13 +740,14 @@ def fix_player_by_state(model: GameModel, fixed: MixedPolicy, fixed_player: str)
             cost.append(w @ g_bar)
             kernel.append(np.einsum("u,uvj->vj", w, model.transition[i]))
     orientation = "max" if fixed_player == PLAYER_B else "min"
-    padded_cost, padded_kernel = stack_view(cost, kernel, orientation)
+    padded_cost, succ, prob = stack_view(cost, kernel, orientation)
     return MdpView(
         orientation=orientation,
         n_states=model.n_states,
         n_actions=model.actions_a if fixed_player == PLAYER_B else model.actions_b,
         cost=padded_cost,
-        kernel=padded_kernel,
+        succ=succ,
+        prob=prob,
         regime=model.regime,
         root=model.root,
         horizon=model.horizon,
@@ -764,7 +778,7 @@ def proper_start_by_loop(view: MdpView) -> np.ndarray:
     reached = np.arange(view.n_states) == view.absorbing
     policy = np.zeros(view.n_states, dtype=int)
     while not reached.all():
-        enters = (view.kernel @ reached) > 0.0
+        enters = (dense_kernel(view) @ reached) > 0.0
         new = enters.any(axis=1) & ~reached
         if not new.any():
             x = np.flatnonzero(~reached)[0]

@@ -19,6 +19,7 @@ import zsgdual as zd
 from zsgdual import experiments
 
 from oracles import (
+    dense_kernel,
     icdf,
     random_discounted_game,
     random_policy,
@@ -201,12 +202,13 @@ class TestCriterion8PropertySuites:
         h = np.array([0.0, 6.5, -3.0, 0.0])
         n = 6000
         totals = np.empty(n)
+        kernel = dense_kernel(view)
         for i in range(n):
             w = zd.scenario_rng(17, i).random(2)
             x, total = 0, 0.0
             for t in range(2):
-                nxt = icdf(np.cumsum(view.kernel[x, 1]), w[t])
-                total += view.kernel[x, 1] @ h - h[nxt]
+                nxt = icdf(np.cumsum(kernel[x, 1]), w[t])
+                total += kernel[x, 1] @ h - h[nxt]
                 x = nxt
             totals[i] = total
         se = totals.std(ddof=1) / np.sqrt(n)

@@ -8,7 +8,7 @@ import pytest
 import zsgdual as zd
 from zsgdual import cli, experiments
 
-from oracles import random_sparse_ssp_game
+from oracles import dense_kernel, random_sparse_ssp_game
 
 
 def run(capsys, *argv):
@@ -474,7 +474,7 @@ class TestBoundCommand:
         lower = zd.fix_player(
             model, zd.policy_from_dict(model, zd.PLAYER_A, pure), zd.PLAYER_A
         )
-        reach = lower.kernel.sum(axis=1) > 0.0
+        reach = dense_kernel(lower).sum(axis=1) > 0.0
         reach[:, model.absorbing] = True
         q = reach / reach.sum(axis=1, keepdims=True)
         qpath = tmp_path / "q.json"

@@ -9,6 +9,7 @@ import zsgdual as zd
 from zsgdual import duality
 
 from oracles import (
+    dense_kernel,
     finite_scenario_value,
     icdf,
     random_finite_game,
@@ -124,9 +125,10 @@ class TestInverseCdfTransition:
         kernel = np.zeros((n + 2, 1, n + 2))
         kernel[0, 0, 1 : n + 1] = row
         kernel[1:, 0, n + 1] = 1.0
+        cost, succ, prob = zd.games.stack_view(list(np.zeros((n + 2, 1))), list(kernel), "max")
         view = zd.games.MdpView(
             orientation="max", n_states=n + 2, n_actions=np.ones(n + 2, dtype=int),
-            cost=np.zeros((n + 2, 1)), kernel=kernel, regime=zd.Ssp(absorbing=n + 1),
+            cost=cost, succ=succ, prob=prob, regime=zd.Ssp(absorbing=n + 1),
             root=0, horizon=2, period=np.array([0] + [1] * n + [2]),
         )
         p = view.periods[0]
@@ -203,7 +205,7 @@ class TestGuideTableSearch:
             model = random_sparse_ssp_game(rng, n_states=8, max_actions=3)
             view = zd.fix_player(model, random_policy(rng, model, zd.PLAYER_B), zd.PLAYER_B)
             a = model.absorbing
-            moves = (view.kernel > 0.0).any(axis=1)
+            moves = (dense_kernel(view) > 0.0).any(axis=1)
             moves[:, a] = True
             weight = rng.uniform(0.5, 1.5, moves.shape)
             kernel = np.where(moves, weight, 1e-9 if kind == "clustered" else 0.0)
@@ -235,8 +237,9 @@ class TestPenaltyTerm:
 
     def test_expected_minus_realized(self, two_period, upper_view):
         h = zd.first_action_value_generator(two_period)
-        assert upper_view.kernel[0, 0] @ h == pytest.approx(2.24, abs=1e-12)
-        assert upper_view.kernel[0, 0] @ h - h[1] == pytest.approx(2.24 - 8.0, abs=1e-12)
+        kernel = dense_kernel(upper_view)
+        assert kernel[0, 0] @ h == pytest.approx(2.24, abs=1e-12)
+        assert kernel[0, 0] @ h - h[1] == pytest.approx(2.24 - 8.0, abs=1e-12)
 
     def test_zero_generator_gives_zero(self, upper_view):
         # With h = 0 a scenario's value is the unpenalized clairvoyant optimum.
@@ -262,12 +265,13 @@ class TestPenaltyTerm:
         h = np.array([0.0, rng.uniform(-9, 9), rng.uniform(-9, 9), 0.0])
         n = 6000
         totals = np.empty(n)
+        kernel = dense_kernel(upper_view)
         for i in range(n):
             w = zd.scenario_rng(40, i).random(2)
             x, total = 0, 0.0
             for t in range(2):
-                nxt = icdf(np.cumsum(upper_view.kernel[x, 0]), w[t])
-                total += upper_view.kernel[x, 0] @ h - h[nxt]
+                nxt = icdf(np.cumsum(kernel[x, 0]), w[t])
+                total += kernel[x, 0] @ h - h[nxt]
                 x = nxt
             totals[i] = total
         se = totals.std(ddof=1) / np.sqrt(n)
@@ -314,7 +318,7 @@ class TestVectorizedFiniteInner:
         assert len(set(view.n_actions.tolist())) > 1
         h = np.array([0.3, -1.2, 2.5, 0.7, -0.4, 1.1, 0.0])
         inner = duality._FiniteInner(view, h)
-        cum = np.cumsum(view.kernel, axis=2)
+        cum = np.cumsum(dense_kernel(view), axis=2)
         # Every CDF value, each on both sides, and the ends of [0, 1).
         points = np.unique(cum[cum < 1.0])
         points = np.unique(np.concatenate([
@@ -343,14 +347,14 @@ class TestVectorizedFiniteInner:
             [[0, 0, 0, 1.0]] * 2,
             [[0, 0, 0, 1.0]],
         ]
-        cost, kernel = zd.games.stack_view(
+        cost, succ, prob = zd.games.stack_view(
             [np.array([1.5e308]), np.array([1.0]), np.array([2.0, 3.0]), np.zeros(1)],
             [np.array(r) for r in rows],
             "max",
         )
         view = zd.games.MdpView(
             orientation="max", n_states=4, n_actions=np.array([1, 1, 2, 1]),
-            cost=cost, kernel=kernel, regime=zd.Ssp(absorbing=3),
+            cost=cost, succ=succ, prob=prob, regime=zd.Ssp(absorbing=3),
             root=1, horizon=2, period=np.array([1, 0, 1, 2]),
         )
         h = np.array([-1e308, 0.0, 0.0, 0.0])
@@ -381,7 +385,7 @@ class TestVectorizedFiniteInner:
         view = skipping_view(orientation)
         h = np.array([0.3, -1.2, 2.5, 0.7, -0.4, 1.1, 0.0])
         inner = duality._FiniteInner(view, h)
-        cum = np.cumsum(view.kernel, axis=2)
+        cum = np.cumsum(dense_kernel(view), axis=2)
         points = np.concatenate([np.unique(cum[(cum > 0.0) & (cum < 1.0)]), [0.0, 0.1, 0.95]])
         rng = np.random.default_rng(8)
         scenarios = rng.choice(points, size=(64, view.horizon))
@@ -1216,14 +1220,26 @@ class TestSharedDraw:
             )
 
 
+def with_entry(view, x, a, y, p):
+    """``view`` with slot ``a`` of state ``x`` listing destination ``y`` at
+    probability ``p`` (a -0.0 included), its lists otherwise as they were."""
+    kernel = dense_kernel(view)
+    kernel[x, a, y] = p
+    keys = np.flatnonzero((kernel != 0.0) | np.signbit(kernel))
+    succ, prob = zd.games._pack(
+        keys, kernel.ravel()[keys], view.n_states, kernel.shape[1], view.n_states
+    )
+    return dataclasses.replace(view, succ=succ, prob=prob)
+
+
 def signed_zero_case(monkeypatch):
     """A 3-state game whose view has a -0.0 action value at state 0: its
     view, generator, uniform ``q`` and the action values the estimators
     read, where that -0.0 is +0.0.
 
-    NumPy's matmul sums from +0.0, so lookahead never yields -0.0 on its
-    own; it is injected here. No action moves 0 -> 1, through a -0.0 kernel
-    entry, so a step 0 -> 1 is a stop; its carry is -0.0 after a zero
+    The lookahead of this view holds no -0.0 on its own; it is injected
+    here. No action moves 0 -> 1, through a listed entry of probability
+    -0.0, so a step 0 -> 1 is a stop; its carry is -0.0 after a zero
     continuation, and -0.0 + -0.0 would keep a -0.0 action value.
     """
     n = 3
@@ -1236,9 +1252,7 @@ def signed_zero_case(monkeypatch):
     ones, zeros = np.ones((1, 1, n)), np.zeros((1, 1, n))
     model = zd.make_game(zd.Ssp(absorbing=2), [p0, p1, pa], [zeros, ones, zeros], root=0)
     view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
-    kernel = view.kernel.copy()
-    kernel[0, 0, 1] = -0.0
-    view = dataclasses.replace(view, kernel=kernel)
+    view = with_entry(view, 0, 0, 1, -0.0)
     lookahead = duality.lookahead
 
     def signed(view, h):
@@ -1392,7 +1406,7 @@ class TestRatioTableWalk:
             view = zd.fix_player(model, random_policy(rng, model, player), player)
             h = 1e307 * rng.uniform(-1.0, 1.0, model.n_states)
             h[model.absorbing] = 0.0
-            assert (view.n_actions[:-1] < view.kernel.shape[1]).any()
+            assert (view.n_actions[:-1] < view.cost.shape[1]).any()
             pairs.append((view, h))
         assert [view.orientation for view, _ in pairs] == ["min", "max"]
         ests = zd.estimate_dual_bounds(pairs, 200, seed=3, q=q, keep_values=True)
@@ -1479,7 +1493,7 @@ class TestOneWalk:
             (upper, 0.97 * exact_upper),
         ]
         assert [view.orientation for view, _ in pairs] == ["min", "max"] * 2
-        assert [view.kernel.shape[1] for view, _ in pairs] == [4, 3] * 2
+        assert [view.cost.shape[1] for view, _ in pairs] == [4, 3] * 2
         ests = self.assert_pairwise(pairs, zd.make_uniform_reference(model), 300, seed=1)
         assert np.isinf(ests[1].per_scenario_values).any()
         assert np.isfinite(ests[0].per_scenario_values).all()
@@ -1515,9 +1529,7 @@ class TestOneWalk:
         ones, zeros = np.ones((1, 1, n)), np.zeros((1, 1, n))
         model = zd.make_game(zd.Ssp(absorbing=2), [p0, p1, pa], [zeros, ones, zeros], root=0)
         view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
-        kernel = view.kernel.copy()
-        kernel[0, 0, 1] = -0.0
-        view = dataclasses.replace(view, kernel=kernel)
+        view = with_entry(view, 0, 0, 1, -0.0)
         other = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_A), zd.PLAYER_A)
         signed = self.patch_lookahead(monkeypatch, view, 0)
         pairs = [(other, np.array([0.5, -1.0, 0.0])), (view, np.zeros(n))]
@@ -1546,7 +1558,7 @@ class TestOneWalk:
         )
         lower = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_A), zd.PLAYER_A)
         upper = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_B), zd.PLAYER_B)
-        assert (lower.orientation, lower.kernel.shape[1]) == ("min", k)
+        assert (lower.orientation, lower.cost.shape[1]) == ("min", k)
         signed = self.patch_lookahead(monkeypatch, lower, -1)
         h = np.array([0.0, 5e-324])
         q = zd.make_uniform_reference(model)
@@ -1821,7 +1833,7 @@ class TestCompactTable:
         for h_end in (1.75, -0.5):
             pairs = self.random_pairs(rng, model, h_end)
             walk = self.walk(pairs, q)
-            assert len(walk.rho) == 2 * (1 + max(view.kernel.shape[1] for view, _ in pairs))
+            assert len(walk.rho) == 2 * (1 + max(view.cost.shape[1] for view, _ in pairs))
             TestOneWalk.assert_pairwise(pairs, q, 200, seed=4)
 
     def test_reference_kernel_with_zeros(self):
@@ -1939,6 +1951,6 @@ class TestCompactTable:
             for player in (zd.PLAYER_A, zd.PLAYER_B)
         ]
         walk = self.walk(pairs, q)
-        n, S = model.n_states, max(view.kernel.shape[1] for view, _ in pairs)
+        n, S = model.n_states, max(view.cost.shape[1] for view, _ in pairs)
         dense = n * n * len(pairs) * S * 8
         assert walk.rho.nbytes + walk.value.nbytes <= dense // 2

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 
@@ -19,6 +20,7 @@ except ImportError:  # numpy < 2
 
 from oracles import (
     check_policy_by_state,
+    dense_kernel,
     embed_by_entry,
     finite_forward_value,
     fix_player_by_state,
@@ -103,7 +105,7 @@ class TestFixPlayer:
         nu_hat = zd.suboptimal_minimizer_policy(two_period)
         view = zd.fix_player(two_period, nu_hat, zd.PLAYER_B)
         np.testing.assert_allclose(view.cost[0], [1.6, 6.8], atol=1e-12)
-        assert view.kernel[0][0, 1] == pytest.approx(0.64, abs=1e-12)
+        assert dense_kernel(view)[0][0, 1] == pytest.approx(0.64, abs=1e-12)
         assert view.orientation == "max"
 
     def test_pure_fixing_selects_column(self, two_period):
@@ -116,21 +118,23 @@ class TestFixPlayer:
         view = zd.fix_player(waste3, nu, zd.PLAYER_B)
         for x in range(view.n_states):
             a = view.n_actions[x]
-            sums = view.kernel[x, :a].sum(axis=1)
+            sums = dense_kernel(view)[x, :a].sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_padded_slots_are_never_optimal(self, waste3):
         # The absorbing state has one action, the others three: its row is
-        # padded with a zero kernel and the orientation's losing cost.
+        # padded with empty successor lists and the orientation's losing cost.
         for player, pad in ((zd.PLAYER_B, -np.inf), (zd.PLAYER_A, np.inf)):
             view = zd.fix_player(waste3, zd.uniform_policy(waste3, player), player)
+            kernel = dense_kernel(view)
             x = waste3.absorbing
             assert view.cost.shape == (waste3.n_states, 3)
-            assert view.kernel.shape == (waste3.n_states, 3, waste3.n_states)
+            assert kernel.shape == (waste3.n_states, 3, waste3.n_states)
+            assert view.succ.shape[1:] == view.prob.shape[1:] == (waste3.n_states, 3)
             assert view.n_actions[x] == 1
-            assert view.cost[x, 0] == 0.0 and view.kernel[x, 0, x] == 1.0
+            assert view.cost[x, 0] == 0.0 and kernel[x, 0, x] == 1.0
             assert np.all(view.cost[x, 1:] == pad)
-            assert not view.kernel[x, 1:].any()
+            assert not kernel[x, 1:].any() and not view.prob[:, x, 1:].any()
 
     def test_orientation_min_when_a_fixed(self, waste3):
         mu = zd.uniform_policy(waste3, zd.PLAYER_A)
@@ -394,8 +398,9 @@ class TestGamesLayerMatchesEntryLoops:
                 policy = zd.pure_policy(model, player, [int(rng.integers(len(p))) for p in policy])
             view = zd.fix_player(model, policy, player)
             a = view.absorbing
-            reached, slot = absorbing_attractor(view.kernel, a)
-            assert reached.tolist() == reached_by_loop(view.kernel.sum(axis=1), a).tolist()
+            reached, slot = absorbing_attractor(view.succ, view.prob, a)
+            kernel = dense_kernel(view)
+            assert reached.tolist() == reached_by_loop(kernel.sum(axis=1), a).tolist()
             try:
                 want = proper_start_by_loop(view)
             except zd.UnboundedValue as exc:
@@ -404,7 +409,7 @@ class TestGamesLayerMatchesEntryLoops:
                     _proper_start(view)
             else:
                 assert slot.tolist() == want.tolist() == _proper_start(view).tolist()
-            first = view.kernel[:, 0]
+            first = kernel[:, 0]
             assert absorbing_reachable(first, a) == bool(reached_by_loop(first, a).all())
         assert 0 < improper < 300
 
@@ -582,7 +587,8 @@ class TestBlockLayout:
                 assert got.orientation == want.orientation
                 assert np.array_equal(got.n_actions, want.n_actions)
                 assert np.array_equal(got.cost, want.cost)
-                assert np.array_equal(got.kernel, want.kernel)
+                assert np.array_equal(got.succ, want.succ)
+                assert np.array_equal(got.prob, want.prob)
             # The successor lists scatter into the dense chain bit for bit.
             n = model.n_states
             key, weight, G = _pair_entries(model, _pair_rows(model, mu, nu))
@@ -604,7 +610,8 @@ class TestBlockLayout:
                 want_view = fix_player_by_state(model, policy, player)
                 assert np.array_equal(view.n_actions, want_view.n_actions)
                 assert np.array_equal(view.cost, want_view.cost)
-                assert np.array_equal(view.kernel, want_view.kernel)
+                assert np.array_equal(view.succ, want_view.succ)
+                assert np.array_equal(view.prob, want_view.prob)
             for g, w in zip(got, want):
                 assert len(g) == model.n_states
                 assert all(np.array_equal(x, y) for x, y in zip(g.probs, w.probs))
@@ -834,6 +841,126 @@ class TestListOrderSums:
             assert got[0][0] == got[1][0]
             assert got[0][1].tobytes() == got[1][1].tobytes()
             assert got[0][2] == got[1][2]
+
+
+def dense_bincount_kernel(model, policy, player):
+    """The dense ``(n, amax, n)`` kernel that ``fix_player`` built before
+    views held successor lists: one ``np.bincount`` over every block entry,
+    in entry order, scattered into all ``n * amax * n`` cells."""
+    free_a = player == zd.PLAYER_B
+    n = model.n_states
+    amax = int((model.actions_a if free_a else model.actions_b).max())
+    index, weight = [], []
+    for b, w in zip(model.blocks, zd.games.block_rows(model, policy, player)):
+        if free_a:
+            free = np.arange(b.succ.shape[1])[:, None, None]
+            weight.append((w[:, None, :, None] * b.transition).ravel())
+        else:
+            free = np.arange(b.succ.shape[2])[:, None]
+            weight.append((w[:, :, None, None] * b.transition).ravel())
+        index.append(((b.states[:, None, None, None] * amax + free) * n + b.succ).ravel())
+    kernel = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n * amax * n)
+    return kernel.reshape(n, amax, n)
+
+
+class TestSuccessorLists:
+    """A view lists each slot's destinations of nonzero probability in
+    ascending order, then pads of probability +0.0 and destination n."""
+
+    def assert_lists_are_the_kernel(self, model, policy, player):
+        view = zd.fix_player(model, policy, player)
+        kernel = dense_bincount_kernel(model, policy, player)
+        n = model.n_states
+        assert view.succ.dtype == np.int32
+        assert view.succ.shape == view.prob.shape == (len(view.prob), n, kernel.shape[1])
+        listed = view.prob != 0.0
+        assert not (listed[1:] & ~listed[:-1]).any()  # pads come last
+        assert (view.succ[~listed] == n).all() and not np.signbit(view.prob).any()
+        assert (np.diff(view.succ, axis=0)[listed[1:]] > 0).all()
+        # Every listed probability is its dense cell bit for bit, and every
+        # nonzero cell is listed.
+        l, x, a = np.nonzero(listed)
+        assert view.prob[l, x, a].tobytes() == kernel[x, a, view.succ[l, x, a]].tobytes()
+        assert np.count_nonzero(kernel) == len(l)
+
+    @pytest.mark.parametrize("n_sites", [3, 10])
+    def test_waste_views_list_the_dense_kernel(self, n_sites):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n_sites))
+        for player in (zd.PLAYER_A, zd.PLAYER_B):
+            self.assert_lists_are_the_kernel(model, zd.uniform_policy(model, player), player)
+
+    def test_random_views_list_the_dense_kernel(self):
+        makers = (
+            lambda rng: random_ssp_game(rng, n_states=int(rng.integers(3, 9)), max_actions=3),
+            lambda rng: random_sparse_ssp_game(rng, n_states=int(rng.integers(3, 12))),
+            lambda rng: random_discounted_game(rng, n_states=int(rng.integers(2, 8))),
+            lambda rng: zd.embed_finite_horizon(random_finite_game(rng, n_states=6)),
+        )
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            model = makers[seed % len(makers)](rng)
+            for player in (zd.PLAYER_A, zd.PLAYER_B):
+                self.assert_lists_are_the_kernel(model, random_policy(rng, model, player), player)
+
+    def test_pads_add_nothing_to_a_lookahead(self):
+        # States 1, 2 and 3 hold +inf, -inf and -0.0; every state's lists
+        # hold pads, and state 0 has a padded slot. The
+        # probabilities are dyadic and the other values small integers, so
+        # each expectation is exact and the lookahead is list_sum's, in list
+        # order: a pad adds neither the NaN of 0 * inf nor a zero's sign.
+        rows = [
+            [[0, 0.5, 0, 0, 0.5, 0], [0, 0, 0, 0.25, 0, 0.75]],
+            [[0, 0, 0, 0.5, 0, 0.5], [0, 0.5, 0.5, 0, 0, 0], [0.25, 0, 0, 0, 0.25, 0.5]],
+            [[0, 0, 0.5, 0, 0, 0.5], [0.5, 0, 0, 0, 0.5, 0], [0, 0, 0, 0, 0, 1.0]],
+            [[0, 0, 0, 1.0, 0, 0], [0, 0, 0, 0.25, 0, 0.75], [0, 0, 0, 0.5, 0.5, 0]],
+            [[0, 0.125, 0.125, 0.25, 0, 0.5], [0, 0, 0, 0, 0, 1.0], [0, 0, 0, 0, 0, 1.0]],
+            [[0, 0, 0, 0, 0, 1.0]],
+        ]
+        cost = [np.array([1.0, -0.0]), np.array([-0.0, 2.0, -1.0]), np.array([0.5, 1.5, -0.0]),
+                np.array([-0.0, 3.0, -0.0]), np.array([-2.0, 4.0, 0.0]), np.zeros(1)]
+        values = np.array([2.0, np.inf, -np.inf, -0.0, -3.0, 0.0])
+        for orientation in ("max", "min"):
+            cost_, succ, prob = zd.games.stack_view(cost, [np.array(r) for r in rows], orientation)
+            view = zd.games.MdpView(
+                orientation=orientation, n_states=6, n_actions=np.array([2, 3, 3, 3, 3, 1]),
+                cost=cost_, succ=succ, prob=prob, regime=zd.Ssp(absorbing=5),
+            )
+            assert (view.prob == 0.0).any(axis=(0, 2)).all()  # pads in every state
+            ext = np.append(values, np.nan)  # a pad's destination holds NaN here
+            lists = (np.moveaxis(a, 0, -1) for a in (view.prob, ext[view.succ]))
+            with np.errstate(invalid="ignore"):
+                want = view.cost + zd.games.list_sum(*lists)
+            got = zd.games.lookahead(view, values)
+            assert got.tobytes() == want.tobytes()
+            assert np.isnan(got).any() and np.isinf(got[:5]).any() and np.signbit(got[got == 0.0]).any()
+
+    def test_lookahead_sums_as_if_exactly(self):
+        # Each expectation is the exactly rounded sum of its terms (math.fsum)
+        # within an ulp, so lists that hold the same terms in another order,
+        # as mirror-image slots of a symmetric game do, sum to the same bits.
+        # Values are mirror-symmetric over states 0 .. n - 2, and slot 1 of a
+        # state lists slot 0's probabilities at the mirror-image states, so
+        # in the reverse order.
+        rng = np.random.default_rng(7)
+        n, L = 41, 12
+        for _ in range(20):
+            half = rng.uniform(-1e3, 1e3, n // 2) * 10.0 ** rng.integers(-3, 4, n // 2)
+            values = np.concatenate([half, half[::-1], [0.0]])
+            kernel = np.zeros((n, 2, n))
+            for x in range(n - 1):
+                dest = rng.choice(n - 1, L, replace=False)
+                kernel[x, 0, dest] = kernel[x, 1, n - 2 - dest] = rng.dirichlet(np.ones(L))
+            kernel[n - 1, :, n - 1] = 1.0
+            cost, succ, prob = zd.games.stack_view(list(np.zeros((n, 2))), list(kernel), "max")
+            view = zd.games.MdpView(
+                orientation="max", n_states=n, n_actions=np.full(n, 2), cost=cost,
+                succ=succ, prob=prob, regime=zd.Ssp(absorbing=n - 1),
+            )
+            got = zd.games.lookahead(view, values)
+            for x in range(n - 1):
+                terms = [kernel[x, 0, y] * values[y] for y in np.flatnonzero(kernel[x, 0])]
+                assert abs(got[x, 0] - math.fsum(terms)) <= np.spacing(abs(got[x, 0]))
+            assert got[:, 0].tobytes() == got[:, 1].tobytes()
 
 
 class TestJsonInterchange:

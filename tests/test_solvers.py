@@ -688,6 +688,24 @@ class TestSolveViewMatchesValueIteration:
                 zd.solve_view(view)
 
 
+def test_waste_30_best_response_memory():
+    # Waste N=30 has 931 states and 30 slots: one dense (n, amax, n) kernel
+    # takes 931 * 30 * 931 * 8 bytes, 198 MiB. Its successor lists take
+    # 10 MiB, and fixing a player plus an exact best response stays small.
+    model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=30))
+    policy = zd.uniform_policy(model, zd.PLAYER_B)
+    tracemalloc.start()
+    try:
+        view = zd.fix_player(model, policy, zd.PLAYER_B)
+        values, _ = zd.solve_view(view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (view.succ.nbytes + view.prob.nbytes) < 11 * 2**20
+    assert peak < 30 * 2**20
+    assert np.isfinite(values).all()
+
+
 class TestNewtonPolish:
     """Residual-correction steps between Howard and the polish sweeps reach
     an exact float fixed point of ``lookahead``, within 1e-12 relative of
@@ -742,7 +760,7 @@ class TestNewtonPolish:
         cost.append(np.zeros((1, 1, n)))
         model = zd.make_game(zd.Ssp(absorbing=n - 1), transition, cost, root=0)
         view = zd.fix_player(model, zd.uniform_policy(model, zd.PLAYER_A), zd.PLAYER_A)
-        start = solvers._howard(view)
+        start, _ = solvers._howard(view)
         assert np.abs(lookahead(view, start).min(axis=1) - start).max() > 0.0
         values, _ = zd.solve_view(view, tol=0.0)
         assert values[0] == 1.0
