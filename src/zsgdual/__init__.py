@@ -21,11 +21,9 @@ from .builtin_games import (
 from .duality import (
     AbsContinuityViolation,
     CellBudgetExceeded,
-    DualBounds,
     DualEstimate,
     PathCapExceeded,
     ReferenceMeasure,
-    dual_sandwich,
     estimate_dual_bound_finite,
     estimate_dual_bound_ssp,
     estimate_dual_bounds,

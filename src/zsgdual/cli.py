@@ -10,7 +10,9 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .streams import check_seed
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INPUT = 2
+
+# The player each side of ``bound`` fixes: the lower bound fixes A, the upper B.
+SIDE_PLAYER = {"lower": PLAYER_A, "upper": PLAYER_B}
 
 SOLVER_ERRORS = (
     matrix_games.UnboundedProgram,
@@ -113,7 +118,11 @@ def _parse_waste_params(params: str) -> dict:
     return out
 
 
-def _resolve_policy(model: GameModel, token: str, player: str, tol: float) -> MixedPolicy:
+def _resolve_policy(
+    model: GameModel, token: str, player: str, equilibrium: Callable[[], tuple]
+) -> MixedPolicy:
+    """``player``'s policy named by ``token``; ``optimal`` takes it from
+    ``equilibrium()``, the ``shapley_value_iteration`` result."""
     if token == "uniform":
         return builtin_games.uniform_policy(model, player)
     if token == "suboptimal":
@@ -124,7 +133,7 @@ def _resolve_policy(model: GameModel, token: str, player: str, tol: float) -> Mi
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if token == "optimal":
-        _, mu, nu = solvers.shapley_value_iteration(model, tol=tol)
+        _, mu, nu = equilibrium()
         return mu if player == PLAYER_A else nu
     if token.startswith("file:"):
         return _from_file(
@@ -247,25 +256,21 @@ def cmd_bound(args: argparse.Namespace) -> int:
     fixed_tokens = _parse_fix(args.fix or [])
     if not fixed_tokens:
         raise InputError("--fix is required (e.g. --fix B=uniform)")
+    # One solve serves both players' `optimal` tokens.
+    equilibrium = cache(lambda: solvers.shapley_value_iteration(model, tol=args.tol))
     policies = {
-        player: _resolve_policy(model, token, player, args.tol)
+        player: _resolve_policy(model, token, player, equilibrium)
         for player, token in fixed_tokens.items()
     }
 
     side = args.side
-    if side is None:
-        if PLAYER_A in policies and PLAYER_B in policies:
-            side = "both"
-        elif PLAYER_A in policies:
-            side = "lower"
-        else:
-            side = "upper"
-    need = {"lower": [PLAYER_A], "upper": [PLAYER_B], "both": [PLAYER_A, PLAYER_B]}[side]
-    for player in need:
-        if player not in policies:
+    sides = (side,) if side in SIDE_PLAYER else tuple(SIDE_PLAYER)
+    if side is None:  # the side of each fixed player
+        sides = tuple(s for s in sides if SIDE_PLAYER[s] in policies)
+    for bound_side in sides:
+        if SIDE_PLAYER[bound_side] not in policies:
             raise InputError(
-                f"side {side!r} requires fixing player "
-                f"{'A' if player == PLAYER_A else 'B'}"
+                f"side {side!r} requires fixing player {SIDE_PLAYER[bound_side]}"
             )
 
     is_ssp = model.horizon is None and isinstance(model.regime, Ssp)
@@ -274,12 +279,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if not is_ssp and args.q != "uniform":
         raise InputError("reference measures apply to absorbing-state games only")
     q = _resolve_q(model, args.q) if is_ssp else None
-    sides = ("lower", "upper") if side == "both" else (side,)
     # Every generator but the exact one is the same for both sides.
     shared = None if args.h == "exact" else _resolve_generator(model, args.h, policies)
     pairs = []
     for bound_side in sides:
-        player = PLAYER_A if bound_side == "lower" else PLAYER_B
+        player = SIDE_PLAYER[bound_side]
         view = fix_player(model, policies[player], player)
         h = solvers.solve_view(view, tol=0.0)[0] if shared is None else shared
         pairs.append((view, h))

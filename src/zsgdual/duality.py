@@ -82,16 +82,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .games import (
-    PLAYER_A,
-    PLAYER_B,
-    Discounted,
     GameModel,
     MdpView,
-    MixedPolicy,
     Ssp,
     _integer,
     absorbing_reachable,
-    fix_player,
     last_rise,
     lookahead,
 )
@@ -134,12 +129,6 @@ class DualEstimate:
     n_scenarios: int
     seed: int
     per_scenario_values: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class DualBounds:
-    lower: DualEstimate
-    upper: DualEstimate
 
 
 # ---------------------------------------------------------------------------
@@ -799,61 +788,6 @@ def estimate_dual_bounds(
         size = _PATH_BLOCK
     values = _block_values(block, len(pairs), n, size)
     return [_summarize(v, seed, keep_values) for v in values]
-
-
-# ---------------------------------------------------------------------------
-# Two-sided bounds
-
-
-def dual_sandwich(
-    model: GameModel,
-    mu_hat: MixedPolicy,
-    nu_hat: MixedPolicy,
-    h_lower: np.ndarray,
-    h_upper: np.ndarray,
-    q: ReferenceMeasure | tuple[ReferenceMeasure, ReferenceMeasure] | None,
-    n: int,
-    seed: int,
-    keep_values: bool = False,
-) -> DualBounds:
-    """Dual bounds bracketing the game value around a fixed policy pair.
-
-    The lower side fixes A at mu_hat and bounds B's best response from
-    below; the upper side fixes B at nu_hat and bounds A's best response
-    from above. The two sides may use different generators and, for
-    absorbing-state games, different reference measures (pass a tuple).
-    Both sides share one draw of scenarios unless their measures differ.
-    """
-    pair_lower = (fix_player(model, mu_hat, PLAYER_A), h_lower)
-    pair_upper = (fix_player(model, nu_hat, PLAYER_B), h_upper)
-    if model.horizon is not None:
-        lower, upper = estimate_dual_bounds(
-            [pair_lower, pair_upper], n, seed, keep_values=keep_values
-        )
-    elif isinstance(model.regime, Ssp):
-        if q is None:
-            q = make_uniform_reference(model)
-        q_lower, q_upper = q if isinstance(q, tuple) else (q, q)
-        if q_lower.absorbing == q_upper.absorbing and np.array_equal(
-            q_lower.kernel, q_upper.kernel
-        ):
-            lower, upper = estimate_dual_bounds(
-                [pair_lower, pair_upper], n, seed, q=q_lower, keep_values=keep_values
-            )
-        else:
-            lower = estimate_dual_bound_ssp(
-                *pair_lower, q_lower, n, seed, keep_values=keep_values
-            )
-            upper = estimate_dual_bound_ssp(
-                *pair_upper, q_upper, n, seed, keep_values=keep_values
-            )
-    elif isinstance(model.regime, Discounted):
-        raise ValueError(
-            "dual bounds cover time-embedded and absorbing-state games only"
-        )
-    else:
-        raise ValueError("embed a finite-horizon game before bounding")
-    return DualBounds(lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,35 @@ class TestBoundCommand:
         code, again, _ = run(capsys, *argv, "--h", f"file:{hpath}")
         assert code == 0 and len(reads) == 1 and again == out
 
+    def test_equilibrium_solved_once_for_both_sides(self, capsys, monkeypatch, tmp_path):
+        model = zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=10))
+        _, mu, nu = zd.shapley_value_iteration(model, tol=1e-10)
+        pairs = []
+        for policy, player in ((mu, zd.PLAYER_A), (nu, zd.PLAYER_B)):
+            view = zd.fix_player(model, policy, player)
+            pairs.append((view, zd.solve_view(view, tol=0.0)[0]))
+        lower, upper = zd.estimate_dual_bounds(
+            pairs, 200, seed=1, q=zd.make_uniform_reference(model)
+        )
+        calls = []
+        shapley = zd.solvers.shapley_value_iteration
+        monkeypatch.setattr(
+            zd.solvers, "shapley_value_iteration",
+            lambda *a, **k: calls.append(a) or shapley(*a, **k),
+        )
+        out_path = tmp_path / "bounds.csv"
+        code, _, _ = run(
+            capsys, "bound", "--game", "builtin:waste,N=10", "--fix", "both=optimal",
+            "--n", "200", "--out", str(out_path),
+        )
+        assert code == 0 and len(calls) == 1
+        assert strip_timestamp(out_path.read_text()) == [
+            "# game=builtin:waste,N=10", "# h=exact", "# n=200", "# seed=1",
+            "# fix=A=optimal,B=optimal", "side,mean,se,n,seed",
+            *(f"{name},{est.mean!r},{est.standard_error!r},200,1"
+              for name, est in (("lower", lower), ("upper", upper))),
+        ]
+
     def test_pair_value_needs_both_policies(self, capsys):
         code, _, err = run(
             capsys, "bound", "--game", "builtin:waste,N=3",

@@ -948,41 +948,52 @@ class TestBatchedKernelsMatchScalarReference:
 
 
 class TestDualSandwich:
+    """Both dual bounds of a fixed policy pair: ``fix_player`` on each side,
+    then one ``estimate_dual_bounds`` call on a shared draw."""
+
+    @staticmethod
+    def pairs(model, mu, nu, h_lower, h_upper):
+        return [
+            (zd.fix_player(model, mu, zd.PLAYER_A), h_lower),
+            (zd.fix_player(model, nu, zd.PLAYER_B), h_upper),
+        ]
+
     def test_two_period_with_rough_upper_generator(self, two_period):
         _, mu_star, _ = zd.shapley_value_iteration(two_period, tol=1e-12)
         nu_hat = zd.suboptimal_minimizer_policy(two_period)
         view_lower = zd.fix_player(two_period, mu_star, zd.PLAYER_A)
         h_lower, _ = zd.solve_view(view_lower)
         h_upper = zd.first_action_value_generator(two_period)
-        bounds = zd.dual_sandwich(
-            two_period, mu_star, nu_hat, h_lower, h_upper, None, n=4000, seed=2
+        lower, upper = zd.estimate_dual_bounds(
+            self.pairs(two_period, mu_star, nu_hat, h_lower, h_upper), 4000, seed=2
         )
-        assert bounds.lower.mean == pytest.approx(5.0, abs=1e-9)
-        assert bounds.lower.standard_error == 0.0
-        assert abs(bounds.upper.mean - 6.0) <= 3 * bounds.upper.standard_error
+        assert lower.mean == pytest.approx(5.0, abs=1e-9)
+        assert lower.standard_error == 0.0
+        assert abs(upper.mean - 6.0) <= 3 * upper.standard_error
 
     def test_collapses_at_equilibrium(self, two_period):
         _, mu_star, nu_star = zd.shapley_value_iteration(two_period, tol=1e-12)
         h_low, _ = zd.solve_view(zd.fix_player(two_period, mu_star, zd.PLAYER_A))
         h_up, _ = zd.solve_view(zd.fix_player(two_period, nu_star, zd.PLAYER_B))
-        bounds = zd.dual_sandwich(
-            two_period, mu_star, nu_star, h_low, h_up, None, n=500, seed=3
+        lower, upper = zd.estimate_dual_bounds(
+            self.pairs(two_period, mu_star, nu_star, h_low, h_up), 500, seed=3
         )
-        assert bounds.lower.mean == pytest.approx(5.0, abs=1e-9)
-        assert bounds.upper.mean == pytest.approx(5.0, abs=1e-9)
-        assert bounds.lower.standard_error == 0.0
-        assert bounds.upper.standard_error == 0.0
+        assert lower.mean == pytest.approx(5.0, abs=1e-9)
+        assert upper.mean == pytest.approx(5.0, abs=1e-9)
+        assert lower.standard_error == 0.0
+        assert upper.standard_error == 0.0
 
     def test_waste_game_with_response_value_generators(self, waste3):
         mu = zd.uniform_policy(waste3, zd.PLAYER_A)
         nu = zd.uniform_policy(waste3, zd.PLAYER_B)
         lo_exact, _ = zd.solve_view(zd.fix_player(waste3, mu, zd.PLAYER_A), tol=0.0)
         hi_exact, _ = zd.solve_view(zd.fix_player(waste3, nu, zd.PLAYER_B), tol=0.0)
-        bounds = zd.dual_sandwich(
-            waste3, mu, nu, lo_exact, hi_exact, None, n=400, seed=6
+        lower, upper = zd.estimate_dual_bounds(
+            self.pairs(waste3, mu, nu, lo_exact, hi_exact), 400, seed=6,
+            q=zd.make_uniform_reference(waste3),
         )
-        assert bounds.lower.mean == lo_exact[waste3.root]
-        assert bounds.upper.mean == hi_exact[waste3.root]
+        assert lower.mean == lo_exact[waste3.root]
+        assert upper.mean == hi_exact[waste3.root]
 
     def test_brackets_equilibrium_with_slack(self):
         rng = np.random.default_rng(53)
@@ -993,11 +1004,12 @@ class TestDualSandwich:
             nu = random_policy(rng, model, zd.PLAYER_B)
             h_low, _ = zd.solve_view(zd.fix_player(model, mu, zd.PLAYER_A), tol=1e-12)
             h_up, _ = zd.solve_view(zd.fix_player(model, nu, zd.PLAYER_B), tol=1e-12)
-            bounds = zd.dual_sandwich(
-                model, mu, nu, h_low, h_up, None, n=4000, seed=trial
+            lower, upper = zd.estimate_dual_bounds(
+                self.pairs(model, mu, nu, h_low, h_up), 4000, seed=trial,
+                q=zd.make_uniform_reference(model),
             )
-            lo = bounds.lower.mean - 3 * bounds.lower.standard_error
-            hi = bounds.upper.mean + 3 * bounds.upper.standard_error
+            lo = lower.mean - 3 * lower.standard_error
+            hi = upper.mean + 3 * upper.standard_error
             assert lo <= J_star[0] + 1e-7
             assert J_star[0] <= hi + 1e-7
 
@@ -1008,10 +1020,17 @@ class TestDualSandwich:
         model = random_discounted_game(model_rng, n_states=3)
         mu = random_policy(model_rng, model, zd.PLAYER_A)
         nu = random_policy(model_rng, model, zd.PLAYER_B)
-        with pytest.raises(ValueError):
-            zd.dual_sandwich(
-                model, mu, nu, np.zeros(3), np.zeros(3), None, n=10, seed=1
-            )
+        pairs = self.pairs(model, mu, nu, np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="time-embedded"):
+            zd.estimate_dual_bounds(pairs, 10, seed=1)
+        with pytest.raises(ValueError, match="absorbing-state game"):
+            zd.make_uniform_reference(model)
+        # Nor does a hand-made reference measure turn them into SSP views.
+        k = np.full((3, 3), 1.0 / 3)
+        k[0] = [1.0, 0.0, 0.0]
+        q = zd.ReferenceMeasure(kernel=k, absorbing=0)
+        with pytest.raises(ValueError, match="absorbing-state view"):
+            zd.estimate_dual_bounds(pairs, 10, seed=1, q=q)
 
 
 class TestSharedDraw:
@@ -1158,11 +1177,6 @@ class TestSharedDraw:
         (view, h), *_ = self.waste_pairs(waste3)
         finite = self.two_period_pairs(two_period)[0]
         q = zd.make_uniform_reference(waste3)
-        k = q.kernel.copy()
-        k[:, waste3.absorbing] += 1.0
-        q_fast = zd.ReferenceMeasure(k / k.sum(axis=1, keepdims=True), waste3.absorbing)
-        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
-        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
         for name in ("uniforms", "_FiniteInner", "_SspInner"):
             monkeypatch.setattr(duality, name, never)
         calls = [
@@ -1170,8 +1184,6 @@ class TestSharedDraw:
             lambda: zd.estimate_dual_bounds([finite], n, seed=1),
             lambda: zd.estimate_dual_bound_ssp(view, h, q, n, seed=1),
             lambda: zd.estimate_dual_bound_finite(*finite, n, seed=1),
-            lambda: zd.dual_sandwich(waste3, mu, nu, h, h, None, n, seed=1),
-            lambda: zd.dual_sandwich(waste3, mu, nu, h, h, (q, q_fast), n, seed=1),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=r"^scenario count must be an integer >= 2"):
@@ -1191,33 +1203,6 @@ class TestSharedDraw:
         )
         separate = zd.estimate_dual_bound_ssp(view, h, q, 50, seed=1, x0=1, keep_values=True)
         self.assert_same(shared, [separate, separate])
-
-    def test_sandwich_with_two_reference_measures(self, waste3):
-        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
-        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
-        lower = zd.fix_player(waste3, mu, zd.PLAYER_A)
-        upper = zd.fix_player(waste3, nu, zd.PLAYER_B)
-        h_lower = 0.98 * zd.solve_view(lower, tol=0.0)[0]
-        h_upper = 0.97 * zd.solve_view(upper, tol=0.0)[0]
-        q = zd.make_uniform_reference(waste3)
-        k = q.kernel.copy()
-        k[:, waste3.absorbing] += 1.0
-        k[waste3.absorbing, waste3.absorbing] = 2.0
-        q_fast = zd.ReferenceMeasure(kernel=k / k.sum(axis=1, keepdims=True),
-                                     absorbing=waste3.absorbing)
-        for q_pair in ((q, q_fast), (q, zd.ReferenceMeasure(q.kernel.copy(), q.absorbing))):
-            bounds = zd.dual_sandwich(
-                waste3, mu, nu, h_lower, h_upper, q_pair, n=400, seed=6, keep_values=True
-            )
-            self.assert_same(
-                [bounds.lower, bounds.upper],
-                [
-                    zd.estimate_dual_bound_ssp(lower, h_lower, q_pair[0], 400, seed=6,
-                                               keep_values=True),
-                    zd.estimate_dual_bound_ssp(upper, h_upper, q_pair[1], 400, seed=6,
-                                               keep_values=True),
-                ],
-            )
 
 
 def with_entry(view, x, a, y, p):
