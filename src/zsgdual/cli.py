@@ -101,21 +101,21 @@ def _from_file(path: str, what: str, read):
 
 
 def _parse_waste_params(params: str) -> dict:
-    out: dict = {"n_sites": 10}
-    if not params:
-        return out
+    out: dict = {}
     names = {"N": ("n_sites", int), "plow": ("p_low", float),
              "phigh": ("p_high", float), "k1": ("k1", float), "k2": ("k2", float)}
-    for item in params.split(","):
+    for item in params.split(",") if params else ():
         key, _, value = item.partition("=")
         if key not in names or not value:
             raise InputError(f"bad waste-game parameter {item!r}")
         field, cast = names[key]
+        if field in out:
+            raise InputError(f"waste-game parameter {key!r} is given twice")
         try:
             out[field] = cast(value)
         except ValueError as exc:
             raise InputError(f"bad waste-game parameter {item!r}: {exc}") from exc
-    return out
+    return {"n_sites": 10, **out}
 
 
 def _resolve_policy(
@@ -290,7 +290,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     ests = duality.estimate_dual_bounds(pairs, args.n, args.seed, q=q, keep_values=True)
     reports = list(zip(sides, ests))
     meta = {"game": args.game, "h": args.h, "n": args.n, "seed": args.seed,
-            "fix": ",".join(f"{k}={v}" for k, v in sorted(fixed_tokens.items()))}
+            "fix": ",".join(f"{k}={v}" for k, v in sorted(fixed_tokens.items())),
+            "side": ",".join(sides), "q": args.q, "tol": args.tol}
     if args.format == "json":
         text = _json_doc(meta, bounds={
             name: {"mean": est.mean, "standard_error": est.standard_error,

@@ -17,12 +17,13 @@ lists, which hold only the destinations a move can reach. A view keeps
 successor lists too: fixing a player folds the fixed player's actions into
 each free slot's list with ``np.bincount`` over the compressed
 ``(state, slot, destination)`` keys (``successor_lists``), a batch of
-states at a time, so no ``(n, slots, n)`` array is ever built; inducing a
-pair's chain scatters every block into its ``(n, n)`` matrix. The dense per-state tensors
-``transition[i]`` are rebuilt from the lists on access, never stored. Every
-sum over a successor list is in list order, so a state's sums depend on its
-list alone: ``list_sum`` for a block's, and ``lookahead``'s the same running
-sums with each addition's rounding error added back.
+states at a time, so no ``(n, slots, n)`` array is ever built. A pair's
+chain is one slot of that layout (``solvers._chain_values``). The dense
+per-state tensors ``transition[i]`` are rebuilt from the lists on access,
+never stored. Every sum over a successor list is in list order, so a
+state's sums depend on its list alone: ``list_sum`` for a block's, and
+``lookahead``'s the same running sums with each addition's rounding error
+added back.
 
 All objects are immutable after construction and safe to share across
 threads; every operation in this module is pure. The only derived state

@@ -19,13 +19,14 @@ padded successor lists and ``(k, A, B)`` stage costs. A sweep solves one
 block's stage games together, by ``matrix_games.solve_mixed`` in the
 equilibrium loop and by one ``matrix_games.solve_many`` call elsewhere,
 reading the block without a copy, and sums each row's onward value in list
-order (``games.list_sum``); an induced chain is one ``np.bincount`` over all
-blocks, and a time-embedded pair one ``np.bincount`` per period over the
-same entries. A Newton step evaluates, and a Hoffman–Karp step fixes, the
-sweep's stacked stage strategies directly (``_pair_entries``,
-``games.fix_rows``). A best response reads its view's successor lists:
-the system ``I - alpha P`` of a pure policy is scattered from the lists of
-the slots it picks (``_chain_values``).
+order (``games.list_sum``). Every chain is ``(L, n)`` successor lists, one
+slot of the ``MdpView`` layout: a policy pair's holds each state's block
+entries (``_pair_lists``), a pure policy's on a view the slots it picks.
+One function, ``_chain_values``, solves them all: ``I - alpha P`` from one
+``np.bincount`` of the lists, then one linear solve; a time-embedded pair
+takes one ``np.bincount`` per period over the same lists instead. A Newton
+step evaluates, and a Hoffman–Karp step fixes, the sweep's stacked stage
+strategies directly (``_pair_lists``, ``games.fix_rows``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .games import (
     MixedPolicy,
     _integer,
     absorbing_attractor,
-    absorbing_reachable,
     block_rows,
     by_state,
     check_policy,
@@ -82,21 +82,29 @@ class UnboundedValue(RuntimeError):
 # Policy-pair evaluation
 
 
-def _pair_entries(model: GameModel, parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The successor-list entries of a policy pair given as stacked rows,
-    unchecked: each triple ``(block, y, z)`` of ``parts`` holds the ``(k, A)``
-    and ``(k, B)`` vectors of the block's states. Each entry comes as its key
-    ``state * n + succ`` and its weight ``y[u] z[v] p``, the probability of
-    the move, next to the expected stage-cost vector: one ``matmul`` per
-    block for the costs. States no block holds keep cost 0 and no entry."""
+def _pair_lists(model: GameModel, parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The induced chain of a policy pair given as stacked rows, unchecked:
+    each triple ``(block, y, z)`` of ``parts`` holds the ``(k, A)`` and
+    ``(k, B)`` vectors of the block's states. Returns ``(L, n)`` successor
+    lists ``(succ, prob)``, one slot of the ``MdpView`` layout: a state's
+    entries are its block's in ``(u, v, s)`` order, entry ``(u, v, s)``
+    weighing ``y[u] z[v] p``, then pads of probability 0 to ``n``; and the
+    expected stage costs, one ``matmul`` per block. States no block holds
+    keep cost 0 and no entry."""
     n = model.n_states
     G = np.zeros(n)
-    key, weight = [], []
+    lists = []
     for b, y, z in parts:
-        key.append((b.states[:, None, None, None] * n + b.succ).ravel())
-        weight.append((y[:, :, None, None] * z[:, None, :, None] * b.transition).ravel())
+        k = len(b.states)
+        weight = y[:, :, None, None] * z[:, None, :, None] * b.transition
+        lists.append((b.states, b.succ.reshape(k, -1), weight.reshape(k, -1)))
         G[b.states] = ((y[:, None] @ b.cost) @ z[:, :, None])[:, 0, 0]
-    return np.concatenate(key), np.concatenate(weight), G
+    # Filled state by state, then transposed: a view, not a copy.
+    L = max(s.shape[1] for _, s, _ in lists)
+    succ, prob = np.full((n, L), n), np.zeros((n, L))
+    for states, s, p in lists:
+        succ[states, : s.shape[1]], prob[states, : p.shape[1]] = s, p
+    return succ.T, prob.T, G
 
 
 def _pair_rows(model: GameModel, mu: MixedPolicy, nu: MixedPolicy):
@@ -125,64 +133,75 @@ def evaluate_policy_pair(
 
 def _pair_values(model: GameModel, parts) -> np.ndarray:
     """``evaluate_policy_pair`` on a pair given as stacked rows, unchecked
-    (``_pair_entries``); the absorbing state's rows may be left out."""
-    key, weight, G = _pair_entries(model, parts)
+    (``_pair_lists``); the absorbing state's rows may be left out."""
+    succ, prob, G = _pair_lists(model, parts)
     if model.horizon is not None:
-        J = _backward_pair(model, key, weight, G)
+        J = _backward_pair(model, succ, prob, G)
     else:
-        n, a = model.n_states, model.absorbing
-        P = np.bincount(key, weight, minlength=n * n).reshape(n, n)
-        if a is not None and not absorbing_reachable(P, a):
+        try:
+            J = _chain_values(succ, prob, G, regime_alpha(model.regime), model.absorbing)
+        except np.linalg.LinAlgError as exc:
+            raise ImproperPair(f"singular evaluation system: {exc}") from exc
+        if J is None:
             raise ImproperPair(
                 "induced chain does not reach the absorbing state from every state"
             )
-        try:
-            J = _solve_chain(P, G, regime_alpha(model.regime), a)
-        except np.linalg.LinAlgError as exc:
-            raise ImproperPair(f"singular evaluation system: {exc}") from exc
     J.setflags(write=False)
     return J
 
 
 def _backward_pair(
-    model: GameModel, key: np.ndarray, weight: np.ndarray, G: np.ndarray
+    model: GameModel, succ: np.ndarray, prob: np.ndarray, G: np.ndarray
 ) -> np.ndarray:
-    """Values of a time-embedded model's pair from its entries, from the last
-    period to the first: each adds ``weight * J[succ]`` of its states'
-    entries to their expected costs ``G``, reading only the next period's
-    values, which are final by then. The absorbing state keeps 0."""
+    """Values of a time-embedded model's pair from its successor lists, from
+    the last period to the first: each adds ``prob * J[succ]`` of its states'
+    entries to their expected costs ``G``, one ``np.bincount`` in list order,
+    reading only the next period's values, which are final by then. The
+    absorbing state, and a pad's destination ``n``, keep 0."""
     n = model.n_states
-    state, succ = np.divmod(key, n)
-    period = model.period[state]
-    order = np.argsort(period, kind="stable")
-    state, succ, weight = state[order], succ[order], weight[order]
-    cut = np.searchsorted(period[order], np.arange(model.horizon + 1))
-    J = G.copy()
+    order = np.argsort(model.period, kind="stable")
+    cut = np.searchsorted(model.period[order], np.arange(model.horizon + 1))
+    J = np.append(G, 0.0)
     J[model.absorbing] = 0.0
     for t in range(model.horizon - 1, -1, -1):
-        e = slice(cut[t], cut[t + 1])
-        J += np.bincount(state[e], weight[e] * J[succ[e]], minlength=n)
-    return J
+        x = order[cut[t] : cut[t + 1]]
+        J[:n] += np.bincount(np.repeat(x, len(succ)), (prob[:, x] * J[succ[:, x]]).ravel("F"),
+                             minlength=n)
+    return J[:n]
 
 
-def _solve_chain(
-    P: np.ndarray, cost: np.ndarray, alpha: float, absorbing: int | None
-) -> np.ndarray:
-    """Values ``V`` of a Markov chain with transition matrix ``P`` and stage
-    costs ``cost``: ``(I - alpha P) V = cost`` on the states other than
-    ``absorbing``, where ``V`` is 0."""
-    keep = np.flatnonzero(np.arange(len(cost)) != absorbing)
-    A = np.eye(len(keep))
-    A -= alpha * P.take(keep, 0).take(keep, 1)
-    return _solve(A, cost, absorbing)
-
-
-def _solve(A: np.ndarray, cost: np.ndarray, absorbing: int | None) -> np.ndarray:
-    """``V`` with ``A V = cost`` on the states other than ``absorbing``, the
-    rows and columns of ``A``, and 0 at ``absorbing``."""
-    keep = np.arange(len(cost)) != absorbing
-    V = np.zeros(len(cost))
-    V[keep] = np.linalg.solve(A, cost[keep])
+def _chain_values(
+    succ: np.ndarray, prob: np.ndarray, cost: np.ndarray, alpha: float, absorbing: int | None
+) -> np.ndarray | None:
+    """Values ``V`` of the chain whose state ``x`` moves to ``succ[l, x]``
+    with probability ``prob[l, x]`` (``(L, n)`` successor lists, a pad's
+    destination ``n``) and pays ``cost[x]``: ``(I - alpha P) V = cost`` on
+    the states other than ``absorbing``, where ``V`` is 0. None when the
+    chain does not reach ``absorbing`` from every state. ``I - alpha P`` is
+    one ``np.bincount`` of the entries, so a repeated destination sums in
+    list order, then ``0 - alpha P`` and ``+1`` on the diagonal in place:
+    the bits of the identity minus ``alpha * P``, with no second ``(k, k)``
+    array and no ``(n, n)`` ``P``."""
+    n = len(cost)
+    if absorbing is not None and not absorbing_attractor(
+        succ[..., None], prob[..., None], absorbing
+    )[0].all():
+        return None
+    # Row and column of each state in A; the absorbing state and a pad's
+    # destination n take row and column k, which are cut off.
+    k = n - (absorbing is not None)
+    index = np.arange(n + 1)
+    if absorbing is not None:
+        index[absorbing + 1 :] -= 1
+        index[absorbing] = k
+    A = np.bincount((index[:n] * (k + 1) + index[succ]).ravel("F"), prob.ravel("F"),
+                    minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
+    A *= alpha
+    np.subtract(0.0, A, out=A)
+    A.flat[:: k + 2] += 1.0
+    keep = index[:n] < k
+    V = np.zeros(n)
+    V[keep] = np.linalg.solve(A[:k, :k], cost[keep])
     return V
 
 
@@ -435,40 +454,15 @@ def _proper_start(view: MdpView) -> np.ndarray:
     return policy
 
 
-def _chain_values(view: MdpView, policy: np.ndarray, cost: np.ndarray) -> np.ndarray | None:
-    """``_solve_chain`` on the chain ``P`` of a pure ``policy`` on a view and
-    the stage costs ``cost``, or None when the view has an absorbing state
-    that the chain does not reach from every state. Each listed entry of the
-    slots ``policy`` picks is subtracted from the identity where
-    ``_solve_chain`` subtracts its cell of a dense ``P``, so both build the
-    same bits, and no ``(n, n)`` ``P`` is made."""
-    n, absorbing = view.n_states, view.absorbing
-    x = np.arange(n)
-    succ, prob = view.succ[:, x, policy], view.prob[:, x, policy]
-    if absorbing is not None and not absorbing_attractor(
-        succ[..., None], prob[..., None], absorbing
-    )[0].all():
-        return None
-    # Row and column of each state in A; the absorbing state and a pad's
-    # destination n take row and column k, which are cut off.
-    k = n - (absorbing is not None)
-    index = np.arange(n + 1)
-    if absorbing is not None:
-        index[absorbing + 1 :] -= 1
-        index[absorbing] = k
-    A = np.eye(k + 1)
-    A[index[:n], index[succ]] -= regime_alpha(view.regime) * prob
-    return _solve(A[:k, :k], cost, absorbing)
-
-
 def _howard(view: MdpView) -> tuple[np.ndarray, np.ndarray]:
     """Values of the final policy of Howard policy iteration on a view, and
     their ``lookahead``."""
-    first = view.optimizer.first
+    first, alpha = view.optimizer.first, regime_alpha(view.regime)
     rows = np.arange(view.n_states)
     policy = _proper_start(view) if view.absorbing is not None else first(view.cost, axis=1)
     for _ in range(MAX_SWEEPS):
-        V = _chain_values(view, policy, view.cost[rows, policy])
+        V = _chain_values(view.succ[:, rows, policy], view.prob[:, rows, policy],
+                          view.cost[rows, policy], alpha, view.absorbing)
         if V is None:
             # A strict gain closed a cycle whose average cost favours the
             # responder: the value is unbounded.
@@ -493,14 +487,16 @@ def _newton(view: MdpView, V: np.ndarray, qa: np.ndarray) -> tuple[np.ndarray, n
     Returns the values of least residual and their lookahead. A greedy
     ``pi`` that cannot absorb (an exact tie with a zero-cost loop) ends the
     steps, as its system is singular."""
-    opt, first, _ = view.optimizer
-    best, least = (V, qa), np.inf
+    (opt, first, _), alpha = view.optimizer, regime_alpha(view.regime)
+    rows, best, least = np.arange(view.n_states), (V, qa), np.inf
     for _ in range(MAX_SWEEPS):
         r = opt.reduce(qa, axis=1) - V
         if not float(np.abs(r).max()) < least:  # NaN included
             break
         best, least = (V, qa), float(np.abs(r).max())
-        d = None if least == 0.0 else _chain_values(view, first(qa, axis=1), r)
+        pi = first(qa, axis=1)
+        d = None if least == 0.0 else _chain_values(
+            view.succ[:, rows, pi], view.prob[:, rows, pi], r, alpha, view.absorbing)
         if d is None:
             break
         V = V + d
@@ -607,6 +603,7 @@ def naive_policy_iteration(
     improper mid-run truncates the trace and sets ``failure``.
     """
     _integer(rounds, "rounds", 0)
+    check_tol(tol)
     mu, nu = mu0, nu0
     J = evaluate_policy_pair(model, mu, nu)
     recs = [PolicyIterationRound(mu=mu, nu=nu, values=J)]

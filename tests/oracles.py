@@ -803,6 +803,28 @@ def induced_chain_by_state(
     return P, G
 
 
+def dense_chain(succ: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """The ``(n, n)`` chain of ``(L, n)`` successor lists by one
+    ``np.bincount`` that sums a repeated destination in list order; a pad's
+    column ``n`` is cut."""
+    L, n = succ.shape
+    key = (np.arange(n) * (n + 1) + succ).ravel()
+    return np.bincount(key, prob.ravel(), minlength=n * (n + 1)).reshape(n, n + 1)[:, :n]
+
+
+def dense_chain_values(
+    P: np.ndarray, cost: np.ndarray, alpha: float, absorbing: int | None
+) -> np.ndarray:
+    """Reference for ``solvers._chain_values``: ``np.linalg.solve`` of
+    ``np.eye(k) - alpha * P`` on the states other than ``absorbing``, cut
+    from the dense chain ``P``, with 0 at ``absorbing``."""
+    keep = np.arange(len(cost)) != absorbing
+    V = np.zeros(len(cost))
+    A = np.eye(int(keep.sum())) - alpha * P[np.ix_(keep, keep)]
+    V[keep] = np.linalg.solve(A, cost[keep])
+    return V
+
+
 def stage_policies_by_state(model: GameModel, strategies) -> tuple[MixedPolicy, MixedPolicy]:
     """``solvers._stage_policies`` one state at a time: each state's stage
     strategies copied into a fresh policy, uniform at the absorbing state."""

@@ -91,6 +91,12 @@ class TestSolveCommand:
         assert (code, out) == (2, "")
         assert err == "error: distance weights must be positive and finite\n"
 
+    @pytest.mark.parametrize("params, key", [("N=3,N=4", "N"), ("k1=1,N=3,k1=2", "k1")])
+    def test_repeated_waste_parameter_exits_2(self, capsys, params, key):
+        code, out, err = run(capsys, "solve", "--game", f"builtin:waste,{params}")
+        assert (code, out) == (2, "")
+        assert err == f"error: waste-game parameter {key!r} is given twice\n"
+
     def test_tol_does_not_stop_a_time_embedded_solve(self, capsys):
         outs = [
             run(capsys, "solve", "--game", "builtin:matrix2p", "--tol", tol)
@@ -267,7 +273,8 @@ class TestBoundCommand:
         assert code == 0 and len(calls) == 1
         assert strip_timestamp(out_path.read_text()) == [
             "# game=builtin:waste,N=10", "# h=exact", "# n=200", "# seed=1",
-            "# fix=A=optimal,B=optimal", "side,mean,se,n,seed",
+            "# fix=A=optimal,B=optimal", "# side=lower,upper", "# q=uniform",
+            "# tol=1e-10", "side,mean,se,n,seed",
             *(f"{name},{est.mean!r},{est.standard_error!r},200,1"
               for name, est in (("lower", lower), ("upper", upper))),
         ]
@@ -400,6 +407,25 @@ class TestBoundCommand:
         for doc in (printed, written):
             assert doc["metadata"].pop("timestamp")
         assert printed == written and list(printed["bounds"]) == ["upper"]
+
+    @pytest.mark.parametrize("fix, side, fixed, sides", [
+        ("both=uniform", None, "A=uniform,B=uniform", "lower,upper"),
+        ("both=uniform", "lower", "A=uniform,B=uniform", "lower"),
+        ("B=uniform", None, "B=uniform", "upper"),
+    ])
+    def test_json_metadata_reruns_the_bound(self, capsys, tmp_path, fix, side, fixed, sides):
+        # The metadata holds every option the bound read, so the document
+        # names its own rerun.
+        out_path = tmp_path / "bounds.json"
+        argv = ["bound", "--game", "builtin:waste,N=2", "--fix", fix, "--n", "50",
+                "--tol", "1e-9", "--format", "json", "--out", str(out_path)]
+        assert run(capsys, *argv, *(["--side", side] if side else []))[0] == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["metadata"].pop("timestamp")
+        assert doc["metadata"] == {"game": "builtin:waste,N=2", "h": "exact", "n": 50,
+                                   "seed": 1, "fix": fixed, "side": sides, "q": "uniform",
+                                   "tol": 1e-9}
+        assert list(doc["bounds"]) == sides.split(",")
 
     def test_reference_measure_on_a_time_embedded_game_exits_2(self, capsys, tmp_path):
         argv = ["bound", "--game", "builtin:matrix2p", "--fix", "A=optimal",

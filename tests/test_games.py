@@ -9,7 +9,7 @@ import pytest
 import zsgdual as zd
 from zsgdual.games import SIMPLEX_TOL, absorbing_attractor, absorbing_reachable
 from zsgdual.solvers import (
-    _pair_entries, _pair_rows, _pair_values, _proper_start, _stage_groups, _stage_policies,
+    _pair_lists, _pair_rows, _pair_values, _proper_start, _stage_groups, _stage_policies,
     _stage_view, _sweep,
 )
 
@@ -20,6 +20,7 @@ except ImportError:  # numpy < 2
 
 from oracles import (
     check_policy_by_state,
+    dense_chain,
     dense_kernel,
     embed_by_entry,
     finite_forward_value,
@@ -590,9 +591,8 @@ class TestBlockLayout:
                 assert np.array_equal(got.succ, want.succ)
                 assert np.array_equal(got.prob, want.prob)
             # The successor lists scatter into the dense chain bit for bit.
-            n = model.n_states
-            key, weight, G = _pair_entries(model, _pair_rows(model, mu, nu))
-            P = np.bincount(key, weight, minlength=n * n).reshape(n, n)
+            succ, prob, G = _pair_lists(model, _pair_rows(model, mu, nu))
+            P = dense_chain(succ, prob)
             for got, want in zip((P, G), induced_chain_by_state(model, mu, nu)):
                 assert np.array_equal(got, want)
 

@@ -10,6 +10,8 @@ from zsgdual import solvers
 from zsgdual.games import lookahead
 
 from oracles import (
+    dense_chain,
+    dense_chain_values,
     finite_backward_induction,
     finite_forward_value,
     induced_chain_by_state,
@@ -117,6 +119,59 @@ def seeded_finite_game(n, periods, seed, actions=4, successors=3):
     return zd.make_game(zd.FiniteHorizon(periods), list(p), list(g), root=0)
 
 
+def seeded_chain(rng, n, L, absorbing):
+    """``(L, n)`` successor lists in which every state lists its first
+    destination twice, about a third of the later entries are pads of
+    probability 0 to state 0 or to ``n``, and, with ``absorbing``, entry 2
+    of every state moves there."""
+    succ = rng.integers(0, n, (L, n))
+    succ[1] = succ[0]
+    prob = rng.dirichlet(np.ones(L), size=n).T
+    pad = rng.random((L, n)) < 0.3
+    pad[:3] = False
+    prob[pad] = 0.0
+    succ[pad] = np.where(rng.random(int(pad.sum())) < 0.5, 0, n)
+    if absorbing is not None:
+        succ[2] = absorbing
+    return succ, prob
+
+
+class TestChainValues:
+    """``_chain_values`` solves the one system of every chain: pair values,
+    Howard's policies and Newton's corrections."""
+
+    @pytest.mark.parametrize("alpha, absorbing", [(0.9, None), (1.0, 3)])
+    def test_matches_the_dense_solve(self, alpha, absorbing, monkeypatch):
+        rng = np.random.default_rng(31 if absorbing is None else 32)
+        real = np.linalg.solve
+        for _ in range(20):
+            n = 7
+            succ, prob = seeded_chain(rng, n, 6, absorbing)
+            cost = rng.uniform(-5.0, 5.0, n)
+            P = dense_chain(succ, prob)
+            want = dense_chain_values(P, cost, alpha, absorbing)
+            systems = []
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", lambda A, b: systems.append(np.array(A)) or real(A, b))
+                got = solvers._chain_values(succ, prob, cost, alpha, absorbing)
+            # The assembled I - alpha P has the dense system's bits.
+            keep = np.arange(n) != absorbing
+            (A,) = systems
+            assert A.tobytes() == (np.eye(int(keep.sum())) - alpha * P[np.ix_(keep, keep)]).tobytes()
+            assert got.tobytes() == want.tobytes()
+            if absorbing is not None:
+                assert got[absorbing] == 0.0
+
+    def test_improper_chain_is_none(self):
+        # States 1 and 2 move between themselves; the only entry from them to
+        # the absorbing state 0 is a pad of probability 0.
+        succ = np.array([[0, 2, 1, 0], [4, 0, 0, 4]])
+        prob = np.array([[1.0, 1.0, 1.0, 0.5], [0.0, 0.0, 0.0, 0.0]])
+        assert solvers._chain_values(succ, prob, np.ones(4), 1.0, 0) is None
+        prob[:, 1] = 0.5  # state 1 now moves to 0 half the time
+        assert solvers._chain_values(succ, prob, np.ones(4), 1.0, 0) is not None
+
+
 class TestTimeEmbeddedModels:
     """Pair values and best responses of time-embedded models come from one
     backward pass over the periods, never from a linear solve or from
@@ -132,7 +187,7 @@ class TestTimeEmbeddedModels:
             mu_e, nu_e = lift(emb, mu), lift(emb, nu)
             J = zd.evaluate_policy_pair(emb, mu_e, nu_e)
             P, G = induced_chain_by_state(emb, mu_e, nu_e)
-            lu = solvers._solve_chain(P, G, 1.0, emb.absorbing)
+            lu = dense_chain_values(P, G, 1.0, emb.absorbing)
             scale = np.abs(lu).max()
             np.testing.assert_allclose(J, lu, rtol=1e-13, atol=1e-13 * scale)
             if raw is emb:
@@ -817,6 +872,20 @@ class TestNaivePolicyIteration:
         nu = zd.uniform_policy(waste3, zd.PLAYER_B)
         with pytest.raises(ValueError, match="rounds must be an integer >= 0"):
             zd.naive_policy_iteration(waste3, mu, nu, rounds=rounds)
+
+    @pytest.mark.parametrize("tol, error", [
+        (np.inf, ValueError), (np.nan, ValueError), (-1e-9, ValueError), ("1e-9", TypeError),
+    ])
+    def test_tol_is_checked_before_any_round(self, waste3, tol, error, monkeypatch):
+        # tol=inf once reported convergence after any round, and a string
+        # failed only after the last one.
+        evaluations = []
+        monkeypatch.setattr(solvers, "_pair_values", lambda *a: evaluations.append(a))
+        mu = zd.uniform_policy(waste3, zd.PLAYER_A)
+        nu = zd.uniform_policy(waste3, zd.PLAYER_B)
+        with pytest.raises(error):
+            zd.naive_policy_iteration(waste3, mu, nu, rounds=2, tol=tol)
+        assert evaluations == []
 
     def test_reaches_equilibrium_on_two_period_game(self, two_period):
         mu = zd.uniform_policy(two_period, zd.PLAYER_A)
