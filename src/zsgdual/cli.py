@@ -96,7 +96,7 @@ def _from_file(path: str, what: str, read):
     try:
         with open(path) as f:
             return read(json.load(f))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot load {what} from {path}: {exc}") from exc
 
 
@@ -459,6 +459,10 @@ def _apply_defaults(args: argparse.Namespace) -> None:
         key.replace("-", "_"): _config_value(args.options, key, value)
         for key, value in config.items()
     }
+    if args.command == "repro" and args.which == "matrix-game":
+        for key in ("rounds", "sites", "generator"):
+            if getattr(args, key) is not None or key in config:
+                raise InputError(f"repro matrix-game takes no --{key}")
     defaults = dict(DEFAULTS[args.command])
     if args.command == "repro" and getattr(args, "n", None) is None:
         defaults["n"] = 10_000 if args.which == "matrix-game" else 5_000

@@ -9,15 +9,17 @@ layout of successor lists and one move predicate for all states;
 ``OPTIMIZERS``, how a view optimizes; ``lookahead``, the one action value
 expression; ``last_rise``, the last destination a CDF draws;
 ``absorbing_attractor``, the one reachability fixpoint), time embedding and
-JSON ingestion all live here.
+JSON game files (each state's block row, ``succ`` and ``prob``, or a dense
+``transition`` read through ``make_game``) all live here.
 
 A ``GameModel`` stores its tensors as blocks: the states of one action
 shape ``(A, B)`` share one ``Block`` of stage costs and padded successor
-lists, which hold only the destinations a move can reach. A view keeps
-successor lists too: fixing a player folds the fixed player's actions into
-each free slot's list with ``np.bincount`` over the compressed
-``(state, slot, destination)`` keys (``successor_lists``), a batch of
-states at a time, so no ``(n, slots, n)`` array is ever built. A pair's
+lists, which hold only the destinations a move can reach; ``pack_blocks``,
+the one packer, groups them. A view keeps successor lists too: fixing a
+player folds the fixed player's actions into each free slot's list with
+``np.bincount`` over the compressed ``(state, slot, destination)`` keys
+(``successor_lists``), a batch of states at a time, so no ``(n, slots,
+n)`` array is ever built. A pair's
 chain is one slot of that layout (``solvers._chain_values``). The dense
 per-state tensors ``transition[i]`` are rebuilt from the lists on access,
 never stored. Every sum over a successor list is in list order, so a
@@ -39,7 +41,7 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -232,9 +234,9 @@ def make_game(
     period: Sequence[int] | None = None,
     base_state: Sequence[int] | None = None,
 ) -> GameModel:
-    """Assemble a GameModel from per-state dense tensors: the states of each
-    shape are stacked into one block and their ``(A, B, n)`` transitions
-    packed into successor lists (the caller's arrays stay as they are).
+    """Assemble a GameModel from per-state dense tensors: each ``(A, B, n)``
+    row is packed as the list of all ``n`` destinations, its zeros as pads
+    (``pack_blocks``); the caller's arrays stay as they are.
 
     A state's ``cost`` is its ``(A, B)`` stage cost, or an ``(A, B, n)`` cost
     per destination. The latter is reduced, state by state, to the expected
@@ -244,7 +246,6 @@ def make_game(
     """
     transition = [np.asarray(t, dtype=float) for t in transition]
     cost = [np.asarray(c, dtype=float) for c in cost]
-    by_shape: dict[tuple[int, ...], list[int]] = {}
     for i, (p, g) in enumerate(zip(transition, cost, strict=True)):
         if p.ndim != 3 or g.shape not in (p.shape, p.shape[:2]):
             raise ValueError(
@@ -253,22 +254,42 @@ def make_game(
             )
         if g.ndim == 3:
             cost[i] = np.where(np.isfinite(g).all(axis=2), list_sum(p, g), np.nan)
-        by_shape.setdefault(p.shape, []).append(i)
+
+    def rows(states: list[int], shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        p = np.stack([transition[i] for i in states])
+        return np.broadcast_to(np.arange(p.shape[3]), p.shape), p
+
+    blocks = pack_blocks([(p.shape[:2], p.shape[2]) for p in transition], rows, cost)
+    return GameModel(len(transition), regime, blocks, labels, root, horizon, period, base_state)
+
+
+def pack_blocks(shapes: Sequence[tuple], rows: Callable, cost: Sequence[np.ndarray]) -> tuple:
+    """Blocks of states grouped by ``shapes[i]``, ``((A, B), width)``, in state
+    order, with stage costs ``cost[i]``: ``rows(states, (A, B))`` gives a
+    group's ``(k, A, B, S)`` successor lists ``(succ, prob)``, whose zeros are
+    pads, moved to each row's end as destination 0 and cut to the longest row.
+    ValueError names the first move whose listed destinations do not ascend."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, shape in enumerate(shapes):
+        by_shape.setdefault(shape, []).append(i)
     blocks = []
-    for (na, nb, width), s in by_shape.items():
-        p = np.stack([transition[i] for i in s])
+    for (actions, width), s in by_shape.items():
+        dest, p = rows(s, actions)
         keep = p != 0.0
-        *lead, col = np.nonzero(keep)
+        *lead, _ = np.nonzero(keep)
         row = np.ravel_multi_index(lead, keep.shape[:-1])
         where = (*lead, np.arange(len(row)) - np.searchsorted(row, row))
-        shape = (len(s), na, nb, int(where[-1].max(initial=0)) + 1)
+        shape = (len(s), *actions, int(where[-1].max(initial=0)) + 1)
         succ, listed = np.zeros(shape, dtype=np.intp), np.zeros(shape)
-        succ[where], listed[where] = col, p[keep]
+        succ[where], listed[where] = dest[keep], p[keep]
+        climb = (listed[..., 1:] != 0.0) & (succ[..., 1:] <= succ[..., :-1])
+        if climb.any():
+            r, u, v = np.argwhere(climb.any(axis=3))[0]
+            got = succ[r, u, v][listed[r, u, v] != 0.0].tolist()
+            raise ValueError(f"state {s[r]}, u={u}, v={v}: listed destinations {got} "
+                             "do not strictly ascend")
         blocks.append(make_block(np.array(s), succ, listed, np.stack([cost[i] for i in s]), width))
-    return GameModel(
-        n_states=len(transition), regime=regime, blocks=tuple(blocks), labels=labels,
-        root=root, horizon=horizon, period=period, base_state=base_state,
-    )
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -737,9 +758,9 @@ def embed_finite_horizon(model: GameModel) -> GameModel:
         src = np.searchsorted(b.states, base[states])  # rows of b
         s = index[period[states, None, None, None] + 1, b.succ[src]]
         p = b.transition[src]
-        # Pads, entries of a negative or NaN probability and the last
-        # period's entries leave the next period's pairs.
-        off = s < 0
+        # Entries of a negative or NaN probability and the last period's
+        # leave the next period's pairs; those and pads become pads.
+        off = (s < 0) | (p == 0.0)
         s[off], p[off] = 0, 0.0
         last = period[states] == T - 1
         s[last, :, :, 0], p[last, :, :, 0] = terminal, 1.0
@@ -931,14 +952,15 @@ def _regime_from_dict(d: dict) -> Regime:
 
 
 def game_to_dict(model: GameModel) -> dict:
-    d = {
-        "n_states": model.n_states,
-        "regime": _regime_to_dict(model.regime),
-        "actions_a": model.actions_a.tolist(),
-        "actions_b": model.actions_b.tolist(),
-        "transition": [t.tolist() for t in model.transition],
-        "cost": [c.tolist() for c in model.cost],
-    }
+    """The JSON document of ``model``: each state's block row as stored,
+    ``succ[i][u][v]`` and ``prob[i][u][v]``, and ``(A, B)`` cost ``cost[i]``."""
+    succ, prob, cost = ([None] * model.n_states for _ in range(3))
+    for b in model.blocks:
+        for i, s, p, g in zip(*(a.tolist() for a in (b.states, b.succ, b.transition, b.cost))):
+            succ[i], prob[i], cost[i] = s, p, g
+    d = {"n_states": model.n_states, "regime": _regime_to_dict(model.regime),
+         "actions_a": model.actions_a.tolist(), "actions_b": model.actions_b.tolist(),
+         "succ": succ, "prob": prob, "cost": cost}
     if model.labels is not None:
         d["labels"] = list(model.labels)
     if model.root is not None:
@@ -946,42 +968,81 @@ def game_to_dict(model: GameModel) -> dict:
     return d
 
 
-def _tensors(d: dict, key: str) -> list[np.ndarray]:
+def _tensors(entries: list, key: str) -> list[np.ndarray]:
     """The per-state float tensors of field ``key`` of a game document."""
-    if not isinstance(_required(d, key, key), list):
-        raise ValueError(f"{key} must be a list of per-state tensors")
     try:
-        return [np.asarray(t, dtype=float) for t in d[key]]
+        return [np.asarray(t, dtype=float) for t in entries]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key} holds a ragged or non-numeric tensor: {exc}") from exc
 
 
-def game_from_dict(d: dict) -> GameModel:
-    """Build and validate a GameModel from its JSON document form.
+def _list_rows(succ: list, prob: list, n: int, states: list[int], shape: tuple) -> tuple:
+    """``pack_blocks``'s ``rows``: a group's ``succ`` and ``prob`` at once, else
+    state by state (lengths may differ); ValueError names the first state not
+    listing destinations in ``[0, n)`` and probabilities of one shape."""
+    def convert(group: list[int], dtype: type = float) -> tuple[np.ndarray, np.ndarray]:
+        s = np.array([succ[i] for i in group], dtype=object)
+        p = np.array([prob[i] for i in group], dtype=dtype)
+        if s.ndim != 4 or s.shape != p.shape or s.shape[1:3] != shape:
+            raise ValueError(f"succ of shape {s.shape[1:]} and prob of shape {p.shape[1:]} "
+                             f"do not match the cost's {shape}")
+        if any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, s.flat))):
+            raise ValueError("succ holds a destination that is not an integer")
+        s = s.astype(np.intp)
+        for j in s[(s < 0) | (s >= n)][:1]:
+            raise ValueError(f"succ destination {j} is not a state index in [0, {n})")
+        return s, p.astype(float, copy=False)
 
-    Each state's ``cost`` is its ``[u][v]`` stage cost, or a ``[u][v][j]``
-    cost per destination, which ``make_game`` reduces to the former."""
+    try:
+        return convert(states)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    parts = []
+    for i in states:
+        try:
+            parts.append(convert([i], object))  # a ragged prob shows its shape
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"state {i}: {exc}") from exc
+    k = max(s.shape[3] for s, _ in parts)
+    return tuple(np.concatenate([np.pad(a, [(0, 0)] * 3 + [(0, k - a.shape[3])]) for a in col])
+                 for col in zip(*parts))
+
+
+def game_from_dict(d: dict) -> GameModel:
+    """Build and validate a GameModel from its JSON document form: each
+    state's block row ``succ[i][u][v]``, ``prob[i][u][v]`` and stage cost
+    ``cost[i][u][v]``, or, read through ``make_game``, a dense
+    ``transition[i][u][v][j]``, whose ``cost`` may be given per destination."""
     if not isinstance(d, dict):
         raise ValueError(f"a game file must hold a JSON object, got {type(d).__name__}")
     n = _integer(_required(d, "n_states", "n_states"), "n_states")
     regime = _regime_from_dict(_required(d, "regime", "regime"))
-    transition = _tensors(d, "transition")
-    cost = _tensors(d, "cost")
-    if len(transition) != n:
-        raise ValueError(f"transition lists {len(transition)} states, header says {n}")
-    if len(cost) != n:
-        raise ValueError(f"cost lists {len(cost)} states, header says {n}")
-    model = make_game(
-        regime=regime,
-        transition=transition,
-        cost=cost,
-        labels=d.get("labels"),
-        root=d.get("root"),
-    )
-    if "actions_a" in d and list(model.actions_a) != list(d["actions_a"]):
-        raise ValueError("actions_a does not match transition tensor shapes")
-    if "actions_b" in d and list(model.actions_b) != list(d["actions_b"]):
-        raise ValueError("actions_b does not match transition tensor shapes")
+    dense = "transition" in d
+    if dense == ("succ" in d or "prob" in d):
+        raise ValueError("game file holds both transition and succ/prob; give one form"
+                         if dense else "game file has no succ and prob, "
+                         "so it lacks the required field transition")
+    keys = ("transition",) if dense else ("succ", "prob")
+    for key in (*keys, "cost"):
+        if not isinstance(_required(d, key, key), list):
+            raise ValueError(f"{key} must be a list of per-state tensors")
+    for key in (*keys, "cost"):
+        if len(d[key]) != n:
+            raise ValueError(f"{key} lists {len(d[key])} states, header says {n}")
+    moves = {key: _tensors(d[key], key) if dense else d[key] for key in keys}
+    cost = _tensors(d["cost"], "cost")
+    labels = d.get("labels")
+    if labels is not None and (type(labels) is not list or any(type(s) is not str for s in labels)):
+        raise ValueError(f"labels must be a list of {n} strings, got {labels!r:.60}")
+    if dense:
+        model = make_game(regime, moves["transition"], cost, labels=labels, root=d.get("root"))
+    else:
+        rows = partial(_list_rows, moves["succ"], moves["prob"], n)
+        model = GameModel(n, regime, pack_blocks([(g.shape, n) for g in cost], rows, cost),
+                          labels=labels, root=d.get("root"))
+    for key, counts in (("actions_a", model.actions_a), ("actions_b", model.actions_b)):
+        if key in d and d[key] != counts.tolist():
+            raise ValueError(f"{key} does not match the states' action shapes")
     problems = validate(model)
     if problems:
         msg = "; ".join(f"{loc}: {what}" for loc, what in problems[:5])
@@ -996,11 +1057,14 @@ def load_game(path: str) -> GameModel:
 
 def _per_state(model: GameModel, doc, what: str, parse, expected: str) -> list:
     """``parse`` of each state's entry of a per-state JSON document, in state
-    order: ``doc`` must be an object whose key ``str(i)`` holds state ``i``'s
-    entry. ValueError, naming the ``what`` file, when it is not an object;
-    else naming the first state it lacks or whose entry ``parse`` rejects."""
+    order: ``doc`` must be an object whose keys ``str(i)`` hold state ``i``'s
+    entry. ValueError names the ``what`` file, and when it is an object, its
+    first key of no state, first missing state or first bad entry."""
     if not isinstance(doc, dict):
         raise ValueError(f"a {what} file must hold a JSON object, got {type(doc).__name__}")
+    keys = set(map(str, range(model.n_states)))
+    for key in (key for key in doc if key not in keys):
+        raise ValueError(f"{what} file key {key!r} names no state in [0, {model.n_states})")
     out = []
     for i in range(model.n_states):
         if str(i) not in doc:

@@ -200,6 +200,27 @@ def random_sparse_ssp_game(
     return make_game(Ssp(absorbing=absorbing), transition, cost, root=0)
 
 
+def dense_document(model: GameModel) -> dict:
+    """``model``'s game document in the dense form: each state's moves as a
+    ``transition[i][u][v][j]`` tensor read from ``model.transition``, with
+    its ``(A, B)`` stage cost, the header, the labels and the root."""
+    kind, key = {Discounted: ("discounted", "alpha"), Ssp: ("ssp", "absorbing"),
+                 FiniteHorizon: ("finite_horizon", "periods")}[type(model.regime)]
+    doc = {
+        "n_states": model.n_states,
+        "regime": {"kind": kind, key: getattr(model.regime, key)},
+        "actions_a": model.actions_a.tolist(),
+        "actions_b": model.actions_b.tolist(),
+        "transition": [t.tolist() for t in model.transition],
+        "cost": [c.tolist() for c in model.cost],
+    }
+    if model.labels is not None:
+        doc["labels"] = list(model.labels)
+    if model.root is not None:
+        doc["root"] = model.root
+    return doc
+
+
 def random_policy(rng: np.random.Generator, model: GameModel, player: str):
     from zsgdual.games import PLAYER_A, make_policy
 

@@ -8,7 +8,7 @@ import pytest
 import zsgdual as zd
 from zsgdual import cli, experiments
 
-from oracles import dense_kernel, random_sparse_ssp_game
+from oracles import dense_document, dense_kernel, random_sparse_ssp_game
 
 
 def run(capsys, *argv):
@@ -50,13 +50,51 @@ class TestSolveCommand:
         assert all(np.isfinite(v) for v in values)
 
     def test_bad_game_file_exits_2(self, capsys, tmp_path):
-        doc = zd.game_to_dict(zd.build_two_period_matrix_game())
+        doc = dense_document(zd.build_two_period_matrix_game())
         doc["transition"][0][0][0] = [0.5, 0.2, 0.0, 0.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "solve", "--game", f"file:{path}")
         assert code == 2
         assert "row sums" in err
+
+    def test_bad_list_game_file_exits_2(self, capsys, tmp_path):
+        doc = zd.game_to_dict(zd.build_two_period_matrix_game())
+        doc["prob"][0][0][0] = [0.5, 0.2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", "--game", f"file:{path}")
+        assert code == 2
+        assert "state 0, u=0, v=0: row sums to 0.7, not 1" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d, t: d.update(transition=t["transition"]),
+         "game file holds both transition and succ/prob; give one form"),
+        (lambda d, t: (d.pop("succ"), d.pop("prob")),
+         "game file has no succ and prob, so it lacks the required field transition"),
+        (lambda d, t: d["succ"][2][0].__setitem__(1, [3, 7]),
+         "state 2: succ destination 7 is not a state index in [0, 4)"),
+        (lambda d, t: d["succ"][0][1].__setitem__(0, [2, 2]),
+         "state 0, u=1, v=0: listed destinations [2, 2] do not strictly ascend"),
+        (lambda d, t: d["succ"][0][1].__setitem__(1, [2, 1]),
+         "state 0, u=1, v=1: listed destinations [2, 1] do not strictly ascend"),
+        (lambda d, t: d["prob"].__setitem__(1, [[[1.0, 0.0]]]),
+         "state 1: succ of shape (2, 2, 2) and prob of shape (1, 1, 2) "
+         "do not match the cost's (2, 2)"),
+        (lambda d, t: d["cost"].__setitem__(3, [[0.0, 0.0]]),
+         "state 3: succ of shape (1, 1, 1) and prob of shape (1, 1, 1) "
+         "do not match the cost's (1, 2)"),
+    ], ids=["both", "neither", "out-of-range", "repeated", "descending", "prob-shape",
+            "cost-shape"])
+    def test_bad_move_lists_exit_2(self, capsys, tmp_path, edit, message):
+        model = zd.build_two_period_matrix_game()
+        doc = zd.game_to_dict(model)
+        edit(doc, dense_document(model))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--game", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot load game from {path}: {message}\n"
 
     def test_non_list_tensor_field_exits_2(self, capsys, tmp_path):
         path = tmp_path / "scalar.json"
@@ -323,8 +361,9 @@ class TestBoundCommand:
         for field, where, value, cost in (
             ("transition", (1, 0, 1, 2), "NaN", None), ("cost", (1, 0, 1), "NaN", None),
             ("cost", (1, 0, 1), "-Infinity", None), ("cost", (1, 0, 1, 2), "NaN", per_destination),
+            ("prob", (1, 0, 1, 0), "NaN", None), ("prob", (1, 0, 1, 0), "-Infinity", None),
         ):
-            doc = zd.game_to_dict(model)
+            doc = zd.game_to_dict(model) if field == "prob" else dense_document(model)
             if cost is not None:
                 doc["cost"] = cost
             entry = doc[field]
@@ -508,6 +547,37 @@ class TestBoundCommand:
         assert (code, out) == (2, "")
         assert "must hold a JSON object, got list" in err
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("policy", ["--fix", "B=file:{path}", "--h", "zero"]),
+        ("value", ["--fix", "B=uniform", "--h", "file:{path}"]),
+        ("reference measure", ["--fix", "B=uniform", "--h", "zero", "--q", "file:{path}"]),
+    ])
+    @pytest.mark.parametrize("stray", ["13", "x"])
+    def test_per_state_file_keys_name_states(self, capsys, tmp_path, kind, flags, stray):
+        # Waste N=5's 31-state files read for waste N=3, which has 13 states,
+        # or a 13-state file with one stray key: the first key that names no
+        # state exits 2.
+        big, small = (zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n)) for n in (5, 3))
+        model = big if stray == "13" else small
+        entries = {
+            "policy": [list(v) for v in zd.uniform_policy(model, zd.PLAYER_B).probs],
+            "value": np.arange(model.n_states, dtype=float).tolist(),
+            "reference measure": zd.make_uniform_reference(model).kernel.tolist(),
+        }[kind]
+        doc = {str(i): e for i, e in enumerate(entries)}
+        if stray == "x":
+            doc["x"] = entries[0]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "bound", "--game", "builtin:waste,N=3", "--n", "50",
+            *(f.format(path=path) for f in flags),
+        )
+        assert (code, out) == (2, "")
+        source = "generator" if kind == "value" else kind
+        assert err == (f"error: cannot load {source} from {path}: "
+                       f"{kind} file key {stray!r} names no state in [0, 13)\n")
+
     def test_value_past_the_float_range_exits_2(self, capsys, tmp_path):
         path = tmp_path / "h.json"
         path.write_text('{"0": 1' + "0" * 400 + ', "1": 0, "2": 0, "3": 0}')
@@ -655,6 +725,26 @@ class TestReproCommand:
         states = (tmp_path / "m_states.csv").read_text().splitlines()
         assert states[0] == "state,label,value,strategy_a,strategy_b"
         assert len(states) == 5
+
+    @pytest.mark.parametrize("option, flag, value", [
+        ("rounds", "--rounds", "2"), ("sites", "--sites", "4"),
+        ("generator", "--generator", "pair-value"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_matrix_game_rejects_waste_game_options(self, capsys, tmp_path, option, flag,
+                                                     value, source):
+        out_path = tmp_path / "m.csv"
+        argv = ["repro", "matrix-game", "--n", "100", "--out", str(out_path)]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({option: value}))
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: repro matrix-game takes no --{option}\n"
+        assert not out_path.exists()
 
     def test_small_waste_run(self, capsys, tmp_path):
         out_path = tmp_path / "w.csv"

@@ -21,6 +21,7 @@ except ImportError:  # numpy < 2
 from oracles import (
     check_policy_by_state,
     dense_chain,
+    dense_document,
     dense_kernel,
     embed_by_entry,
     finite_forward_value,
@@ -979,10 +980,10 @@ class TestJsonInterchange:
         model = zd.load_game(str(path))
         assert model.labels == two_period.labels
 
-    @pytest.mark.parametrize("field", ["transition", "cost"])
+    @pytest.mark.parametrize("field", ["transition", "cost", "succ", "prob"])
     @pytest.mark.parametrize("value", [5, "abc", {"0": 1}, [[[[1.0]], [[1.0, 2.0]]]]])
     def test_malformed_tensor_fields_name_the_field(self, two_period, field, value):
-        doc = zd.game_to_dict(two_period)
+        doc = dense_document(two_period) if field == "transition" else zd.game_to_dict(two_period)
         doc[field] = value
         with pytest.raises(ValueError, match=f"^{field} "):
             zd.game_from_dict(doc)
@@ -1004,10 +1005,134 @@ class TestJsonInterchange:
         assert message in str(exc.value)
 
     def test_invalid_document_rejected(self, two_period):
-        doc = zd.game_to_dict(two_period)
+        doc = dense_document(two_period)
         doc["transition"][0][0][0] = [0.5, 0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             zd.game_from_dict(doc)
+
+    def test_invalid_list_document_rejected(self, two_period):
+        doc = zd.game_to_dict(two_period)
+        assert doc["succ"][0][0][0] == [1, 2]
+        doc["prob"][0][0][0] = [0.5, 0.0]
+        with pytest.raises(ValueError, match="state 0, u=0, v=0: row sums to 0.5, not 1"):
+            zd.game_from_dict(doc)
+
+    def test_list_and_dense_documents_load_to_the_model_blocks(self):
+        # The list document holds each block row as stored and the dense one
+        # each state's (A, B, n) tensor: both load to the model's blocks, bit
+        # for bit, dtypes and pads included.
+        rng = np.random.default_rng(38)
+        models = [zd.build_two_period_matrix_game(), *(
+            zd.build_waste_inspection_game(zd.WasteGameConfig(n_sites=n)) for n in range(2, 11)
+        )]
+        for k in range(20):
+            make = (random_ssp_game, random_discounted_game, random_sparse_ssp_game,
+                    random_finite_game)[k % 4]
+            models.append(make(rng, n_states=int(rng.integers(3, 12))))
+        for model in models:
+            for doc in (zd.game_to_dict(model), dense_document(model)):
+                again = zd.game_from_dict(json.loads(json.dumps(doc)))
+                assert len(again.blocks) == len(model.blocks)
+                for got, want in zip(again.blocks, model.blocks):
+                    assert got.width == want.width
+                    for a, b in zip(got[:4], want[:4]):
+                        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_list_document_writes_the_block_rows(self, two_period, waste3):
+        doc = zd.game_to_dict(two_period)
+        assert "transition" not in doc
+        assert doc["succ"][1] == [[[3, 0], [3, 0]], [[3, 0], [3, 0]]]
+        assert doc["prob"][1] == [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]
+        assert doc["succ"][3] == [[[3]]] and doc["cost"][3] == [[0.0]]
+        doc = zd.game_to_dict(waste3)
+        assert [np.shape(s) for s in doc["succ"]] == [(3, 3, 2)] * 12 + [(1, 1, 1)]
+        assert all(isinstance(j, int) for s in doc["succ"] for j in np.ravel(s).tolist())
+
+    @pytest.mark.parametrize("drop, message", [
+        ((), "game file holds both transition and succ/prob; give one form"),
+        (("transition", "succ", "prob"),
+         "game file has no succ and prob, so it lacks the required field transition"),
+        (("transition", "prob"), "game file lacks the required field prob"),
+    ])
+    def test_both_forms_or_neither_rejected(self, two_period, drop, message):
+        doc = {**dense_document(two_period), **zd.game_to_dict(two_period)}
+        for key in drop:
+            del doc[key]
+        with pytest.raises(ValueError) as exc:
+            zd.game_from_dict(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, where, value, message", [
+        ("succ", (1, 0, 0, 0), 4, "state 1: succ destination 4 is not a state index in [0, 4)"),
+        ("succ", (1, 0, 0, 0), -1, "state 1: succ destination -1 is not a state index in [0, 4)"),
+        ("succ", (1, 0, 0, 1), 4, "state 1: succ destination 4 is not a state index in [0, 4)"),
+        ("succ", (1, 0, 0, 0), True, "state 1: succ holds a destination that is not an integer"),
+        ("succ", (3, 0, 0, 0), 3.0, "state 3: succ holds a destination that is not an integer"),
+        ("succ", (2, 1, 1, 0), "3", "state 2: succ holds a destination that is not an integer"),
+        ("succ", (0, 1, 0), [1, 1], "state 0, u=1, v=0: listed destinations "
+         "[1, 1] do not strictly ascend"),
+        ("succ", (0, 1, 1), [2, 1], "state 0, u=1, v=1: listed destinations "
+         "[2, 1] do not strictly ascend"),
+        ("prob", (2, 0, 1), [1.0], "state 2: succ of shape (2, 2, 2) and prob of shape (2, 2) "
+         "do not match the cost's (2, 2)"),
+        ("succ", (2,), [[[3, 0]]], "state 2: succ of shape (1, 1, 2) and prob of shape "
+         "(2, 2, 2) do not match the cost's (2, 2)"),
+        ("cost", (2,), [[1.0]], "state 2: succ of shape (2, 2, 2) and prob of shape (2, 2, 2) "
+         "do not match the cost's (1, 1)"),
+        ("cost", (1,), [[[1.0]]], "state 1: succ of shape (2, 2, 2) and prob of shape (2, 2, 2) "
+         "do not match the cost's (1, 1, 1)"),
+    ])
+    def test_bad_list_rows_name_the_state(self, two_period, field, where, value, message):
+        doc = zd.game_to_dict(two_period)
+        entry = doc[field]
+        for k in where[:-1]:
+            entry = entry[k]
+        entry[where[-1]] = value
+        with pytest.raises(ValueError) as exc:
+            zd.game_from_dict(json.loads(json.dumps(doc)))
+        assert str(exc.value) == message
+
+    def test_zero_probability_entries_are_pads(self, two_period):
+        # Hand-written rows may list a zero anywhere and states of one shape
+        # may list rows of different lengths: the zeros are dropped and every
+        # row is padded again at its end, with destination 0, so the blocks
+        # are the model's. A NaN or negative probability is listed and
+        # validated.
+        doc = zd.game_to_dict(two_period)
+        edits = {  # state: the edit of each row of its succ, then of its prob
+            0: (lambda r: [3] + r, lambda r: [0.0] + r),
+            1: (lambda r: r[:1], lambda r: r[:1]),
+            2: (lambda r: [2] + r, lambda r: [0.0] + r),
+        }
+        for i, fixes in edits.items():
+            for key, fix in zip(("succ", "prob"), fixes):
+                doc[key][i] = [[fix(r) for r in u] for u in doc[key][i]]
+        assert doc["succ"][2][1][1] == [2, 3, 0] and doc["prob"][2][1][1] == [0.0, 1.0, 0.0]
+        again = zd.game_from_dict(doc)
+        for got, want in zip(again.blocks, two_period.blocks):
+            for a, b in zip(got[:4], want[:4]):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for value, record in ((float("nan"), "non-finite transition probability or cost"),
+                              (-0.5, "negative transition probability")):
+            doc["prob"][2][1][1] = [value, 1.0, 0.0]
+            with pytest.raises(ValueError, match=re.escape(record)):
+                zd.game_from_dict(doc)
+        # A state whose moves list nothing packs to one pad per move.
+        doc = zd.game_to_dict(two_period)
+        doc["succ"][3], doc["prob"][3] = [[[]]], [[[]]]
+        with pytest.raises(ValueError, match=re.escape("state 3, u=0, v=0: row sums to -0.0")):
+            zd.game_from_dict(doc)
+
+    @pytest.mark.parametrize("labels", ["abcd", 5, ["a", "b", "c", 4], [["a"], "b", "c", "d"]])
+    def test_labels_must_be_a_list_of_strings(self, two_period, labels):
+        doc = {**zd.game_to_dict(two_period), "labels": labels}
+        with pytest.raises(ValueError, match="^labels must be a list of 4 strings, got "):
+            zd.game_from_dict(doc)
+        doc["labels"] = ["a", "b", "c"]
+        with pytest.raises(ValueError, match="model: 3 labels for 4 states"):
+            zd.game_from_dict(doc)
+        doc["labels"] = ["a", "b", "c", "d"]
+        assert zd.game_from_dict(doc).labels == ("a", "b", "c", "d")
 
     def test_policy_and_value_files(self, two_period):
         doc = {
@@ -1027,3 +1152,13 @@ class TestJsonInterchange:
             two_period, {"0": 0.0, "1": 8.0, "2": -8.0, "3": 0.0}
         )
         np.testing.assert_allclose(values, [0.0, 8.0, -8.0, 0.0])
+
+    @pytest.mark.parametrize("key", ["4", "x", "01", " 1"])
+    def test_per_state_files_reject_keys_that_name_no_state(self, two_period, key):
+        policy = {"0": [0.6, 0.4], "1": [1.0, 0.0], "2": [0.0, 1.0], "3": [1.0]}
+        values = {"0": 0.0, "1": 8.0, "2": -8.0, "3": 0.0}
+        message = f"file key {key!r} names no state in [0, 4)"
+        with pytest.raises(ValueError, match=re.escape(f"policy {message}")):
+            zd.policy_from_dict(two_period, zd.PLAYER_B, {**policy, key: [1.0]})
+        with pytest.raises(ValueError, match=re.escape(f"value {message}")):
+            zd.values_from_dict(two_period, {**values, key: 1.0})
