@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -22,7 +22,6 @@ from .games import (
     PLAYER_B,
     FiniteHorizon,
     GameModel,
-    MixedPolicy,
     Ssp,
     _per_state,
     embed_finite_horizon,
@@ -69,11 +68,7 @@ def _resolve_game(spec: str) -> GameModel:
                 raise InputError("builtin:matrix2p takes no parameters")
             model = builtin_games.build_two_period_matrix_game()
         elif name == "waste":
-            kwargs = _parse_waste_params(params)
-            try:
-                cfg = builtin_games.WasteGameConfig(**kwargs)
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
+            cfg = builtin_games.WasteGameConfig(**_parse_waste_params(params))
             model = builtin_games.build_waste_inspection_game(cfg)
         else:
             raise InputError(f"unknown builtin game {name!r}")
@@ -118,28 +113,14 @@ def _parse_waste_params(params: str) -> dict:
     return {"n_sites": 10, **out}
 
 
-def _resolve_policy(
-    model: GameModel, token: str, player: str, equilibrium: Callable[[], tuple]
-) -> MixedPolicy:
-    """``player``'s policy named by ``token``; ``optimal`` takes it from
-    ``equilibrium()``, the ``shapley_value_iteration`` result."""
-    if token == "uniform":
-        return builtin_games.uniform_policy(model, player)
-    if token == "suboptimal":
-        if player != PLAYER_B:
-            raise InputError("the built-in suboptimal policy is for player B")
-        try:
-            return builtin_games.suboptimal_minimizer_policy(model)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    if token == "optimal":
-        _, mu, nu = equilibrium()
-        return mu if player == PLAYER_A else nu
+def _source(token: str, what: str, named: dict[str, Callable], read: Callable):
+    """The ``what`` that ``token`` names: ``named[token]()``, or ``read`` of
+    the JSON document of a ``file:<path>`` token."""
     if token.startswith("file:"):
-        return _from_file(
-            token[len("file:"):], "policy", lambda d: policy_from_dict(model, player, d)
-        )
-    raise InputError(f"unknown policy source {token!r}")
+        return _from_file(token[len("file:"):], what, read)
+    if token not in named:
+        raise InputError(f"unknown {what} source {token!r}")
+    return named[token]()
 
 
 def _parse_fix(specs: list[str]) -> dict[str, str]:
@@ -157,47 +138,18 @@ def _parse_fix(specs: list[str]) -> dict[str, str]:
     return fixed
 
 
-def _resolve_generator(
-    model: GameModel, token: str, policies: dict[str, MixedPolicy]
-) -> np.ndarray:
-    if token == "zero":
-        return np.zeros(model.n_states)
-    if token == "pair-value":
-        if PLAYER_A not in policies or PLAYER_B not in policies:
-            raise InputError("--h pair-value needs both policies fixed (--fix both=...)")
-        return solvers.evaluate_policy_pair(
-            model, policies[PLAYER_A], policies[PLAYER_B]
-        )
-    if token == "first-action":
-        try:
-            return builtin_games.first_action_value_generator(model)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    if token.startswith("file:"):
-        return _from_file(
-            token[len("file:"):], "generator", lambda d: values_from_dict(model, d)
-        )
-    raise InputError(f"unknown generator source {token!r}")
+def _q_from_dict(model: GameModel, doc) -> duality.ReferenceMeasure:
+    """A reference-measure file: each state's row of ``n`` probabilities."""
+    n = model.n_states
 
+    def row(entry) -> np.ndarray:
+        r = np.asarray(entry, dtype=float)
+        if r.shape != (n,):
+            raise ValueError(f"got shape {r.shape}")
+        return r
 
-def _resolve_q(model: GameModel, token: str) -> duality.ReferenceMeasure:
-    if token == "uniform":
-        return duality.make_uniform_reference(model)
-    if token.startswith("file:"):
-        n = model.n_states
-
-        def row(entry) -> np.ndarray:
-            r = np.asarray(entry, dtype=float)
-            if r.shape != (n,):
-                raise ValueError(f"got shape {r.shape}")
-            return r
-
-        def read(doc: dict) -> duality.ReferenceMeasure:
-            rows = _per_state(model, doc, "reference measure", row, f"a list of {n} numbers")
-            return duality.ReferenceMeasure(kernel=np.array(rows), absorbing=model.absorbing)
-
-        return _from_file(token[len("file:"):], "reference measure", read)
-    raise InputError(f"unknown reference measure {token!r}")
+    rows = _per_state(model, doc, "reference measure", row, f"a list of {n} numbers")
+    return duality.ReferenceMeasure(kernel=np.array(rows), absorbing=model.absorbing)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +210,15 @@ def cmd_bound(args: argparse.Namespace) -> int:
         raise InputError("--fix is required (e.g. --fix B=uniform)")
     # One solve serves both players' `optimal` tokens.
     equilibrium = cache(lambda: solvers.shapley_value_iteration(model, tol=args.tol))
-    policies = {
-        player: _resolve_policy(model, token, player, equilibrium)
-        for player, token in fixed_tokens.items()
-    }
+    policies = {}
+    for player, token in fixed_tokens.items():
+        if token == "suboptimal" and player != PLAYER_B:
+            raise InputError("the built-in suboptimal policy is for player B")
+        policies[player] = _source(token, "policy", {
+            "uniform": partial(builtin_games.uniform_policy, model, player),
+            "suboptimal": partial(builtin_games.suboptimal_minimizer_policy, model),
+            "optimal": lambda: equilibrium()[1 if player == PLAYER_A else 2],
+        }, partial(policy_from_dict, model, player))
 
     side = args.side
     sides = (side,) if side in SIDE_PLAYER else tuple(SIDE_PLAYER)
@@ -278,9 +235,18 @@ def cmd_bound(args: argparse.Namespace) -> int:
         raise InputError("dual bounds cover time-embedded and absorbing-state games only")
     if not is_ssp and args.q != "uniform":
         raise InputError("reference measures apply to absorbing-state games only")
-    q = _resolve_q(model, args.q) if is_ssp else None
+    q = _source(args.q, "reference measure", {
+        "uniform": partial(duality.make_uniform_reference, model),
+    }, partial(_q_from_dict, model)) if is_ssp else None
+    if args.h == "pair-value" and len(policies) < 2:
+        raise InputError("--h pair-value needs both policies fixed (--fix both=...)")
     # Every generator but the exact one is the same for both sides.
-    shared = None if args.h == "exact" else _resolve_generator(model, args.h, policies)
+    shared = None if args.h == "exact" else _source(args.h, "generator", {
+        "zero": partial(np.zeros, model.n_states),
+        "pair-value": lambda: solvers.evaluate_policy_pair(
+            model, policies[PLAYER_A], policies[PLAYER_B]),
+        "first-action": partial(builtin_games.first_action_value_generator, model),
+    }, partial(values_from_dict, model))
     pairs = []
     for bound_side in sides:
         player = SIDE_PLAYER[bound_side]
@@ -383,6 +349,47 @@ def _seed(text: str) -> int:
         ) from None
 
 
+# Each command's options but --config, in --help order, keyed by dest (the
+# flag is ``--`` and the dest with ``-`` for ``_``): the default used when
+# neither the flag nor the config file gives a value, and the flag's argparse
+# keywords, which convert and check a config file's value too.
+_COMMON = {
+    "out": (None, dict(help="output file path")),
+    "format": ("csv", dict(choices=("csv", "json"))),
+}
+OPTIONS = {
+    "solve": {
+        **_COMMON,
+        "game": (None, dict()),
+        "tol": (1e-10, dict(type=float, help="certified best-response interval width, > 0 "
+                            "(time-embedded game: only range-checked; it is solved in one "
+                            "backward pass)")),
+        "max_iter": (100_000, dict(type=int, help="cap on iterations, each a Newton or "
+                                   "Hoffman-Karp step")),
+    },
+    "bound": {
+        **_COMMON,
+        "game": (None, dict()),
+        "fix": (None, dict(action="append", help="A=<src>, B=<src> or both=<src>; sources: "
+                           "uniform, suboptimal, optimal, file:<path>")),
+        "h": ("exact", dict(help="exact, pair-value, first-action, zero, file:<path>")),
+        "side": (None, dict(choices=("lower", "upper", "both"))),
+        "n": (10_000, dict(type=int)),
+        "seed": (1, dict(type=_seed)),
+        "q": ("uniform", dict(help="uniform or file:<path>")),
+        "tol": (1e-10, dict(type=float)),
+    },
+    "repro": {
+        **_COMMON,
+        "rounds": (3, dict(type=int)),
+        "n": (None, dict(type=int)),  # set by the experiment in _apply_defaults
+        "seed": (7, dict(type=_seed)),
+        "sites": (10, dict(type=int)),
+        "generator": ("response-value", dict(choices=("response-value", "pair-value"))),
+    },
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zsgdual",
@@ -390,62 +397,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "information-relaxation dual bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, about in (("solve", "solve a game exactly"),
+                           ("bound", "estimate dual bounds for fixed policies"),
+                           ("repro", "reproduce a built-in experiment")):
+        p = sub.add_parser(command, help=about)
         p.add_argument("--config", help="JSON file with default flag values")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"))
-
-    p_solve = sub.add_parser("solve", help="solve a game exactly")
-    common(p_solve)
-    p_solve.add_argument("--game")
-    p_solve.add_argument("--tol", type=float, help="certified best-response interval "
-                         "width, > 0 (time-embedded game: only range-checked; it is "
-                         "solved in one backward pass)")
-    p_solve.add_argument("--max-iter", dest="max_iter", type=int,
-                         help="cap on iterations, each a Newton or Hoffman-Karp step")
-
-    p_bound = sub.add_parser("bound", help="estimate dual bounds for fixed policies")
-    common(p_bound)
-    p_bound.add_argument("--game")
-    p_bound.add_argument("--fix", action="append",
-                         help="A=<src>, B=<src> or both=<src>; sources: "
-                         "uniform, suboptimal, optimal, file:<path>")
-    p_bound.add_argument("--h", help="exact, pair-value, first-action, zero, file:<path>")
-    p_bound.add_argument("--side", choices=("lower", "upper", "both"))
-    p_bound.add_argument("--n", type=int)
-    p_bound.add_argument("--seed", type=_seed)
-    p_bound.add_argument("--q", help="uniform or file:<path>")
-    p_bound.add_argument("--tol", type=float)
-
-    p_repro = sub.add_parser("repro", help="reproduce a built-in experiment")
-    common(p_repro)
-    p_repro.add_argument("which", choices=("matrix-game", "waste-game"))
-    p_repro.add_argument("--rounds", type=int)
-    p_repro.add_argument("--n", type=int)
-    p_repro.add_argument("--seed", type=_seed)
-    p_repro.add_argument("--sites", type=int)
-    p_repro.add_argument("--generator", choices=("response-value", "pair-value"))
-    for p in (p_solve, p_bound, p_repro):
-        # The options a config file may set: every flag but --config itself.
-        p.set_defaults(options={
-            a.dest: a for a in p._actions
-            if a.option_strings and a.dest not in ("help", "config")
-        })
+        if command == "repro":
+            p.add_argument("which", choices=("matrix-game", "waste-game"))
+        # Each flag parses to None when absent, so it can be told from a default.
+        for dest, (_, keywords) in OPTIONS[command].items():
+            p.add_argument("--" + dest.replace("_", "-"), **keywords)
     return parser
-
-
-DEFAULTS = {
-    "solve": {"tol": 1e-10, "max_iter": 100_000, "format": "csv"},
-    "bound": {"h": "exact", "n": 10_000, "seed": 1, "q": "uniform",
-              "tol": 1e-10, "format": "csv"},
-    "repro": {"rounds": 3, "seed": 7, "sites": 10,
-              "generator": "response-value", "format": "csv"},
-}
 
 
 def _apply_defaults(args: argparse.Namespace) -> None:
     # Precedence: explicit flag > config file > built-in default.
+    options = OPTIONS[args.command]
     config = {}
     if args.config:
         try:
@@ -456,42 +423,43 @@ def _apply_defaults(args: argparse.Namespace) -> None:
         if not isinstance(config, dict):
             raise InputError("config file must hold a JSON object")
     config = {
-        key.replace("-", "_"): _config_value(args.options, key, value)
+        key.replace("-", "_"): _config_value(options, key, value)
         for key, value in config.items()
     }
-    if args.command == "repro" and args.which == "matrix-game":
-        for key in ("rounds", "sites", "generator"):
-            if getattr(args, key) is not None or key in config:
-                raise InputError(f"repro matrix-game takes no --{key}")
-    defaults = dict(DEFAULTS[args.command])
-    if args.command == "repro" and getattr(args, "n", None) is None:
+    defaults = {dest: default for dest, (default, _) in options.items()}
+    if args.command == "repro":
+        if args.which == "matrix-game":
+            for key in ("rounds", "sites", "generator"):
+                if getattr(args, key) is not None or key in config:
+                    raise InputError(f"repro matrix-game takes no --{key}")
         defaults["n"] = 10_000 if args.which == "matrix-game" else 5_000
     for key, value in {**defaults, **config}.items():
-        if getattr(args, key, None) is None:
+        if getattr(args, key) is None:
             setattr(args, key, value)
     if args.command in ("solve", "bound") and args.game is None:
         raise InputError("--game is required, as a flag or a config key")
 
 
-def _config_value(options: dict[str, argparse.Action], key: str, value):
+def _config_value(options: dict[str, tuple], key: str, value):
     """A config value converted and checked as if it were given as a flag."""
-    action = options.get(key.replace("-", "_"))
-    if action is None:
+    option = options.get(key.replace("-", "_"))
+    if option is None:
         raise InputError(
             f"config key {key!r} is not an option of this command; "
             f"options: {', '.join(sorted(options))}"
         )
-    if isinstance(action, argparse._AppendAction):
+    _, keywords = option
+    if keywords.get("action") == "append":
         if not isinstance(value, list):
             raise InputError(f"config key {key!r} must be a list")
-        return [_config_scalar(action, key, v) for v in value]
-    return _config_scalar(action, key, value)
+        return [_config_scalar(keywords, key, v) for v in value]
+    return _config_scalar(keywords, key, value)
 
 
-def _config_scalar(action: argparse.Action, key: str, value):
+def _config_scalar(keywords: dict, key: str, value):
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise InputError(f"config key {key!r} must be a string or a number, got {value!r}")
-    convert = action.type or str
+    convert = keywords.get("type", str)
     try:
         value = convert(str(value))
     except argparse.ArgumentTypeError as exc:
@@ -500,10 +468,10 @@ def _config_scalar(action: argparse.Action, key: str, value):
         raise InputError(
             f"config key {key!r}: invalid {convert.__name__} value {value!r}"
         ) from None
-    if action.choices is not None and value not in action.choices:
+    choices = keywords.get("choices")
+    if choices is not None and value not in choices:
         raise InputError(
-            f"config key {key!r}: {value!r} is not one of "
-            f"{', '.join(map(str, action.choices))}"
+            f"config key {key!r}: {value!r} is not one of {', '.join(map(str, choices))}"
         )
     return value
 

@@ -82,6 +82,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .games import (
+    SIMPLEX_TOL,
     GameModel,
     MdpView,
     Ssp,
@@ -143,7 +144,7 @@ def inverse_cdf_transition(row: np.ndarray, w: float) -> int:
     Sharing one uniform across the rows of every action implements common
     random numbers: the coupling that makes per-scenario inner problems
     well defined. ``row`` must be a distribution: finite, non-negative and
-    summing to 1 within 1e-12, as the rows of a ``ReferenceMeasure``.
+    summing to 1 within ``SIMPLEX_TOL``, as the rows of a ``ReferenceMeasure``.
     """
     if not 0.0 <= w < 1.0:
         raise ValueError(f"uniform draw {w} outside [0, 1)")
@@ -156,8 +157,8 @@ def inverse_cdf_transition(row: np.ndarray, w: float) -> int:
 
 def _are_distributions(rows: np.ndarray) -> bool:
     """Every row (last axis) of finite ``rows`` is non-negative and sums to
-    1 within 1e-12."""
-    return not ((rows < 0.0).any() or (np.abs(rows.sum(axis=-1) - 1.0) > 1e-12).any())
+    1 within ``SIMPLEX_TOL``."""
+    return not ((rows < 0.0).any() or (np.abs(rows.sum(axis=-1) - 1.0) > SIMPLEX_TOL).any())
 
 
 def _icdf(cum: np.ndarray, w: np.ndarray, last: int) -> np.ndarray:
@@ -405,7 +406,7 @@ class ReferenceMeasure:
             raise ValueError("reference kernel entries must be finite")
         if not _are_distributions(k):
             raise ValueError("reference kernel rows must be distributions")
-        if abs(k[a, a] - 1.0) > 1e-12:
+        if abs(k[a, a] - 1.0) > SIMPLEX_TOL:
             raise ValueError("absorbing state must self-map under q")
         if not absorbing_reachable(k, a):
             raise ValueError(

@@ -835,6 +835,8 @@ def validate(model: GameModel) -> list[tuple[str, str]]:
     order."""
     out: list[tuple[str, str]] = []
     n = model.n_states
+    if n < 1:
+        out.append(("model", "no states"))
     root = model.root
     if root is not None and (
         isinstance(root, bool) or not isinstance(root, (int, np.integer)) or not 0 <= root < n

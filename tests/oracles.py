@@ -528,6 +528,8 @@ def validate_by_entry(model: GameModel) -> list[tuple[str, str]]:
 
     out: list[tuple[str, str]] = []
     n = model.n_states
+    if n < 1:
+        out.append(("model", "no states"))
     if len(model.transition) != n or len(model.cost) != n:
         out.append(("model", "transition/cost length differs from n_states"))
         return out

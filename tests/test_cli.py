@@ -8,7 +8,7 @@ import pytest
 import zsgdual as zd
 from zsgdual import cli, experiments
 
-from oracles import dense_document, dense_kernel, random_sparse_ssp_game
+from oracles import dense_document, dense_kernel, random_finite_game, random_sparse_ssp_game
 
 
 def run(capsys, *argv):
@@ -998,3 +998,81 @@ class TestConfigPrecedence:
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2 and out == ""
         assert err.startswith("error: --game is required")
+
+
+BOUND_WASTE3 = ["bound", "--game", "builtin:waste,N=3", "--n", "64"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--game", "builtin:matrix2p,x=1"], "builtin:matrix2p takes no parameters"),
+    (["solve", "--game", "waste,N=3"],
+     "game source must be builtin:<name> or file:<path>, got 'waste,N=3'"),
+    (["solve", "--game", "builtin:waste,M=3"], "bad waste-game parameter 'M=3'"),
+    ([*BOUND_WASTE3, "--fix", "C=uniform"],
+     "--fix expects A=<src>, B=<src> or both=<src>, got 'C=uniform'"),
+    ([*BOUND_WASTE3, "--fix", "A=suboptimal"], "the built-in suboptimal policy is for player B"),
+    ([*BOUND_WASTE3, "--fix", "B=nope"], "unknown policy source 'nope'"),
+    ([*BOUND_WASTE3, "--fix", "B=uniform", "--h", "nope"], "unknown generator source 'nope'"),
+    ([*BOUND_WASTE3, "--fix", "B=uniform", "--q", "nope"],
+     "unknown reference measure source 'nope'"),
+    ([*BOUND_WASTE3, "--fix", "A=uniform", "--side", "upper"],
+     "side 'upper' requires fixing player B"),
+], ids=["matrix2p-params", "no-prefix", "waste-param", "fix-item", "suboptimal-A",
+        "policy-source", "generator-source", "q-source", "side-upper-A-only"])
+def test_input_error_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fix, want", [
+    (["B=suboptimal"], (0, "upper: mean=5.6 se=0.0 n=64 seed=1\n", "")),
+    ("B=suboptimal", (2, "", "error: config key 'fix' must be a list\n")),
+])
+def test_config_fix_is_a_list(capsys, tmp_path, fix, want):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fix": fix}))
+    argv = ["bound", "--game", "builtin:matrix2p", "--n", "64", "--config", str(cfg)]
+    assert run(capsys, *argv) == want
+
+
+def test_repro_consistency_violation_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "check_row_consistency", lambda row: [f"k={row.k} broken"])
+    out_path = tmp_path / "m.csv"
+    code, out, err = run(capsys, "repro", "matrix-game", "--n", "64", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["consistency violation: k=0 broken"] * 2
+    assert not out_path.exists()
+
+
+def test_finite_horizon_game_file(capsys, tmp_path):
+    """A finite-horizon game file is time-embedded on load: ``solve`` prints
+    the embedded game's equilibrium table, and ``bound`` walks its periods."""
+    model = random_finite_game(np.random.default_rng(12), n_states=5, periods=3)
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(zd.game_to_dict(model)))
+    embedded = zd.embed_finite_horizon(model)
+    values, mu, nu = zd.shapley_value_iteration(embedded)
+    want = experiments.csv_table(
+        experiments.StateRow, experiments.state_table(embedded, values, mu, nu)
+    )
+    assert run(capsys, "solve", "--game", f"file:{path}") == (0, want, "")
+    code, out, err = run(capsys, "bound", "--game", f"file:{path}", "--fix", "both=uniform",
+                         "--h", "pair-value", "--n", "64")
+    assert (code, err) == (0, "")
+    assert [line.split(":")[0] for line in out.splitlines()] == ["lower", "upper"]
+
+
+@pytest.mark.parametrize("doc, record", [
+    ({**WASTE2, "regime": {"kind": "discounted", "alpha": 1.5}},
+     "regime: alpha 1.5 outside (0, 1)"),
+    ({**WASTE2, "regime": {"kind": "finite_horizon", "periods": 0}}, "regime: periods 0 < 1"),
+    ({**WASTE2, "regime": {"kind": "ssp", "absorbing": 9}},
+     "regime: absorbing state 9 out of range"),
+    ({"n_states": 0, "regime": {"kind": "discounted", "alpha": 0.9},
+      "succ": [], "prob": [], "cost": []}, "model: no states"),
+], ids=["alpha", "periods", "absorbing", "no-states"])
+def test_game_file_validation_record_exits_2(capsys, tmp_path, doc, record):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "solve", "--game", f"file:{path}") == (
+        2, "", f"error: cannot load game from {path}: invalid game file: {record}\n"
+    )

@@ -521,6 +521,20 @@ class TestReferenceMeasure:
         with pytest.raises(ValueError):
             zd.ReferenceMeasure(kernel=kernel, absorbing=1)
 
+    def test_rejects_non_square_kernel(self):
+        with pytest.raises(ValueError, match="^reference kernel must be square$"):
+            zd.ReferenceMeasure(kernel=np.full((2, 3), 1.0 / 3.0), absorbing=1)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.6], [1.5, -0.5], [0.5, 0.5 - 1e-11]])
+    def test_rejects_rows_that_are_not_distributions(self, row):
+        with pytest.raises(ValueError, match="^reference kernel rows must be distributions$"):
+            zd.ReferenceMeasure(kernel=np.array([row, [0.0, 1.0]]), absorbing=1)
+
+    def test_absorbing_state_must_self_map(self):
+        kernel = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="^absorbing state must self-map under q$"):
+            zd.ReferenceMeasure(kernel=kernel, absorbing=1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
         # abs(nan - 1) > 1e-12 is False: a NaN entry passes the row-sum test.

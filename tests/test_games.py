@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -279,6 +280,23 @@ class TestValidate:
         assert zd.validate(broken) == [
             (f"state {a}", f"tensor shape {(1, 1, a)} != {shape}")
         ]
+
+    def test_game_without_states(self):
+        assert zd.validate(zd.make_game(zd.Discounted(0.9), [], [])) == [("model", "no states")]
+
+    def test_time_embedded_records(self):
+        emb = zd.embed_finite_horizon(random_finite_game(np.random.default_rng(5), n_states=4))
+        assert zd.validate(emb) == []
+        untagged = dataclasses.replace(emb, period=None)
+        assert zd.validate(untagged) == [("model", "embedded model lacks period tags")]
+        period = emb.period.copy()
+        period[emb.absorbing] += 1
+        # The last period's moves to the terminal state now skip a period too.
+        records = zd.validate(dataclasses.replace(emb, period=period))
+        assert records[0] == ("model", "terminal state not tagged with final period")
+        last = np.flatnonzero(emb.period == emb.horizon - 1).tolist()
+        assert records[1:] == [(f"state {i}", f"transitions skip a period (to {[emb.absorbing]})")
+                               for i in last]
 
 
 def _random_game(rng):
